@@ -18,6 +18,13 @@ are the exponent sums of the conjugated stabilizer generators.  When
 the two base cusps differ the solution is unique; when they agree all
 n lifts survive or none do, which is what makes the same-fiber Fourier
 modes supported on multiples of n.
+
+The sums r come from the Dedekind-sum formula of the sl2 module
+(6c r1 and 6c (r1 + r2) as combinations of 12k s(d, k) for k = c, 2c,
+c/2; Apostol ch. 3 and Rademacher-Grosswald), in int64 batches.  The
+Fermat enumeration runs over blocks of consecutive c holding about
+_ENUM_BLOCK level-2 candidates each, and the Fermat class tables
+classify all (-d : c) of one c in one batch.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +43,7 @@ from .fermat import (
     FermatCusp,
     GroupId,
     classify_rep_index,
+    classify_rep_indices,
     cusp_reps,
     gamma2_base,
 )
@@ -47,6 +56,8 @@ from .sl2 import (
     Mat2Z,
     cusp_scaling_matrix,
     gamma2_exponent_sums,
+    gamma2_exponent_sums_batch,
+    mod_inverse_batch,
 )
 from .special import DEFAULT_PRECISION, PrecisionConfig, bessel_k, gamma_fn, zeta
 
@@ -57,10 +68,6 @@ class DivergentRegion(ValueError):
 
 class TruncationUnsound(ValueError):
     """Tail estimate exceeds the requested tolerance."""
-
-
-class MissingConstants(ValueError):
-    """No closed-form scattering constants for the group."""
 
 
 @dataclass(frozen=True)
@@ -155,12 +162,8 @@ def _class_table(group: GroupId, c: int):
         else:
             table = [(2, cop[podd])]
     else:
-        n = group.n
-        buckets: dict[int, list[int]] = {}
-        for d0 in cop.tolist():
-            idx = classify_rep_index(-d0, c, n)
-            buckets.setdefault(idx, []).append(d0)
-        table = [(idx, np.array(v, dtype=np.int64)) for idx, v in sorted(buckets.items())]
+        idx = classify_rep_indices(-cop, c, group.n)
+        table = [(int(i), cop[idx == i]) for i in np.flatnonzero(np.bincount(idx))]
     with _CLASS_LOCK:
         _CLASS_CACHE[key] = table
     return table
@@ -231,12 +234,23 @@ class _PhiData:
 
     def __init__(self):
         self.c_done = 0
+        self.size = 0       # residues held, over all c
         self.items: list[np.ndarray] = []
         self.lock = threading.Lock()
 
 
-_PHI_CACHE: dict = {}
+# Pairs in least recently used order.  Past _PHI_CACHE_ENTRIES residues
+# in all the oldest pairs are dropped; the pair just asked for always
+# stays.  2^19 residues hold ten Fermat pairs at c_max 500 (2 MB of
+# int32), or all nine level-2 pairs (457k int64 residues) at once.
+_PHI_CACHE: OrderedDict = OrderedDict()
 _PHI_LOCK = threading.Lock()
+_PHI_CACHE_ENTRIES = 1 << 19
+
+# Level-2 candidates per vectorised block of the Fermat enumeration.  The
+# working arrays of a block peak near 1 MB at this size; larger blocks
+# raise peak memory for little speed.
+_ENUM_BLOCK = 2048
 
 
 def _kappa_sums(g: Mat2Z) -> tuple[int, int]:
@@ -253,32 +267,32 @@ def _phi_items(group: GroupId, j: Cusp, k: Cusp, c_max: int) -> list[np.ndarray]
     key = (group, j, k)
     with _PHI_LOCK:
         data = _PHI_CACHE.setdefault(key, _PhiData())
+        _PHI_CACHE.move_to_end(key)
     with data.lock:
-        return _phi_items_locked(data, group, j, k, c_max)
+        c_done = data.c_done
+        items = _phi_items_locked(data, group, j, k, c_max)
+        data.size += sum(arr.size for arr in items[c_done:])
+    with _PHI_LOCK:
+        total = sum(d.size for d in _PHI_CACHE.values())
+        for other in list(_PHI_CACHE):
+            if total <= _PHI_CACHE_ENTRIES:
+                break
+            if other != key:
+                total -= _PHI_CACHE.pop(other).size
+    return items
 
 
 def _phi_items_locked(data: _PhiData, group: GroupId, j: Cusp, k: Cusp,
                       c_max: int) -> list[np.ndarray]:
     if data.c_done >= c_max:
         return data.items
-    gj = cusp_scaling_matrix(j)
-    gk = cusp_scaling_matrix(k)
-    gj_inv = gj.inverse()
-    gk_inv = gk.inverse()
-    # parity target: M in gj^-1 Gamma(2) gk  <=>  M = gj^-1 gk mod 2
-    pt = gj_inv * gk
-    pa, pb, pc, pd = pt.a & 1, pt.b & 1, pt.c & 1, pt.d & 1
-    n = group.n if group.kind == "gamma_n" else 1
-    if group.kind == "gamma_n" and n > 1:
-        vj = _kappa_sums(gj)
-        vk = _kappa_sums(gk)
-        same_base = gamma2_base(j) == gamma2_base(k)
-        if not same_base:
-            det = vj[0] * vk[1] - vj[1] * vk[0]
-            det_inv = pow(det % n, -1, n)
-    e, f, g_, h = gj.entries()
-    ki11, ki12, ki21, ki22 = gk_inv.entries()
     items = data.items
+    if group.kind == "gamma_n" and group.n > 1:
+        items.extend(_fermat_items(group.n, j, k, data.c_done + 1, c_max))
+        data.c_done = c_max
+        return items
+    pt = cusp_scaling_matrix(j).inverse() * cusp_scaling_matrix(k)
+    pc, pd = pt.c & 1, pt.d & 1
     for c in range(data.c_done + 1, c_max + 1):
         if group.kind == "gamma1":
             d = np.arange(c, dtype=np.int64)
@@ -288,49 +302,76 @@ def _phi_items_locked(data: _PhiData, group: GroupId, j: Cusp, k: Cusp,
             items.append(np.empty(0, dtype=np.int64))
             continue
         d0 = np.arange(pd, 2 * c, 2, dtype=np.int64)
-        d0 = d0[np.gcd(d0, c) == 1]
-        if group.kind == "gamma2" or n == 1:
-            items.append(d0)
-            continue
-        out: list[int] = []
-        period = 2 * n * c
-        for dv in d0.tolist():
-            a0 = pow(dv, -1, c) if c > 1 else 0
-            matched = None
-            for a in (a0, a0 + c):
-                if (a & 1) != pa:
-                    continue
-                b = (a * dv - 1) // c
-                if (b & 1) != pb:
-                    continue
-                matched = (a, b)
-                break
-            if matched is None:
-                continue
-            a, b = matched
-            # rho = gj * M * gk^-1
-            m11 = e * a + f * c
-            m12 = e * b + f * dv
-            m21 = g_ * a + h * c
-            m22 = g_ * b + h * dv
-            r11 = m11 * ki11 + m12 * ki21
-            r12 = m11 * ki12 + m12 * ki22
-            r21 = m21 * ki11 + m22 * ki21
-            r22 = m21 * ki12 + m22 * ki22
-            sums = gamma2_exponent_sums(r11, r12, r21, r22)
-            if sums is None:
-                continue
-            r1, r2 = sums[0] % n, sums[1] % n
-            if same_base:
-                # solvable iff -r parallel to the stabilizer vector
-                if (r1 * vj[1] - r2 * vj[0]) % n == 0:
-                    out.extend((dv + 2 * c * t) % period for t in range(n))
-            else:
-                t = (-vj[1] * (-r1) + vj[0] * (-r2)) * det_inv % n
-                out.append((dv + 2 * c * t) % period)
-        items.append(np.array(sorted(out), dtype=np.int64))
-    data.c_done = max(data.c_done, c_max)
+        items.append(d0[np.gcd(d0, c) == 1])
+    data.c_done = c_max
     return items
+
+
+def _fermat_items(n: int, j: Cusp, k: Cusp, c_lo: int, c_hi: int) -> list[np.ndarray]:
+    """Admissible d (mod 2nc) of a Fermat pair for c = c_lo..c_hi, as
+    sorted int32 arrays: half the memory of int64, and exact in the
+    phase products that read them.
+
+    Level-2 candidates (c, d) are processed in blocks of about
+    _ENUM_BLOCK lanes: one Euclid pass gives the top row of
+    M = [a b; c d] in gj^-1 Gamma(2) gk, and the exponent sums of
+    rho = gj M gk^-1 decide the lifts of d mod 2c to d mod 2nc.
+    """
+    if 2 * n * c_hi > np.iinfo(np.int32).max:
+        raise OverflowError(f"residues mod {2 * n * c_hi} overflow int32")
+    gj = cusp_scaling_matrix(j)
+    gk = cusp_scaling_matrix(k)
+    # parity target: M in gj^-1 Gamma(2) gk  <=>  M = gj^-1 gk mod 2
+    pa, pb, pc, pd = ((x & 1) for x in (gj.inverse() * gk).entries())
+    vj = _kappa_sums(gj)
+    same_base = gamma2_base(j) == gamma2_base(k)
+    if not same_base:
+        vk = _kappa_sums(gk)
+        det_inv = pow((vj[0] * vk[1] - vj[1] * vk[0]) % n, -1, n)
+    e, f, g_, h = gj.entries()
+    ki11, ki12, ki21, ki22 = gk.inverse().entries()
+    lifts = np.arange(n, dtype=np.int64)
+    parts = [np.empty(0, dtype=np.int32)]
+    counts = np.zeros(c_hi - c_lo + 1, dtype=np.int64)
+    cs = np.arange(c_lo + ((c_lo & 1) != pc), c_hi + 1, 2, dtype=np.int64)
+    # a c contributes c candidates d = pd, pd + 2, ..., < 2c
+    block_of = (np.cumsum(cs) - 1) // _ENUM_BLOCK
+    for blk in np.split(cs, np.flatnonzero(np.diff(block_of)) + 1):
+        if blk.size == 0:
+            continue
+        c = np.repeat(blk, blk)
+        d = pd + 2 * (np.arange(c.size) - np.repeat(np.cumsum(blk) - blk, blk))
+        keep = np.gcd(d, c) == 1
+        c, d = c[keep], d[keep]
+        a0 = mod_inverse_batch(d, c)
+        a = np.zeros_like(c)
+        b = np.zeros_like(c)
+        found = np.zeros(c.size, dtype=bool)
+        for a_try in (a0, a0 + c):  # the b parity can fail on a0
+            b_try = (a_try * d - 1) // c
+            hit = ~found & ((a_try & 1) == pa) & ((b_try & 1) == pb)
+            a[hit], b[hit] = a_try[hit], b_try[hit]
+            found |= hit
+        a, b, c, d = a[found], b[found], c[found], d[found]
+        # rho = gj * M * gk^-1
+        m11, m12 = e * a + f * c, e * b + f * d
+        m21, m22 = g_ * a + h * c, g_ * b + h * d
+        r1, r2 = gamma2_exponent_sums_batch(m11 * ki11 + m12 * ki21, m11 * ki12 + m12 * ki22,
+                                            m21 * ki11 + m22 * ki21, m21 * ki12 + m22 * ki22)
+        r1, r2 = r1 % n, r2 % n
+        if same_base:
+            # solvable iff -r parallel to the stabilizer vector
+            sel = (r1 * vj[1] - r2 * vj[0]) % n == 0
+            c, d = c[sel], d[sel]
+            vals = ((d[:, None] + 2 * c[:, None] * lifts) % (2 * n * c)[:, None]).ravel()
+            c = np.repeat(c, n)
+        else:
+            t = (-vj[1] * (-r1) + vj[0] * (-r2)) * det_inv % n
+            vals = (d + 2 * c * t) % (2 * n * c)
+        parts.append(vals[np.lexsort((vals, c))].astype(np.int32))
+        counts += np.bincount(c - c_lo, minlength=counts.size)
+    # one array for the whole range, split into per-c views
+    return np.split(np.concatenate(parts), np.cumsum(counts)[:-1])
 
 
 def phi_coefficient(group: GroupId, j, k, m: int, s,
@@ -492,8 +533,6 @@ def fourier_limit_eval(group: GroupId, j, k, z: complex,
         raise ValueError("z must lie in the upper half plane")
     jc = standard_rep(group, j)
     kc = standard_rep(group, k)
-    if group.kind not in ("gamma1", "gamma2", "gamma_n"):
-        raise MissingConstants(str(group))
     ct = scattering.natural_constant(group, jc, kc, cfg)
     b = group.width
     val = 4.0 * math.pi * (ct - (3.0 / (math.pi * group.index)) * math.log(y))

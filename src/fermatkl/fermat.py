@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import pi
 
+import numpy as np
+
 from .sl2 import (
     CUSP_INF,
     CUSP_ONE,
@@ -24,6 +26,9 @@ from .sl2 import (
     Mat2Z,
     GEN1,
     GEN2,
+    gamma2_exponent_sums_batch,
+    mod_inverse_batch,
+    round_half_down,
     word_from_syllables,
     word_to_matrix,
 )
@@ -250,23 +255,14 @@ def _cusp_reduction_steps(c: Cusp) -> tuple[Cusp, list[tuple[int, int]]]:
             p += 2 * q
             break
         if ap > aq:
-            e = -_round_half_down(p, 2 * q)
+            e = -round_half_down(p, 2 * q)
             steps.append((1, e))
             p += 2 * e * q
         else:
-            e = -_round_half_down(q, 2 * p)
+            e = -round_half_down(q, 2 * p)
             steps.append((2, e))
             q += 2 * e * p
     return Cusp(p, q), steps
-
-
-def _round_half_down(num: int, den: int) -> int:
-    if den < 0:
-        num, den = -num, -den
-    quot, rem = divmod(num, den)
-    if 2 * rem > den:
-        quot += 1
-    return quot
 
 
 def gamma_n_class(p: int, q: int, n: int) -> tuple[Cusp, int]:
@@ -288,11 +284,11 @@ def gamma_n_class(p: int, q: int, n: int) -> tuple[Cusp, int]:
             p += 2 * q
             break
         if ap > aq:
-            e = -_round_half_down(p, 2 * q)
+            e = -round_half_down(p, 2 * q)
             r1 -= e
             p += 2 * e * q
         else:
-            e = -_round_half_down(q, 2 * p)
+            e = -round_half_down(q, 2 * p)
             r2 -= e
             q += 2 * e * p
     if q == 0:
@@ -371,6 +367,34 @@ def classify_rep_index(p: int, q: int, n: int) -> int:
         return n + t
     # S_inf block: reps 1/2 ... 1/(2n-2) then inf (t = 0) last.
     return 2 * n + (t - 1 if t else n - 1)
+
+
+def classify_rep_indices(p, q, n: int) -> np.ndarray:
+    """classify_rep_index over int64 arrays of coprime p, q with q >= 1.
+
+    Each (p : q) gets a level-2 matrix M with M(base) = (p : q) from one
+    modular-inverse pass, and the invariant is read from the batched
+    exponent sums of M exactly as gamma_n_class defines it:
+    base infinity, M = [p (py-1)/q; q y] with y = p^-1 mod 2q; bases 0
+    and 1, a = q^-1 mod 2|p| and c = (aq-1)/p, with M = [a p; c q] and
+    M = [a p-a; c q-c].  (0 : 1) is the base 0 itself.
+    """
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64))
+    at_inf = (q & 1) == 0
+    at_one = ((p & 1) == 1) & ~at_inf
+    at_zero = p == 0
+    p = np.where(at_zero, 1, p)  # placeholder: those lanes get the identity below
+    inv = mod_inverse_batch(np.where(at_inf, p, q), np.where(at_inf, 2 * q, 2 * np.abs(p)))
+    lower = (inv * q - 1) // p
+    a = np.where(at_inf, p, inv)
+    b = np.where(at_inf, (p * inv - 1) // q, np.where(at_one, p - inv, p))
+    c = np.where(at_inf, q, lower)
+    d = np.where(at_inf, inv, np.where(at_one, q - lower, q))
+    a, b, c, d = (np.where(at_zero, x, y) for x, y in ((1, a), (0, b), (0, c), (1, d)))
+    r1, r2 = gamma2_exponent_sums_batch(a, b, c, d)
+    t = np.where(at_inf, r2, np.where(at_one, r1 + r2, r1)) % n
+    return np.where(at_inf, 2 * n + np.where(t > 0, t - 1, n - 1),
+                    np.where(at_one, n + t, t))
 
 
 def _word_power(pair: tuple[tuple[int, int], ...], e: int) -> list[tuple[int, int]]:

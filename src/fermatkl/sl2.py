@@ -8,13 +8,37 @@ congruence subgroup generated by
 
 Matrices are identified with their negatives throughout (elements of
 PSL rather than SL), so every Mat2Z is kept in a canonical sign form.
-All integer arithmetic is arbitrary precision.
+All integer arithmetic is arbitrary precision, except in the int64
+batch functions, which raise OverflowError beyond BATCH_ENTRY_BOUND.
+
+Exponent sums.  The exponent sums (r1, r2) of gamma = [a b; c d] in the
+level-2 group, sign-normalised so that c > 0, come from three Dedekind
+sums through the eta transformation law (Apostol, Modular Functions and
+Dirichlet Series in Number Theory, ch. 3).  With Y(h, k) = 12k s(h, k),
+
+    6c r1        = 3(a+d) + 6 Y(d, c) - Y(d, 2c) - 8 Y(d, c/2)
+    6c (r1 + r2) = 3(a+d) + Y(d, 2c) - 4 Y(d, c/2),
+
+and gamma = g1^(b/2), r = (b/2, 0), when c = 0.  Both divisions are
+exact; a remainder raises ArithmeticError.  Y follows from reciprocity
+(Rademacher and Grosswald, Dedekind Sums, 1972) as one extended Euclid
+pass on (k, h) for coprime 0 <= h < k: with quotients q_1..q_n and the
+raw Bezout coefficient x0 of h (not reduced mod k),
+
+    Y(h, k) = k (q_1 - q_2 + ... +- q_n) - 3k [n odd] + h + x0,
+
+and Y(0, 1) = 0.  That is O(log c) steps, where the greedy word
+reduction of decompose_gamma2 takes O(c).  gamma2_exponent_sums is the
+exact Python-int form; gamma2_exponent_sums_batch runs the same formula
+over int64 arrays for the Fermat enumeration and cusp class tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 
 class NotInGamma2(ValueError):
@@ -246,14 +270,24 @@ def exponent_sums(w: GammaWord) -> tuple[int, int]:
     return (w.r1, w.r2)
 
 
+def round_half_down(num: int, den: int) -> int:
+    """Nearest integer to num/den (den != 0), halves rounded down."""
+    if den < 0:
+        num, den = -num, -den
+    q, r = divmod(num, den)
+    if 2 * r > den:
+        q += 1
+    return q
+
+
 def _best_shift(u: int, v: int, c: int, d: int) -> tuple[int, int]:
     """k minimizing |u - 2kc| + |v - 2kd| over integers, with the norm."""
     cands = {0}
     if c:
-        k0 = _round_div(u, 2 * c)
+        k0 = round_half_down(u, 2 * c)
         cands.update((k0 - 1, k0, k0 + 1))
     if d:
-        k0 = _round_div(v, 2 * d)
+        k0 = round_half_down(v, 2 * d)
         cands.update((k0 - 1, k0, k0 + 1))
     best_k, best_n = 0, abs(u) + abs(v)
     for k in cands:
@@ -263,95 +297,178 @@ def _best_shift(u: int, v: int, c: int, d: int) -> tuple[int, int]:
     return best_k, best_n
 
 
-def _round_div(num: int, den: int) -> int:
-    """Nearest integer to num/den (den != 0), half rounded toward zero."""
-    if den < 0:
-        num, den = -num, -den
-    q, r = divmod(num, den)
-    if 2 * r > den:
-        q += 1
-    return q
+def decompose_gamma2(m: Mat2Z) -> GammaWord:
+    """Unique reduced word w with eval(w) = m up to sign.
 
-
-def _reduce_entries(a: int, b: int, c: int, d: int, collect: bool):
-    """Shared word-reduction loop on raw entries.
-
-    Peels generator powers from the left while the 1-norm strictly
-    decreases.  Returns the syllable list when ``collect`` is true,
-    otherwise the exponent sums (r1, r2).  Raises NotInGamma2 when the
-    entries do not describe a reduced word (reachable only on invalid
-    input).
+    Continued-fraction style ping-pong reduction: peels generator powers
+    from the left while the 1-norm strictly decreases; deterministic
+    because the peeled exponent is the greedy minimizer of the row
+    1-norm.  It takes O(c) steps on runs of g1 g2^-1, so exponent sums
+    come from gamma2_exponent_sums instead; this is the witness-word
+    path and the oracle for it.
     """
-    if (a & 1) == 0 or (d & 1) == 0 or (b & 1) or (c & 1):
-        raise NotInGamma2(f"[{a} {b}; {c} {d}] is not in the level-2 group")
+    if not is_in_gamma2(m):
+        raise NotInGamma2(f"{m} is not in the level-2 group")
+    a, b, c, d = m.entries()
     syll: list[tuple[int, int]] = []
-    r1 = r2 = 0
     while True:
         if c == 0:
             if a < 0:
-                a, b = -a, -b
+                b = -b
             # a = d = 1 and b even: the word tail g1^(b/2).
-            k = b // 2
-            if k:
-                if collect:
-                    syll.append((1, k))
-                r1 += k
+            syll.append((1, b // 2))
             break
         if b == 0:
             if a < 0:
                 c, d = -c, -d
-            k = c // 2
-            if k:
-                if collect:
-                    syll.append((2, k))
-                r2 += k
+            syll.append((2, c // 2))
             break
         size = abs(a) + abs(b) + abs(c) + abs(d)
         k1, n1 = _best_shift(a, b, c, d)
         k2, n2 = _best_shift(c, d, a, b)
-        top = abs(a) + abs(b)
-        bot = abs(c) + abs(d)
-        new1 = n1 + bot
-        new2 = n2 + top
+        new1 = n1 + abs(c) + abs(d)
+        new2 = n2 + abs(a) + abs(b)
         if new1 < size and (new1 <= new2 or k2 == 0) and k1 != 0:
             # M = g1^k1 * M'; peel from the left.
-            if collect:
-                syll.append((1, k1))
-            r1 += k1
+            syll.append((1, k1))
             a, b = a - 2 * k1 * c, b - 2 * k1 * d
         elif new2 < size and k2 != 0:
-            if collect:
-                syll.append((2, k2))
-            r2 += k2
+            syll.append((2, k2))
             c, d = c - 2 * k2 * a, d - 2 * k2 * b
         else:
             raise NotInGamma2(f"word reduction stalled at [{a} {b}; {c} {d}]")
-    if collect:
-        return syll
-    return r1, r2
-
-
-def decompose_gamma2(m: Mat2Z) -> GammaWord:
-    """Unique reduced word w with eval(w) = m up to sign.
-
-    Continued-fraction style ping-pong reduction; deterministic because
-    the peeled exponent is the greedy minimizer of the row 1-norm.
-    """
-    if not is_in_gamma2(m):
-        raise NotInGamma2(f"{m} is not in the level-2 group")
-    syll = _reduce_entries(m.a, m.b, m.c, m.d, collect=True)
     return word_from_syllables(syll)
+
+
+# ---------------------------------------------------------------------------
+# exponent sums from Dedekind sums
+# ---------------------------------------------------------------------------
+
+# Largest entry magnitude the int64 batch accepts.  For c <= 2^29 every
+# Y(h, k) with k <= 2c obeys |Y| <= k^2 <= 2^60, and both numerators stay
+# below 12 c^2 + 6 * 2^29 < 2^63.
+BATCH_ENTRY_BOUND = 1 << 29
+
+
+def _dedekind_y(h: int, k: int) -> int:
+    """Y(h, k) = 12k s(h, k) for coprime 0 <= h < k (Y(0, 1) = 0)."""
+    r0, r1 = k, h
+    x0, x1 = 0, 1
+    alt, sign = 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        alt += sign * q
+        sign = -sign
+    # sign < 0 exactly when the number of quotients is odd
+    return k * alt - (3 * k if sign < 0 else 0) + h + x0
+
+
+def _sum_numerators(a, d, y_c, y_2c, y_half):
+    """6c r1 and 6c (r1 + r2) from the three Dedekind sums of d."""
+    t = 3 * (a + d)
+    return t + 6 * y_c - y_2c - 8 * y_half, t + y_2c - 4 * y_half
 
 
 def gamma2_exponent_sums(a: int, b: int, c: int, d: int):
     """Exponent sums (r1, r2) for raw entries, or None if not level 2.
 
-    Fast path used by the Fourier-coefficient enumeration; avoids
-    constructing Mat2Z/GammaWord objects.
+    Exact for entries of any size.  See the module docstring for the
+    formula; gamma2_exponent_sums_batch is the int64 form.
     """
-    if (a & 1) == 0 or (d & 1) == 0 or (b & 1) or (c & 1):
+    if (a & 1) == 0 or (d & 1) == 0 or (b & 1) or (c & 1) or a * d - b * c != 1:
         return None
-    return _reduce_entries(a, b, c, d, collect=False)
+    if c < 0 or (c == 0 and a < 0):
+        a, b, c, d = -a, -b, -c, -d
+    if c == 0:
+        return b // 2, 0
+    half = c // 2
+    num1, num2 = _sum_numerators(a, d, _dedekind_y(d % c, c),
+                                 _dedekind_y(d % (2 * c), 2 * c),
+                                 _dedekind_y(d % half, half))
+    r1, e1 = divmod(num1, 6 * c)
+    s, e2 = divmod(num2, 6 * c)
+    if e1 or e2:
+        raise ArithmeticError(f"exponent-sum numerators of [{a} {b}; {c} {d}] "
+                              f"are not divisible by 6c")
+    return r1, s - r1
+
+
+def _euclid_batch(k: np.ndarray, h: np.ndarray):
+    """Extended Euclid on (k, h) lane by lane, for 0 <= h < k.
+
+    Returns the alternating quotient sums q_1 - q_2 + ..., whether the
+    number of quotients is odd, and the raw Bezout coefficient x0 with
+    x0 h = gcd (mod k).  Finished lanes are dropped from the working
+    arrays, so every live lane is at the same step.
+    """
+    alt = np.zeros(k.size, dtype=np.int64)
+    odd = np.zeros(k.size, dtype=bool)
+    x_out = np.zeros(k.size, dtype=np.int64)
+    idx = np.flatnonzero(h)
+    r0, r1 = k[idx], h[idx]
+    x0, x1 = np.zeros(idx.size, dtype=np.int64), np.ones(idx.size, dtype=np.int64)
+    acc = np.zeros(idx.size, dtype=np.int64)
+    step = 0
+    while idx.size:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        acc = acc - q if step & 1 else acc + q
+        step += 1
+        done = r1 == 0
+        if done.any():
+            lanes = idx[done]
+            alt[lanes] = acc[done]
+            odd[lanes] = step & 1
+            x_out[lanes] = x0[done]
+            live = ~done
+            idx, r0, r1, x0, x1, acc = idx[live], r0[live], r1[live], x0[live], x1[live], acc[live]
+    return alt, odd, x_out
+
+
+def mod_inverse_batch(h, k) -> np.ndarray:
+    """h^-1 mod k in [0, k) for int64 arrays of coprime h and k >= 1."""
+    k = np.asarray(k, dtype=np.int64)
+    h = np.asarray(h, dtype=np.int64) % k
+    return _euclid_batch(k, h)[2] % k
+
+
+def gamma2_exponent_sums_batch(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent sums (r1, r2) of level-2 matrices given as int64 arrays.
+
+    The same formula as gamma2_exponent_sums, one lane per matrix.
+    Raises OverflowError when an entry exceeds BATCH_ENTRY_BOUND in
+    magnitude and NotInGamma2 when a lane is not a level-2 matrix.
+    """
+    a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (a, b, c, d)))
+    for x in (a, b, c, d):
+        if x.size and (x.max() > BATCH_ENTRY_BOUND or x.min() < -BATCH_ENTRY_BOUND):
+            raise OverflowError(f"matrix entries beyond {BATCH_ENTRY_BOUND} overflow int64")
+    bad = ((a & 1) == 0) | ((d & 1) == 0) | ((b & 1) == 1) | ((c & 1) == 1) | (a * d - b * c != 1)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise NotInGamma2(f"[{a[i]} {b[i]}; {c[i]} {d[i]}] is not in the level-2 group")
+    sign = np.where((c < 0) | ((c == 0) & (a < 0)), -1, 1)
+    a, b, c, d = a * sign, b * sign, c * sign, d * sign
+    r1 = b // 2
+    r2 = np.zeros_like(r1)
+    pos = np.flatnonzero(c)
+    if pos.size:
+        ap, cp, dp = a[pos], c[pos], d[pos]
+        k = np.concatenate((cp, 2 * cp, cp // 2))
+        h = np.concatenate((dp, dp, dp)) % k
+        alt, odd, x0 = _euclid_batch(k, h)
+        y = k * alt - 3 * k * odd + h + x0
+        num1, num2 = _sum_numerators(ap, dp, *np.split(y, 3))
+        q1, e1 = np.divmod(num1, 6 * cp)
+        q2, e2 = np.divmod(num2, 6 * cp)
+        if e1.any() or e2.any():
+            raise ArithmeticError("exponent-sum numerators are not divisible by 6c")
+        r1[pos] = q1
+        r2[pos] = q2 - q1
+    return r1, r2
 
 
 def is_in_gamma_n(m: Mat2Z, n: int) -> bool:
@@ -361,5 +478,5 @@ def is_in_gamma_n(m: Mat2Z, n: int) -> bool:
         raise ValueError("level must be a positive integer")
     if not is_in_gamma2(m):
         return False
-    r1, r2 = _reduce_entries(m.a, m.b, m.c, m.d, collect=False)
+    r1, r2 = gamma2_exponent_sums(m.a, m.b, m.c, m.d)
     return r1 % n == 0 and r2 % n == 0

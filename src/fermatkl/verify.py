@@ -39,8 +39,6 @@ from .qseries import FormLabel, coset_product_value, expansion, petersson_norm_s
 from .sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp, cusp_scaling_matrix, mobius_point
 from .special import DEFAULT_PRECISION, PrecisionConfig
 
-PROBE_GRID = (1j, 2j, 1 + 2j, 0.3 + 1.5j)
-
 
 @dataclass(frozen=True)
 class CheckReport:

@@ -278,3 +278,187 @@ def test_klf_constant_independent_of_cusp():
         fv, _ = expansion(FormLabel("f", n, fc.kind, fc.index), Fraction(20)).evaluate(z)
         fconsts.append((lhs + math.log(abs(fv) ** 2 * z.imag ** 2) / n ** 2).real)
     assert max(fconsts) - min(fconsts) < 1e-5
+
+
+def _phi_items_per_d(group, j, k, c_max):
+    """The per-d Fermat enumeration the batched one replaced: reference."""
+    from fermatkl.eisenstein import _kappa_sums
+    from fermatkl.sl2 import gamma2_exponent_sums
+
+    gj, gk = cusp_scaling_matrix(j), cusp_scaling_matrix(k)
+    pt = gj.inverse() * gk
+    pa, pb, pc, pd = pt.a & 1, pt.b & 1, pt.c & 1, pt.d & 1
+    n = group.n
+    vj, vk = _kappa_sums(gj), _kappa_sums(gk)
+    same_base = gamma2_base(j) == gamma2_base(k)
+    if not same_base:
+        det_inv = pow((vj[0] * vk[1] - vj[1] * vk[0]) % n, -1, n)
+    e, f, g_, h = gj.entries()
+    ki11, ki12, ki21, ki22 = gk.inverse().entries()
+    items = []
+    for c in range(1, c_max + 1):
+        if (c & 1) != pc:
+            items.append(np.empty(0, dtype=np.int64))
+            continue
+        out = []
+        for dv in range(pd, 2 * c, 2):
+            if gcd(dv, c) != 1:
+                continue
+            a0 = pow(dv, -1, c) if c > 1 else 0
+            matched = None
+            for a in (a0, a0 + c):
+                b = (a * dv - 1) // c
+                if (a & 1) == pa and (b & 1) == pb:
+                    matched = (a, b)
+                    break
+            if matched is None:
+                continue
+            a, b = matched
+            m11, m12 = e * a + f * c, e * b + f * dv
+            m21, m22 = g_ * a + h * c, g_ * b + h * dv
+            sums = gamma2_exponent_sums(m11 * ki11 + m12 * ki21, m11 * ki12 + m12 * ki22,
+                                        m21 * ki11 + m22 * ki21, m21 * ki12 + m22 * ki22)
+            r1, r2 = sums[0] % n, sums[1] % n
+            if same_base:
+                if (r1 * vj[1] - r2 * vj[0]) % n == 0:
+                    out.extend((dv + 2 * c * t) % (2 * n * c) for t in range(n))
+            else:
+                t = (-vj[1] * (-r1) + vj[0] * (-r2)) * det_inv % n
+                out.append((dv + 2 * c * t) % (2 * n * c))
+        items.append(np.array(sorted(out), dtype=np.int64))
+    return items
+
+
+def _fresh_phi_items(group, j, k, c_max, data=None):
+    from fermatkl.eisenstein import _phi_items_locked, _PhiData
+
+    return _phi_items_locked(data or _PhiData(), group, j, k, c_max)
+
+
+def _assert_same_items(got, want):
+    assert len(got) == len(want)
+    for c, (x, y) in enumerate(zip(got, want), start=1):
+        assert x.dtype == np.int32 and np.array_equal(x, y), c
+
+
+def test_batched_fermat_enumeration_matches_per_d_loop():
+    for n in (2, 3, 4):
+        g = gamma_n(n)
+        for fj in cusp_reps(n):
+            for fk in cusp_reps(n):
+                _assert_same_items(_fresh_phi_items(g, fj.rep, fk.rep, 60),
+                                   _phi_items_per_d(g, fj.rep, fk.rep, 60))
+
+
+def test_batched_fermat_enumeration_extends():
+    from fermatkl.eisenstein import _PhiData
+
+    for n in (2, 3):
+        g = gamma_n(n)
+        for j, k in ((cusp_reps(n)[1].rep, cusp_reps(n)[-1].rep),
+                     (cusp_reps(n)[-1].rep, cusp_reps(n)[-1].rep)):
+            data = _PhiData()
+            _fresh_phi_items(g, j, k, 40, data)
+            _assert_same_items(_fresh_phi_items(g, j, k, 120, data),
+                               _fresh_phi_items(g, j, k, 120))
+            assert data.c_done == 120
+
+
+def test_batched_class_table_matches_per_d_loop():
+    from fermatkl.eisenstein import _class_table
+    from fermatkl.fermat import classify_rep_index
+
+    for n in (2, 3, 4, 5):
+        g = gamma_n(n)
+        for c in range(1, 81):
+            buckets = {}
+            for d0 in range(2 * n * c):
+                if gcd(d0, c) == 1:
+                    buckets.setdefault(classify_rep_index(-d0, c, n), []).append(d0)
+            table = _class_table(g, c)
+            assert [i for i, _ in table] == sorted(buckets)
+            for i, arr in table:
+                assert type(i) is int and arr.dtype == np.int64
+                assert arr.tolist() == buckets[i], (n, c, i)
+
+
+def test_phi_cache_evicts_least_recently_used(monkeypatch):
+    from fermatkl import eisenstein
+
+    monkeypatch.setattr(eisenstein, "_PHI_CACHE", type(eisenstein._PHI_CACHE)())
+    monkeypatch.setattr(eisenstein, "_PHI_CACHE_ENTRIES", 1000)
+    g = gamma_n(3)
+    reps = cusp_reps(3)
+    pairs = [(reps[i].rep, reps[-1].rep) for i in (0, 3, 6)]
+    first = [_phi_items(g, j, k, 60) for j, k in pairs[:2]]
+    sizes = [sum(a.size for a in items) for items in first]
+    assert sizes[0] + sizes[1] > 1000 >= max(sizes)
+    # the second pair pushed the first out; the pair just asked for stays
+    assert list(eisenstein._PHI_CACHE) == [(g, *pairs[1])]
+    _phi_items(g, *pairs[1], 60)
+    _phi_items(g, *pairs[2], 60)
+    assert list(eisenstein._PHI_CACHE) == [(g, *pairs[2])]
+    # a dropped pair is enumerated again to the same arrays
+    _assert_same_items(_phi_items(g, *pairs[0], 60), first[0])
+    assert eisenstein._PHI_CACHE[(g, *pairs[0])].size == sizes[0]
+    # a pair larger than the bound is still kept while it is in use
+    big = _phi_items(g, *pairs[2], 120)
+    assert list(eisenstein._PHI_CACHE) == [(g, *pairs[2])]
+    assert _phi_items(g, *pairs[2], 120) is big
+
+
+def test_phi_cache_bound_under_threads(monkeypatch):
+    import sys
+    import threading
+
+    from fermatkl import eisenstein
+
+    monkeypatch.setattr(eisenstein, "_PHI_CACHE", type(eisenstein._PHI_CACHE)())
+    monkeypatch.setattr(eisenstein, "_PHI_CACHE_ENTRIES", 1500)
+    g = gamma_n(3)
+    reps = cusp_reps(3)
+    pairs = [(fj.rep, reps[-1].rep) for fj in reps[::2]]
+    want = {p: _phi_items_per_d(g, *p, 50) for p in pairs}
+    bad, old = [], sys.getswitchinterval()
+
+    def work(seed):
+        for i in range(12):
+            p = pairs[(seed + i) % len(pairs)]
+            got = _phi_items(g, *p, 30 + 10 * (i % 3))
+            if not all(np.array_equal(x, y) for x, y in zip(got, want[p])):
+                bad.append(p)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+    for data in eisenstein._PHI_CACHE.values():
+        assert data.size == sum(a.size for a in data.items)
+
+
+def test_fermat_items_int32_reads_exactly():
+    # the phases that phi_coefficient forms are bit-identical on int32
+    # and int64 residues
+    g = gamma_n(4)
+    reps = cusp_reps(4)
+    items = _phi_items(g, reps[4].rep, reps[-1].rep, 80)
+    for m in (1, -3, 10):
+        for c, arr in enumerate(items, start=1):
+            theta = 2j * math.pi * m / (g.width * c)
+            wide = np.exp(theta * arr.astype(np.int64)).sum()
+            assert np.exp(theta * arr).sum() == wide
+
+
+def test_fermat_items_int32_guard():
+    from fermatkl.eisenstein import _fermat_items
+
+    reps = cusp_reps(4)
+    with pytest.raises(OverflowError):
+        _fermat_items(4, reps[0].rep, reps[-1].rep, 2 ** 28, 2 ** 28)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fermatkl.sl2 import (
@@ -11,15 +12,18 @@ from fermatkl.sl2 import (
     GEN2,
     IDENTITY,
     Mat2Z,
+    BATCH_ENTRY_BOUND,
     NotInGamma2,
     cusp_scaling_matrix,
     decompose_gamma2,
     exponent_sums,
     gamma2_exponent_sums,
+    gamma2_exponent_sums_batch,
     is_in_gamma2,
     is_in_gamma_n,
     mobius_apply,
     mobius_point,
+    mod_inverse_batch,
     word_concat,
     word_from_syllables,
     word_to_matrix,
@@ -179,3 +183,65 @@ def test_word_reduced_invariants():
         word_from_syllables([(3, 1)])
     w = word_from_syllables([(1, 2), (1, 3), (2, 1), (2, -1), (1, 1)])
     assert w.syllables == ((1, 6),)
+
+
+def test_exponent_sums_match_decomposition():
+    # the Dedekind-sum formula, scalar and batched, against the greedy
+    # word reduction on 20k random words, in both sign forms
+    rng = random.Random(2011)
+    mats, want = [], []
+    for _ in range(20000):
+        w = random_word(rng, rng.choice((6, 20, 40)))
+        m = word_to_matrix(w)
+        r = (w.r1, w.r2)
+        assert decompose_gamma2(m) == w
+        assert gamma2_exponent_sums(*m.entries()) == r
+        assert gamma2_exponent_sums(*(-x for x in m.entries())) == r
+        if max(map(abs, m.entries())) <= BATCH_ENTRY_BOUND:
+            mats.append(m.entries())
+            want.append(r)
+    assert len(mats) > 15000
+    ent = np.array(mats, dtype=np.int64).T
+    want = np.array(want, dtype=np.int64).T
+    for sign in (1, -1):
+        r1, r2 = gamma2_exponent_sums_batch(*(sign * ent))
+        assert r1.dtype == r2.dtype == np.int64
+        assert np.array_equal(r1, want[0]) and np.array_equal(r2, want[1])
+
+
+def test_exponent_sums_edge_cases():
+    # c = 0 in both sign forms
+    assert gamma2_exponent_sums(1, 6, 0, 1) == (3, 0)
+    assert gamma2_exponent_sums(-1, -6, 0, -1) == (3, 0)
+    assert gamma2_exponent_sums(1, 0, 0, 1) == (0, 0)
+    r1, r2 = gamma2_exponent_sums_batch([1, -1, 1, 1, -1], [6, 6, 0, 0, 0],
+                                        [0, 0, 0, 4, -4], [1, -1, 1, 1, -1])
+    assert r1.tolist() == [3, -3, 0, 0, 0] and r2.tolist() == [0, 0, 0, 2, 2]
+    # not level 2: wrong parity, or not of determinant 1
+    assert gamma2_exponent_sums(1, 1, 0, 1) is None
+    assert gamma2_exponent_sums(1, 2, 2, 1) is None
+    with pytest.raises(NotInGamma2):
+        gamma2_exponent_sums_batch([1, 1], [0, 1], [0, 0], [1, 1])
+    # scalar entries beyond 2^63 stay exact
+    rng = random.Random(7)
+    for _ in range(50):
+        syl = [(1 + i % 2, rng.choice((1, -1)) * rng.randint(1, 10 ** 6)) for i in range(8)]
+        w = word_from_syllables(syl)
+        m = word_to_matrix(w)
+        assert max(map(abs, m.entries())) > 2 ** 63
+        assert gamma2_exponent_sums(*m.entries()) == (w.r1, w.r2) == exponent_sums(decompose_gamma2(m))
+
+
+def test_exponent_sums_batch_int64_guard():
+    big = word_to_matrix(word_from_syllables([(2, 1), (1, 2 ** 29)]))
+    assert max(map(abs, big.entries())) > BATCH_ENTRY_BOUND
+    assert gamma2_exponent_sums(*big.entries()) == (2 ** 29, 1)
+    with pytest.raises(OverflowError):
+        gamma2_exponent_sums_batch(*([x] for x in big.entries()))
+
+
+def test_mod_inverse_batch():
+    k = np.array([1, 2, 7, 30, 2 ** 29 + 11], dtype=np.int64)
+    h = np.array([0, 1, -3, 7, 12345], dtype=np.int64)
+    inv = mod_inverse_batch(h, k)
+    assert inv.tolist() == [0, 1] + [pow(int(x), -1, int(m)) for x, m in zip(h[2:], k[2:])]
