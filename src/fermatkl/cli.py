@@ -32,7 +32,6 @@ from .fermat import (
     GAMMA1,
     classify_cusp_word,
     cusp_reps,
-    cusp_width,
     gamma_n,
     ramification_point,
 )
@@ -104,7 +103,6 @@ def _provenance(trunc: TruncationSpec, cfg: PrecisionConfig, args) -> dict:
         "c_max": trunc.c_max,
         "m_max": trunc.m_max,
         "order": trunc.order,
-        "target_abs_tol": cfg.target_abs_tol,
         "euler_maclaurin_terms": cfg.euler_maclaurin_terms,
         "bessel_quadrature_nodes": cfg.bessel_quadrature_nodes,
     }
@@ -132,8 +130,7 @@ def _config_from(args) -> tuple[TruncationSpec, PrecisionConfig]:
             file_cfg = json.load(fh)
     t = dict(c_max=DEFAULT_TRUNCATION.c_max, m_max=DEFAULT_TRUNCATION.m_max,
              order=DEFAULT_TRUNCATION.order)
-    p = dict(target_abs_tol=DEFAULT_PRECISION.target_abs_tol,
-             euler_maclaurin_terms=DEFAULT_PRECISION.euler_maclaurin_terms,
+    p = dict(euler_maclaurin_terms=DEFAULT_PRECISION.euler_maclaurin_terms,
              bessel_quadrature_nodes=DEFAULT_PRECISION.bessel_quadrature_nodes)
     t.update({k: v for k, v in file_cfg.get("truncation", {}).items() if k in t})
     p.update({k: v for k, v in file_cfg.get("precision", {}).items() if k in p})
@@ -143,8 +140,6 @@ def _config_from(args) -> tuple[TruncationSpec, PrecisionConfig]:
         t["m_max"] = args.mmax
     if args.order is not None:
         t["order"] = args.order
-    if args.tol is not None:
-        p["target_abs_tol"] = args.tol
     return TruncationSpec(**t), PrecisionConfig(**p)
 
 
@@ -160,7 +155,7 @@ def cmd_cusps(args) -> int:
             "rep": str(fc.rep),
             "kind": fc.kind,
             "index": fc.index,
-            "width": cusp_width(group, fc.rep),
+            "width": group.width,
             "ramification_point": rp.coords(),
             "beta_image": str(rp.beta_image),
         })
@@ -282,7 +277,6 @@ def build_parser() -> _Parser:
         p.add_argument("--cmax", type=int, default=None)
         p.add_argument("--mmax", type=int, default=None)
         p.add_argument("--order", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with truncation/precision defaults")
         p.add_argument("--no-timestamp", action="store_true")

@@ -10,21 +10,34 @@ other:
 * the regularized value at s = 1 assembled from closed-form scattering
   constants plus the m != 0 coefficients.
 
-For the Fermat groups the admissible pairs are enumerated as level-2
-admissible pairs refined by the exponent-sum character: a level-2
-candidate (c, d mod 2c) with word sums r lifts to d + 2c*t mod 2nc
-exactly when t' v_j + t v_k = -r (mod n) is solvable, where v_j, v_k
-are the exponent sums of the conjugated stabilizer generators.  When
-the two base cusps differ the solution is unique; when they agree all
-n lifts survive or none do, which is what makes the same-fiber Fourier
-modes supported on multiples of n.
+Every Fermat group is the kernel of a character on the level-2 group,
+so its double-coset sums are level-2 sums with one integer weight per
+lane.  A standard cusp representative j has scaling matrix
+g_j = h_j g_bj with b_j in {0, 1, inf} its level-2 base and h_j a power
+of g1 or g2.  Hence g_j^-1 Gamma(2) g_k = g_bj^-1 Gamma(2) g_bk: the
+candidates (c, d mod 2c), the lanes, depend only on the base pair, and
+one table of lanes per base pair serves the level-2 group and every
+level N.  The exponent sums r of rho = g_j M g_k^-1 are those of the
+base-pair rho plus r(h_j) - r(h_k), and the stabilizer vector v_j of
+exponent sums of g_j T^2 g_j^-1 depends only on b_j.  So the integer
+column u = r1 v2 - r2 v1, computed once per table, decides every level:
+with u0 the shift that h_j and h_k add,
 
-The sums r come from the Dedekind-sum formula of the sl2 module
-(6c r1 and 6c (r1 + r2) as combinations of 12k s(d, k) for k = c, 2c,
-c/2; Apostol ch. 3 and Rademacher-Grosswald), in int64 batches.  The
-Fermat enumeration runs over blocks of consecutive c holding about
-_ENUM_BLOCK level-2 candidates each, and the Fermat class tables
-classify all (-d : c) of one c in one batch.
+* same base (b_j = b_k): a lane is admissible exactly when
+  u + u0 = 0 (mod N), and then all N lifts d + 2ct mod 2Nc are; their
+  inner sum is N e(m d/(2Nc)) when N | m and 0 otherwise, which is what
+  makes the same-fiber Fourier modes supported on multiples of N;
+* different bases: the lane lifts to the one residue d + 2ct with
+  t = (u + u0) det^-1 (mod N), det = v_j x v_k.
+
+The level-2 group reads the lanes unfiltered, and the full modular group
+has a table of its own (every c, d mod c).  Tables hold int32 columns
+sorted by c, so a prefix serves any c_max below the one enumerated;
+they are extended on demand, bounded by a least-recently-used lane
+count, and u is only computed when a level N > 1 first reads a table.
+The sums r come from the Dedekind-sum formula of the sl2 module in
+int64 batches of _ENUM_BLOCK lanes, and the Fermat class tables of the
+direct sums classify all (-d : c) of one c in one batch.
 """
 
 from __future__ import annotations
@@ -229,27 +242,30 @@ def eisenstein_direct(group: GroupId, j, z: complex, s,
 # double-coset enumeration of Fourier coefficients
 # ---------------------------------------------------------------------------
 
-class _PhiData:
-    """Per-pair cache: admissible d arrays (mod width*c) for c = 1.."""
+class _LaneTable:
+    """Lanes (c, d) of one base pair for c = 1..c_done, sorted by c, as
+    int32 columns; the character column u is filled in when a level
+    N > 1 first asks for it."""
 
     def __init__(self):
         self.c_done = 0
-        self.size = 0       # residues held, over all c
-        self.items: list[np.ndarray] = []
+        self.c = self.d = np.empty(0, dtype=np.int32)
+        self.u = None
         self.lock = threading.Lock()
 
 
-# Pairs in least recently used order.  Past _PHI_CACHE_ENTRIES residues
-# in all the oldest pairs are dropped; the pair just asked for always
-# stays.  2^19 residues hold ten Fermat pairs at c_max 500 (2 MB of
-# int32), or all nine level-2 pairs (457k int64 residues) at once.
-_PHI_CACHE: OrderedDict = OrderedDict()
-_PHI_LOCK = threading.Lock()
-_PHI_CACHE_ENTRIES = 1 << 19
+# Tables in least recently used order.  Past _LANE_CACHE_ENTRIES lanes in
+# all the oldest tables are dropped; the table just asked for always
+# stays.  2^19 lanes hold the tables of all nine base pairs at c_max 500
+# (457k lanes, 3.7 MB of int32 columns).
+_LANES: OrderedDict = OrderedDict()
+_LANE_LOCK = threading.Lock()
+_LANE_CACHE_ENTRIES = 1 << 19
 
-# Level-2 candidates per vectorised block of the Fermat enumeration.  The
-# working arrays of a block peak near 1 MB at this size; larger blocks
-# raise peak memory for little speed.
+# Candidates per vectorised block of the lane enumeration, and lanes per
+# block of the character column.  The working arrays of a block peak
+# near 1 MB at this size; larger blocks raise peak memory for little
+# speed.
 _ENUM_BLOCK = 2048
 
 
@@ -262,116 +278,145 @@ def _kappa_sums(g: Mat2Z) -> tuple[int, int]:
     return r
 
 
-def _phi_items(group: GroupId, j: Cusp, k: Cusp, c_max: int) -> list[np.ndarray]:
-    """Admissible d (mod width*c) of the double coset for c = 1..c_max."""
-    key = (group, j, k)
-    with _PHI_LOCK:
-        data = _PHI_CACHE.setdefault(key, _PhiData())
-        _PHI_CACHE.move_to_end(key)
-    with data.lock:
-        c_done = data.c_done
-        items = _phi_items_locked(data, group, j, k, c_max)
-        data.size += sum(arr.size for arr in items[c_done:])
-    with _PHI_LOCK:
-        total = sum(d.size for d in _PHI_CACHE.values())
-        for other in list(_PHI_CACHE):
-            if total <= _PHI_CACHE_ENTRIES:
-                break
-            if other != key:
-                total -= _PHI_CACHE.pop(other).size
-    return items
+def _enumerate_lanes(key: tuple, c_lo: int, c_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lanes (c, d) of a table key for c = c_lo..c_hi as int32 columns.
 
-
-def _phi_items_locked(data: _PhiData, group: GroupId, j: Cusp, k: Cusp,
-                      c_max: int) -> list[np.ndarray]:
-    if data.c_done >= c_max:
-        return data.items
-    items = data.items
-    if group.kind == "gamma_n" and group.n > 1:
-        items.extend(_fermat_items(group.n, j, k, data.c_done + 1, c_max))
-        data.c_done = c_max
-        return items
-    pt = cusp_scaling_matrix(j).inverse() * cusp_scaling_matrix(k)
-    pc, pd = pt.c & 1, pt.d & 1
-    for c in range(data.c_done + 1, c_max + 1):
-        if group.kind == "gamma1":
-            d = np.arange(c, dtype=np.int64)
-            items.append(d[np.gcd(d, c) == 1])
-            continue
-        if (c & 1) != pc:
-            items.append(np.empty(0, dtype=np.int64))
-            continue
-        d0 = np.arange(pd, 2 * c, 2, dtype=np.int64)
-        items.append(d0[np.gcd(d0, c) == 1])
-    data.c_done = c_max
-    return items
-
-
-def _fermat_items(n: int, j: Cusp, k: Cusp, c_lo: int, c_hi: int) -> list[np.ndarray]:
-    """Admissible d (mod 2nc) of a Fermat pair for c = c_lo..c_hi, as
-    sorted int32 arrays: half the memory of int64, and exact in the
-    phase products that read them.
-
-    Level-2 candidates (c, d) are processed in blocks of about
-    _ENUM_BLOCK lanes: one Euclid pass gives the top row of
-    M = [a b; c d] in gj^-1 Gamma(2) gk, and the exponent sums of
-    rho = gj M gk^-1 decide the lifts of d mod 2c to d mod 2nc.
+    Key (1, inf, inf) is the full modular group: every c, d = 0..c-1.
+    Key (2, b_j, b_k) is a level-2 base pair: c and d in [0, 2c) with
+    the parities of the bottom row of g_bj^-1 g_bk.  Either way a c has
+    c candidates, of which those with gcd(c, d) = 1 are lanes; the
+    candidates are processed in blocks of about _ENUM_BLOCK.
     """
-    if 2 * n * c_hi > np.iinfo(np.int32).max:
-        raise OverflowError(f"residues mod {2 * n * c_hi} overflow int32")
-    gj = cusp_scaling_matrix(j)
-    gk = cusp_scaling_matrix(k)
-    # parity target: M in gj^-1 Gamma(2) gk  <=>  M = gj^-1 gk mod 2
-    pa, pb, pc, pd = ((x & 1) for x in (gj.inverse() * gk).entries())
-    vj = _kappa_sums(gj)
-    same_base = gamma2_base(j) == gamma2_base(k)
-    if not same_base:
-        vk = _kappa_sums(gk)
-        det_inv = pow((vj[0] * vk[1] - vj[1] * vk[0]) % n, -1, n)
-    e, f, g_, h = gj.entries()
-    ki11, ki12, ki21, ki22 = gk.inverse().entries()
-    lifts = np.arange(n, dtype=np.int64)
-    parts = [np.empty(0, dtype=np.int32)]
-    counts = np.zeros(c_hi - c_lo + 1, dtype=np.int64)
-    cs = np.arange(c_lo + ((c_lo & 1) != pc), c_hi + 1, 2, dtype=np.int64)
-    # a c contributes c candidates d = pd, pd + 2, ..., < 2c
+    if 2 * c_hi > np.iinfo(np.int32).max:
+        raise OverflowError(f"lanes up to c = {c_hi} overflow int32")
+    step, jb, kb = key
+    if step == 1:
+        d0, cs = 0, np.arange(c_lo, c_hi + 1, dtype=np.int64)
+    else:
+        pt = cusp_scaling_matrix(jb).inverse() * cusp_scaling_matrix(kb)
+        d0 = pt.d & 1
+        cs = np.arange(c_lo + ((c_lo & 1) != (pt.c & 1)), c_hi + 1, 2, dtype=np.int64)
+    cols = [np.empty((2, 0), dtype=np.int32)]
     block_of = (np.cumsum(cs) - 1) // _ENUM_BLOCK
     for blk in np.split(cs, np.flatnonzero(np.diff(block_of)) + 1):
         if blk.size == 0:
             continue
         c = np.repeat(blk, blk)
-        d = pd + 2 * (np.arange(c.size) - np.repeat(np.cumsum(blk) - blk, blk))
+        d = d0 + step * (np.arange(c.size) - np.repeat(np.cumsum(blk) - blk, blk))
         keep = np.gcd(d, c) == 1
-        c, d = c[keep], d[keep]
-        a0 = mod_inverse_batch(d, c)
-        a = np.zeros_like(c)
-        b = np.zeros_like(c)
-        found = np.zeros(c.size, dtype=bool)
-        for a_try in (a0, a0 + c):  # the b parity can fail on a0
-            b_try = (a_try * d - 1) // c
-            hit = ~found & ((a_try & 1) == pa) & ((b_try & 1) == pb)
-            a[hit], b[hit] = a_try[hit], b_try[hit]
-            found |= hit
-        a, b, c, d = a[found], b[found], c[found], d[found]
-        # rho = gj * M * gk^-1
-        m11, m12 = e * a + f * c, e * b + f * d
-        m21, m22 = g_ * a + h * c, g_ * b + h * d
+        cols.append(np.stack((c[keep], d[keep])).astype(np.int32))
+    c, d = np.concatenate(cols, axis=1)
+    return c, d
+
+
+def _character_column(key: tuple, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """u = r1 v2 - r2 v1 per lane of a level-2 base pair, as int32.
+
+    r are the exponent sums of rho = g_bj M g_bk^-1 for the
+    M = [a b; c d] in g_bj^-1 Gamma(2) g_bk, and v those of the
+    stabilizer generator of b_j.  The other choices of M's top row move
+    r along v, which leaves u unchanged.
+    """
+    _, jb, kb = key
+    gj, gk = cusp_scaling_matrix(jb), cusp_scaling_matrix(kb)
+    pa, pb, _, _ = ((x & 1) for x in (gj.inverse() * gk).entries())
+    v1, v2 = _kappa_sums(gj)
+    e, f, g_, h = gj.entries()
+    ki11, ki12, ki21, ki22 = gk.inverse().entries()
+    parts = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, c.size, _ENUM_BLOCK):
+        cb = c[lo:lo + _ENUM_BLOCK].astype(np.int64)
+        db = d[lo:lo + _ENUM_BLOCK].astype(np.int64)
+        # a d = 1 (mod c) with the parity of g_bj^-1 g_bk: one of a0, a0 + c
+        a = mod_inverse_batch(db, cb)
+        a = np.where(((a & 1) == pa) & ((((a * db - 1) // cb) & 1) == pb), a, a + cb)
+        b = (a * db - 1) // cb
+        m11, m12 = e * a + f * cb, e * b + f * db
+        m21, m22 = g_ * a + h * cb, g_ * b + h * db
         r1, r2 = gamma2_exponent_sums_batch(m11 * ki11 + m12 * ki21, m11 * ki12 + m12 * ki22,
                                             m21 * ki11 + m22 * ki21, m21 * ki12 + m22 * ki22)
-        r1, r2 = r1 % n, r2 % n
-        if same_base:
-            # solvable iff -r parallel to the stabilizer vector
-            sel = (r1 * vj[1] - r2 * vj[0]) % n == 0
-            c, d = c[sel], d[sel]
-            vals = ((d[:, None] + 2 * c[:, None] * lifts) % (2 * n * c)[:, None]).ravel()
-            c = np.repeat(c, n)
+        parts.append(r1 * v2 - r2 * v1)
+    u = np.concatenate(parts)
+    if u.size and np.abs(u).max() > np.iinfo(np.int32).max:
+        raise OverflowError("character column overflows int32")
+    return u.astype(np.int32)
+
+
+def _lane_columns(key: tuple, c_max: int, characters: bool):
+    """(c, d, u) of the lanes with c <= c_max, the table extended on
+    demand; u is None unless characters is set."""
+    with _LANE_LOCK:
+        table = _LANES.setdefault(key, _LaneTable())
+        _LANES.move_to_end(key)
+    with table.lock:
+        if table.c_done < c_max:
+            c, d = _enumerate_lanes(key, table.c_done + 1, c_max)
+            if table.u is not None:
+                table.u = np.concatenate((table.u, _character_column(key, c, d)))
+            table.c, table.d = np.concatenate((table.c, c)), np.concatenate((table.d, d))
+            table.c_done = c_max
+        if characters and table.u is None:
+            table.u = _character_column(key, table.c, table.d)
+        stop = int(np.searchsorted(table.c, c_max, side="right"))
+        cols = table.c[:stop], table.d[:stop], table.u[:stop] if characters else None
+    with _LANE_LOCK:
+        total = sum(t.c.size for t in _LANES.values())
+        for other in list(_LANES):
+            if total <= _LANE_CACHE_ENTRIES:
+                break
+            if other != key:
+                total -= _LANES.pop(other).c.size
+    return cols
+
+
+def inner_sums(group: GroupId, j, k, m: int, c_max: int) -> np.ndarray:
+    """Inner sums of phi_{jk,m} for c = 1..c_max, as a complex array.
+
+    Entry c-1 sums e(m d'/(b c)) over the admissible d' mod b c of the
+    double coset, b the width; at m = 0 it counts them.  The level-N
+    sums read the lanes of the base pair through the character u + u0
+    (mod N), as the module docstring sets out.
+    """
+    jc, kc = standard_rep(group, j), standard_rep(group, k)
+    n = group.n if group.kind == "gamma_n" else 1
+    if group.kind == "gamma1":
+        key = (1, CUSP_INF, CUSP_INF)
+    else:
+        key = (2, gamma2_base(jc), gamma2_base(kc))
+    c, d, u = _lane_columns(key, c_max, n > 1)
+    weight = 1
+    if n > 1:
+        _, jb, kb = key
+        gj, gk = cusp_scaling_matrix(jc), cusp_scaling_matrix(kc)
+        hj = gamma2_exponent_sums(*(gj * cusp_scaling_matrix(jb).inverse()).entries())
+        hk = gamma2_exponent_sums(*(gk * cusp_scaling_matrix(kb).inverse()).entries())
+        v1, v2 = _kappa_sums(gj)
+        # int64 before any arithmetic: int32 arrays against Python or
+        # numpy scalars promote differently under numpy 1.x and 2.x
+        u = u.astype(np.int64) + (hj[0] - hk[0]) * v2 - (hj[1] - hk[1]) * v1
+        if jb == kb:
+            # the n lifts d + 2ct all survive or none do, and their phases
+            # sum to n e(m d/(2nc)) when n | m and to 0 otherwise
+            if m % n:
+                return np.zeros(c_max, dtype=complex)
+            keep = u % n == 0
+            c, d, weight = c[keep], d[keep], n
         else:
-            t = (-vj[1] * (-r1) + vj[0] * (-r2)) * det_inv % n
-            vals = (d + 2 * c * t) % (2 * n * c)
-        parts.append(vals[np.lexsort((vals, c))].astype(np.int32))
-        counts += np.bincount(c - c_lo, minlength=counts.size)
-    # one array for the whole range, split into per-c views
-    return np.split(np.concatenate(parts), np.cumsum(counts)[:-1])
+            w1, w2 = _kappa_sums(gk)
+            det_inv = pow((v1 * w2 - v2 * w1) % n, -1, n)
+            d = d + 2 * c.astype(np.int64) * (u * det_inv % n)
+    # lanes are sorted by c: per-c segments from their boundaries
+    bounds = np.searchsorted(c, np.arange(c_max + 1), side="right")
+    counts = np.diff(bounds)
+    if m == 0:
+        return (weight * counts).astype(complex)
+    theta = d / c
+    theta *= 2.0 * math.pi * m / group.width
+    full = counts > 0
+    starts = bounds[:-1][full]
+    sums = np.zeros(c_max, dtype=complex)
+    sums[full] = np.add.reduceat(np.cos(theta), starts) + 1j * np.add.reduceat(np.sin(theta), starts)
+    return weight * sums
 
 
 def phi_coefficient(group: GroupId, j, k, m: int, s,
@@ -379,35 +424,24 @@ def phi_coefficient(group: GroupId, j, k, m: int, s,
                     tol: float | None = None) -> PhiTerm:
     """phi_{jk,m}(s) truncated at c <= c_max, with a tail estimate.
 
-    Sums exp(2 pi i m d/(width c)) / c^(2s) over the admissible residues
-    of the double coset.  Requires Re s > 1, or s = 1 with m != 0 where
-    the bounded inner sums give conditional convergence.
+    Weights the per-c sums of inner_sums by c^(-2s).  Requires
+    Re s > 1, or s = 1 with m != 0 where the bounded inner sums give
+    conditional convergence.
     """
     sigma = complex(s).real
     if sigma < 1 or (sigma == 1 and m == 0):
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
     jc = standard_rep(group, j)
     kc = standard_rep(group, k)
-    items = _phi_items(group, jc, kc, trunc.c_max)
+    inner = inner_sums(group, jc, kc, m, trunc.c_max)
+    cs = np.arange(1, trunc.c_max + 1, dtype=float)
+    total = complex((inner * _power_terms(cs * cs, s)).sum())
     b = group.width
-    total = 0j
-    max_inner = 0.0
-    for ci in range(trunc.c_max):
-        arr = items[ci]
-        if arr.size == 0:
-            continue
-        c = ci + 1
-        if m == 0:
-            inner = complex(arr.size)
-        else:
-            inner = complex(np.exp((2j * math.pi * m / (b * c)) * arr).sum())
-        max_inner = max(max_inner, abs(inner))
-        total += inner * complex(c) ** (-2 * s)
     if sigma > 1:
         tail = b * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
     else:
         # bounded inner sums: geometric-free 1/c^2 tail at the observed scale
-        tail = max(max_inner, float(2 * b)) / trunc.c_max
+        tail = max(float(np.abs(inner).max()), float(2 * b)) / trunc.c_max
     if tol is not None and sigma > 1 and tail > tol:
         raise TruncationUnsound(f"tail estimate {tail:.3e} exceeds tolerance {tol:.3e}")
     return PhiTerm(group, jc, kc, m, complex(s), total, trunc.c_max, tail)

@@ -84,19 +84,6 @@ def gamma_n(n: int) -> GroupId:
     return GroupId("gamma_n", n)
 
 
-@dataclass(frozen=True)
-class VolumeData:
-    index: int
-    vol: float
-    residue: float
-
-    @classmethod
-    def of(cls, group: GroupId) -> "VolumeData":
-        idx = group.index
-        vol = pi * idx / 3.0
-        return cls(index=idx, vol=vol, residue=1.0 / vol)
-
-
 KIND_A = "A"  # over 0 under the Belyi map
 KIND_B = "B"  # over 1
 KIND_C = "C"  # over infinity
@@ -218,12 +205,6 @@ def coset_reps(n: int) -> tuple[Mat2Z, ...]:
     return tuple(out)
 
 
-def cusp_width(group: GroupId, c: Cusp) -> int:
-    """1 for the full modular group, 2 at level 2, 2n for the Fermat
-    groups; independent of the cusp."""
-    return group.width
-
-
 def gamma2_base(c: Cusp) -> Cusp:
     """Level-2 class of a cusp by parity of the reduced pair."""
     podd, qodd = c.p & 1, c.q & 1
@@ -265,39 +246,6 @@ def _cusp_reduction_steps(c: Cusp) -> tuple[Cusp, list[tuple[int, int]]]:
     return Cusp(p, q), steps
 
 
-def gamma_n_class(p: int, q: int, n: int) -> tuple[Cusp, int]:
-    """Fast classifier: level-2 base and the mod-n class invariant of the
-    cusp (p : q).
-
-    The invariant is r1, r1+r2, r2 (mod n) of any level-2 matrix mapping
-    the base to the cusp, for bases 0, 1, infinity respectively.
-    """
-    r1 = r2 = 0
-    while True:
-        if q == 0 or p == 0:
-            break
-        ap, aq = abs(p), abs(q)
-        if ap == aq:
-            if p * q > 0:
-                break
-            r1 -= 1
-            p += 2 * q
-            break
-        if ap > aq:
-            e = -round_half_down(p, 2 * q)
-            r1 -= e
-            p += 2 * e * q
-        else:
-            e = -round_half_down(q, 2 * p)
-            r2 -= e
-            q += 2 * e * p
-    if q == 0:
-        return CUSP_INF, r2 % n
-    if p == 0:
-        return CUSP_ZERO, r1 % n
-    return CUSP_ONE, (r1 + r2) % n
-
-
 # Stabilizer generator words of the three base cusps in the level-2 group.
 _STAB_WORD = {
     CUSP_ZERO: ((2, 1),),            # g2 fixes 0
@@ -306,61 +254,50 @@ _STAB_WORD = {
 }
 
 
-def classify_cusp(c: Cusp, n: int) -> tuple[FermatCusp, Mat2Z]:
-    """Class of a cusp in the level-n Fermat group, with witness.
+def _class_invariant(base: Cusp, r1: int, r2: int) -> tuple[int, int, int]:
+    """(invariant, free sum, generator of the standard representative)
+    for a level-2 matrix with exponent sums (r1, r2) mapping base to the
+    cusp.  The invariant is r1, r1+r2, r2 for bases 0, 1, infinity; the
+    free sum is the one a power of the base's stabilizer can change."""
+    if base == CUSP_ZERO:
+        return r1, r2, 1
+    if base == CUSP_ONE:
+        return r1 + r2, r2, 1
+    return r2, r1, 2
+
+
+def classify_cusp_word(c: Cusp, n: int) -> tuple[FermatCusp, GammaWord]:
+    """Class of a cusp in the level-n Fermat group, with witness word.
 
     Returns (fc, w) where fc is the standard representative data and w
-    is an element of the Fermat group with w(fc.rep) = c.
+    is a word in the Fermat group with w(fc.rep) = c.
     """
     if n < 1:
         raise ValueError("level must be >= 1")
     base, steps = _cusp_reduction_steps(c)
     # rho = g_{s1}^{-e1} ... g_{sm}^{-em} maps base to c.
-    rho_syl = [(g, -e) for g, e in steps]
-    rho = word_from_syllables(rho_syl)
-    r1, r2 = rho.r1, rho.r2
-    if base == CUSP_ZERO:
-        t_inv, comp = r1 % n, r2
-        std_syl, std_gen = [(1, t_inv)], 1
-    elif base == CUSP_ONE:
-        t_inv, comp = (r1 + r2) % n, r2
-        std_syl, std_gen = [(1, t_inv)], 1
-    else:
-        t_inv, comp = r2 % n, r1
-        std_syl, std_gen = [(2, t_inv)], 2
-    fc = _fermat_cusp(base, t_inv, n)
+    rho = word_from_syllables([(g, -e) for g, e in steps])
+    t_inv, comp, std_gen = _class_invariant(base, rho.r1, rho.r2)
+    t_inv %= n
     # Witness w = rho * stab^t * std^-1 with t chosen to kill the free
     # exponent sum mod n.
-    t_fix = (-comp) % n
-    stab = list(_STAB_WORD[base]) * t_fix
-    inv_std = [(std_gen, -t_inv)]
-    w_word = word_from_syllables(list(rho.syllables) + stab + inv_std)
+    stab = list(_STAB_WORD[base]) * ((-comp) % n)
+    w_word = word_from_syllables(list(rho.syllables) + stab + [(std_gen, -t_inv)])
+    return _fermat_cusp(base, t_inv, n), w_word
+
+
+def classify_cusp(c: Cusp, n: int) -> tuple[FermatCusp, Mat2Z]:
+    """Like classify_cusp_word but returning the witness as a matrix."""
+    fc, w_word = classify_cusp_word(c, n)
     return fc, word_to_matrix(w_word)
-
-
-def classify_cusp_word(c: Cusp, n: int) -> tuple[FermatCusp, GammaWord]:
-    """Like classify_cusp but returning the witness as a word."""
-    base, steps = _cusp_reduction_steps(c)
-    rho = word_from_syllables([(g, -e) for g, e in steps])
-    r1, r2 = rho.r1, rho.r2
-    if base == CUSP_ZERO:
-        t_inv, comp, std_gen = r1 % n, r2, 1
-    elif base == CUSP_ONE:
-        t_inv, comp, std_gen = (r1 + r2) % n, r2, 1
-    else:
-        t_inv, comp, std_gen = r2 % n, r1, 2
-    fc = _fermat_cusp(base, t_inv, n)
-    t_fix = (-comp) % n
-    stab = list(_STAB_WORD[base]) * t_fix
-    w_word = word_from_syllables(
-        list(rho.syllables) + stab + [(std_gen, -t_inv)]
-    )
-    return fc, w_word
 
 
 def classify_rep_index(p: int, q: int, n: int) -> int:
     """Index of the class of (p : q) in the cusp_reps(n) ordering."""
-    base, t = gamma_n_class(p, q, n)
+    base, steps = _cusp_reduction_steps(Cusp(p, q))
+    r1 = -sum(e for g, e in steps if g == 1)
+    r2 = -sum(e for g, e in steps if g == 2)
+    t = _class_invariant(base, r1, r2)[0] % n
     if base == CUSP_ZERO:
         return t
     if base == CUSP_ONE:
@@ -374,7 +311,7 @@ def classify_rep_indices(p, q, n: int) -> np.ndarray:
 
     Each (p : q) gets a level-2 matrix M with M(base) = (p : q) from one
     modular-inverse pass, and the invariant is read from the batched
-    exponent sums of M exactly as gamma_n_class defines it:
+    exponent sums of M exactly as classify_rep_index reads it:
     base infinity, M = [p (py-1)/q; q y] with y = p^-1 mod 2q; bases 0
     and 1, a = q^-1 mod 2|p| and c = (aq-1)/p, with M = [a p; c q] and
     M = [a p-a; c q-c].  (0 : 1) is the base 0 itself.

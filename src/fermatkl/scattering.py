@@ -22,8 +22,9 @@ from .fermat import (
     GAMMA2,
     FermatCusp,
     GroupId,
-    classify_cusp,
+    classify_rep_index,
     cusp_reps,
+    gamma2_base,
     gamma_n,
 )
 from .sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp
@@ -123,10 +124,10 @@ def natural_constant(group: GroupId, j: Cusp, k: Cusp,
         return gamma1_constant(cfg)
     if group.kind == "gamma2":
         diag, off = _gamma2_naturals(cfg)
-        from .fermat import gamma2_base
         return diag if gamma2_base(j) == gamma2_base(k) else off
-    fj, _ = classify_cusp(j, group.n)
-    fk, _ = classify_cusp(k, group.n)
+    reps = cusp_reps(group.n)
+    fj = reps[classify_rep_index(j.p, j.q, group.n)]
+    fk = reps[classify_rep_index(k.p, k.q, group.n)]
     return fermat_constant(group.n, fj, fk, cfg).natural
 
 
@@ -149,7 +150,6 @@ def subcusp_relation_residual(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) 
     over all level-2 cusps k and level-n cusps q; the level-n naturals
     come from the three-case closed formulas, the level-2 ones from the
     factored Dirichlet series."""
-    from .fermat import gamma2_base
     reps = cusp_reps(n)
     g2 = gamma2_constants(cfg)
     g2_reps = (CUSP_ZERO, CUSP_ONE, CUSP_INF)

@@ -3,9 +3,8 @@
 Riemann zeta (Euler-Maclaurin with functional-equation reflection),
 its logarithmic derivative data at s = -1, the Gamma and digamma
 functions, and the modified Bessel function of the second kind via its
-cosh integral representation.  Double precision throughout; every
-routine targets an absolute error well below the configured tolerance
-at desk scale.
+cosh integral representation.  Double precision throughout; the
+accuracy is set by the term and node counts of PrecisionConfig.
 """
 
 from __future__ import annotations
@@ -29,13 +28,10 @@ class NonPositiveArgument(ValueError):
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    target_abs_tol: float = 1e-12
     euler_maclaurin_terms: int = 64
     bessel_quadrature_nodes: int = 200
 
     def __post_init__(self):
-        if self.target_abs_tol <= 0:
-            raise ValueError("tolerance must be positive")
         if self.euler_maclaurin_terms < 8 or self.bessel_quadrature_nodes < 8:
             raise ValueError("term counts must be >= 8")
 

@@ -13,8 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import scattering
 from .eisenstein import (
     DEFAULT_TRUNCATION,
@@ -23,7 +21,7 @@ from .eisenstein import (
     eisenstein_direct_all,
     fourier_eval,
     fourier_limit_eval,
-    _phi_items,
+    inner_sums,
     classify_index,
     standard_rep,
 )
@@ -134,11 +132,9 @@ def check_sum_relation(n: int, k: Cusp, z: complex, s: float = 2.0,
     vals_n, _ = eisenstein_direct_all(group, z, s, trunc)
     vals_2, _ = eisenstein_direct_all(GAMMA2, z, s, trunc)
     reps = cusp_reps(n)
-    b, w = 2 * n, 2
-    # b^s E_j and w^s E_k; the direct buckets carry no width prefactor
-    lhs = sum(b ** s * (b ** -s * vals_n[i])
-              for i, fc in enumerate(reps) if gamma2_base(fc.rep) == base)
-    rhs = w ** s * (w ** -s * vals_2[classify_index(GAMMA2, base.p, base.q)])
+    # b^s E_j and w^s E_k are the direct buckets, which carry no width prefactor
+    lhs = sum(vals_n[i] for i, fc in enumerate(reps) if gamma2_base(fc.rep) == base)
+    rhs = vals_2[classify_index(GAMMA2, base.p, base.q)]
     res = abs(lhs - rhs) / abs(rhs)
     return _report("sum_relation", {"n": n, "k": k, "z": z, "s": s}, res, tol, t0)
 
@@ -150,16 +146,10 @@ def check_sumrs(n: int, c: int, m: int, j: Cusp, k: Cusp,
     t0 = time.perf_counter()
     group = gamma_n(n)
     base_k = gamma2_base(k)
-    lhs = 0j
-    for l in cusp_reps(n):
-        if gamma2_base(l.rep) != base_k:
-            continue
-        arr = _phi_items(group, j, l.rep, c)[c - 1]
-        if arr.size:
-            lhs += np.exp((2j * math.pi * m / (2 * c)) * arr).sum()
-    lhs /= 2 * n
-    arr2 = _phi_items(GAMMA2, j, base_k, c)[c - 1]
-    rhs = (np.exp((2j * math.pi * m / (2 * c)) * arr2).sum() if arr2.size else 0j) / 2
+    # e(m d/(2c)) over residues d mod 2nc is the level-n inner sum at mode nm
+    lhs = sum(inner_sums(group, j, l.rep, n * m, c)[c - 1]
+              for l in cusp_reps(n) if gamma2_base(l.rep) == base_k) / (2 * n)
+    rhs = inner_sums(GAMMA2, j, base_k, m, c)[c - 1] / 2
     return _report("sumrs", {"n": n, "c": c, "m": m, "j": j, "k": k},
                    abs(lhs - rhs), tol, t0)
 

@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 from math import gcd
 
 import numpy as np
@@ -8,7 +9,6 @@ from fermatkl.eisenstein import (
     DivergentRegion,
     TruncationSpec,
     TruncationUnsound,
-    _phi_items,
     classify_index,
     eisenstein_direct,
     eisenstein_direct_all,
@@ -16,6 +16,7 @@ from fermatkl.eisenstein import (
     fourier_limit_eval,
     gamma2_phi0_closed_form,
     gamma2_phi_m_closed_form,
+    inner_sums,
     phi_coefficient,
     phi_m1_exact,
     standard_rep,
@@ -92,16 +93,16 @@ def test_direct_tail_honest():
 
 def test_phi_counts_are_integers():
     pt = phi_coefficient(GAMMA2, CUSP_INF, CUSP_INF, 0, 2.0, TruncationSpec(c_max=40))
-    # the cache may hold more than the requested range; look at c <= 40 only
-    items = _phi_items(GAMMA2, CUSP_INF, CUSP_INF, 40)[:40]
-    total = sum(arr.size * (c + 1) ** -4.0 for c, arr in enumerate(items))
+    counts = inner_sums(GAMMA2, CUSP_INF, CUSP_INF, 0, 40)
+    assert counts.size == 40 and not counts.imag.any()
+    total = sum(x * c ** -4.0 for c, x in enumerate(counts.real, start=1))
     assert abs(pt.partial_sum.real - total) < 1e-15
     # per-c counts match the unit-group sizes
-    for c, arr in enumerate(items, start=1):
+    for c, x in enumerate(counts.real, start=1):
         if c % 2 == 0:
-            assert arr.size == sum(1 for d in range(2 * c) if gcd(d, 2 * c) == 1)
+            assert x == sum(1 for d in range(2 * c) if gcd(d, 2 * c) == 1)
         else:
-            assert arr.size == 0
+            assert x == 0
 
 
 def test_phi0_gamma2_closed_form():
@@ -281,7 +282,8 @@ def test_klf_constant_independent_of_cusp():
 
 
 def _phi_items_per_d(group, j, k, c_max):
-    """The per-d Fermat enumeration the batched one replaced: reference."""
+    """The per-d Fermat enumeration of admissible residues mod 2nc: the
+    reference for the lane tables."""
     from fermatkl.eisenstein import _kappa_sums
     from fermatkl.sl2 import gamma2_exponent_sums
 
@@ -329,39 +331,93 @@ def _phi_items_per_d(group, j, k, c_max):
     return items
 
 
-def _fresh_phi_items(group, j, k, c_max, data=None):
-    from fermatkl.eisenstein import _phi_items_locked, _PhiData
+def _oracle_sums(items, m, width):
+    """Inner sums e(m d/(width c)) over per-c residue arrays."""
+    return np.array([np.exp((2j * math.pi * m / (width * c)) * arr).sum()
+                     for c, arr in enumerate(items, start=1)])
 
-    return _phi_items_locked(data or _PhiData(), group, j, k, c_max)
 
+def _fresh_lanes(monkeypatch):
+    from fermatkl import eisenstein
 
-def _assert_same_items(got, want):
-    assert len(got) == len(want)
-    for c, (x, y) in enumerate(zip(got, want), start=1):
-        assert x.dtype == np.int32 and np.array_equal(x, y), c
+    monkeypatch.setattr(eisenstein, "_LANES", OrderedDict())
+    return eisenstein._LANES
 
 
 def test_batched_fermat_enumeration_matches_per_d_loop():
     for n in (2, 3, 4):
         g = gamma_n(n)
+        b = g.width
         for fj in cusp_reps(n):
             for fk in cusp_reps(n):
-                _assert_same_items(_fresh_phi_items(g, fj.rep, fk.rep, 60),
-                                   _phi_items_per_d(g, fj.rep, fk.rep, 60))
+                want = _phi_items_per_d(g, fj.rep, fk.rep, 60)
+                counts = inner_sums(g, fj.rep, fk.rep, 0, 60)
+                assert counts.real.tolist() == [arr.size for arr in want]
+                assert not counts.imag.any()
+                for m in (1, -1, 2, n, 2 * n + 1, -3 * n):
+                    got = inner_sums(g, fj.rep, fk.rep, m, 60)
+                    assert np.abs(got - _oracle_sums(want, m, b)).max() < 1e-12, (n, fj, fk, m)
+                # every m mod b c for c <= 12 pins down the residue multiset
+                for m in range(b * 12):
+                    got = inner_sums(g, fj.rep, fk.rep, m, 12)
+                    assert np.abs(got - _oracle_sums(want[:12], m, b)).max() < 1e-12, (n, fj, fk, m)
 
 
-def test_batched_fermat_enumeration_extends():
-    from fermatkl.eisenstein import _PhiData
+def test_batched_fermat_enumeration_extends(monkeypatch):
+    from fermatkl import eisenstein
 
     for n in (2, 3):
         g = gamma_n(n)
-        for j, k in ((cusp_reps(n)[1].rep, cusp_reps(n)[-1].rep),
+        for j, k in ((cusp_reps(n)[n].rep, cusp_reps(n)[-1].rep),
                      (cusp_reps(n)[-1].rep, cusp_reps(n)[-1].rep)):
-            data = _PhiData()
-            _fresh_phi_items(g, j, k, 40, data)
-            _assert_same_items(_fresh_phi_items(g, j, k, 120, data),
-                               _fresh_phi_items(g, j, k, 120))
-            assert data.c_done == 120
+            lanes = _fresh_lanes(monkeypatch)
+            # level 2 first (no character column), then level n extends it twice
+            inner_sums(GAMMA2, gamma2_base(j), gamma2_base(k), 1, 40)
+            inner_sums(g, j, k, 1, 80)
+            grown = [inner_sums(g, j, k, m, 120) for m in (0, 1, n)]
+            (table,) = lanes.values()
+            assert table.c_done == 120
+            lanes = _fresh_lanes(monkeypatch)
+            fresh = [inner_sums(g, j, k, m, 120) for m in (0, 1, n)]
+            (ref,) = lanes.values()
+            for col in ("c", "d", "u"):
+                x, y = getattr(table, col), getattr(ref, col)
+                assert x.dtype == np.int32 and np.array_equal(x, y), col
+            assert all(np.array_equal(x, y) for x, y in zip(grown, fresh))
+
+
+def test_levels_share_one_lane_table(monkeypatch):
+    from fermatkl import eisenstein
+
+    lanes = _fresh_lanes(monkeypatch)
+    calls = []
+    for name in ("_enumerate_lanes", "_character_column"):
+        real = getattr(eisenstein, name)
+        monkeypatch.setattr(eisenstein, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    # the cusps 2 at level 2 and 4 at level 3, both over 0, then the level-2 0
+    for n in (2, 3):
+        inner_sums(gamma_n(n), cusp_reps(n)[n - 1].rep, CUSP_INF, 1, 60)
+    inner_sums(GAMMA2, CUSP_ZERO, CUSP_INF, 1, 60)
+    assert list(lanes) == [(2, CUSP_ZERO, CUSP_INF)]
+    assert calls == ["_enumerate_lanes", "_character_column"]
+
+
+def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
+    from fermatkl import eisenstein
+
+    def refuse(*args):
+        raise AssertionError("exponent sums on a level-2 request")
+
+    _fresh_lanes(monkeypatch)
+    monkeypatch.setattr(eisenstein, "gamma2_exponent_sums_batch", refuse)
+    monkeypatch.setattr(eisenstein, "gamma2_exponent_sums", refuse)
+    tr = TruncationSpec(c_max=80)
+    for g in (GAMMA2, gamma_n(1)):
+        for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
+            for k in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
+                for m in (0, 3):
+                    phi_coefficient(g, j, k, m, 2.0, tr)
 
 
 def test_batched_class_table_matches_per_d_loop():
@@ -385,26 +441,30 @@ def test_batched_class_table_matches_per_d_loop():
 def test_phi_cache_evicts_least_recently_used(monkeypatch):
     from fermatkl import eisenstein
 
-    monkeypatch.setattr(eisenstein, "_PHI_CACHE", type(eisenstein._PHI_CACHE)())
-    monkeypatch.setattr(eisenstein, "_PHI_CACHE_ENTRIES", 1000)
+    lanes = _fresh_lanes(monkeypatch)
+    monkeypatch.setattr(eisenstein, "_LANE_CACHE_ENTRIES", 1000)
     g = gamma_n(3)
     reps = cusp_reps(3)
     pairs = [(reps[i].rep, reps[-1].rep) for i in (0, 3, 6)]
-    first = [_phi_items(g, j, k, 60) for j, k in pairs[:2]]
-    sizes = [sum(a.size for a in items) for items in first]
-    assert sizes[0] + sizes[1] > 1000 >= max(sizes)
-    # the second pair pushed the first out; the pair just asked for stays
-    assert list(eisenstein._PHI_CACHE) == [(g, *pairs[1])]
-    _phi_items(g, *pairs[1], 60)
-    _phi_items(g, *pairs[2], 60)
-    assert list(eisenstein._PHI_CACHE) == [(g, *pairs[2])]
-    # a dropped pair is enumerated again to the same arrays
-    _assert_same_items(_phi_items(g, *pairs[0], 60), first[0])
-    assert eisenstein._PHI_CACHE[(g, *pairs[0])].size == sizes[0]
-    # a pair larger than the bound is still kept while it is in use
-    big = _phi_items(g, *pairs[2], 120)
-    assert list(eisenstein._PHI_CACHE) == [(g, *pairs[2])]
-    assert _phi_items(g, *pairs[2], 120) is big
+    keys = [(2, gamma2_base(j), gamma2_base(k)) for j, k in pairs]
+    first = [inner_sums(g, j, k, 1, 60) for j, k in pairs[:2]]
+    # the second table pushed the first out; the table just asked for stays
+    assert list(lanes) == [keys[1]]
+    size1 = lanes[keys[1]].c.size
+    inner_sums(g, *pairs[1], 1, 60)
+    inner_sums(g, *pairs[2], 1, 60)
+    assert list(lanes) == [keys[2]]
+    # a dropped table is enumerated again to the same sums
+    assert np.array_equal(inner_sums(g, *pairs[0], 1, 60), first[0])
+    size0 = lanes[keys[0]].c.size
+    assert size0 + size1 > 1000 >= max(size0, size1)
+    # a table larger than the bound is still kept while it is in use
+    inner_sums(g, *pairs[2], 1, 120)
+    assert list(lanes) == [keys[2]]
+    big = lanes[keys[2]]
+    assert big.c.size > 1000
+    inner_sums(g, *pairs[2], 1, 120)
+    assert lanes[keys[2]] is big and big.c_done == 120
 
 
 def test_phi_cache_bound_under_threads(monkeypatch):
@@ -413,8 +473,8 @@ def test_phi_cache_bound_under_threads(monkeypatch):
 
     from fermatkl import eisenstein
 
-    monkeypatch.setattr(eisenstein, "_PHI_CACHE", type(eisenstein._PHI_CACHE)())
-    monkeypatch.setattr(eisenstein, "_PHI_CACHE_ENTRIES", 1500)
+    lanes = _fresh_lanes(monkeypatch)
+    monkeypatch.setattr(eisenstein, "_LANE_CACHE_ENTRIES", 1500)
     g = gamma_n(3)
     reps = cusp_reps(3)
     pairs = [(fj.rep, reps[-1].rep) for fj in reps[::2]]
@@ -424,8 +484,9 @@ def test_phi_cache_bound_under_threads(monkeypatch):
     def work(seed):
         for i in range(12):
             p = pairs[(seed + i) % len(pairs)]
-            got = _phi_items(g, *p, 30 + 10 * (i % 3))
-            if not all(np.array_equal(x, y) for x, y in zip(got, want[p])):
+            c_max = 30 + 10 * (i % 3)
+            got = inner_sums(g, *p, 1, c_max)
+            if np.abs(got - _oracle_sums(want[p][:c_max], 1, g.width)).max() > 1e-12:
                 bad.append(p)
 
     threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
@@ -439,26 +500,35 @@ def test_phi_cache_bound_under_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not bad
-    for data in eisenstein._PHI_CACHE.values():
-        assert data.size == sum(a.size for a in data.items)
+    # no lost or doubled extension: each table is the one enumeration
+    for key, table in lanes.items():
+        c, d = eisenstein._enumerate_lanes(key, 1, table.c_done)
+        assert np.array_equal(table.c, c) and np.array_equal(table.d, d)
+        assert table.u.size == c.size
 
 
-def test_fermat_items_int32_reads_exactly():
-    # the phases that phi_coefficient forms are bit-identical on int32
-    # and int64 residues
-    g = gamma_n(4)
-    reps = cusp_reps(4)
-    items = _phi_items(g, reps[4].rep, reps[-1].rep, 80)
-    for m in (1, -3, 10):
-        for c, arr in enumerate(items, start=1):
-            theta = 2j * math.pi * m / (g.width * c)
-            wide = np.exp(theta * arr.astype(np.int64)).sum()
-            assert np.exp(theta * arr).sum() == wide
+def test_lane_arithmetic_in_int64(monkeypatch):
+    # characters congruent mod n at both ends of the int32 range give the
+    # same sums: u + u0 and (u + u0) det^-1 wrap if formed in int32
+    from fermatkl import eisenstein
+
+    n, g = 3, gamma_n(3)
+    reps = cusp_reps(n)
+    lim = np.iinfo(np.int32)
+    for j, k in ((reps[1].rep, reps[-1].rep), (reps[1].rep, reps[0].rep)):
+        lanes = _fresh_lanes(monkeypatch)
+        want = [inner_sums(g, j, k, m, 30) for m in (0, 1, n)]
+        (table,) = lanes.values()
+        u = table.u.astype(np.int64)
+        far = np.where(np.arange(u.size) % 2, lim.max - (lim.max - u) % n,
+                       lim.min + (u - lim.min) % n)
+        table.u = far.astype(np.int32)
+        got = [inner_sums(g, j, k, m, 30) for m in (0, 1, n)]
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
-def test_fermat_items_int32_guard():
-    from fermatkl.eisenstein import _fermat_items
-
+def test_lane_table_int32_guard(monkeypatch):
+    _fresh_lanes(monkeypatch)
     reps = cusp_reps(4)
     with pytest.raises(OverflowError):
-        _fermat_items(4, reps[0].rep, reps[-1].rep, 2 ** 28, 2 ** 28)
+        inner_sums(gamma_n(4), reps[0].rep, reps[-1].rep, 1, 2 ** 30)

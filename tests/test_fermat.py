@@ -1,23 +1,20 @@
 import random
-from math import gcd
+from math import gcd, pi
 
 import pytest
 
 from fermatkl.fermat import (
     GAMMA1,
     GAMMA2,
-    VolumeData,
     classify_cusp,
     classify_cusp_word,
     classify_rep_index,
     coset_reps,
     cusp_reps,
-    cusp_width,
     equivalence_witnesses,
     fermat_cusp_of_ram,
     gamma2_base,
     gamma_n,
-    gamma_n_class,
     ramification_point,
 )
 from fermatkl.sl2 import (
@@ -143,15 +140,16 @@ def test_coset_reps():
 
 
 def test_cusp_width():
-    assert cusp_width(GAMMA2, CUSP_ZERO) == 2
-    assert cusp_width(gamma_n(3), CUSP_INF) == 6
-    assert cusp_width(GAMMA1, CUSP_INF) == 1
+    # the common width of every cusp
+    assert GAMMA2.width == 2
+    assert gamma_n(3).width == 6
+    assert GAMMA1.width == 1
 
 
 def test_volume_data():
-    vd = VolumeData.of(gamma_n(2))
-    assert vd.index == 24
-    assert abs(vd.residue * vd.vol - 1.0) < 1e-15
+    g = gamma_n(2)
+    assert g.index == 24
+    assert g.volume == pi * 24 / 3
 
 
 def test_equivalence_witness_words():
@@ -164,7 +162,7 @@ def test_equivalence_witness_words():
             assert mobius_apply(m, src) == dst
 
 
-def test_gamma_n_class_matches_classifier():
+def test_classify_rep_index_matches_classifier():
     rng = random.Random(13)
     for n in (2, 5):
         for _ in range(200):
@@ -172,8 +170,9 @@ def test_gamma_n_class_matches_classifier():
             if gcd(p, q) != 1:
                 continue
             c = Cusp(p, q)
-            fc, _ = classify_cusp(c, n)
-            base, t = gamma_n_class(c.p, c.q, n)
+            fc, w = classify_cusp(c, n)
+            fc_idx = cusp_reps(n)[classify_rep_index(c.p, c.q, n)]
             fc2, w2 = classify_cusp_word(c, n)
-            assert fc2 == fc
-            assert gamma2_base(c) == base
+            assert fc2 == fc == fc_idx
+            assert word_to_matrix(w2) == w
+            assert gamma2_base(c) == gamma2_base(fc_idx.rep)

@@ -117,10 +117,8 @@ def test_tolerance_monotonicity():
     probes = [(0.5, 1.0), (1.0, 2.0), (1.5, 3.0)]
     ref = [bessel_k(nu, x, PrecisionConfig(bessel_quadrature_nodes=800,
                                            euler_maclaurin_terms=128)) for nu, x in probes]
-    loose = PrecisionConfig(target_abs_tol=1e-8, bessel_quadrature_nodes=64,
-                            euler_maclaurin_terms=16)
-    tight = PrecisionConfig(target_abs_tol=1e-12, bessel_quadrature_nodes=200,
-                            euler_maclaurin_terms=64)
+    loose = PrecisionConfig(bessel_quadrature_nodes=64, euler_maclaurin_terms=16)
+    tight = PrecisionConfig(bessel_quadrature_nodes=200, euler_maclaurin_terms=64)
     for (nu, x), r in zip(probes, ref):
         err_loose = abs(bessel_k(nu, x, loose) - r)
         err_tight = abs(bessel_k(nu, x, tight) - r)
@@ -129,7 +127,5 @@ def test_tolerance_monotonicity():
 
 
 def test_precision_config_invariants():
-    with pytest.raises(ValueError):
-        PrecisionConfig(target_abs_tol=0.0)
     with pytest.raises(ValueError):
         PrecisionConfig(euler_maclaurin_terms=4)
