@@ -30,11 +30,12 @@ with u0 the shift that h_j and h_k add,
 * different bases: the lane lifts to the one residue d + 2ct with
   t = (u + u0) det^-1 (mod N), det = v_j x v_k.
 
-The level-2 group reads the lanes unfiltered, and the full modular group
-has a table of its own (every c, d mod c).  Tables hold int32 columns
-sorted by c, so a prefix serves any c_max below the one enumerated;
-they are extended on demand, bounded by a least-recently-used lane
-count, and u is only computed when a level N > 1 first reads a table.
+The level-2 group, which is level N = 1, reads the lanes unfiltered,
+and the full modular group has a table of its own (every c, d mod c).
+Tables hold int32 columns sorted by c, so a prefix serves any c_max
+below the one enumerated; they are extended on demand, bounded by a
+least-recently-used lane count, and u is only computed when a level
+N > 1 first reads a table.
 The sums r come from the Dedekind-sum formula of the sl2 module in
 int64 batches of _ENUM_BLOCK lanes, and the Fermat class tables of the
 direct sums classify all (-d : c) of one c in one batch.
@@ -62,8 +63,6 @@ from .fermat import (
 )
 from .sl2 import (
     CUSP_INF,
-    CUSP_ONE,
-    CUSP_ZERO,
     Cusp,
     GEN1,
     Mat2Z,
@@ -120,8 +119,6 @@ def as_cusp(x) -> Cusp:
 def group_cusps(group: GroupId) -> tuple[Cusp, ...]:
     if group.kind == "gamma1":
         return (CUSP_INF,)
-    if group.kind == "gamma2":
-        return (CUSP_ZERO, CUSP_ONE, CUSP_INF)
     return tuple(fc.rep for fc in cusp_reps(group.n))
 
 
@@ -129,11 +126,6 @@ def classify_index(group: GroupId, p: int, q: int) -> int:
     """Index of the class of (p : q) in the group_cusps ordering."""
     if group.kind == "gamma1":
         return 0
-    if group.kind == "gamma2":
-        podd, qodd = p & 1, q & 1
-        if podd and qodd:
-            return 1
-        return 2 if podd else 0
     return classify_rep_index(p, q, group.n)
 
 
@@ -168,12 +160,6 @@ def _class_table(group: GroupId, c: int):
     cop = d[np.gcd(d, c) == 1]
     if group.kind == "gamma1":
         table = [(0, cop)]
-    elif group.kind == "gamma2":
-        podd = (cop & 1).astype(bool)
-        if c & 1:
-            table = [(1, cop[podd]), (0, cop[~podd])]
-        else:
-            table = [(2, cop[podd])]
     else:
         idx = classify_rep_indices(-cop, c, group.n)
         table = [(int(i), cop[idx == i]) for i in np.flatnonzero(np.bincount(idx))]
@@ -378,11 +364,10 @@ def inner_sums(group: GroupId, j, k, m: int, c_max: int) -> np.ndarray:
     (mod N), as the module docstring sets out.
     """
     jc, kc = standard_rep(group, j), standard_rep(group, k)
-    n = group.n if group.kind == "gamma_n" else 1
     if group.kind == "gamma1":
-        key = (1, CUSP_INF, CUSP_INF)
+        key, n = (1, CUSP_INF, CUSP_INF), 1
     else:
-        key = (2, gamma2_base(jc), gamma2_base(kc))
+        key, n = (2, gamma2_base(jc), gamma2_base(kc)), group.n
     c, d, u = _lane_columns(key, c_max, n > 1)
     weight = 1
     if n > 1:
@@ -497,9 +482,7 @@ def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], m: int, s: float,
 
 
 def _gamma2_pair_parity(j: Cusp, k: Cusp) -> tuple[int, int]:
-    gj = cusp_scaling_matrix(standard_rep(GAMMA2, j))
-    gk = cusp_scaling_matrix(standard_rep(GAMMA2, k))
-    pt = gj.inverse() * gk
+    pt = cusp_scaling_matrix(gamma2_base(j)).inverse() * cusp_scaling_matrix(gamma2_base(k))
     return (pt.c & 1, pt.d & 1)
 
 
@@ -510,7 +493,7 @@ def phi_m1_exact(group: GroupId, j, k, m: int,
     modular group and level 2), else the truncated enumeration."""
     if group.kind == "gamma1":
         return complex(sum(1.0 / d for d in _divisors(m)) / zeta(2.0, cfg))
-    if group.kind == "gamma2":
+    if group == GAMMA2:
         return complex(gamma2_phi_m_closed_form(_gamma2_pair_parity(as_cusp(j), as_cusp(k)),
                                                 m, 1.0, cfg))
     return phi_coefficient(group, j, k, m, 1.0, trunc).partial_sum

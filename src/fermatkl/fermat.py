@@ -2,11 +2,13 @@
 
 The level-N Fermat group is the kernel of the exponent-sum map
 (level 2 group) -> (Z/N)^2 on the free generators g1, g2.  It is normal
-in PSL(2, Z) of index 6N^2 with 3N cusps of common width 2N.  This
-module provides the representative system, cusp classification with an
-explicit witness matrix, coset representatives and the dictionary
-between cusps and the ramification points of the degree-N^2 Belyi map
-of the Fermat curve x^N + y^N = 1.
+in PSL(2, Z) of index 6N^2 with 3N cusps of common width 2N.  At N = 1
+the kernel is the whole level-2 group, so GAMMA2 is gamma_n(1) and its
+cusps 0, 1, inf are the level-1 representatives.  This module provides
+the representative system, cusp classification with an explicit witness
+matrix, coset representatives and the dictionary between cusps and the
+ramification points of the degree-N^2 Belyi map of the Fermat curve
+x^N + y^N = 1.
 """
 
 from __future__ import annotations
@@ -36,34 +38,26 @@ from .sl2 import (
 
 @dataclass(frozen=True)
 class GroupId:
-    """One of PSL(2,Z) itself, the level-2 group, or a Fermat group."""
+    """PSL(2,Z) itself or a Fermat group; level 1 is the level-2 group."""
 
-    kind: str  # "gamma1" | "gamma2" | "gamma_n"
+    kind: str  # "gamma1" | "gamma_n"
     n: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("gamma1", "gamma2", "gamma_n"):
+        if self.kind not in ("gamma1", "gamma_n"):
             raise ValueError(f"unknown group kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("level must be >= 1")
+        if self.n < 1 or (self.kind == "gamma1" and self.n != 1):
+            raise ValueError(f"no {self.kind} group of level {self.n}")
 
     @property
     def index(self) -> int:
         """Index in PSL(2, Z)."""
-        if self.kind == "gamma1":
-            return 1
-        if self.kind == "gamma2":
-            return 6
-        return 6 * self.n * self.n
+        return 1 if self.kind == "gamma1" else 6 * self.n * self.n
 
     @property
     def width(self) -> int:
         """Common cusp width."""
-        if self.kind == "gamma1":
-            return 1
-        if self.kind == "gamma2":
-            return 2
-        return 2 * self.n
+        return 1 if self.kind == "gamma1" else 2 * self.n
 
     @property
     def volume(self) -> float:
@@ -71,17 +65,17 @@ class GroupId:
         return pi * self.index / 3.0
 
     def __str__(self):
-        if self.kind == "gamma_n":
-            return f"Gamma_{self.n}"
-        return "Gamma(1)" if self.kind == "gamma1" else "Gamma(2)"
-
-
-GAMMA1 = GroupId("gamma1")
-GAMMA2 = GroupId("gamma2")
+        if self.kind == "gamma1":
+            return "Gamma(1)"
+        return "Gamma(2)" if self.n == 1 else f"Gamma_{self.n}"
 
 
 def gamma_n(n: int) -> GroupId:
     return GroupId("gamma_n", n)
+
+
+GAMMA1 = GroupId("gamma1")
+GAMMA2 = gamma_n(1)
 
 
 KIND_A = "A"  # over 0 under the Belyi map
@@ -89,6 +83,18 @@ KIND_B = "B"  # over 1
 KIND_C = "C"  # over infinity
 
 _BASE_OF_KIND = {KIND_A: CUSP_ZERO, KIND_B: CUSP_ONE, KIND_C: CUSP_INF}
+_KIND_OF_BASE = {base: kind for kind, base in _BASE_OF_KIND.items()}
+
+
+def class_shift(kind: str, r1: int, r2: int) -> int:
+    """Shift of the class invariant of a cusp of the given kind under a
+    level-2 matrix with exponent sums (r1, r2): r1 for kind A (over 0),
+    r1 + r2 for B (over 1) and r2 for C (over infinity)."""
+    if kind == KIND_A:
+        return r1
+    if kind == KIND_B:
+        return r1 + r2
+    return r2
 
 
 @dataclass(frozen=True)
@@ -158,8 +164,7 @@ def _kind_index_of(base: Cusp, t: int, n: int) -> tuple[str, int]:
     anchored at 0 <-> (0:1:1), 1 <-> (1:0:1), inf <-> (eps:1:0); each
     family reduces to index (n - t) mod n in the class invariant t.
     """
-    t %= n
-    return {CUSP_ZERO: KIND_A, CUSP_ONE: KIND_B, CUSP_INF: KIND_C}[base], (n - t) % n
+    return _KIND_OF_BASE[base], (n - t) % n
 
 
 def _fermat_cusp(base: Cusp, t: int, n: int) -> FermatCusp:
@@ -189,9 +194,7 @@ def ramification_point(fc: FermatCusp) -> RamPoint:
 
 def fermat_cusp_of_ram(n: int, kind: str, j: int) -> FermatCusp:
     """Inverse of ramification_point."""
-    j %= n
-    base = {KIND_A: CUSP_ZERO, KIND_B: CUSP_ONE, KIND_C: CUSP_INF}[kind]
-    return _fermat_cusp(base, (n - j) % n, n)
+    return _fermat_cusp(_BASE_OF_KIND[kind], (n - j) % n, n)
 
 
 @lru_cache(maxsize=None)
@@ -257,13 +260,10 @@ _STAB_WORD = {
 def _class_invariant(base: Cusp, r1: int, r2: int) -> tuple[int, int, int]:
     """(invariant, free sum, generator of the standard representative)
     for a level-2 matrix with exponent sums (r1, r2) mapping base to the
-    cusp.  The invariant is r1, r1+r2, r2 for bases 0, 1, infinity; the
-    free sum is the one a power of the base's stabilizer can change."""
-    if base == CUSP_ZERO:
-        return r1, r2, 1
-    if base == CUSP_ONE:
-        return r1 + r2, r2, 1
-    return r2, r1, 2
+    cusp.  The invariant is the class_shift of the base's kind; the free
+    sum is the one a power of the base's stabilizer can change."""
+    free, gen = (r1, 2) if base == CUSP_INF else (r2, 1)
+    return class_shift(_KIND_OF_BASE[base], r1, r2), free, gen
 
 
 def classify_cusp_word(c: Cusp, n: int) -> tuple[FermatCusp, GammaWord]:
@@ -294,10 +294,14 @@ def classify_cusp(c: Cusp, n: int) -> tuple[FermatCusp, Mat2Z]:
 
 def classify_rep_index(p: int, q: int, n: int) -> int:
     """Index of the class of (p : q) in the cusp_reps(n) ordering."""
-    base, steps = _cusp_reduction_steps(Cusp(p, q))
-    r1 = -sum(e for g, e in steps if g == 1)
-    r2 = -sum(e for g, e in steps if g == 2)
-    t = _class_invariant(base, r1, r2)[0] % n
+    if n == 1:
+        # the invariant mod 1 is 0: the level-2 base is the class
+        base, t = gamma2_base(Cusp(p, q)), 0
+    else:
+        base, steps = _cusp_reduction_steps(Cusp(p, q))
+        r1 = -sum(e for g, e in steps if g == 1)
+        r2 = -sum(e for g, e in steps if g == 2)
+        t = _class_invariant(base, r1, r2)[0] % n
     if base == CUSP_ZERO:
         return t
     if base == CUSP_ONE:
@@ -314,11 +318,14 @@ def classify_rep_indices(p, q, n: int) -> np.ndarray:
     exponent sums of M exactly as classify_rep_index reads it:
     base infinity, M = [p (py-1)/q; q y] with y = p^-1 mod 2q; bases 0
     and 1, a = q^-1 mod 2|p| and c = (aq-1)/p, with M = [a p; c q] and
-    M = [a p-a; c q-c].  (0 : 1) is the base 0 itself.
+    M = [a p-a; c q-c].  (0 : 1) is the base 0 itself.  At level 1 the
+    parity base alone is the class.
     """
     p, q = np.broadcast_arrays(np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64))
     at_inf = (q & 1) == 0
     at_one = ((p & 1) == 1) & ~at_inf
+    if n == 1:
+        return np.where(at_inf, 2, at_one.astype(np.int64))
     at_zero = p == 0
     p = np.where(at_zero, 1, p)  # placeholder: those lanes get the identity below
     inv = mod_inverse_batch(np.where(at_inf, p, q), np.where(at_inf, 2 * q, 2 * np.abs(p)))

@@ -23,15 +23,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .sl2 import Mat2Z, decompose_gamma2
+from .fermat import class_shift
+from .sl2 import Mat2Z, NotInGamma2, gamma2_exponent_sums
 
 
 class OrderTooSmall(ValueError):
     """Requested truncation cannot resolve the leading term."""
-
-
-class NonDivisibleLeadingExponent(ValueError):
-    """Root requested without the implied denominator extension."""
 
 
 class ZeroSeries(ValueError):
@@ -44,10 +41,6 @@ class ConvergenceRegion(ValueError):
 
 def _is_exact(v) -> bool:
     return isinstance(v, (Fraction, int))
-
-
-def _to_complex(v) -> complex:
-    return complex(v)
 
 
 @dataclass(frozen=True)
@@ -89,9 +82,7 @@ class QExpansion:
             return
         if self.pref2.denominator == 1 and self.prefh.denominator == 1:
             scale = Fraction(2) ** self.pref2 * (-1) ** (self.prefh % 2)
-            new = {k: scale * v if _is_exact(v) else complex(scale) * v
-                   for k, v in self.coeffs.items()}
-            object.__setattr__(self, "coeffs", new)
+            object.__setattr__(self, "coeffs", {k: scale * v for k, v in self.coeffs.items()})
             object.__setattr__(self, "pref2", Fraction(0))
             object.__setattr__(self, "prefh", Fraction(0))
 
@@ -108,7 +99,7 @@ class QExpansion:
         if self.pref2 == 0 and self.prefh == 0:
             return self
         p = self.prefactor
-        return QExpansion(self.denom, {k: p * _to_complex(v) for k, v in self.coeffs.items()},
+        return QExpansion(self.denom, {k: p * complex(v) for k, v in self.coeffs.items()},
                           self.order)
 
     # -- structure ---------------------------------------------------------
@@ -122,7 +113,7 @@ class QExpansion:
             raise ZeroSeries("series has no retained terms")
         k = min(self.coeffs)
         c = self.coeffs[k]
-        return Fraction(k, self.denom), self.prefactor * _to_complex(c)
+        return Fraction(k, self.denom), self.prefactor * complex(c)
 
     def leading_exact(self):
         k = min(self.coeffs)
@@ -137,7 +128,7 @@ class QExpansion:
         if e > self.order:
             raise OrderTooSmall(f"coefficient of q^{e} beyond truncation {self.order}")
         v = self.coeffs.get(int(num), 0)
-        return self.prefactor * _to_complex(v)
+        return self.prefactor * complex(v)
 
     def with_denom(self, new_denom: int) -> "QExpansion":
         if new_denom % self.denom:
@@ -181,12 +172,7 @@ class QExpansion:
         out = dict(f.coeffs)
         for k, v in g.coeffs.items():
             cur = out.get(k)
-            if cur is None:
-                out[k] = v
-            else:
-                if _is_exact(cur) != _is_exact(v):
-                    cur, v = _to_complex(cur), _to_complex(v)
-                out[k] = cur + v
+            out[k] = v if cur is None else cur + v
         return QExpansion(f.denom, out, order, f.pref2, f.prefh)
 
     def __radd__(self, other):
@@ -204,12 +190,10 @@ class QExpansion:
         if scalar == 0:
             return QExpansion(self.denom, {}, self.order)
         if _is_exact(scalar):
-            return QExpansion(self.denom, {k: scalar * v if _is_exact(v) else complex(scalar) * v
-                                           for k, v in self.coeffs.items()},
+            return QExpansion(self.denom, {k: scalar * v for k, v in self.coeffs.items()},
                               self.order, self.pref2, self.prefh)
         p = self.prefactor
-        return QExpansion(self.denom,
-                          {k: (scalar * p) * _to_complex(v) for k, v in self.coeffs.items()},
+        return QExpansion(self.denom, {k: (scalar * p) * v for k, v in self.coeffs.items()},
                           self.order)
 
     def __mul__(self, other):
@@ -228,19 +212,12 @@ class QExpansion:
         for k1, v1 in fk:
             if k1 + eg > bound_num:
                 break
-            exact1 = _is_exact(v1)
             for k2, v2 in gk:
                 k = k1 + k2
                 if k > bound_num:
                     break
-                term = v1 * v2 if exact1 == _is_exact(v2) else _to_complex(v1) * _to_complex(v2)
                 cur = out.get(k)
-                if cur is None:
-                    out[k] = term
-                elif _is_exact(cur) == _is_exact(term):
-                    out[k] = cur + term
-                else:
-                    out[k] = _to_complex(cur) + _to_complex(term)
+                out[k] = v1 * v2 if cur is None else cur + v1 * v2
         return QExpansion(f.denom, out, order,
                           f.pref2 + g.pref2, f.prefh + g.prefh)
 
@@ -286,7 +263,7 @@ class QExpansion:
             result = result * self
         return result
 
-    def nth_root(self, n: int, branch: int = 0, extend_denom: bool = True) -> "QExpansion":
+    def nth_root(self, n: int, branch: int = 0) -> "QExpansion":
         """Series g with g^n = self up to the inherited order.
 
         The leading coefficient of g is the principal n-th root of the
@@ -298,9 +275,6 @@ class QExpansion:
         if self.is_zero():
             raise ZeroSeries("cannot take a root of the zero series")
         e0 = min(self.coeffs)
-        if not extend_denom and e0 % n:
-            raise NonDivisibleLeadingExponent(
-                f"leading exponent {e0}/{self.denom} not divisible by {n}")
         c0 = self.coeffs[e0]
         rel_bound = math.floor(self.order * self.denom) - e0
         exact_in = self.exact
@@ -320,7 +294,7 @@ class QExpansion:
             prefhn = (prefh + hp) / n + root_extra
             scale = None
         else:
-            c_full = self.prefactor * _to_complex(c0)
+            c_full = self.prefactor * complex(c0)
             r, phi = abs(c_full), cmath.phase(c_full)
             scale = (r ** (1.0 / n)) * cmath.exp(1j * (phi / n + 2 * math.pi * branch / n))
             pref2n = Fraction(0)
@@ -331,7 +305,7 @@ class QExpansion:
             if v == 0:
                 continue
             key = e0 + m * n
-            coeffs[key] = v if scale is None else scale * _to_complex(v)
+            coeffs[key] = v if scale is None else scale * complex(v)
         order = Fraction(e0, D2) + Fraction(rel_bound, self.denom)
         return QExpansion(D2, coeffs, order, pref2n, prefhn)
 
@@ -356,7 +330,7 @@ class QExpansion:
         val = 0j
         mags: list[tuple[int, float]] = []
         for k in sorted(self.coeffs):
-            c = _to_complex(self.coeffs[k])
+            c = complex(self.coeffs[k])
             val += c * w ** k
             mags.append((k, abs(c)))
         val *= p
@@ -389,7 +363,7 @@ class QExpansion:
         out = []
         p = self.prefactor
         for k in sorted(self.coeffs):
-            c = p * _to_complex(self.coeffs[k])
+            c = p * complex(self.coeffs[k])
             out.append(f"{k}/{self.denom}\t{c.real!r}\t{c.imag!r}")
         return "\n".join(out)
 
@@ -522,35 +496,31 @@ def theta2_series(order) -> QExpansion:
     return out.truncate(order)
 
 
+def _lambda_product(order, sign: int) -> QExpansion:
+    """(sign/16) q^(-1/2) prod (1 + sign q^(n-1/2))^8 (1 + q^n)^-8."""
+    order = Fraction(order)
+    rel_bound = math.floor((order + Fraction(1, 2)) * 2)
+    prod = constant(1, 2, Fraction(rel_bound, 2))
+    n = 1
+    while 2 * n - 1 <= rel_bound:
+        prod = prod * _binomial_factor(2, 2 * n - 1, sign, 8, rel_bound)
+        prod = prod * _binomial_factor(2, 2 * n, +1, -8, rel_bound)
+        n += 1
+    return QExpansion(2, {k - 1: Fraction(sign, 16) * v for k, v in prod.coeffs.items()},
+                      order)
+
+
 @lru_cache(maxsize=None)
 def lambda_series(order) -> QExpansion:
     """The hauptmodul fixing the cusps 0, 1, inf: -(1/16) q^(-1/2) times
     the printed eta-type product; simple zero at 0, simple pole at inf."""
-    order = Fraction(order)
-    rel_bound = math.floor((order + Fraction(1, 2)) * 2)
-    prod = constant(1, 2, Fraction(rel_bound, 2))
-    n = 1
-    while 2 * n - 1 <= rel_bound:
-        prod = prod * _binomial_factor(2, 2 * n - 1, -1, 8, rel_bound)
-        prod = prod * _binomial_factor(2, 2 * n, +1, -8, rel_bound)
-        n += 1
-    shifted = QExpansion(2, {k - 1: Fraction(-1, 16) * v for k, v in prod.coeffs.items()},
-                         order)
-    return shifted
+    return _lambda_product(order, -1)
 
 
 @lru_cache(maxsize=None)
 def one_minus_lambda_series(order) -> QExpansion:
-    order = Fraction(order)
-    rel_bound = math.floor((order + Fraction(1, 2)) * 2)
-    prod = constant(1, 2, Fraction(rel_bound, 2))
-    n = 1
-    while 2 * n - 1 <= rel_bound:
-        prod = prod * _binomial_factor(2, 2 * n - 1, +1, 8, rel_bound)
-        prod = prod * _binomial_factor(2, 2 * n, +1, -8, rel_bound)
-        n += 1
-    return QExpansion(2, {k - 1: Fraction(1, 16) * v for k, v in prod.coeffs.items()},
-                      order)
+    """1 - lambda: the same product with the odd factors' sign flipped."""
+    return _lambda_product(order, +1)
 
 
 @lru_cache(maxsize=None)
@@ -687,13 +657,8 @@ def _slash_shift(label: FormLabel, r1: int, r2: int) -> tuple[FormLabel, complex
     if label.name == "y":
         return label, zeta_power(n, -r1)
     if label.name == "f":
-        if label.kind == "A":
-            shift = r1
-        elif label.kind == "B":
-            shift = r1 + r2
-        else:
-            shift = r2
-        return FormLabel("f", n, label.kind, (label.j + shift) % n), 1.0 + 0j
+        j = (label.j + class_shift(label.kind, r1, r2)) % n
+        return FormLabel("f", n, label.kind, j), 1.0 + 0j
     return label, 1.0 + 0j
 
 
@@ -701,8 +666,10 @@ def slash2_value(label: FormLabel, gamma: Mat2Z, z: complex,
                  order=DEFAULT_ORDER) -> complex:
     """Value of (f |_k gamma)(z) for gamma in the level-2 group, via the
     transformation table (exact in the multiplier, evaluated at z)."""
-    word = decompose_gamma2(gamma)
-    new_label, mult = _slash_shift(label, word.r1, word.r2)
+    r = gamma2_exponent_sums(*gamma.entries())
+    if r is None:
+        raise NotInGamma2(f"{gamma} is not in the level-2 group")
+    new_label, mult = _slash_shift(label, *r)
     val, _ = expansion(new_label, Fraction(order)).evaluate(z)
     return mult * val
 
@@ -727,13 +694,7 @@ def coset_product_value(kind: str, j: int, n: int, z: complex,
     out = 1.0 + 0j
     for a in range(n):
         for b in range(n):
-            if kind == "A":
-                shift = a
-            elif kind == "B":
-                shift = a + b
-            else:
-                shift = b
-            out *= values[(j + shift) % n]
+            out *= values[(j + class_shift(kind, a, b)) % n]
     return out
 
 

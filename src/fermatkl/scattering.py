@@ -122,7 +122,8 @@ def natural_constant(group: GroupId, j: Cusp, k: Cusp,
     """Natural scattering constant for a cusp pair of any supported group."""
     if group.kind == "gamma1":
         return gamma1_constant(cfg)
-    if group.kind == "gamma2":
+    if group == GAMMA2:
+        # the factored Dirichlet series, as in gamma2_constants
         diag, off = _gamma2_naturals(cfg)
         return diag if gamma2_base(j) == gamma2_base(k) else off
     reps = cusp_reps(group.n)
@@ -136,8 +137,6 @@ def klf_constant(group: GroupId, cfg: PrecisionConfig = DEFAULT_PRECISION) -> fl
     z = z_constant(cfg)
     if group.kind == "gamma1":
         return 24.0 * z
-    if group.kind == "gamma2":
-        return 4.0 * (z + math.log(2.0) / 6.0)
     n = group.n
     return 4.0 / (n * n) * (z + math.log(2.0) / 6.0 - math.log(n) / 2.0)
 

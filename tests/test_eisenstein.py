@@ -21,7 +21,7 @@ from fermatkl.eisenstein import (
     phi_m1_exact,
     standard_rep,
 )
-from fermatkl.fermat import GAMMA1, GAMMA2, cusp_reps, gamma2_base, gamma_n
+from fermatkl.fermat import GAMMA1, GAMMA2, GroupId, cusp_reps, gamma2_base, gamma_n
 from fermatkl.scattering import gamma2_constants
 from fermatkl.sl2 import (
     CUSP_INF,
@@ -65,6 +65,11 @@ def test_gamma2_large_y_leading_term():
 
 
 def test_gamma_1_equals_gamma2():
+    # the level-1 Fermat group is the level-2 group, as one GroupId
+    assert gamma_n(1) == GAMMA2 and str(GAMMA2) == "Gamma(2)"
+    for bad in (("gamma2",), ("gamma1", 2), ("gamma_n", 0)):
+        with pytest.raises(ValueError):
+            GroupId(*bad)
     z = 0.3 + 1.0j
     v1, _ = eisenstein_direct(gamma_n(1), CUSP_ZERO, z, 2.0, TR_FAST)
     v2, _ = eisenstein_direct(GAMMA2, CUSP_ZERO, z, 2.0, TR_FAST)
@@ -404,7 +409,7 @@ def test_levels_share_one_lane_table(monkeypatch):
 
 
 def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
-    from fermatkl import eisenstein
+    from fermatkl import eisenstein, fermat
 
     def refuse(*args):
         raise AssertionError("exponent sums on a level-2 request")
@@ -413,24 +418,37 @@ def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
     monkeypatch.setattr(eisenstein, "gamma2_exponent_sums_batch", refuse)
     monkeypatch.setattr(eisenstein, "gamma2_exponent_sums", refuse)
     tr = TruncationSpec(c_max=80)
-    for g in (GAMMA2, gamma_n(1)):
-        for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
-            for k in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
-                for m in (0, 3):
-                    phi_coefficient(g, j, k, m, 2.0, tr)
+    for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
+        for k in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
+            for m in (0, 3):
+                phi_coefficient(GAMMA2, j, k, m, 2.0, tr)
+    # cold class tables and classification: the level-1 exits of both
+    # classifiers read parities only
+    monkeypatch.setattr(eisenstein, "_CLASS_CACHE", {})
+    for name in ("gamma2_exponent_sums_batch", "mod_inverse_batch", "_cusp_reduction_steps"):
+        monkeypatch.setattr(fermat, name, refuse)
+    for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
+        eisenstein_direct(GAMMA2, j, 0.3 + 1.1j, 2.0, tr)
+    assert len(eisenstein._CLASS_CACHE) == tr.c_max
 
 
 def test_batched_class_table_matches_per_d_loop():
     from fermatkl.eisenstein import _class_table
-    from fermatkl.fermat import classify_rep_index
+    from fermatkl.fermat import classify_cusp_word, classify_rep_index
 
-    for n in (2, 3, 4, 5):
+    def per_d(d0, c, n):
+        # level 1 against the witness-word classifier, which has no level-1 exit
+        if n == 1:
+            return cusp_reps(1).index(classify_cusp_word(Cusp(-d0, c), 1)[0])
+        return classify_rep_index(-d0, c, n)
+
+    for n in (1, 2, 3, 4, 5):
         g = gamma_n(n)
         for c in range(1, 81):
             buckets = {}
             for d0 in range(2 * n * c):
                 if gcd(d0, c) == 1:
-                    buckets.setdefault(classify_rep_index(-d0, c, n), []).append(d0)
+                    buckets.setdefault(per_d(d0, c, n), []).append(d0)
             table = _class_table(g, c)
             assert [i for i, _ in table] == sorted(buckets)
             for i, arr in table:

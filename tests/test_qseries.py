@@ -30,7 +30,7 @@ from fermatkl.qseries import (
     y_series,
     zeta_power,
 )
-from fermatkl.sl2 import GEN1, GEN2, Mat2Z
+from fermatkl.sl2 import GEN1, GEN2, Mat2Z, NotInGamma2, S, T
 
 
 def r4_counts(bound: int) -> dict[int, int]:
@@ -222,6 +222,12 @@ def test_slash_f_labels_permute():
         tab = slash2_value(lab, gen, 2j, Fraction(16))
         expect, _ = expansion(FormLabel("f", n, kind, shift), Fraction(16)).evaluate(2j)
         assert abs(tab - expect) < 1e-12, (kind, shift)
+
+
+def test_slash_outside_level2_raises():
+    for gamma in (T, S, Mat2Z(3, 2, 1, 1)):
+        with pytest.raises(NotInGamma2):
+            slash2_value(FormLabel("f", 3, "B", 0), gamma, 2j, Fraction(16))
 
 
 def test_petersson_norm():
