@@ -39,6 +39,15 @@ N > 1 first reads a table.
 The sums r come from the Dedekind-sum formula of the sl2 module in
 int64 batches of _ENUM_BLOCK lanes, and the Fermat class tables of the
 direct sums classify all (-d : c) of one c in one batch.
+
+Each side of a Fourier-against-direct comparison is one pass over its
+data.  inner_sums reads, shifts and filters the lanes once per call and
+returns a row of per-c sums for every mode asked for; the row of -m is
+the complex conjugate of the row of m, so fourier_eval reads the modes
+0..m_eff once and conjugates.  The direct sum walks the class table of
+every c but sums only the class buckets asked for, and eisenstein_direct
+asks for its own class.  The class tables are cached least recently
+used first, bounded by the d0 values they hold.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -139,8 +149,19 @@ def standard_rep(group: GroupId, c) -> Cusp:
 # direct summation
 # ---------------------------------------------------------------------------
 
-_CLASS_CACHE: dict = {}
+# Class tables by (group, c) in least recently used order.  Past
+# _CLASS_CACHE_ENTRIES stored d0 values in all, the oldest tables are
+# dropped; the table just built always stays.  A level-N table at c_max
+# holds width * (phi(1) + ... + phi(c_max)) values.  2^20 values (8 MB of
+# int64) hold the level-3 and level-2 tables at c_max 500 that one level-3
+# sum relation reads in turn (609k values; a smaller bound would rebuild
+# every table on every such call), and with room to spare the level-2
+# tables at c_max 500 (152k) and the level-2 and 3 tables at 250 (190k)
+# that repeated level-2 and Fermat cross-path checks read.
+_CLASS_CACHE: OrderedDict = OrderedDict()
 _CLASS_LOCK = threading.Lock()
+_CLASS_CACHE_ENTRIES = 1 << 20
+_class_cache_values = 0     # d0 values held by _CLASS_CACHE
 
 
 def _class_table(group: GroupId, c: int):
@@ -151,10 +172,13 @@ def _class_table(group: GroupId, c: int):
     subcusps of a Fermat group even though the level-2 parity classes
     cannot see it.
     """
+    global _class_cache_values
     key = (group, c)
-    hit = _CLASS_CACHE.get(key)
-    if hit is not None:
-        return hit
+    with _CLASS_LOCK:
+        hit = _CLASS_CACHE.get(key)
+        if hit is not None:
+            _CLASS_CACHE.move_to_end(key)
+            return hit
     P = group.width * c
     d = np.arange(P, dtype=np.int64)
     cop = d[np.gcd(d, c) == 1]
@@ -164,7 +188,13 @@ def _class_table(group: GroupId, c: int):
         idx = classify_rep_indices(-cop, c, group.n)
         table = [(int(i), cop[idx == i]) for i in np.flatnonzero(np.bincount(idx))]
     with _CLASS_LOCK:
-        _CLASS_CACHE[key] = table
+        # another thread may have built the same table meanwhile
+        if key not in _CLASS_CACHE:
+            _CLASS_CACHE[key] = table
+            _class_cache_values += cop.size
+            while _class_cache_values > _CLASS_CACHE_ENTRIES and len(_CLASS_CACHE) > 1:
+                _, old = _CLASS_CACHE.popitem(last=False)
+                _class_cache_values -= sum(arr.size for _, arr in old)
     return table
 
 
@@ -175,21 +205,34 @@ def _power_terms(mod2: np.ndarray, s) -> np.ndarray:
 
 
 def eisenstein_direct_all(group: GroupId, z: complex, s,
-                          trunc: TruncationSpec = DEFAULT_TRUNCATION):
+                          trunc: TruncationSpec = DEFAULT_TRUNCATION,
+                          classes=None):
     """Raw class-bucketed sums over coprime pairs, without the width
-    prefactor: bucket[j] = sum over (c,d) with (d:c) in class j of
-    y^s / |cz+d|^(2s).  Returns (buckets, tail_estimate)."""
+    prefactor: the bucket of class j is the sum over (c,d) with (d:c) in
+    class j of y^s / |cz+d|^(2s).
+
+    classes lists the distinct group_cusps indices to sum, every class
+    by default; the pairs of the other classes are skipped, not summed.
+    Returns (buckets, tail_estimate) with one bucket per requested class
+    in the order given.  The tail estimate bounds every class.
+    """
     sigma = complex(s).real
     if sigma <= 1:
         raise DivergentRegion("direct summation requires Re s > 1")
     x, y = z.real, z.imag
     if y <= 0:
         raise ValueError("z must lie in the upper half plane")
-    cusps = group_cusps(group)
-    vals = np.zeros(len(cusps), dtype=complex)
+    n_classes = len(group_cusps(group))
+    wanted = range(n_classes) if classes is None else list(classes)
+    slot = {i: pos for pos, i in enumerate(wanted)}
+    if len(slot) != len(wanted) or not all(0 <= i < n_classes for i in slot):
+        raise ValueError(f"classes must be distinct indices below {n_classes}")
+    vals = np.zeros(len(slot), dtype=complex)
     ys = complex(y) ** s
     # the c = 0 pair (0, 1): cusp (1 : 0)
-    vals[classify_index(group, 1, 0)] += ys
+    pos = slot.get(classify_index(group, 1, 0))
+    if pos is not None:
+        vals[pos] += ys
     m_cut = trunc.c_max * (abs(x) + y + 3.0)
     for c in range(1, trunc.c_max + 1):
         P = group.width * c
@@ -199,13 +242,14 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
         t_hi = math.ceil((m_cut - cx) / P) + 1
         t = np.arange(t_lo, t_hi + 1, dtype=np.int64) * P
         for idx, d0s in _class_table(group, c):
-            if d0s.size == 0:
+            pos = slot.get(idx)
+            if pos is None or d0s.size == 0:
                 continue
             w = cx + (d0s[None, :] + t[:, None]).astype(float)
             keep = np.abs(w) <= m_cut
             mod2 = w * w + cy2
             terms = _power_terms(mod2, s)
-            vals[idx] += ys * np.where(keep, terms, 0.0).sum()
+            vals[pos] += ys * np.where(keep, terms, 0.0).sum()
     # omitted-d strip plus c > c_max tail
     tail_d = trunc.c_max * 2.0 * y ** sigma * m_cut ** (1 - 2 * sigma) / (2 * sigma - 1)
     tail_c = 4.0 * y ** (1 - sigma) * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
@@ -215,13 +259,16 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
 
 def eisenstein_direct(group: GroupId, j, z: complex, s,
                       trunc: TruncationSpec = DEFAULT_TRUNCATION):
-    """E_j(z, s) = width^(-s) * sum over the class-j coprime pairs."""
+    """E_j(z, s) = width^(-s) * sum over the class-j coprime pairs.
+
+    Only the class of j is summed; the tail estimate is that of
+    eisenstein_direct_all, which bounds every class.
+    """
     jc = as_cusp(j)
-    vals, tail = eisenstein_direct_all(group, z, s, trunc)
-    idx = classify_index(group, jc.p, jc.q)
+    (val,), tail = eisenstein_direct_all(group, z, s, trunc, (classify_index(group, jc.p, jc.q),))
     b = group.width
     pref = complex(b) ** (-s)
-    return pref * vals[idx], abs(pref) * tail
+    return pref * val, abs(pref) * tail
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +402,26 @@ def _lane_columns(key: tuple, c_max: int, characters: bool):
     return cols
 
 
-def inner_sums(group: GroupId, j, k, m: int, c_max: int) -> np.ndarray:
-    """Inner sums of phi_{jk,m} for c = 1..c_max, as a complex array.
+def inner_sums(group: GroupId, j, k, ms, c_max: int) -> np.ndarray:
+    """Inner sums of phi_{jk,m} for each mode m in ms and c = 1..c_max,
+    as a complex array of shape (len(ms), c_max).
 
-    Entry c-1 sums e(m d'/(b c)) over the admissible d' mod b c of the
-    double coset, b the width; at m = 0 it counts them.  The level-N
-    sums read the lanes of the base pair through the character u + u0
-    (mod N), as the module docstring sets out.
+    Entry [i, c-1] sums e(m d'/(b c)) over the admissible d' mod b c of
+    the double coset, b the width and m = ms[i]; at m = 0 it counts
+    them.  The level-N sums read the lanes of the base pair through the
+    character u + u0 (mod N), as the module docstring sets out.  One call
+    reads the lanes, shifts and filters them once for every mode; the
+    modes then cost cos and sin over the lanes each.  The row of -m is
+    the complex conjugate of the row of m.
     """
+    ms = list(ms)
     jc, kc = standard_rep(group, j), standard_rep(group, k)
     if group.kind == "gamma1":
         key, n = (1, CUSP_INF, CUSP_INF), 1
     else:
         key, n = (2, gamma2_base(jc), gamma2_base(kc)), group.n
     c, d, u = _lane_columns(key, c_max, n > 1)
-    weight = 1
+    weight, period = 1, 1
     if n > 1:
         _, jb, kb = key
         gj, gk = cusp_scaling_matrix(jc), cusp_scaling_matrix(kc)
@@ -382,10 +434,8 @@ def inner_sums(group: GroupId, j, k, m: int, c_max: int) -> np.ndarray:
         if jb == kb:
             # the n lifts d + 2ct all survive or none do, and their phases
             # sum to n e(m d/(2nc)) when n | m and to 0 otherwise
-            if m % n:
-                return np.zeros(c_max, dtype=complex)
             keep = u % n == 0
-            c, d, weight = c[keep], d[keep], n
+            c, d, weight, period = c[keep], d[keep], n, n
         else:
             w1, w2 = _kappa_sums(gk)
             det_inv = pow((v1 * w2 - v2 * w1) % n, -1, n)
@@ -393,15 +443,27 @@ def inner_sums(group: GroupId, j, k, m: int, c_max: int) -> np.ndarray:
     # lanes are sorted by c: per-c segments from their boundaries
     bounds = np.searchsorted(c, np.arange(c_max + 1), side="right")
     counts = np.diff(bounds)
-    if m == 0:
-        return (weight * counts).astype(complex)
-    theta = d / c
-    theta *= 2.0 * math.pi * m / group.width
     full = counts > 0
     starts = bounds[:-1][full]
-    sums = np.zeros(c_max, dtype=complex)
-    sums[full] = np.add.reduceat(np.cos(theta), starts) + 1j * np.add.reduceat(np.sin(theta), starts)
-    return weight * sums
+    rows = np.zeros((len(ms), c_max), dtype=complex)
+    if any(m and not m % period for m in ms):
+        ratio = d / c
+        theta = np.empty_like(ratio)
+
+    def per_c(trig, m):
+        # trig of the phases of mode m summed per c; one lane-length
+        # buffer, filled anew for cos and for sin
+        np.multiply(ratio, 2.0 * math.pi * m / group.width, out=theta)
+        return np.add.reduceat(trig(theta, out=theta), starts)
+
+    for row, m in zip(rows, ms):
+        if m == 0:
+            row[:] = weight * counts
+        elif not m % period:
+            sums = np.zeros(c_max, dtype=complex)
+            sums[full] = per_c(np.cos, m) + 1j * per_c(np.sin, m)
+            row[:] = weight * sums
+    return rows
 
 
 def phi_coefficient(group: GroupId, j, k, m: int, s,
@@ -418,18 +480,25 @@ def phi_coefficient(group: GroupId, j, k, m: int, s,
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
     jc = standard_rep(group, j)
     kc = standard_rep(group, k)
-    inner = inner_sums(group, jc, kc, m, trunc.c_max)
-    cs = np.arange(1, trunc.c_max + 1, dtype=float)
-    total = complex((inner * _power_terms(cs * cs, s)).sum())
+    rows = inner_sums(group, jc, kc, (m,), trunc.c_max)
+    (total,) = _phi_sums(rows, s)
     b = group.width
     if sigma > 1:
         tail = b * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
     else:
         # bounded inner sums: geometric-free 1/c^2 tail at the observed scale
-        tail = max(float(np.abs(inner).max()), float(2 * b)) / trunc.c_max
+        tail = max(float(np.abs(rows).max()), float(2 * b)) / trunc.c_max
     if tol is not None and sigma > 1 and tail > tol:
         raise TruncationUnsound(f"tail estimate {tail:.3e} exceeds tolerance {tol:.3e}")
     return PhiTerm(group, jc, kc, m, complex(s), total, trunc.c_max, tail)
+
+
+def _phi_sums(rows: np.ndarray, s) -> list[complex]:
+    """Truncated phi of each row of inner sums: the sum over c of
+    row[c-1] c^(-2s)."""
+    cs = np.arange(1, rows.shape[1] + 1, dtype=float)
+    weights = _power_terms(cs * cs, s)
+    return [complex((row * weights).sum()) for row in rows]
 
 
 def gamma2_phi0_closed_form(diag: bool, s, cfg: PrecisionConfig = DEFAULT_PRECISION) -> float:
@@ -486,17 +555,21 @@ def _gamma2_pair_parity(j: Cusp, k: Cusp) -> tuple[int, int]:
     return (pt.c & 1, pt.d & 1)
 
 
-def phi_m1_exact(group: GroupId, j, k, m: int,
+def phi_m1_exact(group: GroupId, j, k, ms,
                  trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                 cfg: PrecisionConfig = DEFAULT_PRECISION) -> complex:
-    """phi_{jk,m}(1) for m != 0: closed form where available (full
-    modular group and level 2), else the truncated enumeration."""
+                 cfg: PrecisionConfig = DEFAULT_PRECISION) -> list[complex]:
+    """phi_{jk,m}(1) for each m in ms, all nonzero: closed form where
+    available (full modular group and level 2), else the truncated
+    enumeration, every mode from one inner_sums call."""
+    ms = list(ms)
     if group.kind == "gamma1":
-        return complex(sum(1.0 / d for d in _divisors(m)) / zeta(2.0, cfg))
+        return [complex(sum(1.0 / d for d in _divisors(m)) / zeta(2.0, cfg)) for m in ms]
     if group == GAMMA2:
-        return complex(gamma2_phi_m_closed_form(_gamma2_pair_parity(as_cusp(j), as_cusp(k)),
-                                                m, 1.0, cfg))
-    return phi_coefficient(group, j, k, m, 1.0, trunc).partial_sum
+        parity = _gamma2_pair_parity(as_cusp(j), as_cusp(k))
+        return [complex(gamma2_phi_m_closed_form(parity, m, 1.0, cfg)) for m in ms]
+    if 0 in ms:
+        raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
+    return _phi_sums(inner_sums(group, j, k, ms, trunc.c_max), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +580,13 @@ def fourier_eval(group: GroupId, j, k, z: complex, s,
                  trunc: TruncationSpec = DEFAULT_TRUNCATION,
                  cfg: PrecisionConfig = DEFAULT_PRECISION) -> complex:
     """E_j(gamma_k(z), s) assembled from the Fourier expansion in the
-    chart of the standard representative of k."""
+    chart of the standard representative of k.
+
+    The modes m = 0..m_eff come from one inner_sums call, m_eff the last
+    mode up to m_max whose Bessel argument 2 pi m y / b is at most 700;
+    the inner sums of -m are the conjugates of those of m, so they are
+    not read again.
+    """
     sigma = complex(s).real
     if sigma <= 1:
         raise DivergentRegion("Fourier evaluation requires Re s > 1")
@@ -520,18 +599,18 @@ def fourier_eval(group: GroupId, j, k, z: complex, s,
         val += (complex(y) / b) ** s
     gs = gamma_fn(complex(s), cfg)
     gs_half = gamma_fn(complex(s) - 0.5, cfg)
-    phi0 = phi_coefficient(group, jc, kc, 0, s, trunc).partial_sum
+    args = list(takewhile(lambda a: a <= 700.0,
+                          (2.0 * math.pi * m * y / b for m in range(1, trunc.m_max + 1))))
+    rows = inner_sums(group, jc, kc, range(len(args) + 1), trunc.c_max)
+    phi0, *phi_pos = _phi_sums(rows, s)
+    phi_neg = _phi_sums(rows[1:].conj(), s)
     val += math.sqrt(math.pi) * gs_half / gs * phi0 * complex(y) ** (1 - s) \
         / (complex(b) ** s * b)
-    for m in range(1, trunc.m_max + 1):
-        arg = 2.0 * math.pi * m * y / b
-        if arg > 700.0:
-            break
+    for m, (arg, pos, neg) in enumerate(zip(args, phi_pos, phi_neg), start=1):
         kb = bessel_k(complex(s) - 0.5, arg, cfg)
         coef = 2.0 * math.pi ** complex(s) * (m / b) ** (complex(s) - 0.5) / gs \
             * math.sqrt(y) * kb / (complex(b) ** s * b)
-        for sign in (1, -1):
-            phim = phi_coefficient(group, jc, kc, sign * m, s, trunc).partial_sum
+        for sign, phim in ((1, pos), (-1, neg)):
             val += coef * phim * cmath.exp(2j * math.pi * sign * m * x / b)
     return val
 
@@ -543,7 +622,8 @@ def fourier_limit_eval(group: GroupId, j, k, z: complex,
 
     Constant mode from the closed-form natural scattering constant, log
     term with coefficient 12/index on the 4 pi scale, oscillating modes
-    pi/(b_j b_k) phi_{jk,m}(1) exp(-2 pi |m| y / b_k + 2 pi i m x / b_k).
+    pi/(b_j b_k) phi_{jk,m}(1) exp(-2 pi |m| y / b_k + 2 pi i m x / b_k),
+    the phi of every mode from one phi_m1_exact call.
     """
     x, y = z.real, z.imag
     if y <= 0:
@@ -556,12 +636,11 @@ def fourier_limit_eval(group: GroupId, j, k, z: complex,
     if jc == kc:
         val += 4.0 * math.pi * y / b
     m_eff = min(trunc.m_max, math.ceil(b * 40.0 / (2.0 * math.pi * y)))
+    decays = list(takewhile(lambda t: t >= 1e-18,
+                            (math.exp(-2.0 * math.pi * m * y / b) for m in range(1, m_eff + 1))))
+    phis = phi_m1_exact(group, jc, kc, range(1, len(decays) + 1), trunc, cfg) if decays else []
     acc = 0.0
-    for m in range(1, m_eff + 1):
-        decay = math.exp(-2.0 * math.pi * m * y / b)
-        if decay < 1e-18:
-            break
-        phim = phi_m1_exact(group, jc, kc, m, trunc, cfg)
+    for m, (decay, phim) in enumerate(zip(decays, phis), start=1):
         acc += 2.0 * (phim * cmath.exp(2j * math.pi * m * x / b)).real * decay
     val += 4.0 * math.pi * (math.pi / (b * b)) * acc
     return complex(val)

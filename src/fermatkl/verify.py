@@ -129,12 +129,11 @@ def check_sum_relation(n: int, k: Cusp, z: complex, s: float = 2.0,
     t0 = time.perf_counter()
     group = gamma_n(n)
     base = gamma2_base(k)
-    vals_n, _ = eisenstein_direct_all(group, z, s, trunc)
-    vals_2, _ = eisenstein_direct_all(GAMMA2, z, s, trunc)
-    reps = cusp_reps(n)
+    subcusps = [i for i, fc in enumerate(cusp_reps(n)) if gamma2_base(fc.rep) == base]
     # b^s E_j and w^s E_k are the direct buckets, which carry no width prefactor
-    lhs = sum(vals_n[i] for i, fc in enumerate(reps) if gamma2_base(fc.rep) == base)
-    rhs = vals_2[classify_index(GAMMA2, base.p, base.q)]
+    vals_n, _ = eisenstein_direct_all(group, z, s, trunc, subcusps)
+    (rhs,), _ = eisenstein_direct_all(GAMMA2, z, s, trunc, (classify_index(GAMMA2, base.p, base.q),))
+    lhs = sum(vals_n)
     res = abs(lhs - rhs) / abs(rhs)
     return _report("sum_relation", {"n": n, "k": k, "z": z, "s": s}, res, tol, t0)
 
@@ -147,9 +146,9 @@ def check_sumrs(n: int, c: int, m: int, j: Cusp, k: Cusp,
     group = gamma_n(n)
     base_k = gamma2_base(k)
     # e(m d/(2c)) over residues d mod 2nc is the level-n inner sum at mode nm
-    lhs = sum(inner_sums(group, j, l.rep, n * m, c)[c - 1]
+    lhs = sum(inner_sums(group, j, l.rep, (n * m,), c)[0, c - 1]
               for l in cusp_reps(n) if gamma2_base(l.rep) == base_k) / (2 * n)
-    rhs = inner_sums(GAMMA2, j, base_k, m, c)[c - 1] / 2
+    rhs = inner_sums(GAMMA2, j, base_k, (m,), c)[0, c - 1] / 2
     return _report("sumrs", {"n": n, "c": c, "m": m, "j": j, "k": k},
                    abs(lhs - rhs), tol, t0)
 

@@ -144,7 +144,7 @@ def test_scattering_constants_vs_enumeration():
     vol = g.volume
     b = 2 * n
     j, k = reps[0].rep, reps[-1].rep
-    counts = inner_sums(g, j, k, 0, c_max).real
+    counts = inner_sums(g, j, k, (0,), c_max)[0].real
     half = c_max // 2
     rho = (counts[half:].sum()
            / sum(range(half + 1, c_max + 1)))
