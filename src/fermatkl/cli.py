@@ -257,9 +257,9 @@ def cmd_qexp(args) -> int:
         exp = expansion(label, order)
     except OrderTooSmall as exc:
         raise UsageError(str(exc)) from exc
+    dump = exp.dump()
     _emit(args, "qexp", {"label": label, "order": order},
-          {"denom": exp.denom, "terms": exp.dump().split("\n") if exp.coeffs else []},
-          trunc, cfg)
+          {"denom": exp.denom, "terms": dump.split("\n") if dump else []}, trunc, cfg)
     return 0
 
 

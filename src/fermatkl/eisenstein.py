@@ -597,8 +597,8 @@ def fourier_eval(group: GroupId, j, k, z: complex, s,
     val = 0j
     if jc == kc:
         val += (complex(y) / b) ** s
-    gs = gamma_fn(complex(s), cfg)
-    gs_half = gamma_fn(complex(s) - 0.5, cfg)
+    gs = gamma_fn(complex(s))
+    gs_half = gamma_fn(complex(s) - 0.5)
     args = list(takewhile(lambda a: a <= 700.0,
                           (2.0 * math.pi * m * y / b for m in range(1, trunc.m_max + 1))))
     rows = inner_sums(group, jc, kc, range(len(args) + 1), trunc.c_max)

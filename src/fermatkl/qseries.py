@@ -2,16 +2,19 @@
 
 Series live on the exponent lattice (1/D)Z with an explicit truncation
 order; arithmetic never claims coefficients beyond what the operands
-determine.  Coefficients are exact rationals whenever the algebra
-allows it; an attached radical prefactor 2^a * e^(i pi b) (a, b
-rational) keeps N-th roots exact up to a single scalar, which is what
-makes identities like x^N + y^N = 1 hold to machine zero.
+determine.  Coefficients are exact rationals, and the constructor
+rejects anything else.  An attached radical prefactor 2^a * e^(i pi b),
+kept canonical with a, b in [0, 1), makes N-th roots exact up to a
+single scalar, which is what makes identities like x^N + y^N = 1 hold
+exactly.
 
 The module also provides the concrete level-2 forms (theta^2, the
 hauptmodul lambda fixing the three cusps, the weight-2 forms G_j) and
 the level-N modular functions x = lambda^(1/N), y = (1-lambda)^(1/N)
 together with the weight-2 forms attached to the cusps of the Fermat
-groups, their slash transformation table, and Petersson norms.
+groups, their slash transformation table, and Petersson norms.  Those
+forms mix radicals, so each is a RadicalSum: a few exact series with
+distinct prefactors, rounded only when evaluated or dumped.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 from .fermat import class_shift
 from .sl2 import Mat2Z, NotInGamma2, gamma2_exponent_sums
@@ -39,18 +42,16 @@ class ConvergenceRegion(ValueError):
     """Evaluation point too close to the real axis for a useful bound."""
 
 
-def _is_exact(v) -> bool:
-    return isinstance(v, (Fraction, int))
-
-
 @dataclass(frozen=True)
 class QExpansion:
     """Truncated Laurent-type series sum c_k q^(k/denom).
 
-    ``coeffs`` maps exponent numerators to coefficients (Fraction or
-    complex); ``order`` bounds the known exponents: terms with exponent
-    > order are unknown, terms absent with exponent <= order are zero.
-    ``pref2``/``prefh`` encode a global scalar 2^pref2 * e^(i pi prefh).
+    ``coeffs`` maps exponent numerators to exact rational coefficients
+    (int or Fraction; anything else raises TypeError); ``order`` bounds
+    the known exponents: terms with exponent > order are unknown, terms
+    absent with exponent <= order are zero.  ``pref2``/``prefh`` encode
+    a global scalar 2^pref2 * e^(i pi prefh), both in [0, 1): integer
+    parts are folded into the coefficients.
     """
 
     denom: int
@@ -62,45 +63,27 @@ class QExpansion:
     def __post_init__(self):
         if self.denom < 1:
             raise ValueError("denominator must be positive")
-        object.__setattr__(self, "order", Fraction(self.order))
-        object.__setattr__(self, "pref2", Fraction(self.pref2))
-        object.__setattr__(self, "prefh", Fraction(self.prefh) % 2)
+        order, pref2, prefh = Fraction(self.order), Fraction(self.pref2), Fraction(self.prefh)
+        i2, ih = math.floor(pref2), math.floor(prefh)
+        fold = Fraction(2) ** i2 * (-1) ** (ih % 2) if i2 or ih else None
         cleaned = {}
-        bound = self.order * self.denom
+        bound = math.floor(order * self.denom)
         for k, v in self.coeffs.items():
+            if not isinstance(v, (Fraction, int)):
+                raise TypeError(f"coefficients must be exact rationals, got {type(v).__name__}")
             if v == 0 or k > bound:
                 continue
-            cleaned[k] = Fraction(v) if isinstance(v, int) else v
+            if fold is not None:
+                v = fold * v
+            cleaned[k] = v if type(v) is Fraction else Fraction(v)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "pref2", pref2 - i2)
+        object.__setattr__(self, "prefh", prefh - ih)
         object.__setattr__(self, "coeffs", cleaned)
-        self._fold()
-
-    # -- scalar prefactor -------------------------------------------------
-
-    def _fold(self):
-        """Fold the prefactor into the coefficients when it is rational."""
-        if self.pref2 == 0 and self.prefh == 0:
-            return
-        if self.pref2.denominator == 1 and self.prefh.denominator == 1:
-            scale = Fraction(2) ** self.pref2 * (-1) ** (self.prefh % 2)
-            object.__setattr__(self, "coeffs", {k: scale * v for k, v in self.coeffs.items()})
-            object.__setattr__(self, "pref2", Fraction(0))
-            object.__setattr__(self, "prefh", Fraction(0))
 
     @property
     def prefactor(self) -> complex:
         return 2.0 ** float(self.pref2) * cmath.exp(1j * math.pi * float(self.prefh))
-
-    @property
-    def exact(self) -> bool:
-        return all(_is_exact(v) for v in self.coeffs.values())
-
-    def materialized(self) -> "QExpansion":
-        """Same series with the prefactor folded in as complex floats."""
-        if self.pref2 == 0 and self.prefh == 0:
-            return self
-        p = self.prefactor
-        return QExpansion(self.denom, {k: p * complex(v) for k, v in self.coeffs.items()},
-                          self.order)
 
     # -- structure ---------------------------------------------------------
 
@@ -109,15 +92,7 @@ class QExpansion:
 
     def leading(self) -> tuple[Fraction, complex]:
         """(exponent, coefficient) of the lowest-order term."""
-        if not self.coeffs:
-            raise ZeroSeries("series has no retained terms")
-        k = min(self.coeffs)
-        c = self.coeffs[k]
-        return Fraction(k, self.denom), self.prefactor * complex(c)
-
-    def leading_exact(self):
-        k = min(self.coeffs)
-        return k, self.coeffs[k]
+        return RadicalSum((self,)).leading()
 
     def coefficient(self, exponent) -> complex:
         """Coefficient of q^exponent (0 for absent retained exponents)."""
@@ -149,7 +124,7 @@ class QExpansion:
 
     def rotate_halfturns(self, h) -> "QExpansion":
         """Multiply by e^(i pi h) exactly, as a prefactor phase shift."""
-        return QExpansion(self.denom, dict(self.coeffs), self.order,
+        return QExpansion(self.denom, self.coeffs, self.order,
                           self.pref2, self.prefh + Fraction(h))
 
     # -- ring operations ---------------------------------------------------
@@ -159,27 +134,25 @@ class QExpansion:
         return self.with_denom(d), other.with_denom(d)
 
     def __neg__(self):
-        return QExpansion(self.denom, {k: -v for k, v in self.coeffs.items()},
-                          self.order, self.pref2, self.prefh)
+        return self.scale(-1)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, float, complex)):
+        if not isinstance(other, QExpansion):
             other = constant(other, self.denom, self.order)
         f, g = self._aligned(other)
-        order = min(f.order, g.order)
         if (f.pref2, f.prefh) != (g.pref2, g.prefh):
-            f, g = f.materialized(), g.materialized()
+            raise ValueError("cannot add series with different radical prefactors")
         out = dict(f.coeffs)
         for k, v in g.coeffs.items():
             cur = out.get(k)
             out[k] = v if cur is None else cur + v
-        return QExpansion(f.denom, out, order, f.pref2, f.prefh)
+        return QExpansion(f.denom, out, min(f.order, g.order), f.pref2, f.prefh)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, float, complex)):
+        if not isinstance(other, QExpansion):
             other = constant(other, self.denom, self.order)
         return self + (-other)
 
@@ -187,17 +160,12 @@ class QExpansion:
         return (-self) + other
 
     def scale(self, scalar) -> "QExpansion":
-        if scalar == 0:
-            return QExpansion(self.denom, {}, self.order)
-        if _is_exact(scalar):
-            return QExpansion(self.denom, {k: scalar * v for k, v in self.coeffs.items()},
-                              self.order, self.pref2, self.prefh)
-        p = self.prefactor
-        return QExpansion(self.denom, {k: (scalar * p) * v for k, v in self.coeffs.items()},
-                          self.order)
+        """Multiply by an exact rational scalar."""
+        return QExpansion(self.denom, {k: scalar * v for k, v in self.coeffs.items()},
+                          self.order, self.pref2, self.prefh)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float, complex)):
+        if not isinstance(other, QExpansion):
             return self.scale(other)
         f, g = self._aligned(other)
         if f.is_zero() or g.is_zero():
@@ -232,22 +200,19 @@ class QExpansion:
         c0 = self.coeffs[e0]
         rel_bound = math.floor(self.order * self.denom) - e0
         # h = f / (c0 q^(e0/D)) - 1, dense in relative units
-        h = [c0 * 0] * (rel_bound + 1)
+        h = [Fraction(0)] * (rel_bound + 1)
         for k, v in self.coeffs.items():
             h[k - e0] = v / c0
         h[0] -= 1
-        inv = [c0 * 0] * (rel_bound + 1)
-        inv[0] = h[0] * 0 + 1
+        inv = [Fraction(0)] * (rel_bound + 1)
+        inv[0] = Fraction(1)
         for m in range(1, rel_bound + 1):
-            acc = inv[0] * 0
+            acc = Fraction(0)
             for j in range(1, m + 1):
                 if h[j]:
                     acc += h[j] * inv[m - j]
             inv[m] = -acc
-        coeffs = {}
-        for m, v in enumerate(inv):
-            if v != 0:
-                coeffs[m - e0] = v / c0
+        coeffs = {m - e0: v / c0 for m, v in enumerate(inv) if v}
         order = Fraction(rel_bound - e0, self.denom)
         return QExpansion(self.denom, coeffs, order, -self.pref2, -self.prefh)
 
@@ -266,9 +231,10 @@ class QExpansion:
     def nth_root(self, n: int, branch: int = 0) -> "QExpansion":
         """Series g with g^n = self up to the inherited order.
 
-        The leading coefficient of g is the principal n-th root of the
-        leading coefficient, rotated by exp(2 pi i branch / n).  The
-        exponent lattice is refined to denom * n.
+        The leading coefficient must be +-2^k, so that its root is a
+        radical prefactor; the root is the principal one, rotated by
+        exp(2 pi i branch / n).  The exponent lattice is refined to
+        denom * n.
         """
         if n < 1:
             raise ValueError("root index must be >= 1")
@@ -276,38 +242,21 @@ class QExpansion:
             raise ZeroSeries("cannot take a root of the zero series")
         e0 = min(self.coeffs)
         c0 = self.coeffs[e0]
+        if not _is_root_friendly(c0):
+            raise ValueError(f"leading coefficient {c0} is not +-2^k")
         rel_bound = math.floor(self.order * self.denom) - e0
-        exact_in = self.exact
         # normalized series 1 + h with h = f/(c0 q^(e0/D)) - 1
-        h = [c0 * 0] * (rel_bound + 1)
+        h = [Fraction(0)] * (rel_bound + 1)
         for k, v in self.coeffs.items():
             h[k - e0] = v / c0
         h[0] -= 1
-        logh = _series_log1p(h)
-        u = _series_exp([x / n for x in logh])
+        u = _series_exp([x / n for x in _series_log1p(h)])
         # scalar: (pref * c0)^(1/n) * e^(2 pi i branch / n)
-        pref2, prefh = self.pref2, self.prefh
-        root_extra = Fraction(2 * branch, n)
-        if exact_in and _is_root_friendly(c0):
-            a, hp = _as_radical(c0)
-            pref2n = (pref2 + a) / n
-            prefhn = (prefh + hp) / n + root_extra
-            scale = None
-        else:
-            c_full = self.prefactor * complex(c0)
-            r, phi = abs(c_full), cmath.phase(c_full)
-            scale = (r ** (1.0 / n)) * cmath.exp(1j * (phi / n + 2 * math.pi * branch / n))
-            pref2n = Fraction(0)
-            prefhn = Fraction(0)
-        D2 = self.denom * n
-        coeffs = {}
-        for m, v in enumerate(u):
-            if v == 0:
-                continue
-            key = e0 + m * n
-            coeffs[key] = v if scale is None else scale * complex(v)
-        order = Fraction(e0, D2) + Fraction(rel_bound, self.denom)
-        return QExpansion(D2, coeffs, order, pref2n, prefhn)
+        a, hp = _as_radical(c0)
+        coeffs = {e0 + m * n: v for m, v in enumerate(u) if v}
+        order = Fraction(e0, self.denom * n) + Fraction(rel_bound, self.denom)
+        return QExpansion(self.denom * n, coeffs, order, (self.pref2 + a) / n,
+                          (self.prefh + hp) / n + Fraction(2 * branch, n))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -330,7 +279,7 @@ class QExpansion:
         val = 0j
         mags: list[tuple[int, float]] = []
         for k in sorted(self.coeffs):
-            c = complex(self.coeffs[k])
+            c = float(self.coeffs[k])
             val += c * w ** k
             mags.append((k, abs(c)))
         val *= p
@@ -360,26 +309,61 @@ class QExpansion:
 
     def dump(self) -> str:
         """Text dump: one line per term, 'numerator/D<TAB>re<TAB>im'."""
-        out = []
-        p = self.prefactor
-        for k in sorted(self.coeffs):
-            c = p * complex(self.coeffs[k])
-            out.append(f"{k}/{self.denom}\t{c.real!r}\t{c.imag!r}")
-        return "\n".join(out)
+        return RadicalSum((self,)).dump()
 
     def max_abs_coeff_diff(self, other: "QExpansion") -> float:
-        """Largest coefficient difference up to the shared order."""
-        f, g = self._aligned(other)
-        f, g = f.materialized(), g.materialized()
-        bound = min(f.order, g.order) * f.denom
-        keys = {k for k in f.coeffs if k <= bound} | {k for k in g.coeffs if k <= bound}
-        return max((abs(f.coeffs.get(k, 0j) - g.coeffs.get(k, 0j)) for k in keys),
-                   default=0.0)
+        """Largest coefficient difference up to the shared order, taken
+        exactly and rounded once; the prefactors must agree."""
+        d = self - other
+        return abs(d.prefactor) * float(max(map(abs, d.coeffs.values()), default=0))
 
 
 def constant(value, denom: int = 1, order=Fraction(30)) -> QExpansion:
-    return QExpansion(denom, {0: Fraction(value) if _is_exact(value) else complex(value)},
-                      Fraction(order))
+    return QExpansion(denom, {0: value}, Fraction(order))
+
+
+@dataclass(frozen=True)
+class RadicalSum:
+    """A form as the sum of exact series with distinct radical
+    prefactors on one exponent lattice; rounded only in evaluate and
+    dump."""
+
+    terms: tuple[QExpansion, ...]
+
+    @property
+    def denom(self) -> int:
+        return self.terms[0].denom
+
+    def evaluate(self, z: complex, y_min: float | None = None) -> tuple[complex, float]:
+        """(sum of the term values, sum of the term tail bounds)."""
+        val, tail = 0j, 0.0
+        for t in self.terms:
+            v, e = t.evaluate(z, y_min)
+            val += v
+            tail += e
+        return val, tail
+
+    def _combined(self) -> dict:
+        out: dict = {}
+        for t in self.terms:
+            p = t.prefactor
+            for k, c in t.coeffs.items():
+                v = p * complex(c)
+                out[k] = out[k] + v if k in out else v
+        return out
+
+    def leading(self) -> tuple[Fraction, complex]:
+        """(exponent, coefficient) of the lowest-order term."""
+        out = self._combined()
+        if not out:
+            raise ZeroSeries("series has no retained terms")
+        k = min(out)
+        return Fraction(k, self.denom), out[k]
+
+    def dump(self) -> str:
+        """Text dump: one line per exponent, 'numerator/D<TAB>re<TAB>im'."""
+        return "\n".join(f"{k}/{self.denom}\t{c.real!r}\t{c.imag!r}"
+                         for k, c in sorted(self._combined().items()))
 
 
 def _is_root_friendly(c: Fraction) -> bool:
@@ -543,33 +527,54 @@ def zeta_power(n: int, j: int) -> complex:
     return cmath.exp(2j * math.pi * (j % n) / n)
 
 
-def eps_root(n: int) -> complex:
-    """e^(pi i / n)."""
-    return cmath.exp(1j * math.pi / n)
+@lru_cache(maxsize=None)
+def _class_terms(kind: str, n: int, order) -> tuple[QExpansion, ...]:
+    """T_0 .. T_(n-1) with f[kind, j] = sum_r zeta^(+-jr) T_r.
+
+    The binomial expansion of the n-th power, zeta = e(1/n), eps = e(1/2n):
+      A: theta^2 sum_i C(n,i) (-1)^i zeta^(ji) y^-i
+      B: ginf sum_i C(n,i) (-1)^(n-i) zeta^(-ji) x^i      (ginf = theta^2 y^-n)
+      C: theta^2 sum_i C(n,i) (-1)^(n-i) eps^(n-i) zeta^(-ji) (x/y)^i
+    T_r collects the terms with i = r mod n (i = 0 and i = n share
+    zeta^0 and a rational prefactor); none depends on j.
+    """
+    work = order + 2
+    if kind == "A":
+        base, outer = y_series(n, work).inverse(), theta2_series(work)
+    elif kind == "B":
+        base, outer = x_series(n, work), g_series("ginf", work)
+    elif kind == "C":
+        base, outer = x_series(n, work) * y_series(n, work).inverse(), theta2_series(work)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    powers = [constant(1, 2 * n, work), base]
+    while len(powers) <= n:
+        powers.append(powers[-1] * base)
+    inner = []
+    for i, p in enumerate(powers):
+        p = p.scale(comb(n, i) * (-1) ** (i if kind == "A" else n - i))
+        inner.append(p.rotate_halfturns(Fraction(n - i, n)) if kind == "C" else p)
+    inner[0] = inner[0] + inner.pop()
+    return tuple((outer * t).truncate(order) for t in inner)
 
 
 @lru_cache(maxsize=None)
-def f_series(kind: str, j: int, n: int, order) -> QExpansion:
+def f_series(kind: str, j: int, n: int, order) -> RadicalSum:
     """Weight-2 form vanishing only at the cusp of the given
-    ramification kind/index, to order N^2 in the local parameter."""
-    order = Fraction(order)
-    work = order + 2
-    x = x_series(n, work)
-    y = y_series(n, work)
-    yinv = y.inverse()
-    if kind == "A":
-        base = 1 - yinv.scale(zeta_power(n, j)) if j else 1 - yinv
-    elif kind == "B":
-        base = (x - (zeta_power(n, j) if j else 1)) * yinv
-    elif kind == "C":
-        # x and eps zeta^j y share the radical magnitude; for j = 0 the
-        # phases agree too and the difference stays exact.
-        rotated = y.rotate_halfturns(Fraction(1, n) + Fraction(2 * j, n))
-        base = (x - rotated) * yinv
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    f = (base ** n) * theta2_series(work).with_denom(2 * n)
-    return f.truncate(order)
+    ramification kind/index, to order N^2 in the local parameter.
+
+    The form is sum_r zeta^(+-jr) T_r over the exact class terms of
+    ``_class_terms``; the root of unity is applied exactly as a
+    prefactor rotation and terms whose prefactors coincide are added
+    exactly, so f[C,0] (every N) and f[A,0] (N = 1, 2, 4) are single
+    exact series."""
+    sign = 1 if kind == "A" else -1
+    by_prefactor: dict = {}
+    for r, t in enumerate(_class_terms(kind, n, Fraction(order))):
+        t = t.rotate_halfturns(Fraction(2 * sign * j * r, n))
+        key = (t.pref2, t.prefh)
+        by_prefactor[key] = by_prefactor[key] + t if key in by_prefactor else t
+    return RadicalSum(tuple(by_prefactor.values()))
 
 
 @lru_cache(maxsize=None)
@@ -589,7 +594,7 @@ def g_series(cusp_name: str, order) -> QExpansion:
     raise ValueError(f"unknown g label {cusp_name!r}")
 
 
-def expansion(label: FormLabel, order) -> QExpansion:
+def expansion(label: FormLabel, order) -> QExpansion | RadicalSum:
     """Truncated expansion at the cusp at infinity for a form label."""
     order = Fraction(order)
     lead = _leading_exponent(label)
@@ -619,15 +624,6 @@ def _leading_exponent(label: FormLabel) -> Fraction:
     if label.name == "f" and label.kind == "C" and label.j == 0:
         return Fraction(label.n, 2)
     return Fraction(0)
-
-
-def nth_root(f: QExpansion, n: int, branch: int = 0) -> QExpansion:
-    """Module-level alias for QExpansion.nth_root."""
-    return f.nth_root(n, branch)
-
-
-def evaluate(f: QExpansion, z: complex, y_min: float | None = None):
-    return f.evaluate(z, y_min)
 
 
 def petersson_norm_sq(value: complex, z: complex, weight: int) -> float:

@@ -109,7 +109,7 @@ def zeta(s: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> float:
         2.0 ** s
         * math.pi ** (s - 1.0)
         * math.sin(math.pi * s / 2.0)
-        * gamma_fn(1.0 - s, cfg)
+        * gamma_fn(1.0 - s)
         * _zeta_em(1.0 - s, K)
     )
 
@@ -148,12 +148,12 @@ def zeta_prime_ratio_at_minus1(cfg: PrecisionConfig = DEFAULT_PRECISION) -> floa
     return (
         math.log(2.0)
         + math.log(math.pi)
-        - digamma(2.0, cfg)
+        - digamma(2.0)
         - zeta_prime(2.0, cfg) / zeta(2.0, cfg)
     )
 
 
-def gamma_fn(s, cfg: PrecisionConfig = DEFAULT_PRECISION):
+def gamma_fn(s):
     """Gamma function (Lanczos, g = 7).  Real positive arguments return
     floats; complex arguments are supported for the Fourier assembly."""
     if isinstance(s, complex):
@@ -175,7 +175,7 @@ def _gamma_complex(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
 
 
-def digamma(s: float, cfg: PrecisionConfig = DEFAULT_PRECISION) -> float:
+def digamma(s: float) -> float:
     """Digamma on the positive half line (recurrence + asymptotic series)."""
     s = float(s)
     if s <= 0.0:
