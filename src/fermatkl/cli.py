@@ -65,10 +65,11 @@ def parse_cusp(text: str) -> Cusp:
     t = text.strip().lower()
     if t in ("inf", "infinity", "oo"):
         return Cusp(1, 0)
-    if "/" in t:
-        p, q = t.split("/", 1)
-        return Cusp(int(p), int(q))
-    return Cusp(int(t), 1)
+    p, slash, q = t.partition("/")
+    try:
+        return Cusp(int(p), int(q) if slash else 1)
+    except ValueError as exc:
+        raise UsageError(f"cannot parse cusp {text!r}: {exc}") from exc
 
 
 def parse_form_label(text: str) -> FormLabel:
@@ -76,17 +77,18 @@ def parse_form_label(text: str) -> FormLabel:
     x:N | y:N | f:KIND:J:N."""
     parts = text.strip().split(":")
     name = parts[0].lower()
-    if name in ("theta2", "lambda", "one_minus_lambda", "g0", "g1", "ginf"):
+    if name in ("x", "y") and len(parts) != 2:
+        raise UsageError(f"label {text!r} needs a level, e.g. x:3")
+    if name == "f" and len(parts) != 4:
+        raise UsageError(f"label {text!r} must be f:KIND:J:N")
+    try:
+        if name in ("x", "y"):
+            return FormLabel(name, int(parts[1]))
+        if name == "f":
+            return FormLabel("f", int(parts[3]), parts[1].upper(), int(parts[2]))
         return FormLabel(name)
-    if name in ("x", "y"):
-        if len(parts) != 2:
-            raise UsageError(f"label {text!r} needs a level, e.g. x:3")
-        return FormLabel(name, int(parts[1]))
-    if name == "f":
-        if len(parts) != 4:
-            raise UsageError(f"label {text!r} must be f:KIND:J:N")
-        return FormLabel("f", int(parts[3]), parts[1].upper(), int(parts[2]))
-    raise UsageError(f"unknown form label {text!r}")
+    except ValueError as exc:
+        raise UsageError(f"bad form label {text!r}: {exc}") from exc
 
 
 def _group_of(args) -> tuple:
@@ -233,7 +235,12 @@ def cmd_eisenstein(args) -> int:
 
 def cmd_verify(args) -> int:
     trunc, cfg = _config_from(args)
-    ns = tuple(int(x) for x in args.ns.split(",")) if args.ns else (1, 2)
+    try:
+        ns = tuple(int(x) for x in args.ns.split(",")) if args.ns else (1, 2)
+    except ValueError as exc:
+        raise UsageError(f"--ns takes comma-separated levels, got {args.ns!r}") from exc
+    if min(ns) < 1:
+        raise UsageError("--ns levels must be positive integers")
     reports = run_suite(args.suite, trunc, cfg, ns=ns, workers=args.workers)
     if args.check_id:
         reports = [r for r in reports if r.check_id == args.check_id]

@@ -6,15 +6,18 @@ determine.  Coefficients are exact rationals, and the constructor
 rejects anything else.  An attached radical prefactor 2^a * e^(i pi b),
 kept canonical with a, b in [0, 1), makes N-th roots exact up to a
 single scalar, which is what makes identities like x^N + y^N = 1 hold
-exactly.
+exactly.  Inverses, integer powers and roots are one operation, a
+rational power by Miller's recurrence.
 
-The module also provides the concrete level-2 forms (theta^2, the
-hauptmodul lambda fixing the three cusps, the weight-2 forms G_j) and
-the level-N modular functions x = lambda^(1/N), y = (1-lambda)^(1/N)
-together with the weight-2 forms attached to the cusps of the Fermat
-groups, their slash transformation table, and Petersson norms.  Those
-forms mix radicals, so each is a RadicalSum: a few exact series with
-distinct prefactors, rounded only when evaluated or dumped.
+The module also provides the concrete level-2 forms, all from the
+fourth powers of Jacobi's theta series theta2, theta3 and theta4
+(theta^2 = theta3^4, the hauptmodul lambda = -theta4^4/theta2^4 fixing
+the three cusps, the weight-2 forms G_j) and the level-N modular
+functions x = lambda^(1/N), y = (1-lambda)^(1/N) together with the
+weight-2 forms attached to the cusps of the Fermat groups, their slash
+transformation table, and Petersson norms.  Those forms mix radicals,
+so each is a RadicalSum: a few exact series with distinct prefactors,
+rounded only when evaluated or dumped.
 """
 
 from __future__ import annotations
@@ -192,41 +195,52 @@ class QExpansion:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def inverse(self) -> "QExpansion":
-        """Multiplicative inverse as a truncated Laurent series."""
+    def power(self, alpha) -> "QExpansion":
+        """self^alpha for an int or Fraction alpha, by J.C.P. Miller's
+        power recurrence (Knuth, TAOCP Vol. 2, 4.7).
+
+        With self = c0 q^(e0/D) (1 + h), the powered unit series is
+        sum u_m q^(m/D) with u_0 = 1 and
+        m u_m = sum_(k=1..m) ((alpha+1) k - m) h_k u_(m-k).
+        A non-integer alpha needs c0 = +-2^k: the principal value of
+        (prefactor * c0)^alpha becomes the radical prefactor, and the
+        exponent lattice is refined to D times the denominator of alpha.
+        The relative precision of self carries over.
+        """
+        if not isinstance(alpha, (int, Fraction)):
+            raise TypeError("only rational powers are supported")
         if self.is_zero():
-            raise ZeroSeries("cannot invert the zero series")
+            raise ZeroSeries("cannot raise the zero series to a power")
+        p, d = alpha.numerator, alpha.denominator
         e0 = min(self.coeffs)
         c0 = self.coeffs[e0]
+        if d == 1:
+            scale, pref2, prefh = c0 ** p, p * self.pref2, p * self.prefh
+        else:
+            a, hp = _as_radical(c0)
+            scale, pref2, prefh = 1, (self.pref2 + a) * alpha, (self.prefh + hp) * alpha
         rel_bound = math.floor(self.order * self.denom) - e0
-        # h = f / (c0 q^(e0/D)) - 1, dense in relative units
-        h = [Fraction(0)] * (rel_bound + 1)
-        for k, v in self.coeffs.items():
-            h[k - e0] = v / c0
-        h[0] -= 1
-        inv = [Fraction(0)] * (rel_bound + 1)
-        inv[0] = Fraction(1)
-        for m in range(1, rel_bound + 1):
+        # h lives on multiples of step, and so does the power: recur there
+        step = gcd(*(k - e0 for k in self.coeffs)) or 1
+        h = sorted(((k - e0) // step, v / c0) for k, v in self.coeffs.items() if k != e0)
+        u = [Fraction(1)]
+        for m in range(1, rel_bound // step + 1):
             acc = Fraction(0)
-            for j in range(1, m + 1):
-                if h[j]:
-                    acc += h[j] * inv[m - j]
-            inv[m] = -acc
-        coeffs = {m - e0: v / c0 for m, v in enumerate(inv) if v}
-        order = Fraction(rel_bound - e0, self.denom)
-        return QExpansion(self.denom, coeffs, order, -self.pref2, -self.prefh)
+            for k, hk in h:
+                if k > m:
+                    break
+                acc += ((p + d) * k - d * m) * hk * u[m - k]
+            u.append(acc / (d * m))
+        coeffs = {p * e0 + m * step * d: scale * v for m, v in enumerate(u) if v}
+        order = Fraction(p * e0 + rel_bound * d, self.denom * d)
+        return QExpansion(self.denom * d, coeffs, order, pref2, prefh)
 
-    def __pow__(self, n: int) -> "QExpansion":
-        if not isinstance(n, int):
-            raise TypeError("only integer powers are supported")
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return constant(1, self.denom, self.order)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+    def inverse(self) -> "QExpansion":
+        """Multiplicative inverse as a truncated Laurent series."""
+        return self.power(-1)
+
+    def __pow__(self, n) -> "QExpansion":
+        return self.power(n)
 
     def nth_root(self, n: int, branch: int = 0) -> "QExpansion":
         """Series g with g^n = self up to the inherited order.
@@ -238,25 +252,7 @@ class QExpansion:
         """
         if n < 1:
             raise ValueError("root index must be >= 1")
-        if self.is_zero():
-            raise ZeroSeries("cannot take a root of the zero series")
-        e0 = min(self.coeffs)
-        c0 = self.coeffs[e0]
-        if not _is_root_friendly(c0):
-            raise ValueError(f"leading coefficient {c0} is not +-2^k")
-        rel_bound = math.floor(self.order * self.denom) - e0
-        # normalized series 1 + h with h = f/(c0 q^(e0/D)) - 1
-        h = [Fraction(0)] * (rel_bound + 1)
-        for k, v in self.coeffs.items():
-            h[k - e0] = v / c0
-        h[0] -= 1
-        u = _series_exp([x / n for x in _series_log1p(h)])
-        # scalar: (pref * c0)^(1/n) * e^(2 pi i branch / n)
-        a, hp = _as_radical(c0)
-        coeffs = {e0 + m * n: v for m, v in enumerate(u) if v}
-        order = Fraction(e0, self.denom * n) + Fraction(rel_bound, self.denom)
-        return QExpansion(self.denom * n, coeffs, order, (self.pref2 + a) / n,
-                          (self.prefh + hp) / n + Fraction(2 * branch, n))
+        return self.power(Fraction(1, n)).rotate_halfturns(Fraction(2 * branch, n))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -366,44 +362,13 @@ class RadicalSum:
                          for k, c in sorted(self._combined().items()))
 
 
-def _is_root_friendly(c: Fraction) -> bool:
-    """True when |c| is a power of two (so the root stays radical-exact)."""
-    num, den = abs(c.numerator), c.denominator
-    return (num & (num - 1)) == 0 and (den & (den - 1)) == 0
-
-
 def _as_radical(c: Fraction) -> tuple[Fraction, Fraction]:
-    """c = 2^a * e^(i pi h) for c = +-2^k."""
-    a = Fraction(abs(c.numerator).bit_length() - 1 - (c.denominator.bit_length() - 1))
-    h = Fraction(0) if c > 0 else Fraction(1)
-    return a, h
-
-
-def _series_log1p(h: list) -> list:
-    """log(1 + h) for a dense series with h[0] = 0."""
-    M = len(h) - 1
-    v = [h[0] * 0] * (M + 1)
-    for m in range(1, M + 1):
-        acc = m * h[m]
-        for j in range(1, m):
-            if h[j]:
-                acc -= (m - j) * v[m - j] * h[j]
-        v[m] = acc / m
-    return v
-
-
-def _series_exp(v: list) -> list:
-    """exp(v) for a dense series with v[0] = 0."""
-    M = len(v) - 1
-    u = [v[0] * 0] * (M + 1)
-    u[0] = u[0] + 1
-    for m in range(1, M + 1):
-        acc = u[0] * 0
-        for j in range(1, m + 1):
-            if v[j]:
-                acc += j * v[j] * u[m - j]
-        u[m] = acc / m
-    return u
+    """(a, h) with c = 2^a * e^(i pi h); c must be +-2^k, so that its
+    rational powers stay radical-exact."""
+    num, den = abs(c.numerator), c.denominator
+    if num & (num - 1) or den & (den - 1):
+        raise ValueError(f"leading coefficient {c} is not +-2^k")
+    return Fraction(num.bit_length() - den.bit_length()), Fraction(int(c < 0))
 
 
 # ---------------------------------------------------------------------------
@@ -454,57 +419,44 @@ class FormLabel:
         return self.name
 
 
-def _binomial_factor(denom: int, step: int, sign: int, power: int, bound: int) -> QExpansion:
-    """(1 + sign q^(step/denom))^power truncated at exponent bound/denom."""
-    coeffs = {0: Fraction(1)}
-    c = Fraction(1)
-    j = 0
-    while (j + 1) * step <= bound:
-        j += 1
-        c = c * Fraction(power - j + 1, j) * sign
-        coeffs[j * step] = c
-    return QExpansion(denom, coeffs, Fraction(bound, denom))
+def _theta_fourth_power(order, sign: int, shift: int) -> QExpansion:
+    """t^shift (sum_(k in Z) sign^k t^(k^2 + shift k))^4 in t = q^(1/2).
+
+    By the triple product these are Jacobi's theta series: shift 0 gives
+    theta3^4 (sign 1) and theta4^4 (sign -1), shift 1 with sign 1 gives
+    theta2^4 = 16 t (sum_(k>=0) t^(k(k+1)))^4."""
+    order = Fraction(order)
+    bound = math.floor(2 * order) - shift
+    r = math.isqrt(bound) + 1
+    coeffs: dict = {}
+    for k in range(-r, r + 1):
+        e = k * (k + shift)
+        if e <= bound:
+            coeffs[e] = coeffs.get(e, 0) + sign ** (k % 2)
+    fourth = QExpansion(2, coeffs, Fraction(bound, 2)) ** 4
+    return QExpansion(2, {e + shift: v for e, v in fourth.coeffs.items()}, order)
 
 
 @lru_cache(maxsize=None)
 def theta2_series(order) -> QExpansion:
-    """theta^2 = prod (1-q^n)^4 (1+q^(n-1/2))^8, weight 2, level 2."""
-    order = Fraction(order)
-    bound = math.floor(order * 2)
-    out = constant(1, 2, order)
-    n = 1
-    while 2 * n - 1 <= bound:
-        out = out * _binomial_factor(2, 2 * n, -1, 4, bound)
-        out = out * _binomial_factor(2, 2 * n - 1, +1, 8, bound)
-        n += 1
-    return out.truncate(order)
-
-
-def _lambda_product(order, sign: int) -> QExpansion:
-    """(sign/16) q^(-1/2) prod (1 + sign q^(n-1/2))^8 (1 + q^n)^-8."""
-    order = Fraction(order)
-    rel_bound = math.floor((order + Fraction(1, 2)) * 2)
-    prod = constant(1, 2, Fraction(rel_bound, 2))
-    n = 1
-    while 2 * n - 1 <= rel_bound:
-        prod = prod * _binomial_factor(2, 2 * n - 1, sign, 8, rel_bound)
-        prod = prod * _binomial_factor(2, 2 * n, +1, -8, rel_bound)
-        n += 1
-    return QExpansion(2, {k - 1: Fraction(sign, 16) * v for k, v in prod.coeffs.items()},
-                      order)
+    """theta^2 = theta3^4 = prod (1-q^n)^4 (1+q^(n-1/2))^8, weight 2, level 2."""
+    return _theta_fourth_power(order, 1, 0)
 
 
 @lru_cache(maxsize=None)
 def lambda_series(order) -> QExpansion:
-    """The hauptmodul fixing the cusps 0, 1, inf: -(1/16) q^(-1/2) times
-    the printed eta-type product; simple zero at 0, simple pole at inf."""
-    return _lambda_product(order, -1)
+    """The hauptmodul fixing the cusps 0, 1, inf: lambda = -theta4^4 /
+    theta2^4 = g0 / ginf, leading term -(1/16) q^(-1/2); simple zero at
+    0, simple pole at inf."""
+    order = Fraction(order)
+    work = order + 2
+    return (g_series("g0", work) * g_series("ginf", work).inverse()).truncate(order)
 
 
 @lru_cache(maxsize=None)
 def one_minus_lambda_series(order) -> QExpansion:
-    """1 - lambda: the same product with the odd factors' sign flipped."""
-    return _lambda_product(order, +1)
+    """1 - lambda = theta3^4 / theta2^4 (Jacobi's identity)."""
+    return 1 - lambda_series(order)
 
 
 @lru_cache(maxsize=None)
@@ -580,17 +532,15 @@ def f_series(kind: str, j: int, n: int, order) -> RadicalSum:
 @lru_cache(maxsize=None)
 def g_series(cusp_name: str, order) -> QExpansion:
     """The weight-2 level-2 forms with a single cusp zero:
-    g0 = lambda/(1-lambda) theta^2, g1 = theta^2, ginf = theta^2/(1-lambda)."""
-    order = Fraction(order)
-    work = order + 2
-    th = theta2_series(work)
+    g0 = lambda/(1-lambda) theta^2 = -theta4^4, g1 = theta^2 = theta3^4,
+    ginf = theta^2/(1-lambda) = theta2^4; Jacobi's identity reads
+    g1 = ginf - g0."""
     if cusp_name == "g1":
-        return th.truncate(order)
-    omlinv = one_minus_lambda_series(work).inverse()
-    if cusp_name == "ginf":
-        return (th * omlinv).truncate(order)
+        return theta2_series(order)
     if cusp_name == "g0":
-        return (lambda_series(work) * omlinv * th).truncate(order)
+        return -_theta_fourth_power(order, -1, 0)
+    if cusp_name == "ginf":
+        return _theta_fourth_power(order, 1, 1)
     raise ValueError(f"unknown g label {cusp_name!r}")
 
 

@@ -369,3 +369,155 @@ def test_level2_and_root_series_unchanged():
         assert 0 <= s.pref2 < 1 and 0 <= s.prefh < 1
         canon = (s.denom, s.order, s.pref2, s.prefh, tuple(sorted(s.coeffs.items())))
         assert hashlib.sha256(repr(canon).encode()).hexdigest()[:16] == digest, key
+
+
+# The same prefixes over every class term of f[kind, j] at N = 1..5 (all j
+# of one kind per key) and over x and y, at order 26, as computed by the
+# product-formula and log/exp-root implementation.
+FERMAT_DIGESTS = {
+    "A1": "19bb7e7571e49786", "B1": "632ab3bdc41412f7", "C1": "1bc0c27325b40807",
+    "A2": "b647c9cce4162b26", "B2": "5adb72eb96c921ba", "C2": "2abf05a8f2e0ec02",
+    "A3": "bd837e5b3bccdbbe", "B3": "21a3a7c80b7fc6a3", "C3": "84782ad84720241e",
+    "A4": "9d7f23107e01eeea", "B4": "a03bd80e2c2b4198", "C4": "4790161d7bf19c8f",
+    "A5": "8ac7ef23b1cd5a8a", "B5": "1ed994886d1c59ad", "C5": "2992b261d09fd71b",
+    "x1": "721002fda530c1c0", "y1": "9a10da8b50f61c42",
+    "x2": "a46d4c1b6f765267", "y2": "fe7872c456af8c89",
+    "x3": "5b61c8eca84dd125", "y3": "71ec21212c1e002f",
+    "x4": "fc33ef090aa4ec3a", "y4": "01a100eacdb266b2",
+    "x5": "a1a72fd3a6a87cac", "y5": "b3c6c3da4c6a41fe",
+}
+
+
+def _canon(s):
+    return (s.denom, s.order, s.pref2, s.prefh, tuple(sorted(s.coeffs.items())))
+
+
+def test_fermat_forms_unchanged():
+    order = Fraction(26)
+    for key, digest in FERMAT_DIGESTS.items():
+        name, n = key[0], int(key[1])
+        if name in "xy":
+            canon = _canon((x_series if name == "x" else y_series)(n, order))
+        else:
+            canon = tuple(tuple(_canon(t) for t in f_series(name, j, n, order).terms)
+                          for j in range(n))
+        assert hashlib.sha256(repr(canon).encode()).hexdigest()[:16] == digest, key
+
+
+# -- reference implementations: eta-type products and the log/exp root ---------
+
+def _ref_binomial_factor(denom, step, sign, power, bound):
+    """(1 + sign q^(step/denom))^power truncated at exponent bound/denom."""
+    coeffs = {0: Fraction(1)}
+    c = Fraction(1)
+    j = 0
+    while (j + 1) * step <= bound:
+        j += 1
+        c = c * Fraction(power - j + 1, j) * sign
+        coeffs[j * step] = c
+    return QExpansion(denom, coeffs, Fraction(bound, denom))
+
+
+def _ref_theta2(order):
+    """prod (1-q^n)^4 (1+q^(n-1/2))^8."""
+    bound = math.floor(order * 2)
+    out = constant(1, 2, order)
+    n = 1
+    while 2 * n - 1 <= bound:
+        out = out * _ref_binomial_factor(2, 2 * n, -1, 4, bound)
+        out = out * _ref_binomial_factor(2, 2 * n - 1, +1, 8, bound)
+        n += 1
+    return out.truncate(order)
+
+
+def _ref_lambda_product(order, sign):
+    """(sign/16) q^(-1/2) prod (1 + sign q^(n-1/2))^8 (1 + q^n)^-8: lambda
+    for sign -1, 1 - lambda for sign +1."""
+    rel_bound = math.floor((order + Fraction(1, 2)) * 2)
+    prod = constant(1, 2, Fraction(rel_bound, 2))
+    n = 1
+    while 2 * n - 1 <= rel_bound:
+        prod = prod * _ref_binomial_factor(2, 2 * n - 1, sign, 8, rel_bound)
+        prod = prod * _ref_binomial_factor(2, 2 * n, +1, -8, rel_bound)
+        n += 1
+    return QExpansion(2, {k - 1: Fraction(sign, 16) * v for k, v in prod.coeffs.items()},
+                      order)
+
+
+def _ref_log1p(h):
+    """log(1 + h) for a dense series with h[0] = 0."""
+    v = [Fraction(0)] * len(h)
+    for m in range(1, len(h)):
+        acc = m * h[m]
+        for j in range(1, m):
+            acc -= (m - j) * v[m - j] * h[j]
+        v[m] = acc / m
+    return v
+
+
+def _ref_exp(v):
+    """exp(v) for a dense series with v[0] = 0."""
+    u = [Fraction(1)] + [Fraction(0)] * (len(v) - 1)
+    for m in range(1, len(v)):
+        u[m] = sum((j * v[j] * u[m - j] for j in range(1, m + 1)), Fraction(0)) / m
+    return u
+
+
+def _ref_power(f, alpha):
+    """f^alpha as c0^alpha q^(alpha e0/D) exp(alpha log(1 + h)) for a leading
+    coefficient c0 = +-2^k, on the lattice refined by the denominator of alpha."""
+    alpha = Fraction(alpha)
+    e0 = min(f.coeffs)
+    c0 = f.coeffs[e0]
+    rel_bound = math.floor(f.order * f.denom) - e0
+    h = [Fraction(0)] * (rel_bound + 1)
+    for k, v in f.coeffs.items():
+        h[k - e0] = v / c0
+    h[0] -= 1
+    u = _ref_exp([alpha * x for x in _ref_log1p(h)])
+    a = abs(c0.numerator).bit_length() - c0.denominator.bit_length()
+    p, d = alpha.numerator, alpha.denominator
+    return QExpansion(f.denom * d, {p * e0 + m * d: v for m, v in enumerate(u) if v},
+                      Fraction(p * e0 + rel_bound * d, f.denom * d),
+                      (f.pref2 + a) * alpha, (f.prefh + (c0 < 0)) * alpha)
+
+
+def test_level2_forms_match_product_formulas():
+    order = Fraction(40)
+    assert _canon(theta2_series(order)) == _canon(_ref_theta2(order))
+    assert _canon(lambda_series(order)) == _canon(_ref_lambda_product(order, -1))
+    assert _canon(one_minus_lambda_series(order)) == _canon(_ref_lambda_product(order, +1))
+
+
+def test_jacobi_identity_exact():
+    order = Fraction(30)
+    g0, g1, ginf = (g_series(name, order) for name in ("g0", "g1", "ginf"))
+    assert _canon(g1) == _canon(ginf - g0)
+
+
+def test_power_matches_log_exp_reference():
+    rng = random.Random(11)
+    for trial in range(12):
+        n = 2 + trial % 4
+        denom, e0 = rng.choice((1, 2, 3)), rng.randint(-3, 2)
+        sparse = rng.choice((1, 2))
+        coeffs = {e0: rng.choice((-1, 1)) * Fraction(2) ** rng.randrange(-3, 4)}
+        for k in range(e0 + sparse, e0 + 14, sparse):
+            if rng.random() < 0.8:
+                coeffs[k] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        f = QExpansion(denom, coeffs, Fraction(e0 + 13, denom),
+                       Fraction(rng.randrange(3), 3), Fraction(rng.randrange(4), 4))
+        for alpha in (-1, 4, Fraction(1, n), Fraction(-1, n), Fraction(3, n)):
+            assert _canon(f.power(alpha)) == _canon(_ref_power(f, alpha)), (trial, alpha)
+        assert _canon(f ** 4) == _canon(f * f * f * f)
+        assert _canon(f.inverse()) == _canon(f.power(-1))
+        assert (f.power(0).denom, f.power(0).coeffs) == (denom, {0: 1})
+
+
+def test_power_errors():
+    with pytest.raises(ZeroSeries):
+        QExpansion(2, {}, Fraction(4)).power(3)
+    with pytest.raises(ValueError):
+        QExpansion(2, {0: 3, 1: 1}, Fraction(4)).power(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        constant(1, 2, Fraction(4)).power(0.5)

@@ -218,6 +218,20 @@ def test_cli_verify_check_selection_and_tol_override():
     assert json.loads(json.dumps(rec)) == rec
 
 
+@pytest.mark.parametrize("argv", [
+    ["eisenstein", "--n", "2", "--cusp", "abc", "--z", "1+2i"],
+    ["eisenstein", "--n", "2", "--cusp", "0/0", "--z", "1+2i"],
+    ["qexp", "--label", "x:abc"],
+    ["qexp", "--label", "f:A:5:3"],
+    ["qexp", "--label", "f:D:0:3"],
+    ["verify", "--ns", "1,x"],
+    ["verify", "--ns", "2,0"],
+])
+def test_cli_malformed_input_is_usage_error(argv, capsys):
+    assert main([*argv, "--no-timestamp"]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_cli_internal_error_exit_code():
     rc, _, err = run_cli("classify", "--p", "0", "--q", "0", "--n", "2",
                          "--no-timestamp")
