@@ -38,7 +38,7 @@ from .fermat import (
 from .qseries import FormLabel, OrderTooSmall, expansion
 from .scattering import scattering_matrix
 from .sl2 import Cusp, word_to_matrix
-from .special import DEFAULT_PRECISION, PrecisionConfig
+from .special import BESSEL_QUADRATURE_NODES, EULER_MACLAURIN_TERMS
 from .verify import run_suite
 
 SCHEMA_VERSION = "1"
@@ -100,53 +100,68 @@ def _group_of(args) -> tuple:
     return gamma_n(n)
 
 
-def _provenance(trunc: TruncationSpec, cfg: PrecisionConfig, args) -> dict:
+def _provenance(trunc: TruncationSpec, args) -> dict:
     out = {
         "c_max": trunc.c_max,
         "m_max": trunc.m_max,
         "order": trunc.order,
-        "euler_maclaurin_terms": cfg.euler_maclaurin_terms,
-        "bessel_quadrature_nodes": cfg.bessel_quadrature_nodes,
+        "euler_maclaurin_terms": EULER_MACLAURIN_TERMS,
+        "bessel_quadrature_nodes": BESSEL_QUADRATURE_NODES,
     }
     if not args.no_timestamp:
         out["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return out
 
 
-def _emit(args, command: str, inputs: dict, results, trunc, cfg) -> None:
+def _emit(args, command: str, inputs: dict, results, trunc) -> None:
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": {k: str(v) for k, v in sorted(inputs.items())},
         "results": results,
-        "provenance": _provenance(trunc, cfg, args),
+        "provenance": _provenance(trunc, args),
     }
     json.dump(record, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
 
-def _config_from(args) -> tuple[TruncationSpec, PrecisionConfig]:
-    file_cfg = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+def _read_config(path: str, keys) -> dict:
+    """The truncation section of a --config file.  Anything else in the
+    file (another section, an unknown key, a value that is not an
+    integer) is a usage error, as is a file that is not readable JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
+    section = data.get("truncation", {}) if isinstance(data, dict) else None
+    if not isinstance(section, dict) or set(data) - {"truncation"}:
+        raise UsageError(f"config file {path!r} must hold one 'truncation' object")
+    bad = {k: v for k, v in section.items() if k not in keys or type(v) is not int}
+    if bad:
+        raise UsageError(f"config file {path!r}: unknown key or non-integer value {bad}")
+    return section
+
+
+def _config_from(args) -> TruncationSpec:
     t = dict(c_max=DEFAULT_TRUNCATION.c_max, m_max=DEFAULT_TRUNCATION.m_max,
              order=DEFAULT_TRUNCATION.order)
-    p = dict(euler_maclaurin_terms=DEFAULT_PRECISION.euler_maclaurin_terms,
-             bessel_quadrature_nodes=DEFAULT_PRECISION.bessel_quadrature_nodes)
-    t.update({k: v for k, v in file_cfg.get("truncation", {}).items() if k in t})
-    p.update({k: v for k, v in file_cfg.get("precision", {}).items() if k in p})
+    if args.config:
+        t.update(_read_config(args.config, t))
     if args.cmax is not None:
         t["c_max"] = args.cmax
     if args.mmax is not None:
         t["m_max"] = args.mmax
     if args.order is not None:
         t["order"] = args.order
-    return TruncationSpec(**t), PrecisionConfig(**p)
+    try:
+        return TruncationSpec(**t)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_cusps(args) -> int:
-    trunc, cfg = _config_from(args)
+    trunc = _config_from(args)
     if args.n is None or args.n < 1:
         raise UsageError("--n must be a positive integer")
     group = gamma_n(args.n)
@@ -161,15 +176,17 @@ def cmd_cusps(args) -> int:
             "ramification_point": rp.coords(),
             "beta_image": str(rp.beta_image),
         })
-    _emit(args, "cusps", {"n": args.n}, {"cusps": rows}, trunc, cfg)
+    _emit(args, "cusps", {"n": args.n}, {"cusps": rows}, trunc)
     return 0
 
 
 def cmd_classify(args) -> int:
-    trunc, cfg = _config_from(args)
+    trunc = _config_from(args)
     if args.n is None or args.n < 1:
         raise UsageError("--n must be a positive integer")
-    c = Cusp(args.p, args.q) if args.p is not None else parse_cusp(args.cusp)
+    if (args.p is None) != (args.q is None) or (args.p is None and args.cusp is None):
+        raise UsageError("classify needs --cusp, or --p and --q together")
+    c = parse_cusp(args.cusp if args.p is None else f"{args.p}/{args.q}")
     fc, word = classify_cusp_word(c, args.n)
     witness = word_to_matrix(word)
     _emit(args, "classify", {"cusp": c, "n": args.n}, {
@@ -178,15 +195,15 @@ def cmd_classify(args) -> int:
         "index": fc.index,
         "witness_word": str(word),
         "witness_matrix": [witness.a, witness.b, witness.c, witness.d],
-    }, trunc, cfg)
+    }, trunc)
     return 0
 
 
 def cmd_scatter(args) -> int:
-    trunc, cfg = _config_from(args)
+    trunc = _config_from(args)
     if args.n is None or args.n < 1:
         raise UsageError("--n must be a positive integer")
-    mat = scattering_matrix(args.n, cfg)
+    mat = scattering_matrix(args.n)
     reps = [str(fc.rep) for fc in cusp_reps(args.n)]
     if args.format == "csv":
         buf = io.StringIO()
@@ -201,12 +218,12 @@ def cmd_scatter(args) -> int:
     entries = [[{"normalized": e.normalized, "natural": e.natural,
                  "case": e.case_tag} for e in row] for row in mat]
     _emit(args, "scatter", {"n": args.n}, {"reps": reps, "entries": entries},
-          trunc, cfg)
+          trunc)
     return 0
 
 
 def cmd_eisenstein(args) -> int:
-    trunc, cfg = _config_from(args)
+    trunc = _config_from(args)
     group = _group_of(args)
     j = parse_cusp(args.cusp)
     z = parse_complex(args.z)
@@ -215,13 +232,13 @@ def cmd_eisenstein(args) -> int:
         s = s.real
     results: dict = {}
     if args.limit:
-        val = fourier_limit_eval(group, j, Cusp(1, 0), z, trunc, cfg)
+        val = fourier_limit_eval(group, j, Cusp(1, 0), z, trunc)
         results["limit_4pi"] = [val.real, val.imag]
     else:
         if complex(s).real <= 1:
             raise UsageError("Re s must exceed 1 unless --limit is given")
         direct, tail = eisenstein_direct(group, j, z, s, trunc)
-        four = fourier_eval(group, j, Cusp(1, 0), z, s, trunc, cfg)
+        four = fourier_eval(group, j, Cusp(1, 0), z, s, trunc)
         phi0 = phi_coefficient(group, j, Cusp(1, 0), 0, s, trunc)
         results["direct"] = [direct.real, direct.imag]
         results["direct_tail"] = tail
@@ -229,19 +246,19 @@ def cmd_eisenstein(args) -> int:
         results["phi0"] = [phi0.partial_sum.real, phi0.partial_sum.imag]
         results["phi0_tail"] = phi0.tail_estimate
     _emit(args, "eisenstein", {"group": group, "cusp": j, "z": z, "s": s},
-          results, trunc, cfg)
+          results, trunc)
     return 0
 
 
 def cmd_verify(args) -> int:
-    trunc, cfg = _config_from(args)
+    trunc = _config_from(args)
     try:
         ns = tuple(int(x) for x in args.ns.split(",")) if args.ns else (1, 2)
     except ValueError as exc:
         raise UsageError(f"--ns takes comma-separated levels, got {args.ns!r}") from exc
     if min(ns) < 1:
         raise UsageError("--ns levels must be positive integers")
-    reports = run_suite(args.suite, trunc, cfg, ns=ns, workers=args.workers)
+    reports = run_suite(args.suite, trunc, ns=ns, workers=args.workers)
     if args.check_id:
         reports = [r for r in reports if r.check_id == args.check_id]
     if args.check_tol is not None:
@@ -252,12 +269,12 @@ def cmd_verify(args) -> int:
     payload = [r.to_json_dict(with_runtime=not args.no_timestamp) for r in reports]
     all_passed = all(r.passed for r in reports)
     _emit(args, "verify", {"suite": args.suite, "ns": ns},
-          {"reports": payload, "all_passed": all_passed}, trunc, cfg)
+          {"reports": payload, "all_passed": all_passed}, trunc)
     return 0 if all_passed else 2
 
 
 def cmd_qexp(args) -> int:
-    trunc, cfg = _config_from(args)
+    trunc = _config_from(args)
     label = parse_form_label(args.label)
     order = Fraction(args.order if args.order is not None else trunc.order)
     try:
@@ -266,7 +283,7 @@ def cmd_qexp(args) -> int:
         raise UsageError(str(exc)) from exc
     dump = exp.dump()
     _emit(args, "qexp", {"label": label, "order": order},
-          {"denom": exp.denom, "terms": dump.split("\n") if dump else []}, trunc, cfg)
+          {"denom": exp.denom, "terms": dump.split("\n") if dump else []}, trunc)
     return 0
 
 
@@ -285,7 +302,7 @@ def build_parser() -> _Parser:
         p.add_argument("--mmax", type=int, default=None)
         p.add_argument("--order", type=int, default=None)
         p.add_argument("--config", type=str, default=None,
-                       help="JSON file with truncation/precision defaults")
+                       help="JSON file with truncation defaults")
         p.add_argument("--no-timestamp", action="store_true")
 
     p = sub.add_parser("cusps", help="list the cusp system of Gamma_N")

@@ -81,7 +81,7 @@ from .sl2 import (
     gamma2_exponent_sums_batch,
     mod_inverse_batch,
 )
-from .special import DEFAULT_PRECISION, PrecisionConfig, bessel_k, gamma_fn, zeta
+from .special import bessel_k, gamma_fn, zeta
 
 
 class DivergentRegion(ValueError):
@@ -501,12 +501,12 @@ def _phi_sums(rows: np.ndarray, s) -> list[complex]:
     return [complex((row * weights).sum()) for row in rows]
 
 
-def gamma2_phi0_closed_form(diag: bool, s, cfg: PrecisionConfig = DEFAULT_PRECISION) -> float:
+def gamma2_phi0_closed_form(diag: bool, s) -> float:
     """Factored Dirichlet series of the level-2 zero modes:
     2/(2^(2s)-1) * zeta(2s-1)/zeta(2s) on the diagonal and
     (2^(2s)-2)/(2^(2s)-1) * zeta(2s-1)/zeta(2s) off it."""
     w = 2.0 * s
-    num = zeta(w - 1.0, cfg) / zeta(w, cfg)
+    num = zeta(w - 1.0) / zeta(w)
     if diag:
         return 2.0 / (2.0 ** w - 1.0) * num
     return (2.0 ** w - 2.0) / (2.0 ** w - 1.0) * num
@@ -525,8 +525,7 @@ def _divisors(m: int) -> list[int]:
     return sorted(out)
 
 
-def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], m: int, s: float,
-                             cfg: PrecisionConfig = DEFAULT_PRECISION) -> float:
+def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], m: int, s: float) -> float:
     """Exact value of phi_{jk,m}(s) for the level-2 group, m != 0.
 
     pair_parity = (c, d) parities of the admissible pairs: (0, 1) for
@@ -537,7 +536,7 @@ def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], m: int, s: float,
     if m == 0:
         raise ValueError("use gamma2_phi0_closed_form for m = 0")
     w = 2.0 * s
-    zw = zeta(w, cfg)
+    zw = zeta(w)
     divs = _divisors(m)
     if pair_parity == (0, 1):
         d2 = sum(d ** (1.0 - w) for d in divs if d % 4 == 2)
@@ -556,17 +555,16 @@ def _gamma2_pair_parity(j: Cusp, k: Cusp) -> tuple[int, int]:
 
 
 def phi_m1_exact(group: GroupId, j, k, ms,
-                 trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                 cfg: PrecisionConfig = DEFAULT_PRECISION) -> list[complex]:
+                 trunc: TruncationSpec = DEFAULT_TRUNCATION) -> list[complex]:
     """phi_{jk,m}(1) for each m in ms, all nonzero: closed form where
     available (full modular group and level 2), else the truncated
     enumeration, every mode from one inner_sums call."""
     ms = list(ms)
     if group.kind == "gamma1":
-        return [complex(sum(1.0 / d for d in _divisors(m)) / zeta(2.0, cfg)) for m in ms]
+        return [complex(sum(1.0 / d for d in _divisors(m)) / zeta(2.0)) for m in ms]
     if group == GAMMA2:
         parity = _gamma2_pair_parity(as_cusp(j), as_cusp(k))
-        return [complex(gamma2_phi_m_closed_form(parity, m, 1.0, cfg)) for m in ms]
+        return [complex(gamma2_phi_m_closed_form(parity, m, 1.0)) for m in ms]
     if 0 in ms:
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
     return _phi_sums(inner_sums(group, j, k, ms, trunc.c_max), 1.0)
@@ -577,8 +575,7 @@ def phi_m1_exact(group: GroupId, j, k, ms,
 # ---------------------------------------------------------------------------
 
 def fourier_eval(group: GroupId, j, k, z: complex, s,
-                 trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                 cfg: PrecisionConfig = DEFAULT_PRECISION) -> complex:
+                 trunc: TruncationSpec = DEFAULT_TRUNCATION) -> complex:
     """E_j(gamma_k(z), s) assembled from the Fourier expansion in the
     chart of the standard representative of k.
 
@@ -607,7 +604,7 @@ def fourier_eval(group: GroupId, j, k, z: complex, s,
     val += math.sqrt(math.pi) * gs_half / gs * phi0 * complex(y) ** (1 - s) \
         / (complex(b) ** s * b)
     for m, (arg, pos, neg) in enumerate(zip(args, phi_pos, phi_neg), start=1):
-        kb = bessel_k(complex(s) - 0.5, arg, cfg)
+        kb = bessel_k(complex(s) - 0.5, arg)
         coef = 2.0 * math.pi ** complex(s) * (m / b) ** (complex(s) - 0.5) / gs \
             * math.sqrt(y) * kb / (complex(b) ** s * b)
         for sign, phim in ((1, pos), (-1, neg)):
@@ -616,8 +613,7 @@ def fourier_eval(group: GroupId, j, k, z: complex, s,
 
 
 def fourier_limit_eval(group: GroupId, j, k, z: complex,
-                       trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                       cfg: PrecisionConfig = DEFAULT_PRECISION) -> complex:
+                       trunc: TruncationSpec = DEFAULT_TRUNCATION) -> complex:
     """4 pi * lim_(s->1) (E_j(gamma_k z, s) - 1/(vol (s-1))).
 
     Constant mode from the closed-form natural scattering constant, log
@@ -630,7 +626,7 @@ def fourier_limit_eval(group: GroupId, j, k, z: complex,
         raise ValueError("z must lie in the upper half plane")
     jc = standard_rep(group, j)
     kc = standard_rep(group, k)
-    ct = scattering.natural_constant(group, jc, kc, cfg)
+    ct = scattering.natural_constant(group, jc, kc)
     b = group.width
     val = 4.0 * math.pi * (ct - (3.0 / (math.pi * group.index)) * math.log(y))
     if jc == kc:
@@ -638,7 +634,7 @@ def fourier_limit_eval(group: GroupId, j, k, z: complex,
     m_eff = min(trunc.m_max, math.ceil(b * 40.0 / (2.0 * math.pi * y)))
     decays = list(takewhile(lambda t: t >= 1e-18,
                             (math.exp(-2.0 * math.pi * m * y / b) for m in range(1, m_eff + 1))))
-    phis = phi_m1_exact(group, jc, kc, range(1, len(decays) + 1), trunc, cfg) if decays else []
+    phis = phi_m1_exact(group, jc, kc, range(1, len(decays) + 1), trunc) if decays else []
     acc = 0.0
     for m, (decay, phim) in enumerate(zip(decays, phis), start=1):
         acc += 2.0 * (phim * cmath.exp(2j * math.pi * m * x / b)).real * decay

@@ -407,10 +407,6 @@ class FormLabel:
     def weight(self) -> int:
         return 2 if self.name in ("theta2", "g0", "g1", "ginf", "f") else 0
 
-    @property
-    def level_denom(self) -> int:
-        return 2 * self.n if self.name in ("x", "y", "f") else 2
-
     def __str__(self):
         if self.name == "f":
             return f"f[{self.kind}{self.j},n={self.n}]"

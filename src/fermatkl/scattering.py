@@ -28,7 +28,7 @@ from .fermat import (
     gamma_n,
 )
 from .sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp
-from .special import DEFAULT_PRECISION, PrecisionConfig, zeta_prime_ratio_at_minus1
+from .special import zeta_prime_ratio_at_minus1
 
 
 class LevelMismatch(ValueError):
@@ -45,10 +45,10 @@ class ScatteringEntry:
     case_tag: str
 
 
-@lru_cache(maxsize=None)
-def z_constant(cfg: PrecisionConfig = DEFAULT_PRECISION) -> float:
+@lru_cache(maxsize=1)
+def z_constant() -> float:
     """zeta'(-1)/zeta(-1) - log(4 pi) + 1."""
-    return zeta_prime_ratio_at_minus1(cfg) - math.log(4.0 * math.pi) + 1.0
+    return zeta_prime_ratio_at_minus1() - math.log(4.0 * math.pi) + 1.0
 
 
 def natural_shift(group: GroupId) -> float:
@@ -56,21 +56,21 @@ def natural_shift(group: GroupId) -> float:
     return math.log(group.width) / group.volume if group.width > 1 else 0.0
 
 
-def gamma1_constant(cfg: PrecisionConfig = DEFAULT_PRECISION) -> float:
+def gamma1_constant() -> float:
     """Scattering constant of the full modular group, (6/pi) Z."""
-    return 6.0 / math.pi * z_constant(cfg)
+    return 6.0 / math.pi * z_constant()
 
 
-def _gamma2_naturals(cfg: PrecisionConfig) -> tuple[float, float]:
-    z = z_constant(cfg)
+def _gamma2_naturals() -> tuple[float, float]:
+    z = z_constant()
     off = (z + math.log(2.0) / 6.0) / math.pi
     diag = (z - 11.0 * math.log(2.0) / 6.0) / math.pi
     return diag, off
 
 
-def gamma2_constants(cfg: PrecisionConfig = DEFAULT_PRECISION) -> list[list[ScatteringEntry]]:
+def gamma2_constants() -> list[list[ScatteringEntry]]:
     """3x3 matrix over the cusps (0, 1, inf) of the level-2 group."""
-    diag, off = _gamma2_naturals(cfg)
+    diag, off = _gamma2_naturals()
     shift = natural_shift(GAMMA2)
     reps = (CUSP_ZERO, CUSP_ONE, CUSP_INF)
     out = []
@@ -84,13 +84,12 @@ def gamma2_constants(cfg: PrecisionConfig = DEFAULT_PRECISION) -> list[list[Scat
     return out
 
 
-def fermat_constant(n: int, fc_j: FermatCusp, fc_k: FermatCusp,
-                    cfg: PrecisionConfig = DEFAULT_PRECISION) -> ScatteringEntry:
+def fermat_constant(n: int, fc_j: FermatCusp, fc_k: FermatCusp) -> ScatteringEntry:
     """Scattering entry of the level-n Fermat group for a cusp pair."""
     if fc_j.n != n or fc_k.n != n:
         raise LevelMismatch(f"cusps of level {fc_j.n}/{fc_k.n}, expected {n}")
     group = gamma_n(n)
-    c1 = gamma1_constant(cfg)
+    c1 = gamma1_constant()
     log2, logn = math.log(2.0), math.log(n) if n > 1 else 0.0
     pref = 1.0 / (6.0 * n * n)
     if fc_j.rep == fc_k.rep:
@@ -109,39 +108,38 @@ def fermat_constant(n: int, fc_j: FermatCusp, fc_k: FermatCusp,
                            normalized, normalized + natural_shift(group), tag)
 
 
-def scattering_matrix(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> list[list[ScatteringEntry]]:
+def scattering_matrix(n: int) -> list[list[ScatteringEntry]]:
     """Full 3n x 3n matrix of entries in the cusp_reps ordering."""
     if n < 1:
         raise ValueError("level must be >= 1")
     reps = cusp_reps(n)
-    return [[fermat_constant(n, fj, fk, cfg) for fk in reps] for fj in reps]
+    return [[fermat_constant(n, fj, fk) for fk in reps] for fj in reps]
 
 
-def natural_constant(group: GroupId, j: Cusp, k: Cusp,
-                     cfg: PrecisionConfig = DEFAULT_PRECISION) -> float:
+def natural_constant(group: GroupId, j: Cusp, k: Cusp) -> float:
     """Natural scattering constant for a cusp pair of any supported group."""
     if group.kind == "gamma1":
-        return gamma1_constant(cfg)
+        return gamma1_constant()
     if group == GAMMA2:
         # the factored Dirichlet series, as in gamma2_constants
-        diag, off = _gamma2_naturals(cfg)
+        diag, off = _gamma2_naturals()
         return diag if gamma2_base(j) == gamma2_base(k) else off
     reps = cusp_reps(group.n)
     fj = reps[classify_rep_index(j.p, j.q, group.n)]
     fk = reps[classify_rep_index(k.p, k.q, group.n)]
-    return fermat_constant(group.n, fj, fk, cfg).natural
+    return fermat_constant(group.n, fj, fk).natural
 
 
-def klf_constant(group: GroupId, cfg: PrecisionConfig = DEFAULT_PRECISION) -> float:
+def klf_constant(group: GroupId) -> float:
     """Additive constant of the Kronecker limit formula (4 pi scale)."""
-    z = z_constant(cfg)
+    z = z_constant()
     if group.kind == "gamma1":
         return 24.0 * z
     n = group.n
     return 4.0 / (n * n) * (z + math.log(2.0) / 6.0 - math.log(n) / 2.0)
 
 
-def subcusp_relation_residual(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) -> float:
+def subcusp_relation_residual(n: int) -> float:
     """Largest residual of the subcusp consistency relations
 
         sum_{l over k} Ct^N_{l q} = (1/n) Ct^2_{k, base(q)} - log(n)/(2 pi n)
@@ -150,7 +148,7 @@ def subcusp_relation_residual(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) 
     come from the three-case closed formulas, the level-2 ones from the
     factored Dirichlet series."""
     reps = cusp_reps(n)
-    g2 = gamma2_constants(cfg)
+    g2 = gamma2_constants()
     g2_reps = (CUSP_ZERO, CUSP_ONE, CUSP_INF)
     worst = 0.0
     for q in reps:
@@ -159,7 +157,7 @@ def subcusp_relation_residual(n: int, cfg: PrecisionConfig = DEFAULT_PRECISION) 
             total = 0.0
             for l in reps:
                 if gamma2_base(l.rep) == k:
-                    total += fermat_constant(n, l, q, cfg).natural
+                    total += fermat_constant(n, l, q).natural
             g2nat = g2[ki][g2_reps.index(base_q)].natural
             target = g2nat / n - (math.log(n) / (2.0 * math.pi * n) if n > 1 else 0.0)
             worst = max(worst, abs(total - target))

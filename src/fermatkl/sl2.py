@@ -160,36 +160,15 @@ def mobius_point(m: Mat2Z, z: complex) -> complex:
 def cusp_scaling_matrix(c: Cusp) -> Mat2Z:
     """Deterministic g in PSL(2, Z) with g(inf) = c.
 
-    The first column is (p, q); the second column is the extended-Euclid
-    solution of p*d - b*q = 1 with minimal nonnegative d (d in [0, q)
-    when q > 0).  The cusp at infinity maps to the identity.
+    The first column is (p, q); the second column is the solution of
+    p*d - b*q = 1 with d = p^-1 mod q in [0, q).  The cusp at infinity
+    maps to the identity.
     """
     if c.is_infinity:
         return IDENTITY
     p, q = c.p, c.q
-    # Solve p*d - b*q = 1.
-    d0, b0 = _ext_gcd_pair(p, q)
-    # General solution (b0 + t*p, d0 + t*q); pick d in [0, q).
-    t = -(d0 // q)
-    d = d0 + t * q
-    b = b0 + t * p
-    return Mat2Z(p, b, q, d)
-
-
-def _ext_gcd_pair(p: int, q: int) -> tuple[int, int]:
-    """Return (d, b) with p*d - b*q = 1 for coprime p, q."""
-    # Extended Euclid for p*x + q*y = 1, then d = x, b = -y.
-    old_r, r = p, q
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r == -1:
-        old_x, old_y = -old_x, -old_y
-    return old_x, -old_y
+    d = pow(p, -1, q)
+    return Mat2Z(p, (p * d - 1) // q, q, d)
 
 
 def is_in_gamma2(m: Mat2Z) -> bool:

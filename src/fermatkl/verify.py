@@ -35,7 +35,6 @@ from .fermat import (
 )
 from .qseries import FormLabel, coset_product_value, expansion, petersson_norm_sq
 from .sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp, cusp_scaling_matrix, mobius_point
-from .special import DEFAULT_PRECISION, PrecisionConfig
 
 
 @dataclass(frozen=True)
@@ -70,51 +69,48 @@ _GLABEL = {0: "g0", 1: "g1", 2: "ginf"}
 
 def check_klf_gamma2(j: Cusp, z: complex,
                      trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                     cfg: PrecisionConfig = DEFAULT_PRECISION,
                      tol: float = 1e-6) -> CheckReport:
     """Kronecker limit formula at level 2: regularized Eisenstein limit
     against -log ||G_j||^2 + klf_constant."""
     t0 = time.perf_counter()
-    lhs = fourier_limit_eval(GAMMA2, j, CUSP_INF, z, trunc, cfg)
+    lhs = fourier_limit_eval(GAMMA2, j, CUSP_INF, z, trunc)
     idx = classify_index(GAMMA2, j.p, j.q)
     g = expansion(FormLabel(_GLABEL[idx]), Fraction(trunc.order))
     gv, _ = g.evaluate(z)
-    rhs = -math.log(petersson_norm_sq(gv, z, 2)) + scattering.klf_constant(GAMMA2, cfg)
+    rhs = -math.log(petersson_norm_sq(gv, z, 2)) + scattering.klf_constant(GAMMA2)
     return _report("klf_gamma2", {"j": j, "z": z}, abs(lhs - rhs), tol, t0)
 
 
 def check_klf_fermat(n: int, fc: FermatCusp, z: complex,
                      trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                     cfg: PrecisionConfig = DEFAULT_PRECISION,
                      tol: float = 1e-4) -> CheckReport:
     """Kronecker limit formula for the level-n Fermat group at the
     infinity chart."""
     t0 = time.perf_counter()
     group = gamma_n(n)
     chart = cusp_reps(n)[-1].rep
-    lhs = fourier_limit_eval(group, fc.rep, chart, z, trunc, cfg)
+    lhs = fourier_limit_eval(group, fc.rep, chart, z, trunc)
     lab = FormLabel("f", n, fc.kind, fc.index)
     fv, _ = expansion(lab, Fraction(trunc.order)).evaluate(z)
     rhs = -math.log(petersson_norm_sq(fv, z, 2)) / (n * n) \
-        + scattering.klf_constant(group, cfg)
+        + scattering.klf_constant(group)
     return _report("klf_fermat", {"n": n, "cusp": fc.rep, "z": z},
                    abs(lhs - rhs), tol, t0)
 
 
 def check_limitsum(n: int, fc: FermatCusp, z: complex,
                    trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                   cfg: PrecisionConfig = DEFAULT_PRECISION,
                    tol: float = 1e-5) -> CheckReport:
     """Coset-summed limit formula: the level-2 limit minus
     log(n)/vol(level 2), 4 pi scaled, against the coset product of form
     norms plus the shifted constant."""
     t0 = time.perf_counter()
     base = gamma2_base(fc.rep)
-    lhs = fourier_limit_eval(GAMMA2, base, CUSP_INF, z, trunc, cfg).real \
+    lhs = fourier_limit_eval(GAMMA2, base, CUSP_INF, z, trunc).real \
         - 2.0 * math.log(n)
     prod = coset_product_value(fc.kind, fc.index, n, z, order=Fraction(trunc.order))
     log_norm_sum = math.log(abs(prod) ** 2 * z.imag ** (2 * n * n))
-    zc = scattering.z_constant(cfg)
+    zc = scattering.z_constant()
     rhs = -log_norm_sum / (n * n) \
         + 4.0 * (zc + math.log(2.0) / 6.0 - math.log(n) / 2.0)
     return _report("limitsum", {"n": n, "cusp": fc.rep, "z": z},
@@ -153,16 +149,14 @@ def check_sumrs(n: int, c: int, m: int, j: Cusp, k: Cusp,
                    abs(lhs - rhs), tol, t0)
 
 
-def check_scattering_consistency(n: int,
-                                 cfg: PrecisionConfig = DEFAULT_PRECISION,
-                                 tol: float = 1e-10) -> CheckReport:
+def check_scattering_consistency(n: int, tol: float = 1e-10) -> CheckReport:
     """Subcusp linear relations among the closed-form Fermat-group
     constants against the level-2 constants."""
     t0 = time.perf_counter()
-    res = scattering.subcusp_relation_residual(n, cfg)
+    res = scattering.subcusp_relation_residual(n)
     if n == 1:
-        m1 = scattering.scattering_matrix(1, cfg)
-        g2 = scattering.gamma2_constants(cfg)
+        m1 = scattering.scattering_matrix(1)
+        g2 = scattering.gamma2_constants()
         res = max(res, max(abs(m1[i][j].normalized - g2[i][j].normalized)
                            for i in range(3) for j in range(3)))
     return _report("scattering_consistency", {"n": n}, res, tol, t0)
@@ -170,23 +164,21 @@ def check_scattering_consistency(n: int,
 
 def check_cross_path(group: GroupId, j: Cusp, k: Cusp, z: complex, s: float = 2.0,
                      trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                     cfg: PrecisionConfig = DEFAULT_PRECISION,
                      tol: float = 1e-4) -> CheckReport:
     """Fourier expansion against direct summation in the k chart."""
     t0 = time.perf_counter()
-    fe = fourier_eval(group, j, k, z, s, trunc, cfg)
+    fe = fourier_eval(group, j, k, z, s, trunc)
     gk = cusp_scaling_matrix(standard_rep(group, k))
     de, _ = eisenstein_direct(group, j, mobius_point(gk, z), s, trunc)
     return _report("cross_path", {"group": group, "j": j, "k": k, "z": z, "s": s},
                    abs(fe - de), tol, t0)
 
 
-def _suite_checks(level: str, ns: tuple[int, ...],
-                  trunc: TruncationSpec, cfg: PrecisionConfig):
+def _suite_checks(level: str, ns: tuple[int, ...], trunc: TruncationSpec):
     """Deterministic declaration order of the suite's checks."""
     checks = []
     for n in (1, 2, 3, 4, 5):
-        checks.append(("scattering_consistency", lambda n=n: check_scattering_consistency(n, cfg)))
+        checks.append(("scattering_consistency", lambda n=n: check_scattering_consistency(n)))
     for n in [x for x in ns if x > 1]:
         for c in (1, 2, 3, 4):
             for m in (0, 1, 2):
@@ -200,28 +192,27 @@ def _suite_checks(level: str, ns: tuple[int, ...],
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
         for z in (2j, 1 + 2j):
             checks.append(("klf_gamma2",
-                           lambda j=j, z=z: check_klf_gamma2(j, z, trunc, cfg)))
+                           lambda j=j, z=z: check_klf_gamma2(j, z, trunc)))
     for n in [x for x in ns if x > 1]:
         reps = cusp_reps(n)
         for fc in (reps[0], reps[n], reps[-1]):
             for z in (2j, 1 + 2j):
                 checks.append(("klf_fermat",
-                               lambda n=n, fc=fc, z=z: check_klf_fermat(n, fc, z, trunc, cfg)))
+                               lambda n=n, fc=fc, z=z: check_klf_fermat(n, fc, z, trunc)))
         checks.append(("limitsum",
-                       lambda n=n, fc=reps[n]: check_limitsum(n, fc, 2j, trunc, cfg)))
+                       lambda n=n, fc=reps[n]: check_limitsum(n, fc, 2j, trunc)))
         for k in (CUSP_ZERO, CUSP_INF):
             checks.append(("sum_relation",
                            lambda n=n, k=k: check_sum_relation(n, k, 1 + 2j, 2.0, small)))
         reps_n = cusp_reps(n)
         for (j, k) in ((reps_n[-1].rep, reps_n[-1].rep), (reps_n[0].rep, reps_n[-1].rep)):
             checks.append(("cross_path",
-                           lambda n=n, j=j, k=k: check_cross_path(gamma_n(n), j, k, 1j, 2.0, small, cfg)))
+                           lambda n=n, j=j, k=k: check_cross_path(gamma_n(n), j, k, 1j, 2.0, small)))
     return checks
 
 
 def run_suite(level: str = "fast",
               trunc: TruncationSpec = DEFAULT_TRUNCATION,
-              cfg: PrecisionConfig = DEFAULT_PRECISION,
               ns: tuple[int, ...] = (1, 2),
               workers: int = 1) -> list[CheckReport]:
     """Run the named suite; reports are collected in declaration order
@@ -229,7 +220,7 @@ def run_suite(level: str = "fast",
     abort the suite."""
     if level not in ("fast", "full"):
         raise ValueError("suite level must be 'fast' or 'full'")
-    checks = _suite_checks(level, tuple(ns), trunc, cfg)
+    checks = _suite_checks(level, tuple(ns), trunc)
 
     def run_one(item):
         name, fn = item

@@ -17,7 +17,7 @@ from fermatkl.scattering import (
     z_constant,
 )
 from fermatkl.sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp
-from fermatkl.special import DEFAULT_PRECISION, gamma_fn, zeta
+from fermatkl.special import gamma_fn, zeta
 
 
 def test_gamma2_difference_identity():

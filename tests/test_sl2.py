@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -105,6 +106,22 @@ def test_cusp_scaling_matrix_maps_infinity():
             continue
         c = Cusp(p, q)
         assert mobius_apply(cusp_scaling_matrix(c), CUSP_INF) == c
+
+
+def test_cusp_scaling_matrix_grid():
+    # every coprime (p, q) with |p| <= 300 and 1 <= q < 120
+    count = 0
+    for q in range(1, 120):
+        for p in range(-300, 301):
+            if math.gcd(p, q) != 1:
+                continue
+            c = Cusp(p, q)
+            g = cusp_scaling_matrix(c)
+            assert (g.a, g.c) == (p, q) and 0 <= g.d < q
+            assert g.a * g.d - g.b * g.c == 1
+            assert mobius_apply(g, CUSP_INF) == c
+            count += 1
+    assert count == 43689
 
 
 def test_is_in_gamma2():

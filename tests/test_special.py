@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from fermatkl.special import (
-    DEFAULT_PRECISION,
     NonPositiveArgument,
     PoleAtOne,
-    PrecisionConfig,
     bessel_k,
     digamma,
     gamma_fn,
@@ -64,7 +62,7 @@ def test_zeta_functional_equation_sampled():
 def test_zeta_prime_ratio():
     # zeta'(-1) = 1/12 - log A with the Glaisher-Kinkelin constant
     zp_ref = 1.0 / 12 - math.log(1.2824271291006226368753425689)
-    ratio = zeta_prime_ratio_at_minus1(DEFAULT_PRECISION)
+    ratio = zeta_prime_ratio_at_minus1()
     assert abs(zeta(-1.0) * ratio - zp_ref) < 1e-13
     assert abs(ratio - 12 * abs(zp_ref)) < 1e-11
 
@@ -93,9 +91,6 @@ def test_bessel_half_order_closed_form():
 def test_bessel_symmetry_and_value():
     for nu, x in ((1.5, 2.5), (0.3, 0.9), (2.0, 4.0)):
         assert abs(bessel_k(-nu, x) - bessel_k(nu, x)) < 1e-14
-    # oracle: doubled node count
-    hi = bessel_k(1.0, 2.0, PrecisionConfig(bessel_quadrature_nodes=400))
-    assert abs(bessel_k(1.0, 2.0) - hi) < 1e-13
     assert abs(bessel_k(1.0, 2.0) - 0.13986588181652243) < 1e-12
     with pytest.raises(NonPositiveArgument):
         bessel_k(1.0, 0.0)
@@ -109,23 +104,3 @@ def test_bessel_recurrence_and_monotone():
     xs = np.linspace(0.5, 6.0, 12)
     vals = [bessel_k(0.8, float(x)) for x in xs]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_tolerance_monotonicity():
-    # halving the tolerance (via more quadrature nodes and EM terms)
-    # never increases the achieved error on a probe set
-    probes = [(0.5, 1.0), (1.0, 2.0), (1.5, 3.0)]
-    ref = [bessel_k(nu, x, PrecisionConfig(bessel_quadrature_nodes=800,
-                                           euler_maclaurin_terms=128)) for nu, x in probes]
-    loose = PrecisionConfig(bessel_quadrature_nodes=64, euler_maclaurin_terms=16)
-    tight = PrecisionConfig(bessel_quadrature_nodes=200, euler_maclaurin_terms=64)
-    for (nu, x), r in zip(probes, ref):
-        err_loose = abs(bessel_k(nu, x, loose) - r)
-        err_tight = abs(bessel_k(nu, x, tight) - r)
-        assert err_tight <= err_loose + 1e-13
-    assert abs(zeta(3.0, tight) - zeta(3.0)) <= abs(zeta(3.0, loose) - zeta(3.0)) + 1e-15
-
-
-def test_precision_config_invariants():
-    with pytest.raises(ValueError):
-        PrecisionConfig(euler_maclaurin_terms=4)

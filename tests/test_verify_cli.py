@@ -193,7 +193,7 @@ def test_cli_verify_fast():
 def test_cli_verify_exit_code_two(monkeypatch):
     import fermatkl.cli as cli_mod
 
-    def fake_suite(level, trunc, cfg, ns, workers):
+    def fake_suite(level, trunc, ns, workers):
         return [CheckReport("fake", {}, 1.0, 0.5, False, 3)]
 
     monkeypatch.setattr(cli_mod, "run_suite", fake_suite)
@@ -218,6 +218,11 @@ def test_cli_verify_check_selection_and_tol_override():
     assert json.loads(json.dumps(rec)) == rec
 
 
+class ConfigText(str):
+    """Contents of a --config file; the test writes it to a file and
+    passes that file's path instead."""
+
+
 @pytest.mark.parametrize("argv", [
     ["eisenstein", "--n", "2", "--cusp", "abc", "--z", "1+2i"],
     ["eisenstein", "--n", "2", "--cusp", "0/0", "--z", "1+2i"],
@@ -226,13 +231,48 @@ def test_cli_verify_check_selection_and_tol_override():
     ["qexp", "--label", "f:D:0:3"],
     ["verify", "--ns", "1,x"],
     ["verify", "--ns", "2,0"],
+    ["classify", "--p", "1", "--n", "2"],
+    ["classify", "--n", "2"],
+    ["classify", "--p", "0", "--q", "0", "--n", "2"],
+    ["classify", "--cusp", "1/2", "--q", "3", "--n", "2"],
+    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": {"cmax": 3}}')],
+    ["cusps", "--n", "2", "--config",
+     ConfigText('{"precision": {"euler_maclaurin_terms": 64}}')],
+    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": {}, "extra": {}}')],
+    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": {"c_max": "abc"}}')],
+    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": {"c_max": 2.5}}')],
+    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": {"order": true}}')],
+    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": {"m_max": 0}}')],
+    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": [500]}')],
+    ["cusps", "--n", "2", "--config", ConfigText("[500]")],
+    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": ')],
+    ["cusps", "--n", "2", "--config", "no/such/config.json"],
 ])
-def test_cli_malformed_input_is_usage_error(argv, capsys):
+def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, ConfigText):
+            path.write_text(arg, encoding="utf-8")
+            argv = [*argv[:i], str(path), *argv[i + 1:]]
     assert main([*argv, "--no-timestamp"]) == 1
     assert "usage error" in capsys.readouterr().err
 
 
-def test_cli_internal_error_exit_code():
-    rc, _, err = run_cli("classify", "--p", "0", "--q", "0", "--n", "2",
-                         "--no-timestamp")
-    assert rc == 3 and "internal error" in err
+def test_cli_config_truncation_section(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"truncation": {"c_max": 123, "order": 9}}', encoding="utf-8")
+    assert main(["cusps", "--n", "2", "--config", str(path), "--no-timestamp"]) == 0
+    prov = json.loads(capsys.readouterr().out)["provenance"]
+    assert (prov["c_max"], prov["m_max"], prov["order"]) == (123, 10, 9)
+    assert (prov["euler_maclaurin_terms"], prov["bessel_quadrature_nodes"]) == (64, 200)
+
+
+def test_cli_internal_error_exit_code(monkeypatch, capsys):
+    import fermatkl.cli as cli_mod
+
+    def broken(n):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(cli_mod, "scattering_matrix", broken)
+    assert cli_mod.main(["scatter", "--n", "2", "--no-timestamp"]) == 3
+    assert "internal error" in capsys.readouterr().err
