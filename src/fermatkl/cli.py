@@ -227,7 +227,11 @@ def cmd_eisenstein(args) -> int:
     group = _group_of(args)
     j = parse_cusp(args.cusp)
     z = parse_complex(args.z)
-    s = parse_complex(args.s) if args.s else 2.0 + 0j
+    if z.imag <= 0:
+        raise UsageError("z must lie in the upper half plane")
+    if args.limit and args.s is not None:
+        raise UsageError("--limit is the value at s = 1 and takes no --s")
+    s = parse_complex(args.s) if args.s is not None else 2.0 + 0j
     if s.imag == 0:
         s = s.real
     results: dict = {}
@@ -328,7 +332,7 @@ def build_parser() -> _Parser:
     p.add_argument("--group", choices=("gamma1", "gammaN"), default="gammaN")
     p.add_argument("--cusp", type=str, required=True)
     p.add_argument("--z", type=str, required=True)
-    p.add_argument("--s", type=str, default="2")
+    p.add_argument("--s", type=str, default=None, help="s, 2 by default")
     p.add_argument("--limit", action="store_true",
                    help="regularized value at s = 1 (4 pi scale)")
     p.set_defaults(fn=cmd_eisenstein)

@@ -32,22 +32,23 @@ with u0 the shift that h_j and h_k add,
 
 The level-2 group, which is level N = 1, reads the lanes unfiltered,
 and the full modular group has a table of its own (every c, d mod c).
-Tables hold int32 columns sorted by c, so a prefix serves any c_max
-below the one enumerated; they are extended on demand, bounded by a
-least-recently-used lane count, and u is only computed when a level
-N > 1 first reads a table.
-The sums r come from the Dedekind-sum formula of the sl2 module in
-int64 batches of _ENUM_BLOCK lanes, and the Fermat class tables of the
-direct sums classify all (-d : c) of one c in one batch.
+The direct sums read class tables of the same shape, one per group:
+every d0 in [0, width c) coprime to c with the class of (-d0 : c),
+each (c, class) bucket a contiguous slice.  Both kinds hold int32
+columns sorted by c, so a prefix serves any c_max below the one
+enumerated.  They come from one block enumeration, are extended on
+demand and share one store bounded by a least-recently-used row count;
+u is only computed when a level N > 1 first reads a lane table.  The
+sums r come from the Dedekind-sum formula of the sl2 module in int64
+batches of _ENUM_BLOCK lanes.
 
 Each side of a Fourier-against-direct comparison is one pass over its
 data.  inner_sums reads, shifts and filters the lanes once per call and
 returns a row of per-c sums for every mode asked for; the row of -m is
 the complex conjugate of the row of m, so fourier_eval reads the modes
-0..m_eff once and conjugates.  The direct sum walks the class table of
-every c but sums only the class buckets asked for, and eisenstein_direct
-asks for its own class.  The class tables are cached least recently
-used first, bounded by the d0 values they hold.
+0..m_eff once and conjugates.  The direct sum fetches its group's class
+table once, walks c through the bucket bounds and sums only the class
+buckets asked for; eisenstein_direct asks for its own class.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ from .fermat import (
 )
 from .sl2 import (
     CUSP_INF,
+    CUSP_ONE,
+    CUSP_ZERO,
     Cusp,
-    GEN1,
     Mat2Z,
     cusp_scaling_matrix,
     gamma2_exponent_sums,
@@ -149,55 +151,6 @@ def standard_rep(group: GroupId, c) -> Cusp:
 # direct summation
 # ---------------------------------------------------------------------------
 
-# Class tables by (group, c) in least recently used order.  Past
-# _CLASS_CACHE_ENTRIES stored d0 values in all, the oldest tables are
-# dropped; the table just built always stays.  A level-N table at c_max
-# holds width * (phi(1) + ... + phi(c_max)) values.  2^20 values (8 MB of
-# int64) hold the level-3 and level-2 tables at c_max 500 that one level-3
-# sum relation reads in turn (609k values; a smaller bound would rebuild
-# every table on every such call), and with room to spare the level-2
-# tables at c_max 500 (152k) and the level-2 and 3 tables at 250 (190k)
-# that repeated level-2 and Fermat cross-path checks read.
-_CLASS_CACHE: OrderedDict = OrderedDict()
-_CLASS_LOCK = threading.Lock()
-_CLASS_CACHE_ENTRIES = 1 << 20
-_class_cache_values = 0     # d0 values held by _CLASS_CACHE
-
-
-def _class_table(group: GroupId, c: int):
-    """Class buckets of d0 in [0, width*c) coprime to c, as int arrays.
-
-    A pair (c, d) with bottom row (c, d) of gamma_j^-1 sigma belongs to
-    the class of sigma^-1(S_j) = (-d : c); the sign matters between the
-    subcusps of a Fermat group even though the level-2 parity classes
-    cannot see it.
-    """
-    global _class_cache_values
-    key = (group, c)
-    with _CLASS_LOCK:
-        hit = _CLASS_CACHE.get(key)
-        if hit is not None:
-            _CLASS_CACHE.move_to_end(key)
-            return hit
-    P = group.width * c
-    d = np.arange(P, dtype=np.int64)
-    cop = d[np.gcd(d, c) == 1]
-    if group.kind == "gamma1":
-        table = [(0, cop)]
-    else:
-        idx = classify_rep_indices(-cop, c, group.n)
-        table = [(int(i), cop[idx == i]) for i in np.flatnonzero(np.bincount(idx))]
-    with _CLASS_LOCK:
-        # another thread may have built the same table meanwhile
-        if key not in _CLASS_CACHE:
-            _CLASS_CACHE[key] = table
-            _class_cache_values += cop.size
-            while _class_cache_values > _CLASS_CACHE_ENTRIES and len(_CLASS_CACHE) > 1:
-                _, old = _CLASS_CACHE.popitem(last=False)
-                _class_cache_values -= sum(arr.size for _, arr in old)
-    return table
-
-
 def _power_terms(mod2: np.ndarray, s) -> np.ndarray:
     if isinstance(s, complex) and s.imag != 0:
         return np.exp(-s * np.log(mod2))
@@ -211,10 +164,14 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     prefactor: the bucket of class j is the sum over (c,d) with (d:c) in
     class j of y^s / |cz+d|^(2s).
 
-    classes lists the distinct group_cusps indices to sum, every class
-    by default; the pairs of the other classes are skipped, not summed.
-    Returns (buckets, tail_estimate) with one bucket per requested class
-    in the order given.  The tail estimate bounds every class.
+    A pair (c, d) with bottom row (c, d) of gamma_j^-1 sigma belongs to
+    the class of sigma^-1(S_j) = (-d : c); the sign matters between the
+    subcusps of a Fermat group even though the level-2 parity classes
+    cannot see it.  classes lists the distinct group_cusps indices to
+    sum, every class by default; the pairs of the other classes are
+    skipped, not summed.  Returns (buckets, tail_estimate) with one
+    bucket per requested class in the order given.  The tail estimate
+    bounds every class.
     """
     sigma = complex(s).real
     if sigma <= 1:
@@ -233,19 +190,23 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     pos = slot.get(classify_index(group, 1, 0))
     if pos is not None:
         vals[pos] += ys
+    _, d_col, _, starts = _read_table(group, trunc.c_max)
+    # bucket bounds of the asked-for classes, one row per c
+    edges = starts[:trunc.c_max * n_classes + 1]
+    los = edges[:-1].reshape(-1, n_classes)[:, list(slot)].tolist()
+    his = edges[1:].reshape(-1, n_classes)[:, list(slot)].tolist()
     m_cut = trunc.c_max * (abs(x) + y + 3.0)
-    for c in range(1, trunc.c_max + 1):
+    for c, row_lo, row_hi in zip(range(1, trunc.c_max + 1), los, his):
         P = group.width * c
         cx = c * x
         cy2 = (c * y) ** 2
         t_lo = math.floor((-m_cut - cx) / P) - 1
         t_hi = math.ceil((m_cut - cx) / P) + 1
         t = np.arange(t_lo, t_hi + 1, dtype=np.int64) * P
-        for idx, d0s in _class_table(group, c):
-            pos = slot.get(idx)
-            if pos is None or d0s.size == 0:
+        for pos, lo, hi in zip(slot.values(), row_lo, row_hi):
+            if lo == hi:
                 continue
-            w = cx + (d0s[None, :] + t[:, None]).astype(float)
+            w = cx + (d_col[lo:hi][None, :] + t[:, None]).astype(float)
             keep = np.abs(w) <= m_cut
             mod2 = w * w + cy2
             terms = _power_terms(mod2, s)
@@ -272,74 +233,92 @@ def eisenstein_direct(group: GroupId, j, z: complex, s,
 
 
 # ---------------------------------------------------------------------------
-# double-coset enumeration of Fourier coefficients
+# tables of lanes and of classes
 # ---------------------------------------------------------------------------
 
-class _LaneTable:
-    """Lanes (c, d) of one base pair for c = 1..c_done, sorted by c, as
-    int32 columns; the character column u is filled in when a level
-    N > 1 first asks for it."""
+class _Table:
+    """Rows (c, d) of one key for c = 1..c_done as int32 columns sorted
+    by c, and a third int32 column x.
+
+    A lane table, keyed by a base pair, holds lanes; x is the character
+    column u, filled in when a level N > 1 first asks for it.  A class
+    table, keyed by its group, holds every d0 in [0, width c) coprime to
+    c; x is the class index of (-d0 : c), the rows of a c are sorted by
+    x and then by d0, and rows starts[i] to starts[i + 1] with
+    i = (c - 1) * classes + x are the bucket of (c, x).
+    """
 
     def __init__(self):
         self.c_done = 0
         self.c = self.d = np.empty(0, dtype=np.int32)
-        self.u = None
+        self.x = None
+        self.starts = np.zeros(1, dtype=np.int64)
         self.lock = threading.Lock()
 
 
-# Tables in least recently used order.  Past _LANE_CACHE_ENTRIES lanes in
-# all the oldest tables are dropped; the table just asked for always
-# stays.  2^19 lanes hold the tables of all nine base pairs at c_max 500
-# (457k lanes, 3.7 MB of int32 columns).
-_LANES: OrderedDict = OrderedDict()
-_LANE_LOCK = threading.Lock()
-_LANE_CACHE_ENTRIES = 1 << 19
+# Tables of both kinds in least recently used order.  Past _TABLE_ROWS
+# rows in all the oldest tables are dropped; the table just asked for
+# always stays.  2^20 rows (12 MB of int32 columns) hold the 736k rows
+# that verify --suite full --ns 1,2,3 reads, and the level-3 and level-2
+# class tables at c_max 500 that one level-3 sum relation reads in turn
+# (609k rows; a smaller bound would rebuild both on every such call).
+_TABLES: OrderedDict = OrderedDict()
+_TABLE_LOCK = threading.Lock()
+_TABLE_ROWS = 1 << 20
 
-# Candidates per vectorised block of the lane enumeration, and lanes per
+# Candidates per vectorised block of the row enumeration, and lanes per
 # block of the character column.  The working arrays of a block peak
 # near 1 MB at this size; larger blocks raise peak memory for little
 # speed.
 _ENUM_BLOCK = 2048
 
-
-def _kappa_sums(g: Mat2Z) -> tuple[int, int]:
-    """Exponent sums of g T^2 g^(-1) (stabilizer generator of g(inf))."""
-    k = g * GEN1 * g.inverse()
-    r = gamma2_exponent_sums(k.a, k.b, k.c, k.d)
-    if r is None:
-        raise RuntimeError("conjugated stabilizer left the level-2 group")
-    return r
+# Exponent sums of g_b T^2 g_b^-1, the stabilizer generator of the
+# level-2 base b; g_j T^2 g_j^-1 of a standard representative j has
+# those of its base.
+_STABILIZER_SUMS = {CUSP_ZERO: (0, -1), CUSP_ONE: (-1, 1), CUSP_INF: (1, 0)}
 
 
-def _enumerate_lanes(key: tuple, c_lo: int, c_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lanes (c, d) of a table key for c = c_lo..c_hi as int32 columns.
+def _base_pair_matrix(jb: Cusp, kb: Cusp) -> Mat2Z:
+    """g_bj^-1 g_bk for the level-2 bases b_j and b_k."""
+    return cusp_scaling_matrix(jb).inverse() * cusp_scaling_matrix(kb)
+
+
+def _enumerate_lanes(key, c_lo: int, c_hi: int) -> np.ndarray:
+    """Rows of a table key for c = c_lo..c_hi as stacked int32 columns.
 
     Key (1, inf, inf) is the full modular group: every c, d = 0..c-1.
     Key (2, b_j, b_k) is a level-2 base pair: c and d in [0, 2c) with
     the parities of the bottom row of g_bj^-1 g_bk.  Either way a c has
-    c candidates, of which those with gcd(c, d) = 1 are lanes; the
-    candidates are processed in blocks of about _ENUM_BLOCK.
+    c candidates, of which those with gcd(c, d) = 1 are lanes (c, d).
+    A group key is a class table, with width c candidates per c and rows
+    (c, d, x) as _Table sets out.  The candidates are processed in
+    blocks of about _ENUM_BLOCK, each holding whole c's.
     """
-    if 2 * c_hi > np.iinfo(np.int32).max:
-        raise OverflowError(f"lanes up to c = {c_hi} overflow int32")
-    step, jb, kb = key
-    if step == 1:
-        d0, cs = 0, np.arange(c_lo, c_hi + 1, dtype=np.int64)
-    else:
-        pt = cusp_scaling_matrix(jb).inverse() * cusp_scaling_matrix(kb)
-        d0 = pt.d & 1
-        cs = np.arange(c_lo + ((c_lo & 1) != (pt.c & 1)), c_hi + 1, 2, dtype=np.int64)
-    cols = [np.empty((2, 0), dtype=np.int32)]
-    block_of = (np.cumsum(cs) - 1) // _ENUM_BLOCK
+    classes = isinstance(key, GroupId)
+    step, span, d0 = (1, key.width, 0) if classes else (key[0], 1, 0)
+    if step * span * c_hi > np.iinfo(np.int32).max:
+        raise OverflowError(f"table rows up to c = {c_hi} overflow int32")
+    cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
+    if step == 2:
+        pt = _base_pair_matrix(key[1], key[2])
+        d0, cs = pt.d & 1, cs[(cs & 1) == (pt.c & 1)]
+    cols = [np.empty((3 if classes else 2, 0), dtype=np.int32)]
+    block_of = (np.cumsum(span * cs) - 1) // _ENUM_BLOCK
     for blk in np.split(cs, np.flatnonzero(np.diff(block_of)) + 1):
         if blk.size == 0:
             continue
-        c = np.repeat(blk, blk)
-        d = d0 + step * (np.arange(c.size) - np.repeat(np.cumsum(blk) - blk, blk))
+        counts = span * blk
+        c = np.repeat(blk, counts)
+        d = d0 + step * (np.arange(c.size) - np.repeat(np.cumsum(counts) - counts, counts))
         keep = np.gcd(d, c) == 1
-        cols.append(np.stack((c[keep], d[keep])).astype(np.int32))
-    c, d = np.concatenate(cols, axis=1)
-    return c, d
+        rows = [c[keep], d[keep]]
+        if classes:
+            x = np.zeros_like(rows[0]) if key.kind == "gamma1" else \
+                classify_rep_indices(-rows[1], rows[0], key.n)
+            order = np.lexsort((x, rows[0]))
+            rows = [r[order] for r in (*rows, x)]
+        cols.append(np.stack(rows).astype(np.int32))
+    return np.concatenate(cols, axis=1)
 
 
 def _character_column(key: tuple, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -352,8 +331,8 @@ def _character_column(key: tuple, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """
     _, jb, kb = key
     gj, gk = cusp_scaling_matrix(jb), cusp_scaling_matrix(kb)
-    pa, pb, _, _ = ((x & 1) for x in (gj.inverse() * gk).entries())
-    v1, v2 = _kappa_sums(gj)
+    pa, pb, _, _ = ((x & 1) for x in _base_pair_matrix(jb, kb).entries())
+    v1, v2 = _STABILIZER_SUMS[jb]
     e, f, g_, h = gj.entries()
     ki11, ki12, ki21, ki22 = gk.inverse().entries()
     parts = [np.empty(0, dtype=np.int64)]
@@ -375,32 +354,50 @@ def _character_column(key: tuple, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return u.astype(np.int32)
 
 
-def _lane_columns(key: tuple, c_max: int, characters: bool):
-    """(c, d, u) of the lanes with c <= c_max, the table extended on
-    demand; u is None unless characters is set."""
-    with _LANE_LOCK:
-        table = _LANES.setdefault(key, _LaneTable())
-        _LANES.move_to_end(key)
+def _extend(key, table: _Table, c_max: int) -> None:
+    """Rows c_done + 1..c_max appended to the table of key."""
+    c_lo = table.c_done + 1
+    c, d, *x = _enumerate_lanes(key, c_lo, c_max)
+    if isinstance(key, GroupId):
+        n = len(group_cusps(key))
+        counts = np.bincount((c.astype(np.int64) - c_lo) * n + x[0], minlength=(c_max - c_lo + 1) * n)
+        table.starts = np.concatenate((table.starts, table.starts[-1] + np.cumsum(counts)))
+    elif table.x is not None:
+        x = [_character_column(key, c, d)]
+    cols = [c, d, *x]
+    if table.c_done:
+        cols = [np.concatenate(pair) for pair in zip((table.c, table.d, table.x), cols)]
+    table.c, table.d, table.x = cols if x else (*cols, None)
+    table.c_done = c_max
+
+
+def _read_table(key, c_max: int, characters: bool = False):
+    """Columns (c, d, x, starts) of the table of key, extended to c_max
+    first, with the character column of a lane table filled in if
+    characters is set.  Then the oldest other tables are dropped while
+    the store holds more than _TABLE_ROWS rows."""
+    with _TABLE_LOCK:
+        table = _TABLES.setdefault(key, _Table())
+        _TABLES.move_to_end(key)
     with table.lock:
         if table.c_done < c_max:
-            c, d = _enumerate_lanes(key, table.c_done + 1, c_max)
-            if table.u is not None:
-                table.u = np.concatenate((table.u, _character_column(key, c, d)))
-            table.c, table.d = np.concatenate((table.c, c)), np.concatenate((table.d, d))
-            table.c_done = c_max
-        if characters and table.u is None:
-            table.u = _character_column(key, table.c, table.d)
-        stop = int(np.searchsorted(table.c, c_max, side="right"))
-        cols = table.c[:stop], table.d[:stop], table.u[:stop] if characters else None
-    with _LANE_LOCK:
-        total = sum(t.c.size for t in _LANES.values())
-        for other in list(_LANES):
-            if total <= _LANE_CACHE_ENTRIES:
+            _extend(key, table, c_max)
+        if characters and table.x is None:
+            table.x = _character_column(key, table.c, table.d)
+        cols = table.c, table.d, table.x, table.starts
+    with _TABLE_LOCK:
+        total = sum(t.c.size for t in _TABLES.values())
+        for other in list(_TABLES):
+            if total <= _TABLE_ROWS:
                 break
             if other != key:
-                total -= _LANES.pop(other).c.size
+                total -= _TABLES.pop(other).c.size
     return cols
 
+
+# ---------------------------------------------------------------------------
+# double-coset enumeration of Fourier coefficients
+# ---------------------------------------------------------------------------
 
 def inner_sums(group: GroupId, j, k, ms, c_max: int) -> np.ndarray:
     """Inner sums of phi_{jk,m} for each mode m in ms and c = 1..c_max,
@@ -420,24 +417,26 @@ def inner_sums(group: GroupId, j, k, ms, c_max: int) -> np.ndarray:
         key, n = (1, CUSP_INF, CUSP_INF), 1
     else:
         key, n = (2, gamma2_base(jc), gamma2_base(kc)), group.n
-    c, d, u = _lane_columns(key, c_max, n > 1)
+    c, d, u, _ = _read_table(key, c_max, n > 1)
+    stop = int(np.searchsorted(c, c_max, side="right"))
+    c, d = c[:stop], d[:stop]
     weight, period = 1, 1
     if n > 1:
         _, jb, kb = key
         gj, gk = cusp_scaling_matrix(jc), cusp_scaling_matrix(kc)
         hj = gamma2_exponent_sums(*(gj * cusp_scaling_matrix(jb).inverse()).entries())
         hk = gamma2_exponent_sums(*(gk * cusp_scaling_matrix(kb).inverse()).entries())
-        v1, v2 = _kappa_sums(gj)
+        v1, v2 = _STABILIZER_SUMS[jb]
         # int64 before any arithmetic: int32 arrays against Python or
         # numpy scalars promote differently under numpy 1.x and 2.x
-        u = u.astype(np.int64) + (hj[0] - hk[0]) * v2 - (hj[1] - hk[1]) * v1
+        u = u[:stop].astype(np.int64) + (hj[0] - hk[0]) * v2 - (hj[1] - hk[1]) * v1
         if jb == kb:
             # the n lifts d + 2ct all survive or none do, and their phases
             # sum to n e(m d/(2nc)) when n | m and to 0 otherwise
             keep = u % n == 0
             c, d, weight, period = c[keep], d[keep], n, n
         else:
-            w1, w2 = _kappa_sums(gk)
+            w1, w2 = _STABILIZER_SUMS[kb]
             det_inv = pow((v1 * w2 - v2 * w1) % n, -1, n)
             d = d + 2 * c.astype(np.int64) * (u * det_inv % n)
     # lanes are sorted by c: per-c segments from their boundaries
@@ -549,11 +548,6 @@ def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], m: int, s: float) -> 
     return base * (-1.0 if m % 2 else 1.0)
 
 
-def _gamma2_pair_parity(j: Cusp, k: Cusp) -> tuple[int, int]:
-    pt = cusp_scaling_matrix(gamma2_base(j)).inverse() * cusp_scaling_matrix(gamma2_base(k))
-    return (pt.c & 1, pt.d & 1)
-
-
 def phi_m1_exact(group: GroupId, j, k, ms,
                  trunc: TruncationSpec = DEFAULT_TRUNCATION) -> list[complex]:
     """phi_{jk,m}(1) for each m in ms, all nonzero: closed form where
@@ -563,8 +557,8 @@ def phi_m1_exact(group: GroupId, j, k, ms,
     if group.kind == "gamma1":
         return [complex(sum(1.0 / d for d in _divisors(m)) / zeta(2.0)) for m in ms]
     if group == GAMMA2:
-        parity = _gamma2_pair_parity(as_cusp(j), as_cusp(k))
-        return [complex(gamma2_phi_m_closed_form(parity, m, 1.0)) for m in ms]
+        pt = _base_pair_matrix(gamma2_base(as_cusp(j)), gamma2_base(as_cusp(k)))
+        return [complex(gamma2_phi_m_closed_form((pt.c & 1, pt.d & 1), m, 1.0)) for m in ms]
     if 0 in ms:
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
     return _phi_sums(inner_sums(group, j, k, ms, trunc.c_max), 1.0)

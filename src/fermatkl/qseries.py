@@ -256,7 +256,7 @@ class QExpansion:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, z: complex, y_min: float | None = None) -> tuple[complex, float]:
+    def evaluate(self, z: complex) -> tuple[complex, float]:
         """(value, tail_bound) of the series at a point of the upper
         half plane.
 
@@ -267,8 +267,6 @@ class QExpansion:
         y = z.imag
         if y <= 0:
             raise ConvergenceRegion("evaluation requires Im z > 0")
-        if y_min is not None and y < y_min:
-            raise ConvergenceRegion(f"Im z = {y} below the requested minimum {y_min}")
         w = cmath.exp(2j * math.pi * z / self.denom)
         r = abs(w)
         p = self.prefactor
@@ -330,11 +328,11 @@ class RadicalSum:
     def denom(self) -> int:
         return self.terms[0].denom
 
-    def evaluate(self, z: complex, y_min: float | None = None) -> tuple[complex, float]:
+    def evaluate(self, z: complex) -> tuple[complex, float]:
         """(sum of the term values, sum of the term tail bounds)."""
         val, tail = 0j, 0.0
         for t in self.terms:
-            v, e = t.evaluate(z, y_min)
+            v, e = t.evaluate(z)
             val += v
             tail += e
         return val, tail

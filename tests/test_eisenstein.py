@@ -371,10 +371,33 @@ def test_klf_constant_independent_of_cusp():
     assert max(fconsts) - min(fconsts) < 1e-5
 
 
+def _kappa_sums(g):
+    """Exponent sums of g T^2 g^-1, the stabilizer generator of g(inf)."""
+    from fermatkl.sl2 import GEN1, gamma2_exponent_sums
+
+    k = g * GEN1 * g.inverse()
+    return gamma2_exponent_sums(k.a, k.b, k.c, k.d)
+
+
+def test_stabilizer_sums_table():
+    # the table keyed by level-2 base against the conjugated stabilizer
+    # of every standard representative, and the one base-pair matrix
+    from fermatkl.eisenstein import _STABILIZER_SUMS, _base_pair_matrix
+
+    for n in range(1, 7):
+        for fc in cusp_reps(n):
+            base = gamma2_base(fc.rep)
+            assert _STABILIZER_SUMS[base] == _kappa_sums(cusp_scaling_matrix(fc.rep)), (n, fc)
+            assert _STABILIZER_SUMS[base] == _kappa_sums(cusp_scaling_matrix(base))
+    for jb in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
+        for kb in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
+            pt = _base_pair_matrix(jb, kb)
+            assert pt == cusp_scaling_matrix(jb).inverse() * cusp_scaling_matrix(kb)
+
+
 def _phi_items_per_d(group, j, k, c_max):
     """The per-d Fermat enumeration of admissible residues mod 2nc: the
     reference for the lane tables."""
-    from fermatkl.eisenstein import _kappa_sums
     from fermatkl.sl2 import gamma2_exponent_sums
 
     gj, gk = cusp_scaling_matrix(j), cusp_scaling_matrix(k)
@@ -427,19 +450,34 @@ def _oracle_sums(items, m, width):
                      for c, arr in enumerate(items, start=1)])
 
 
-def _fresh_lanes(monkeypatch):
+def _fresh_store(monkeypatch):
     from fermatkl import eisenstein
 
-    monkeypatch.setattr(eisenstein, "_LANES", OrderedDict())
-    return eisenstein._LANES
+    monkeypatch.setattr(eisenstein, "_TABLES", OrderedDict())
+    return eisenstein._TABLES
 
 
-def _fresh_class_cache(monkeypatch):
+def _class_buckets(group, c_max):
+    """The d0 of every (c, class) bucket of the group's class table for
+    c <= c_max, c major, as lists read through the store."""
     from fermatkl import eisenstein
 
-    monkeypatch.setattr(eisenstein, "_CLASS_CACHE", OrderedDict())
-    monkeypatch.setattr(eisenstein, "_class_cache_values", 0)
-    return eisenstein._CLASS_CACHE
+    _, d, _, starts = eisenstein._read_table(group, c_max)
+    edges = starts[:c_max * len(eisenstein.group_cusps(group)) + 1].tolist()
+    return [d[lo:hi].tolist() for lo, hi in zip(edges, edges[1:])]
+
+
+def _assert_one_build(key, table):
+    """Every column of a stored table equals one build of it from c = 1."""
+    from fermatkl import eisenstein
+
+    ref = eisenstein._Table()
+    eisenstein._extend(key, ref, table.c_done)
+    if ref.x is None and table.x is not None:
+        ref.x = eisenstein._character_column(key, ref.c, ref.d)
+    for col in ("c", "d", "x", "starts"):
+        x, y = getattr(table, col), getattr(ref, col)
+        assert (x is None and y is None) or np.array_equal(x, y), (key, col)
 
 
 def test_batched_fermat_enumeration_matches_per_d_loop():
@@ -475,17 +513,17 @@ def test_batched_fermat_enumeration_extends(monkeypatch):
         g = gamma_n(n)
         for j, k in ((cusp_reps(n)[n].rep, cusp_reps(n)[-1].rep),
                      (cusp_reps(n)[-1].rep, cusp_reps(n)[-1].rep)):
-            lanes = _fresh_lanes(monkeypatch)
+            lanes = _fresh_store(monkeypatch)
             # level 2 first (no character column), then level n extends it twice
             inner_sums(GAMMA2, gamma2_base(j), gamma2_base(k), (1,), 40)
             inner_sums(g, j, k, (1,), 80)
             grown = inner_sums(g, j, k, (0, 1, n), 120)
             (table,) = lanes.values()
             assert table.c_done == 120
-            lanes = _fresh_lanes(monkeypatch)
+            lanes = _fresh_store(monkeypatch)
             fresh = inner_sums(g, j, k, (0, 1, n), 120)
             (ref,) = lanes.values()
-            for col in ("c", "d", "u"):
+            for col in ("c", "d", "x"):
                 x, y = getattr(table, col), getattr(ref, col)
                 assert x.dtype == np.int32 and np.array_equal(x, y), col
             assert np.array_equal(grown, fresh)
@@ -494,7 +532,7 @@ def test_batched_fermat_enumeration_extends(monkeypatch):
 def test_levels_share_one_lane_table(monkeypatch):
     from fermatkl import eisenstein
 
-    lanes = _fresh_lanes(monkeypatch)
+    lanes = _fresh_store(monkeypatch)
     calls = []
     for name in ("_enumerate_lanes", "_character_column"):
         real = getattr(eisenstein, name)
@@ -514,7 +552,7 @@ def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
     def refuse(*args):
         raise AssertionError("exponent sums on a level-2 request")
 
-    _fresh_lanes(monkeypatch)
+    _fresh_store(monkeypatch)
     monkeypatch.setattr(eisenstein, "gamma2_exponent_sums_batch", refuse)
     monkeypatch.setattr(eisenstein, "gamma2_exponent_sums", refuse)
     tr = TruncationSpec(c_max=80)
@@ -522,18 +560,18 @@ def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
         for k in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
             for m in (0, 3):
                 phi_coefficient(GAMMA2, j, k, m, 2.0, tr)
-    # cold class tables and classification: the level-1 exits of both
+    # a cold class table and classification: the level-1 exits of both
     # classifiers read parities only
-    _fresh_class_cache(monkeypatch)
+    assert GAMMA2 not in eisenstein._TABLES
     for name in ("gamma2_exponent_sums_batch", "mod_inverse_batch", "_cusp_reduction_steps"):
         monkeypatch.setattr(fermat, name, refuse)
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
         eisenstein_direct(GAMMA2, j, 0.3 + 1.1j, 2.0, tr)
-    assert len(eisenstein._CLASS_CACHE) == tr.c_max
+    assert eisenstein._TABLES[GAMMA2].c_done == tr.c_max
 
 
-def test_batched_class_table_matches_per_d_loop():
-    from fermatkl.eisenstein import _class_table
+def test_batched_class_table_matches_per_d_loop(monkeypatch):
+    from fermatkl import eisenstein
     from fermatkl.fermat import classify_cusp_word, classify_rep_index
 
     def per_d(d0, c, n):
@@ -542,119 +580,85 @@ def test_batched_class_table_matches_per_d_loop():
             return cusp_reps(1).index(classify_cusp_word(Cusp(-d0, c), 1)[0])
         return classify_rep_index(-d0, c, n)
 
+    store = _fresh_store(monkeypatch)
     for n in (1, 2, 3, 4, 5):
         g = gamma_n(n)
+        want = [[] for _ in range(80 * 3 * n)]
         for c in range(1, 81):
-            buckets = {}
             for d0 in range(2 * n * c):
                 if gcd(d0, c) == 1:
-                    buckets.setdefault(per_d(d0, c, n), []).append(d0)
-            table = _class_table(g, c)
-            assert [i for i, _ in table] == sorted(buckets)
-            for i, arr in table:
-                assert type(i) is int and arr.dtype == np.int64
-                assert arr.tolist() == buckets[i], (n, c, i)
+                    want[(c - 1) * 3 * n + per_d(d0, c, n)].append(d0)
+        assert _class_buckets(g, 80) == want, n
+        table = store[g]
+        for col in (table.c, table.d, table.x):
+            assert col.dtype == np.int32 and col.size == table.starts[-1]
+        # rows sorted by c, then by class; d0 ascends within a bucket
+        order = np.lexsort((table.d, table.x, table.c))
+        assert np.array_equal(order, np.arange(order.size))
+    # a table grown from c_max 100 to 250 is the one built at 250
+    for g in (GAMMA1, *(gamma_n(n) for n in (1, 2, 3, 4))):
+        store = _fresh_store(monkeypatch)
+        eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=100))
+        grown = _class_buckets(g, 250)
+        assert store[g].c_done == 250
+        _assert_one_build(g, store[g])
+        _fresh_store(monkeypatch)
+        assert grown == _class_buckets(g, 250)
 
 
 def test_phi_cache_evicts_least_recently_used(monkeypatch):
     from fermatkl import eisenstein
 
-    lanes = _fresh_lanes(monkeypatch)
-    monkeypatch.setattr(eisenstein, "_LANE_CACHE_ENTRIES", 1000)
+    store = _fresh_store(monkeypatch)
+    monkeypatch.setattr(eisenstein, "_TABLE_ROWS", 1000)
     g = gamma_n(3)
     reps = cusp_reps(3)
     pairs = [(reps[i].rep, reps[-1].rep) for i in (0, 3, 6)]
     keys = [(2, gamma2_base(j), gamma2_base(k)) for j, k in pairs]
     first = [inner_sums(g, j, k, (1,), 60) for j, k in pairs[:2]]
     # the second table pushed the first out; the table just asked for stays
-    assert list(lanes) == [keys[1]]
-    size1 = lanes[keys[1]].c.size
+    assert list(store) == [keys[1]]
+    size1 = store[keys[1]].c.size
     inner_sums(g, *pairs[1], (1,), 60)
     inner_sums(g, *pairs[2], (1,), 60)
-    assert list(lanes) == [keys[2]]
+    assert list(store) == [keys[2]]
     # a dropped table is enumerated again to the same sums
     assert np.array_equal(inner_sums(g, *pairs[0], (1,), 60), first[0])
-    size0 = lanes[keys[0]].c.size
+    size0 = store[keys[0]].c.size
     assert size0 + size1 > 1000 >= max(size0, size1)
     # a table larger than the bound is still kept while it is in use
     inner_sums(g, *pairs[2], (1,), 120)
-    assert list(lanes) == [keys[2]]
-    big = lanes[keys[2]]
+    assert list(store) == [keys[2]]
+    big = store[keys[2]]
     assert big.c.size > 1000
     inner_sums(g, *pairs[2], (1,), 120)
-    assert lanes[keys[2]] is big and big.c_done == 120
+    assert store[keys[2]] is big and big.c_done == 120
 
+    # class tables share the store and its row bound: the level-3 table
+    # at c 15 holds 6 (phi(1) + ... + phi(15)) = 432 rows
+    def rows():
+        return {key: table.c.size for key, table in store.items()}
 
-def test_class_cache_evicts_least_recently_used(monkeypatch):
-    from fermatkl import eisenstein
-    from fermatkl.eisenstein import _class_table
-
-    g = gamma_n(3)
-    tr = TruncationSpec(c_max=40)
+    tr = TruncationSpec(c_max=15)
     want = eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr)
-    cache = _fresh_class_cache(monkeypatch)
-    monkeypatch.setattr(eisenstein, "_CLASS_CACHE_ENTRIES", 1000)
-
-    def held():
-        return {c: sum(arr.size for _, arr in table) for (_, c), table in cache.items()}
-
-    # the table of c holds the 6 phi(c) values d0 < 6c coprime to c
-    first = [_class_table(g, c) for c in range(1, 31)]
-    assert list(held()) == list(range(20, 31))
-    assert sum(held().values()) == eisenstein._class_cache_values == 948
-    # a read moves a table to the newest end; 31 (180 values) pushes out
-    # the two oldest after it
-    assert _class_table(g, 20) is first[19]
-    _class_table(g, 31)
-    assert list(held()) == [*range(23, 31), 20, 31]
-    assert sum(held().values()) == eisenstein._class_cache_values == 996
-    # a dropped table is built again to the same buckets
-    again = _class_table(g, 5)
-    assert [i for i, _ in again] == [i for i, _ in first[4]]
-    assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(again, first[4]))
-    # a table larger than the bound is still kept while it is the newest
-    _class_table(g, 173)
-    assert held() == {173: 1032}
-    # and the direct sum, evicting all along, gives the same value
+    level2 = _class_buckets(GAMMA2, 20)
+    _class_buckets(GAMMA1, 20)
+    inner_sums(g, *pairs[0], (1,), 30)
+    assert rows() == {g: 432, GAMMA2: 256, GAMMA1: 128, keys[0]: 183}
+    # a read moves a table to the newest end; growing the level-1 table
+    # to 278 rows pushes out the oldest table after it
+    eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr)
+    _class_buckets(GAMMA1, 30)
+    assert rows() == {keys[0]: 183, g: 432, GAMMA1: 278}
+    assert list(store) == [keys[0], g, GAMMA1]
+    # a dropped class table is built again to the same buckets
+    assert _class_buckets(GAMMA2, 20) == level2
+    assert sum(rows().values()) <= 1000
+    # a class table larger than the bound is still kept while it is in use
+    eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=40))
+    assert rows() == {g: 2940}
+    # and its prefix gives the same direct sum
     assert eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr) == want
-    assert eisenstein._class_cache_values == sum(held().values()) <= 1000
-
-
-def test_class_cache_bound_under_threads(monkeypatch):
-    import sys
-    import threading
-
-    from fermatkl import eisenstein
-    from fermatkl.eisenstein import _class_table
-
-    groups = [gamma_n(n) for n in (1, 2, 3)]
-    _fresh_class_cache(monkeypatch)
-    want = {(g, c): [(i, arr.tolist()) for i, arr in _class_table(g, c)]
-            for g in groups for c in range(1, 41)}
-    cache = _fresh_class_cache(monkeypatch)
-    monkeypatch.setattr(eisenstein, "_CLASS_CACHE_ENTRIES", 300)
-    bad, old = [], sys.getswitchinterval()
-
-    def work(seed):
-        for i in range(400):
-            key = (groups[(seed + i) % 3], 1 + (7 * seed + 13 * i) % 40)
-            if [(j, arr.tolist()) for j, arr in _class_table(*key)] != want[key]:
-                bad.append(key)
-
-    threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert not bad
-    # no lost or doubled count: it is the d0 values the cache holds
-    held = sum(arr.size for table in cache.values() for _, arr in table)
-    assert eisenstein._class_cache_values == held <= 300
 
 
 def test_phi_cache_bound_under_threads(monkeypatch):
@@ -663,12 +667,15 @@ def test_phi_cache_bound_under_threads(monkeypatch):
 
     from fermatkl import eisenstein
 
-    lanes = _fresh_lanes(monkeypatch)
-    monkeypatch.setattr(eisenstein, "_LANE_CACHE_ENTRIES", 1500)
+    _fresh_store(monkeypatch)
     g = gamma_n(3)
     reps = cusp_reps(3)
     pairs = [(fj.rep, reps[-1].rep) for fj in reps[::2]]
     want = {p: _phi_items_per_d(g, *p, 50) for p in pairs}
+    groups = [gamma_n(n) for n in (1, 2, 3)]
+    want_cls = {h: _class_buckets(h, 20) for h in groups}
+    store = _fresh_store(monkeypatch)
+    monkeypatch.setattr(eisenstein, "_TABLE_ROWS", 1500)
     bad, old = [], sys.getswitchinterval()
 
     def work(seed):
@@ -678,6 +685,10 @@ def test_phi_cache_bound_under_threads(monkeypatch):
             (got,) = inner_sums(g, *p, (1,), c_max)
             if np.abs(got - _oracle_sums(want[p][:c_max], 1, g.width)).max() > 1e-12:
                 bad.append(p)
+            h = groups[(seed + i) % 3]
+            c_max = 1 + (7 * seed + 13 * i) % 20
+            if _class_buckets(h, c_max) != want_cls[h][:c_max * 3 * h.n]:
+                bad.append((h, c_max))
 
     threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
     sys.setswitchinterval(1e-5)
@@ -690,11 +701,12 @@ def test_phi_cache_bound_under_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not bad
-    # no lost or doubled extension: each table is the one enumeration
-    for key, table in lanes.items():
-        c, d = eisenstein._enumerate_lanes(key, 1, table.c_done)
-        assert np.array_equal(table.c, c) and np.array_equal(table.d, d)
-        assert table.u.size == c.size
+    # the row bound holds, and no extension was lost or doubled: each
+    # table is the one build
+    assert sum(table.c.size for table in store.values()) <= 1500
+    assert any(isinstance(key, GroupId) for key in store)
+    for key, table in store.items():
+        _assert_one_build(key, table)
 
 
 def test_lane_arithmetic_in_int64(monkeypatch):
@@ -706,18 +718,18 @@ def test_lane_arithmetic_in_int64(monkeypatch):
     reps = cusp_reps(n)
     lim = np.iinfo(np.int32)
     for j, k in ((reps[1].rep, reps[-1].rep), (reps[1].rep, reps[0].rep)):
-        lanes = _fresh_lanes(monkeypatch)
+        lanes = _fresh_store(monkeypatch)
         want = inner_sums(g, j, k, (0, 1, n), 30)
         (table,) = lanes.values()
-        u = table.u.astype(np.int64)
+        u = table.x.astype(np.int64)
         far = np.where(np.arange(u.size) % 2, lim.max - (lim.max - u) % n,
                        lim.min + (u - lim.min) % n)
-        table.u = far.astype(np.int32)
+        table.x = far.astype(np.int32)
         assert np.array_equal(inner_sums(g, j, k, (0, 1, n), 30), want)
 
 
 def test_lane_table_int32_guard(monkeypatch):
-    _fresh_lanes(monkeypatch)
+    _fresh_store(monkeypatch)
     reps = cusp_reps(4)
     with pytest.raises(OverflowError):
         inner_sums(gamma_n(4), reps[0].rep, reps[-1].rep, (1,), 2 ** 30)

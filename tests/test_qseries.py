@@ -139,8 +139,6 @@ def test_evaluate_convergence_region():
     lam = lambda_series(Fraction(8))
     with pytest.raises(ConvergenceRegion):
         lam.evaluate(0.5 + 0.001j)
-    with pytest.raises(ConvergenceRegion):
-        lam.evaluate(2j, y_min=3.0)
 
 
 def test_fermat_relation_coefficientwise():

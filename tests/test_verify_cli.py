@@ -247,6 +247,10 @@ class ConfigText(str):
     ["cusps", "--n", "2", "--config", ConfigText("[500]")],
     ["cusps", "--n", "2", "--config", ConfigText('{"truncation": ')],
     ["cusps", "--n", "2", "--config", "no/such/config.json"],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1-2i"],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1-2i", "--limit"],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+0i", "--limit"],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--s", "0.5", "--limit"],
 ])
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
     path = tmp_path / "config.json"
