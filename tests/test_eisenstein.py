@@ -634,8 +634,20 @@ def test_phi_cache_evicts_least_recently_used(monkeypatch):
     inner_sums(g, *pairs[2], (1,), 120)
     assert store[keys[2]] is big and big.c_done == 120
 
-    # class tables share the store and its row bound: the level-3 table
-    # at c 15 holds 6 (phi(1) + ... + phi(15)) = 432 rows
+
+def test_class_cache_evicts_least_recently_used(monkeypatch):
+    from fermatkl import eisenstein
+
+    store = _fresh_store(monkeypatch)
+    monkeypatch.setattr(eisenstein, "_TABLE_ROWS", 1000)
+    g = gamma_n(3)
+    reps = cusp_reps(3)
+    pair = (reps[0].rep, reps[-1].rep)
+    lane_key = (2, gamma2_base(pair[0]), gamma2_base(pair[1]))
+
+    # class tables share the store and its row bound with the lane
+    # tables: the level-3 table at c 15 holds 6 (phi(1) + ... + phi(15))
+    # = 432 rows
     def rows():
         return {key: table.c.size for key, table in store.items()}
 
@@ -643,14 +655,14 @@ def test_phi_cache_evicts_least_recently_used(monkeypatch):
     want = eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr)
     level2 = _class_buckets(GAMMA2, 20)
     _class_buckets(GAMMA1, 20)
-    inner_sums(g, *pairs[0], (1,), 30)
-    assert rows() == {g: 432, GAMMA2: 256, GAMMA1: 128, keys[0]: 183}
+    inner_sums(g, *pair, (1,), 30)
+    assert rows() == {g: 432, GAMMA2: 256, GAMMA1: 128, lane_key: 183}
     # a read moves a table to the newest end; growing the level-1 table
     # to 278 rows pushes out the oldest table after it
     eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr)
     _class_buckets(GAMMA1, 30)
-    assert rows() == {keys[0]: 183, g: 432, GAMMA1: 278}
-    assert list(store) == [keys[0], g, GAMMA1]
+    assert rows() == {lane_key: 183, g: 432, GAMMA1: 278}
+    assert list(store) == [lane_key, g, GAMMA1]
     # a dropped class table is built again to the same buckets
     assert _class_buckets(GAMMA2, 20) == level2
     assert sum(rows().values()) <= 1000
@@ -659,6 +671,47 @@ def test_phi_cache_evicts_least_recently_used(monkeypatch):
     assert rows() == {g: 2940}
     # and its prefix gives the same direct sum
     assert eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr) == want
+
+
+def test_class_cache_bound_under_threads(monkeypatch):
+    import sys
+    import threading
+
+    from fermatkl import eisenstein
+
+    # rows at c 40: 490 (level 1), 980 (level 2), 2940 (level 3), so a
+    # bound of 3000 drops tables while the threads grow them
+    groups = [gamma_n(n) for n in (1, 2, 3)]
+    _fresh_store(monkeypatch)
+    want = {h: _class_buckets(h, 40) for h in groups}
+    store = _fresh_store(monkeypatch)
+    monkeypatch.setattr(eisenstein, "_TABLE_ROWS", 3000)
+    bad, old = [], sys.getswitchinterval()
+
+    def work(seed):
+        for i in range(60):
+            h = groups[(seed + i) % 3]
+            c_max = 1 + (7 * seed + 13 * i) % 40
+            if _class_buckets(h, c_max) != want[h][:c_max * 3 * h.n]:
+                bad.append((h, c_max))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+    # the row bound holds, and no extension was lost or doubled: each
+    # class table is the one build
+    assert sum(table.c.size for table in store.values()) <= 3000
+    assert store and all(isinstance(key, GroupId) for key in store)
+    for key, table in store.items():
+        _assert_one_build(key, table)
 
 
 def test_phi_cache_bound_under_threads(monkeypatch):
