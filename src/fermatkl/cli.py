@@ -91,13 +91,14 @@ def parse_form_label(text: str) -> FormLabel:
         raise UsageError(f"bad form label {text!r}: {exc}") from exc
 
 
-def _group_of(args) -> tuple:
-    if getattr(args, "group", None) == "gamma1":
-        return GAMMA1
-    n = args.n
-    if n is None or n < 1:
+def _level(args) -> int:
+    if args.n is None or args.n < 1:
         raise UsageError("--n must be a positive integer")
-    return gamma_n(n)
+    return args.n
+
+
+def _group_of(args) -> tuple:
+    return GAMMA1 if getattr(args, "group", None) == "gamma1" else gamma_n(_level(args))
 
 
 def _provenance(trunc: TruncationSpec, args) -> dict:
@@ -162,11 +163,10 @@ def _config_from(args) -> TruncationSpec:
 
 def cmd_cusps(args) -> int:
     trunc = _config_from(args)
-    if args.n is None or args.n < 1:
-        raise UsageError("--n must be a positive integer")
-    group = gamma_n(args.n)
+    n = _level(args)
+    group = gamma_n(n)
     rows = []
-    for fc in cusp_reps(args.n):
+    for fc in cusp_reps(n):
         rp = ramification_point(fc)
         rows.append({
             "rep": str(fc.rep),
@@ -176,20 +176,19 @@ def cmd_cusps(args) -> int:
             "ramification_point": rp.coords(),
             "beta_image": str(rp.beta_image),
         })
-    _emit(args, "cusps", {"n": args.n}, {"cusps": rows}, trunc)
+    _emit(args, "cusps", {"n": n}, {"cusps": rows}, trunc)
     return 0
 
 
 def cmd_classify(args) -> int:
     trunc = _config_from(args)
-    if args.n is None or args.n < 1:
-        raise UsageError("--n must be a positive integer")
+    n = _level(args)
     if (args.p is None) != (args.q is None) or (args.p is None and args.cusp is None):
         raise UsageError("classify needs --cusp, or --p and --q together")
     c = parse_cusp(args.cusp if args.p is None else f"{args.p}/{args.q}")
-    fc, word = classify_cusp_word(c, args.n)
+    fc, word = classify_cusp_word(c, n)
     witness = word_to_matrix(word)
-    _emit(args, "classify", {"cusp": c, "n": args.n}, {
+    _emit(args, "classify", {"cusp": c, "n": n}, {
         "representative": str(fc.rep),
         "kind": fc.kind,
         "index": fc.index,
@@ -201,10 +200,9 @@ def cmd_classify(args) -> int:
 
 def cmd_scatter(args) -> int:
     trunc = _config_from(args)
-    if args.n is None or args.n < 1:
-        raise UsageError("--n must be a positive integer")
-    mat = scattering_matrix(args.n)
-    reps = [str(fc.rep) for fc in cusp_reps(args.n)]
+    n = _level(args)
+    mat = scattering_matrix(n)
+    reps = [str(fc.rep) for fc in cusp_reps(n)]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
@@ -217,7 +215,7 @@ def cmd_scatter(args) -> int:
         return 0
     entries = [[{"normalized": e.normalized, "natural": e.natural,
                  "case": e.case_tag} for e in row] for row in mat]
-    _emit(args, "scatter", {"n": args.n}, {"reps": reps, "entries": entries},
+    _emit(args, "scatter", {"n": n}, {"reps": reps, "entries": entries},
           trunc)
     return 0
 
@@ -231,7 +229,7 @@ def cmd_eisenstein(args) -> int:
         raise UsageError("z must lie in the upper half plane")
     if args.limit and args.s is not None:
         raise UsageError("--limit is the value at s = 1 and takes no --s")
-    s = parse_complex(args.s) if args.s is not None else 2.0 + 0j
+    s = parse_complex(args.s) if args.s is not None else complex(1 if args.limit else 2)
     if s.imag == 0:
         s = s.real
     results: dict = {}
@@ -315,7 +313,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="classify a cusp with witness")
     common(p)
-    p.add_argument("--cusp", type=str, default=None, help="cusp as p/q or inf")
+    p.add_argument("--cusp", help="cusp as p/q or inf; --cusp=-7/3 for a leading minus")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
     p.set_defaults(fn=cmd_classify)
@@ -330,9 +328,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eisenstein", help="Eisenstein series values")
     common(p)
     p.add_argument("--group", choices=("gamma1", "gammaN"), default="gammaN")
-    p.add_argument("--cusp", type=str, required=True)
-    p.add_argument("--z", type=str, required=True)
-    p.add_argument("--s", type=str, default=None, help="s, 2 by default")
+    p.add_argument("--cusp", required=True, help="p/q or inf; --cusp=-1/2 for a leading minus")
+    p.add_argument("--z", required=True, help="x+yi, y > 0; --z=-0.2+0.9i for a leading minus")
+    p.add_argument("--s", help="x+yi, x > 1, 2 by default; --s=... for a leading minus")
     p.add_argument("--limit", action="store_true",
                    help="regularized value at s = 1 (4 pi scale)")
     p.set_defaults(fn=cmd_eisenstein)

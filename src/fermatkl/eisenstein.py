@@ -11,16 +11,15 @@ other:
   constants plus the m != 0 coefficients.
 
 Every Fermat group is the kernel of a character on the level-2 group,
-so its double-coset sums are level-2 sums with one integer weight per
-lane.  A standard cusp representative j has scaling matrix
-g_j = h_j g_bj with b_j in {0, 1, inf} its level-2 base and h_j a power
-of g1 or g2.  Hence g_j^-1 Gamma(2) g_k = g_bj^-1 Gamma(2) g_bk: the
-candidates (c, d mod 2c), the lanes, depend only on the base pair, and
-one table of lanes per base pair serves the level-2 group and every
-level N.  The exponent sums r of rho = g_j M g_k^-1 are those of the
-base-pair rho plus r(h_j) - r(h_k), and the stabilizer vector v_j of
-exponent sums of g_j T^2 g_j^-1 depends only on b_j.  So the integer
-column u = r1 v2 - r2 v1, computed once per table, decides every level:
+so its sums are level-2 sums with one integer weight per row.  A
+standard cusp representative j has scaling matrix g_j = h_j g_bj, with
+b_j in {0, 1, inf} its level-2 base and h_j a power of g1 or g2, so
+g_j^-1 Gamma(2) g_k = g_bj^-1 Gamma(2) g_bk: the lanes (c, d mod 2c)
+of j and k are the level-2 rows with the parities of the bottom row of
+g_bj^-1 g_bk.  The exponent sums r of rho = g_j M g_k^-1 are those of
+the base-pair rho plus r(h_j) - r(h_k), and the stabilizer vector v_j
+of exponent sums of g_j T^2 g_j^-1 depends only on b_j.  So the
+character u = r1 v2 - r2 v1 of the base pair decides every level N:
 with u0 the shift that h_j and h_k add,
 
 * same base (b_j = b_k): a lane is admissible exactly when
@@ -30,25 +29,29 @@ with u0 the shift that h_j and h_k add,
 * different bases: the lane lifts to the one residue d + 2ct with
   t = (u + u0) det^-1 (mod N), det = v_j x v_k.
 
-The level-2 group, which is level N = 1, reads the lanes unfiltered,
-and the full modular group has a table of its own (every c, d mod c).
-The direct sums read class tables of the same shape, one per group:
-every d0 in [0, width c) coprime to c with the class of (-d0 : c),
-each (c, class) bucket a contiguous slice.  Both kinds hold int32
-columns sorted by c, so a prefix serves any c_max below the one
-enumerated.  They come from one block enumeration, are extended on
-demand and share one store bounded by a least-recently-used row count;
-u is only computed when a level N > 1 first reads a lane table.  The
-sums r come from the Dedekind-sum formula of the sl2 module in int64
-batches of _ENUM_BLOCK lanes.
+The direct sums lift the rows of a base's parity alike: a lift d + 2cl
+of (c, d) has the level-N class invariant tau - delta l, tau that of
+(-d : c) unreduced and delta = class_shift(kind, 1, 0), 1 over the
+bases 0 and 1 and 0 over infinity.  So a class (b, t) over 0 or 1 takes
+each row once, lifted by l = tau - t (mod N), and a class over infinity
+the rows with tau = t (mod N), lifts and all.  Level N = 1, the level-2
+group, reads the rows as they are.
 
-Each side of a Fourier-against-direct comparison is one pass over its
-data.  inner_sums reads, shifts and filters the lanes once per call and
-returns a row of per-c sums for every mode asked for; the row of -m is
-the complex conjugate of the row of m, so fourier_eval reads the modes
-0..m_eff once and conjugates.  The direct sum fetches its group's class
-table once, walks c through the bucket bounds and sums only the class
-buckets asked for; eisenstein_direct asks for its own class.
+Four sets of coprime rows thus serve every table: the full modular
+group's (c, d mod c) and the three level-2 parity classes.  Each is one
+table of int32 columns sorted by c, read as prefixes and extended on
+demand, with u of a base pair and tau beside the rows, each computed on
+first read: u from the exponent sums, tau from the batched classifier,
+so the two sides of a cross-path check classify independently.  The
+tables share one store bounded by a least-recently-used count of int32
+cells.  The sums r come from the Dedekind-sum formula of the sl2 module
+in int64 batches.
+
+inner_sums reads, shifts and filters the lanes once per call for every
+mode asked for, and the row of -m is the conjugate of the row of m, so
+fourier_eval reads the modes 0..m_eff once.  The direct sum reads,
+lifts or filters the rows of each class asked for once and sums only
+those classes; eisenstein_direct asks for its own class.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ from .fermat import (
     GAMMA2,
     FermatCusp,
     GroupId,
+    class_invariants,
+    class_shift,
     classify_rep_index,
-    classify_rep_indices,
     cusp_reps,
     gamma2_base,
 )
@@ -190,23 +194,22 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     pos = slot.get(classify_index(group, 1, 0))
     if pos is not None:
         vals[pos] += ys
-    _, d_col, _, starts = _read_table(group, trunc.c_max)
-    # bucket bounds of the asked-for classes, one row per c
-    edges = starts[:trunc.c_max * n_classes + 1]
-    los = edges[:-1].reshape(-1, n_classes)[:, list(slot)].tolist()
-    his = edges[1:].reshape(-1, n_classes)[:, list(slot)].tolist()
+    parts = [(pos, *_class_rows(group, i, trunc.c_max)) for i, pos in slot.items()]
     m_cut = trunc.c_max * (abs(x) + y + 3.0)
-    for c, row_lo, row_hi in zip(range(1, trunc.c_max + 1), los, his):
-        P = group.width * c
+    for c in range(1, trunc.c_max + 1):
         cx = c * x
         cy2 = (c * y) ** 2
-        t_lo = math.floor((-m_cut - cx) / P) - 1
-        t_hi = math.ceil((m_cut - cx) / P) + 1
-        t = np.arange(t_lo, t_hi + 1, dtype=np.int64) * P
-        for pos, lo, hi in zip(slot.values(), row_lo, row_hi):
+        shifts = {}  # the translates of d for each period step c
+        for pos, step, d_col, bounds in parts:
+            lo, hi = bounds[c - 1], bounds[c]
             if lo == hi:
                 continue
-            w = cx + (d_col[lo:hi][None, :] + t[:, None]).astype(float)
+            if step not in shifts:
+                P = step * c
+                t_lo = math.floor((-m_cut - cx) / P) - 1
+                t_hi = math.ceil((m_cut - cx) / P) + 1
+                shifts[step] = np.arange(t_lo, t_hi + 1, dtype=np.int64) * P
+            w = cx + (d_col[lo:hi][None, :] + shifts[step][:, None]).astype(float)
             keep = np.abs(w) <= m_cut
             mod2 = w * w + cy2
             terms = _power_terms(mod2, s)
@@ -216,6 +219,26 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     tail_c = 4.0 * y ** (1 - sigma) * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
     tail_c += 2.0 * (y * trunc.c_max) ** (-2 * sigma) * y ** sigma * trunc.c_max
     return vals, tail_d + tail_c
+
+
+def _class_rows(group: GroupId, i: int, c_max: int):
+    """(step, d, bounds) of the class of group_cusps index i: the rows
+    d[bounds[c-1]:bounds[c]] of each c <= c_max, each the residues
+    d + step c k, from its base's parity lifted or filtered through tau
+    as the module docstring sets out."""
+    n, base = group.n, gamma2_base(group_cusps(group)[i])
+    key = _GAMMA1_ROWS if group.kind == "gamma1" else (2, base.q & 1, base.p & 1)
+    c, d, tau = _read_table(key, c_max, _TAU if n > 1 else None)
+    step = key[0]
+    if n > 1:
+        # l = tau - t (mod n), with t = -index (mod n) the invariant of fc
+        fc = cusp_reps(n)[i]
+        lift = (tau.astype(np.int64) + fc.index) % n
+        if class_shift(fc.kind, 1, 0):
+            d, step = d + 2 * c.astype(np.int64) * lift, group.width
+        else:
+            c, d = c[lift == 0], d[lift == 0]
+    return step, d, np.searchsorted(c, np.arange(c_max + 1), side="right").tolist()
 
 
 def eisenstein_direct(group: GroupId, j, z: complex, s,
@@ -233,43 +256,39 @@ def eisenstein_direct(group: GroupId, j, z: complex, s,
 
 
 # ---------------------------------------------------------------------------
-# tables of lanes and of classes
+# tables of coprime rows
 # ---------------------------------------------------------------------------
 
 class _Table:
-    """Rows (c, d) of one key for c = 1..c_done as int32 columns sorted
-    by c, and a third int32 column x.
-
-    A lane table, keyed by a base pair, holds lanes; x is the character
-    column u, filled in when a level N > 1 first asks for it.  A class
-    table, keyed by its group, holds every d0 in [0, width c) coprime to
-    c; x is the class index of (-d0 : c), the rows of a c are sorted by
-    x and then by d0, and rows starts[i] to starts[i + 1] with
-    i = (c - 1) * classes + x are the bucket of (c, x).
-    """
+    """Rows (c, d) of one row set for c = 1..c_done as int32 columns
+    sorted by c and then by d, and in cols further int32 columns over
+    them: u of a base pair (b_j, b_k) under that key, tau under _TAU."""
 
     def __init__(self):
         self.c_done = 0
         self.c = self.d = np.empty(0, dtype=np.int32)
-        self.x = None
-        self.starts = np.zeros(1, dtype=np.int64)
+        self.cols = {}
         self.lock = threading.Lock()
 
+    def cells(self) -> int:
+        return self.c.size * (2 + len(self.cols))
 
-# Tables of both kinds in least recently used order.  Past _TABLE_ROWS
-# rows in all the oldest tables are dropped; the table just asked for
-# always stays.  2^20 rows (12 MB of int32 columns) hold the 736k rows
-# that verify --suite full --ns 1,2,3 reads, and the level-3 and level-2
-# class tables at c_max 500 that one level-3 sum relation reads in turn
-# (609k rows; a smaller bound would rebuild both on every such call).
+
+# The tables of the four row sets, keyed (w, c0, d0): the coprime (c, d)
+# with c = c0, d = d0 (mod w) and 0 <= d < w c; (2, 0, 1), (2, 1, 0) and
+# (2, 1, 1) hold the rows of the bases inf, 0 and 1.  Past _TABLE_CELLS
+# int32 cells in all the least recently used tables are dropped, never
+# the one just asked for.  3 * 2^20 cells (12 MB) hold every table and
+# column at c_max 500 (1.07M cells).
 _TABLES: OrderedDict = OrderedDict()
 _TABLE_LOCK = threading.Lock()
-_TABLE_ROWS = 1 << 20
+_TABLE_CELLS = 3 << 20
+_GAMMA1_ROWS = (1, 0, 0)
+_TAU = "tau"
 
-# Candidates per vectorised block of the row enumeration, and lanes per
-# block of the character column.  The working arrays of a block peak
-# near 1 MB at this size; larger blocks raise peak memory for little
-# speed.
+# Candidates per vectorised block of the row enumeration, and rows per
+# block of a further column.  The working arrays of a block peak near
+# 1 MB at this size; larger blocks raise peak memory for little speed.
 _ENUM_BLOCK = 2048
 
 # Exponent sums of g_b T^2 g_b^-1, the stabilizer generator of the
@@ -283,115 +302,95 @@ def _base_pair_matrix(jb: Cusp, kb: Cusp) -> Mat2Z:
     return cusp_scaling_matrix(jb).inverse() * cusp_scaling_matrix(kb)
 
 
-def _enumerate_lanes(key, c_lo: int, c_hi: int) -> np.ndarray:
-    """Rows of a table key for c = c_lo..c_hi as stacked int32 columns.
-
-    Key (1, inf, inf) is the full modular group: every c, d = 0..c-1.
-    Key (2, b_j, b_k) is a level-2 base pair: c and d in [0, 2c) with
-    the parities of the bottom row of g_bj^-1 g_bk.  Either way a c has
-    c candidates, of which those with gcd(c, d) = 1 are lanes (c, d).
-    A group key is a class table, with width c candidates per c and rows
-    (c, d, x) as _Table sets out.  The candidates are processed in
-    blocks of about _ENUM_BLOCK, each holding whole c's.
-    """
-    classes = isinstance(key, GroupId)
-    step, span, d0 = (1, key.width, 0) if classes else (key[0], 1, 0)
-    if step * span * c_hi > np.iinfo(np.int32).max:
+def _enumerate_lanes(key: tuple, c_lo: int, c_hi: int) -> np.ndarray:
+    """Rows (c, d) of the row set key = (w, c0, d0) for c = c_lo..c_hi
+    as stacked int32 columns: the coprime ones among the c candidates
+    d0 + w i of each c = c0 (mod w), in blocks of about _ENUM_BLOCK
+    candidates, each holding whole c's."""
+    step, c0, d0 = key
+    if step * c_hi > np.iinfo(np.int32).max:
         raise OverflowError(f"table rows up to c = {c_hi} overflow int32")
     cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
-    if step == 2:
-        pt = _base_pair_matrix(key[1], key[2])
-        d0, cs = pt.d & 1, cs[(cs & 1) == (pt.c & 1)]
-    cols = [np.empty((3 if classes else 2, 0), dtype=np.int32)]
-    block_of = (np.cumsum(span * cs) - 1) // _ENUM_BLOCK
+    cs = cs[cs % step == c0]
+    cols = []
+    block_of = (np.cumsum(cs) - 1) // _ENUM_BLOCK
     for blk in np.split(cs, np.flatnonzero(np.diff(block_of)) + 1):
-        if blk.size == 0:
-            continue
-        counts = span * blk
-        c = np.repeat(blk, counts)
-        d = d0 + step * (np.arange(c.size) - np.repeat(np.cumsum(counts) - counts, counts))
+        c = np.repeat(blk, blk)
+        d = d0 + step * (np.arange(c.size) - np.repeat(np.cumsum(blk) - blk, blk))
         keep = np.gcd(d, c) == 1
-        rows = [c[keep], d[keep]]
-        if classes:
-            x = np.zeros_like(rows[0]) if key.kind == "gamma1" else \
-                classify_rep_indices(-rows[1], rows[0], key.n)
-            order = np.lexsort((x, rows[0]))
-            rows = [r[order] for r in (*rows, x)]
-        cols.append(np.stack(rows).astype(np.int32))
+        cols.append(np.stack((c[keep], d[keep])).astype(np.int32))
     return np.concatenate(cols, axis=1)
 
 
-def _character_column(key: tuple, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """u = r1 v2 - r2 v1 per lane of a level-2 base pair, as int32.
+def _character_column(pair: tuple, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """u = r1 v2 - r2 v1 per lane (c, d), int64, of the pair (b_j, b_k).
 
     r are the exponent sums of rho = g_bj M g_bk^-1 for the
     M = [a b; c d] in g_bj^-1 Gamma(2) g_bk, and v those of the
     stabilizer generator of b_j.  The other choices of M's top row move
     r along v, which leaves u unchanged.
     """
-    _, jb, kb = key
+    jb, kb = pair
     gj, gk = cusp_scaling_matrix(jb), cusp_scaling_matrix(kb)
     pa, pb, _, _ = ((x & 1) for x in _base_pair_matrix(jb, kb).entries())
     v1, v2 = _STABILIZER_SUMS[jb]
     e, f, g_, h = gj.entries()
     ki11, ki12, ki21, ki22 = gk.inverse().entries()
+    # a d = 1 (mod c) with the parity of g_bj^-1 g_bk: one of a0, a0 + c
+    a = mod_inverse_batch(d, c)
+    a = np.where(((a & 1) == pa) & ((((a * d - 1) // c) & 1) == pb), a, a + c)
+    b = (a * d - 1) // c
+    m11, m12 = e * a + f * c, e * b + f * d
+    m21, m22 = g_ * a + h * c, g_ * b + h * d
+    r1, r2 = gamma2_exponent_sums_batch(m11 * ki11 + m12 * ki21, m11 * ki12 + m12 * ki22,
+                                        m21 * ki11 + m22 * ki21, m21 * ki12 + m22 * ki22)
+    return r1 * v2 - r2 * v1
+
+
+def _column(name, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Column name over rows (c, d) as int32, in blocks of _ENUM_BLOCK:
+    tau of (-d : c) for _TAU, else u of the base pair name."""
     parts = [np.empty(0, dtype=np.int64)]
     for lo in range(0, c.size, _ENUM_BLOCK):
-        cb = c[lo:lo + _ENUM_BLOCK].astype(np.int64)
-        db = d[lo:lo + _ENUM_BLOCK].astype(np.int64)
-        # a d = 1 (mod c) with the parity of g_bj^-1 g_bk: one of a0, a0 + c
-        a = mod_inverse_batch(db, cb)
-        a = np.where(((a & 1) == pa) & ((((a * db - 1) // cb) & 1) == pb), a, a + cb)
-        b = (a * db - 1) // cb
-        m11, m12 = e * a + f * cb, e * b + f * db
-        m21, m22 = g_ * a + h * cb, g_ * b + h * db
-        r1, r2 = gamma2_exponent_sums_batch(m11 * ki11 + m12 * ki21, m11 * ki12 + m12 * ki22,
-                                            m21 * ki11 + m22 * ki21, m21 * ki12 + m22 * ki22)
-        parts.append(r1 * v2 - r2 * v1)
-    u = np.concatenate(parts)
-    if u.size and np.abs(u).max() > np.iinfo(np.int32).max:
-        raise OverflowError("character column overflows int32")
-    return u.astype(np.int32)
+        cb, db = (x[lo:lo + _ENUM_BLOCK].astype(np.int64) for x in (c, d))
+        parts.append(class_invariants(-db, cb)[1] if name == _TAU else _character_column(name, cb, db))
+    col = np.concatenate(parts)
+    if col.size and np.abs(col).max() > np.iinfo(np.int32).max:
+        raise OverflowError(f"column {name} overflows int32")
+    return col.astype(np.int32)
 
 
 def _extend(key, table: _Table, c_max: int) -> None:
-    """Rows c_done + 1..c_max appended to the table of key."""
-    c_lo = table.c_done + 1
-    c, d, *x = _enumerate_lanes(key, c_lo, c_max)
-    if isinstance(key, GroupId):
-        n = len(group_cusps(key))
-        counts = np.bincount((c.astype(np.int64) - c_lo) * n + x[0], minlength=(c_max - c_lo + 1) * n)
-        table.starts = np.concatenate((table.starts, table.starts[-1] + np.cumsum(counts)))
-    elif table.x is not None:
-        x = [_character_column(key, c, d)]
-    cols = [c, d, *x]
+    """Rows c_done + 1..c_max appended to the table of key and its cols."""
+    c, d = _enumerate_lanes(key, table.c_done + 1, c_max)
     if table.c_done:
-        cols = [np.concatenate(pair) for pair in zip((table.c, table.d, table.x), cols)]
-    table.c, table.d, table.x = cols if x else (*cols, None)
-    table.c_done = c_max
+        for name, col in table.cols.items():
+            table.cols[name] = np.concatenate((col, _column(name, c, d)))
+        c, d = np.concatenate((table.c, c)), np.concatenate((table.d, d))
+    table.c, table.d, table.c_done = c, d, c_max
 
 
-def _read_table(key, c_max: int, characters: bool = False):
-    """Columns (c, d, x, starts) of the table of key, extended to c_max
-    first, with the character column of a lane table filled in if
-    characters is set.  Then the oldest other tables are dropped while
-    the store holds more than _TABLE_ROWS rows."""
+def _read_table(key, c_max: int, column=None):
+    """Columns (c, d, x) for c <= c_max of the table of key, extended first,
+    x the column named column or None; then drop the oldest other tables
+    while the store holds over _TABLE_CELLS cells."""
     with _TABLE_LOCK:
         table = _TABLES.setdefault(key, _Table())
         _TABLES.move_to_end(key)
     with table.lock:
         if table.c_done < c_max:
             _extend(key, table, c_max)
-        if characters and table.x is None:
-            table.x = _character_column(key, table.c, table.d)
-        cols = table.c, table.d, table.x, table.starts
+        if column is not None and column not in table.cols:
+            table.cols[column] = _column(column, table.c, table.d)
+        stop = int(np.searchsorted(table.c, c_max, side="right"))
+        cols = table.c[:stop], table.d[:stop], None if column is None else table.cols[column][:stop]
     with _TABLE_LOCK:
-        total = sum(t.c.size for t in _TABLES.values())
+        total = sum(t.cells() for t in _TABLES.values())
         for other in list(_TABLES):
-            if total <= _TABLE_ROWS:
+            if total <= _TABLE_CELLS:
                 break
             if other != key:
-                total -= _TABLES.pop(other).c.size
+                total -= _TABLES.pop(other).cells()
     return cols
 
 
@@ -413,23 +412,19 @@ def inner_sums(group: GroupId, j, k, ms, c_max: int) -> np.ndarray:
     """
     ms = list(ms)
     jc, kc = standard_rep(group, j), standard_rep(group, k)
-    if group.kind == "gamma1":
-        key, n = (1, CUSP_INF, CUSP_INF), 1
-    else:
-        key, n = (2, gamma2_base(jc), gamma2_base(kc)), group.n
-    c, d, u, _ = _read_table(key, c_max, n > 1)
-    stop = int(np.searchsorted(c, c_max, side="right"))
-    c, d = c[:stop], d[:stop]
+    n, jb, kb = group.n, gamma2_base(jc), gamma2_base(kc)
+    pt = _base_pair_matrix(jb, kb)
+    key = _GAMMA1_ROWS if group.kind == "gamma1" else (2, pt.c & 1, pt.d & 1)
+    c, d, u = _read_table(key, c_max, (jb, kb) if n > 1 else None)
     weight, period = 1, 1
     if n > 1:
-        _, jb, kb = key
         gj, gk = cusp_scaling_matrix(jc), cusp_scaling_matrix(kc)
         hj = gamma2_exponent_sums(*(gj * cusp_scaling_matrix(jb).inverse()).entries())
         hk = gamma2_exponent_sums(*(gk * cusp_scaling_matrix(kb).inverse()).entries())
         v1, v2 = _STABILIZER_SUMS[jb]
         # int64 before any arithmetic: int32 arrays against Python or
         # numpy scalars promote differently under numpy 1.x and 2.x
-        u = u[:stop].astype(np.int64) + (hj[0] - hk[0]) * v2 - (hj[1] - hk[1]) * v1
+        u = u.astype(np.int64) + (hj[0] - hk[0]) * v2 - (hj[1] - hk[1]) * v1
         if jb == kb:
             # the n lifts d + 2ct all survive or none do, and their phases
             # sum to n e(m d/(2nc)) when n | m and to 0 otherwise

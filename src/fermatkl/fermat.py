@@ -310,22 +310,18 @@ def classify_rep_index(p: int, q: int, n: int) -> int:
     return 2 * n + (t - 1 if t else n - 1)
 
 
-def classify_rep_indices(p, q, n: int) -> np.ndarray:
-    """classify_rep_index over int64 arrays of coprime p, q with q >= 1.
-
-    Each (p : q) gets a level-2 matrix M with M(base) = (p : q) from one
-    modular-inverse pass, and the invariant is read from the batched
-    exponent sums of M exactly as classify_rep_index reads it:
-    base infinity, M = [p (py-1)/q; q y] with y = p^-1 mod 2q; bases 0
-    and 1, a = q^-1 mod 2|p| and c = (aq-1)/p, with M = [a p; c q] and
-    M = [a p-a; c q-c].  (0 : 1) is the base 0 itself.  At level 1 the
-    parity base alone is the class.
+def class_invariants(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """(base, tau) over int64 arrays of coprime p, q with q >= 1: base 0,
+    1 or 2 for the level-2 base 0, 1 or infinity of (p : q), and tau its
+    class invariant, not reduced mod any level.  tau is read as
+    classify_rep_index reads it, from the exponent sums of a level-2 M
+    with M(base) = (p : q): base infinity, M = [p (py-1)/q; q y] with
+    y = p^-1 mod 2q; bases 0 and 1, a = q^-1 mod 2|p| and c = (aq-1)/p,
+    with M = [a p; c q] and M = [a p-a; c q-c].  (0 : 1) is the base 0.
     """
     p, q = np.broadcast_arrays(np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64))
     at_inf = (q & 1) == 0
     at_one = ((p & 1) == 1) & ~at_inf
-    if n == 1:
-        return np.where(at_inf, 2, at_one.astype(np.int64))
     at_zero = p == 0
     p = np.where(at_zero, 1, p)  # placeholder: those lanes get the identity below
     inv = mod_inverse_batch(np.where(at_inf, p, q), np.where(at_inf, 2 * q, 2 * np.abs(p)))
@@ -336,9 +332,19 @@ def classify_rep_indices(p, q, n: int) -> np.ndarray:
     d = np.where(at_inf, inv, np.where(at_one, q - lower, q))
     a, b, c, d = (np.where(at_zero, x, y) for x, y in ((1, a), (0, b), (0, c), (1, d)))
     r1, r2 = gamma2_exponent_sums_batch(a, b, c, d)
-    t = np.where(at_inf, r2, np.where(at_one, r1 + r2, r1)) % n
-    return np.where(at_inf, 2 * n + np.where(t > 0, t - 1, n - 1),
-                    np.where(at_one, n + t, t))
+    tau = np.where(at_inf, r2, np.where(at_one, r1 + r2, r1))
+    return np.where(at_inf, 2, at_one.astype(np.int64)), tau
+
+
+def classify_rep_indices(p, q, n: int) -> np.ndarray:
+    """classify_rep_index over arrays of coprime p, q with q >= 1, from
+    class_invariants; at level 1 the parity base alone is the class."""
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64))
+    if n == 1:
+        return np.where(q & 1, p & 1, 2)
+    base, t = class_invariants(p, q)
+    t %= n
+    return np.where(base == 2, 2 * n + np.where(t > 0, t - 1, n - 1), base * n + t)
 
 
 def _word_power(pair: tuple[tuple[int, int], ...], e: int) -> list[tuple[int, int]]:

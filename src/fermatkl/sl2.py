@@ -30,7 +30,7 @@ raw Bezout coefficient x0 of h (not reduced mod k),
 and Y(0, 1) = 0.  That is O(log c) steps, where the greedy word
 reduction of decompose_gamma2 takes O(c).  gamma2_exponent_sums is the
 exact Python-int form; gamma2_exponent_sums_batch runs the same formula
-over int64 arrays for the Fermat enumeration and cusp class tables.
+over int64 arrays for the character and class invariant columns.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from fermatkl.eisenstein import (
     fourier_limit_eval,
     gamma2_phi0_closed_form,
     gamma2_phi_m_closed_form,
+    group_cusps,
     inner_sums,
     phi_coefficient,
     phi_m1_exact,
@@ -457,27 +458,41 @@ def _fresh_store(monkeypatch):
     return eisenstein._TABLES
 
 
+# The keys of the four row sets: the full modular group's, and the
+# level-2 parity classes that hold the direct-sum rows of inf, 0 and 1.
+ROWS_GAMMA1 = (1, 0, 0)
+ROWS_OF_BASE = {CUSP_INF: (2, 0, 1), CUSP_ZERO: (2, 1, 0), CUSP_ONE: (2, 1, 1)}
+
+
 def _class_buckets(group, c_max):
-    """The d0 of every (c, class) bucket of the group's class table for
-    c <= c_max, c major, as lists read through the store."""
+    """The residues mod width c of every (c, class) bucket of the direct
+    sums for c <= c_max, c major, as sorted lists read through the
+    store."""
     from fermatkl import eisenstein
 
-    _, d, _, starts = eisenstein._read_table(group, c_max)
-    edges = starts[:c_max * len(eisenstein.group_cusps(group)) + 1].tolist()
-    return [d[lo:hi].tolist() for lo, hi in zip(edges, edges[1:])]
+    n_classes = len(eisenstein.group_cusps(group))
+    out = [[] for _ in range(c_max * n_classes)]
+    for i in range(n_classes):
+        step, d, bounds = eisenstein._class_rows(group, i, c_max)
+        for c in range(1, c_max + 1):
+            for dv in d[bounds[c - 1]:bounds[c]].tolist():
+                out[(c - 1) * n_classes + i] += range(dv, group.width * c, step * c)
+    return [sorted(bucket) for bucket in out]
 
 
 def _assert_one_build(key, table):
-    """Every column of a stored table equals one build of it from c = 1."""
-    from fermatkl import eisenstein
+    """Every column of a stored table, the character and tau columns
+    too, equals one build of it from c = 1."""
+    from fermatkl import eisenstein, fermat
 
     ref = eisenstein._Table()
     eisenstein._extend(key, ref, table.c_done)
-    if ref.x is None and table.x is not None:
-        ref.x = eisenstein._character_column(key, ref.c, ref.d)
-    for col in ("c", "d", "x", "starts"):
-        x, y = getattr(table, col), getattr(ref, col)
-        assert (x is None and y is None) or np.array_equal(x, y), (key, col)
+    assert np.array_equal(table.c, ref.c) and np.array_equal(table.d, ref.d), key
+    for name, col in table.cols.items():
+        assert np.array_equal(col, eisenstein._column(name, ref.c, ref.d)), (key, name)
+    if eisenstein._TAU in table.cols:
+        tau = fermat.class_invariants(-ref.d.astype(np.int64), ref.c)[1]
+        assert np.array_equal(table.cols[eisenstein._TAU], tau), key
 
 
 def test_batched_fermat_enumeration_matches_per_d_loop():
@@ -523,9 +538,9 @@ def test_batched_fermat_enumeration_extends(monkeypatch):
             lanes = _fresh_store(monkeypatch)
             fresh = inner_sums(g, j, k, (0, 1, n), 120)
             (ref,) = lanes.values()
-            for col in ("c", "d", "x"):
-                x, y = getattr(table, col), getattr(ref, col)
-                assert x.dtype == np.int32 and np.array_equal(x, y), col
+            assert list(table.cols) == list(ref.cols) == [(gamma2_base(j), gamma2_base(k))]
+            for x, y in ((table.c, ref.c), (table.d, ref.d), *zip(table.cols.values(), ref.cols.values())):
+                assert x.dtype == np.int32 and np.array_equal(x, y)
             assert np.array_equal(grown, fresh)
 
 
@@ -542,7 +557,7 @@ def test_levels_share_one_lane_table(monkeypatch):
     for n in (2, 3):
         inner_sums(gamma_n(n), cusp_reps(n)[n - 1].rep, CUSP_INF, (1,), 60)
     inner_sums(GAMMA2, CUSP_ZERO, CUSP_INF, (1,), 60)
-    assert list(lanes) == [(2, CUSP_ZERO, CUSP_INF)]
+    assert list(lanes) == [ROWS_OF_BASE[CUSP_ZERO]]
     assert calls == ["_enumerate_lanes", "_character_column"]
 
 
@@ -552,22 +567,26 @@ def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
     def refuse(*args):
         raise AssertionError("exponent sums on a level-2 request")
 
-    _fresh_store(monkeypatch)
+    store = _fresh_store(monkeypatch)
     monkeypatch.setattr(eisenstein, "gamma2_exponent_sums_batch", refuse)
     monkeypatch.setattr(eisenstein, "gamma2_exponent_sums", refuse)
+    monkeypatch.setattr(eisenstein, "class_invariants", refuse)
     tr = TruncationSpec(c_max=80)
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
         for k in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
             for m in (0, 3):
                 phi_coefficient(GAMMA2, j, k, m, 2.0, tr)
-    # a cold class table and classification: the level-1 exits of both
-    # classifiers read parities only
-    assert GAMMA2 not in eisenstein._TABLES
+    assert not any(table.cols for table in store.values())
+    # a cold store and classification: the level-1 exits of both
+    # classifiers read parities only, and the direct sums compute no tau
+    store = _fresh_store(monkeypatch)
     for name in ("gamma2_exponent_sums_batch", "mod_inverse_batch", "_cusp_reduction_steps"):
         monkeypatch.setattr(fermat, name, refuse)
+    assert fermat.classify_rep_indices([0, 1, 1, -3], [1, 1, 2, 5], 1).tolist() == [0, 1, 2, 1]
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
         eisenstein_direct(GAMMA2, j, 0.3 + 1.1j, 2.0, tr)
-    assert eisenstein._TABLES[GAMMA2].c_done == tr.c_max
+    assert set(store) == set(ROWS_OF_BASE.values())
+    assert all(table.c_done == tr.c_max and not table.cols for table in store.values())
 
 
 def test_batched_class_table_matches_per_d_loop(monkeypatch):
@@ -589,19 +608,21 @@ def test_batched_class_table_matches_per_d_loop(monkeypatch):
                 if gcd(d0, c) == 1:
                     want[(c - 1) * 3 * n + per_d(d0, c, n)].append(d0)
         assert _class_buckets(g, 80) == want, n
-        table = store[g]
-        for col in (table.c, table.d, table.x):
-            assert col.dtype == np.int32 and col.size == table.starts[-1]
-        # rows sorted by c, then by class; d0 ascends within a bucket
-        order = np.lexsort((table.d, table.x, table.c))
-        assert np.array_equal(order, np.arange(order.size))
+        assert set(store) == set(ROWS_OF_BASE.values())
+        for table in store.values():
+            for col in (table.c, table.d, *table.cols.values()):
+                assert col.dtype == np.int32 and col.size == table.c.size
+            # rows sorted by c, then by d
+            order = np.lexsort((table.d, table.c))
+            assert np.array_equal(order, np.arange(order.size))
     # a table grown from c_max 100 to 250 is the one built at 250
     for g in (GAMMA1, *(gamma_n(n) for n in (1, 2, 3, 4))):
         store = _fresh_store(monkeypatch)
         eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=100))
         grown = _class_buckets(g, 250)
-        assert store[g].c_done == 250
-        _assert_one_build(g, store[g])
+        for key, table in store.items():
+            assert table.c_done == 250
+            _assert_one_build(key, table)
         _fresh_store(monkeypatch)
         assert grown == _class_buckets(g, 250)
 
@@ -610,27 +631,27 @@ def test_phi_cache_evicts_least_recently_used(monkeypatch):
     from fermatkl import eisenstein
 
     store = _fresh_store(monkeypatch)
-    monkeypatch.setattr(eisenstein, "_TABLE_ROWS", 1000)
+    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 3000)
     g = gamma_n(3)
     reps = cusp_reps(3)
     pairs = [(reps[i].rep, reps[-1].rep) for i in (0, 3, 6)]
-    keys = [(2, gamma2_base(j), gamma2_base(k)) for j, k in pairs]
+    keys = [ROWS_OF_BASE[b] for b in (CUSP_ZERO, CUSP_ONE, CUSP_INF)]
     first = [inner_sums(g, j, k, (1,), 60) for j, k in pairs[:2]]
     # the second table pushed the first out; the table just asked for stays
     assert list(store) == [keys[1]]
-    size1 = store[keys[1]].c.size
+    size1 = store[keys[1]].cells()
     inner_sums(g, *pairs[1], (1,), 60)
     inner_sums(g, *pairs[2], (1,), 60)
     assert list(store) == [keys[2]]
     # a dropped table is enumerated again to the same sums
     assert np.array_equal(inner_sums(g, *pairs[0], (1,), 60), first[0])
-    size0 = store[keys[0]].c.size
-    assert size0 + size1 > 1000 >= max(size0, size1)
+    size0 = store[keys[0]].cells()
+    assert size0 + size1 > 3000 >= max(size0, size1)
     # a table larger than the bound is still kept while it is in use
     inner_sums(g, *pairs[2], (1,), 120)
     assert list(store) == [keys[2]]
     big = store[keys[2]]
-    assert big.c.size > 1000
+    assert big.cells() > 3000
     inner_sums(g, *pairs[2], (1,), 120)
     assert store[keys[2]] is big and big.c_done == 120
 
@@ -639,36 +660,36 @@ def test_class_cache_evicts_least_recently_used(monkeypatch):
     from fermatkl import eisenstein
 
     store = _fresh_store(monkeypatch)
-    monkeypatch.setattr(eisenstein, "_TABLE_ROWS", 1000)
+    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 1600)
     g = gamma_n(3)
     reps = cusp_reps(3)
-    pair = (reps[0].rep, reps[-1].rep)
-    lane_key = (2, gamma2_base(pair[0]), gamma2_base(pair[1]))
+    zero, inf = ROWS_OF_BASE[CUSP_ZERO], ROWS_OF_BASE[CUSP_INF]
 
-    # class tables share the store and its row bound with the lane
-    # tables: the level-3 table at c 15 holds 6 (phi(1) + ... + phi(15))
-    # = 432 rows
-    def rows():
-        return {key: table.c.size for key, table in store.items()}
+    # the direct sums and the lanes share the tables, the store and its
+    # cell bound: the rows of inf at c 30 are 190, with the columns c, d,
+    # tau and the character u of (inf, inf) 760 cells
+    def cells():
+        return {key: table.cells() for key, table in store.items()}
 
     tr = TruncationSpec(c_max=15)
     want = eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr)
-    level2 = _class_buckets(GAMMA2, 20)
     _class_buckets(GAMMA1, 20)
-    inner_sums(g, *pair, (1,), 30)
-    assert rows() == {g: 432, GAMMA2: 256, GAMMA1: 128, lane_key: 183}
+    inner_sums(g, CUSP_INF, CUSP_INF, (1,), 30)
+    lanes = inner_sums(g, reps[0].rep, CUSP_INF, (1,), 30)
+    assert cells() == {ROWS_GAMMA1: 256, inf: 760, zero: 549}
+    assert list(store[inf].cols) == [eisenstein._TAU, (CUSP_INF, CUSP_INF)]
     # a read moves a table to the newest end; growing the level-1 table
     # to 278 rows pushes out the oldest table after it
     eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr)
     _class_buckets(GAMMA1, 30)
-    assert rows() == {lane_key: 183, g: 432, GAMMA1: 278}
-    assert list(store) == [lane_key, g, GAMMA1]
-    # a dropped class table is built again to the same buckets
-    assert _class_buckets(GAMMA2, 20) == level2
-    assert sum(rows().values()) <= 1000
-    # a class table larger than the bound is still kept while it is in use
-    eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=40))
-    assert rows() == {g: 2940}
+    assert cells() == {inf: 760, ROWS_GAMMA1: 556}
+    assert list(store) == [inf, ROWS_GAMMA1]
+    # a dropped table is built again to the same sums
+    assert np.array_equal(inner_sums(g, reps[0].rep, CUSP_INF, (1,), 30), lanes)
+    assert sum(cells().values()) <= 1600
+    # a table larger than the bound is still kept while it is in use
+    eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=60))
+    assert cells() == {inf: 2238}
     # and its prefix gives the same direct sum
     assert eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr) == want
 
@@ -679,13 +700,13 @@ def test_class_cache_bound_under_threads(monkeypatch):
 
     from fermatkl import eisenstein
 
-    # rows at c 40: 490 (level 1), 980 (level 2), 2940 (level 3), so a
-    # bound of 3000 drops tables while the threads grow them
+    # rows at c 40: 346 (inf), 317 (0) and 317 (1), 2940 cells with tau,
+    # so a bound of 2000 drops tables while the threads grow them
     groups = [gamma_n(n) for n in (1, 2, 3)]
     _fresh_store(monkeypatch)
     want = {h: _class_buckets(h, 40) for h in groups}
     store = _fresh_store(monkeypatch)
-    monkeypatch.setattr(eisenstein, "_TABLE_ROWS", 3000)
+    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 2000)
     bad, old = [], sys.getswitchinterval()
 
     def work(seed):
@@ -706,10 +727,10 @@ def test_class_cache_bound_under_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not bad
-    # the row bound holds, and no extension was lost or doubled: each
-    # class table is the one build
-    assert sum(table.c.size for table in store.values()) <= 3000
-    assert store and all(isinstance(key, GroupId) for key in store)
+    # the cell bound holds, and no extension was lost or doubled: each
+    # table is the one build
+    assert sum(table.cells() for table in store.values()) <= 2000
+    assert store and set(store) <= set(ROWS_OF_BASE.values())
     for key, table in store.items():
         _assert_one_build(key, table)
 
@@ -728,7 +749,7 @@ def test_phi_cache_bound_under_threads(monkeypatch):
     groups = [gamma_n(n) for n in (1, 2, 3)]
     want_cls = {h: _class_buckets(h, 20) for h in groups}
     store = _fresh_store(monkeypatch)
-    monkeypatch.setattr(eisenstein, "_TABLE_ROWS", 1500)
+    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 3000)
     bad, old = [], sys.getswitchinterval()
 
     def work(seed):
@@ -754,31 +775,102 @@ def test_phi_cache_bound_under_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not bad
-    # the row bound holds, and no extension was lost or doubled: each
+    # the cell bound holds, and no extension was lost or doubled: each
     # table is the one build
-    assert sum(table.c.size for table in store.values()) <= 1500
-    assert any(isinstance(key, GroupId) for key in store)
+    assert sum(table.cells() for table in store.values()) <= 3000
+    assert store and set(store) <= set(ROWS_OF_BASE.values())
     for key, table in store.items():
         _assert_one_build(key, table)
 
 
 def test_lane_arithmetic_in_int64(monkeypatch):
-    # characters congruent mod n at both ends of the int32 range give the
-    # same sums: u + u0 and (u + u0) det^-1 wrap if formed in int32
+    # characters and class invariants congruent mod n at both ends of the
+    # int32 range give the same sums: u + u0, (u + u0) det^-1 and tau - t
+    # wrap if formed in int32
     from fermatkl import eisenstein
 
     n, g = 3, gamma_n(3)
     reps = cusp_reps(n)
     lim = np.iinfo(np.int32)
+
+    def far(col):
+        x = col.astype(np.int64)
+        return np.where(np.arange(x.size) % 2, lim.max - (lim.max - x) % n,
+                        lim.min + (x - lim.min) % n).astype(np.int32)
+
     for j, k in ((reps[1].rep, reps[-1].rep), (reps[1].rep, reps[0].rep)):
         lanes = _fresh_store(monkeypatch)
         want = inner_sums(g, j, k, (0, 1, n), 30)
         (table,) = lanes.values()
-        u = table.x.astype(np.int64)
-        far = np.where(np.arange(u.size) % 2, lim.max - (lim.max - u) % n,
-                       lim.min + (u - lim.min) % n)
-        table.x = far.astype(np.int32)
+        (name,) = table.cols
+        table.cols[name] = far(table.cols[name])
         assert np.array_equal(inner_sums(g, j, k, (0, 1, n), 30), want)
+    store = _fresh_store(monkeypatch)
+    tr = TruncationSpec(c_max=30)
+    want, _ = eisenstein_direct_all(g, 0.3 + 1.1j, 2.0, tr)
+    for table in store.values():
+        table.cols[eisenstein._TAU] = far(table.cols[eisenstein._TAU])
+    assert np.array_equal(eisenstein_direct_all(g, 0.3 + 1.1j, 2.0, tr)[0], want)
+
+
+def test_four_row_sets_serve_every_table(monkeypatch):
+    # the level-2 Fourier pairs, the Fermat lanes and every direct sum read
+    # the same four tables, each enumerated once
+    from fermatkl import eisenstein
+
+    store = _fresh_store(monkeypatch)
+    keys = []
+    real = eisenstein._enumerate_lanes
+    monkeypatch.setattr(eisenstein, "_enumerate_lanes",
+                        lambda key, *args: keys.append(key) or real(key, *args))
+    tr = TruncationSpec(c_max=60)
+    for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
+        for k in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
+            phi_coefficient(GAMMA2, j, k, 1, 2.0, tr)
+    for n in (2, 3):
+        reps = cusp_reps(n)
+        for j, k in ((reps[-1].rep, reps[-1].rep), (reps[0].rep, reps[-1].rep)):
+            inner_sums(gamma_n(n), j, k, (0, 1, n), tr.c_max)
+    for g in (GAMMA1, *(gamma_n(n) for n in (1, 2, 3, 4))):
+        for j in group_cusps(g):
+            eisenstein_direct(g, j, 0.3 + 1.1j, 2.0, tr)
+    want = {ROWS_GAMMA1, *ROWS_OF_BASE.values()}
+    assert len(keys) == 4 and set(keys) == set(store) == want
+
+
+def test_direct_and_fourier_classify_independently(monkeypatch):
+    # the direct side reads tau from the batched classifier and the Fourier
+    # side the character u from the exponent sums of the lanes: neither
+    # computes or reads the other's column
+    from fermatkl import eisenstein
+
+    def refuse(*args):
+        raise AssertionError("the other path's classification")
+
+    store = _fresh_store(monkeypatch)
+    g, reps = gamma_n(3), cusp_reps(3)
+    z, tr = 0.3 + 1.1j, TruncationSpec(c_max=80)
+    with monkeypatch.context() as patch:
+        patch.setattr(eisenstein, "_character_column", refuse)
+        direct, _ = eisenstein_direct_all(g, z, 2.0, tr)
+    with monkeypatch.context() as patch:
+        patch.setattr(eisenstein, "class_invariants", refuse)
+        fourier = [(inner_sums(g, fj.rep, reps[-1].rep, (0, 1, 3), tr.c_max),
+                    fourier_eval(g, fj.rep, reps[-1].rep, z, 2.0, tr)) for fj in reps]
+    # every table holds tau and a character column; zeroing one side's
+    # column leaves the other side's values as they were
+    assert all(eisenstein._TAU in t.cols and len(t.cols) > 1 for t in store.values())
+    full = {key: table.cols for key, table in store.items()}
+    for key, table in store.items():
+        table.cols = {name: col if name == eisenstein._TAU else np.zeros_like(col)
+                      for name, col in full[key].items()}
+    assert np.array_equal(eisenstein_direct_all(g, z, 2.0, tr)[0], direct)
+    for key, table in store.items():
+        table.cols = {name: np.zeros_like(col) if name == eisenstein._TAU else col
+                      for name, col in full[key].items()}
+    for fj, (rows, val) in zip(reps, fourier):
+        assert np.array_equal(inner_sums(g, fj.rep, reps[-1].rep, (0, 1, 3), tr.c_max), rows)
+        assert fourier_eval(g, fj.rep, reps[-1].rep, z, 2.0, tr) == val
 
 
 def test_lane_table_int32_guard(monkeypatch):

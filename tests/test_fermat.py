@@ -9,6 +9,7 @@ from fermatkl.fermat import (
     classify_cusp,
     classify_cusp_word,
     classify_rep_index,
+    classify_rep_indices,
     coset_reps,
     cusp_reps,
     equivalence_witnesses,
@@ -165,6 +166,7 @@ def test_equivalence_witness_words():
 def test_classify_rep_index_matches_classifier():
     rng = random.Random(13)
     for n in (2, 5):
+        batch = []
         for _ in range(200):
             p, q = rng.randint(-60, 60), rng.randint(0, 60)
             if gcd(p, q) != 1:
@@ -176,3 +178,8 @@ def test_classify_rep_index_matches_classifier():
             assert fc2 == fc == fc_idx
             assert word_to_matrix(w2) == w
             assert gamma2_base(c) == gamma2_base(fc_idx.rep)
+            if c.q:
+                batch.append((c.p, c.q, cusp_reps(n).index(fc)))
+        # the batched classifier over the same cusps
+        p, q, want = zip(*batch)
+        assert classify_rep_indices(p, q, n).tolist() == list(want)

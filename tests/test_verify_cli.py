@@ -169,6 +169,13 @@ def test_cli_eisenstein():
     rc, out, _ = run_cli("eisenstein", "--n", "2", "--cusp", "inf", "--z", "2i",
                          "--limit", "--cmax", "200", "--no-timestamp")
     assert rc == 0
+    # the value is the s = 1 limit, and the inputs say so
+    assert json.loads(out)["inputs"]["s"] == "1.0"
+    # a z with a negative real part through the = form
+    rc, out, _ = run_cli("eisenstein", "--n", "3", "--cusp", "0", "--z=-0.2+0.9i",
+                         "--limit", "--cmax", "200", "--no-timestamp")
+    assert rc == 0
+    assert json.loads(out)["inputs"]["z"] == "(-0.2+0.9j)"
 
 
 def test_cli_qexp():
