@@ -49,7 +49,11 @@ in int64 batches.
 
 inner_sums reads, shifts and filters the lanes once per call for every
 mode asked for, and the row of -m is the conjugate of the row of m, so
-fourier_eval reads the modes 0..m_eff once.  The direct sum reads,
+fourier_eval reads the modes 0..m_eff once.  It takes cos and sin once
+per lane, for the unit phase w = e(p d/(b c)) of the mode period p, and
+each mode p k is w^k by repeated multiplication, summed per c: a mode
+costs one complex multiplication and one reduceat over the lanes, and
+w^k carries at most 15 k units of 2^-53 of rounding.  The direct sum reads,
 lifts or filters the rows of each class asked for once and sums only
 those classes; eisenstein_direct asks for its own class.
 """
@@ -291,6 +295,11 @@ _TAU = "tau"
 # 1 MB at this size; larger blocks raise peak memory for little speed.
 _ENUM_BLOCK = 2048
 
+# Lanes per block of inner_sums, in whole c's: its two complex buffers,
+# the unit phase and its running power, stay near 64 kB each, below the
+# full-length columns a call reads, and fit in cache.
+_PHASE_BLOCK = 1 << 12
+
 # Exponent sums of g_b T^2 g_b^-1, the stabilizer generator of the
 # level-2 base b; g_j T^2 g_j^-1 of a standard representative j has
 # those of its base.
@@ -406,9 +415,18 @@ def inner_sums(group: GroupId, j, k, ms, c_max: int) -> np.ndarray:
     the double coset, b the width and m = ms[i]; at m = 0 it counts
     them.  The level-N sums read the lanes of the base pair through the
     character u + u0 (mod N), as the module docstring sets out.  One call
-    reads the lanes, shifts and filters them once for every mode; the
-    modes then cost cos and sin over the lanes each.  The row of -m is
-    the complex conjugate of the row of m.
+    reads the lanes, shifts and filters them once for every mode, and
+    takes cos and sin once per lane, for the unit phase w = e(p d'/(b c))
+    with p the mode period (N for the same-base lanes, else 1) and
+    p d' reduced exactly mod b c.  Mode m = p k is then w^k, by repeated
+    multiplication, summed per c with np.add.reduceat; the row of -m is
+    its complex conjugate.  The lanes are walked in blocks of whole c's.
+
+    Rounding, u = 2^-53: w is within 12 u of its exact value, and each of
+    the k - 1 multiplications adds at most sqrt(5) u, so w^k is within
+    15 k u of e(m d'/(b c)).  An entry summing L lanes with weight W (N on
+    same-base pairs, else 1) is thus within W L (15 k + L) u of the exact
+    sum, L^2 u of it from adding L terms of modulus 1.
     """
     ms = list(ms)
     jc, kc = standard_rep(group, j), standard_rep(group, k)
@@ -437,26 +455,38 @@ def inner_sums(group: GroupId, j, k, ms, c_max: int) -> np.ndarray:
     # lanes are sorted by c: per-c segments from their boundaries
     bounds = np.searchsorted(c, np.arange(c_max + 1), side="right")
     counts = np.diff(bounds)
-    full = counts > 0
-    starts = bounds[:-1][full]
     rows = np.zeros((len(ms), c_max), dtype=complex)
-    if any(m and not m % period for m in ms):
-        ratio = d / c
-        theta = np.empty_like(ratio)
-
-    def per_c(trig, m):
-        # trig of the phases of mode m summed per c; one lane-length
-        # buffer, filled anew for cos and for sin
-        np.multiply(ratio, 2.0 * math.pi * m / group.width, out=theta)
-        return np.add.reduceat(trig(theta, out=theta), starts)
-
-    for row, m in zip(rows, ms):
+    # the rows of each power k of the unit phase, -k conjugated
+    wanted = {}
+    for i, m in enumerate(ms):
         if m == 0:
-            row[:] = weight * counts
+            rows[i] = weight * counts
         elif not m % period:
-            sums = np.zeros(c_max, dtype=complex)
-            sums[full] = per_c(np.cos, m) + 1j * per_c(np.sin, m)
-            row[:] = weight * sums
+            wanted.setdefault(abs(m) // period, []).append((i, m < 0))
+    cs = np.flatnonzero(counts)
+    if not wanted or not cs.size:
+        return rows
+    starts = bounds[cs]
+    # blocks of whole c's of about _PHASE_BLOCK lanes
+    edges = np.flatnonzero(np.diff(starts // _PHASE_BLOCK)) + 1
+    for blk in np.split(np.arange(cs.size), edges):
+        lo, hi = starts[blk[0]], bounds[cs[blk[-1]] + 1]
+        seg = starts[blk] - lo
+        # phase p d/(b c) reduced exactly into [-1/2, 1/2)
+        bc = group.width * c[lo:hi].astype(np.int64)
+        r = period * d[lo:hi].astype(np.int64) % bc
+        theta = 2.0 * math.pi * (r - bc * (2 * r >= bc)) / bc
+        w = np.empty(theta.size, dtype=complex)
+        np.cos(theta, out=w.real)
+        np.sin(theta, out=w.imag)
+        power = w.copy()
+        for k in range(1, max(wanted) + 1):
+            if k > 1:
+                power *= w
+            if k in wanted:
+                sums = weight * np.add.reduceat(power, seg)
+                for i, neg in wanted[k]:
+                    rows[i, cs[blk]] = sums.conj() if neg else sums
     return rows
 
 

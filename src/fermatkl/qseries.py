@@ -18,6 +18,15 @@ weight-2 forms attached to the cusps of the Fermat groups, their slash
 transformation table, and Petersson norms.  Those forms mix radicals,
 so each is a RadicalSum: a few exact series with distinct prefactors,
 rounded only when evaluated or dumped.
+
+The same forms have two representations.  FormsAt gives their values
+at a point, with an error estimate, from Jacobi's triple products and
+the closed forms of x, y and f in theta: a few dozen complex terms,
+which the Kronecker-limit checks, the slash table and the coset
+products use.  The exact series serve the q-expansion dumps (qexp) and
+the identities checked coefficientwise, and their float evaluation
+remains for comparison; in floats the class terms of a form can cancel,
+so it is not the path to a value.
 """
 
 from __future__ import annotations
@@ -570,6 +579,139 @@ def _leading_exponent(label: FormLabel) -> Fraction:
     return Fraction(0)
 
 
+# ---------------------------------------------------------------------------
+# forms at a point
+# ---------------------------------------------------------------------------
+
+# Lowest Im z at which FormsAt evaluates: |t| = e^(-pi Im z) is 0.46 there
+# and the products take 47 factors to fall below 2^-53.
+POINT_IM_MIN = 0.25
+_UNIT = 2.0 ** -53
+# level-2 forms as (theta numerator, theta denominator or 0, sign), the
+# thetas named by their index: theta3^4, theta4^4, theta2^4
+_LEVEL2_FORMS = {"theta2": (3, 0, 1), "g1": (3, 0, 1), "g0": (4, 0, -1), "ginf": (2, 0, 1),
+                 "lambda": (4, 2, -1), "one_minus_lambda": (3, 2, 1)}
+
+
+def _expm1(w: complex) -> complex:
+    """e^w - 1, accurate relative to |w| rather than to e^w."""
+    a, b = w.real, w.imag
+    em = math.expm1(a)
+    return complex(em * math.cos(b) - 2.0 * math.sin(0.5 * b) ** 2, (em + 1.0) * math.sin(b))
+
+
+def _log1p(w: complex) -> complex:
+    """Principal Log(1 + w) for |w| < 1, accurate relative to |w| rather
+    than to 1 + w."""
+    a, b = w.real, w.imag
+    return complex(0.5 * math.log1p(a * (2.0 + a) + b * b), math.atan2(b, 1.0 + a))
+
+
+class FormsAt:
+    """The built-in forms at one point z of the upper half plane, from
+    Jacobi's triple products (Whittaker & Watson, 21.3) in t = e(z/2):
+
+      theta3^4 = prod_(m>=1) (1 - t^2m)^4 (1 + t^(2m-1))^8,
+      theta4^4 the same with -t^(2m-1), and
+      theta2^4 = 16 t prod_(m>=1) (1 - t^2m)^4 (1 + t^2m)^8.
+
+    Each product is exp of a sum of principal Logs S(+-, parity) of
+    1 +- t^k over odd or even k, so theta^2 = theta3^4, g0 = -theta4^4,
+    ginf = theta2^4, lambda = g0/ginf and 1 - lambda = theta3^4/theta2^4.
+    The roots carry the branch of the exact series, the analytic one
+    with value 1 at t = 0 of their unit parts:
+
+      y = 16^(-1/N) e(-z/2N) exp((8/N) (S(+, odd) - S(+, even))),
+      x = 16^(-1/N) e(1/2N - z/2N) exp((8/N) (S(-, odd) - S(+, even))).
+
+    The principal N-th root of lambda or of a theta quotient leaves that
+    branch at moderate Im z.  f[kind, j] is the binomial closed form of
+    its class terms, zeta = e(1/N), eps = e(1/2N):
+
+      A: theta3^4 (1 - zeta^j / y)^N,  B: theta2^4 (zeta^-j x - 1)^N,
+      C: theta3^4 (zeta^-j x/y - eps)^N.
+
+    The sums take K = ceil(53 log 2 / (pi Im z)) terms each, so that
+    |t|^K <= 2^-53.  value(label) returns (value, estimate): the
+    estimate covers the tail past K and the rounding, propagated to first
+    order through each exp, quotient and power.  Below Im z = POINT_IM_MIN
+    the constructor raises ConvergenceRegion.  The theta products are
+    taken once per point, and x and y once per point and level.
+    """
+
+    def __init__(self, z: complex):
+        z = complex(z)
+        if not z.imag >= POINT_IM_MIN:
+            raise ConvergenceRegion(
+                f"forms are evaluated at Im z >= {POINT_IM_MIN}, not at {z.imag}")
+        self.z = z
+        count = math.ceil(53.0 * math.log(2.0) / (math.pi * z.imag))
+        r = math.exp(-math.pi * z.imag)
+        t = cmath.exp(1j * math.pi * z)
+        sums = [0j] * 4     # S(+, odd), S(-, odd), S(+, even), S(-, even)
+        tk = t
+        for k in range(1, count + 1):
+            par = 2 * (1 - k % 2)
+            sums[par] += _log1p(tk)
+            sums[par + 1] += _log1p(-tk)
+            tk *= t
+        self._plus_odd, self._minus_odd, self._plus_even, minus_even = sums
+        # error of each sum: its tail past count, rounding in t^k and in
+        # the terms, and the additions
+        self._sum_err = (r ** (count + 1) + (count + 8 + abs(math.pi * z)) * _UNIT) / (1 - r) ** 2
+        # log theta^4 and the weight of _sum_err in it
+        self._logs = {3: (4 * minus_even + 8 * self._plus_odd, 12),
+                      4: (4 * minus_even + 8 * self._minus_odd, 12),
+                      2: (4 * math.log(2.0) + 1j * math.pi * z + 4 * minus_even + 8 * self._plus_even, 12)}
+        self._roots = {}
+
+    def _exp(self, log: complex, weight: float) -> tuple[complex, float]:
+        """exp(log) with its relative error bound, log carrying weight
+        times the error of one sum."""
+        return cmath.exp(log), weight * self._sum_err + (2 + abs(log)) * _UNIT
+
+    def _root_values(self, n: int):
+        """(x, rel. error, y, rel. error) at level n."""
+        if n not in self._roots:
+            head = -4.0 * math.log(2.0) / n - 1j * math.pi * self.z / n
+            x = self._exp(head + 1j * math.pi / n + 8 * (self._minus_odd - self._plus_even) / n, 16 / n)
+            y = self._exp(head + 8 * (self._plus_odd - self._plus_even) / n, 16 / n)
+            self._roots[n] = (*x, *y)
+        return self._roots[n]
+
+    def value(self, label: FormLabel) -> tuple[complex, float]:
+        """(value, error estimate) of the form of label at the point."""
+        if label.name in _LEVEL2_FORMS:
+            num, den, sign = _LEVEL2_FORMS[label.name]
+            log, weight = self._logs[num]
+            if den:
+                log, weight = log - self._logs[den][0], weight + self._logs[den][1]
+            v, rel = self._exp(log, weight)
+            return sign * v, abs(v) * rel
+        x, rx, y, ry = self._root_values(label.n)
+        if label.name == "x":
+            return x, abs(x) * rx
+        if label.name == "y":
+            return y, abs(y) * ry
+        n, kind = label.n, label.kind
+        zj = zeta_power(n, -label.j)
+        if kind == "C":
+            # x/y = eps e^d, so zeta^-j x/y - eps = eps (zeta^-j expm1(d) + zeta^-j - 1):
+            # the zero of f[C, 0] at infinity keeps its relative precision
+            d = 8 * (self._minus_odd - self._plus_odd) / n
+            em1 = _expm1(d)
+            base = cmath.exp(1j * math.pi / n) * (zj * em1 + (zj - 1))
+            err = abs(1 + em1) * (16 / n * self._sum_err + (3 + abs(d)) * _UNIT) + 3 * _UNIT
+        else:
+            w, rw = (1 / (zj * y), ry) if kind == "A" else (zj * x, rx)
+            base = 1 - w if kind == "A" else w - 1
+            err = abs(w) * (rw + 2 * _UNIT) + _UNIT
+        outer, r_outer = self._exp(*self._logs[2 if kind == "B" else 3])
+        v = outer * base ** n
+        rel = r_outer + n * (err / abs(base) + _UNIT) + _UNIT
+        return v, abs(v) * rel
+
+
 def petersson_norm_sq(value: complex, z: complex, weight: int) -> float:
     """|f(z)|^2 Im(z)^k."""
     if z.imag <= 0:
@@ -580,9 +722,6 @@ def petersson_norm_sq(value: complex, z: complex, weight: int) -> float:
 # ---------------------------------------------------------------------------
 # slash action
 # ---------------------------------------------------------------------------
-
-DEFAULT_ORDER = Fraction(26)
-
 
 def _slash_shift(label: FormLabel, r1: int, r2: int) -> tuple[FormLabel, complex]:
     """Transformation of a label under a level-2 word with exponent sums
@@ -602,55 +741,24 @@ def _slash_shift(label: FormLabel, r1: int, r2: int) -> tuple[FormLabel, complex
     return label, 1.0 + 0j
 
 
-def slash2_value(label: FormLabel, gamma: Mat2Z, z: complex,
-                 order=DEFAULT_ORDER) -> complex:
+def slash2_value(label: FormLabel, gamma: Mat2Z, z: complex) -> complex:
     """Value of (f |_k gamma)(z) for gamma in the level-2 group, via the
     transformation table (exact in the multiplier, evaluated at z)."""
     r = gamma2_exponent_sums(*gamma.entries())
     if r is None:
         raise NotInGamma2(f"{gamma} is not in the level-2 group")
     new_label, mult = _slash_shift(label, *r)
-    val, _ = expansion(new_label, Fraction(order)).evaluate(z)
+    val, _ = FormsAt(z).value(new_label)
     return mult * val
 
 
-def slash2_value_direct(label: FormLabel, gamma: Mat2Z, z: complex,
-                        order=DEFAULT_ORDER) -> complex:
-    """Same value computed as (cz+d)^(-k) f(gamma z) by direct series
-    evaluation at the transformed point.  Needs Im(gamma z) moderate."""
-    w = (gamma.a * z + gamma.b) / (gamma.c * z + gamma.d)
-    val, _ = expansion(label, Fraction(order)).evaluate(w)
-    k = label.weight
-    return val * (gamma.c * z + gamma.d) ** (-k)
-
-
-def coset_product_value(kind: str, j: int, n: int, z: complex,
-                        order=DEFAULT_ORDER) -> complex:
+def coset_product_value(kind: str, j: int, n: int, z: complex) -> complex:
     """Product of f[kind,j] |_2 gamma over the n^2 coset representatives
     g1^a g2^b, assembled from the transformation table."""
-    values = {}
-    for l in range(n):
-        values[l], _ = f_series(kind, l, n, Fraction(order)).evaluate(z)
+    at = FormsAt(z)
+    values = [at.value(FormLabel("f", n, kind, l))[0] for l in range(n)]
     out = 1.0 + 0j
     for a in range(n):
         for b in range(n):
             out *= values[(j + class_shift(kind, a, b)) % n]
     return out
-
-
-def coset_product_closed_form(kind: str, n: int, z: complex,
-                              order=DEFAULT_ORDER) -> complex:
-    """The closed forms (-1)^(N^2) theta^(2N^2) (lambda/(1-lambda))^(N^2),
-    (-1)^(N^2) theta^(2N^2), theta^(2N^2) (1-lambda)^(-N^2), evaluated
-    from the level-2 expansions."""
-    order = Fraction(order)
-    th, _ = theta2_series(order).evaluate(z)
-    lam, _ = lambda_series(order).evaluate(z)
-    oml, _ = one_minus_lambda_series(order).evaluate(z)
-    n2 = n * n
-    sign = (-1.0) ** (n2 % 2)
-    if kind == "A":
-        return sign * th ** n2 * (lam / oml) ** n2
-    if kind == "B":
-        return sign * th ** n2
-    return th ** n2 / oml ** n2

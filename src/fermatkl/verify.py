@@ -11,7 +11,6 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import scattering
 from .eisenstein import (
@@ -33,7 +32,7 @@ from .fermat import (
     gamma2_base,
     gamma_n,
 )
-from .qseries import FormLabel, coset_product_value, expansion, petersson_norm_sq
+from .qseries import FormLabel, FormsAt, coset_product_value, petersson_norm_sq
 from .sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp, cusp_scaling_matrix, mobius_point
 
 
@@ -75,8 +74,7 @@ def check_klf_gamma2(j: Cusp, z: complex,
     t0 = time.perf_counter()
     lhs = fourier_limit_eval(GAMMA2, j, CUSP_INF, z, trunc)
     idx = classify_index(GAMMA2, j.p, j.q)
-    g = expansion(FormLabel(_GLABEL[idx]), Fraction(trunc.order))
-    gv, _ = g.evaluate(z)
+    gv, _ = FormsAt(z).value(FormLabel(_GLABEL[idx]))
     rhs = -math.log(petersson_norm_sq(gv, z, 2)) + scattering.klf_constant(GAMMA2)
     return _report("klf_gamma2", {"j": j, "z": z}, abs(lhs - rhs), tol, t0)
 
@@ -90,8 +88,7 @@ def check_klf_fermat(n: int, fc: FermatCusp, z: complex,
     group = gamma_n(n)
     chart = cusp_reps(n)[-1].rep
     lhs = fourier_limit_eval(group, fc.rep, chart, z, trunc)
-    lab = FormLabel("f", n, fc.kind, fc.index)
-    fv, _ = expansion(lab, Fraction(trunc.order)).evaluate(z)
+    fv, _ = FormsAt(z).value(FormLabel("f", n, fc.kind, fc.index))
     rhs = -math.log(petersson_norm_sq(fv, z, 2)) / (n * n) \
         + scattering.klf_constant(group)
     return _report("klf_fermat", {"n": n, "cusp": fc.rep, "z": z},
@@ -108,7 +105,7 @@ def check_limitsum(n: int, fc: FermatCusp, z: complex,
     base = gamma2_base(fc.rep)
     lhs = fourier_limit_eval(GAMMA2, base, CUSP_INF, z, trunc).real \
         - 2.0 * math.log(n)
-    prod = coset_product_value(fc.kind, fc.index, n, z, order=Fraction(trunc.order))
+    prod = coset_product_value(fc.kind, fc.index, n, z)
     log_norm_sum = math.log(abs(prod) ** 2 * z.imag ** (2 * n * n))
     zc = scattering.z_constant()
     rhs = -log_norm_sum / (n * n) \

@@ -521,6 +521,78 @@ def test_batched_fermat_enumeration_matches_per_d_loop():
                     assert np.abs(got - _oracle_sums(want[:12], m, b)).max() < 1e-12, (n, fj, fk, m)
 
 
+def _inner_sums_trig(group, j, k, ms, c_max):
+    """inner_sums with cos and sin taken over every lane for each mode:
+    the reference for the powers of the unit phase."""
+    from fermatkl import eisenstein as e
+    from fermatkl.sl2 import gamma2_exponent_sums
+
+    jc, kc = standard_rep(group, j), standard_rep(group, k)
+    n, jb, kb = group.n, gamma2_base(jc), gamma2_base(kc)
+    pt = e._base_pair_matrix(jb, kb)
+    key = e._GAMMA1_ROWS if group.kind == "gamma1" else (2, pt.c & 1, pt.d & 1)
+    c, d, u = e._read_table(key, c_max, (jb, kb) if n > 1 else None)
+    weight, period = 1, 1
+    if n > 1:
+        gj, gk = cusp_scaling_matrix(jc), cusp_scaling_matrix(kc)
+        hj = gamma2_exponent_sums(*(gj * cusp_scaling_matrix(jb).inverse()).entries())
+        hk = gamma2_exponent_sums(*(gk * cusp_scaling_matrix(kb).inverse()).entries())
+        v1, v2 = e._STABILIZER_SUMS[jb]
+        u = u.astype(np.int64) + (hj[0] - hk[0]) * v2 - (hj[1] - hk[1]) * v1
+        if jb == kb:
+            keep = u % n == 0
+            c, d, weight, period = c[keep], d[keep], n, n
+        else:
+            w1, w2 = e._STABILIZER_SUMS[kb]
+            det_inv = pow((v1 * w2 - v2 * w1) % n, -1, n)
+            d = d + 2 * c.astype(np.int64) * (u * det_inv % n)
+    bounds = np.searchsorted(c, np.arange(c_max + 1), side="right")
+    counts = np.diff(bounds)
+    full = counts > 0
+    starts = bounds[:-1][full]
+    rows = np.zeros((len(ms), c_max), dtype=complex)
+    for row, m in zip(rows, ms):
+        if m == 0:
+            row[:] = weight * counts
+        elif not m % period:
+            theta = (d / c) * (2.0 * math.pi * m / group.width)
+            row[full] = weight * (np.add.reduceat(np.cos(theta), starts)
+                                  + 1j * np.add.reduceat(np.sin(theta), starts))
+    return rows
+
+
+def test_inner_sums_unit_phase_matches_trig_oracle():
+    # the bound of the inner_sums docstring, W L (15 k + L) u, plus the
+    # oracle's own: its phase 2 pi m d/(b c) < 2 pi |m| carries 13 |m| u
+    unit, c_max = 2.0 ** -53, 500
+    worst = 0.0
+    groups = [(GAMMA1, {CUSP_INF: [CUSP_INF]})]
+    for n in (1, 2, 3, 4):
+        groups.append((gamma_n(n), {base: [fc.rep for fc in cusp_reps(n) if gamma2_base(fc.rep) == base]
+                                    for base in (CUSP_ZERO, CUSP_ONE, CUSP_INF)}))
+    for g, over in groups:
+        n = g.n if g.kind == "gamma_n" else 1
+        modes = range(-(2 * n + 3), 2 * n + 4)
+        for a, js in enumerate(over.values()):
+            for b, ks in enumerate(over.values()):
+                j, k = js[(a + b) % len(js)], ks[-1 - a % len(ks)]
+                same = n > 1 and gamma2_base(j) == gamma2_base(k)
+                weight = period = n if same else 1
+                got = inner_sums(g, j, k, modes, c_max)
+                want = _inner_sums_trig(g, j, k, modes, c_max)
+                lanes = want[modes.index(0)].real / weight
+                for m, row, ref in zip(modes, got, want):
+                    assert np.array_equal(row, got[modes.index(-m)].conj()), (g, j, k, m)
+                    if m % period:
+                        assert not row.any(), (g, j, k, m)
+                        continue
+                    bound = weight * lanes * (15 * abs(m) // period + 13 * abs(m) + 2 + 2 * lanes) * unit
+                    err = np.abs(row - ref)
+                    assert (err <= bound).all(), (g, j, k, m, float((err - bound).max()))
+                    worst = max(worst, float(err.max()))
+    assert worst < 1e-11
+
+
 def test_batched_fermat_enumeration_extends(monkeypatch):
     from fermatkl import eisenstein
 

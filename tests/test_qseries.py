@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 
 from fermatkl.qseries import (
+    POINT_IM_MIN,
     ConvergenceRegion,
     FormLabel,
+    FormsAt,
     OrderTooSmall,
     QExpansion,
     ZeroSeries,
     constant,
-    coset_product_closed_form,
     coset_product_value,
     expansion,
     f_series,
@@ -23,13 +24,13 @@ from fermatkl.qseries import (
     one_minus_lambda_series,
     petersson_norm_sq,
     slash2_value,
-    slash2_value_direct,
     theta2_series,
     x_series,
     y_series,
     zeta_power,
 )
 from fermatkl.sl2 import GEN1, GEN2, Mat2Z, NotInGamma2, S, T
+from series_oracles import coset_product_closed_form, slash2_value_direct
 
 
 def r4_counts(bound: int) -> dict[int, int]:
@@ -188,8 +189,8 @@ def test_expansion_label_dispatch_and_order_check():
 def test_slash_theta2_invariance():
     lab = FormLabel("theta2")
     direct, _ = expansion(lab, Fraction(20)).evaluate(1j)
-    assert abs(slash2_value(lab, GEN1, 1j, Fraction(20)) - direct) < 1e-12
-    assert abs(slash2_value(lab, GEN2, 1j, Fraction(20)) - direct) < 1e-12
+    assert abs(slash2_value(lab, GEN1, 1j) - direct) < 1e-12
+    assert abs(slash2_value(lab, GEN2, 1j) - direct) < 1e-12
     # the direct path agrees where the series converges comfortably
     assert abs(slash2_value_direct(lab, GEN2, 1j, Fraction(40)) - direct) < 1e-10
 
@@ -202,7 +203,7 @@ def test_slash_transformation_table():
                                (FormLabel("y", n), GEN1, zeta_power(n, -1)),
                                (FormLabel("y", n), GEN2, 1.0)):
             base, _ = expansion(lab, Fraction(30)).evaluate(1j)
-            table = slash2_value(lab, gen, 1j, Fraction(30))
+            table = slash2_value(lab, gen, 1j)
             assert abs(table - mult * base) < 1e-12
             direct = slash2_value_direct(lab, gen, 1j, Fraction(40))
             assert abs(table - direct) < 1e-8, (n, str(lab))
@@ -215,7 +216,7 @@ def test_slash_f_labels_permute():
              ("C", GEN1, 0), ("C", GEN2, 1))
     for kind, gen, shift in cases:
         lab = FormLabel("f", n, kind, 0)
-        tab = slash2_value(lab, gen, 2j, Fraction(16))
+        tab = slash2_value(lab, gen, 2j)
         expect, _ = expansion(FormLabel("f", n, kind, shift), Fraction(16)).evaluate(2j)
         assert abs(tab - expect) < 1e-12, (kind, shift)
 
@@ -223,7 +224,7 @@ def test_slash_f_labels_permute():
 def test_slash_outside_level2_raises():
     for gamma in (T, S, Mat2Z(3, 2, 1, 1)):
         with pytest.raises(NotInGamma2):
-            slash2_value(FormLabel("f", 3, "B", 0), gamma, 2j, Fraction(16))
+            slash2_value(FormLabel("f", 3, "B", 0), gamma, 2j)
 
 
 def test_petersson_norm():
@@ -236,16 +237,16 @@ def test_petersson_norm():
 def test_coset_product_closed_forms():
     # level 1: single factor, kind B gives -theta^2
     th, _ = theta2_series(Fraction(20)).evaluate(1j)
-    assert abs(coset_product_value("B", 0, 1, 1j, Fraction(20)) + th) < 1e-12
+    assert abs(coset_product_value("B", 0, 1, 1j) + th) < 1e-12
     for n in (1, 2):
         for kind in "ABC":
             for z in (1j, 1 + 2j):
-                p = coset_product_value(kind, 0, n, z, Fraction(20))
+                p = coset_product_value(kind, 0, n, z)
                 cf = coset_product_closed_form(kind, n, z, Fraction(20))
                 assert abs(p - cf) < 1e-8
     # independence of the index
-    p0 = coset_product_value("C", 0, 2, 1 + 2j, Fraction(20))
-    p1 = coset_product_value("C", 1, 2, 1 + 2j, Fraction(20))
+    p0 = coset_product_value("C", 0, 2, 1 + 2j)
+    p1 = coset_product_value("C", 1, 2, 1 + 2j)
     assert abs(p0 - p1) < 1e-10
 
 
@@ -313,6 +314,93 @@ def test_forms_match_mpmath_sum_of_exact_terms():
                         assert abs(val - ref) <= 1e-10 * abs(ref), (kind, j, n, z)
     finally:
         mp.dps = old_dps
+
+
+def _every_label(n_max):
+    labels = [FormLabel(name) for name in ("theta2", "lambda", "one_minus_lambda", "g0", "g1", "ginf")]
+    for n in range(1, n_max + 1):
+        labels += [FormLabel("x", n), FormLabel("y", n)]
+        labels += [FormLabel("f", n, kind, j) for kind in "ABC" for j in range(n)]
+    return labels
+
+
+def _float_sum_bound(s, z):
+    """Rounding bound of the float evaluation of an exact series: its
+    term count times 2^-53 times the sum of the term moduli."""
+    total, count = 0.0, 0
+    for t in (s.terms if hasattr(s, "terms") else (s,)):
+        r = abs(cmath.exp(2j * math.pi * z / t.denom))
+        total += abs(t.prefactor) * sum(abs(float(c)) * r ** k for k, c in t.coeffs.items())
+        count += len(t.coeffs)
+    return count * 2.0 ** -53 * total
+
+
+def test_forms_at_point_match_series_grid():
+    # the order-26 series' float sums, where their rounding is below 1e-13;
+    # the class terms of the forms with a zero at infinity cancel, so
+    # there it is not
+    checked = 0
+    zs = [complex(x, y) for x in (-1.0, -0.35, 0.0, 0.5, 1.0) for y in (0.6, 0.9, 1.4, 2.2, 3.0)]
+    series = {lab: expansion(lab, Fraction(26)) for lab in _every_label(6)}
+    for z in zs:
+        at = FormsAt(z)
+        for lab, s in series.items():
+            want, _ = s.evaluate(z)
+            if _float_sum_bound(s, z) > 1e-13 * abs(want):
+                continue
+            got, _ = at.value(lab)
+            assert abs(got - want) <= 1e-12 * abs(want), (str(lab), z)
+            checked += 1
+    assert checked > len(zs) * len(series) // 2
+
+
+def _mp_series_value(mp, s, z):
+    """The exact series summed in mpmath, powers of q^(1/D) built by
+    multiplication."""
+    terms = s.terms if hasattr(s, "terms") else (s,)
+    w = mp.exp(2j * mp.pi * mp.mpc(z) / terms[0].denom)
+    total = mp.mpc(0)
+    for t in terms:
+        acc, k_prev, wk = mp.mpc(0), None, None
+        for k in sorted(t.coeffs):
+            wk = w ** k if k_prev is None else wk * (w if k - k_prev == 1 else w ** (k - k_prev))
+            k_prev = k
+            c = t.coeffs[k]
+            acc += mp.mpf(c.numerator) / c.denominator * wk
+        total += (mp.power(2, mp.mpf(t.pref2.numerator) / t.pref2.denominator)
+                  * mp.expjpi(mp.mpf(t.prefh.numerator) / t.prefh.denominator) * acc)
+    return complex(total)
+
+
+def test_forms_at_point_match_mpmath_and_their_estimates_hold():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    old_dps, mp.dps = mp.dps, 50
+    try:
+        # at 0.1+0.7i the float sum of f[A,0], N = 5 is off by 1.4e-9
+        lab = FormLabel("f", 5, "A", 0)
+        ref = _mp_series_value(mp, expansion(lab, Fraction(26)), 0.1 + 0.7j)
+        assert abs(expansion(lab, Fraction(26)).evaluate(0.1 + 0.7j)[0] - ref) > 1e-10 * abs(ref)
+        # near the cusp -1, at -0.9+0.6i, f[B,1] of N = 5 is 8e-9 and its
+        # relative error 1.2e-13: there only the estimate is held to
+        for z in (0.1 + 0.7j, 1 + 0.6j, -0.45 + 0.8j, 0.3 + 1j, -0.7 + 1.5j, 0.2 + 2.3j, -0.9 + 0.6j):
+            at = FormsAt(z)
+            for lab in _every_label(5):
+                ref = _mp_series_value(mp, expansion(lab, Fraction(26)), z)
+                got, est = at.value(lab)
+                err = abs(got - ref)
+                assert err <= est, (str(lab), z, err, est)
+                assert z == -0.9 + 0.6j or err <= 1e-13 * abs(ref), (str(lab), z, err / abs(ref))
+    finally:
+        mp.dps = old_dps
+
+
+def test_forms_at_point_convergence_region():
+    for z in (0.3 + 0.2j, 0.5 + 1e-3j, 1.0 + 0j, 2.0 - 1j):
+        with pytest.raises(ConvergenceRegion):
+            FormsAt(z)
+    v, est = FormsAt(0.4 + POINT_IM_MIN * 1j).value(FormLabel("f", 3, "C", 0))
+    assert math.isfinite(abs(v)) and 0 < est < 1e-9 * abs(v)
 
 
 def test_coefficients_are_exact_only():

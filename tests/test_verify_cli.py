@@ -53,16 +53,34 @@ def test_check_limitsum():
         rep = check_limitsum(n, fc, 2j, tr)
         assert rep.passed, rep
     # product collapse: sum of logs equals log of the coset product
-    from fermatkl.qseries import coset_product_value, f_series, slash2_value, FormLabel
+    from fermatkl.qseries import coset_product_value, slash2_value, FormLabel
     from fermatkl.fermat import coset_reps
-    from fractions import Fraction
     n, z = 2, 2j
     total = 0.0
     for g in coset_reps(n):
-        v = slash2_value(FormLabel("f", n, "B", 0), g, z, Fraction(18))
+        v = slash2_value(FormLabel("f", n, "B", 0), g, z)
         total += math.log(abs(v) ** 2 * z.imag ** 2)
-    prod = coset_product_value("B", 0, n, z, Fraction(18))
+    prod = coset_product_value("B", 0, n, z)
     assert abs(total - math.log(abs(prod) ** 2 * z.imag ** (2 * n * n))) < 1e-10
+
+
+def test_klf_checks_build_no_series(monkeypatch):
+    # the three Kronecker-limit checks take their forms at the point
+    from fermatkl import qseries
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a q-series was built")
+
+    for name in ("f_series", "g_series", "_class_terms"):
+        monkeypatch.setattr(qseries, name, refuse)
+    monkeypatch.setattr(qseries.QExpansion, "__post_init__", refuse)
+    for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
+        assert check_klf_gamma2(j, 0.3 + 1.5j, TR).passed
+    for n in (2, 3):
+        reps = cusp_reps(n)
+        for fc in (reps[0], reps[n], reps[-1]):
+            assert check_klf_fermat(n, fc, 1 + 2j).passed
+        assert check_limitsum(n, reps[n], 2j, TR).passed
 
 
 def test_check_sum_relation_and_scaling():
