@@ -53,9 +53,9 @@ fourier_eval reads the modes 0..m_eff once.  It takes cos and sin once
 per lane, for the unit phase w = e(p d/(b c)) of the mode period p, and
 each mode p k is w^k by repeated multiplication, summed per c: a mode
 costs one complex multiplication and one reduceat over the lanes, and
-w^k carries at most 15 k units of 2^-53 of rounding.  The direct sum reads,
-lifts or filters the rows of each class asked for once and sums only
-those classes; eisenstein_direct asks for its own class.
+w^k carries at most 15 k units of 2^-53 of rounding.  The direct sum
+reads, lifts or filters the rows of each class asked for once and sums
+only those classes; eisenstein_direct asks for its own class.
 """
 
 from __future__ import annotations
