@@ -361,9 +361,9 @@ def _mp_series_value(mp, s, z):
     w = mp.exp(2j * mp.pi * mp.mpc(z) / terms[0].denom)
     total = mp.mpc(0)
     for t in terms:
-        acc, k_prev, wk = mp.mpc(0), None, None
+        acc, k_prev, wk = mp.mpc(0), 0, mp.mpc(1)
         for k in sorted(t.coeffs):
-            wk = w ** k if k_prev is None else wk * (w if k - k_prev == 1 else w ** (k - k_prev))
+            wk *= w ** (k - k_prev)
             k_prev = k
             c = t.coeffs[k]
             acc += mp.mpf(c.numerator) / c.denominator * wk
