@@ -40,12 +40,15 @@ group, reads the rows as they are.
 Four sets of coprime rows thus serve every table: the full modular
 group's (c, d mod c) and the three level-2 parity classes.  Each is one
 table of int32 columns sorted by c, read as prefixes and extended on
-demand, with u of a base pair and tau beside the rows, each computed on
-first read: u from the exponent sums, tau from the batched classifier,
-so the two sides of a cross-path check classify independently.  The
+demand, with u of a base pair, tau and the rows of each level-N class
+beside the rows, each computed on first read.  u is an integer-linear
+map of the exponent sums and coset state that one Euclid on the column
+(d, -c) of M^-1 gives (coset_word_sums_batch of the sl2 module); tau
+comes from the batched classifier, which reads the Dedekind-sum exponent
+sums, and the class rows from tau.  So the two sides of a cross-path
+check classify independently and share no exponent-sum code.  The
 tables share one store bounded by a least-recently-used count of int32
-cells.  The sums r come from the Dedekind-sum formula of the sl2 module
-in int64 batches.
+cells.
 
 inner_sums reads, shifts and filters the lanes once per call for every
 mode asked for, and the row of -m is the conjugate of the row of m, so
@@ -65,7 +68,9 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import takewhile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,15 +86,20 @@ from .fermat import (
     gamma2_base,
 )
 from .sl2 import (
+    COSET_REPS,
     CUSP_INF,
     CUSP_ONE,
     CUSP_ZERO,
+    GEN1,
+    GEN2,
+    T,
     Cusp,
     Mat2Z,
+    NotInGamma2,
+    coset_index,
+    coset_word_sums_batch,
     cusp_scaling_matrix,
     gamma2_exponent_sums,
-    gamma2_exponent_sums_batch,
-    mod_inverse_batch,
 )
 from .special import bessel_k, gamma_fn, zeta
 
@@ -229,19 +239,17 @@ def _class_rows(group: GroupId, i: int, c_max: int):
     """(step, d, bounds) of the class of group_cusps index i: the rows
     d[bounds[c-1]:bounds[c]] of each c <= c_max, each the residues
     d + step c k, from its base's parity lifted or filtered through tau
-    as the module docstring sets out."""
+    as the module docstring sets out, and kept in the table as the
+    column _ClassRows(n, i)."""
     n, base = group.n, gamma2_base(group_cusps(group)[i])
     key = _GAMMA1_ROWS if group.kind == "gamma1" else (2, base.q & 1, base.p & 1)
-    c, d, tau = _read_table(key, c_max, _TAU if n > 1 else None)
     step = key[0]
-    if n > 1:
-        # l = tau - t (mod n), with t = -index (mod n) the invariant of fc
-        fc = cusp_reps(n)[i]
-        lift = (tau.astype(np.int64) + fc.index) % n
-        if class_shift(fc.kind, 1, 0):
-            d, step = d + 2 * c.astype(np.int64) * lift, group.width
-        else:
-            c, d = c[lift == 0], d[lift == 0]
+    if n == 1:
+        c, d, _ = _read_table(key, c_max)
+    else:
+        c, d, rows = _read_table(key, c_max, _ClassRows(n, i))
+        if rows.ndim == 1:
+            d, step = rows, group.width
     return step, d, np.searchsorted(c, np.arange(c_max + 1), side="right").tolist()
 
 
@@ -266,7 +274,10 @@ def eisenstein_direct(group: GroupId, j, z: complex, s,
 class _Table:
     """Rows (c, d) of one row set for c = 1..c_done as int32 columns
     sorted by c and then by d, and in cols further int32 columns over
-    them: u of a base pair (b_j, b_k) under that key, tau under _TAU."""
+    them: u of a base pair (b_j, b_k) under that key, tau under _TAU, and
+    under _ClassRows(n, i) the rows of that level-n class, its lifted d
+    over the bases 0 and 1 and its kept rows (c, d) stacked over
+    infinity."""
 
     def __init__(self):
         self.c_done = 0
@@ -275,15 +286,24 @@ class _Table:
         self.lock = threading.Lock()
 
     def cells(self) -> int:
-        return self.c.size * (2 + len(self.cols))
+        # a snapshot of cols: other threads add columns under self.lock
+        return 2 * self.c.size + sum(col.size for col in tuple(self.cols.values()))
+
+
+class _ClassRows(NamedTuple):
+    """Column name of the rows of class i of group_cusps(gamma_n(n))."""
+
+    n: int
+    i: int
 
 
 # The tables of the four row sets, keyed (w, c0, d0): the coprime (c, d)
 # with c = c0, d = d0 (mod w) and 0 <= d < w c; (2, 0, 1), (2, 1, 0) and
 # (2, 1, 1) hold the rows of the bases inf, 0 and 1.  Past _TABLE_CELLS
 # int32 cells in all the least recently used tables are dropped, never
-# the one just asked for.  3 * 2^20 cells (12 MB) hold every table and
-# column at c_max 500 (1.07M cells).
+# the one just asked for.  3 * 2^20 cells (12 MB) hold every table, u
+# and tau at c_max 500 (1.07M cells) with the class rows of levels 2 to 5
+# (2.89M cells in all).
 _TABLES: OrderedDict = OrderedDict()
 _TABLE_LOCK = threading.Lock()
 _TABLE_CELLS = 3 << 20
@@ -291,9 +311,13 @@ _GAMMA1_ROWS = (1, 0, 0)
 _TAU = "tau"
 
 # Candidates per vectorised block of the row enumeration, and rows per
-# block of a further column.  The working arrays of a block peak near
-# 1 MB at this size; larger blocks raise peak memory for little speed.
+# block of tau.  The working arrays of a block peak near 1 MB at this
+# size; larger blocks raise peak memory for little speed.
 _ENUM_BLOCK = 2048
+
+# Rows per block of a character column, whose Euclid rounds pay a fixed
+# cost per numpy call that small blocks would multiply.
+_CHARACTER_BLOCK = 1 << 13
 
 # Lanes per block of inner_sums, in whole c's: its two complex buffers,
 # the unit phase and its running power, stay near 64 kB each, below the
@@ -311,24 +335,78 @@ def _base_pair_matrix(jb: Cusp, kb: Cusp) -> Mat2Z:
     return cusp_scaling_matrix(jb).inverse() * cusp_scaling_matrix(kb)
 
 
+def _totients(n: int) -> np.ndarray:
+    """Euler's phi(c) for c = 0..n, phi(0) = 0."""
+    phi = np.arange(n + 1, dtype=np.int64)
+    prime = np.ones(n + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p::p] = False
+    for p in np.flatnonzero(prime).tolist():
+        phi[p::p] -= phi[p::p] // p
+    return phi
+
+
 def _enumerate_lanes(key: tuple, c_lo: int, c_hi: int) -> np.ndarray:
     """Rows (c, d) of the row set key = (w, c0, d0) for c = c_lo..c_hi
     as stacked int32 columns: the coprime ones among the c candidates
     d0 + w i of each c = c0 (mod w), in blocks of about _ENUM_BLOCK
-    candidates, each holding whole c's."""
+    candidates, each holding whole c's.  The columns are allocated once
+    from the row counts: phi(c) of each c, and phi(2c) = 2 phi(c) for
+    even c at w = 2, whose candidates are the odd d below 2c."""
     step, c0, d0 = key
     if step * c_hi > np.iinfo(np.int32).max:
         raise OverflowError(f"table rows up to c = {c_hi} overflow int32")
     cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
     cs = cs[cs % step == c0]
-    cols = []
+    counts = _totients(c_hi)[cs] * np.where(cs % 2, 1, step)
+    rows = np.empty((2, int(counts.sum())), dtype=np.int32)
+    pos = 0
     block_of = (np.cumsum(cs) - 1) // _ENUM_BLOCK
-    for blk in np.split(cs, np.flatnonzero(np.diff(block_of)) + 1):
+    splits = np.flatnonzero(np.diff(block_of)) + 1
+    for blk, blk_rows in zip(np.split(cs, splits), np.split(counts, splits)):
         c = np.repeat(blk, blk)
         d = d0 + step * (np.arange(c.size) - np.repeat(np.cumsum(blk) - blk, blk))
         keep = np.gcd(d, c) == 1
-        cols.append(np.stack((c[keep], d[keep])).astype(np.int32))
-    return np.concatenate(cols, axis=1)
+        end = pos + int(blk_rows.sum())
+        rows[0, pos:end], rows[1, pos:end] = c[keep], d[keep]
+        pos = end
+    return rows
+
+
+@lru_cache(maxsize=9)
+def _character_map(jb: Cusp, kb: Cusp):
+    """(alpha, beta, ends) that give the character u of the base pair
+    (b_j, b_k) from the output (phi, s) of coset_word_sums_batch on the
+    first column (d, -c) of M^-1, as u = alpha . phi + beta[s].
+
+    M^-1 = gamma R_s T^k lies in Gamma(2) g_bk^-1 g_bj, the coset of
+    R_t = COSET_REPS[t].  The one e in {0, 1} that puts R_s T^e there
+    gives M'^-1 = gamma' R_t with gamma' = gamma (R_s T^e R_t^-1), the
+    inverse of M' = T^(k-e) M of the pair, and phi' = phi + r(R_s T^e R_t^-1).
+    Then rho'^-1 = g_bk M'^-1 g_bj^-1 = (g_bk gamma' g_bk^-1)(g_bk R_t g_bj^-1),
+    so r(rho'^-1) = A phi' + K, A with the sums of g_bk g1 g_bk^-1 and
+    g_bk g2 g_bk^-1 as columns and K those of g_bk R_t g_bj^-1, and
+    u = v1 r2 - v2 r1 of r(rho'^-1).  ends[s] is False where no R_s T^e
+    lies in that coset: no row of the pair's parity ends in state s.
+    """
+    gj, gk = cusp_scaling_matrix(jb), cusp_scaling_matrix(kb)
+    t = coset_index(gk.inverse() * gj)
+    rt_inv = COSET_REPS[t].inverse()
+    v1, v2 = _STABILIZER_SUMS[jb]
+    alpha = tuple(v1 * r2 - v2 * r1 for r1, r2 in
+                  (gamma2_exponent_sums(*(gk * g * gk.inverse()).entries()) for g in (GEN1, GEN2)))
+    k1, k2 = gamma2_exponent_sums(*(gk * COSET_REPS[t] * gj.inverse()).entries())
+    beta, ends = [0] * len(COSET_REPS), [False] * len(COSET_REPS)
+    for s, rep in enumerate(COSET_REPS):
+        for tail in (rep, rep * T):
+            if coset_index(tail) == t:
+                w1, w2 = gamma2_exponent_sums(*(tail * rt_inv).entries())
+                beta[s], ends[s] = alpha[0] * w1 + alpha[1] * w2 + v1 * k2 - v2 * k1, True
+    beta, ends = np.array(beta, dtype=np.int64), np.array(ends)
+    beta.flags.writeable = ends.flags.writeable = False
+    return alpha, beta, ends
 
 
 def _character_column(pair: tuple, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -337,52 +415,64 @@ def _character_column(pair: tuple, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     r are the exponent sums of rho = g_bj M g_bk^-1 for the
     M = [a b; c d] in g_bj^-1 Gamma(2) g_bk, and v those of the
     stabilizer generator of b_j.  The other choices of M's top row move
-    r along v, which leaves u unchanged.
+    r along v, which leaves u unchanged.  u is an integer-linear map of
+    the word sums of the column (d, -c) of M^-1, see _character_map.
     """
-    jb, kb = pair
-    gj, gk = cusp_scaling_matrix(jb), cusp_scaling_matrix(kb)
-    pa, pb, _, _ = ((x & 1) for x in _base_pair_matrix(jb, kb).entries())
-    v1, v2 = _STABILIZER_SUMS[jb]
-    e, f, g_, h = gj.entries()
-    ki11, ki12, ki21, ki22 = gk.inverse().entries()
-    # a d = 1 (mod c) with the parity of g_bj^-1 g_bk: one of a0, a0 + c
-    a = mod_inverse_batch(d, c)
-    a = np.where(((a & 1) == pa) & ((((a * d - 1) // c) & 1) == pb), a, a + c)
-    b = (a * d - 1) // c
-    m11, m12 = e * a + f * c, e * b + f * d
-    m21, m22 = g_ * a + h * c, g_ * b + h * d
-    r1, r2 = gamma2_exponent_sums_batch(m11 * ki11 + m12 * ki21, m11 * ki12 + m12 * ki22,
-                                        m21 * ki11 + m22 * ki21, m21 * ki12 + m22 * ki22)
-    return r1 * v2 - r2 * v1
+    alpha, beta, ends = _character_map(*pair)
+    phi1, phi2, s = coset_word_sums_batch(c, d)
+    if not ends[s].all():
+        raise NotInGamma2(f"rows outside the parity class of the pair {pair}")
+    return alpha[0] * phi1 + alpha[1] * phi2 + beta[s]
 
 
-def _column(name, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Column name over rows (c, d) as int32, in blocks of _ENUM_BLOCK:
-    tau of (-d : c) for _TAU, else u of the base pair name."""
-    parts = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, c.size, _ENUM_BLOCK):
-        cb, db = (x[lo:lo + _ENUM_BLOCK].astype(np.int64) for x in (c, d))
-        parts.append(class_invariants(-db, cb)[1] if name == _TAU else _character_column(name, cb, db))
-    col = np.concatenate(parts)
-    if col.size and np.abs(col).max() > np.iinfo(np.int32).max:
+def _int32(x: np.ndarray, name) -> np.ndarray:
+    if x.size and np.abs(x).max() > np.iinfo(np.int32).max:
         raise OverflowError(f"column {name} overflows int32")
-    return col.astype(np.int32)
+    return x.astype(np.int32)
+
+
+def _column(name, c: np.ndarray, d: np.ndarray, tau=None) -> np.ndarray:
+    """Column name over rows (c, d) as int32: tau of (-d : c) for _TAU,
+    the rows of the class for a _ClassRows name, from tau (computed when
+    not given), else u of the base pair name.  tau and u are written
+    block by block into one preallocated column."""
+    if isinstance(name, _ClassRows):
+        if tau is None:
+            tau = _column(_TAU, c, d)
+        fc = cusp_reps(name.n)[name.i]
+        lift = (tau.astype(np.int64) + fc.index) % name.n
+        if class_shift(fc.kind, 1, 0):
+            return _int32(d + 2 * c.astype(np.int64) * lift, name)
+        return np.stack((c[lift == 0], d[lift == 0]))
+    block = _ENUM_BLOCK if name == _TAU else _CHARACTER_BLOCK
+    col = np.empty(c.size, dtype=np.int32)
+    for lo in range(0, c.size, block):
+        cb, db = (x[lo:lo + block].astype(np.int64) for x in (c, d))
+        part = class_invariants(-db, cb)[1] if name == _TAU else _character_column(name, cb, db)
+        col[lo:lo + part.size] = _int32(part, name)
+    return col
 
 
 def _extend(key, table: _Table, c_max: int) -> None:
-    """Rows c_done + 1..c_max appended to the table of key and its cols."""
+    """Rows c_done + 1..c_max appended to the table of key and its cols;
+    tau, which precedes the class rows in cols, is computed once."""
     c, d = _enumerate_lanes(key, table.c_done + 1, c_max)
     if table.c_done:
+        tau = None
         for name, col in table.cols.items():
-            table.cols[name] = np.concatenate((col, _column(name, c, d)))
+            part = _column(name, c, d, tau)
+            if name == _TAU:
+                tau = part
+            table.cols[name] = np.concatenate((col, part), axis=-1)
         c, d = np.concatenate((table.c, c)), np.concatenate((table.d, d))
     table.c, table.d, table.c_done = c, d, c_max
 
 
 def _read_table(key, c_max: int, column=None):
     """Columns (c, d, x) for c <= c_max of the table of key, extended first,
-    x the column named column or None; then drop the oldest other tables
-    while the store holds over _TABLE_CELLS cells."""
+    x the column named column or None; for class rows kept as (c, d),
+    those rows and x.  Then drop the oldest other tables while the store
+    holds over _TABLE_CELLS cells."""
     with _TABLE_LOCK:
         table = _TABLES.setdefault(key, _Table())
         _TABLES.move_to_end(key)
@@ -390,9 +480,16 @@ def _read_table(key, c_max: int, column=None):
         if table.c_done < c_max:
             _extend(key, table, c_max)
         if column is not None and column not in table.cols:
-            table.cols[column] = _column(column, table.c, table.d)
+            if isinstance(column, _ClassRows) and _TAU not in table.cols:
+                table.cols[_TAU] = _column(_TAU, table.c, table.d)
+            table.cols[column] = _column(column, table.c, table.d, table.cols.get(_TAU))
         stop = int(np.searchsorted(table.c, c_max, side="right"))
-        cols = table.c[:stop], table.d[:stop], None if column is None else table.cols[column][:stop]
+        c, d, x = table.c[:stop], table.d[:stop], table.cols.get(column)
+        if x is not None and x.ndim == 2:
+            x = x[:, :np.searchsorted(x[0], c_max, side="right")]
+            c, d = x
+        elif x is not None:
+            x = x[:stop]
     with _TABLE_LOCK:
         total = sum(t.cells() for t in _TABLES.values())
         for other in list(_TABLES):
@@ -400,7 +497,7 @@ def _read_table(key, c_max: int, column=None):
                 break
             if other != key:
                 total -= _TABLES.pop(other).cells()
-    return cols
+    return c, d, x
 
 
 # ---------------------------------------------------------------------------

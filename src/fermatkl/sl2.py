@@ -30,7 +30,27 @@ raw Bezout coefficient x0 of h (not reduced mod k),
 and Y(0, 1) = 0.  That is O(log c) steps, where the greedy word
 reduction of decompose_gamma2 takes O(c).  gamma2_exponent_sums is the
 exact Python-int form; gamma2_exponent_sums_batch runs the same formula
-over int64 arrays for the character and class invariant columns.
+over int64 arrays for the class invariants of the cusp classifier.
+
+Exponent sums along a word.  Exponent sums are additive along a word,
+and one Euclid on a column spells a word.  For M with bottom row
+(c, d), the Euclid on the first column (x, y) = (d, -c) of M^-1 takes
+q = x/y truncated toward zero and sets (x, y) = (-y, x - q y), which is
+(x, y) multiplied by S T^-q, until y = 0; so M^-1 = T^q1 S^-1 T^q2 S^-1
+... T^qn S^-1 T^k.  coset_word_sums_batch reads that word left to right
+through the six cosets R_s Gamma(2) of COSET_REPS, starting at R_0 = I:
+with q = 2j + e, R_s T^q S^-1 = (R_s g1 R_s^-1)^j (R_s T^e S^-1 R_s'^-1)
+R_s', s' the coset of R_s T^e S^-1, so a round adds
+j r(R_s g1 R_s^-1) + r(R_s T^e S^-1 R_s'^-1) to the sums and moves to s'.
+It returns the sums phi of gamma and the state s in M^-1 = gamma R_s T^k.
+Its tables are computed at import by gamma2_exponent_sums on products of
+the representatives.  Truncated quotients keep |x| and |y| those of the
+ordinary Euclid on (d, c), O(log c) rounds, with the sign of q
+alternating from round to round.  Floor quotients would leave the
+remainder with the sign of y and spell the minus continued fraction,
+whose length grows linearly: (c - 1)/c = 1 - 1/(2 - 1/(2 - ...)) takes
+c rounds.  The pass runs on |x| and |y| in float64, whose quotients are
+exact below 2^52, and packs phi1 2^32 + phi2 in one int64.
 """
 
 from __future__ import annotations
@@ -459,3 +479,112 @@ def is_in_gamma_n(m: Mat2Z, n: int) -> bool:
         return False
     r1, r2 = gamma2_exponent_sums(m.a, m.b, m.c, m.d)
     return r1 % n == 0 and r2 % n == 0
+
+
+
+# ---------------------------------------------------------------------------
+# exponent sums along the Euclid word of a row
+# ---------------------------------------------------------------------------
+
+def _coset_key(m: Mat2Z) -> tuple[int, ...]:
+    """m mod 2, which names its coset of the level-2 group."""
+    return tuple(x & 1 for x in m.entries())
+
+
+def _coset_reps() -> tuple[Mat2Z, ...]:
+    """One representative of each of the six cosets of the level-2 group,
+    the identity first, found breadth first by right multiplication with
+    T and S^-1."""
+    reps, seen = [IDENTITY], {_coset_key(IDENTITY)}
+    for r in reps:
+        for g in (T, S.inverse()):
+            if _coset_key(r * g) not in seen:
+                seen.add(_coset_key(r * g))
+                reps.append(r * g)
+    return tuple(reps)
+
+
+COSET_REPS = _coset_reps()
+_COSET_INDEX = {_coset_key(r): s for s, r in enumerate(COSET_REPS)}
+
+
+def coset_index(m: Mat2Z) -> int:
+    """The s with m in Gamma(2) COSET_REPS[s]."""
+    return _COSET_INDEX[_coset_key(m)]
+
+
+def _round_tables():
+    """The tables of one round of coset_word_sums_batch, indexed by 2 s + e
+    for the state s and the parity e of the quotient q = 2 j + e: for
+    quotients of either sign, the sums per unit of h = |q| // 2 and the
+    fixed sums of j r(R_s g1 R_s^-1) + r(R_s T^e S^-1 R_next^-1), each
+    packed as r1 2^32 + r2, and 2 next.  A negative q = -(2h + e) has
+    j = -h - e.  Plain Python until the end: a numpy operation at import
+    would page in its machinery for every caller."""
+    per_h, fixed, after = {1: [], -1: []}, {1: [], -1: []}, []
+    for r in COSET_REPS:
+        g1, g2 = gamma2_exponent_sums(*(r * GEN1 * r.inverse()).entries())
+        for e in (0, 1):
+            x = r * T ** e * S.inverse()
+            after.append(2 * coset_index(x))
+            f1, f2 = gamma2_exponent_sums(*(x * COSET_REPS[coset_index(x)].inverse()).entries())
+            per_h[1].append((g1 << 32) + g2)
+            per_h[-1].append(-((g1 << 32) + g2))
+            fixed[1].append((f1 << 32) + f2)
+            fixed[-1].append(((f1 - e * g1) << 32) + f2 - e * g2)
+    as_array = lambda x: np.array(x, dtype=np.int64)
+    return ({k: as_array(v) for k, v in per_h.items()}, {k: as_array(v) for k, v in fixed.items()},
+            as_array(after))
+
+
+_ROUND_PER_H, _ROUND_FIXED, _ROUND_NEXT = _round_tables()
+
+
+def coset_word_sums_batch(c, d):
+    """Exponent sums phi = (phi1, phi2) of gamma and the coset state s in
+    M^-1 = gamma COSET_REPS[s] T^k, gamma in Gamma(2), for every M with
+    bottom row (c, d), as int64 arrays over rows of coprime c >= 1 and
+    d >= 0.
+
+    One extended Euclid on the first column (d, -c) of M^-1 spells the
+    word of M^-1 in T and S^-1; see the module docstring.  Raises
+    OverflowError when an entry exceeds BATCH_ENTRY_BOUND and ValueError
+    on any other row outside that domain.
+    """
+    c, d = (x.ravel() for x in np.broadcast_arrays(np.asarray(c, dtype=np.int64),
+                                                     np.asarray(d, dtype=np.int64)))
+    if c.size and max(c.max(), d.max()) > BATCH_ENTRY_BOUND:
+        raise OverflowError(f"row entries beyond {BATCH_ENTRY_BOUND}")
+    if c.size and (c.min() < 1 or d.min() < 0):
+        raise ValueError("rows need c >= 1 and d >= 0")
+    # |x| and |y| of the live lanes as float64, whose quotients are exact
+    # below 2^52, their doubled states, and their sums packed as
+    # phi1 2^32 + phi2, exact while |phi| < 2^31, which the bound keeps;
+    # the first quotient d/(-c) is not positive
+    idx = np.arange(c.size)
+    a, b = d.astype(float), c.astype(float)
+    s2, p = np.zeros(c.size, dtype=np.int64), np.zeros(c.size, dtype=np.int64)
+    ended = []
+    sign = -1
+    while idx.size:
+        qf = np.floor(a / b)
+        a, b = b, a - qf * b
+        q = qf.astype(np.int64)
+        se = s2 + (q & 1)
+        p += (q >> 1) * _ROUND_PER_H[sign][s2] + _ROUND_FIXED[sign][se]
+        s2 = _ROUND_NEXT[se]
+        sign = -sign
+        done = b == 0
+        if done.any():
+            fin = np.flatnonzero(done)
+            ended.append((idx[fin], a[fin], p[fin], s2[fin]))
+            live = np.flatnonzero(~done)
+            idx, a, b, s2, p = idx[live], a[live], b[live], s2[live], p[live]
+    lanes, gcds, packed, state = (np.concatenate(x) for x in zip(*ended)) if ended else (idx,) * 4
+    if (gcds != 1).any():
+        raise ValueError("rows must be coprime")
+    phi1, phi2, s = (np.empty(c.size, dtype=np.int64) for _ in range(3))
+    phi2[lanes] = ((packed + (1 << 31)) & 0xFFFFFFFF) - (1 << 31)
+    phi1[lanes] = (packed - phi2[lanes]) >> 32
+    s[lanes] = state >> 1
+    return phi1, phi2, s

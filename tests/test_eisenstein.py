@@ -396,6 +396,102 @@ def test_stabilizer_sums_table():
             assert pt == cusp_scaling_matrix(jb).inverse() * cusp_scaling_matrix(kb)
 
 
+def _character_column_dedekind(pair, c, d):
+    """u of the base pair per lane from the Dedekind-sum exponent sums of
+    rho = g_bj M g_bk^-1, with M's top row from d^-1 mod c: the reference
+    for the coset-word pass."""
+    from fermatkl.eisenstein import _STABILIZER_SUMS, _base_pair_matrix
+    from fermatkl.sl2 import gamma2_exponent_sums_batch, mod_inverse_batch
+
+    jb, kb = pair
+    gj, gk = cusp_scaling_matrix(jb), cusp_scaling_matrix(kb)
+    pa, pb, _, _ = ((x & 1) for x in _base_pair_matrix(jb, kb).entries())
+    v1, v2 = _STABILIZER_SUMS[jb]
+    e, f, g_, h = gj.entries()
+    ki11, ki12, ki21, ki22 = gk.inverse().entries()
+    # a d = 1 (mod c) with the parity of g_bj^-1 g_bk: one of a0, a0 + c
+    a = mod_inverse_batch(d, c)
+    a = np.where(((a & 1) == pa) & ((((a * d - 1) // c) & 1) == pb), a, a + c)
+    b = (a * d - 1) // c
+    m11, m12 = e * a + f * c, e * b + f * d
+    m21, m22 = g_ * a + h * c, g_ * b + h * d
+    r1, r2 = gamma2_exponent_sums_batch(m11 * ki11 + m12 * ki21, m11 * ki12 + m12 * ki22,
+                                        m21 * ki11 + m22 * ki21, m21 * ki12 + m22 * ki22)
+    return r1 * v2 - r2 * v1
+
+
+def test_character_column_matches_dedekind_oracle():
+    # every base pair over its rows at c_max 1000, and over seeded rows of
+    # the pair's parity with c < 2^25 and d = 1, c - 1, c + 1, 2c - 1 among
+    # them, where floor quotients would take about c rounds
+    from fermatkl import eisenstein as e
+
+    rng = np.random.default_rng(2011)
+    bases = (CUSP_ZERO, CUSP_ONE, CUSP_INF)
+    for jb in bases:
+        for kb in bases:
+            pt = e._base_pair_matrix(jb, kb)
+            pc, pd = pt.c & 1, pt.d & 1
+            c, d = e._enumerate_lanes((2, pc, pd), 1, 1000).astype(np.int64)
+            u = e._column((jb, kb), c.astype(np.int32), d.astype(np.int32))
+            assert u.dtype == np.int32
+            assert np.array_equal(u, _character_column_dedekind((jb, kb), c, d)), (jb, kb)
+            c = 2 * rng.integers(1, 1 << 24, 1500) + pc
+            d = np.concatenate([np.ones_like(c), c - 1, c + 1, 2 * c - 1,
+                                rng.integers(0, 2 * c)])
+            c = np.tile(c, 5)
+            keep = (d % 2 == pd) & (np.gcd(c, d) == 1) & (d < 2 * c)
+            c, d = c[keep], d[keep]
+            assert c.size > 2000
+            for special in (np.ones_like(c), c - 1, c + 1, 2 * c - 1):
+                assert (d == special).any() == (special[0] % 2 == pd)
+            u = e._character_column((jb, kb), c, d)
+            assert np.array_equal(u, _character_column_dedekind((jb, kb), c, d)), (jb, kb)
+
+
+def test_row_counts_are_totients():
+    # the preallocated row columns hold exactly the coprime rows: phi(c)
+    # per c, 2 phi(c) for even c of a level-2 row set
+    from fermatkl import eisenstein as e
+
+    phi = e._totients(300)
+    assert phi.tolist() == [0] + [sum(gcd(i, c) == 1 for i in range(c)) for c in range(1, 301)]
+    for key in (ROWS_GAMMA1, *ROWS_OF_BASE.values()):
+        w, c0, d0 = key
+        for lo, hi in ((1, 150), (151, 300), (37, 37), (38, 37)):
+            c, d = e._enumerate_lanes(key, lo, hi)
+            want = [(cv, dv) for cv in range(lo, hi + 1) if cv % w == c0
+                    for dv in range(d0, w * cv, w) if gcd(dv, cv) == 1]
+            assert list(zip(c.tolist(), d.tolist())) == want, (key, lo, hi)
+
+
+def test_direct_sums_read_cached_class_rows(monkeypatch):
+    # the rows of each class are lifted or filtered once per level, read
+    # as prefixes after, and extended with the table
+    from fermatkl import eisenstein
+
+    def refuse(*args):
+        raise AssertionError("class rows built again")
+
+    z = 0.3 + 1.1j
+    for n in (2, 3):
+        g = gamma_n(n)
+        _fresh_store(monkeypatch)
+        short, _ = eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=25))
+        store = _fresh_store(monkeypatch)
+        full, _ = eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=40))
+        names = [name for table in store.values() for name in table.cols if name != eisenstein._TAU]
+        assert sorted(names) == [eisenstein._ClassRows(n, i) for i in range(3 * n)]
+        with monkeypatch.context() as patch:
+            patch.setattr(eisenstein, "_column", refuse)
+            patch.setattr(eisenstein, "class_invariants", refuse)
+            assert np.array_equal(eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=40))[0], full)
+            assert np.array_equal(eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=25))[0], short)
+        eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=60))
+        for key, table in store.items():
+            _assert_one_build(key, table)
+
+
 def _phi_items_per_d(group, j, k, c_max):
     """The per-d Fermat enumeration of admissible residues mod 2nc: the
     reference for the lane tables."""
@@ -621,7 +717,7 @@ def test_levels_share_one_lane_table(monkeypatch):
 
     lanes = _fresh_store(monkeypatch)
     calls = []
-    for name in ("_enumerate_lanes", "_character_column"):
+    for name in ("_enumerate_lanes", "coset_word_sums_batch"):
         real = getattr(eisenstein, name)
         monkeypatch.setattr(eisenstein, name,
                             lambda *a, name=name, real=real: calls.append(name) or real(*a))
@@ -630,7 +726,7 @@ def test_levels_share_one_lane_table(monkeypatch):
         inner_sums(gamma_n(n), cusp_reps(n)[n - 1].rep, CUSP_INF, (1,), 60)
     inner_sums(GAMMA2, CUSP_ZERO, CUSP_INF, (1,), 60)
     assert list(lanes) == [ROWS_OF_BASE[CUSP_ZERO]]
-    assert calls == ["_enumerate_lanes", "_character_column"]
+    assert calls == ["_enumerate_lanes", "coset_word_sums_batch"]
 
 
 def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
@@ -640,7 +736,7 @@ def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
         raise AssertionError("exponent sums on a level-2 request")
 
     store = _fresh_store(monkeypatch)
-    monkeypatch.setattr(eisenstein, "gamma2_exponent_sums_batch", refuse)
+    monkeypatch.setattr(eisenstein, "coset_word_sums_batch", refuse)
     monkeypatch.setattr(eisenstein, "gamma2_exponent_sums", refuse)
     monkeypatch.setattr(eisenstein, "class_invariants", refuse)
     tr = TruncationSpec(c_max=80)
@@ -682,8 +778,9 @@ def test_batched_class_table_matches_per_d_loop(monkeypatch):
         assert _class_buckets(g, 80) == want, n
         assert set(store) == set(ROWS_OF_BASE.values())
         for table in store.values():
+            # full-length columns, or the kept rows (c, d) of a class over inf
             for col in (table.c, table.d, *table.cols.values()):
-                assert col.dtype == np.int32 and col.size == table.c.size
+                assert col.dtype == np.int32 and (col.shape == table.c.shape or col.shape[0] == 2)
             # rows sorted by c, then by d
             order = np.lexsort((table.d, table.c))
             assert np.array_equal(order, np.arange(order.size))
@@ -732,14 +829,15 @@ def test_class_cache_evicts_least_recently_used(monkeypatch):
     from fermatkl import eisenstein
 
     store = _fresh_store(monkeypatch)
-    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 1600)
+    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 1800)
     g = gamma_n(3)
     reps = cusp_reps(3)
     zero, inf = ROWS_OF_BASE[CUSP_ZERO], ROWS_OF_BASE[CUSP_INF]
 
     # the direct sums and the lanes share the tables, the store and its
     # cell bound: the rows of inf at c 30 are 190, with the columns c, d,
-    # tau and the character u of (inf, inf) 760 cells
+    # tau and the character u of (inf, inf) 760 cells, and the 72 rows
+    # the class inf keeps 144 more
     def cells():
         return {key: table.cells() for key, table in store.items()}
 
@@ -748,22 +846,35 @@ def test_class_cache_evicts_least_recently_used(monkeypatch):
     _class_buckets(GAMMA1, 20)
     inner_sums(g, CUSP_INF, CUSP_INF, (1,), 30)
     lanes = inner_sums(g, reps[0].rep, CUSP_INF, (1,), 30)
-    assert cells() == {ROWS_GAMMA1: 256, inf: 760, zero: 549}
-    assert list(store[inf].cols) == [eisenstein._TAU, (CUSP_INF, CUSP_INF)]
+    assert cells() == {ROWS_GAMMA1: 256, inf: 904, zero: 549}
+    class_inf = eisenstein._ClassRows(3, classify_index(g, 1, 0))
+    assert list(store[inf].cols) == [eisenstein._TAU, class_inf, (CUSP_INF, CUSP_INF)]
+    assert store[inf].cols[class_inf].shape == (2, 72)
     # a read moves a table to the newest end; growing the level-1 table
     # to 278 rows pushes out the oldest table after it
     eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr)
     _class_buckets(GAMMA1, 30)
-    assert cells() == {inf: 760, ROWS_GAMMA1: 556}
+    assert cells() == {inf: 904, ROWS_GAMMA1: 556}
     assert list(store) == [inf, ROWS_GAMMA1]
     # a dropped table is built again to the same sums
     assert np.array_equal(inner_sums(g, reps[0].rep, CUSP_INF, (1,), 30), lanes)
-    assert sum(cells().values()) <= 1600
+    assert sum(cells().values()) <= 1800
     # a table larger than the bound is still kept while it is in use
     eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=60))
-    assert cells() == {inf: 2238}
+    assert cells() == {inf: 2742}
     # and its prefix gives the same direct sum
     assert eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr) == want
+
+
+def _recording(work, bad):
+    """work with any exception it raises appended to bad: an exception in
+    a thread is otherwise only a warning."""
+    def run(*args):
+        try:
+            work(*args)
+        except Exception as exc:
+            bad.append(exc)
+    return run
 
 
 def test_class_cache_bound_under_threads(monkeypatch):
@@ -788,7 +899,7 @@ def test_class_cache_bound_under_threads(monkeypatch):
             if _class_buckets(h, c_max) != want[h][:c_max * 3 * h.n]:
                 bad.append((h, c_max))
 
-    threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+    threads = [threading.Thread(target=_recording(work, bad), args=(t,)) for t in range(6)]
     sys.setswitchinterval(1e-5)
     try:
         for t in threads:
@@ -836,7 +947,7 @@ def test_phi_cache_bound_under_threads(monkeypatch):
             if _class_buckets(h, c_max) != want_cls[h][:c_max * 3 * h.n]:
                 bad.append((h, c_max))
 
-    threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+    threads = [threading.Thread(target=_recording(work, bad), args=(t,)) for t in range(6)]
     sys.setswitchinterval(1e-5)
     try:
         for t in threads:
@@ -881,7 +992,8 @@ def test_lane_arithmetic_in_int64(monkeypatch):
     tr = TruncationSpec(c_max=30)
     want, _ = eisenstein_direct_all(g, 0.3 + 1.1j, 2.0, tr)
     for table in store.values():
-        table.cols[eisenstein._TAU] = far(table.cols[eisenstein._TAU])
+        # the class rows are built again from the far tau
+        table.cols = {eisenstein._TAU: far(table.cols[eisenstein._TAU])}
     assert np.array_equal(eisenstein_direct_all(g, 0.3 + 1.1j, 2.0, tr)[0], want)
 
 
@@ -912,33 +1024,41 @@ def test_four_row_sets_serve_every_table(monkeypatch):
 
 def test_direct_and_fourier_classify_independently(monkeypatch):
     # the direct side reads tau from the batched classifier and the Fourier
-    # side the character u from the exponent sums of the lanes: neither
-    # computes or reads the other's column
-    from fermatkl import eisenstein
+    # side the character u from the coset-word pass over the lanes: neither
+    # computes or reads the other's columns, and they share no exponent-sum
+    # code
+    from fermatkl import eisenstein, fermat, sl2
 
     def refuse(*args):
         raise AssertionError("the other path's classification")
+
+    def direct_side(name):
+        return name == eisenstein._TAU or isinstance(name, eisenstein._ClassRows)
 
     store = _fresh_store(monkeypatch)
     g, reps = gamma_n(3), cusp_reps(3)
     z, tr = 0.3 + 1.1j, TruncationSpec(c_max=80)
     with monkeypatch.context() as patch:
-        patch.setattr(eisenstein, "_character_column", refuse)
+        for module in (eisenstein, sl2):
+            patch.setattr(module, "coset_word_sums_batch", refuse)
         direct, _ = eisenstein_direct_all(g, z, 2.0, tr)
     with monkeypatch.context() as patch:
         patch.setattr(eisenstein, "class_invariants", refuse)
+        for module in (fermat, sl2):
+            for name in ("gamma2_exponent_sums_batch", "mod_inverse_batch"):
+                patch.setattr(module, name, refuse)
         fourier = [(inner_sums(g, fj.rep, reps[-1].rep, (0, 1, 3), tr.c_max),
                     fourier_eval(g, fj.rep, reps[-1].rep, z, 2.0, tr)) for fj in reps]
-    # every table holds tau and a character column; zeroing one side's
-    # column leaves the other side's values as they were
-    assert all(eisenstein._TAU in t.cols and len(t.cols) > 1 for t in store.values())
+    # every table holds tau, class rows and a character column; zeroing one
+    # side's columns leaves the other side's values as they were
+    assert all(eisenstein._TAU in t.cols and not all(map(direct_side, t.cols)) for t in store.values())
     full = {key: table.cols for key, table in store.items()}
     for key, table in store.items():
-        table.cols = {name: col if name == eisenstein._TAU else np.zeros_like(col)
+        table.cols = {name: col if direct_side(name) else np.zeros_like(col)
                       for name, col in full[key].items()}
     assert np.array_equal(eisenstein_direct_all(g, z, 2.0, tr)[0], direct)
     for key, table in store.items():
-        table.cols = {name: np.zeros_like(col) if name == eisenstein._TAU else col
+        table.cols = {name: np.zeros_like(col) if direct_side(name) else col
                       for name, col in full[key].items()}
     for fj, (rows, val) in zip(reps, fourier):
         assert np.array_equal(inner_sums(g, fj.rep, reps[-1].rep, (0, 1, 3), tr.c_max), rows)

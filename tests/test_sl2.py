@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fermatkl.sl2 import (
+    COSET_REPS,
     CUSP_INF,
     CUSP_ONE,
     CUSP_ZERO,
@@ -15,6 +16,10 @@ from fermatkl.sl2 import (
     Mat2Z,
     BATCH_ENTRY_BOUND,
     NotInGamma2,
+    S,
+    T,
+    coset_index,
+    coset_word_sums_batch,
     cusp_scaling_matrix,
     decompose_gamma2,
     exponent_sums,
@@ -262,3 +267,55 @@ def test_mod_inverse_batch():
     h = np.array([0, 1, -3, 7, 12345], dtype=np.int64)
     inv = mod_inverse_batch(h, k)
     assert inv.tolist() == [0, 1] + [pow(int(x), -1, int(m)) for x, m in zip(h[2:], k[2:])]
+
+
+def _euclid_word(c: int, d: int) -> Mat2Z:
+    """T^q1 S^-1 T^q2 S^-1 ... from the Euclid on (d, -c) with quotients
+    truncated toward zero: M^-1 T^-k for the M with bottom row (c, d)."""
+    x, y, word = d, -c, IDENTITY
+    while y:
+        q = abs(x) // abs(y) * (1 if (x < 0) == (y < 0) else -1)
+        x, y = -y, x - q * y
+        word = word * T ** q * S.inverse()
+    assert abs(x) == 1 and (word.a, word.c) in ((d, -c), (-d, c))
+    return word
+
+
+def test_coset_reps_cover_the_cosets():
+    assert COSET_REPS[0] == IDENTITY and len(COSET_REPS) == 6
+    assert sorted(coset_index(r) for r in COSET_REPS) == list(range(6))
+    for r in COSET_REPS:
+        for g in (GEN1, GEN2):
+            assert coset_index(r * g) == coset_index(g * r) == coset_index(r)
+
+
+def test_coset_word_sums_match_matrix_words():
+    # M^-1 = gamma R_s T^k: the word of the Euclid, multiplied out as
+    # matrices, is gamma R_s, and the Dedekind-sum formula gives gamma's sums
+    rng = random.Random(2011)
+    rows = [(1, 0), (1, 1), (2, 1), (3, 2), (5, 8), (BATCH_ENTRY_BOUND, BATCH_ENTRY_BOUND - 1)]
+    for bits in (4, 10, 20, 28):
+        for _ in range(200):
+            c = rng.randint(1, 1 << bits)
+            d = rng.choice((1, c - 1, c + 1, 2 * c - 1, rng.randint(0, 2 * c)))
+            if d >= 0 and math.gcd(c, d) == 1:
+                rows.append((c, d))
+    c, d = np.array(rows, dtype=np.int64).T
+    phi1, phi2, state = coset_word_sums_batch(c, d)
+    assert phi1.dtype == phi2.dtype == state.dtype == np.int64
+    for i, (cv, dv) in enumerate(rows):
+        gamma = _euclid_word(cv, dv) * COSET_REPS[state[i]].inverse()
+        assert is_in_gamma2(gamma), (cv, dv)
+        assert gamma2_exponent_sums(*gamma.entries()) == (phi1[i], phi2[i]), (cv, dv)
+    # int32 rows give the same sums
+    got = coset_word_sums_batch(c.astype(np.int32), d.astype(np.int32))
+    assert all(np.array_equal(x, y) for x, y in zip(got, (phi1, phi2, state)))
+
+
+def test_coset_word_sums_domain():
+    assert all(x.size == 0 for x in coset_word_sums_batch([], []))
+    for c, d in (([4], [2]), ([0], [1]), ([3], [-1])):
+        with pytest.raises(ValueError):
+            coset_word_sums_batch(c, d)
+    with pytest.raises(OverflowError):
+        coset_word_sums_batch([BATCH_ENTRY_BOUND + 2], [1])
