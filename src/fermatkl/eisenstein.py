@@ -439,6 +439,7 @@ def _column(name, c: np.ndarray, d: np.ndarray, tau=None) -> np.ndarray:
     if isinstance(name, _ClassRows):
         if tau is None:
             tau = _column(_TAU, c, d)
+        # l = tau - t (mod n), with t = -index (mod n) the invariant of fc
         fc = cusp_reps(name.n)[name.i]
         lift = (tau.astype(np.int64) + fc.index) % name.n
         if class_shift(fc.kind, 1, 0):
