@@ -278,7 +278,7 @@ def cmd_verify(args) -> int:
 def cmd_qexp(args) -> int:
     trunc = _config_from(args)
     label = parse_form_label(args.label)
-    order = Fraction(args.order if args.order is not None else trunc.order)
+    order = Fraction(trunc.order)
     try:
         exp = expansion(label, order)
     except OrderTooSmall as exc:

@@ -28,6 +28,7 @@ from .sl2 import (
     Mat2Z,
     GEN1,
     GEN2,
+    gamma2_exponent_sums,
     gamma2_exponent_sums_batch,
     mod_inverse_batch,
     round_half_down,
@@ -222,7 +223,10 @@ def _cusp_reduction_steps(c: Cusp) -> tuple[Cusp, list[tuple[int, int]]]:
     """Euclidean reduction of a cusp to its level-2 base.
 
     Returns (base, steps) where applying g_gen^e for the listed steps in
-    order maps c to base.
+    order maps c to base.  It takes about q steps on cusps like
+    (q+1)/q, and serves classify_cusp_word, whose witness word is itself
+    about that many syllables long; classify_rep_index reads the class
+    from Dedekind sums instead.
     """
     p, q = c.p, c.q
     steps: list[tuple[int, int]] = []
@@ -293,15 +297,24 @@ def classify_cusp(c: Cusp, n: int) -> tuple[FermatCusp, Mat2Z]:
 
 
 def classify_rep_index(p: int, q: int, n: int) -> int:
-    """Index of the class of (p : q) in the cusp_reps(n) ordering."""
-    if n == 1:
-        # the invariant mod 1 is 0: the level-2 base is the class
-        base, t = gamma2_base(Cusp(p, q)), 0
-    else:
-        base, steps = _cusp_reduction_steps(Cusp(p, q))
-        r1 = -sum(e for g, e in steps if g == 1)
-        r2 = -sum(e for g, e in steps if g == 2)
-        t = _class_invariant(base, r1, r2)[0] % n
+    """Index of the class of (p : q) in the cusp_reps(n) ordering.
+
+    The invariant is read from the exponent sums of the level-2 M with
+    M(base) = (p : q) that class_invariants builds, here in exact ints:
+    O(log q) steps for entries of any size."""
+    c = Cusp(p, q)
+    p, q, base, t = c.p, c.q, gamma2_base(c), 0
+    # at level 1 the invariant mod 1 is 0: the level-2 base is the class;
+    # (0 : 1) and infinity are their bases, with M the identity
+    if n > 1 and p and q:
+        if base == CUSP_INF:
+            y = pow(p, -1, 2 * q)
+            m = (p, (p * y - 1) // q, q, y)
+        else:
+            a = pow(q, -1, 2 * abs(p))
+            lower = (a * q - 1) // p
+            m = (a, p, lower, q) if base == CUSP_ZERO else (a, p - a, lower, q - lower)
+        t = _class_invariant(base, *gamma2_exponent_sums(*m))[0] % n
     if base == CUSP_ZERO:
         return t
     if base == CUSP_ONE:

@@ -9,15 +9,17 @@ single scalar, which is what makes identities like x^N + y^N = 1 hold
 exactly.  Inverses, integer powers and roots are one operation, a
 rational power by Miller's recurrence.
 
-The module also provides the concrete level-2 forms, all from the
-fourth powers of Jacobi's theta series theta2, theta3 and theta4
-(theta^2 = theta3^4, the hauptmodul lambda = -theta4^4/theta2^4 fixing
-the three cusps, the weight-2 forms G_j) and the level-N modular
-functions x = lambda^(1/N), y = (1-lambda)^(1/N) together with the
-weight-2 forms attached to the cusps of the Fermat groups, their slash
-transformation table, and Petersson norms.  Those forms mix radicals,
-so each is a RadicalSum: a few exact series with distinct prefactors,
-rounded only when evaluated or dumped.
+The module also provides the concrete forms.  The level-2 ones are
+quotients sign theta_num^4/theta_den^4 of Jacobi's theta series, listed
+once in _LEVEL2_FORMS: theta^2 = theta3^4, the weight-2 forms G_j, the
+hauptmodul lambda = -theta4^4/theta2^4 fixing the three cusps and
+1 - lambda = theta3^4/theta2^4.  So x^N + y^N = 1 for the level-N
+functions x = lambda^(1/N), y = (1-lambda)^(1/N) is Jacobi's identity
+theta3^4 = theta2^4 + theta4^4.  Then come the weight-2 forms attached
+to the cusps of the Fermat groups, their slash transformation table, and
+Petersson norms.  Those forms mix radicals, so each is a RadicalSum: a
+few exact series with distinct prefactors, rounded only when evaluated
+or dumped.
 
 The same forms have two representations.  FormsAt gives their values
 at a point, with an error estimate, from Jacobi's triple products and
@@ -386,14 +388,20 @@ def _as_radical(c: Fraction) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 KINDS = ("A", "B", "C")
+# The level-2 forms as (theta numerator, theta denominator or 0, sign),
+# the thetas named by their index: theta3^4, theta4^4, theta2^4.  Their
+# series and their values at a point are both read from this table.
+_LEVEL2_FORMS = {"theta2": (3, 0, 1), "g1": (3, 0, 1), "g0": (4, 0, -1), "ginf": (2, 0, 1),
+                 "lambda": (4, 2, -1), "one_minus_lambda": (3, 2, 1)}
 
 
 @dataclass(frozen=True)
 class FormLabel:
     """Identifier for the built-in expansions.
 
-    name in {theta2, lambda, one_minus_lambda, g0, g1, ginf, x, y, f};
-    x, y, f carry a level n; f additionally a kind A/B/C and an index j.
+    name is a level-2 form of _LEVEL2_FORMS (theta2, lambda,
+    one_minus_lambda, g0, g1, ginf) or x, y, f; x, y, f carry a level n,
+    f additionally a kind A/B/C and an index j.
     """
 
     name: str
@@ -402,8 +410,7 @@ class FormLabel:
     j: int = 0
 
     def __post_init__(self):
-        if self.name not in ("theta2", "lambda", "one_minus_lambda",
-                             "g0", "g1", "ginf", "x", "y", "f"):
+        if self.name not in (*_LEVEL2_FORMS, "x", "y", "f"):
             raise ValueError(f"unknown form label {self.name!r}")
         if self.name in ("x", "y", "f") and self.n < 1:
             raise ValueError("level must be >= 1")
@@ -425,12 +432,14 @@ class FormLabel:
         return self.name
 
 
-def _theta_fourth_power(order, sign: int, shift: int) -> QExpansion:
-    """t^shift (sum_(k in Z) sign^k t^(k^2 + shift k))^4 in t = q^(1/2).
+def _theta_fourth_power(index: int, order) -> QExpansion:
+    """theta_index^4 for index 3, 4 or 2, as
+    t^shift (sum_(k in Z) sign^k t^(k^2 + shift k))^4 in t = q^(1/2).
 
     By the triple product these are Jacobi's theta series: shift 0 gives
     theta3^4 (sign 1) and theta4^4 (sign -1), shift 1 with sign 1 gives
     theta2^4 = 16 t (sum_(k>=0) t^(k(k+1)))^4."""
+    sign, shift = -1 if index == 4 else 1, int(index == 2)
     order = Fraction(order)
     bound = math.floor(2 * order) - shift
     r = math.isqrt(bound) + 1
@@ -444,39 +453,32 @@ def _theta_fourth_power(order, sign: int, shift: int) -> QExpansion:
 
 
 @lru_cache(maxsize=None)
-def theta2_series(order) -> QExpansion:
-    """theta^2 = theta3^4 = prod (1-q^n)^4 (1+q^(n-1/2))^8, weight 2, level 2."""
-    return _theta_fourth_power(order, 1, 0)
-
-
-@lru_cache(maxsize=None)
-def lambda_series(order) -> QExpansion:
-    """The hauptmodul fixing the cusps 0, 1, inf: lambda = -theta4^4 /
-    theta2^4 = g0 / ginf, leading term -(1/16) q^(-1/2); simple zero at
-    0, simple pole at inf."""
+def _level2_series(name: str, order) -> QExpansion:
+    """sign theta_num^4/theta_den^4 for a name of _LEVEL2_FORMS: g1 =
+    theta^2 = theta3^4 = prod (1-q^n)^4 (1+q^(n-1/2))^8, g0 = -theta4^4
+    and ginf = theta2^4 each vanish at one cusp; lambda = g0/ginf leads
+    with -(1/16) q^(-1/2), a simple zero at 0 and a simple pole at inf."""
+    num, den, sign = _LEVEL2_FORMS[name]
     order = Fraction(order)
+    if not den:
+        return _theta_fourth_power(num, order).scale(sign)
     work = order + 2
-    return (g_series("g0", work) * g_series("ginf", work).inverse()).truncate(order)
-
-
-@lru_cache(maxsize=None)
-def one_minus_lambda_series(order) -> QExpansion:
-    """1 - lambda = theta3^4 / theta2^4 (Jacobi's identity)."""
-    return 1 - lambda_series(order)
+    quotient = _theta_fourth_power(num, work) * _theta_fourth_power(den, work).inverse()
+    return quotient.truncate(order).scale(sign)
 
 
 @lru_cache(maxsize=None)
 def x_series(n: int, order) -> QExpansion:
     """x = lambda^(1/n), principal branch; leading coefficient
     eps/16^(1/n) at q^(-1/2)."""
-    lam = lambda_series(Fraction(order) + 1)
+    lam = _level2_series("lambda", Fraction(order) + 1)
     return lam.nth_root(n, 0).truncate(Fraction(order))
 
 
 @lru_cache(maxsize=None)
 def y_series(n: int, order) -> QExpansion:
     """y = (1-lambda)^(1/n), principal branch."""
-    oml = one_minus_lambda_series(Fraction(order) + 1)
+    oml = _level2_series("one_minus_lambda", Fraction(order) + 1)
     return oml.nth_root(n, 0).truncate(Fraction(order))
 
 
@@ -498,13 +500,14 @@ def _class_terms(kind: str, n: int, order) -> tuple[QExpansion, ...]:
     """
     work = order + 2
     if kind == "A":
-        base, outer = y_series(n, work).inverse(), theta2_series(work)
+        base = y_series(n, work).inverse()
     elif kind == "B":
-        base, outer = x_series(n, work), g_series("ginf", work)
+        base = x_series(n, work)
     elif kind == "C":
-        base, outer = x_series(n, work) * y_series(n, work).inverse(), theta2_series(work)
+        base = x_series(n, work) * y_series(n, work).inverse()
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    outer = _level2_series("ginf" if kind == "B" else "theta2", work)
     powers = [constant(1, 2 * n, work), base]
     while len(powers) <= n:
         powers.append(powers[-1] * base)
@@ -516,7 +519,6 @@ def _class_terms(kind: str, n: int, order) -> tuple[QExpansion, ...]:
     return tuple((outer * t).truncate(order) for t in inner)
 
 
-@lru_cache(maxsize=None)
 def f_series(kind: str, j: int, n: int, order) -> RadicalSum:
     """Weight-2 form vanishing only at the cusp of the given
     ramification kind/index, to order N^2 in the local parameter.
@@ -535,21 +537,6 @@ def f_series(kind: str, j: int, n: int, order) -> RadicalSum:
     return RadicalSum(tuple(by_prefactor.values()))
 
 
-@lru_cache(maxsize=None)
-def g_series(cusp_name: str, order) -> QExpansion:
-    """The weight-2 level-2 forms with a single cusp zero:
-    g0 = lambda/(1-lambda) theta^2 = -theta4^4, g1 = theta^2 = theta3^4,
-    ginf = theta^2/(1-lambda) = theta2^4; Jacobi's identity reads
-    g1 = ginf - g0."""
-    if cusp_name == "g1":
-        return theta2_series(order)
-    if cusp_name == "g0":
-        return -_theta_fourth_power(order, -1, 0)
-    if cusp_name == "ginf":
-        return _theta_fourth_power(order, 1, 1)
-    raise ValueError(f"unknown g label {cusp_name!r}")
-
-
 def expansion(label: FormLabel, order) -> QExpansion | RadicalSum:
     """Truncated expansion at the cusp at infinity for a form label."""
     order = Fraction(order)
@@ -557,14 +544,8 @@ def expansion(label: FormLabel, order) -> QExpansion | RadicalSum:
     if order < lead:
         raise OrderTooSmall(
             f"order {order} cannot resolve the leading exponent {lead} of {label}")
-    if label.name == "theta2":
-        return theta2_series(order)
-    if label.name == "lambda":
-        return lambda_series(order)
-    if label.name == "one_minus_lambda":
-        return one_minus_lambda_series(order)
-    if label.name in ("g0", "g1", "ginf"):
-        return g_series(label.name, order)
+    if label.name in _LEVEL2_FORMS:
+        return _level2_series(label.name, order)
     if label.name == "x":
         return x_series(label.n, order)
     if label.name == "y":
@@ -590,10 +571,6 @@ def _leading_exponent(label: FormLabel) -> Fraction:
 # and the products take 47 factors to fall below 2^-53.
 POINT_IM_MIN = 0.25
 _UNIT = 2.0 ** -53
-# level-2 forms as (theta numerator, theta denominator or 0, sign), the
-# thetas named by their index: theta3^4, theta4^4, theta2^4
-_LEVEL2_FORMS = {"theta2": (3, 0, 1), "g1": (3, 0, 1), "g0": (4, 0, -1), "ginf": (2, 0, 1),
-                 "lambda": (4, 2, -1), "one_minus_lambda": (3, 2, 1)}
 
 
 def _expm1(w: complex) -> complex:
@@ -619,8 +596,8 @@ class FormsAt:
       theta2^4 = 16 t prod_(m>=1) (1 - t^2m)^4 (1 + t^2m)^8.
 
     Each product is exp of a sum of principal Logs S(+-, parity) of
-    1 +- t^k over odd or even k, so theta^2 = theta3^4, g0 = -theta4^4,
-    ginf = theta2^4, lambda = g0/ginf and 1 - lambda = theta3^4/theta2^4.
+    1 +- t^k over odd or even k, and the level-2 forms are the theta
+    quotients of _LEVEL2_FORMS.
     The roots carry the branch of the exact series, the analytic one
     with value 1 at t = 0 of their unit parts:
 

@@ -6,12 +6,7 @@ The package evaluates forms at a point from theta products
 
 from fractions import Fraction
 
-from fermatkl.qseries import (
-    expansion,
-    lambda_series,
-    one_minus_lambda_series,
-    theta2_series,
-)
+from fermatkl.qseries import FormLabel, expansion
 
 
 def slash2_value_direct(label, gamma, z, order=Fraction(26)):
@@ -27,9 +22,8 @@ def coset_product_closed_form(kind, n, z, order=Fraction(26)):
     (-1)^(N^2) theta^(2N^2), theta^(2N^2) (1-lambda)^(-N^2) of the coset
     products, from the level-2 series."""
     order = Fraction(order)
-    th, _ = theta2_series(order).evaluate(z)
-    lam, _ = lambda_series(order).evaluate(z)
-    oml, _ = one_minus_lambda_series(order).evaluate(z)
+    th, lam, oml = (expansion(FormLabel(name), order).evaluate(z)[0]
+                    for name in ("theta2", "lambda", "one_minus_lambda"))
     n2 = n * n
     sign = (-1.0) ** (n2 % 2)
     if kind == "A":

@@ -32,7 +32,7 @@ from fermatkl.fermat import (
     gamma2_base,
     gamma_n,
 )
-from fermatkl.qseries import QExpansion, coset_product_value, x_series, y_series
+from fermatkl.qseries import FormLabel, QExpansion, coset_product_value, expansion
 from fermatkl.scattering import gamma2_constants, scattering_matrix
 from fermatkl.sl2 import (
     CUSP_INF,
@@ -184,9 +184,11 @@ def test_ac06_sumrs_exact():
 def test_ac07_fermat_series_identity():
     t0 = time.perf_counter()
     worst = 0.0
+    # y^N = 1 - lambda is theta3^4/theta2^4 and x^N = lambda is
+    # -theta4^4/theta2^4: the sum is 1 by Jacobi's identity
     for n in (1, 2, 3, 5):
-        x = x_series(n, Fraction(20))
-        y = y_series(n, Fraction(20))
+        x = expansion(FormLabel("x", n), Fraction(20))
+        y = expansion(FormLabel("y", n), Fraction(20))
         res = (x ** n) + (y ** n) - 1
         worst = max(worst, res.max_abs_coeff_diff(QExpansion(2 * n, {}, res.order)))
     assert worst < 1e-12

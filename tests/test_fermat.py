@@ -23,6 +23,8 @@ from fermatkl.sl2 import (
     CUSP_ONE,
     CUSP_ZERO,
     Cusp,
+    GEN1,
+    GEN2,
     IDENTITY,
     is_in_gamma_n,
     mobius_apply,
@@ -161,6 +163,24 @@ def test_equivalence_witness_words():
             m = word_to_matrix(w)
             assert is_in_gamma_n(m, n)
             assert mobius_apply(m, src) == dst
+
+
+def test_classify_rep_index_on_large_entries(monkeypatch):
+    # gamma = (g1 g2^-1)^(N 10^11) g2^(3N) g1^N lies in the level-N group
+    # and has entries of about 14 digits; the cusp reduction would take
+    # about that many steps, the classifier a logarithmic number
+    from fermatkl import fermat
+
+    def refuse(*args):
+        raise AssertionError("classify_rep_index reduced the cusp step by step")
+
+    monkeypatch.setattr(fermat, "_cusp_reduction_steps", refuse)
+    for n in (2, 3, 4, 5):
+        gamma = (GEN1 * GEN2.inverse()) ** (n * 10 ** 11) * GEN2 ** (3 * n) * GEN1 ** n
+        assert is_in_gamma_n(gamma, n) and max(map(abs, gamma.entries())) > 10 ** 12
+        for index, fc in enumerate(cusp_reps(n)):
+            c = mobius_apply(gamma, fc.rep)
+            assert classify_rep_index(c.p, c.q, n) == index, (n, str(fc.rep))
 
 
 def test_classify_rep_index_matches_classifier():

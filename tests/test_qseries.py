@@ -18,15 +18,8 @@ from fermatkl.qseries import (
     constant,
     coset_product_value,
     expansion,
-    f_series,
-    g_series,
-    lambda_series,
-    one_minus_lambda_series,
     petersson_norm_sq,
     slash2_value,
-    theta2_series,
-    x_series,
-    y_series,
     zeta_power,
 )
 from fermatkl.sl2 import GEN1, GEN2, Mat2Z, NotInGamma2, S, T
@@ -45,31 +38,32 @@ def r4_counts(bound: int) -> dict[int, int]:
 
 
 def test_theta2_equals_four_square_counts():
-    th = theta2_series(Fraction(8))
+    th = expansion(FormLabel("theta2"), Fraction(8))
     counts = r4_counts(16)
     for k in range(0, 17):
         assert th.coeffs.get(k, 0) == counts.get(k, 0)
 
 
 def test_lambda_sum_identity_exact():
-    lam = lambda_series(Fraction(12))
-    oml = one_minus_lambda_series(Fraction(12))
+    lam = expansion(FormLabel("lambda"), Fraction(12))
+    oml = expansion(FormLabel("one_minus_lambda"), Fraction(12))
     total = lam + oml
     assert all(type(v) is Fraction for v in total.coeffs.values())
     assert total.max_abs_coeff_diff(constant(1, 2, Fraction(12))) == 0.0
 
 
 def test_lambda_leading():
-    e, c = lambda_series(Fraction(6)).leading()
+    e, c = expansion(FormLabel("lambda"), Fraction(6)).leading()
     assert e == Fraction(-1, 2) and abs(c + 1.0 / 16) < 1e-16
-    e, c = one_minus_lambda_series(Fraction(6)).leading()
+    e, c = expansion(FormLabel("one_minus_lambda"), Fraction(6)).leading()
     assert e == Fraction(-1, 2) and abs(c - 1.0 / 16) < 1e-16
 
 
 def test_x_power_reproduces_lambda_exactly():
+    lam = expansion(FormLabel("lambda"), Fraction(8))
     for n in (1, 2, 3, 5):
-        x = x_series(n, Fraction(8))
-        diff = (x ** n).max_abs_coeff_diff(lambda_series(Fraction(8)).with_denom(2 * n))
+        x = expansion(FormLabel("x", n), Fraction(8))
+        diff = (x ** n).max_abs_coeff_diff(lam.with_denom(2 * n))
         assert diff == 0.0
 
 
@@ -86,11 +80,11 @@ def test_nth_root_round_trip_on_random_series():
 
 def test_nth_root_branch_and_leading():
     for n in (2, 3, 5):
-        x = lambda_series(Fraction(6)).nth_root(n, 0)
+        x = expansion(FormLabel("lambda"), Fraction(6)).nth_root(n, 0)
         _, c = x.leading()
         assert abs(abs(c) - 16.0 ** (-1.0 / n)) < 1e-15
         assert abs(c - cmath.exp(1j * math.pi / n) * 16.0 ** (-1.0 / n)) < 1e-15
-        rotated = lambda_series(Fraction(6)).nth_root(n, 1)
+        rotated = expansion(FormLabel("lambda"), Fraction(6)).nth_root(n, 1)
         _, c1 = rotated.leading()
         assert abs(c1 / c - cmath.exp(2j * math.pi / n)) < 1e-14
 
@@ -107,8 +101,8 @@ def test_evaluate_basics():
     one = constant(1, 2, Fraction(10))
     v, tail = one.evaluate(1j)
     assert v == 1 and tail < 1e-20
-    lam = lambda_series(Fraction(14))
-    oml = one_minus_lambda_series(Fraction(14))
+    lam = expansion(FormLabel("lambda"), Fraction(14))
+    oml = expansion(FormLabel("one_minus_lambda"), Fraction(14))
     v1, _ = lam.evaluate(2j)
     v2, _ = oml.evaluate(2j)
     assert abs(v1 - (1 - v2)) < 1e-12
@@ -119,9 +113,9 @@ def test_evaluate_basics():
 
 def test_evaluate_power_consistency():
     for n in (2, 3):
-        x = x_series(n, Fraction(16))
+        x = expansion(FormLabel("x", n), Fraction(16))
         vx, tail = x.evaluate(1j)
-        vl, _ = lambda_series(Fraction(16)).evaluate(1j)
+        vl, _ = expansion(FormLabel("lambda"), Fraction(16)).evaluate(1j)
         assert abs(vx ** n - vl) < 1e-10 + 10 * tail
 
 
@@ -137,15 +131,15 @@ def test_evaluate_tail_bound_holds():
 
 
 def test_evaluate_convergence_region():
-    lam = lambda_series(Fraction(8))
+    lam = expansion(FormLabel("lambda"), Fraction(8))
     with pytest.raises(ConvergenceRegion):
         lam.evaluate(0.5 + 0.001j)
 
 
 def test_fermat_relation_coefficientwise():
     for n in (1, 2, 3, 5):
-        x = x_series(n, Fraction(20))
-        y = y_series(n, Fraction(20))
+        x = expansion(FormLabel("x", n), Fraction(20))
+        y = expansion(FormLabel("y", n), Fraction(20))
         residual = (x ** n) + (y ** n) - 1
         zero = QExpansion(2 * n, {}, residual.order)
         assert residual.max_abs_coeff_diff(zero) < 1e-12
@@ -154,27 +148,27 @@ def test_fermat_relation_coefficientwise():
 def test_divisor_leading_orders():
     # zero of order n^2 in the local parameter q^(1/2n) at the infinity cusp
     for n in (2, 3):
-        e, _ = f_series("C", 0, n, Fraction(n, 2) + 4).leading()
+        e, _ = expansion(FormLabel("f", n, "C", 0), Fraction(n, 2) + 4).leading()
         assert e * 2 * n == n * n
         for kind, j in (("A", 0), ("A", 1), ("B", 0)):
-            e, c = f_series(kind, j, n, Fraction(6)).leading()
+            e, c = expansion(FormLabel("f", n, kind, j), Fraction(6)).leading()
             assert e == 0 and abs(abs(c) - 1.0) < 1e-12
 
 
 def test_g_form_fields():
-    e, c = g_series("g0", Fraction(8)).leading()
+    e, c = expansion(FormLabel("g0"), Fraction(8)).leading()
     assert e == 0 and abs(c + 1) < 1e-15
-    e, c = g_series("g1", Fraction(8)).leading()
+    e, c = expansion(FormLabel("g1"), Fraction(8)).leading()
     assert e == 0 and abs(c - 1) < 1e-15
-    e, c = g_series("ginf", Fraction(8)).leading()
+    e, c = expansion(FormLabel("ginf"), Fraction(8)).leading()
     assert e == Fraction(1, 2) and abs(c - 16) < 1e-15
 
 
 def test_g_ratio_is_lambda():
     z = 0.3 + 1.5j
-    g0, _ = g_series("g0", Fraction(18)).evaluate(z)
-    gi, _ = g_series("ginf", Fraction(18)).evaluate(z)
-    lam, _ = lambda_series(Fraction(18)).evaluate(z)
+    g0, _ = expansion(FormLabel("g0"), Fraction(18)).evaluate(z)
+    gi, _ = expansion(FormLabel("ginf"), Fraction(18)).evaluate(z)
+    lam, _ = expansion(FormLabel("lambda"), Fraction(18)).evaluate(z)
     assert abs(g0 / gi - lam) < 1e-11
 
 
@@ -236,7 +230,7 @@ def test_petersson_norm():
 
 def test_coset_product_closed_forms():
     # level 1: single factor, kind B gives -theta^2
-    th, _ = theta2_series(Fraction(20)).evaluate(1j)
+    th, _ = expansion(FormLabel("theta2"), Fraction(20)).evaluate(1j)
     assert abs(coset_product_value("B", 0, 1, 1j) + th) < 1e-12
     for n in (1, 2):
         for kind in "ABC":
@@ -251,7 +245,7 @@ def test_coset_product_closed_forms():
 
 
 def test_dump_format():
-    th = theta2_series(Fraction(2))
+    th = expansion(FormLabel("theta2"), Fraction(2))
     lines = th.dump().split("\n")
     assert lines[0] == "0/2\t1.0\t0.0"
     assert all(len(line.split("\t")) == 3 for line in lines)
@@ -283,9 +277,9 @@ def test_twist_identity_of_a_and_b_forms():
     # f[kind, j](z) = f[kind, 0](z + 2j): the coefficient of q^(k/2N) picks up e(jk/N)
     for n in range(1, 6):
         for kind in "AB":
-            c0 = _dump_coeffs(f_series(kind, 0, n, Fraction(26)))
+            c0 = _dump_coeffs(expansion(FormLabel("f", n, kind, 0), Fraction(26)))
             for j in range(1, n):
-                cj = _dump_coeffs(f_series(kind, j, n, Fraction(26)))
+                cj = _dump_coeffs(expansion(FormLabel("f", n, kind, j), Fraction(26)))
                 assert cj.keys() == c0.keys(), (kind, j, n)
                 for k, v in c0.items():
                     twist = cmath.exp(2j * math.pi * ((j * k) % n) / n)
@@ -300,7 +294,7 @@ def test_forms_match_mpmath_sum_of_exact_terms():
         for n in range(1, 6):
             for kind in "ABC":
                 for j in range(n):
-                    f = f_series(kind, j, n, Fraction(26))
+                    f = expansion(FormLabel("f", n, kind, j), Fraction(26))
                     for z in (0.3 + 1j, -0.7 + 1.5j, 0.2 + 2.3j):
                         val, _ = f.evaluate(z)
                         w = mp.exp(2j * mp.pi * mp.mpc(z) / f.denom)
@@ -411,7 +405,7 @@ def test_coefficients_are_exact_only():
             constant(1, 2, Fraction(4)).scale(bad)
     with pytest.raises(ValueError):
         QExpansion(2, {0: 3, 1: 1}, Fraction(4)).nth_root(2)
-    x = x_series(2, Fraction(6))
+    x = expansion(FormLabel("x", 2), Fraction(6))
     with pytest.raises(ValueError):
         x + constant(1, 4, Fraction(6))
     # integer parts of the prefactor fold into the coefficients
@@ -422,15 +416,15 @@ def test_coefficients_are_exact_only():
 
 def test_forms_are_sums_of_few_exact_terms():
     for n in range(1, 6):
-        assert len(f_series("C", 0, n, Fraction(8)).terms) == 1
+        assert len(expansion(FormLabel("f", n, "C", 0), Fraction(8)).terms) == 1
         for kind in "ABC":
             for j in range(n):
-                f = f_series(kind, j, n, Fraction(8))
+                f = expansion(FormLabel("f", n, kind, j), Fraction(8))
                 assert 1 <= len(f.terms) <= n
                 assert len({(t.pref2, t.prefh) for t in f.terms}) == len(f.terms)
     for n in (1, 2, 4):
-        assert len(f_series("A", 0, n, Fraction(8)).terms) == 1
-    assert len(f_series("A", 0, 3, Fraction(8)).terms) == 3
+        assert len(expansion(FormLabel("f", n, "A", 0), Fraction(8)).terms) == 1
+    assert len(expansion(FormLabel("f", 3, "A", 0), Fraction(8)).terms) == 3
 
 
 # SHA-256 prefixes of repr((denom, order, pref2, prefh, sorted coefficients))
@@ -483,10 +477,10 @@ def test_fermat_forms_unchanged():
     for key, digest in FERMAT_DIGESTS.items():
         name, n = key[0], int(key[1])
         if name in "xy":
-            canon = _canon((x_series if name == "x" else y_series)(n, order))
+            canon = _canon(expansion(FormLabel(name, n), order))
         else:
-            canon = tuple(tuple(_canon(t) for t in f_series(name, j, n, order).terms)
-                          for j in range(n))
+            forms = (expansion(FormLabel("f", n, name, j), order) for j in range(n))
+            canon = tuple(tuple(_canon(t) for t in f.terms) for f in forms)
         assert hashlib.sha256(repr(canon).encode()).hexdigest()[:16] == digest, key
 
 
@@ -570,14 +564,16 @@ def _ref_power(f, alpha):
 
 def test_level2_forms_match_product_formulas():
     order = Fraction(40)
-    assert _canon(theta2_series(order)) == _canon(_ref_theta2(order))
-    assert _canon(lambda_series(order)) == _canon(_ref_lambda_product(order, -1))
-    assert _canon(one_minus_lambda_series(order)) == _canon(_ref_lambda_product(order, +1))
+    theta2, lam, oml = (expansion(FormLabel(name), order)
+                        for name in ("theta2", "lambda", "one_minus_lambda"))
+    assert _canon(theta2) == _canon(_ref_theta2(order))
+    assert _canon(lam) == _canon(_ref_lambda_product(order, -1))
+    assert _canon(oml) == _canon(_ref_lambda_product(order, +1))
 
 
 def test_jacobi_identity_exact():
     order = Fraction(30)
-    g0, g1, ginf = (g_series(name, order) for name in ("g0", "g1", "ginf"))
+    g0, g1, ginf = (expansion(FormLabel(name), order) for name in ("g0", "g1", "ginf"))
     assert _canon(g1) == _canon(ginf - g0)
 
 

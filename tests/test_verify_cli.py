@@ -71,7 +71,7 @@ def test_klf_checks_build_no_series(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a q-series was built")
 
-    for name in ("f_series", "g_series", "_class_terms"):
+    for name in ("f_series", "_level2_series", "_class_terms"):
         monkeypatch.setattr(qseries, name, refuse)
     monkeypatch.setattr(qseries.QExpansion, "__post_init__", refuse)
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
@@ -204,6 +204,18 @@ def test_cli_qexp():
     rc, _, err = run_cli("qexp", "--label", "f:C:0:3", "--order", "1",
                          "--no-timestamp")
     assert rc == 1  # order cannot resolve the leading term: usage error
+
+
+def test_cli_qexp_order_from_config(tmp_path, capsys):
+    # the truncation order of a --config file is the one --order sets
+    path = tmp_path / "config.json"
+    path.write_text('{"truncation": {"order": 8}}', encoding="utf-8")
+    dumps = []
+    for source in (["--config", str(path)], ["--order", "8"]):
+        assert main(["qexp", "--label", "f:B:1:3", *source, "--no-timestamp"]) == 0
+        dumps.append(capsys.readouterr().out)
+    assert dumps[0] == dumps[1]
+    assert json.loads(dumps[0])["inputs"]["order"] == "8"
 
 
 def test_cli_verify_fast():
