@@ -453,32 +453,33 @@ def _theta_fourth_power(index: int, order) -> QExpansion:
 
 
 @lru_cache(maxsize=None)
-def _level2_series(name: str, order) -> QExpansion:
-    """sign theta_num^4/theta_den^4 for a name of _LEVEL2_FORMS: g1 =
+def _level2_series(form: tuple[int, int, int], order) -> QExpansion:
+    """sign theta_num^4/theta_den^4 for an entry of _LEVEL2_FORMS: g1 =
     theta^2 = theta3^4 = prod (1-q^n)^4 (1+q^(n-1/2))^8, g0 = -theta4^4
     and ginf = theta2^4 each vanish at one cusp; lambda = g0/ginf leads
     with -(1/16) q^(-1/2), a simple zero at 0 and a simple pole at inf."""
-    num, den, sign = _LEVEL2_FORMS[name]
+    num, den, sign = form
     order = Fraction(order)
     if not den:
         return _theta_fourth_power(num, order).scale(sign)
     work = order + 2
-    quotient = _theta_fourth_power(num, work) * _theta_fourth_power(den, work).inverse()
-    return quotient.truncate(order).scale(sign)
+    # numerator and denominator are entries of this cache: g0 or g1 over ginf
+    quotient = _level2_series((num, 0, sign), work) * _level2_series((den, 0, 1), work).inverse()
+    return quotient.truncate(order)
 
 
 @lru_cache(maxsize=None)
 def x_series(n: int, order) -> QExpansion:
     """x = lambda^(1/n), principal branch; leading coefficient
     eps/16^(1/n) at q^(-1/2)."""
-    lam = _level2_series("lambda", Fraction(order) + 1)
+    lam = _level2_series(_LEVEL2_FORMS["lambda"], Fraction(order) + 1)
     return lam.nth_root(n, 0).truncate(Fraction(order))
 
 
 @lru_cache(maxsize=None)
 def y_series(n: int, order) -> QExpansion:
     """y = (1-lambda)^(1/n), principal branch."""
-    oml = _level2_series("one_minus_lambda", Fraction(order) + 1)
+    oml = _level2_series(_LEVEL2_FORMS["one_minus_lambda"], Fraction(order) + 1)
     return oml.nth_root(n, 0).truncate(Fraction(order))
 
 
@@ -507,7 +508,7 @@ def _class_terms(kind: str, n: int, order) -> tuple[QExpansion, ...]:
         base = x_series(n, work) * y_series(n, work).inverse()
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    outer = _level2_series("ginf" if kind == "B" else "theta2", work)
+    outer = _level2_series(_LEVEL2_FORMS["ginf" if kind == "B" else "theta2"], work)
     powers = [constant(1, 2 * n, work), base]
     while len(powers) <= n:
         powers.append(powers[-1] * base)
@@ -545,7 +546,7 @@ def expansion(label: FormLabel, order) -> QExpansion | RadicalSum:
         raise OrderTooSmall(
             f"order {order} cannot resolve the leading exponent {lead} of {label}")
     if label.name in _LEVEL2_FORMS:
-        return _level2_series(label.name, order)
+        return _level2_series(_LEVEL2_FORMS[label.name], order)
     if label.name == "x":
         return x_series(label.n, order)
     if label.name == "y":

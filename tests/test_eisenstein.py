@@ -762,10 +762,12 @@ def test_batched_class_table_matches_per_d_loop(monkeypatch):
     from fermatkl.fermat import classify_cusp_word, classify_rep_index
 
     def per_d(d0, c, n):
-        # level 1 against the witness-word classifier, which has no level-1 exit
-        if n == 1:
-            return cusp_reps(1).index(classify_cusp_word(Cusp(-d0, c), 1)[0])
-        return classify_rep_index(-d0, c, n)
+        # against the witness-word classifier, which reduces the cusp step by
+        # step and shares no base matrix with class_invariants; the exact-int
+        # classify_rep_index must agree with it too
+        index = cusp_reps(n).index(classify_cusp_word(Cusp(-d0, c), n)[0])
+        assert classify_rep_index(-d0, c, n) == index, (d0, c, n)
+        return index
 
     store = _fresh_store(monkeypatch)
     for n in (1, 2, 3, 4, 5):
