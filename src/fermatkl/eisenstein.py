@@ -58,7 +58,7 @@ each mode p k is w^k by repeated multiplication, summed per c: a mode
 costs one complex multiplication and one reduceat over the lanes, and
 w^k carries at most 15 k units of 2^-53 of rounding.  The direct sum
 reads, lifts or filters the rows of each class asked for once and sums
-only those classes; eisenstein_direct asks for its own class.
+only those, eisenstein_direct its own, in blocks of whole c's.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -190,6 +191,12 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     skipped, not summed.  Returns (buckets, tail_estimate) with one
     bucket per requested class in the order given.  The tail estimate
     bounds every class.
+
+    Each row (c, d), P = step c, sums the translates t with
+    |c x + d + t P| <= m_cut.  Whole c's form a block while its rows times
+    k_c = floor(2 m_cut / P) + 1 of its first c fit in _DIRECT_BLOCK: one
+    rectangle, translates down the leading axis, zero past a row's range.
+    d + t P is exact in float64, and c x is added once.
     """
     sigma = complex(s).real
     if sigma <= 1:
@@ -208,26 +215,28 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     pos = slot.get(classify_index(group, 1, 0))
     if pos is not None:
         vals[pos] += ys
-    parts = [(pos, *_class_rows(group, i, trunc.c_max)) for i, pos in slot.items()]
     m_cut = trunc.c_max * (abs(x) + y + 3.0)
-    for c in range(1, trunc.c_max + 1):
-        cx = c * x
-        cy2 = (c * y) ** 2
-        shifts = {}  # the translates of d for each period step c
-        for pos, step, d_col, bounds in parts:
-            lo, hi = bounds[c - 1], bounds[c]
-            if lo == hi:
-                continue
-            if step not in shifts:
-                P = step * c
-                t_lo = math.floor((-m_cut - cx) / P) - 1
-                t_hi = math.ceil((m_cut - cx) / P) + 1
-                shifts[step] = np.arange(t_lo, t_hi + 1, dtype=np.int64) * P
-            w = cx + (d_col[lo:hi][None, :] + shifts[step][:, None]).astype(float)
-            keep = np.abs(w) <= m_cut
-            mod2 = w * w + cy2
-            terms = _power_terms(mod2, s)
-            vals[pos] += ys * np.where(keep, terms, 0.0).sum()
+    for i, pos in slot.items():
+        step, d_col, bounds = _class_rows(group, i, trunc.c_max)
+        c = 1
+        while c <= trunc.c_max:
+            k_c = int(2 * m_cut / (step * c)) + 1
+            end = max(bisect_right(bounds, bounds[c - 1] + _DIRECT_BLOCK // k_c) - 1, c)
+            cs = np.repeat(np.arange(c, end + 1.0), np.diff(bounds[c - 1:end + 1]))
+            d, cx, P = d_col[bounds[c - 1]:bounds[end]], cs * x, step * cs
+            t_lo = np.ceil((-m_cut - cx - d) / P)
+            last = np.floor((m_cut - cx - d) / P) - t_lo
+            t = np.arange(last.max(initial=-1) + 1)[:, None]
+            w = t * P
+            w += t_lo * P + d
+            w += cx
+            w *= w
+            w += (cs * y) ** 2
+            if isinstance(s, complex) and s.imag != 0:
+                vals[pos] += ys * np.exp(-s * np.log(w)).sum(where=t <= last)
+            else:
+                vals[pos] += ys * np.power(np.divide(t <= last, w, out=w), sigma, out=w).sum()
+            c = end + 1
     # omitted-d strip plus c > c_max tail
     tail_d = trunc.c_max * 2.0 * y ** sigma * m_cut ** (1 - 2 * sigma) / (2 * sigma - 1)
     tail_c = 4.0 * y ** (1 - sigma) * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
@@ -301,9 +310,9 @@ class _ClassRows(NamedTuple):
 # with c = c0, d = d0 (mod w) and 0 <= d < w c; (2, 0, 1), (2, 1, 0) and
 # (2, 1, 1) hold the rows of the bases inf, 0 and 1.  Past _TABLE_CELLS
 # int32 cells in all the least recently used tables are dropped, never
-# the one just asked for.  3 * 2^20 cells (12 MB) hold every table, u
-# and tau at c_max 500 (1.07M cells) with the class rows of levels 2 to 5
-# (2.89M cells in all).
+# the one just asked for, which past them keeps only what was just read.
+# 3 * 2^20 cells (12 MB) hold every table, u and tau at c_max 500 (1.07M
+# cells) with the class rows of levels 2 to 5 (2.89M cells in all).
 _TABLES: OrderedDict = OrderedDict()
 _TABLE_LOCK = threading.Lock()
 _TABLE_CELLS = 3 << 20
@@ -323,6 +332,8 @@ _CHARACTER_BLOCK = 1 << 13
 # the unit phase and its running power, stay near 64 kB each, below the
 # full-length columns a call reads, and fit in cache.
 _PHASE_BLOCK = 1 << 12
+# Terms per block of the direct sum, in whole c's, near 64 kB a buffer.
+_DIRECT_BLOCK = 1 << 13
 
 # Exponent sums of g_b T^2 g_b^-1, the stabilizer generator of the
 # level-2 base b; g_j T^2 g_j^-1 of a standard representative j has
@@ -473,7 +484,8 @@ def _read_table(key, c_max: int, column=None):
     """Columns (c, d, x) for c <= c_max of the table of key, extended first,
     x the column named column or None; for class rows kept as (c, d),
     those rows and x.  Then drop the oldest other tables while the store
-    holds over _TABLE_CELLS cells."""
+    holds over _TABLE_CELLS cells, and if it still does, all of the table
+    but those rows and x."""
     with _TABLE_LOCK:
         table = _TABLES.setdefault(key, _Table())
         _TABLES.move_to_end(key)
@@ -482,15 +494,12 @@ def _read_table(key, c_max: int, column=None):
             _extend(key, table, c_max)
         if column is not None and column not in table.cols:
             if isinstance(column, _ClassRows) and _TAU not in table.cols:
-                table.cols[_TAU] = _column(_TAU, table.c, table.d)
+                table.cols = {_TAU: _column(_TAU, table.c, table.d), **table.cols}
             table.cols[column] = _column(column, table.c, table.d, table.cols.get(_TAU))
         stop = int(np.searchsorted(table.c, c_max, side="right"))
-        c, d, x = table.c[:stop], table.d[:stop], table.cols.get(column)
-        if x is not None and x.ndim == 2:
-            x = x[:, :np.searchsorted(x[0], c_max, side="right")]
-            c, d = x
-        elif x is not None:
-            x = x[:stop]
+        rows, x = (table.c[:stop], table.d[:stop]), table.cols.get(column)
+        if x is not None:
+            x = x[:, :np.searchsorted(x[0], c_max, side="right")] if x.ndim == 2 else x[:stop]
     with _TABLE_LOCK:
         total = sum(t.cells() for t in _TABLES.values())
         for other in list(_TABLES):
@@ -498,6 +507,12 @@ def _read_table(key, c_max: int, column=None):
                 break
             if other != key:
                 total -= _TABLES.pop(other).cells()
+        if total > _TABLE_CELLS:
+            table = _TABLES.get(key, table)
+            with table.lock:
+                table.c, table.d, table.c_done = rows[0].copy(), rows[1].copy(), c_max
+                table.cols = {} if x is None else {column: x.copy()}
+    c, d = x if x is not None and x.ndim == 2 else rows
     return c, d, x
 
 

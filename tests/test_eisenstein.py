@@ -324,6 +324,88 @@ def test_direct_all_buckets_partition_gamma2():
             eisenstein_direct_all(GAMMA2, z, s, tr, bad)
 
 
+def _direct_all_per_c(group, z, s, trunc):
+    """Oracle for the buckets of eisenstein_direct_all: one c at a time,
+    every row of a c over the translates of the widest window, those
+    with |w| > m_cut masked out."""
+    from fermatkl import eisenstein
+
+    x, y = z.real, z.imag
+    n_classes = len(group_cusps(group))
+    vals = np.zeros(n_classes, dtype=complex)
+    ys = complex(y) ** s
+    vals[classify_index(group, 1, 0)] += ys
+    parts = [(i, *eisenstein._class_rows(group, i, trunc.c_max)) for i in range(n_classes)]
+    m_cut = trunc.c_max * (abs(x) + y + 3.0)
+    for c in range(1, trunc.c_max + 1):
+        cx = c * x
+        cy2 = (c * y) ** 2
+        shifts = {}  # the translates of d for each period step c
+        for pos, step, d_col, bounds in parts:
+            lo, hi = bounds[c - 1], bounds[c]
+            if lo == hi:
+                continue
+            if step not in shifts:
+                P = step * c
+                t_lo = math.floor((-m_cut - cx) / P) - 1
+                t_hi = math.ceil((m_cut - cx) / P) + 1
+                shifts[step] = np.arange(t_lo, t_hi + 1, dtype=np.int64) * P
+            w = cx + (d_col[lo:hi][None, :] + shifts[step][:, None]).astype(float)
+            keep = np.abs(w) <= m_cut
+            mod2 = w * w + cy2
+            terms = eisenstein._power_terms(mod2, s)
+            vals[pos] += ys * np.where(keep, terms, 0.0).sum()
+    return vals
+
+
+DIRECT_GROUPS = (GAMMA1, GAMMA2, gamma_n(2), gamma_n(3), gamma_n(4), gamma_n(5))
+DIRECT_S = (1.5, 2.0, 3.0, 1.5 + 0.7j)
+DIRECT_Z = (-2.0 + 0.3j, 0.25 + 1.0j, 1.7 + 0.45j, -0.6 + 3.0j, 2.0 + 1.9j)
+
+
+def _assert_direct_matches_per_c(c_maxes):
+    for c_max in c_maxes:
+        tr = TruncationSpec(c_max=c_max)
+        for g in DIRECT_GROUPS:
+            for s in DIRECT_S:
+                for z in DIRECT_Z:
+                    got, _ = eisenstein_direct_all(g, z, s, tr)
+                    want = _direct_all_per_c(g, z, s, tr)
+                    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (g, c_max, s, z)
+
+
+def test_direct_blocks_match_per_c_oracle():
+    # every bucket of the blocked kernel against the per-c loop
+    _assert_direct_matches_per_c((60, 250))
+
+
+@pytest.mark.parametrize("block", [1, 64])
+def test_direct_small_blocks_match_per_c_oracle(monkeypatch, block):
+    # blocks of one c each, whose rectangles pass the block size
+    from fermatkl import eisenstein
+
+    monkeypatch.setattr(eisenstein, "_DIRECT_BLOCK", block)
+    _assert_direct_matches_per_c((60,))
+
+
+def test_direct_working_memory_bounded():
+    # a warm direct sum allocates block-sized arrays, none over all rows
+    import tracemalloc
+
+    for g, c_max in ((GAMMA2, 500), (gamma_n(3), 250), (gamma_n(5), 250)):
+        tr = TruncationSpec(c_max=c_max)
+        for j in (CUSP_INF, cusp_reps(g.n)[0].rep):
+            for s in (2.0, 1.5 + 0.7j):
+                eisenstein_direct(g, j, -0.4 + 1.3j, s, tr)
+                tracemalloc.start()
+                try:
+                    eisenstein_direct(g, j, -0.4 + 1.3j, s, tr)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 1 << 20, (g, j, s, peak)
+
+
 def test_averaged_translate_relation():
     # width-scaled coset average of Fermat-group series reproduces the
     # level-2 series: N = 2, s = 2, relative error <= 1e-4
@@ -861,11 +943,46 @@ def test_class_cache_evicts_least_recently_used(monkeypatch):
     # a dropped table is built again to the same sums
     assert np.array_equal(inner_sums(g, reps[0].rep, CUSP_INF, (1,), 30), lanes)
     assert sum(cells().values()) <= 1800
-    # a table larger than the bound is still kept while it is in use
+    # a table larger than the bound is still kept while it is in use, its
+    # 746 rows at c 60 with the 252 the class keeps but without tau
     eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=60))
-    assert cells() == {inf: 2742}
+    assert cells() == {inf: 1996}
+    assert list(store[inf].cols) == [class_inf]
     # and its prefix gives the same direct sum
     assert eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr) == want
+
+
+def test_lone_table_past_the_bound_keeps_what_was_read(monkeypatch):
+    # one table past the bound: no other table is left to drop, so a read
+    # keeps only its rows and the column it returns.  The rows of inf at
+    # c 40 are 346; with u of (inf, inf), tau and the class rows of inf
+    # at levels 3 and 2 (240 and 360 cells) 1984 cells
+    from fermatkl import eisenstein
+
+    store = _fresh_store(monkeypatch)
+    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 1400)
+    inf = ROWS_OF_BASE[CUSP_INF]
+    tr = TruncationSpec(c_max=40)
+    # rows up to c 80 alone pass the bound, and are kept while in use
+    eisenstein_direct(GAMMA2, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=80))
+    assert store[inf].c_done == 80 and store[inf].cells() > 1400
+
+    def read():
+        lanes = inner_sums(gamma_n(3), CUSP_INF, CUSP_INF, (1,), 40)
+        return lanes, [eisenstein_direct(gamma_n(n), CUSP_INF, 0.3 + 1.1j, 2.0, tr) for n in (3, 2)]
+
+    lanes, direct = read()
+    table = store[inf]
+    assert table.c_done == 40
+    class_2 = eisenstein._ClassRows(2, classify_index(gamma_n(2), 1, 0))
+    assert list(store) == [inf] and list(table.cols) == [class_2]
+    assert table.cells() == 1052
+    # the dropped columns are computed again to the same sums, on the rows
+    # of the one build
+    again, direct_again = read()
+    assert np.array_equal(again, lanes) and direct_again == direct
+    assert store[inf] is table and table.cells() == 1052
+    _assert_one_build(inf, table)
 
 
 def _recording(work, bad):
