@@ -56,7 +56,11 @@ fourier_eval reads the modes 0..m_eff once.  It takes cos and sin once
 per lane, for the unit phase w = e(p d/(b c)) of the mode period p, and
 each mode p k is w^k by repeated multiplication, summed per c: a mode
 costs one complex multiplication and one reduceat over the lanes, and
-w^k carries at most 15 k units of 2^-53 of rounding.  The direct sum
+w^k carries at most 15 k units of 2^-53 of rounding.  The truncated phi
+do not depend on z, so fourier_eval and the enumerated s = 1 modes of
+phi_m1_exact take them from _phis, memoized per (group, pair, modes,
+c_max, s) in a bounded least-recently-used cache; a hit returns the bits
+that a miss computes, and only a miss reads the lanes.  The direct sum
 reads, lifts or filters the rows of each class asked for once and sums
 only those, eisenstein_direct its own, in blocks of whole c's.
 """
@@ -259,7 +263,7 @@ def _class_rows(group: GroupId, i: int, c_max: int):
         c, d, rows = _read_table(key, c_max, _ClassRows(n, i))
         if rows.ndim == 1:
             d, step = rows, group.width
-    return step, d, np.searchsorted(c, np.arange(c_max + 1), side="right").tolist()
+    return step, d, np.searchsorted(c, np.arange(c_max + 1, dtype=c.dtype), side="right").tolist()
 
 
 def eisenstein_direct(group: GroupId, j, z: complex, s,
@@ -334,6 +338,9 @@ _CHARACTER_BLOCK = 1 << 13
 _PHASE_BLOCK = 1 << 12
 # Terms per block of the direct sum, in whole c's, near 64 kB a buffer.
 _DIRECT_BLOCK = 1 << 13
+# Entries of the memoized phi sums, (group, pair, modes, c_max, s), each
+# at most 2 m_max + 1 complex numbers: well under 1 MB in all.
+_PHI_CACHE = 256
 
 # Exponent sums of g_b T^2 g_b^-1, the stabilizer generator of the
 # level-2 base b; g_j T^2 g_j^-1 of a standard representative j has
@@ -496,10 +503,12 @@ def _read_table(key, c_max: int, column=None):
             if isinstance(column, _ClassRows) and _TAU not in table.cols:
                 table.cols = {_TAU: _column(_TAU, table.c, table.d), **table.cols}
             table.cols[column] = _column(column, table.c, table.d, table.cols.get(_TAU))
-        stop = int(np.searchsorted(table.c, c_max, side="right"))
+        # an int32 needle: an int64 one would copy the column to int64
+        c_end = np.int32(c_max)
+        stop = int(np.searchsorted(table.c, c_end, side="right"))
         rows, x = (table.c[:stop], table.d[:stop]), table.cols.get(column)
         if x is not None:
-            x = x[:, :np.searchsorted(x[0], c_max, side="right")] if x.ndim == 2 else x[:stop]
+            x = x[:, :np.searchsorted(x[0], c_end, side="right")] if x.ndim == 2 else x[:stop]
     with _TABLE_LOCK:
         total = sum(t.cells() for t in _TABLES.values())
         for other in list(_TABLES):
@@ -566,7 +575,7 @@ def inner_sums(group: GroupId, j, k, ms, c_max: int) -> np.ndarray:
             det_inv = pow((v1 * w2 - v2 * w1) % n, -1, n)
             d = d + 2 * c.astype(np.int64) * (u * det_inv % n)
     # lanes are sorted by c: per-c segments from their boundaries
-    bounds = np.searchsorted(c, np.arange(c_max + 1), side="right")
+    bounds = np.searchsorted(c, np.arange(c_max + 1, dtype=c.dtype), side="right")
     counts = np.diff(bounds)
     rows = np.zeros((len(ms), c_max), dtype=complex)
     # the rows of each power k of the unit phase, -k conjugated
@@ -638,6 +647,15 @@ def _phi_sums(rows: np.ndarray, s) -> list[complex]:
     return [complex((row * weights).sum()) for row in rows]
 
 
+@lru_cache(maxsize=_PHI_CACHE)
+def _phis(group: GroupId, jc: Cusp, kc: Cusp, ms: tuple, c_max: int, s) -> tuple[complex, ...]:
+    """Truncated phi_{jk,m}(s) of each mode m in ms, for the standard
+    representatives jc and kc: _phi_sums of one inner_sums call, the row
+    of -m the conjugate of that of m.  Memoized, since phi does not
+    depend on z; a hit returns the bits that a miss computes."""
+    return tuple(_phi_sums(inner_sums(group, jc, kc, ms, c_max), s))
+
+
 def gamma2_phi0_closed_form(diag: bool, s) -> float:
     """Factored Dirichlet series of the level-2 zero modes:
     2/(2^(2s)-1) * zeta(2s-1)/zeta(2s) on the diagonal and
@@ -690,7 +708,8 @@ def phi_m1_exact(group: GroupId, j, k, ms,
                  trunc: TruncationSpec = DEFAULT_TRUNCATION) -> list[complex]:
     """phi_{jk,m}(1) for each m in ms, all nonzero: closed form where
     available (full modular group and level 2), else the truncated
-    enumeration, every mode from one inner_sums call."""
+    enumeration, every mode from one inner_sums call, memoized by _phis
+    per (group, pair, modes, c_max); a hit is bit-identical to a miss."""
     ms = list(ms)
     if group.kind == "gamma1":
         return [complex(sum(1.0 / d for d in _divisors(m)) / zeta(2.0)) for m in ms]
@@ -699,7 +718,8 @@ def phi_m1_exact(group: GroupId, j, k, ms,
         return [complex(gamma2_phi_m_closed_form((pt.c & 1, pt.d & 1), m, 1.0)) for m in ms]
     if 0 in ms:
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
-    return _phi_sums(inner_sums(group, j, k, ms, trunc.c_max), 1.0)
+    return list(_phis(group, standard_rep(group, j), standard_rep(group, k), tuple(ms),
+                      trunc.c_max, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +734,10 @@ def fourier_eval(group: GroupId, j, k, z: complex, s,
     The modes m = 0..m_eff come from one inner_sums call, m_eff the last
     mode up to m_max whose Bessel argument 2 pi m y / b is at most 700;
     the inner sums of -m are the conjugates of those of m, so they are
-    not read again.
+    not read again.  The phi of those modes do not depend on z: _phis
+    memoizes them per (group, pair, modes, c_max, s), so a call at a new
+    z on a pair already read does no lane work, and a hit is
+    bit-identical to a miss.
     """
     sigma = complex(s).real
     if sigma <= 1:
@@ -730,9 +753,10 @@ def fourier_eval(group: GroupId, j, k, z: complex, s,
     gs_half = gamma_fn(complex(s) - 0.5)
     args = list(takewhile(lambda a: a <= 700.0,
                           (2.0 * math.pi * m * y / b for m in range(1, trunc.m_max + 1))))
-    rows = inner_sums(group, jc, kc, range(len(args) + 1), trunc.c_max)
-    phi0, *phi_pos = _phi_sums(rows, s)
-    phi_neg = _phi_sums(rows[1:].conj(), s)
+    top = len(args)
+    phi0, *phis = _phis(group, jc, kc, (0, *range(1, top + 1), *range(-1, -top - 1, -1)),
+                        trunc.c_max, s)
+    phi_pos, phi_neg = phis[:top], phis[top:]
     val += math.sqrt(math.pi) * gs_half / gs * phi0 * complex(y) ** (1 - s) \
         / (complex(b) ** s * b)
     for m, (arg, pos, neg) in enumerate(zip(args, phi_pos, phi_neg), start=1):

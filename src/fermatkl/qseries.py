@@ -432,6 +432,13 @@ class FormLabel:
         return self.name
 
 
+# Entries kept by the memoized exact series.  A qexp of one f form fills
+# at most six level-2 entries and one of each other cache; g0, g1 and
+# ginf at one order fill three level-2 entries.
+_LEVEL2_CACHE = 32
+_SERIES_CACHE = 16
+
+
 def _theta_fourth_power(index: int, order) -> QExpansion:
     """theta_index^4 for index 3, 4 or 2, as
     t^shift (sum_(k in Z) sign^k t^(k^2 + shift k))^4 in t = q^(1/2).
@@ -452,7 +459,7 @@ def _theta_fourth_power(index: int, order) -> QExpansion:
     return QExpansion(2, {e + shift: v for e, v in fourth.coeffs.items()}, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LEVEL2_CACHE)
 def _level2_series(form: tuple[int, int, int], order) -> QExpansion:
     """sign theta_num^4/theta_den^4 for an entry of _LEVEL2_FORMS: g1 =
     theta^2 = theta3^4 = prod (1-q^n)^4 (1+q^(n-1/2))^8, g0 = -theta4^4
@@ -468,7 +475,7 @@ def _level2_series(form: tuple[int, int, int], order) -> QExpansion:
     return quotient.truncate(order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SERIES_CACHE)
 def x_series(n: int, order) -> QExpansion:
     """x = lambda^(1/n), principal branch; leading coefficient
     eps/16^(1/n) at q^(-1/2)."""
@@ -476,7 +483,7 @@ def x_series(n: int, order) -> QExpansion:
     return lam.nth_root(n, 0).truncate(Fraction(order))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SERIES_CACHE)
 def y_series(n: int, order) -> QExpansion:
     """y = (1-lambda)^(1/n), principal branch."""
     oml = _level2_series(_LEVEL2_FORMS["one_minus_lambda"], Fraction(order) + 1)
@@ -488,7 +495,7 @@ def zeta_power(n: int, j: int) -> complex:
     return cmath.exp(2j * math.pi * (j % n) / n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SERIES_CACHE)
 def _class_terms(kind: str, n: int, order) -> tuple[QExpansion, ...]:
     """T_0 .. T_(n-1) with f[kind, j] = sum_r zeta^(+-jr) T_r.
 

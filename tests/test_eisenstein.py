@@ -291,6 +291,78 @@ def test_fourier_eval_matches_per_mode_assembly():
                 assert fourier_limit_eval(g, j, k, z, tr) == _fourier_limit_per_mode(g, j, k, z, tr)
 
 
+def _bits(v: complex) -> tuple:
+    return v.real.hex(), v.imag.hex()
+
+
+def test_phi_cache_hits_match_cold_calls(monkeypatch):
+    # phi memoized at one z serves another with the bits of a cold call
+    from fermatkl import eisenstein
+
+    tr = TruncationSpec(c_max=60, m_max=6)
+    z0, z = 0.1 + 1.2j, -0.35 + 0.8j
+    for g in (GAMMA1, GAMMA2, *(gamma_n(n) for n in (2, 3, 4, 5))):
+        # a pair over two bases, a cusp with itself, and two cusps over
+        # one base where the group has them
+        cusps = group_cusps(g)
+        for j, k in {(cusps[0], cusps[-1]), (cusps[-1], cusps[-1]),
+                     (cusps[0], cusps[min(1, len(cusps) - 1)])}:
+            def values(at):
+                return [_bits(fourier_eval(g, j, k, at, s, tr)) for s in (1.5, 2.0, 1.5 + 0.7j)] \
+                    + [_bits(fourier_limit_eval(g, j, k, at, tr))]
+
+            _fresh_store(monkeypatch)
+            cold = values(z)
+            _fresh_store(monkeypatch)
+            values(z0)
+            misses = eisenstein._phis.cache_info().misses
+            assert values(z) == cold, (g, j, k)
+            assert eisenstein._phis.cache_info().misses == misses
+
+
+def test_warm_fourier_eval_reads_no_lanes(monkeypatch):
+    # a second pair evaluation at a new z takes every phi from the cache
+    from fermatkl import eisenstein
+
+    def refuse(*args):
+        raise AssertionError("lane work on a memoized pair")
+
+    tr = TruncationSpec(c_max=80)
+    _fresh_store(monkeypatch)
+    cases = [(GAMMA2, CUSP_ZERO, CUSP_INF), (GAMMA2, CUSP_ONE, CUSP_ONE)]
+    for n in (2, 3):
+        reps = cusp_reps(n)
+        cases += [(gamma_n(n), reps[0].rep, reps[-1].rep), (gamma_n(n), reps[n].rep, reps[0].rep)]
+    for g, j, k in cases:
+        fourier_eval(g, j, k, 0.2 + 1.1j, 2.0, tr)
+        fourier_limit_eval(g, j, k, 0.2 + 1.1j, tr)
+    with monkeypatch.context() as patch:
+        patch.setattr(eisenstein, "_read_table", refuse)
+        patch.setattr(eisenstein, "inner_sums", refuse)
+        for g, j, k in cases:
+            fourier_eval(g, j, k, -0.45 + 1.7j, 2.0, tr)
+            fourier_limit_eval(g, j, k, -0.45 + 1.7j, tr)
+
+
+def test_phi_cache_bounded_and_evicted_key_recomputes(monkeypatch):
+    # past maxsize distinct keys the oldest goes, and computing it again
+    # gives the same bits
+    from fermatkl import eisenstein
+
+    _fresh_store(monkeypatch)
+    g, reps = gamma_n(2), cusp_reps(2)
+    j, k = reps[0].rep, reps[-1].rep
+    bound = eisenstein._phis.cache_info().maxsize
+    first = eisenstein._phis(g, j, k, (0, 1, -1, 2), 20, 1.5)
+    for i in range(1, bound + 1):
+        eisenstein._phis(g, j, k, (0, 1, -1, 2), 20, 1.5 + i / 64)
+    info = eisenstein._phis.cache_info()
+    assert info.currsize <= bound and info.misses == bound + 1
+    again = eisenstein._phis(g, j, k, (0, 1, -1, 2), 20, 1.5)
+    assert eisenstein._phis.cache_info().misses == info.misses + 1
+    assert again is not first and list(map(_bits, again)) == list(map(_bits, first))
+
+
 def test_classify_index_consistency():
     for n in (2, 3):
         g = gamma_n(n)
@@ -404,6 +476,24 @@ def test_direct_working_memory_bounded():
                 finally:
                     tracemalloc.stop()
                 assert peak <= 1 << 20, (g, j, s, peak)
+
+
+def test_class_rows_read_copies_no_column():
+    # the per-c bounds of a warm read search the int32 c column with an
+    # int32 needle: an int64 one copies the whole column to int64
+    import tracemalloc
+
+    from fermatkl import eisenstein
+
+    for i in range(3):
+        eisenstein._class_rows(GAMMA2, i, 500)
+        tracemalloc.start()
+        try:
+            eisenstein._class_rows(GAMMA2, i, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, (i, peak)
 
 
 def test_averaged_translate_relation():
@@ -630,9 +720,12 @@ def _oracle_sums(items, m, width):
 
 
 def _fresh_store(monkeypatch):
+    # the memoized phi sums go too, so that the next Fourier call reads
+    # the new store's lanes
     from fermatkl import eisenstein
 
     monkeypatch.setattr(eisenstein, "_TABLES", OrderedDict())
+    eisenstein._phis.cache_clear()
     return eisenstein._TABLES
 
 
@@ -1179,6 +1272,8 @@ def test_direct_and_fourier_classify_independently(monkeypatch):
     for key, table in store.items():
         table.cols = {name: np.zeros_like(col) if direct_side(name) else col
                       for name, col in full[key].items()}
+    # fourier_eval reads the lanes again, not the phi it memoized above
+    eisenstein._phis.cache_clear()
     for fj, (rows, val) in zip(reps, fourier):
         assert np.array_equal(inner_sums(g, fj.rep, reps[-1].rep, (0, 1, 3), tr.c_max), rows)
         assert fourier_eval(g, fj.rep, reps[-1].rep, z, 2.0, tr) == val

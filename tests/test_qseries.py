@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fermatkl import qseries
 from fermatkl.qseries import (
     POINT_IM_MIN,
     ConvergenceRegion,
@@ -560,6 +561,37 @@ def _ref_power(f, alpha):
     return QExpansion(f.denom * d, {p * e0 + m * d: v for m, v in enumerate(u) if v},
                       Fraction(p * e0 + rel_bound * d, f.denom * d),
                       (f.pref2 + a) * alpha, (f.prefh + (c0 < 0)) * alpha)
+
+
+# The i-th key of a run of distinct keys for each memoized series.
+SERIES_CACHE_KEYS = {
+    "_level2_series": lambda i: ((3, 0, 1), Fraction(i, 2)),
+    "x_series": lambda i: (2, Fraction(i, 2)),
+    "y_series": lambda i: (3, Fraction(i, 2)),
+    "_class_terms": lambda i: ("C", 2, Fraction(i, 2)),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_CACHE_KEYS)
+def test_series_caches_bounded_and_evicted_entries_rebuild(name):
+    # one past its bound the cache drops its oldest entry, and building
+    # that again gives the same exact coefficients
+    cached, key = getattr(qseries, name), SERIES_CACHE_KEYS[name]
+    cached.cache_clear()
+    first = cached(*key(1))
+    bound = cached.cache_info().maxsize
+    for i in range(2, bound + 2):
+        cached(*key(i))
+    assert cached.cache_info().currsize <= bound
+    misses = cached.cache_info().misses
+    again = cached(*key(1))
+    assert cached.cache_info().misses == misses + 1
+
+    def canon(series):
+        # _class_terms holds a tuple of series, the others one series
+        return [_canon(t) for t in (series if isinstance(series, tuple) else (series,))]
+
+    assert again is not first and canon(again) == canon(first)
 
 
 def test_level2_forms_match_product_formulas():

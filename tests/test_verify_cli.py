@@ -114,6 +114,27 @@ def test_run_suite_fast_and_order():
     assert [r.residual for r in again] == [r.residual for r in reports]
 
 
+def test_full_suite_warm_runs_are_byte_identical(monkeypatch):
+    # a run in a warm process reads the tables and the memoized phi that
+    # the first run filled, and must print the bits it printed, on one
+    # worker or four
+    from collections import OrderedDict
+
+    from fermatkl import eisenstein
+
+    monkeypatch.setattr(eisenstein, "_TABLES", OrderedDict())
+    eisenstein._phis.cache_clear()
+
+    def dump(workers):
+        reports = run_suite("full", ns=(1, 2, 3), workers=workers)
+        return json.dumps([r.to_json_dict(with_runtime=False) for r in reports]).encode()
+
+    cold = dump(1)
+    assert eisenstein._phis.cache_info().currsize
+    assert dump(1) == cold
+    assert dump(4) == cold
+
+
 def test_report_passed_invariant():
     rep = check_scattering_consistency(2)
     assert rep.passed == (rep.residual <= rep.tolerance)
