@@ -41,14 +41,15 @@ Four sets of coprime rows thus serve every table: the full modular
 group's (c, d mod c) and the three level-2 parity classes.  Each is one
 table of int32 columns sorted by c, read as prefixes and extended on
 demand, with u of a base pair, tau and the rows of each level-N class
-beside the rows, each computed on first read.  u is an integer-linear
-map of the exponent sums and coset state that one Euclid on the column
-(d, -c) of M^-1 gives (coset_word_sums_batch of the sl2 module); tau
-comes from the batched classifier, which reads the Dedekind-sum exponent
-sums, and the class rows from tau.  So the two sides of a cross-path
-check classify independently and share no exponent-sum code.  The
-tables share one store bounded by a least-recently-used count of int32
-cells.
+beside the rows, each computed on first read.  tau and u are
+integer-linear maps, one per coset state, of the exponent sums and coset
+state that one Euclid on the column (d, -c) of M^-1 gives
+(coset_word_sums_batch of the sl2 module), and the class rows come from
+tau.  So the two sides of a cross-path check read separate columns but
+share that one primitive and its round tables: an off-by-one in a table
+moves both sides, and the tests check that a Kronecker-limit check of
+the verify suite still fails on it.  The tables share one store bounded
+by a least-recently-used count of int32 cells.
 
 inner_sums reads, shifts and filters the lanes once per call for every
 mode asked for, and the row of -m is the conjugate of the row of m, so
@@ -84,7 +85,6 @@ from .fermat import (
     GAMMA2,
     FermatCusp,
     GroupId,
-    class_invariants,
     class_shift,
     classify_rep_index,
     cusp_reps,
@@ -105,6 +105,7 @@ from .sl2 import (
     coset_word_sums_batch,
     cusp_scaling_matrix,
     gamma2_exponent_sums,
+    mobius_apply,
 )
 from .special import bessel_k, gamma_fn, zeta
 
@@ -323,14 +324,14 @@ _TABLE_CELLS = 3 << 20
 _GAMMA1_ROWS = (1, 0, 0)
 _TAU = "tau"
 
-# Candidates per vectorised block of the row enumeration, and rows per
-# block of tau.  The working arrays of a block peak near 1 MB at this
-# size; larger blocks raise peak memory for little speed.
+# Candidates per vectorised block of the row enumeration.  The working
+# arrays of a block peak near 1 MB at this size; larger blocks raise peak
+# memory for little speed.
 _ENUM_BLOCK = 2048
 
-# Rows per block of a character column, whose Euclid rounds pay a fixed
-# cost per numpy call that small blocks would multiply.
-_CHARACTER_BLOCK = 1 << 13
+# Rows per block of a tau or character column, whose Euclid rounds pay a
+# fixed cost per numpy call that small blocks would multiply.
+_COLUMN_BLOCK = 1 << 13
 
 # Lanes per block of inner_sums, in whole c's: its two complex buffers,
 # the unit phase and its running power, stay near 64 kB each, below the
@@ -393,54 +394,63 @@ def _enumerate_lanes(key: tuple, c_lo: int, c_hi: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=9)
-def _character_map(jb: Cusp, kb: Cusp):
-    """(alpha, beta, ends) that give the character u of the base pair
-    (b_j, b_k) from the output (phi, s) of coset_word_sums_batch on the
-    first column (d, -c) of M^-1, as u = alpha . phi + beta[s].
+@lru_cache(maxsize=10)
+def _column_map(name):
+    """(coef, ends) that give the column name, tau or the character u of
+    the base pair name = (b_j, b_k), from the output (phi, s) of
+    coset_word_sums_batch on the first column (d, -c) of M^-1, M with
+    bottom row (c, d), as coef[0, s] phi1 + coef[1, s] phi2 + coef[2, s].
+    ends[s] is False where no row of the column ends in state s.  Write
+    M^-1 = gamma R_s T^k with R_s = COSET_REPS[s].
 
-    M^-1 = gamma R_s T^k lies in Gamma(2) g_bk^-1 g_bj, the coset of
-    R_t = COSET_REPS[t].  The one e in {0, 1} that puts R_s T^e there
-    gives M'^-1 = gamma' R_t with gamma' = gamma (R_s T^e R_t^-1), the
-    inverse of M' = T^(k-e) M of the pair, and phi' = phi + r(R_s T^e R_t^-1).
+    tau: M^-1 maps inf to (-d : c).  With b the level-2 base of R_s(inf)
+    and the one e in {0, 1} that puts eps_s = R_s T^-e g_b^-1 in Gamma(2),
+    gamma eps_s maps b to (-d : c), so tau is the class_shift of b's kind
+    at phi + r(eps_s).  Every state ends a row.
+
+    u = r1 v2 - r2 v1, r the exponent sums of rho = g_bj M g_bk^-1 for
+    the M in g_bj^-1 Gamma(2) g_bk and v those of the stabilizer
+    generator of b_j; the other choices of M's top row move r along v,
+    which leaves u unchanged.  M^-1 lies in Gamma(2) g_bk^-1 g_bj, the
+    coset of R_t.  The one e in {0, 1} that puts R_s T^e there gives
+    M'^-1 = gamma' R_t with gamma' = gamma (R_s T^e R_t^-1), the inverse
+    of M' = T^(k-e) M of the pair, and phi' = phi + r(R_s T^e R_t^-1).
     Then rho'^-1 = g_bk M'^-1 g_bj^-1 = (g_bk gamma' g_bk^-1)(g_bk R_t g_bj^-1),
     so r(rho'^-1) = A phi' + K, A with the sums of g_bk g1 g_bk^-1 and
     g_bk g2 g_bk^-1 as columns and K those of g_bk R_t g_bj^-1, and
-    u = v1 r2 - v2 r1 of r(rho'^-1).  ends[s] is False where no R_s T^e
-    lies in that coset: no row of the pair's parity ends in state s.
+    u = v1 r2 - v2 r1 of r(rho'^-1).  No R_s T^e lies in that coset
+    where no row of the pair's parity ends.
     """
-    gj, gk = cusp_scaling_matrix(jb), cusp_scaling_matrix(kb)
-    t = coset_index(gk.inverse() * gj)
-    rt_inv = COSET_REPS[t].inverse()
-    v1, v2 = _STABILIZER_SUMS[jb]
-    alpha = tuple(v1 * r2 - v2 * r1 for r1, r2 in
-                  (gamma2_exponent_sums(*(gk * g * gk.inverse()).entries()) for g in (GEN1, GEN2)))
-    k1, k2 = gamma2_exponent_sums(*(gk * COSET_REPS[t] * gj.inverse()).entries())
-    beta, ends = [0] * len(COSET_REPS), [False] * len(COSET_REPS)
-    for s, rep in enumerate(COSET_REPS):
-        for tail in (rep, rep * T):
-            if coset_index(tail) == t:
-                w1, w2 = gamma2_exponent_sums(*(tail * rt_inv).entries())
-                beta[s], ends[s] = alpha[0] * w1 + alpha[1] * w2 + v1 * k2 - v2 * k1, True
-    beta, ends = np.array(beta, dtype=np.int64), np.array(ends)
-    beta.flags.writeable = ends.flags.writeable = False
-    return alpha, beta, ends
-
-
-def _character_column(pair: tuple, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """u = r1 v2 - r2 v1 per lane (c, d), int64, of the pair (b_j, b_k).
-
-    r are the exponent sums of rho = g_bj M g_bk^-1 for the
-    M = [a b; c d] in g_bj^-1 Gamma(2) g_bk, and v those of the
-    stabilizer generator of b_j.  The other choices of M's top row move
-    r along v, which leaves u unchanged.  u is an integer-linear map of
-    the word sums of the column (d, -c) of M^-1, see _character_map.
-    """
-    alpha, beta, ends = _character_map(*pair)
-    phi1, phi2, s = coset_word_sums_batch(c, d)
-    if not ends[s].all():
-        raise NotInGamma2(f"rows outside the parity class of the pair {pair}")
-    return alpha[0] * phi1 + alpha[1] * phi2 + beta[s]
+    coef = np.zeros((3, len(COSET_REPS)), dtype=np.int64)
+    ends = np.full(len(COSET_REPS), name == _TAU)
+    if name == _TAU:
+        # the level-1 Fermat cusps are the level-2 bases
+        kind_of = {fc.rep: fc.kind for fc in cusp_reps(1)}
+        for s, rep in enumerate(COSET_REPS):
+            b = gamma2_base(mobius_apply(rep, CUSP_INF))
+            gb_inv = cusp_scaling_matrix(b).inverse()
+            eps = next(r for r in (gamma2_exponent_sums(*(rep * T ** -e * gb_inv).entries())
+                                   for e in (0, 1)) if r is not None)
+            kind = kind_of[b]
+            coef[:, s] = class_shift(kind, 1, 0), class_shift(kind, 0, 1), class_shift(kind, *eps)
+    else:
+        jb, kb = name
+        gj, gk = cusp_scaling_matrix(jb), cusp_scaling_matrix(kb)
+        t = coset_index(gk.inverse() * gj)
+        rt_inv = COSET_REPS[t].inverse()
+        v1, v2 = _STABILIZER_SUMS[jb]
+        alpha = [v1 * r2 - v2 * r1 for r1, r2 in
+                 (gamma2_exponent_sums(*(gk * g * gk.inverse()).entries()) for g in (GEN1, GEN2))]
+        k1, k2 = gamma2_exponent_sums(*(gk * COSET_REPS[t] * gj.inverse()).entries())
+        coef[0], coef[1] = alpha
+        for s, rep in enumerate(COSET_REPS):
+            for tail in (rep, rep * T):
+                if coset_index(tail) == t:
+                    w1, w2 = gamma2_exponent_sums(*(tail * rt_inv).entries())
+                    coef[2, s] = alpha[0] * w1 + alpha[1] * w2 + v1 * k2 - v2 * k1
+                    ends[s] = True
+    coef.flags.writeable = ends.flags.writeable = False
+    return coef, ends
 
 
 def _int32(x: np.ndarray, name) -> np.ndarray:
@@ -452,8 +462,9 @@ def _int32(x: np.ndarray, name) -> np.ndarray:
 def _column(name, c: np.ndarray, d: np.ndarray, tau=None) -> np.ndarray:
     """Column name over rows (c, d) as int32: tau of (-d : c) for _TAU,
     the rows of the class for a _ClassRows name, from tau (computed when
-    not given), else u of the base pair name.  tau and u are written
-    block by block into one preallocated column."""
+    not given), else u of the base pair name.  tau and u are read
+    through _column_map from coset_word_sums_batch, block by block into
+    one preallocated column."""
     if isinstance(name, _ClassRows):
         if tau is None:
             tau = _column(_TAU, c, d)
@@ -463,12 +474,15 @@ def _column(name, c: np.ndarray, d: np.ndarray, tau=None) -> np.ndarray:
         if class_shift(fc.kind, 1, 0):
             return _int32(d + 2 * c.astype(np.int64) * lift, name)
         return np.stack((c[lift == 0], d[lift == 0]))
-    block = _ENUM_BLOCK if name == _TAU else _CHARACTER_BLOCK
+    coef, ends = _column_map(name)
     col = np.empty(c.size, dtype=np.int32)
-    for lo in range(0, c.size, block):
-        cb, db = (x[lo:lo + block].astype(np.int64) for x in (c, d))
-        part = class_invariants(-db, cb)[1] if name == _TAU else _character_column(name, cb, db)
-        col[lo:lo + part.size] = _int32(part, name)
+    for lo in range(0, c.size, _COLUMN_BLOCK):
+        phi1, phi2, s = coset_word_sums_batch(*(x[lo:lo + _COLUMN_BLOCK].astype(np.int64)
+                                                for x in (c, d)))
+        if not ends[s].all():
+            raise NotInGamma2(f"rows outside the parity class of the pair {name}")
+        a1, a2, b = coef.take(s, axis=1)
+        col[lo:lo + s.size] = _int32(a1 * phi1 + a2 * phi2 + b, name)
     return col
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import pi
 
-import numpy as np
-
 from .sl2 import (
     CUSP_INF,
     CUSP_ONE,
@@ -29,8 +27,6 @@ from .sl2 import (
     GEN1,
     GEN2,
     gamma2_exponent_sums,
-    gamma2_exponent_sums_batch,
-    mod_inverse_batch,
     round_half_down,
     word_from_syllables,
     word_to_matrix,
@@ -173,7 +169,12 @@ def _fermat_cusp(base: Cusp, t: int, n: int) -> FermatCusp:
     return FermatCusp(n=n, kind=kind, index=j, rep=_rep_of_class(base, t, n))
 
 
-@lru_cache(maxsize=None)
+# Levels whose cusp and coset representatives stay memoized; a level
+# past them is rebuilt on its next call.
+_LEVEL_CACHE = 16
+
+
+@lru_cache(maxsize=_LEVEL_CACHE)
 def cusp_reps(n: int) -> tuple[FermatCusp, ...]:
     """The 3n cusps in the standard order S_0, S_1, S_inf.
 
@@ -198,7 +199,7 @@ def fermat_cusp_of_ram(n: int, kind: str, j: int) -> FermatCusp:
     return _fermat_cusp(_BASE_OF_KIND[kind], (n - j) % n, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LEVEL_CACHE)
 def coset_reps(n: int) -> tuple[Mat2Z, ...]:
     """The n^2 matrices g1^a g2^b, (a, b) lexicographic."""
     out = []
@@ -299,9 +300,9 @@ def classify_cusp(c: Cusp, n: int) -> tuple[FermatCusp, Mat2Z]:
 def classify_rep_index(p: int, q: int, n: int) -> int:
     """Index of the class of (p : q) in the cusp_reps(n) ordering.
 
-    The invariant is read from the exponent sums of the level-2 M with
-    M(base) = (p : q) that class_invariants builds, here in exact ints:
-    O(log q) steps for entries of any size."""
+    The invariant is the class_shift of the exponent sums of a level-2 M
+    with M(base) = (p : q), which a modular inverse builds, in exact
+    ints: O(log q) steps for entries of any size."""
     c = Cusp(p, q)
     p, q, base, t = c.p, c.q, gamma2_base(c), 0
     # at level 1 the invariant mod 1 is 0: the level-2 base is the class;
@@ -321,43 +322,6 @@ def classify_rep_index(p: int, q: int, n: int) -> int:
         return n + t
     # S_inf block: reps 1/2 ... 1/(2n-2) then inf (t = 0) last.
     return 2 * n + (t - 1 if t else n - 1)
-
-
-def class_invariants(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """(base, tau) over int64 arrays of coprime p, q with q >= 1: base 0,
-    1 or 2 for the level-2 base 0, 1 or infinity of (p : q), and tau its
-    class invariant, not reduced mod any level.  tau is read as
-    classify_rep_index reads it, from the exponent sums of a level-2 M
-    with M(base) = (p : q): base infinity, M = [p (py-1)/q; q y] with
-    y = p^-1 mod 2q; bases 0 and 1, a = q^-1 mod 2|p| and c = (aq-1)/p,
-    with M = [a p; c q] and M = [a p-a; c q-c].  (0 : 1) is the base 0.
-    """
-    p, q = np.broadcast_arrays(np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64))
-    at_inf = (q & 1) == 0
-    at_one = ((p & 1) == 1) & ~at_inf
-    at_zero = p == 0
-    p = np.where(at_zero, 1, p)  # placeholder: those lanes get the identity below
-    inv = mod_inverse_batch(np.where(at_inf, p, q), np.where(at_inf, 2 * q, 2 * np.abs(p)))
-    lower = (inv * q - 1) // p
-    a = np.where(at_inf, p, inv)
-    b = np.where(at_inf, (p * inv - 1) // q, np.where(at_one, p - inv, p))
-    c = np.where(at_inf, q, lower)
-    d = np.where(at_inf, inv, np.where(at_one, q - lower, q))
-    a, b, c, d = (np.where(at_zero, x, y) for x, y in ((1, a), (0, b), (0, c), (1, d)))
-    r1, r2 = gamma2_exponent_sums_batch(a, b, c, d)
-    tau = np.where(at_inf, r2, np.where(at_one, r1 + r2, r1))
-    return np.where(at_inf, 2, at_one.astype(np.int64)), tau
-
-
-def classify_rep_indices(p, q, n: int) -> np.ndarray:
-    """classify_rep_index over arrays of coprime p, q with q >= 1, from
-    class_invariants; at level 1 the parity base alone is the class."""
-    p, q = np.broadcast_arrays(np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64))
-    if n == 1:
-        return np.where(q & 1, p & 1, 2)
-    base, t = class_invariants(p, q)
-    t %= n
-    return np.where(base == 2, 2 * n + np.where(t > 0, t - 1, n - 1), base * n + t)
 
 
 def _word_power(pair: tuple[tuple[int, int], ...], e: int) -> list[tuple[int, int]]:

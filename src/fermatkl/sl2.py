@@ -9,7 +9,8 @@ congruence subgroup generated by
 Matrices are identified with their negatives throughout (elements of
 PSL rather than SL), so every Mat2Z is kept in a canonical sign form.
 All integer arithmetic is arbitrary precision, except in the int64
-batch functions, which raise OverflowError beyond BATCH_ENTRY_BOUND.
+batch coset_word_sums_batch, which raises OverflowError beyond
+BATCH_ENTRY_BOUND.
 
 Exponent sums.  The exponent sums (r1, r2) of gamma = [a b; c d] in the
 level-2 group, sign-normalised so that c > 0, come from three Dedekind
@@ -28,9 +29,10 @@ raw Bezout coefficient x0 of h (not reduced mod k),
     Y(h, k) = k (q_1 - q_2 + ... +- q_n) - 3k [n odd] + h + x0,
 
 and Y(0, 1) = 0.  That is O(log c) steps, where the greedy word
-reduction of decompose_gamma2 takes O(c).  gamma2_exponent_sums is the
-exact Python-int form; gamma2_exponent_sums_batch runs the same formula
-over int64 arrays for the class invariants of the cusp classifier.
+reduction of decompose_gamma2 takes O(c).  gamma2_exponent_sums is that
+formula in exact Python ints; it builds the tables of
+coset_word_sums_batch below and the maps that read class invariants and
+characters from its output.
 
 Exponent sums along a word.  Exponent sums are additive along a word,
 and one Euclid on a column spells a word.  For M with bottom row
@@ -343,12 +345,6 @@ def decompose_gamma2(m: Mat2Z) -> GammaWord:
 # exponent sums from Dedekind sums
 # ---------------------------------------------------------------------------
 
-# Largest entry magnitude the int64 batch accepts.  For c <= 2^29 every
-# Y(h, k) with k <= 2c obeys |Y| <= k^2 <= 2^60, and both numerators stay
-# below 12 c^2 + 6 * 2^29 < 2^63.
-BATCH_ENTRY_BOUND = 1 << 29
-
-
 def _dedekind_y(h: int, k: int) -> int:
     """Y(h, k) = 12k s(h, k) for coprime 0 <= h < k (Y(0, 1) = 0)."""
     r0, r1 = k, h
@@ -364,17 +360,11 @@ def _dedekind_y(h: int, k: int) -> int:
     return k * alt - (3 * k if sign < 0 else 0) + h + x0
 
 
-def _sum_numerators(a, d, y_c, y_2c, y_half):
-    """6c r1 and 6c (r1 + r2) from the three Dedekind sums of d."""
-    t = 3 * (a + d)
-    return t + 6 * y_c - y_2c - 8 * y_half, t + y_2c - 4 * y_half
-
-
 def gamma2_exponent_sums(a: int, b: int, c: int, d: int):
     """Exponent sums (r1, r2) for raw entries, or None if not level 2.
 
     Exact for entries of any size.  See the module docstring for the
-    formula; gamma2_exponent_sums_batch is the int64 form.
+    formula.
     """
     if (a & 1) == 0 or (d & 1) == 0 or (b & 1) or (c & 1) or a * d - b * c != 1:
         return None
@@ -383,91 +373,13 @@ def gamma2_exponent_sums(a: int, b: int, c: int, d: int):
     if c == 0:
         return b // 2, 0
     half = c // 2
-    num1, num2 = _sum_numerators(a, d, _dedekind_y(d % c, c),
-                                 _dedekind_y(d % (2 * c), 2 * c),
-                                 _dedekind_y(d % half, half))
-    r1, e1 = divmod(num1, 6 * c)
-    s, e2 = divmod(num2, 6 * c)
+    y_c, y_2c, y_half = (_dedekind_y(d % k, k) for k in (c, 2 * c, half))
+    r1, e1 = divmod(3 * (a + d) + 6 * y_c - y_2c - 8 * y_half, 6 * c)
+    s, e2 = divmod(3 * (a + d) + y_2c - 4 * y_half, 6 * c)
     if e1 or e2:
         raise ArithmeticError(f"exponent-sum numerators of [{a} {b}; {c} {d}] "
                               f"are not divisible by 6c")
     return r1, s - r1
-
-
-def _euclid_batch(k: np.ndarray, h: np.ndarray):
-    """Extended Euclid on (k, h) lane by lane, for 0 <= h < k.
-
-    Returns the alternating quotient sums q_1 - q_2 + ..., whether the
-    number of quotients is odd, and the raw Bezout coefficient x0 with
-    x0 h = gcd (mod k).  Finished lanes are dropped from the working
-    arrays, so every live lane is at the same step.
-    """
-    alt = np.zeros(k.size, dtype=np.int64)
-    odd = np.zeros(k.size, dtype=bool)
-    x_out = np.zeros(k.size, dtype=np.int64)
-    idx = np.flatnonzero(h)
-    r0, r1 = k[idx], h[idx]
-    x0, x1 = np.zeros(idx.size, dtype=np.int64), np.ones(idx.size, dtype=np.int64)
-    acc = np.zeros(idx.size, dtype=np.int64)
-    step = 0
-    while idx.size:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        x0, x1 = x1, x0 - q * x1
-        acc = acc - q if step & 1 else acc + q
-        step += 1
-        done = r1 == 0
-        if done.any():
-            lanes = idx[done]
-            alt[lanes] = acc[done]
-            odd[lanes] = step & 1
-            x_out[lanes] = x0[done]
-            live = ~done
-            idx, r0, r1, x0, x1, acc = idx[live], r0[live], r1[live], x0[live], x1[live], acc[live]
-    return alt, odd, x_out
-
-
-def mod_inverse_batch(h, k) -> np.ndarray:
-    """h^-1 mod k in [0, k) for int64 arrays of coprime h and k >= 1."""
-    k = np.asarray(k, dtype=np.int64)
-    h = np.asarray(h, dtype=np.int64) % k
-    return _euclid_batch(k, h)[2] % k
-
-
-def gamma2_exponent_sums_batch(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent sums (r1, r2) of level-2 matrices given as int64 arrays.
-
-    The same formula as gamma2_exponent_sums, one lane per matrix.
-    Raises OverflowError when an entry exceeds BATCH_ENTRY_BOUND in
-    magnitude and NotInGamma2 when a lane is not a level-2 matrix.
-    """
-    a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (a, b, c, d)))
-    for x in (a, b, c, d):
-        if x.size and (x.max() > BATCH_ENTRY_BOUND or x.min() < -BATCH_ENTRY_BOUND):
-            raise OverflowError(f"matrix entries beyond {BATCH_ENTRY_BOUND} overflow int64")
-    bad = ((a & 1) == 0) | ((d & 1) == 0) | ((b & 1) == 1) | ((c & 1) == 1) | (a * d - b * c != 1)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise NotInGamma2(f"[{a[i]} {b[i]}; {c[i]} {d[i]}] is not in the level-2 group")
-    sign = np.where((c < 0) | ((c == 0) & (a < 0)), -1, 1)
-    a, b, c, d = a * sign, b * sign, c * sign, d * sign
-    r1 = b // 2
-    r2 = np.zeros_like(r1)
-    pos = np.flatnonzero(c)
-    if pos.size:
-        ap, cp, dp = a[pos], c[pos], d[pos]
-        k = np.concatenate((cp, 2 * cp, cp // 2))
-        h = np.concatenate((dp, dp, dp)) % k
-        alt, odd, x0 = _euclid_batch(k, h)
-        y = k * alt - 3 * k * odd + h + x0
-        num1, num2 = _sum_numerators(ap, dp, *np.split(y, 3))
-        q1, e1 = np.divmod(num1, 6 * cp)
-        q2, e2 = np.divmod(num2, 6 * cp)
-        if e1.any() or e2.any():
-            raise ArithmeticError("exponent-sum numerators are not divisible by 6c")
-        r1[pos] = q1
-        r2[pos] = q2 - q1
-    return r1, r2
 
 
 def is_in_gamma_n(m: Mat2Z, n: int) -> bool:
@@ -479,7 +391,6 @@ def is_in_gamma_n(m: Mat2Z, n: int) -> bool:
         return False
     r1, r2 = gamma2_exponent_sums(m.a, m.b, m.c, m.d)
     return r1 % n == 0 and r2 % n == 0
-
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +449,13 @@ def _round_tables():
 
 
 _ROUND_PER_H, _ROUND_FIXED, _ROUND_NEXT = _round_tables()
+
+# Largest entry coset_word_sums_batch accepts.  Its float64 quotients are
+# exact below 2^52.  A round adds at most |q|/2 + 1 to each |phi_i|, the
+# quotients of the Euclid on (d, c) sum to at most max(c, d), and it
+# takes at most 45 rounds, so |phi| <= 2^28 + 45 stays below the 2^31
+# of the packed phi1 2^32 + phi2.
+BATCH_ENTRY_BOUND = 1 << 29
 
 
 def coset_word_sums_batch(c, d):

@@ -38,6 +38,8 @@ from fermatkl.sl2 import (
 )
 from fermatkl.special import zeta
 
+from dedekind_oracles import class_invariants, gamma2_exponent_sums_batch, mod_inverse_batch
+
 TR_FAST = TruncationSpec(c_max=150, m_max=8, order=20)
 
 
@@ -573,7 +575,6 @@ def _character_column_dedekind(pair, c, d):
     rho = g_bj M g_bk^-1, with M's top row from d^-1 mod c: the reference
     for the coset-word pass."""
     from fermatkl.eisenstein import _STABILIZER_SUMS, _base_pair_matrix
-    from fermatkl.sl2 import gamma2_exponent_sums_batch, mod_inverse_batch
 
     jb, kb = pair
     gj, gk = cusp_scaling_matrix(jb), cusp_scaling_matrix(kb)
@@ -617,8 +618,30 @@ def test_character_column_matches_dedekind_oracle():
             assert c.size > 2000
             for special in (np.ones_like(c), c - 1, c + 1, 2 * c - 1):
                 assert (d == special).any() == (special[0] % 2 == pd)
-            u = e._character_column((jb, kb), c, d)
+            u = e._column((jb, kb), c, d)
             assert np.array_equal(u, _character_column_dedekind((jb, kb), c, d)), (jb, kb)
+
+
+def test_tau_column_matches_dedekind_oracle():
+    # tau from the coset-word pass against the Dedekind-sum classifier,
+    # over every row of the three level-2 row sets at c_max 500, and over
+    # seeded rows with c < 2^24 and d = 1, c - 1, c + 1, 2c - 1 among them
+    from fermatkl import eisenstein as e
+
+    for key in ROWS_OF_BASE.values():
+        c, d = e._enumerate_lanes(key, 1, 500)
+        tau = e._column(e._TAU, c, d)
+        assert tau.dtype == np.int32
+        assert np.array_equal(tau, class_invariants(-d.astype(np.int64), c.astype(np.int64))[1]), key
+    rng = np.random.default_rng(1111)
+    c = rng.integers(1, 1 << 24, 2000)
+    d = np.concatenate([np.ones_like(c), c - 1, c + 1, 2 * c - 1, rng.integers(0, 2 * c)])
+    c = np.tile(c, 5)
+    keep = (np.gcd(c, d) == 1) & (d < 2 * c)
+    c, d = c[keep], d[keep]
+    for special in (np.ones_like(c), c - 1, c + 1, 2 * c - 1):
+        assert (d == special).any()
+    assert np.array_equal(e._column(e._TAU, c, d), class_invariants(-d, c)[1])
 
 
 def test_row_counts_are_totients():
@@ -655,8 +678,8 @@ def test_direct_sums_read_cached_class_rows(monkeypatch):
         names = [name for table in store.values() for name in table.cols if name != eisenstein._TAU]
         assert sorted(names) == [eisenstein._ClassRows(n, i) for i in range(3 * n)]
         with monkeypatch.context() as patch:
-            patch.setattr(eisenstein, "_column", refuse)
-            patch.setattr(eisenstein, "class_invariants", refuse)
+            for name in ("_column", "coset_word_sums_batch"):
+                patch.setattr(eisenstein, name, refuse)
             assert np.array_equal(eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=40))[0], full)
             assert np.array_equal(eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=25))[0], short)
         eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=60))
@@ -753,8 +776,9 @@ def _class_buckets(group, c_max):
 
 def _assert_one_build(key, table):
     """Every column of a stored table, the character and tau columns
-    too, equals one build of it from c = 1."""
-    from fermatkl import eisenstein, fermat
+    too, equals one build of it from c = 1, and tau the Dedekind-sum
+    classifier's."""
+    from fermatkl import eisenstein
 
     ref = eisenstein._Table()
     eisenstein._extend(key, ref, table.c_done)
@@ -762,7 +786,7 @@ def _assert_one_build(key, table):
     for name, col in table.cols.items():
         assert np.array_equal(col, eisenstein._column(name, ref.c, ref.d)), (key, name)
     if eisenstein._TAU in table.cols:
-        tau = fermat.class_invariants(-ref.d.astype(np.int64), ref.c)[1]
+        tau = class_invariants(-ref.d.astype(np.int64), ref.c)[1]
         assert np.array_equal(table.cols[eisenstein._TAU], tau), key
 
 
@@ -913,19 +937,18 @@ def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
     store = _fresh_store(monkeypatch)
     monkeypatch.setattr(eisenstein, "coset_word_sums_batch", refuse)
     monkeypatch.setattr(eisenstein, "gamma2_exponent_sums", refuse)
-    monkeypatch.setattr(eisenstein, "class_invariants", refuse)
     tr = TruncationSpec(c_max=80)
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
         for k in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
             for m in (0, 3):
                 phi_coefficient(GAMMA2, j, k, m, 2.0, tr)
     assert not any(table.cols for table in store.values())
-    # a cold store and classification: the level-1 exits of both
-    # classifiers read parities only, and the direct sums compute no tau
+    # a cold store and classification: the level-1 exit of the classifier
+    # reads parities only, and the direct sums compute no tau
     store = _fresh_store(monkeypatch)
-    for name in ("gamma2_exponent_sums_batch", "mod_inverse_batch", "_cusp_reduction_steps"):
+    for name in ("gamma2_exponent_sums", "_cusp_reduction_steps"):
         monkeypatch.setattr(fermat, name, refuse)
-    assert fermat.classify_rep_indices([0, 1, 1, -3], [1, 1, 2, 5], 1).tolist() == [0, 1, 2, 1]
+    assert [fermat.classify_rep_index(p, q, 1) for p, q in ((0, 1), (1, 1), (1, 2), (-3, 5))] == [0, 1, 2, 1]
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
         eisenstein_direct(GAMMA2, j, 0.3 + 1.1j, 2.0, tr)
     assert set(store) == set(ROWS_OF_BASE.values())
@@ -938,8 +961,8 @@ def test_batched_class_table_matches_per_d_loop(monkeypatch):
 
     def per_d(d0, c, n):
         # against the witness-word classifier, which reduces the cusp step by
-        # step and shares no base matrix with class_invariants; the exact-int
-        # classify_rep_index must agree with it too
+        # step and shares no exponent-sum code with the tau column; the
+        # exact-int classify_rep_index must agree with it too
         index = cusp_reps(n).index(classify_cusp_word(Cusp(-d0, c), n)[0])
         assert classify_rep_index(-d0, c, n) == index, (d0, c, n)
         return index
@@ -1235,30 +1258,32 @@ def test_four_row_sets_serve_every_table(monkeypatch):
 
 
 def test_direct_and_fourier_classify_independently(monkeypatch):
-    # the direct side reads tau from the batched classifier and the Fourier
-    # side the character u from the coset-word pass over the lanes: neither
-    # computes or reads the other's columns, and they share no exponent-sum
-    # code
-    from fermatkl import eisenstein, fermat, sl2
-
-    def refuse(*args):
-        raise AssertionError("the other path's classification")
+    # the direct side reads tau and the class rows, the Fourier side the
+    # character u of a base pair: neither builds or reads the other's
+    # columns.  Both columns come from coset_word_sums_batch, whose round
+    # tables test_round_table_off_by_one_fails_klf covers
+    from fermatkl import eisenstein
 
     def direct_side(name):
         return name == eisenstein._TAU or isinstance(name, eisenstein._ClassRows)
+
+    real = eisenstein._column
+
+    def only(side):
+        def column(name, *args):
+            if direct_side(name) != side:
+                raise AssertionError(f"the other path's column {name}")
+            return real(name, *args)
+        return column
 
     store = _fresh_store(monkeypatch)
     g, reps = gamma_n(3), cusp_reps(3)
     z, tr = 0.3 + 1.1j, TruncationSpec(c_max=80)
     with monkeypatch.context() as patch:
-        for module in (eisenstein, sl2):
-            patch.setattr(module, "coset_word_sums_batch", refuse)
+        patch.setattr(eisenstein, "_column", only(True))
         direct, _ = eisenstein_direct_all(g, z, 2.0, tr)
     with monkeypatch.context() as patch:
-        patch.setattr(eisenstein, "class_invariants", refuse)
-        for module in (fermat, sl2):
-            for name in ("gamma2_exponent_sums_batch", "mod_inverse_batch"):
-                patch.setattr(module, name, refuse)
+        patch.setattr(eisenstein, "_column", only(False))
         fourier = [(inner_sums(g, fj.rep, reps[-1].rep, (0, 1, 3), tr.c_max),
                     fourier_eval(g, fj.rep, reps[-1].rep, z, 2.0, tr)) for fj in reps]
     # every table holds tau, class rows and a character column; zeroing one
@@ -1277,6 +1302,33 @@ def test_direct_and_fourier_classify_independently(monkeypatch):
     for fj, (rows, val) in zip(reps, fourier):
         assert np.array_equal(inner_sums(g, fj.rep, reps[-1].rep, (0, 1, 3), tr.c_max), rows)
         assert fourier_eval(g, fj.rep, reps[-1].rep, z, 2.0, tr) == val
+
+
+@pytest.mark.parametrize("table, slot, lane", [("_ROUND_PER_H", 2, 1), ("_ROUND_FIXED", 5, 1 << 32)])
+def test_round_table_off_by_one_fails_klf(monkeypatch, table, slot, lane):
+    # tau and u share the round tables of coset_word_sums_batch, so a cross
+    # path alone could miss an error in them: the Kronecker-limit check,
+    # whose other side is the theta-product form, fails on one.  Per-h
+    # slots are read at even indices 2 s; lane 1 is phi2, 2^32 phi1
+    from fermatkl import eisenstein, sl2, verify
+
+    fc = cusp_reps(3)[3]
+
+    def klf():
+        _fresh_store(monkeypatch)
+        eisenstein._column_map.cache_clear()
+        return verify.check_klf_fermat(3, fc, 2j)
+
+    assert klf().passed
+    mutant = {sign: col.copy() for sign, col in getattr(sl2, table).items()}
+    mutant[1][slot] += lane
+    monkeypatch.setattr(sl2, table, mutant)
+    try:
+        report = klf()
+    finally:
+        # the phi memoized from the mutant tables go before later tests
+        eisenstein._phis.cache_clear()
+    assert report.check_id == "klf_fermat" and not report.passed
 
 
 def test_lane_table_int32_guard(monkeypatch):

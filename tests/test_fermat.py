@@ -9,7 +9,6 @@ from fermatkl.fermat import (
     classify_cusp,
     classify_cusp_word,
     classify_rep_index,
-    classify_rep_indices,
     coset_reps,
     cusp_reps,
     equivalence_witnesses,
@@ -26,11 +25,14 @@ from fermatkl.sl2 import (
     GEN1,
     GEN2,
     IDENTITY,
+    gamma2_exponent_sums,
     is_in_gamma_n,
     mobius_apply,
     word_from_syllables,
     word_to_matrix,
 )
+
+from dedekind_oracles import classify_rep_indices
 
 
 def test_cusp_reps_small_levels():
@@ -142,6 +144,25 @@ def test_coset_reps():
                 assert not is_in_gamma_n(reps[i] * reps[j].inverse(), n)
 
 
+@pytest.mark.parametrize("cached", [cusp_reps, coset_reps])
+def test_level_caches_bounded(cached):
+    # a fixed bound, and more levels than it: the evicted ones are rebuilt
+    # equal, each with its 3n cusps or n^2 cosets
+    bound = cached.cache_info().maxsize
+    assert bound is not None and 0 < bound < 100
+    levels = range(1, bound + 6)
+    first = {n: cached(n) for n in levels}
+    assert cached.cache_info().currsize == bound
+    for n in levels:
+        assert cached(n) == first[n] == cached.__wrapped__(n)
+        assert len(first[n]) == (3 * n if cached is cusp_reps else n * n)
+    for n in (bound + 5, bound + 1):
+        for index, fc in enumerate(cusp_reps(n)):
+            assert classify_rep_index(fc.rep.p, fc.rep.q, n) == index
+        sums = [gamma2_exponent_sums(*g.entries()) for g in coset_reps(n)]
+        assert sums == [(a, b) for a in range(n) for b in range(n)]
+
+
 def test_cusp_width():
     # the common width of every cusp
     assert GAMMA2.width == 2
@@ -200,6 +221,6 @@ def test_classify_rep_index_matches_classifier():
             assert gamma2_base(c) == gamma2_base(fc_idx.rep)
             if c.q:
                 batch.append((c.p, c.q, cusp_reps(n).index(fc)))
-        # the batched classifier over the same cusps
+        # the batched Dedekind-sum oracle over the same cusps
         p, q, want = zip(*batch)
         assert classify_rep_indices(p, q, n).tolist() == list(want)

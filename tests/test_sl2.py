@@ -24,16 +24,16 @@ from fermatkl.sl2 import (
     decompose_gamma2,
     exponent_sums,
     gamma2_exponent_sums,
-    gamma2_exponent_sums_batch,
     is_in_gamma2,
     is_in_gamma_n,
     mobius_apply,
     mobius_point,
-    mod_inverse_batch,
     word_concat,
     word_from_syllables,
     word_to_matrix,
 )
+
+from dedekind_oracles import gamma2_exponent_sums_batch, mod_inverse_batch
 
 
 def random_word(rng, max_len=12):
