@@ -43,13 +43,15 @@ table of int32 columns sorted by c, read as prefixes and extended on
 demand, with u of a base pair, tau and the rows of each level-N class
 beside the rows, each computed on first read.  tau and u are
 integer-linear maps, one per coset state, of the exponent sums and coset
-state that one Euclid on the column (d, -c) of M^-1 gives
-(coset_word_sums_batch of the sl2 module), and the class rows come from
-tau.  So the two sides of a cross-path check read separate columns but
-share that one primitive and its round tables: an off-by-one in a table
-moves both sides, and the tests check that a Kronecker-limit check of
-the verify suite still fails on it.  The tables share one store bounded
-by a least-recently-used count of int32 cells.
+state that one Euclid on the column (d, -c) of M^-1 gives: the int64
+coset-word walk of the sl2 module, whose exact-int form, with the same
+round tables and fermat.TAU_MAP, gives every scalar exponent sum and
+cusp class.  The class rows come from tau.  So the two sides of a
+cross-path check read separate columns but share that one walk and its
+round tables: an off-by-one in a table moves both sides, and the tests
+check that a Kronecker-limit check of the verify suite still fails on
+it.  The tables share one store bounded by a least-recently-used count
+of int32 cells.
 
 inner_sums reads, shifts and filters the lanes once per call for every
 mode asked for, and the row of -m is the conjugate of the row of m, so
@@ -83,6 +85,7 @@ import numpy as np
 from . import scattering
 from .fermat import (
     GAMMA2,
+    TAU_MAP,
     FermatCusp,
     GroupId,
     class_shift,
@@ -105,7 +108,6 @@ from .sl2 import (
     coset_word_sums_batch,
     cusp_scaling_matrix,
     gamma2_exponent_sums,
-    mobius_apply,
 )
 from .special import bessel_k, gamma_fn, zeta
 
@@ -168,7 +170,8 @@ def classify_index(group: GroupId, p: int, q: int) -> int:
 def standard_rep(group: GroupId, c) -> Cusp:
     """Standard representative of the class of a cusp."""
     c = as_cusp(c)
-    return group_cusps(group)[classify_index(group, c.p, c.q)]
+    i = classify_index(group, c.p, c.q)
+    return CUSP_INF if group.kind == "gamma1" else cusp_reps(group.n)[i].rep
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +212,7 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     x, y = z.real, z.imag
     if y <= 0:
         raise ValueError("z must lie in the upper half plane")
-    n_classes = len(group_cusps(group))
+    n_classes = 1 if group.kind == "gamma1" else 3 * group.n
     wanted = range(n_classes) if classes is None else list(classes)
     slot = {i: pos for pos, i in enumerate(wanted)}
     if len(slot) != len(wanted) or not all(0 <= i < n_classes for i in slot):
@@ -255,7 +258,7 @@ def _class_rows(group: GroupId, i: int, c_max: int):
     d + step c k, from its base's parity lifted or filtered through tau
     as the module docstring sets out, and kept in the table as the
     column _ClassRows(n, i)."""
-    n, base = group.n, gamma2_base(group_cusps(group)[i])
+    n, base = group.n, gamma2_base(cusp_reps(group.n)[i].rep)
     key = _GAMMA1_ROWS if group.kind == "gamma1" else (2, base.q & 1, base.p & 1)
     step = key[0]
     if n == 1:
@@ -403,10 +406,9 @@ def _column_map(name):
     ends[s] is False where no row of the column ends in state s.  Write
     M^-1 = gamma R_s T^k with R_s = COSET_REPS[s].
 
-    tau: M^-1 maps inf to (-d : c).  With b the level-2 base of R_s(inf)
-    and the one e in {0, 1} that puts eps_s = R_s T^-e g_b^-1 in Gamma(2),
-    gamma eps_s maps b to (-d : c), so tau is the class_shift of b's kind
-    at phi + r(eps_s).  Every state ends a row.
+    tau: M^-1 maps inf to (-d : c), whose class invariant fermat.TAU_MAP
+    gives per state, as it does for classify_rep_index.  Every state ends
+    a row.
 
     u = r1 v2 - r2 v1, r the exponent sums of rho = g_bj M g_bk^-1 for
     the M in g_bj^-1 Gamma(2) g_bk and v those of the stabilizer
@@ -424,15 +426,7 @@ def _column_map(name):
     coef = np.zeros((3, len(COSET_REPS)), dtype=np.int64)
     ends = np.full(len(COSET_REPS), name == _TAU)
     if name == _TAU:
-        # the level-1 Fermat cusps are the level-2 bases
-        kind_of = {fc.rep: fc.kind for fc in cusp_reps(1)}
-        for s, rep in enumerate(COSET_REPS):
-            b = gamma2_base(mobius_apply(rep, CUSP_INF))
-            gb_inv = cusp_scaling_matrix(b).inverse()
-            eps = next(r for r in (gamma2_exponent_sums(*(rep * T ** -e * gb_inv).entries())
-                                   for e in (0, 1)) if r is not None)
-            kind = kind_of[b]
-            coef[:, s] = class_shift(kind, 1, 0), class_shift(kind, 0, 1), class_shift(kind, *eps)
+        coef[:] = np.transpose(TAU_MAP)
     else:
         jb, kb = name
         gj, gk = cusp_scaling_matrix(jb), cusp_scaling_matrix(kb)

@@ -18,6 +18,7 @@ from functools import lru_cache
 from math import pi
 
 from .sl2 import (
+    COSET_REPS,
     CUSP_INF,
     CUSP_ONE,
     CUSP_ZERO,
@@ -26,6 +27,9 @@ from .sl2 import (
     Mat2Z,
     GEN1,
     GEN2,
+    T,
+    _coset_word,
+    cusp_scaling_matrix,
     gamma2_exponent_sums,
     round_half_down,
     word_from_syllables,
@@ -220,6 +224,28 @@ def gamma2_base(c: Cusp) -> Cusp:
     return CUSP_ZERO
 
 
+def _tau_map() -> tuple[tuple[int, int, int], ...]:
+    """TAU_MAP: per coset state s, (a1, a2, b) with the class invariant
+    of N(inf) = a1 phi1 + a2 phi2 + b, for N = gamma R_s T^k and phi the
+    exponent sums of gamma, R_s = COSET_REPS[s].  With g the scaling
+    matrix of the level-2 base of R_s(inf) and the one e in {0, 1} that
+    puts eps_s = R_s T^-e g^-1 in the level-2 group, gamma eps_s maps that
+    base to N(inf), so the invariant is the class_shift of its kind at
+    phi + r(eps_s)."""
+    out = []
+    for rep in COSET_REPS:
+        base = gamma2_base(Cusp(rep.a, rep.c))
+        gb_inv = cusp_scaling_matrix(base).inverse()
+        eps = next(r for r in (gamma2_exponent_sums(*(rep * T ** -e * gb_inv).entries())
+                               for e in (0, 1)) if r is not None)
+        kind = _KIND_OF_BASE[base]
+        out.append((class_shift(kind, 1, 0), class_shift(kind, 0, 1), class_shift(kind, *eps)))
+    return tuple(out)
+
+
+TAU_MAP = _tau_map()
+
+
 def _cusp_reduction_steps(c: Cusp) -> tuple[Cusp, list[tuple[int, int]]]:
     """Euclidean reduction of a cusp to its level-2 base.
 
@@ -227,7 +253,7 @@ def _cusp_reduction_steps(c: Cusp) -> tuple[Cusp, list[tuple[int, int]]]:
     order maps c to base.  It takes about q steps on cusps like
     (q+1)/q, and serves classify_cusp_word, whose witness word is itself
     about that many syllables long; classify_rep_index reads the class
-    from Dedekind sums instead.
+    from the coset-word walk instead.
     """
     p, q = c.p, c.q
     steps: list[tuple[int, int]] = []
@@ -300,22 +326,16 @@ def classify_cusp(c: Cusp, n: int) -> tuple[FermatCusp, Mat2Z]:
 def classify_rep_index(p: int, q: int, n: int) -> int:
     """Index of the class of (p : q) in the cusp_reps(n) ordering.
 
-    The invariant is the class_shift of the exponent sums of a level-2 M
-    with M(base) = (p : q), which a modular inverse builds, in exact
-    ints: O(log q) steps for entries of any size."""
+    The invariant is read through TAU_MAP from the coset-word walk on the
+    column (p, q), in exact ints: O(log q) rounds for entries of any
+    size."""
     c = Cusp(p, q)
-    p, q, base, t = c.p, c.q, gamma2_base(c), 0
-    # at level 1 the invariant mod 1 is 0: the level-2 base is the class;
-    # (0 : 1) and infinity are their bases, with M the identity
-    if n > 1 and p and q:
-        if base == CUSP_INF:
-            y = pow(p, -1, 2 * q)
-            m = (p, (p * y - 1) // q, q, y)
-        else:
-            a = pow(q, -1, 2 * abs(p))
-            lower = (a * q - 1) // p
-            m = (a, p, lower, q) if base == CUSP_ZERO else (a, p - a, lower, q - lower)
-        t = _class_invariant(base, *gamma2_exponent_sums(*m))[0] % n
+    base, t = gamma2_base(c), 0
+    # at level 1 the invariant mod 1 is 0: the level-2 base is the class
+    if n > 1:
+        phi1, phi2, s, _ = _coset_word(c.p, c.q)
+        a1, a2, b = TAU_MAP[s]
+        t = (a1 * phi1 + a2 * phi2 + b) % n
     if base == CUSP_ZERO:
         return t
     if base == CUSP_ONE:

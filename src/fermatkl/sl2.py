@@ -12,47 +12,33 @@ All integer arithmetic is arbitrary precision, except in the int64
 batch coset_word_sums_batch, which raises OverflowError beyond
 BATCH_ENTRY_BOUND.
 
-Exponent sums.  The exponent sums (r1, r2) of gamma = [a b; c d] in the
-level-2 group, sign-normalised so that c > 0, come from three Dedekind
-sums through the eta transformation law (Apostol, Modular Functions and
-Dirichlet Series in Number Theory, ch. 3).  With Y(h, k) = 12k s(h, k),
-
-    6c r1        = 3(a+d) + 6 Y(d, c) - Y(d, 2c) - 8 Y(d, c/2)
-    6c (r1 + r2) = 3(a+d) + Y(d, 2c) - 4 Y(d, c/2),
-
-and gamma = g1^(b/2), r = (b/2, 0), when c = 0.  Both divisions are
-exact; a remainder raises ArithmeticError.  Y follows from reciprocity
-(Rademacher and Grosswald, Dedekind Sums, 1972) as one extended Euclid
-pass on (k, h) for coprime 0 <= h < k: with quotients q_1..q_n and the
-raw Bezout coefficient x0 of h (not reduced mod k),
-
-    Y(h, k) = k (q_1 - q_2 + ... +- q_n) - 3k [n odd] + h + x0,
-
-and Y(0, 1) = 0.  That is O(log c) steps, where the greedy word
-reduction of decompose_gamma2 takes O(c).  gamma2_exponent_sums is that
-formula in exact Python ints; it builds the tables of
-coset_word_sums_batch below and the maps that read class invariants and
-characters from its output.
-
-Exponent sums along a word.  Exponent sums are additive along a word,
-and one Euclid on a column spells a word.  For M with bottom row
-(c, d), the Euclid on the first column (x, y) = (d, -c) of M^-1 takes
-q = x/y truncated toward zero and sets (x, y) = (-y, x - q y), which is
-(x, y) multiplied by S T^-q, until y = 0; so M^-1 = T^q1 S^-1 T^q2 S^-1
-... T^qn S^-1 T^k.  coset_word_sums_batch reads that word left to right
-through the six cosets R_s Gamma(2) of COSET_REPS, starting at R_0 = I:
-with q = 2j + e, R_s T^q S^-1 = (R_s g1 R_s^-1)^j (R_s T^e S^-1 R_s'^-1)
-R_s', s' the coset of R_s T^e S^-1, so a round adds
-j r(R_s g1 R_s^-1) + r(R_s T^e S^-1 R_s'^-1) to the sums and moves to s'.
-It returns the sums phi of gamma and the state s in M^-1 = gamma R_s T^k.
-Its tables are computed at import by gamma2_exponent_sums on products of
-the representatives.  Truncated quotients keep |x| and |y| those of the
-ordinary Euclid on (d, c), O(log c) rounds, with the sign of q
-alternating from round to round.  Floor quotients would leave the
+Exponent sums.  The exponent sums (r1, r2) of the level-2 group are
+additive along a word, and one Euclid on a column spells a word.  For a
+matrix N with first column (x, y), the Euclid takes q = x/y truncated
+toward zero and sets (x, y) = (-y, x - q y), which is (x, y) multiplied
+by S T^-q, until y = 0; so N = T^q1 S^-1 T^q2 S^-1 ... T^qn S^-1 T^k.
+The walk reads that word left to right through the six cosets
+R_s Gamma(2) of COSET_REPS, starting at R_0 = I: with q = 2j + e,
+R_s T^q S^-1 = (R_s g1 R_s^-1)^j (R_s T^e S^-1 R_s'^-1) R_s', s' the
+coset of R_s T^e S^-1, so a round adds
+j r(R_s g1 R_s^-1) + r(R_s T^e S^-1 R_s'^-1) to the sums and moves to
+s'.  It ends with the sums phi of gamma and the state s in
+N = gamma R_s T^k.  Its round tables come at import from
+decompose_gamma2 on those 18 small products.  Truncated quotients keep
+|x| and |y| those of the ordinary Euclid, O(log) rounds, with the sign
+of q alternating from round to round.  Floor quotients would leave the
 remainder with the sign of y and spell the minus continued fraction,
 whose length grows linearly: (c - 1)/c = 1 - 1/(2 - 1/(2 - ...)) takes
-c rounds.  The pass runs on |x| and |y| in float64, whose quotients are
-exact below 2^52, and packs phi1 2^32 + phi2 in one int64.
+c rounds.
+
+The walk runs in two number types.  _coset_word runs it in exact ints
+on one column, applying each step to the second column as well, which
+gives k.  gamma2_exponent_sums walks N = M^-1 = [d -b; -c a]: as
+R_s T^k then lies in Gamma(2), R_s is I or T = R_1, and
+r(M) = -(phi1 + (s + k)/2, phi2).  coset_word_sums_batch runs it over
+int64 rows on the first column (d, -c) of M^-1, in float64 on |x| and
+|y|, whose quotients are exact below 2^52, and packs phi1 2^32 + phi2
+in one int64.
 """
 
 from __future__ import annotations
@@ -306,7 +292,7 @@ def decompose_gamma2(m: Mat2Z) -> GammaWord:
     because the peeled exponent is the greedy minimizer of the row
     1-norm.  It takes O(c) steps on runs of g1 g2^-1, so exponent sums
     come from gamma2_exponent_sums instead; this is the witness-word
-    path and the oracle for it.
+    path, the source of that walk's round tables and the oracle for it.
     """
     if not is_in_gamma2(m):
         raise NotInGamma2(f"{m} is not in the level-2 group")
@@ -342,59 +328,7 @@ def decompose_gamma2(m: Mat2Z) -> GammaWord:
 
 
 # ---------------------------------------------------------------------------
-# exponent sums from Dedekind sums
-# ---------------------------------------------------------------------------
-
-def _dedekind_y(h: int, k: int) -> int:
-    """Y(h, k) = 12k s(h, k) for coprime 0 <= h < k (Y(0, 1) = 0)."""
-    r0, r1 = k, h
-    x0, x1 = 0, 1
-    alt, sign = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        x0, x1 = x1, x0 - q * x1
-        alt += sign * q
-        sign = -sign
-    # sign < 0 exactly when the number of quotients is odd
-    return k * alt - (3 * k if sign < 0 else 0) + h + x0
-
-
-def gamma2_exponent_sums(a: int, b: int, c: int, d: int):
-    """Exponent sums (r1, r2) for raw entries, or None if not level 2.
-
-    Exact for entries of any size.  See the module docstring for the
-    formula.
-    """
-    if (a & 1) == 0 or (d & 1) == 0 or (b & 1) or (c & 1) or a * d - b * c != 1:
-        return None
-    if c < 0 or (c == 0 and a < 0):
-        a, b, c, d = -a, -b, -c, -d
-    if c == 0:
-        return b // 2, 0
-    half = c // 2
-    y_c, y_2c, y_half = (_dedekind_y(d % k, k) for k in (c, 2 * c, half))
-    r1, e1 = divmod(3 * (a + d) + 6 * y_c - y_2c - 8 * y_half, 6 * c)
-    s, e2 = divmod(3 * (a + d) + y_2c - 4 * y_half, 6 * c)
-    if e1 or e2:
-        raise ArithmeticError(f"exponent-sum numerators of [{a} {b}; {c} {d}] "
-                              f"are not divisible by 6c")
-    return r1, s - r1
-
-
-def is_in_gamma_n(m: Mat2Z, n: int) -> bool:
-    """Membership in the Fermat-curve group: level 2 with both exponent
-    sums divisible by n."""
-    if n < 1:
-        raise ValueError("level must be a positive integer")
-    if not is_in_gamma2(m):
-        return False
-    r1, r2 = gamma2_exponent_sums(m.a, m.b, m.c, m.d)
-    return r1 % n == 0 and r2 % n == 0
-
-
-# ---------------------------------------------------------------------------
-# exponent sums along the Euclid word of a row
+# exponent sums along the Euclid word of a column
 # ---------------------------------------------------------------------------
 
 def _coset_key(m: Mat2Z) -> tuple[int, ...]:
@@ -424,31 +358,80 @@ def coset_index(m: Mat2Z) -> int:
     return _COSET_INDEX[_coset_key(m)]
 
 
-def _round_tables():
-    """The tables of one round of coset_word_sums_batch, indexed by 2 s + e
-    for the state s and the parity e of the quotient q = 2 j + e: for
-    quotients of either sign, the sums per unit of h = |q| // 2 and the
-    fixed sums of j r(R_s g1 R_s^-1) + r(R_s T^e S^-1 R_next^-1), each
-    packed as r1 2^32 + r2, and 2 next.  A negative q = -(2h + e) has
-    j = -h - e.  Plain Python until the end: a numpy operation at import
-    would page in its machinery for every caller."""
-    per_h, fixed, after = {1: [], -1: []}, {1: [], -1: []}, []
+def _walk_tables():
+    """The round tables of the walk: per state s the sums
+    r(R_s g1 R_s^-1) of a unit of j, and per 2 s + e, e the parity of the
+    quotient q = 2 j + e, the fixed sums r(R_s T^e S^-1 R_next^-1) and
+    next, from the words of those 18 products."""
+    per_j, fixed, after = [], [], []
     for r in COSET_REPS:
-        g1, g2 = gamma2_exponent_sums(*(r * GEN1 * r.inverse()).entries())
+        per_j.append(exponent_sums(decompose_gamma2(r * GEN1 * r.inverse())))
         for e in (0, 1):
             x = r * T ** e * S.inverse()
-            after.append(2 * coset_index(x))
-            f1, f2 = gamma2_exponent_sums(*(x * COSET_REPS[coset_index(x)].inverse()).entries())
-            per_h[1].append((g1 << 32) + g2)
-            per_h[-1].append(-((g1 << 32) + g2))
-            fixed[1].append((f1 << 32) + f2)
-            fixed[-1].append(((f1 - e * g1) << 32) + f2 - e * g2)
-    as_array = lambda x: np.array(x, dtype=np.int64)
-    return ({k: as_array(v) for k, v in per_h.items()}, {k: as_array(v) for k, v in fixed.items()},
-            as_array(after))
+            after.append(coset_index(x))
+            fixed.append(exponent_sums(decompose_gamma2(x * COSET_REPS[after[-1]].inverse())))
+    return tuple(per_j), tuple(fixed), tuple(after)
 
 
-_ROUND_PER_H, _ROUND_FIXED, _ROUND_NEXT = _round_tables()
+_WALK_PER_J, _WALK_FIXED, _WALK_NEXT = _walk_tables()
+
+
+def _coset_word(x: int, y: int, u: int = 0, v: int = 0):
+    """(phi1, phi2, s, k) with N = gamma COSET_REPS[s] T^k and phi the
+    exponent sums of gamma, for N with first column (x, y) and second
+    column (u, v), in exact ints; see the module docstring.  k is N's
+    only when (u, v) completes a matrix of determinant 1."""
+    per_j, fixed, after = _WALK_PER_J, _WALK_FIXED, _WALK_NEXT
+    p1 = p2 = s = 0
+    while y:
+        q = abs(x) // abs(y) if (x < 0) == (y < 0) else -(abs(x) // abs(y))
+        x, y, u, v = -y, x - q * y, -v, u - q * v
+        i, j = 2 * s + (q & 1), q >> 1
+        g1, g2 = per_j[s]
+        f1, f2 = fixed[i]
+        p1 += j * g1 + f1
+        p2 += j * g2 + f2
+        s = after[i]
+    return p1, p2, s, x * u
+
+
+def gamma2_exponent_sums(a: int, b: int, c: int, d: int):
+    """Exponent sums (r1, r2) for raw entries, or None if not level 2.
+
+    Exact for entries of any size: the walk on the columns of M^-1, as
+    the module docstring sets out.  A walk that ends outside Gamma(2) T^k
+    raises ArithmeticError.
+    """
+    if (a & 1) == 0 or (d & 1) == 0 or (b & 1) or (c & 1) or a * d - b * c != 1:
+        return None
+    phi1, phi2, s, k = _coset_word(d, -c, -b, a)
+    if s > 1 or (s + k) & 1:
+        raise ArithmeticError(f"the word of [{a} {b}; {c} {d}]^-1 ends in the coset of "
+                              f"{COSET_REPS[s]} T^{k}")
+    return -phi1 - (s + k) // 2, -phi2
+
+
+def is_in_gamma_n(m: Mat2Z, n: int) -> bool:
+    """Membership in the Fermat-curve group: level 2 with both exponent
+    sums divisible by n."""
+    if n < 1:
+        raise ValueError("level must be a positive integer")
+    if not is_in_gamma2(m):
+        return False
+    r1, r2 = gamma2_exponent_sums(m.a, m.b, m.c, m.d)
+    return r1 % n == 0 and r2 % n == 0
+
+
+# The walk's tables for coset_word_sums_batch, packed as r1 2^32 + r2 and
+# indexed by 2 s + e: per sign of q the sums per unit of h = |q| // 2 and
+# the fixed sums, as a negative q = -(2h + e) has j = -h - e; and 2 next.
+_PER_H = [(g1 << 32) + g2 for g1, g2 in _WALK_PER_J for _ in (0, 1)]
+_FIXED = [(f1 << 32) + f2 for f1, f2 in _WALK_FIXED]
+_ROUND_PER_H = {sign: np.array([sign * g for g in _PER_H], dtype=np.int64) for sign in (1, -1)}
+_ROUND_FIXED = {1: np.array(_FIXED, dtype=np.int64),
+                -1: np.array([f - i % 2 * g for i, (f, g) in enumerate(zip(_FIXED, _PER_H))],
+                             dtype=np.int64)}
+_ROUND_NEXT = np.array([2 * t for t in _WALK_NEXT], dtype=np.int64)
 
 # Largest entry coset_word_sums_batch accepts.  Its float64 quotients are
 # exact below 2^52.  A round adds at most |q|/2 + 1 to each |phi_i|, the

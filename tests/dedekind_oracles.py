@@ -1,14 +1,69 @@
-"""Oracles on the Dedekind-sum exponent sums, batched over int64 arrays.
+"""Oracles on the Dedekind-sum exponent sums, scalar and batched over
+int64 arrays.
 
-The package reads tau and the characters of the lane tables from one
-Euclid on the column of a row (sl2.coset_word_sums_batch); these read
-them from the exponent sums of an explicit level-2 matrix instead, by
-the Dedekind-sum formula of the sl2 module docstring run lane by lane.
+The package reads exponent sums, tau and the characters of the lane
+tables from one Euclid on a column (the coset-word walk of the sl2
+module); these read them from three Dedekind sums instead.  The exponent
+sums (r1, r2) of gamma = [a b; c d] in the level-2 group, sign-normalised
+so that c > 0, come from the eta transformation law (Apostol, Modular
+Functions and Dirichlet Series in Number Theory, ch. 3).  With
+Y(h, k) = 12k s(h, k),
+
+    6c r1        = 3(a+d) + 6 Y(d, c) - Y(d, 2c) - 8 Y(d, c/2)
+    6c (r1 + r2) = 3(a+d) + Y(d, 2c) - 4 Y(d, c/2),
+
+and gamma = g1^(b/2), r = (b/2, 0), when c = 0.  Both divisions are
+exact; a remainder raises ArithmeticError.  Y follows from reciprocity
+(Rademacher and Grosswald, Dedekind Sums, 1972) as one extended Euclid
+pass on (k, h) for coprime 0 <= h < k: with quotients q_1..q_n and the
+raw Bezout coefficient x0 of h (not reduced mod k),
+
+    Y(h, k) = k (q_1 - q_2 + ... +- q_n) - 3k [n odd] + h + x0,
+
+and Y(0, 1) = 0.
 """
 
 import numpy as np
 
-from fermatkl.sl2 import BATCH_ENTRY_BOUND, NotInGamma2
+from fermatkl.fermat import gamma2_base
+from fermatkl.sl2 import BATCH_ENTRY_BOUND, CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp, NotInGamma2
+
+
+def _dedekind_y(h: int, k: int) -> int:
+    """Y(h, k) = 12k s(h, k) for coprime 0 <= h < k (Y(0, 1) = 0)."""
+    r0, r1 = k, h
+    x0, x1 = 0, 1
+    alt, sign = 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        alt += sign * q
+        sign = -sign
+    # sign < 0 exactly when the number of quotients is odd
+    return k * alt - (3 * k if sign < 0 else 0) + h + x0
+
+
+def gamma2_exponent_sums_dedekind(a: int, b: int, c: int, d: int):
+    """Exponent sums (r1, r2) for raw entries, or None if not level 2.
+
+    Exact for entries of any size.  See the module docstring for the
+    formula.
+    """
+    if (a & 1) == 0 or (d & 1) == 0 or (b & 1) or (c & 1) or a * d - b * c != 1:
+        return None
+    if c < 0 or (c == 0 and a < 0):
+        a, b, c, d = -a, -b, -c, -d
+    if c == 0:
+        return b // 2, 0
+    half = c // 2
+    y_c, y_2c, y_half = (_dedekind_y(d % k, k) for k in (c, 2 * c, half))
+    r1, e1 = divmod(3 * (a + d) + 6 * y_c - y_2c - 8 * y_half, 6 * c)
+    s, e2 = divmod(3 * (a + d) + y_2c - 4 * y_half, 6 * c)
+    if e1 or e2:
+        raise ArithmeticError(f"exponent-sum numerators of [{a} {b}; {c} {d}] "
+                              f"are not divisible by 6c")
+    return r1, s - r1
 
 
 def _euclid_batch(k: np.ndarray, h: np.ndarray):
@@ -54,7 +109,7 @@ def mod_inverse_batch(h, k) -> np.ndarray:
 def gamma2_exponent_sums_batch(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     """Exponent sums (r1, r2) of level-2 matrices given as int64 arrays.
 
-    The formula of sl2.gamma2_exponent_sums, one lane per matrix.  For
+    The formula of gamma2_exponent_sums_dedekind, one lane per matrix.  For
     c <= 2^29 every Y(h, k) with k <= 2c obeys |Y| <= k^2 <= 2^60, and
     both numerators stay below 12 c^2 + 6 * 2^29 < 2^63.  Raises
     OverflowError when an entry exceeds BATCH_ENTRY_BOUND in magnitude
@@ -89,12 +144,32 @@ def gamma2_exponent_sums_batch(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     return r1, r2
 
 
+def classify_rep_index_dedekind(p: int, q: int, n: int) -> int:
+    """fermat.classify_rep_index from the exponent sums of a level-2 M
+    with M(base) = (p : q), which a modular inverse builds, in exact ints;
+    see class_invariants for M."""
+    c = Cusp(p, q)
+    p, q, base, t = c.p, c.q, gamma2_base(c), 0
+    if n > 1 and p and q:
+        if base == CUSP_INF:
+            y = pow(p, -1, 2 * q)
+            m = (p, (p * y - 1) // q, q, y)
+        else:
+            a = pow(q, -1, 2 * abs(p))
+            lower = (a * q - 1) // p
+            m = (a, p, lower, q) if base == CUSP_ZERO else (a, p - a, lower, q - lower)
+        r1, r2 = gamma2_exponent_sums_dedekind(*m)
+        t = (r2 if base == CUSP_INF else r1 + r2 if base == CUSP_ONE else r1) % n
+    if base == CUSP_INF:
+        return 2 * n + (t - 1 if t else n - 1)
+    return (base == CUSP_ONE) * n + t
+
+
 def class_invariants(p, q) -> tuple[np.ndarray, np.ndarray]:
     """(base, tau) over int64 arrays of coprime p, q with q >= 1: base 0,
     1 or 2 for the level-2 base 0, 1 or infinity of (p : q), and tau its
-    class invariant, not reduced mod any level.  tau is read as
-    fermat.classify_rep_index reads it, from the exponent sums of a
-    level-2 M with M(base) = (p : q): base infinity, M = [p (py-1)/q; q y]
+    class invariant, not reduced mod any level.  tau is read from the
+    exponent sums of a level-2 M with M(base) = (p : q): base infinity, M = [p (py-1)/q; q y]
     with y = p^-1 mod 2q; bases 0 and 1, a = q^-1 mod 2|p| and
     c = (aq-1)/p, with M = [a p; c q] and M = [a p-a; c q-c].  (0 : 1) is
     the base 0.

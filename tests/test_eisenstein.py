@@ -946,7 +946,7 @@ def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
     # a cold store and classification: the level-1 exit of the classifier
     # reads parities only, and the direct sums compute no tau
     store = _fresh_store(monkeypatch)
-    for name in ("gamma2_exponent_sums", "_cusp_reduction_steps"):
+    for name in ("gamma2_exponent_sums", "_coset_word", "_cusp_reduction_steps"):
         monkeypatch.setattr(fermat, name, refuse)
     assert [fermat.classify_rep_index(p, q, 1) for p, q in ((0, 1), (1, 1), (1, 2), (-3, 5))] == [0, 1, 2, 1]
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):

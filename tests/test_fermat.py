@@ -32,7 +32,7 @@ from fermatkl.sl2 import (
     word_to_matrix,
 )
 
-from dedekind_oracles import classify_rep_indices
+from dedekind_oracles import classify_rep_index_dedekind, classify_rep_indices, gamma2_exponent_sums_dedekind
 
 
 def test_cusp_reps_small_levels():
@@ -199,9 +199,12 @@ def test_classify_rep_index_on_large_entries(monkeypatch):
     for n in (2, 3, 4, 5):
         gamma = (GEN1 * GEN2.inverse()) ** (n * 10 ** 11) * GEN2 ** (3 * n) * GEN1 ** n
         assert is_in_gamma_n(gamma, n) and max(map(abs, gamma.entries())) > 10 ** 12
+        sums = (n * 10 ** 11 + n, 3 * n - n * 10 ** 11)
+        assert gamma2_exponent_sums(*gamma.entries()) == sums == gamma2_exponent_sums_dedekind(*gamma.entries())
         for index, fc in enumerate(cusp_reps(n)):
             c = mobius_apply(gamma, fc.rep)
             assert classify_rep_index(c.p, c.q, n) == index, (n, str(fc.rep))
+            assert classify_rep_index_dedekind(c.p, c.q, n) == index, (n, str(fc.rep))
 
 
 def test_classify_rep_index_matches_classifier():

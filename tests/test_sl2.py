@@ -33,7 +33,7 @@ from fermatkl.sl2 import (
     word_to_matrix,
 )
 
-from dedekind_oracles import gamma2_exponent_sums_batch, mod_inverse_batch
+from dedekind_oracles import gamma2_exponent_sums_batch, gamma2_exponent_sums_dedekind, mod_inverse_batch
 
 
 def random_word(rng, max_len=12):
@@ -208,8 +208,9 @@ def test_word_reduced_invariants():
 
 
 def test_exponent_sums_match_decomposition():
-    # the Dedekind-sum formula, scalar and batched, against the greedy
-    # word reduction on 20k random words, in both sign forms
+    # the coset-word walk and the Dedekind-sum oracles, scalar and batched,
+    # against the greedy word reduction on 20k random words, in both sign
+    # forms
     rng = random.Random(2011)
     mats, want = [], []
     for _ in range(20000):
@@ -219,6 +220,7 @@ def test_exponent_sums_match_decomposition():
         assert decompose_gamma2(m) == w
         assert gamma2_exponent_sums(*m.entries()) == r
         assert gamma2_exponent_sums(*(-x for x in m.entries())) == r
+        assert gamma2_exponent_sums_dedekind(*m.entries()) == r
         if max(map(abs, m.entries())) <= BATCH_ENTRY_BOUND:
             mats.append(m.entries())
             want.append(r)
@@ -252,12 +254,15 @@ def test_exponent_sums_edge_cases():
         m = word_to_matrix(w)
         assert max(map(abs, m.entries())) > 2 ** 63
         assert gamma2_exponent_sums(*m.entries()) == (w.r1, w.r2) == exponent_sums(decompose_gamma2(m))
+        assert gamma2_exponent_sums_dedekind(*m.entries()) == (w.r1, w.r2)
 
 
 def test_exponent_sums_batch_int64_guard():
     big = word_to_matrix(word_from_syllables([(2, 1), (1, 2 ** 29)]))
     assert max(map(abs, big.entries())) > BATCH_ENTRY_BOUND
     assert gamma2_exponent_sums(*big.entries()) == (2 ** 29, 1)
+    assert gamma2_exponent_sums_dedekind(*big.entries()) == (2 ** 29, 1)
+    assert exponent_sums(decompose_gamma2(big)) == (2 ** 29, 1)
     with pytest.raises(OverflowError):
         gamma2_exponent_sums_batch(*([x] for x in big.entries()))
 
@@ -282,7 +287,7 @@ def _euclid_word(c: int, d: int) -> Mat2Z:
 
 
 def test_coset_reps_cover_the_cosets():
-    assert COSET_REPS[0] == IDENTITY and len(COSET_REPS) == 6
+    assert COSET_REPS[0] == IDENTITY and COSET_REPS[1] == T and len(COSET_REPS) == 6
     assert sorted(coset_index(r) for r in COSET_REPS) == list(range(6))
     for r in COSET_REPS:
         for g in (GEN1, GEN2):
@@ -291,7 +296,8 @@ def test_coset_reps_cover_the_cosets():
 
 def test_coset_word_sums_match_matrix_words():
     # M^-1 = gamma R_s T^k: the word of the Euclid, multiplied out as
-    # matrices, is gamma R_s, and the Dedekind-sum formula gives gamma's sums
+    # matrices, is gamma R_s, and the Dedekind-sum oracle gives gamma's
+    # sums; gamma2_exponent_sums would read the batch's own round tables
     rng = random.Random(2011)
     rows = [(1, 0), (1, 1), (2, 1), (3, 2), (5, 8), (BATCH_ENTRY_BOUND, BATCH_ENTRY_BOUND - 1)]
     for bits in (4, 10, 20, 28):
@@ -306,7 +312,7 @@ def test_coset_word_sums_match_matrix_words():
     for i, (cv, dv) in enumerate(rows):
         gamma = _euclid_word(cv, dv) * COSET_REPS[state[i]].inverse()
         assert is_in_gamma2(gamma), (cv, dv)
-        assert gamma2_exponent_sums(*gamma.entries()) == (phi1[i], phi2[i]), (cv, dv)
+        assert gamma2_exponent_sums_dedekind(*gamma.entries()) == (phi1[i], phi2[i]), (cv, dv)
     # int32 rows give the same sums
     got = coset_word_sums_batch(c.astype(np.int32), d.astype(np.int32))
     assert all(np.array_equal(x, y) for x, y in zip(got, (phi1, phi2, state)))
@@ -319,3 +325,45 @@ def test_coset_word_sums_domain():
             coset_word_sums_batch(c, d)
     with pytest.raises(OverflowError):
         coset_word_sums_batch([BATCH_ENTRY_BOUND + 2], [1])
+
+
+def test_round_tables_pinned():
+    # the batch's packed tables, derived from the walk's, indexed by 2 s + e
+    from fermatkl import sl2
+
+    u = 1 << 32
+    per_h = [u, u, u, u, -1, -1, 1 - u, 1 - u, -1, -1, 1 - u, 1 - u]
+    assert sl2._ROUND_PER_H[1].tolist() == per_h
+    assert sl2._ROUND_PER_H[-1].tolist() == [-x for x in per_h]
+    assert sl2._ROUND_FIXED[1].tolist() == [0, 0, 0, u, 0, -1, 0, 1, -1, -1, 1, 1 - u]
+    assert sl2._ROUND_FIXED[-1].tolist() == [0, -u, 0, 0, 0, 0, 0, u, -1, 0, 1, 0]
+    assert sl2._ROUND_NEXT.tolist() == [4, 6, 6, 4, 0, 10, 2, 8, 10, 0, 8, 2]
+    assert all(t.dtype == np.int64 for t in (*sl2._ROUND_PER_H.values(),
+                                             *sl2._ROUND_FIXED.values(), sl2._ROUND_NEXT))
+
+
+@pytest.mark.parametrize("table, slot, lane",
+                         [("_WALK_PER_J", i, lane) for i in range(6) for lane in (0, 1)]
+                         + [("_WALK_FIXED", i, lane) for i in range(12) for lane in (0, 1)]
+                         + [("_WALK_NEXT", i, None) for i in range(12)])
+def test_walk_table_off_by_one_fails(monkeypatch, table, slot, lane):
+    # an off-by-one in any entry of the walk's tables, in r1 (lane 0), r2
+    # (lane 1) or the next state mod 6, makes gamma2_exponent_sums disagree
+    # with the word reduction on seeded random words, or raise
+    from fermatkl import sl2
+
+    entries = list(getattr(sl2, table))
+    if lane is None:
+        entries[slot] = (entries[slot] + 1) % len(COSET_REPS)
+    else:
+        entries[slot] = tuple(x + (k == lane) for k, x in enumerate(entries[slot]))
+    monkeypatch.setattr(sl2, table, tuple(entries))
+    rng = random.Random(2011)
+    for _ in range(2000):
+        m = word_to_matrix(random_word(rng, 20))
+        try:
+            if gamma2_exponent_sums(*m.entries()) != exponent_sums(decompose_gamma2(m)):
+                return
+        except ArithmeticError:
+            return
+    pytest.fail(f"{table}[{slot}] off by one agreed on 2000 words")
