@@ -10,62 +10,53 @@ other:
 * the regularized value at s = 1 assembled from closed-form scattering
   constants plus the m != 0 coefficients.
 
-Every Fermat group is the kernel of a character on the level-2 group,
-so its sums are level-2 sums with one integer weight per row.  A
-standard cusp representative j has scaling matrix g_j = h_j g_bj, with
-b_j in {0, 1, inf} its level-2 base and h_j a power of g1 or g2, so
-g_j^-1 Gamma(2) g_k = g_bj^-1 Gamma(2) g_bk: the lanes (c, d mod 2c)
-of j and k are the level-2 rows with the parities of the bottom row of
-g_bj^-1 g_bk.  The exponent sums r of rho = g_j M g_k^-1 are those of
-the base-pair rho plus r(h_j) - r(h_k), and the stabilizer vector v_j
-of exponent sums of g_j T^2 g_j^-1 depends only on b_j.  So the
-character u = r1 v2 - r2 v1 of the base pair decides every level N:
-with u0 the shift that h_j and h_k add,
+Every Fermat group Gamma_N lies in the level-2 group and is normal in
+PSL(2, Z).  For M in g_j^-1 Gamma_N g_k with bottom row (c, d), g_j the
+scaling matrix of j, M^-1(inf) = (-d : c) is g_k^-1 gamma (j) with gamma
+in Gamma_N, and g_k^-1 gamma g_k lies in Gamma_N, so (-d : c) lies in
+the class of g_k^-1(j); conversely every (c, d) with (-d : c) in that
+class is the bottom row of such an M.  So the lanes (c, d mod 2Nc) of
+phi_{jk,m} are the rows that the direct sums sum for that class.
 
-* same base (b_j = b_k): a lane is admissible exactly when
-  u + u0 = 0 (mod N), and then all N lifts d + 2ct mod 2Nc are; their
-  inner sum is N e(m d/(2Nc)) when N | m and 0 otherwise, which is what
-  makes the same-fiber Fourier modes supported on multiples of N;
-* different bases: the lane lifts to the one residue d + 2ct with
-  t = (u + u0) det^-1 (mod N), det = v_j x v_k.
-
-The direct sums lift the rows of a base's parity alike: a lift d + 2cl
-of (c, d) has the level-N class invariant tau - delta l, tau that of
+Those rows are level-2 rows with one integer per row: a lift d + 2cl of
+(c, d) has the level-N class invariant tau - delta l, tau that of
 (-d : c) unreduced and delta = class_shift(kind, 1, 0), 1 over the
 bases 0 and 1 and 0 over infinity.  So a class (b, t) over 0 or 1 takes
-each row once, lifted by l = tau - t (mod N), and a class over infinity
-the rows with tau = t (mod N), lifts and all.  Level N = 1, the level-2
-group, reads the rows as they are.
+each row of its base's parity once, lifted by l = tau - t (mod N), and a
+class over infinity the rows with tau = t (mod N), lifts and all; the
+inner sum of their N lifts is N e(m d/(2Nc)) when N | m and 0 otherwise,
+which is what makes the same-fiber Fourier modes supported on multiples
+of N.  Level N = 1, the level-2 group, reads the rows as they are.
 
 Four sets of coprime rows thus serve every table: the full modular
 group's (c, d mod c) and the three level-2 parity classes.  Each is one
 table of int32 columns sorted by c, read as prefixes and extended on
-demand, with u of a base pair, tau and the rows of each level-N class
-beside the rows, each computed on first read.  tau and u are
-integer-linear maps, one per coset state, of the exponent sums and coset
-state that one Euclid on the column (d, -c) of M^-1 gives: the int64
-coset-word walk of the sl2 module, whose exact-int form, with the same
-round tables and fermat.TAU_MAP, gives every scalar exponent sum and
-cusp class.  The class rows come from tau.  So the two sides of a
-cross-path check read separate columns but share that one walk and its
-round tables: an off-by-one in a table moves both sides, and the tests
-check that a Kronecker-limit check of the verify suite still fails on
-it.  The tables share one store bounded by a least-recently-used count
-of int32 cells.
+demand, with tau and the rows of each level-N class that a direct sum
+reads beside the rows, each computed on first read; the Fourier lanes
+are class rows computed from tau on each call.  tau is an
+integer-linear map, one per coset state (fermat.TAU_MAP), of the
+exponent sums and coset state that one Euclid on the column (d, -c) of
+M^-1 gives: the int64 coset-word walk of the sl2 module, whose exact-int
+form, with the same round tables and map, gives every scalar exponent
+sum and cusp class.  So the two sides of a cross-path check share tau,
+the class rows and that one walk: an error in a round table or in
+TAU_MAP moves both sides, and the tests check that a Kronecker-limit
+check of the verify suite still fails on it.  The tables share one
+store bounded by a least-recently-used count of int32 cells.
 
-inner_sums reads, shifts and filters the lanes once per call for every
-mode asked for, and the row of -m is the conjugate of the row of m, so
-fourier_eval reads the modes 0..m_eff once.  It takes cos and sin once
-per lane, for the unit phase w = e(p d/(b c)) of the mode period p, and
-each mode p k is w^k by repeated multiplication, summed per c: a mode
-costs one complex multiplication and one reduceat over the lanes, and
-w^k carries at most 15 k units of 2^-53 of rounding.  The truncated phi
-do not depend on z, so fourier_eval and the enumerated s = 1 modes of
-phi_m1_exact take them from _phis, memoized per (group, pair, modes,
-c_max, s) in a bounded least-recently-used cache; a hit returns the bits
-that a miss computes, and only a miss reads the lanes.  The direct sum
-reads, lifts or filters the rows of each class asked for once and sums
-only those, eisenstein_direct its own, in blocks of whole c's.
+inner_sums reads the lanes once per call for every mode asked for, and
+the row of -m is the conjugate of the row of m, so fourier_eval reads
+the modes 0..m_eff once.  It takes cos and sin once per lane, for the
+unit phase w = e(p d/(b c)) of the mode period p, and each mode p k is
+w^k by repeated multiplication, summed per c: a mode costs one complex
+multiplication and one reduceat over the lanes, and w^k carries at most
+15 k units of 2^-53 of rounding.  The truncated phi do not depend on z,
+so fourier_eval and the enumerated s = 1 modes of phi_m1_exact take
+them from _phis, memoized per (group, pair, modes, c_max, s) in a
+bounded least-recently-used cache; a hit returns the bits that a miss
+computes, and only a miss reads the lanes.  The direct sum reads, lifts
+or filters the rows of each class asked for once and sums only those,
+eisenstein_direct its own, in blocks of whole c's.
 """
 
 from __future__ import annotations
@@ -93,22 +84,7 @@ from .fermat import (
     cusp_reps,
     gamma2_base,
 )
-from .sl2 import (
-    COSET_REPS,
-    CUSP_INF,
-    CUSP_ONE,
-    CUSP_ZERO,
-    GEN1,
-    GEN2,
-    T,
-    Cusp,
-    Mat2Z,
-    NotInGamma2,
-    coset_index,
-    coset_word_sums_batch,
-    cusp_scaling_matrix,
-    gamma2_exponent_sums,
-)
+from .sl2 import CUSP_INF, Cusp, coset_word_sums_batch, cusp_scaling_matrix, mobius_apply
 from .special import bessel_k, gamma_fn, zeta
 
 
@@ -252,19 +228,27 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     return vals, tail_d + tail_c
 
 
+def _row_key(group: GroupId, i: int) -> tuple:
+    """Key of the row set of the class of group_cusps index i: the rows
+    of its level-2 base's parity."""
+    if group.kind == "gamma1":
+        return _GAMMA1_ROWS
+    base = gamma2_base(cusp_reps(group.n)[i].rep)
+    return 2, base.q & 1, base.p & 1
+
+
 def _class_rows(group: GroupId, i: int, c_max: int):
     """(step, d, bounds) of the class of group_cusps index i: the rows
     d[bounds[c-1]:bounds[c]] of each c <= c_max, each the residues
     d + step c k, from its base's parity lifted or filtered through tau
     as the module docstring sets out, and kept in the table as the
     column _ClassRows(n, i)."""
-    n, base = group.n, gamma2_base(cusp_reps(group.n)[i].rep)
-    key = _GAMMA1_ROWS if group.kind == "gamma1" else (2, base.q & 1, base.p & 1)
+    key = _row_key(group, i)
     step = key[0]
-    if n == 1:
+    if group.n == 1:
         c, d, _ = _read_table(key, c_max)
     else:
-        c, d, rows = _read_table(key, c_max, _ClassRows(n, i))
+        c, d, rows = _read_table(key, c_max, _ClassRows(group.n, i))
         if rows.ndim == 1:
             d, step = rows, group.width
     return step, d, np.searchsorted(c, np.arange(c_max + 1, dtype=c.dtype), side="right").tolist()
@@ -291,10 +275,9 @@ def eisenstein_direct(group: GroupId, j, z: complex, s,
 class _Table:
     """Rows (c, d) of one row set for c = 1..c_done as int32 columns
     sorted by c and then by d, and in cols further int32 columns over
-    them: u of a base pair (b_j, b_k) under that key, tau under _TAU, and
-    under _ClassRows(n, i) the rows of that level-n class, its lifted d
-    over the bases 0 and 1 and its kept rows (c, d) stacked over
-    infinity."""
+    them: tau under _TAU, and under _ClassRows(n, i) the rows of that
+    level-n class that a direct sum read, its lifted d over the bases 0
+    and 1 and its kept rows (c, d) stacked over infinity."""
 
     def __init__(self):
         self.c_done = 0
@@ -319,8 +302,8 @@ class _ClassRows(NamedTuple):
 # (2, 1, 1) hold the rows of the bases inf, 0 and 1.  Past _TABLE_CELLS
 # int32 cells in all the least recently used tables are dropped, never
 # the one just asked for, which past them keeps only what was just read.
-# 3 * 2^20 cells (12 MB) hold every table, u and tau at c_max 500 (1.07M
-# cells) with the class rows of levels 2 to 5 (2.89M cells in all).
+# 3 * 2^20 cells (12 MB) hold every table and tau at c_max 500 (0.61M
+# cells) with the class rows of levels 2 to 5 (2.44M cells in all).
 _TABLES: OrderedDict = OrderedDict()
 _TABLE_LOCK = threading.Lock()
 _TABLE_CELLS = 3 << 20
@@ -332,7 +315,7 @@ _TAU = "tau"
 # memory for little speed.
 _ENUM_BLOCK = 2048
 
-# Rows per block of a tau or character column, whose Euclid rounds pay a
+# Rows per block of a tau column, whose Euclid rounds pay a
 # fixed cost per numpy call that small blocks would multiply.
 _COLUMN_BLOCK = 1 << 13
 
@@ -346,15 +329,9 @@ _DIRECT_BLOCK = 1 << 13
 # at most 2 m_max + 1 complex numbers: well under 1 MB in all.
 _PHI_CACHE = 256
 
-# Exponent sums of g_b T^2 g_b^-1, the stabilizer generator of the
-# level-2 base b; g_j T^2 g_j^-1 of a standard representative j has
-# those of its base.
-_STABILIZER_SUMS = {CUSP_ZERO: (0, -1), CUSP_ONE: (-1, 1), CUSP_INF: (1, 0)}
-
-
-def _base_pair_matrix(jb: Cusp, kb: Cusp) -> Mat2Z:
-    """g_bj^-1 g_bk for the level-2 bases b_j and b_k."""
-    return cusp_scaling_matrix(jb).inverse() * cusp_scaling_matrix(kb)
+# tau = coef[0, s] phi1 + coef[1, s] phi2 + coef[2, s] of the output
+# (phi1, phi2, s) of coset_word_sums_batch, per coset state s
+_TAU_COEF = np.transpose(TAU_MAP)
 
 
 def _totients(n: int) -> np.ndarray:
@@ -397,56 +374,6 @@ def _enumerate_lanes(key: tuple, c_lo: int, c_hi: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=10)
-def _column_map(name):
-    """(coef, ends) that give the column name, tau or the character u of
-    the base pair name = (b_j, b_k), from the output (phi, s) of
-    coset_word_sums_batch on the first column (d, -c) of M^-1, M with
-    bottom row (c, d), as coef[0, s] phi1 + coef[1, s] phi2 + coef[2, s].
-    ends[s] is False where no row of the column ends in state s.  Write
-    M^-1 = gamma R_s T^k with R_s = COSET_REPS[s].
-
-    tau: M^-1 maps inf to (-d : c), whose class invariant fermat.TAU_MAP
-    gives per state, as it does for classify_rep_index.  Every state ends
-    a row.
-
-    u = r1 v2 - r2 v1, r the exponent sums of rho = g_bj M g_bk^-1 for
-    the M in g_bj^-1 Gamma(2) g_bk and v those of the stabilizer
-    generator of b_j; the other choices of M's top row move r along v,
-    which leaves u unchanged.  M^-1 lies in Gamma(2) g_bk^-1 g_bj, the
-    coset of R_t.  The one e in {0, 1} that puts R_s T^e there gives
-    M'^-1 = gamma' R_t with gamma' = gamma (R_s T^e R_t^-1), the inverse
-    of M' = T^(k-e) M of the pair, and phi' = phi + r(R_s T^e R_t^-1).
-    Then rho'^-1 = g_bk M'^-1 g_bj^-1 = (g_bk gamma' g_bk^-1)(g_bk R_t g_bj^-1),
-    so r(rho'^-1) = A phi' + K, A with the sums of g_bk g1 g_bk^-1 and
-    g_bk g2 g_bk^-1 as columns and K those of g_bk R_t g_bj^-1, and
-    u = v1 r2 - v2 r1 of r(rho'^-1).  No R_s T^e lies in that coset
-    where no row of the pair's parity ends.
-    """
-    coef = np.zeros((3, len(COSET_REPS)), dtype=np.int64)
-    ends = np.full(len(COSET_REPS), name == _TAU)
-    if name == _TAU:
-        coef[:] = np.transpose(TAU_MAP)
-    else:
-        jb, kb = name
-        gj, gk = cusp_scaling_matrix(jb), cusp_scaling_matrix(kb)
-        t = coset_index(gk.inverse() * gj)
-        rt_inv = COSET_REPS[t].inverse()
-        v1, v2 = _STABILIZER_SUMS[jb]
-        alpha = [v1 * r2 - v2 * r1 for r1, r2 in
-                 (gamma2_exponent_sums(*(gk * g * gk.inverse()).entries()) for g in (GEN1, GEN2))]
-        k1, k2 = gamma2_exponent_sums(*(gk * COSET_REPS[t] * gj.inverse()).entries())
-        coef[0], coef[1] = alpha
-        for s, rep in enumerate(COSET_REPS):
-            for tail in (rep, rep * T):
-                if coset_index(tail) == t:
-                    w1, w2 = gamma2_exponent_sums(*(tail * rt_inv).entries())
-                    coef[2, s] = alpha[0] * w1 + alpha[1] * w2 + v1 * k2 - v2 * k1
-                    ends[s] = True
-    coef.flags.writeable = ends.flags.writeable = False
-    return coef, ends
-
-
 def _int32(x: np.ndarray, name) -> np.ndarray:
     if x.size and np.abs(x).max() > np.iinfo(np.int32).max:
         raise OverflowError(f"column {name} overflows int32")
@@ -454,11 +381,10 @@ def _int32(x: np.ndarray, name) -> np.ndarray:
 
 
 def _column(name, c: np.ndarray, d: np.ndarray, tau=None) -> np.ndarray:
-    """Column name over rows (c, d) as int32: tau of (-d : c) for _TAU,
-    the rows of the class for a _ClassRows name, from tau (computed when
-    not given), else u of the base pair name.  tau and u are read
-    through _column_map from coset_word_sums_batch, block by block into
-    one preallocated column."""
+    """Column name over rows (c, d) as int32: the rows of the class for a
+    _ClassRows name, from tau (computed when not given), else tau of
+    (-d : c), read through _TAU_COEF from coset_word_sums_batch block by
+    block into one preallocated column."""
     if isinstance(name, _ClassRows):
         if tau is None:
             tau = _column(_TAU, c, d)
@@ -468,14 +394,11 @@ def _column(name, c: np.ndarray, d: np.ndarray, tau=None) -> np.ndarray:
         if class_shift(fc.kind, 1, 0):
             return _int32(d + 2 * c.astype(np.int64) * lift, name)
         return np.stack((c[lift == 0], d[lift == 0]))
-    coef, ends = _column_map(name)
     col = np.empty(c.size, dtype=np.int32)
     for lo in range(0, c.size, _COLUMN_BLOCK):
         phi1, phi2, s = coset_word_sums_batch(*(x[lo:lo + _COLUMN_BLOCK].astype(np.int64)
                                                 for x in (c, d)))
-        if not ends[s].all():
-            raise NotInGamma2(f"rows outside the parity class of the pair {name}")
-        a1, a2, b = coef.take(s, axis=1)
+        a1, a2, b = _TAU_COEF.take(s, axis=1)
         col[lo:lo + s.size] = _int32(a1 * phi1 + a2 * phi2 + b, name)
     return col
 
@@ -497,7 +420,8 @@ def _extend(key, table: _Table, c_max: int) -> None:
 
 def _read_table(key, c_max: int, column=None):
     """Columns (c, d, x) for c <= c_max of the table of key, extended first,
-    x the column named column or None; for class rows kept as (c, d),
+    x the column named column, _TAU or a _ClassRows name, or None; for
+    class rows kept as (c, d),
     those rows and x.  Then drop the oldest other tables while the store
     holds over _TABLE_CELLS cells, and if it still does, all of the table
     but those rows and x."""
@@ -537,51 +461,55 @@ def _read_table(key, c_max: int, column=None):
 # double-coset enumeration of Fourier coefficients
 # ---------------------------------------------------------------------------
 
+def _lane_class(group: GroupId, j, k) -> int:
+    """group_cusps index of the class of g_k^-1(j), whose rows are the
+    lanes of phi_{jk} (module docstring)."""
+    x = mobius_apply(cusp_scaling_matrix(standard_rep(group, k)).inverse(), as_cusp(j))
+    return classify_index(group, x.p, x.q)
+
+
 def inner_sums(group: GroupId, j, k, ms, c_max: int) -> np.ndarray:
     """Inner sums of phi_{jk,m} for each mode m in ms and c = 1..c_max,
     as a complex array of shape (len(ms), c_max).
 
     Entry [i, c-1] sums e(m d'/(b c)) over the admissible d' mod b c of
     the double coset, b the width and m = ms[i]; at m = 0 it counts
-    them.  The level-N sums read the lanes of the base pair through the
-    character u + u0 (mod N), as the module docstring sets out.  One call
-    reads the lanes, shifts and filters them once for every mode, and
-    takes cos and sin once per lane, for the unit phase w = e(p d'/(b c))
-    with p the mode period (N for the same-base lanes, else 1) and
-    p d' reduced exactly mod b c.  Mode m = p k is then w^k, by repeated
-    multiplication, summed per c with np.add.reduceat; the row of -m is
-    its complex conjugate.  The lanes are walked in blocks of whole c's.
+    them.  The lanes are the rows of the class of g_k^-1(j), as the
+    module docstring sets out: at level N > 1 the class rows from the tau
+    column, computed on each call and not kept, a lifted row with weight
+    1 and a row kept over infinity with weight and mode period N; level
+    N = 1 and the full modular group read the table rows as they are.
+    """
+    i, n = _lane_class(group, j, k), group.n
+    c, d, tau = _read_table(_row_key(group, i), c_max, _TAU if n > 1 else None)
+    weight = 1
+    if n > 1:
+        rows = _column(_ClassRows(n, i), c, d, tau)
+        if rows.ndim == 2:
+            (c, d), weight = rows, n
+        else:
+            d = rows
+    return _lane_sums(group.width, c, d, weight, list(ms), c_max)
+
+
+def _lane_sums(b: int, c: np.ndarray, d: np.ndarray, weight: int, ms: list,
+               c_max: int) -> np.ndarray:
+    """inner_sums over the lanes (c, d'), sorted by c, of width b, each
+    with the weight given, which is also the mode period p: the modes off
+    multiples of p vanish.
+
+    One call takes cos and sin once per lane, for the unit phase
+    w = e(p d'/(b c)) with p d' reduced exactly mod b c.  Mode m = p k is
+    then w^k, by repeated multiplication, summed per c with
+    np.add.reduceat; the row of -m is its complex conjugate.  The lanes
+    are walked in blocks of whole c's.
 
     Rounding, u = 2^-53: w is within 12 u of its exact value, and each of
     the k - 1 multiplications adds at most sqrt(5) u, so w^k is within
-    15 k u of e(m d'/(b c)).  An entry summing L lanes with weight W (N on
-    same-base pairs, else 1) is thus within W L (15 k + L) u of the exact
-    sum, L^2 u of it from adding L terms of modulus 1.
+    15 k u of e(m d'/(b c)).  An entry summing L lanes with weight W is
+    thus within W L (15 k + L) u of the exact sum, L^2 u of it from
+    adding L terms of modulus 1.
     """
-    ms = list(ms)
-    jc, kc = standard_rep(group, j), standard_rep(group, k)
-    n, jb, kb = group.n, gamma2_base(jc), gamma2_base(kc)
-    pt = _base_pair_matrix(jb, kb)
-    key = _GAMMA1_ROWS if group.kind == "gamma1" else (2, pt.c & 1, pt.d & 1)
-    c, d, u = _read_table(key, c_max, (jb, kb) if n > 1 else None)
-    weight, period = 1, 1
-    if n > 1:
-        gj, gk = cusp_scaling_matrix(jc), cusp_scaling_matrix(kc)
-        hj = gamma2_exponent_sums(*(gj * cusp_scaling_matrix(jb).inverse()).entries())
-        hk = gamma2_exponent_sums(*(gk * cusp_scaling_matrix(kb).inverse()).entries())
-        v1, v2 = _STABILIZER_SUMS[jb]
-        # int64 before any arithmetic: int32 arrays against Python or
-        # numpy scalars promote differently under numpy 1.x and 2.x
-        u = u.astype(np.int64) + (hj[0] - hk[0]) * v2 - (hj[1] - hk[1]) * v1
-        if jb == kb:
-            # the n lifts d + 2ct all survive or none do, and their phases
-            # sum to n e(m d/(2nc)) when n | m and to 0 otherwise
-            keep = u % n == 0
-            c, d, weight, period = c[keep], d[keep], n, n
-        else:
-            w1, w2 = _STABILIZER_SUMS[kb]
-            det_inv = pow((v1 * w2 - v2 * w1) % n, -1, n)
-            d = d + 2 * c.astype(np.int64) * (u * det_inv % n)
     # lanes are sorted by c: per-c segments from their boundaries
     bounds = np.searchsorted(c, np.arange(c_max + 1, dtype=c.dtype), side="right")
     counts = np.diff(bounds)
@@ -591,8 +519,8 @@ def inner_sums(group: GroupId, j, k, ms, c_max: int) -> np.ndarray:
     for i, m in enumerate(ms):
         if m == 0:
             rows[i] = weight * counts
-        elif not m % period:
-            wanted.setdefault(abs(m) // period, []).append((i, m < 0))
+        elif not m % weight:
+            wanted.setdefault(abs(m) // weight, []).append((i, m < 0))
     cs = np.flatnonzero(counts)
     if not wanted or not cs.size:
         return rows
@@ -603,8 +531,8 @@ def inner_sums(group: GroupId, j, k, ms, c_max: int) -> np.ndarray:
         lo, hi = starts[blk[0]], bounds[cs[blk[-1]] + 1]
         seg = starts[blk] - lo
         # phase p d/(b c) reduced exactly into [-1/2, 1/2)
-        bc = group.width * c[lo:hi].astype(np.int64)
-        r = period * d[lo:hi].astype(np.int64) % bc
+        bc = b * c[lo:hi].astype(np.int64)
+        r = weight * d[lo:hi].astype(np.int64) % bc
         theta = 2.0 * math.pi * (r - bc * (2 * r >= bc)) / bc
         w = np.empty(theta.size, dtype=complex)
         np.cos(theta, out=w.real)
@@ -722,8 +650,8 @@ def phi_m1_exact(group: GroupId, j, k, ms,
     if group.kind == "gamma1":
         return [complex(sum(1.0 / d for d in _divisors(m)) / zeta(2.0)) for m in ms]
     if group == GAMMA2:
-        pt = _base_pair_matrix(gamma2_base(as_cusp(j)), gamma2_base(as_cusp(k)))
-        return [complex(gamma2_phi_m_closed_form((pt.c & 1, pt.d & 1), m, 1.0)) for m in ms]
+        _, pc, pd = _row_key(group, _lane_class(group, j, k))
+        return [complex(gamma2_phi_m_closed_form((pc, pd), m, 1.0)) for m in ms]
     if 0 in ms:
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
     return list(_phis(group, standard_rep(group, j), standard_rep(group, k), tuple(ms),

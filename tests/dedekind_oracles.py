@@ -1,9 +1,10 @@
 """Oracles on the Dedekind-sum exponent sums, scalar and batched over
 int64 arrays.
 
-The package reads exponent sums, tau and the characters of the lane
-tables from one Euclid on a column (the coset-word walk of the sl2
-module); these read them from three Dedekind sums instead.  The exponent
+The package reads exponent sums and tau, and the character oracle the
+characters of the lanes, from one Euclid on a column (the coset-word
+walk of the sl2 module); these read them from three Dedekind sums
+instead.  The exponent
 sums (r1, r2) of gamma = [a b; c d] in the level-2 group, sign-normalised
 so that c > 0, come from the eta transformation law (Apostol, Modular
 Functions and Dirichlet Series in Number Theory, ch. 3).  With

@@ -38,6 +38,13 @@ from fermatkl.sl2 import (
 )
 from fermatkl.special import zeta
 
+from character_oracles import (
+    STABILIZER_SUMS,
+    base_pair_matrix,
+    character_column,
+    character_lanes,
+    inner_sums_character,
+)
 from dedekind_oracles import class_invariants, gamma2_exponent_sums_batch, mod_inverse_batch
 
 TR_FAST = TruncationSpec(c_max=150, m_max=8, order=20)
@@ -555,31 +562,28 @@ def _kappa_sums(g):
 
 
 def test_stabilizer_sums_table():
-    # the table keyed by level-2 base against the conjugated stabilizer
-    # of every standard representative, and the one base-pair matrix
-    from fermatkl.eisenstein import _STABILIZER_SUMS, _base_pair_matrix
-
+    # the oracle's table keyed by level-2 base against the conjugated
+    # stabilizer of every standard representative, and the one base-pair
+    # matrix
     for n in range(1, 7):
         for fc in cusp_reps(n):
             base = gamma2_base(fc.rep)
-            assert _STABILIZER_SUMS[base] == _kappa_sums(cusp_scaling_matrix(fc.rep)), (n, fc)
-            assert _STABILIZER_SUMS[base] == _kappa_sums(cusp_scaling_matrix(base))
+            assert STABILIZER_SUMS[base] == _kappa_sums(cusp_scaling_matrix(fc.rep)), (n, fc)
+            assert STABILIZER_SUMS[base] == _kappa_sums(cusp_scaling_matrix(base))
     for jb in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
         for kb in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
-            pt = _base_pair_matrix(jb, kb)
+            pt = base_pair_matrix(jb, kb)
             assert pt == cusp_scaling_matrix(jb).inverse() * cusp_scaling_matrix(kb)
 
 
 def _character_column_dedekind(pair, c, d):
     """u of the base pair per lane from the Dedekind-sum exponent sums of
     rho = g_bj M g_bk^-1, with M's top row from d^-1 mod c: the reference
-    for the coset-word pass."""
-    from fermatkl.eisenstein import _STABILIZER_SUMS, _base_pair_matrix
-
+    for the coset-word pass of the character oracle."""
     jb, kb = pair
     gj, gk = cusp_scaling_matrix(jb), cusp_scaling_matrix(kb)
-    pa, pb, _, _ = ((x & 1) for x in _base_pair_matrix(jb, kb).entries())
-    v1, v2 = _STABILIZER_SUMS[jb]
+    pa, pb, _, _ = ((x & 1) for x in base_pair_matrix(jb, kb).entries())
+    v1, v2 = STABILIZER_SUMS[jb]
     e, f, g_, h = gj.entries()
     ki11, ki12, ki21, ki22 = gk.inverse().entries()
     # a d = 1 (mod c) with the parity of g_bj^-1 g_bk: one of a0, a0 + c
@@ -603,10 +607,10 @@ def test_character_column_matches_dedekind_oracle():
     bases = (CUSP_ZERO, CUSP_ONE, CUSP_INF)
     for jb in bases:
         for kb in bases:
-            pt = e._base_pair_matrix(jb, kb)
+            pt = base_pair_matrix(jb, kb)
             pc, pd = pt.c & 1, pt.d & 1
             c, d = e._enumerate_lanes((2, pc, pd), 1, 1000).astype(np.int64)
-            u = e._column((jb, kb), c.astype(np.int32), d.astype(np.int32))
+            u = character_column((jb, kb), c.astype(np.int32), d.astype(np.int32))
             assert u.dtype == np.int32
             assert np.array_equal(u, _character_column_dedekind((jb, kb), c, d)), (jb, kb)
             c = 2 * rng.integers(1, 1 << 24, 1500) + pc
@@ -618,7 +622,7 @@ def test_character_column_matches_dedekind_oracle():
             assert c.size > 2000
             for special in (np.ones_like(c), c - 1, c + 1, 2 * c - 1):
                 assert (d == special).any() == (special[0] % 2 == pd)
-            u = e._column((jb, kb), c, d)
+            u = character_column((jb, kb), c, d)
             assert np.array_equal(u, _character_column_dedekind((jb, kb), c, d)), (jb, kb)
 
 
@@ -775,9 +779,8 @@ def _class_buckets(group, c_max):
 
 
 def _assert_one_build(key, table):
-    """Every column of a stored table, the character and tau columns
-    too, equals one build of it from c = 1, and tau the Dedekind-sum
-    classifier's."""
+    """Every column of a stored table, tau and the class rows, equals one
+    build of it from c = 1, and tau the Dedekind-sum classifier's."""
     from fermatkl import eisenstein
 
     ref = eisenstein._Table()
@@ -817,30 +820,10 @@ def test_batched_fermat_enumeration_matches_per_d_loop():
 
 
 def _inner_sums_trig(group, j, k, ms, c_max):
-    """inner_sums with cos and sin taken over every lane for each mode:
-    the reference for the powers of the unit phase."""
-    from fermatkl import eisenstein as e
-    from fermatkl.sl2 import gamma2_exponent_sums
-
-    jc, kc = standard_rep(group, j), standard_rep(group, k)
-    n, jb, kb = group.n, gamma2_base(jc), gamma2_base(kc)
-    pt = e._base_pair_matrix(jb, kb)
-    key = e._GAMMA1_ROWS if group.kind == "gamma1" else (2, pt.c & 1, pt.d & 1)
-    c, d, u = e._read_table(key, c_max, (jb, kb) if n > 1 else None)
-    weight, period = 1, 1
-    if n > 1:
-        gj, gk = cusp_scaling_matrix(jc), cusp_scaling_matrix(kc)
-        hj = gamma2_exponent_sums(*(gj * cusp_scaling_matrix(jb).inverse()).entries())
-        hk = gamma2_exponent_sums(*(gk * cusp_scaling_matrix(kb).inverse()).entries())
-        v1, v2 = e._STABILIZER_SUMS[jb]
-        u = u.astype(np.int64) + (hj[0] - hk[0]) * v2 - (hj[1] - hk[1]) * v1
-        if jb == kb:
-            keep = u % n == 0
-            c, d, weight, period = c[keep], d[keep], n, n
-        else:
-            w1, w2 = e._STABILIZER_SUMS[kb]
-            det_inv = pow((v1 * w2 - v2 * w1) % n, -1, n)
-            d = d + 2 * c.astype(np.int64) * (u * det_inv % n)
+    """inner_sums with cos and sin taken over every lane for each mode,
+    on the lanes of the character oracle: the reference for the powers of
+    the unit phase."""
+    c, d, weight = character_lanes(group, j, k, c_max)
     bounds = np.searchsorted(c, np.arange(c_max + 1), side="right")
     counts = np.diff(bounds)
     full = counts > 0
@@ -849,7 +832,7 @@ def _inner_sums_trig(group, j, k, ms, c_max):
     for row, m in zip(rows, ms):
         if m == 0:
             row[:] = weight * counts
-        elif not m % period:
+        elif not m % weight:
             theta = (d / c) * (2.0 * math.pi * m / group.width)
             row[full] = weight * (np.add.reduceat(np.cos(theta), starts)
                                   + 1j * np.add.reduceat(np.sin(theta), starts))
@@ -888,6 +871,23 @@ def test_inner_sums_unit_phase_matches_trig_oracle():
     assert worst < 1e-11
 
 
+def test_inner_sums_match_character_oracle(monkeypatch):
+    # the class rows of g_k^-1(j) against the lanes that the character u
+    # of the base pair selects, bit for bit, on every pair of the full
+    # modular group, the level-2 group and levels 2, 3, 4, 5 and 7
+    _fresh_store(monkeypatch)
+    modes = (0, *range(1, 11), *range(-1, -11, -1))
+    cases = [(GAMMA1, CUSP_INF, CUSP_INF)]
+    for g in (GAMMA2, *(gamma_n(n) for n in (2, 3, 4, 5, 7))):
+        reps = [fc.rep for fc in cusp_reps(g.n)]
+        cases += [(g, j, k) for j in reps for k in reps]
+    assert len(cases) == 937
+    for c_max in (37, 250):
+        for g, j, k in cases:
+            assert np.array_equal(inner_sums(g, j, k, modes, c_max),
+                                  inner_sums_character(g, j, k, modes, c_max)), (g, j, k, c_max)
+
+
 def test_batched_fermat_enumeration_extends(monkeypatch):
     from fermatkl import eisenstein
 
@@ -896,7 +896,7 @@ def test_batched_fermat_enumeration_extends(monkeypatch):
         for j, k in ((cusp_reps(n)[n].rep, cusp_reps(n)[-1].rep),
                      (cusp_reps(n)[-1].rep, cusp_reps(n)[-1].rep)):
             lanes = _fresh_store(monkeypatch)
-            # level 2 first (no character column), then level n extends it twice
+            # level 2 first (no tau column), then level n extends it twice
             inner_sums(GAMMA2, gamma2_base(j), gamma2_base(k), (1,), 40)
             inner_sums(g, j, k, (1,), 80)
             grown = inner_sums(g, j, k, (0, 1, n), 120)
@@ -905,7 +905,8 @@ def test_batched_fermat_enumeration_extends(monkeypatch):
             lanes = _fresh_store(monkeypatch)
             fresh = inner_sums(g, j, k, (0, 1, n), 120)
             (ref,) = lanes.values()
-            assert list(table.cols) == list(ref.cols) == [(gamma2_base(j), gamma2_base(k))]
+            # the Fourier class rows are computed from tau on each read, not kept
+            assert list(table.cols) == list(ref.cols) == [eisenstein._TAU]
             for x, y in ((table.c, ref.c), (table.d, ref.d), *zip(table.cols.values(), ref.cols.values())):
                 assert x.dtype == np.int32 and np.array_equal(x, y)
             assert np.array_equal(grown, fresh)
@@ -936,18 +937,18 @@ def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
 
     store = _fresh_store(monkeypatch)
     monkeypatch.setattr(eisenstein, "coset_word_sums_batch", refuse)
-    monkeypatch.setattr(eisenstein, "gamma2_exponent_sums", refuse)
+    # the lanes of a pair are those of the class of g_k^-1(j), which the
+    # level-1 exit of the classifier reads from parities alone
+    for name in ("gamma2_exponent_sums", "_coset_word", "_cusp_reduction_steps"):
+        monkeypatch.setattr(fermat, name, refuse)
     tr = TruncationSpec(c_max=80)
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
         for k in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
             for m in (0, 3):
                 phi_coefficient(GAMMA2, j, k, m, 2.0, tr)
     assert not any(table.cols for table in store.values())
-    # a cold store and classification: the level-1 exit of the classifier
-    # reads parities only, and the direct sums compute no tau
+    # a cold store: the direct sums compute no tau either
     store = _fresh_store(monkeypatch)
-    for name in ("gamma2_exponent_sums", "_coset_word", "_cusp_reduction_steps"):
-        monkeypatch.setattr(fermat, name, refuse)
     assert [fermat.classify_rep_index(p, q, 1) for p, q in ((0, 1), (1, 1), (1, 2), (-3, 5))] == [0, 1, 2, 1]
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
         eisenstein_direct(GAMMA2, j, 0.3 + 1.1j, 2.0, tr)
@@ -1035,9 +1036,9 @@ def test_class_cache_evicts_least_recently_used(monkeypatch):
     zero, inf = ROWS_OF_BASE[CUSP_ZERO], ROWS_OF_BASE[CUSP_INF]
 
     # the direct sums and the lanes share the tables, the store and its
-    # cell bound: the rows of inf at c 30 are 190, with the columns c, d,
-    # tau and the character u of (inf, inf) 760 cells, and the 72 rows
-    # the class inf keeps 144 more
+    # cell bound: the rows of inf at c 30 are 190, with the columns c, d
+    # and tau 570 cells, and the 72 rows the class inf keeps 144 more;
+    # the Fourier class rows are not kept
     def cells():
         return {key: table.cells() for key, table in store.items()}
 
@@ -1046,15 +1047,15 @@ def test_class_cache_evicts_least_recently_used(monkeypatch):
     _class_buckets(GAMMA1, 20)
     inner_sums(g, CUSP_INF, CUSP_INF, (1,), 30)
     lanes = inner_sums(g, reps[0].rep, CUSP_INF, (1,), 30)
-    assert cells() == {ROWS_GAMMA1: 256, inf: 904, zero: 549}
+    assert cells() == {ROWS_GAMMA1: 256, inf: 714, zero: 549}
     class_inf = eisenstein._ClassRows(3, classify_index(g, 1, 0))
-    assert list(store[inf].cols) == [eisenstein._TAU, class_inf, (CUSP_INF, CUSP_INF)]
+    assert list(store[inf].cols) == [eisenstein._TAU, class_inf]
     assert store[inf].cols[class_inf].shape == (2, 72)
     # a read moves a table to the newest end; growing the level-1 table
     # to 278 rows pushes out the oldest table after it
     eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr)
     _class_buckets(GAMMA1, 30)
-    assert cells() == {inf: 904, ROWS_GAMMA1: 556}
+    assert cells() == {inf: 714, ROWS_GAMMA1: 556}
     assert list(store) == [inf, ROWS_GAMMA1]
     # a dropped table is built again to the same sums
     assert np.array_equal(inner_sums(g, reps[0].rep, CUSP_INF, (1,), 30), lanes)
@@ -1071,8 +1072,8 @@ def test_class_cache_evicts_least_recently_used(monkeypatch):
 def test_lone_table_past_the_bound_keeps_what_was_read(monkeypatch):
     # one table past the bound: no other table is left to drop, so a read
     # keeps only its rows and the column it returns.  The rows of inf at
-    # c 40 are 346; with u of (inf, inf), tau and the class rows of inf
-    # at levels 3 and 2 (240 and 360 cells) 1984 cells
+    # c 40 are 346; with tau and the class rows of inf at levels 3 and 2
+    # (240 and 360 cells) 1638 cells
     from fermatkl import eisenstein
 
     store = _fresh_store(monkeypatch)
@@ -1257,66 +1258,42 @@ def test_four_row_sets_serve_every_table(monkeypatch):
     assert len(keys) == 4 and set(keys) == set(store) == want
 
 
-def test_direct_and_fourier_classify_independently(monkeypatch):
-    # the direct side reads tau and the class rows, the Fourier side the
-    # character u of a base pair: neither builds or reads the other's
-    # columns.  Both columns come from coset_word_sums_batch, whose round
-    # tables test_round_table_off_by_one_fails_klf covers
-    from fermatkl import eisenstein
+@pytest.mark.parametrize("state, field", [(state, field) for state in range(6) for field in range(3)])
+def test_tau_map_off_by_one_fails_klf(monkeypatch, state, field):
+    # the direct sums, the Fourier lanes and the classifier all read tau
+    # through TAU_MAP, so a cross path alone could miss an error in it:
+    # each entry plus 1 fails a Kronecker-limit check of the full suite
+    from fermatkl import eisenstein, fermat, verify
 
-    def direct_side(name):
-        return name == eisenstein._TAU or isinstance(name, eisenstein._ClassRows)
-
-    real = eisenstein._column
-
-    def only(side):
-        def column(name, *args):
-            if direct_side(name) != side:
-                raise AssertionError(f"the other path's column {name}")
-            return real(name, *args)
-        return column
-
-    store = _fresh_store(monkeypatch)
-    g, reps = gamma_n(3), cusp_reps(3)
-    z, tr = 0.3 + 1.1j, TruncationSpec(c_max=80)
-    with monkeypatch.context() as patch:
-        patch.setattr(eisenstein, "_column", only(True))
-        direct, _ = eisenstein_direct_all(g, z, 2.0, tr)
-    with monkeypatch.context() as patch:
-        patch.setattr(eisenstein, "_column", only(False))
-        fourier = [(inner_sums(g, fj.rep, reps[-1].rep, (0, 1, 3), tr.c_max),
-                    fourier_eval(g, fj.rep, reps[-1].rep, z, 2.0, tr)) for fj in reps]
-    # every table holds tau, class rows and a character column; zeroing one
-    # side's columns leaves the other side's values as they were
-    assert all(eisenstein._TAU in t.cols and not all(map(direct_side, t.cols)) for t in store.values())
-    full = {key: table.cols for key, table in store.items()}
-    for key, table in store.items():
-        table.cols = {name: col if direct_side(name) else np.zeros_like(col)
-                      for name, col in full[key].items()}
-    assert np.array_equal(eisenstein_direct_all(g, z, 2.0, tr)[0], direct)
-    for key, table in store.items():
-        table.cols = {name: np.zeros_like(col) if direct_side(name) else col
-                      for name, col in full[key].items()}
-    # fourier_eval reads the lanes again, not the phi it memoized above
-    eisenstein._phis.cache_clear()
-    for fj, (rows, val) in zip(reps, fourier):
-        assert np.array_equal(inner_sums(g, fj.rep, reps[-1].rep, (0, 1, 3), tr.c_max), rows)
-        assert fourier_eval(g, fj.rep, reps[-1].rep, z, 2.0, tr) == val
+    mutant = [list(row) for row in fermat.TAU_MAP]
+    mutant[state][field] += 1
+    mutant = tuple(map(tuple, mutant))
+    monkeypatch.setattr(fermat, "TAU_MAP", mutant)
+    monkeypatch.setattr(eisenstein, "_TAU_COEF", np.transpose(mutant))
+    _fresh_store(monkeypatch)
+    try:
+        reports = verify.run_suite("full", ns=(2, 3, 4))
+    finally:
+        # the phi memoized from the mutant map go before later tests
+        eisenstein._phis.cache_clear()
+    assert any(r.check_id == "klf_fermat" and not r.passed for r in reports)
 
 
-@pytest.mark.parametrize("table, slot, lane", [("_ROUND_PER_H", 2, 1), ("_ROUND_FIXED", 5, 1 << 32)])
+@pytest.mark.parametrize("table, slot, lane",
+                         [("_ROUND_PER_H", slot, lane) for slot in range(0, 12, 2) for lane in (1, 1 << 32)]
+                         + [("_ROUND_FIXED", slot, lane) for slot in range(12) for lane in (1, 1 << 32)])
 def test_round_table_off_by_one_fails_klf(monkeypatch, table, slot, lane):
-    # tau and u share the round tables of coset_word_sums_batch, so a cross
-    # path alone could miss an error in them: the Kronecker-limit check,
-    # whose other side is the theta-product form, fails on one.  Per-h
-    # slots are read at even indices 2 s; lane 1 is phi2, 2^32 phi1
+    # both sides of a cross path read tau, and so the round tables of
+    # coset_word_sums_batch, so a cross path alone could miss an error in
+    # them: the Kronecker-limit check, whose other side is the
+    # theta-product form, fails on each.  Per-h slots are read at even
+    # indices 2 s; lane 1 is phi2, 2^32 phi1
     from fermatkl import eisenstein, sl2, verify
 
     fc = cusp_reps(3)[3]
 
     def klf():
         _fresh_store(monkeypatch)
-        eisenstein._column_map.cache_clear()
         return verify.check_klf_fermat(3, fc, 2j)
 
     assert klf().passed
