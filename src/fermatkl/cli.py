@@ -30,14 +30,14 @@ from .eisenstein import (
 )
 from .fermat import (
     GAMMA1,
-    classify_cusp_word,
+    classify_cusp,
     cusp_reps,
     gamma_n,
     ramification_point,
 )
 from .qseries import FormLabel, OrderTooSmall, expansion
 from .scattering import scattering_matrix
-from .sl2 import Cusp, word_to_matrix
+from .sl2 import Cusp, decompose_gamma2
 from .special import BESSEL_QUADRATURE_NODES, EULER_MACLAURIN_TERMS
 from .verify import run_suite
 
@@ -186,13 +186,12 @@ def cmd_classify(args) -> int:
     if (args.p is None) != (args.q is None) or (args.p is None and args.cusp is None):
         raise UsageError("classify needs --cusp, or --p and --q together")
     c = parse_cusp(args.cusp if args.p is None else f"{args.p}/{args.q}")
-    fc, word = classify_cusp_word(c, n)
-    witness = word_to_matrix(word)
+    fc, witness = classify_cusp(c, n)
     _emit(args, "classify", {"cusp": c, "n": n}, {
         "representative": str(fc.rep),
         "kind": fc.kind,
         "index": fc.index,
-        "witness_word": str(word),
+        "witness_word": str(decompose_gamma2(witness)),
         "witness_matrix": [witness.a, witness.b, witness.c, witness.d],
     }, trunc)
     return 0

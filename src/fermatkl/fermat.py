@@ -5,10 +5,12 @@ The level-N Fermat group is the kernel of the exponent-sum map
 in PSL(2, Z) of index 6N^2 with 3N cusps of common width 2N.  At N = 1
 the kernel is the whole level-2 group, so GAMMA2 is gamma_n(1) and its
 cusps 0, 1, inf are the level-1 representatives.  This module provides
-the representative system, cusp classification with an explicit witness
-matrix, coset representatives and the dictionary between cusps and the
-ramification points of the degree-N^2 Belyi map of the Fermat curve
-x^N + y^N = 1.
+the representative system, cusp classification, coset representatives
+and the dictionary between cusps and the ramification points of the
+degree-N^2 Belyi map of the Fermat curve x^N + y^N = 1.  The class of a
+cusp is read from the coset-word walk of the sl2 module through TAU_MAP;
+its witness, a matrix of the group that maps the representative to the
+cusp, passes a level-N membership test and so certifies the class.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from .sl2 import (
     T,
     _coset_word,
     cusp_scaling_matrix,
+    decompose_gamma2,
     gamma2_exponent_sums,
-    round_half_down,
+    is_in_gamma_n,
     word_from_syllables,
-    word_to_matrix,
 )
 
 
@@ -224,105 +226,6 @@ def gamma2_base(c: Cusp) -> Cusp:
     return CUSP_ZERO
 
 
-def _tau_map() -> tuple[tuple[int, int, int], ...]:
-    """TAU_MAP: per coset state s, (a1, a2, b) with the class invariant
-    of N(inf) = a1 phi1 + a2 phi2 + b, for N = gamma R_s T^k and phi the
-    exponent sums of gamma, R_s = COSET_REPS[s].  With g the scaling
-    matrix of the level-2 base of R_s(inf) and the one e in {0, 1} that
-    puts eps_s = R_s T^-e g^-1 in the level-2 group, gamma eps_s maps that
-    base to N(inf), so the invariant is the class_shift of its kind at
-    phi + r(eps_s)."""
-    out = []
-    for rep in COSET_REPS:
-        base = gamma2_base(Cusp(rep.a, rep.c))
-        gb_inv = cusp_scaling_matrix(base).inverse()
-        eps = next(r for r in (gamma2_exponent_sums(*(rep * T ** -e * gb_inv).entries())
-                               for e in (0, 1)) if r is not None)
-        kind = _KIND_OF_BASE[base]
-        out.append((class_shift(kind, 1, 0), class_shift(kind, 0, 1), class_shift(kind, *eps)))
-    return tuple(out)
-
-
-TAU_MAP = _tau_map()
-
-
-def _cusp_reduction_steps(c: Cusp) -> tuple[Cusp, list[tuple[int, int]]]:
-    """Euclidean reduction of a cusp to its level-2 base.
-
-    Returns (base, steps) where applying g_gen^e for the listed steps in
-    order maps c to base.  It takes about q steps on cusps like
-    (q+1)/q, and serves classify_cusp_word, whose witness word is itself
-    about that many syllables long; classify_rep_index reads the class
-    from the coset-word walk instead.
-    """
-    p, q = c.p, c.q
-    steps: list[tuple[int, int]] = []
-    while True:
-        if q == 0 or p == 0:
-            break
-        ap, aq = abs(p), abs(q)
-        if ap == aq:
-            # coprime, so (p, q) = (+-1, +-1)
-            if p * q > 0:
-                break
-            # (-1 : 1) -> (1 : 1) via g1
-            steps.append((1, 1))
-            p += 2 * q
-            break
-        if ap > aq:
-            e = -round_half_down(p, 2 * q)
-            steps.append((1, e))
-            p += 2 * e * q
-        else:
-            e = -round_half_down(q, 2 * p)
-            steps.append((2, e))
-            q += 2 * e * p
-    return Cusp(p, q), steps
-
-
-# Stabilizer generator words of the three base cusps in the level-2 group.
-_STAB_WORD = {
-    CUSP_ZERO: ((2, 1),),            # g2 fixes 0
-    CUSP_ONE: ((2, 1), (1, -1)),     # g2 g1^-1 fixes 1
-    CUSP_INF: ((1, 1),),             # g1 fixes inf
-}
-
-
-def _class_invariant(base: Cusp, r1: int, r2: int) -> tuple[int, int, int]:
-    """(invariant, free sum, generator of the standard representative)
-    for a level-2 matrix with exponent sums (r1, r2) mapping base to the
-    cusp.  The invariant is the class_shift of the base's kind; the free
-    sum is the one a power of the base's stabilizer can change."""
-    free, gen = (r1, 2) if base == CUSP_INF else (r2, 1)
-    return class_shift(_KIND_OF_BASE[base], r1, r2), free, gen
-
-
-def classify_cusp_word(c: Cusp, n: int) -> tuple[FermatCusp, GammaWord]:
-    """Class of a cusp in the level-n Fermat group, with witness word.
-
-    Returns (fc, w) where fc is the standard representative data and w
-    is a word in the Fermat group with w(fc.rep) = c.
-    """
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    base, steps = _cusp_reduction_steps(c)
-    # rho = g_{s1}^{-e1} ... g_{sm}^{-em} maps base to c.
-    rho = word_from_syllables([(g, -e) for g, e in steps])
-    t_inv, comp, std_gen = _class_invariant(base, rho.r1, rho.r2)
-    t_inv %= n
-    # Witness w = rho * stab^t * std^-1 with t chosen to kill the free
-    # exponent sum mod n.
-    stab = list(_STAB_WORD[base]) * ((-comp) % n)
-    w_word = word_from_syllables(list(rho.syllables) + stab + [(std_gen, -t_inv)])
-    return _fermat_cusp(base, t_inv, n), w_word
-
-
-def classify_cusp(c: Cusp, n: int) -> tuple[FermatCusp, Mat2Z]:
-    """Like classify_cusp_word but returning the witness as a matrix."""
-    fc, w_word = classify_cusp_word(c, n)
-    return fc, word_to_matrix(w_word)
-
-
 def classify_rep_index(p: int, q: int, n: int) -> int:
     """Index of the class of (p : q) in the cusp_reps(n) ordering.
 
@@ -342,6 +245,51 @@ def classify_rep_index(p: int, q: int, n: int) -> int:
         return n + t
     # S_inf block: reps 1/2 ... 1/(2n-2) then inf (t = 0) last.
     return 2 * n + (t - 1 if t else n - 1)
+
+
+def classify_cusp(c: Cusp, n: int) -> tuple[FermatCusp, Mat2Z]:
+    """Class fc of a cusp in the level-n Fermat group, read by
+    classify_rep_index, and the witness w = g_c T^k g_rep^-1 in the group
+    with -n < k <= n, g_c and g_rep the scaling matrices of c and fc.rep.
+    Those matrices for k in Z map fc.rep to c, and the stabilizer of
+    fc.rep in the group is g_rep T^(2n) g_rep^-1, so one k in the window
+    gives w; if none does, fc is wrong and the call raises
+    ArithmeticError.  So w certifies the class, in O(n log q) steps."""
+    fc = cusp_reps(n)[classify_rep_index(c.p, c.q, n)]
+    g_c, g_rep_inv = cusp_scaling_matrix(c), cusp_scaling_matrix(fc.rep).inverse()
+    for k in range(1 - n, n + 1):
+        w = g_c * T ** k * g_rep_inv
+        if is_in_gamma_n(w, n):
+            return fc, w
+    raise ArithmeticError(f"no witness in {gamma_n(n)} maps {fc.rep} to {c}")
+
+
+def classify_cusp_word(c: Cusp, n: int) -> tuple[FermatCusp, GammaWord]:
+    """Like classify_cusp but returning the witness as its reduced word
+    in g1, g2 (decompose_gamma2).  The word can be long where the matrix
+    is not: that of (q+1)/q has about q syllables."""
+    fc, w = classify_cusp(c, n)
+    return fc, decompose_gamma2(w)
+
+
+def _tau_map() -> tuple[tuple[int, int, int], ...]:
+    """TAU_MAP: per coset state s, (a1, a2, b) with the class invariant
+    of N(inf) = a1 phi1 + a2 phi2 + b, for N = gamma R_s T^k and phi the
+    exponent sums of gamma, R_s = COSET_REPS[s].  The level-1 witness
+    eps_s of R_s(inf) is R_s T^j g^-1 for some j, g the scaling matrix of
+    its level-2 base, so gamma eps_s maps that base to N(inf) and the
+    invariant is the class_shift of its kind at phi + r(eps_s).  Another
+    j changes eps_s by a stabilizer of the base, which moves no
+    class_shift.  Level 1 reads parities only, not TAU_MAP."""
+    out = []
+    for rep in COSET_REPS:
+        fc, eps = classify_cusp(Cusp(rep.a, rep.c), 1)
+        r = gamma2_exponent_sums(*eps.entries())
+        out.append((class_shift(fc.kind, 1, 0), class_shift(fc.kind, 0, 1), class_shift(fc.kind, *r)))
+    return tuple(out)
+
+
+TAU_MAP = _tau_map()
 
 
 def _word_power(pair: tuple[tuple[int, int], ...], e: int) -> list[tuple[int, int]]:

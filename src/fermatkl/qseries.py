@@ -43,6 +43,8 @@ from math import comb, gcd
 from .fermat import class_shift
 from .sl2 import Mat2Z, NotInGamma2, gamma2_exponent_sums
 
+_UNIT = 2.0 ** -53  # float64 unit roundoff, for the rounding bounds
+
 
 class OrderTooSmall(ValueError):
     """Requested truncation cannot resolve the leading term."""
@@ -268,27 +270,32 @@ class QExpansion:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, z: complex) -> tuple[complex, float]:
-        """(value, tail_bound) of the series at a point of the upper
-        half plane.
+        """(value, error bound) of the series at a point of the upper
+        half plane: the tail and the rounding of the float sum.
 
-        The tail bound is geometric: the largest retained coefficient
-        magnitude near the truncation edge with an empirical growth
-        ratio, against |q^(1/D)| = exp(-2 pi Im z / D).  It does not
-        cover the rounding of the float sum, which loses accuracy where
-        the terms cancel (1.4e-9 relative for f[A,0] at N = 5 and
+        The tail is geometric: the largest retained coefficient magnitude
+        near the truncation edge with an empirical growth ratio, against
+        |w| = |q^(1/D)| = exp(-2 pi Im z / D).  The rounding is
+        2^-53 sum (n + 8 + 8 (1 + |x|) |k|) |c_k w^k| over the n terms, for
+        their sum and w = e^x, whose error w^k carries k times.  Where the
+        terms cancel it dominates (1.4e-9 relative for f[A,0] at N = 5,
         z = 0.1+0.7i); FormsAt gives the values at a point.
         """
         y = z.imag
         if y <= 0:
             raise ConvergenceRegion("evaluation requires Im z > 0")
-        w = cmath.exp(2j * math.pi * z / self.denom)
+        x = 2j * math.pi * z / self.denom
+        w = cmath.exp(x)
         r = abs(w)
         p = self.prefactor
-        val = 0j
+        n_err, k_err = len(self.coeffs) + 8, 8 * (1 + abs(x))
+        val, rounding = 0j, 0.0
         mags: list[tuple[int, float]] = []
         for k in sorted(self.coeffs):
             c = float(self.coeffs[k])
-            val += c * w ** k
+            term = c * w ** k
+            val += term
+            rounding += (n_err + k_err * abs(k)) * abs(term)
             mags.append((k, abs(c)))
         val *= p
         if not mags:
@@ -311,7 +318,7 @@ class QExpansion:
                 f"geometric tail ratio {gr:.3f} too close to 1 at Im z = {y}")
         anchor = m_hi if m_hi > floor_mag else m_all
         tail = abs(p) * anchor * (r ** (k_edge + 1)) * growth / (1.0 - gr)
-        return val, tail
+        return val, tail + abs(p) * _UNIT * rounding
 
     # -- output ----------------------------------------------------------------
 
@@ -343,13 +350,15 @@ class RadicalSum:
         return self.terms[0].denom
 
     def evaluate(self, z: complex) -> tuple[complex, float]:
-        """(sum of the term values, sum of the term tail bounds)."""
-        val, tail = 0j, 0.0
+        """(sum of the term values, sum of the term error bounds plus the
+        rounding of that sum)."""
+        val, bound, size = 0j, 0.0, 0.0
         for t in self.terms:
             v, e = t.evaluate(z)
             val += v
-            tail += e
-        return val, tail
+            bound += e
+            size += abs(v)
+        return val, bound + len(self.terms) * _UNIT * size
 
     def _combined(self) -> dict:
         out: dict = {}
@@ -578,7 +587,6 @@ def _leading_exponent(label: FormLabel) -> Fraction:
 # Lowest Im z at which FormsAt evaluates: |t| = e^(-pi Im z) is 0.46 there
 # and the products take 47 factors to fall below 2^-53.
 POINT_IM_MIN = 0.25
-_UNIT = 2.0 ** -53
 
 
 def _expm1(w: complex) -> complex:

@@ -291,8 +291,8 @@ def decompose_gamma2(m: Mat2Z) -> GammaWord:
     from the left while the 1-norm strictly decreases; deterministic
     because the peeled exponent is the greedy minimizer of the row
     1-norm.  It takes O(c) steps on runs of g1 g2^-1, so exponent sums
-    come from gamma2_exponent_sums instead; this is the witness-word
-    path, the source of that walk's round tables and the oracle for it.
+    come from gamma2_exponent_sums instead.  It spells the classify
+    witness word, and gives that walk its round tables and an oracle.
     """
     if not is_in_gamma2(m):
         raise NotInGamma2(f"{m} is not in the level-2 group")

@@ -22,12 +22,27 @@ raw Bezout coefficient x0 of h (not reduced mod k),
     Y(h, k) = k (q_1 - q_2 + ... +- q_n) - 3k [n odd] + h + x0,
 
 and Y(0, 1) = 0.
+
+classify_cusp_word_euclid classifies a cusp without the walk or its
+round tables: a Euclidean reduction maps the cusp to its level-2 base
+step by step (about q steps on (q+1)/q), the class is read from the
+exponent sums of that word, and the witness word is built from it.
 """
 
 import numpy as np
 
-from fermatkl.fermat import gamma2_base
-from fermatkl.sl2 import BATCH_ENTRY_BOUND, CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp, NotInGamma2
+from fermatkl.fermat import _KIND_OF_BASE, FermatCusp, _fermat_cusp, class_shift, gamma2_base
+from fermatkl.sl2 import (
+    BATCH_ENTRY_BOUND,
+    CUSP_INF,
+    CUSP_ONE,
+    CUSP_ZERO,
+    Cusp,
+    GammaWord,
+    NotInGamma2,
+    round_half_down,
+    word_from_syllables,
+)
 
 
 def _dedekind_y(h: int, k: int) -> int:
@@ -164,6 +179,75 @@ def classify_rep_index_dedekind(p: int, q: int, n: int) -> int:
     if base == CUSP_INF:
         return 2 * n + (t - 1 if t else n - 1)
     return (base == CUSP_ONE) * n + t
+
+
+def _cusp_reduction_steps(c: Cusp) -> tuple[Cusp, list[tuple[int, int]]]:
+    """Euclidean reduction of a cusp to its level-2 base.
+
+    Returns (base, steps) where applying g_gen^e for the listed steps in
+    order maps c to base.  It takes about q steps on cusps like
+    (q+1)/q.
+    """
+    p, q = c.p, c.q
+    steps: list[tuple[int, int]] = []
+    while True:
+        if q == 0 or p == 0:
+            break
+        ap, aq = abs(p), abs(q)
+        if ap == aq:
+            # coprime, so (p, q) = (+-1, +-1)
+            if p * q > 0:
+                break
+            # (-1 : 1) -> (1 : 1) via g1
+            steps.append((1, 1))
+            p += 2 * q
+            break
+        if ap > aq:
+            e = -round_half_down(p, 2 * q)
+            steps.append((1, e))
+            p += 2 * e * q
+        else:
+            e = -round_half_down(q, 2 * p)
+            steps.append((2, e))
+            q += 2 * e * p
+    return Cusp(p, q), steps
+
+
+# Stabilizer generator words of the three base cusps in the level-2 group.
+_STAB_WORD = {
+    CUSP_ZERO: ((2, 1),),            # g2 fixes 0
+    CUSP_ONE: ((2, 1), (1, -1)),     # g2 g1^-1 fixes 1
+    CUSP_INF: ((1, 1),),             # g1 fixes inf
+}
+
+
+def _class_invariant(base: Cusp, r1: int, r2: int) -> tuple[int, int, int]:
+    """(invariant, free sum, generator of the standard representative)
+    for a level-2 matrix with exponent sums (r1, r2) mapping base to the
+    cusp.  The invariant is the class_shift of the base's kind; the free
+    sum is the one a power of the base's stabilizer can change."""
+    free, gen = (r1, 2) if base == CUSP_INF else (r2, 1)
+    return class_shift(_KIND_OF_BASE[base], r1, r2), free, gen
+
+
+def classify_cusp_word_euclid(c: Cusp, n: int) -> tuple[FermatCusp, GammaWord]:
+    """fermat.classify_cusp_word by Euclidean reduction of the cusp.
+
+    Returns (fc, w) where fc is the standard representative data and w
+    is a word in the Fermat group with w(fc.rep) = c.
+    """
+    if n < 1:
+        raise ValueError("level must be >= 1")
+    base, steps = _cusp_reduction_steps(c)
+    # rho = g_{s1}^{-e1} ... g_{sm}^{-em} maps base to c.
+    rho = word_from_syllables([(g, -e) for g, e in steps])
+    t_inv, comp, std_gen = _class_invariant(base, rho.r1, rho.r2)
+    t_inv %= n
+    # Witness w = rho * stab^t * std^-1 with t chosen to kill the free
+    # exponent sum mod n.
+    stab = list(_STAB_WORD[base]) * ((-comp) % n)
+    w_word = word_from_syllables(list(rho.syllables) + stab + [(std_gen, -t_inv)])
+    return _fermat_cusp(base, t_inv, n), w_word
 
 
 def class_invariants(p, q) -> tuple[np.ndarray, np.ndarray]:

@@ -39,6 +39,7 @@ from fermatkl.sl2 import (
     CUSP_ONE,
     CUSP_ZERO,
     Cusp,
+    T,
     cusp_scaling_matrix,
     decompose_gamma2,
     is_in_gamma_n,
@@ -48,6 +49,7 @@ from fermatkl.sl2 import (
     word_to_matrix,
 )
 from fermatkl.special import gamma_fn
+from dedekind_oracles import classify_cusp_word_euclid
 from series_oracles import coset_product_closed_form
 from fermatkl.verify import (
     check_klf_fermat,
@@ -100,10 +102,15 @@ def test_ac02_cusp_partition():
             fc, w = classify_cusp(c, n)
             assert is_in_gamma_n(w, n)
             assert mobius_apply(w, fc.rep) == c
+            # w = g_c T^k g_rep^-1 with -n < k <= n
+            g_c, g_rep = cusp_scaling_matrix(c), cusp_scaling_matrix(fc.rep)
+            k = (g_c.inverse() * w * g_rep).b
+            assert g_c * T ** k * g_rep.inverse() == w and -n < k <= n
             assert reps[classify_rep_index(c.p, c.q, n)].rep == fc.rep
+            assert classify_cusp_word_euclid(c, n)[0] == fc
             seen.add(fc.rep)
         assert len(seen) == 3 * n
-    report("AC02 cusp-partition", f"{len(cusps)} cusps x N=1..8, witnesses valid",
+    report("AC02 cusp-partition", f"{len(cusps)} cusps x N=1..8, witnesses valid, classes as Euclid's",
            time.perf_counter() - t0, 30.0)
 
 

@@ -45,7 +45,7 @@ from character_oracles import (
     character_lanes,
     inner_sums_character,
 )
-from dedekind_oracles import class_invariants, gamma2_exponent_sums_batch, mod_inverse_batch
+from dedekind_oracles import class_invariants, classify_cusp_word_euclid, gamma2_exponent_sums_batch, mod_inverse_batch
 
 TR_FAST = TruncationSpec(c_max=150, m_max=8, order=20)
 
@@ -939,7 +939,7 @@ def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
     monkeypatch.setattr(eisenstein, "coset_word_sums_batch", refuse)
     # the lanes of a pair are those of the class of g_k^-1(j), which the
     # level-1 exit of the classifier reads from parities alone
-    for name in ("gamma2_exponent_sums", "_coset_word", "_cusp_reduction_steps"):
+    for name in ("gamma2_exponent_sums", "_coset_word"):
         monkeypatch.setattr(fermat, name, refuse)
     tr = TruncationSpec(c_max=80)
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
@@ -958,13 +958,13 @@ def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
 
 def test_batched_class_table_matches_per_d_loop(monkeypatch):
     from fermatkl import eisenstein
-    from fermatkl.fermat import classify_cusp_word, classify_rep_index
+    from fermatkl.fermat import classify_rep_index
 
     def per_d(d0, c, n):
-        # against the witness-word classifier, which reduces the cusp step by
-        # step and shares no exponent-sum code with the tau column; the
-        # exact-int classify_rep_index must agree with it too
-        index = cusp_reps(n).index(classify_cusp_word(Cusp(-d0, c), n)[0])
+        # against the Euclidean classifier, which reduces the cusp step by
+        # step and shares no exponent-sum code or round table with the tau
+        # column; the exact-int classify_rep_index must agree with it too
+        index = cusp_reps(n).index(classify_cusp_word_euclid(Cusp(-d0, c), n)[0])
         assert classify_rep_index(-d0, c, n) == index, (d0, c, n)
         return index
 

@@ -25,6 +25,9 @@ from fermatkl.sl2 import (
     GEN1,
     GEN2,
     IDENTITY,
+    T,
+    cusp_scaling_matrix,
+    decompose_gamma2,
     gamma2_exponent_sums,
     is_in_gamma_n,
     mobius_apply,
@@ -32,7 +35,12 @@ from fermatkl.sl2 import (
     word_to_matrix,
 )
 
-from dedekind_oracles import classify_rep_index_dedekind, classify_rep_indices, gamma2_exponent_sums_dedekind
+from dedekind_oracles import (
+    classify_cusp_word_euclid,
+    classify_rep_index_dedekind,
+    classify_rep_indices,
+    gamma2_exponent_sums_dedekind,
+)
 
 
 def test_cusp_reps_small_levels():
@@ -186,16 +194,27 @@ def test_equivalence_witness_words():
             assert mobius_apply(m, src) == dst
 
 
+def _assert_witness(c, n, fc, w):
+    # w lies in the level-n group, maps fc.rep to c and is g_c T^k g_rep^-1
+    # with -n < k <= n
+    g_c, g_rep = cusp_scaling_matrix(c), cusp_scaling_matrix(fc.rep)
+    k = (g_c.inverse() * w * g_rep).b
+    assert is_in_gamma_n(w, n) and mobius_apply(w, fc.rep) == c, (str(c), n)
+    assert g_c * T ** k * g_rep.inverse() == w and -n < k <= n, (str(c), n, k)
+
+
 def test_classify_rep_index_on_large_entries(monkeypatch):
     # gamma = (g1 g2^-1)^(N 10^11) g2^(3N) g1^N lies in the level-N group
-    # and has entries of about 14 digits; the cusp reduction would take
-    # about that many steps, the classifier a logarithmic number
-    from fermatkl import fermat
+    # and has entries of about 14 digits; a witness word would take about
+    # that many syllables, the classifier and its witness matrix a
+    # logarithmic number of steps
+    from fermatkl import fermat, sl2
 
     def refuse(*args):
-        raise AssertionError("classify_rep_index reduced the cusp step by step")
+        raise AssertionError("the classifier decomposed its witness into a word")
 
-    monkeypatch.setattr(fermat, "_cusp_reduction_steps", refuse)
+    monkeypatch.setattr(fermat, "decompose_gamma2", refuse)
+    monkeypatch.setattr(sl2, "decompose_gamma2", refuse)
     for n in (2, 3, 4, 5):
         gamma = (GEN1 * GEN2.inverse()) ** (n * 10 ** 11) * GEN2 ** (3 * n) * GEN1 ** n
         assert is_in_gamma_n(gamma, n) and max(map(abs, gamma.entries())) > 10 ** 12
@@ -205,6 +224,25 @@ def test_classify_rep_index_on_large_entries(monkeypatch):
             c = mobius_apply(gamma, fc.rep)
             assert classify_rep_index(c.p, c.q, n) == index, (n, str(fc.rep))
             assert classify_rep_index_dedekind(c.p, c.q, n) == index, (n, str(fc.rep))
+            fc_c, w = classify_cusp(c, n)
+            assert fc_c == fc
+            _assert_witness(c, n, fc, w)
+
+
+def test_classify_cusp_matches_euclid_on_13_digit_entries():
+    # seeded cusps with 13-digit entries: the walk's class is the
+    # Euclidean reduction's, and the witness is valid
+    rng = random.Random(1913)
+    cusps = []
+    while len(cusps) < 60:
+        p, q = rng.randint(-10 ** 13, 10 ** 13), rng.randint(10 ** 12, 10 ** 13)
+        if gcd(p, q) == 1:
+            cusps.append(Cusp(p, q))
+    for n in range(1, 9):
+        for c in cusps:
+            fc, w = classify_cusp(c, n)
+            assert classify_cusp_word_euclid(c, n)[0] == fc, (str(c), n)
+            _assert_witness(c, n, fc, w)
 
 
 def test_classify_rep_index_matches_classifier():
@@ -218,12 +256,41 @@ def test_classify_rep_index_matches_classifier():
             c = Cusp(p, q)
             fc, w = classify_cusp(c, n)
             fc_idx = cusp_reps(n)[classify_rep_index(c.p, c.q, n)]
-            fc2, w2 = classify_cusp_word(c, n)
+            # the Euclidean classifier shares no code with the walk
+            fc2, w2 = classify_cusp_word_euclid(c, n)
             assert fc2 == fc == fc_idx
-            assert word_to_matrix(w2) == w
+            assert is_in_gamma_n(word_to_matrix(w2), n) and mobius_apply(word_to_matrix(w2), fc.rep) == c
+            assert classify_cusp_word(c, n) == (fc, decompose_gamma2(w))
+            _assert_witness(c, n, fc, w)
             assert gamma2_base(c) == gamma2_base(fc_idx.rep)
             if c.q:
                 batch.append((c.p, c.q, cusp_reps(n).index(fc)))
         # the batched Dedekind-sum oracle over the same cusps
         p, q, want = zip(*batch)
         assert classify_rep_indices(p, q, n).tolist() == list(want)
+
+
+@pytest.mark.parametrize("state, field", [(s, f) for s in range(6) for f in range(3)])
+def test_tau_map_off_by_one_fails_witness(monkeypatch, state, field):
+    # the witness certifies the class: with an entry of TAU_MAP plus 1 the
+    # class of some cusp of a seeded grid is wrong, and no g_c T^k g_rep^-1
+    # with -n < k <= n lies in the group
+    from fermatkl import fermat
+
+    rng = random.Random(4177)
+    grid = []
+    while len(grid) < 300:
+        p, q = rng.randint(-60, 60), rng.randint(0, 60)
+        if gcd(p, q) == 1:
+            grid.append(Cusp(p, q))
+    # the map as built certifies every cusp of the grid
+    for n in (2, 3, 4, 5):
+        for c in grid:
+            classify_cusp(c, n)
+    mutant = [list(row) for row in fermat.TAU_MAP]
+    mutant[state][field] += 1
+    monkeypatch.setattr(fermat, "TAU_MAP", tuple(map(tuple, mutant)))
+    with pytest.raises(ArithmeticError, match="no witness"):
+        for n in (2, 3, 4, 5):
+            for c in grid:
+                classify_cusp(c, n)

@@ -101,7 +101,8 @@ def test_nth_root_trivial_and_errors():
 def test_evaluate_basics():
     one = constant(1, 2, Fraction(10))
     v, tail = one.evaluate(1j)
-    assert v == 1 and tail < 1e-20
+    # the tail is below 1e-20; the rest is the rounding bound of one term
+    assert v == 1 and 0 <= tail - 9 * 2.0 ** -53 < 1e-20
     lam = expansion(FormLabel("lambda"), Fraction(14))
     oml = expansion(FormLabel("one_minus_lambda"), Fraction(14))
     v1, _ = lam.evaluate(2j)
@@ -386,6 +387,27 @@ def test_forms_at_point_match_mpmath_and_their_estimates_hold():
                 err = abs(got - ref)
                 assert err <= est, (str(lab), z, err, est)
                 assert z == -0.9 + 0.6j or err <= 1e-13 * abs(ref), (str(lab), z, err / abs(ref))
+    finally:
+        mp.dps = old_dps
+
+
+def test_evaluate_bound_covers_float_rounding():
+    # the float sum of f[A,0], N = 5 at 0.1+0.7i cancels to 1.4e-9 relative
+    # while its tail is 7e-46: the bound must cover the rounding, here and
+    # on the N = 5 forms at points where w^k carries a large phase
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    old_dps, mp.dps = mp.dps, 50
+    try:
+        f = expansion(FormLabel("f", 5, "A", 0), Fraction(26))
+        val, bound = f.evaluate(0.1 + 0.7j)
+        err = abs(val - _mp_series_value(mp, f, 0.1 + 0.7j))
+        assert 1e-10 * abs(val) < err <= bound
+        for z in (-12.3 + 0.9j, 0.5 + 0.55j):
+            for lab in _every_label(5)[-15:]:
+                s = expansion(lab, Fraction(26))
+                val, bound = s.evaluate(z)
+                assert abs(val - _mp_series_value(mp, s, z)) <= bound, (str(lab), z)
     finally:
         mp.dps = old_dps
 
