@@ -56,7 +56,12 @@ them from _phis, memoized per (group, pair, modes, c_max, s) in a
 bounded least-recently-used cache; a hit returns the bits that a miss
 computes, and only a miss reads the lanes.  The direct sum reads, lifts
 or filters the rows of each class asked for once and sums only those,
-eisenstein_direct its own, in blocks of whole c's.
+eisenstein_direct its own, in blocks of whole c's: per block one
+repeat of a per-c table gives the row columns, one rectangle of
+translates by rows, in buffers reused through the call, takes
+|c z + d + t P|^2 in five in-place passes with d + t P exact and c x
+added once, and a masked reciprocal and a dot product give the sum, with
+no power pass at s = 2.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ from .fermat import (
     gamma2_base,
 )
 from .sl2 import CUSP_INF, Cusp, coset_word_sums_batch, cusp_scaling_matrix, mobius_apply
-from .special import bessel_k, gamma_fn, zeta
+from .special import bessel_k_batch, gamma_fn, zeta
 
 
 class DivergentRegion(ValueError):
@@ -178,9 +183,23 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
 
     Each row (c, d), P = step c, sums the translates t with
     |c x + d + t P| <= m_cut.  Whole c's form a block while its rows times
-    k_c = floor(2 m_cut / P) + 1 of its first c fit in _DIRECT_BLOCK: one
-    rectangle, translates down the leading axis, zero past a row's range.
-    d + t P is exact in float64, and c x is added once.
+    max(k_c, 5), k_c = floor(2 m_cut / P) + 1 of its first c, fit in the
+    cells of the call's buffers: _DIRECT_BLOCK, half that for complex s.
+    A block is one rectangle, translates down the leading axis, masked
+    past a row's range.  Its row columns P, c x, (c y)^2, the start
+    d + t_lo P of the first translate and the index of the last are 1-D
+    arrays built once per block from one repeat of a per-c table; as
+    there are five, the max(k_c, 5) keeps them within the cells too.  The
+    rectangle and its bool mask are filled in place, with out=, in
+    buffers allocated once per call, so threads summing at once share
+    none; a single c past them gets its own.  t P + start is exact in
+    float64 and c x is added once, after it: folding c x into the start
+    first rounds at the scale of m_cut, which loses up to 4.5e-13 at
+    |x| near 8.  Then w = (t P + start + c x)^2 + (c y)^2 and u = mask / w
+    in place, and for real s the bucket adds u^(sigma/2) . u^(sigma/2),
+    with no power pass at sigma = 2, by np.dot over _DOT_CHUNK entries at
+    a time; complex s adds exp(-s log w) under the mask, in a reused
+    complex buffer.
     """
     sigma = complex(s).real
     if sigma <= 1:
@@ -200,27 +219,64 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     if pos is not None:
         vals[pos] += ys
     m_cut = trunc.c_max * (abs(x) + y + 3.0)
+    real = not (isinstance(s, complex) and s.imag != 0)
+    # the row columns per c: step c (set per class), c x, (c y)^2, and
+    # -m_cut - c x and m_cut - c x, which become each row's start and last
+    cs = np.arange(trunc.c_max + 1.0)
+    per_c = np.empty((5, cs.size))
+    np.multiply(cs, x, out=per_c[1])
+    np.square(cs * y, out=per_c[2])
+    np.subtract(-m_cut, per_c[1], out=per_c[3])
+    np.subtract(m_cut, per_c[1], out=per_c[4])
+    cells = _DIRECT_BLOCK if real else _DIRECT_BLOCK // 2
+    w_buf, keep_buf = np.empty(cells), np.empty(cells, dtype=bool)
+    z_buf = None if real else np.empty(cells, dtype=complex)
     for i, pos in slot.items():
         step, d_col, bounds = _class_rows(group, i, trunc.c_max)
+        counts = np.diff(bounds)
+        np.multiply(cs, step, out=per_c[0])
+        total = 0.0
         c = 1
         while c <= trunc.c_max:
             k_c = int(2 * m_cut / (step * c)) + 1
-            end = max(bisect_right(bounds, bounds[c - 1] + _DIRECT_BLOCK // k_c) - 1, c)
-            cs = np.repeat(np.arange(c, end + 1.0), np.diff(bounds[c - 1:end + 1]))
-            d, cx, P = d_col[bounds[c - 1]:bounds[end]], cs * x, step * cs
-            t_lo = np.ceil((-m_cut - cx - d) / P)
-            last = np.floor((m_cut - cx - d) / P) - t_lo
-            t = np.arange(last.max(initial=-1) + 1)[:, None]
-            w = t * P
-            w += t_lo * P + d
-            w += cx
-            w *= w
-            w += (cs * y) ** 2
-            if isinstance(s, complex) and s.imag != 0:
-                vals[pos] += ys * np.exp(-s * np.log(w)).sum(where=t <= last)
+            end = max(bisect_right(bounds, bounds[c - 1] + cells // max(k_c, 5)) - 1, c)
+            d = d_col[bounds[c - 1]:bounds[end]]
+            cols = np.repeat(per_c[:, c:end + 1], counts[c - 1:end], axis=1)
+            P, cx, cy2, start, last = cols
+            span = cols[3:]
+            span -= d
+            span /= P
+            np.ceil(start, out=start)
+            np.floor(last, out=last)
+            last -= start
+            start *= P
+            start += d
+            k = int(last.max(initial=-1)) + 1
+            t = np.arange(k, dtype=float)[:, None]
+            shape, n = (k, d.size), k * d.size
+            if n <= cells:
+                w, keep = w_buf[:n].reshape(shape), keep_buf[:n].reshape(shape)
             else:
-                vals[pos] += ys * np.power(np.divide(t <= last, w, out=w), sigma, out=w).sum()
+                w, keep = np.empty(shape), np.empty(shape, dtype=bool)
+            np.multiply(t, P, out=w)
+            w += start
+            w += cx
+            np.square(w, out=w)
+            w += cy2
+            np.less_equal(t, last, out=keep)
+            if real:
+                u = np.divide(keep, w, out=w).reshape(-1)
+                if sigma != 2:
+                    np.power(u, sigma / 2, out=u)
+                for lo in range(0, n, _DOT_CHUNK):
+                    part = u[lo:lo + _DOT_CHUNK]
+                    total += np.dot(part, part)
+            else:
+                np.log(w, out=w)
+                terms = np.multiply(w, -s, out=z_buf[:n].reshape(shape) if n <= cells else None)
+                total += np.exp(terms, out=terms).sum(where=keep)
             c = end + 1
+        vals[pos] += ys * total
     # omitted-d strip plus c > c_max tail
     tail_d = trunc.c_max * 2.0 * y ** sigma * m_cut ** (1 - 2 * sigma) / (2 * sigma - 1)
     tail_c = 4.0 * y ** (1 - sigma) * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
@@ -323,8 +379,16 @@ _COLUMN_BLOCK = 1 << 13
 # the unit phase and its running power, stay near 64 kB each, below the
 # full-length columns a call reads, and fit in cache.
 _PHASE_BLOCK = 1 << 12
-# Terms per block of the direct sum, in whole c's, near 64 kB a buffer.
-_DIRECT_BLOCK = 1 << 13
+# Cells per block of the direct sum, in whole c's: a rectangle buffer of
+# 256 kB and a bool mask, allocated once per call, and row columns of at
+# most 256 kB more per block.  A warm sum peaks near 0.75 MB at c_max 500;
+# twice the cells would pass the 1 MB bound of the tests.
+_DIRECT_BLOCK = 1 << 15
+# Entries per np.dot of the direct sum.  OpenBLAS splits a dot of over
+# 10,000 entries across its threads: on a shared 2-vCPU host that took
+# 49 us a call at 10,001 entries against 3 us at 10,000, and its rounding
+# then depends on the thread count.
+_DOT_CHUNK = 1 << 13
 # Entries of the memoized phi sums, (group, pair, modes, c_max, s), each
 # at most 2 m_max + 1 complex numbers: well under 1 MB in all.
 _PHI_CACHE = 256
@@ -670,7 +734,8 @@ def fourier_eval(group: GroupId, j, k, z: complex, s,
     The modes m = 0..m_eff come from one inner_sums call, m_eff the last
     mode up to m_max whose Bessel argument 2 pi m y / b is at most 700;
     the inner sums of -m are the conjugates of those of m, so they are
-    not read again.  The phi of those modes do not depend on z: _phis
+    not read again, and their Bessel K come from one bessel_k_batch
+    call.  The phi of those modes do not depend on z: _phis
     memoizes them per (group, pair, modes, c_max, s), so a call at a new
     z on a pair already read does no lane work, and a hit is
     bit-identical to a miss.
@@ -695,8 +760,8 @@ def fourier_eval(group: GroupId, j, k, z: complex, s,
     phi_pos, phi_neg = phis[:top], phis[top:]
     val += math.sqrt(math.pi) * gs_half / gs * phi0 * complex(y) ** (1 - s) \
         / (complex(b) ** s * b)
-    for m, (arg, pos, neg) in enumerate(zip(args, phi_pos, phi_neg), start=1):
-        kb = bessel_k(complex(s) - 0.5, arg)
+    kbs = bessel_k_batch(complex(s) - 0.5, args).tolist()
+    for m, (kb, pos, neg) in enumerate(zip(kbs, phi_pos, phi_neg), start=1):
         coef = 2.0 * math.pi ** complex(s) * (m / b) ** (complex(s) - 0.5) / gs \
             * math.sqrt(y) * kb / (complex(b) ** s * b)
         for sign, phim in ((1, pos), (-1, neg)):

@@ -3,7 +3,8 @@
 Riemann zeta (Euler-Maclaurin with functional-equation reflection),
 its logarithmic derivative data at s = -1, the Gamma and digamma
 functions, and the modified Bessel function of the second kind via its
-cosh integral representation.  Double precision throughout, at fixed
+cosh integral representation, for many arguments on one quadrature
+grid.  Double precision throughout, at fixed
 counts: 64 terms summed before the Euler-Maclaurin correction and 200
 Gauss-Legendre nodes for K.  Against mpmath at 30 digits (the reference
 tests) zeta agrees to 4.4e-16 relative on [1.01, 10] and 5.6e-15 at
@@ -212,22 +213,28 @@ def _leggauss():
 
 
 def bessel_k(nu, x: float):
-    """Modified Bessel K_nu(x) via int_0^inf exp(-x cosh t) cosh(nu t) dt.
+    """Modified Bessel K_nu(x): the one-argument case of bessel_k_batch."""
+    return bessel_k_batch(nu, (x,))[0].item()
 
-    Gauss-Legendre on [0, T] with the doubly-exponential tail cut at T.
-    Symmetric in nu; complex nu is allowed (used with nu = s - 1/2).
+
+def bessel_k_batch(nu, xs) -> np.ndarray:
+    """Modified Bessel K_nu(x) for every x in xs, each via
+    int_0^inf exp(-x cosh t) cosh(nu t) dt.
+
+    Gauss-Legendre on [0, T] with the doubly-exponential tail cut at T,
+    each x at its own T, all on one (x, node) grid; zero past x = 700.
+    Symmetric in nu; complex nu is allowed (used with nu = s - 1/2), and
+    a complex nu gives a complex array.  cosh(nu t) is taken real when
+    nu is, so a complex nu with zero imaginary part costs a real one.
     """
-    if x <= 0.0:
-        raise NonPositiveArgument(f"bessel_k requires x > 0, got {x}")
+    xs = np.asarray(xs, dtype=float)
+    if xs.size and xs.min() <= 0.0:
+        raise NonPositiveArgument(f"bessel_k requires x > 0, got {xs.min()}")
     nu_c = complex(nu)
-    if x > 700.0:
-        return 0.0 if nu_c.imag == 0 else 0.0 + 0.0j
-    T = _bessel_cutoff(abs(nu_c), x)
+    half = 0.5 * np.array([_bessel_cutoff(abs(nu_c), x) for x in xs.tolist()])
     nodes, weights = _leggauss()
-    t = 0.5 * T * (nodes + 1.0)
-    w = 0.5 * T * weights
-    vals = np.exp(-x * np.cosh(t)) * np.cosh(nu_c * t)
-    total = complex(np.dot(w, vals))
-    if isinstance(nu, complex):
-        return total
-    return total.real
+    t = np.multiply.outer(half, nodes + 1.0)
+    vals = np.exp(np.cosh(t) * -xs[:, None]) * np.cosh((nu_c.real if nu_c.imag == 0 else nu_c) * t)
+    k = np.einsum("ij,j->i", vals, weights) * half
+    k[xs > 700.0] = 0.0
+    return k.astype(complex) if isinstance(nu, complex) else k

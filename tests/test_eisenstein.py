@@ -469,6 +469,53 @@ def test_direct_small_blocks_match_per_c_oracle(monkeypatch, block):
     _assert_direct_matches_per_c((60,))
 
 
+def test_direct_matches_per_c_oracle_at_large_x():
+    # at |x| up to 7.7 and Im z down to 0.2 the row start d + t_lo P is
+    # far from c x: folding c x into the start before the translates are
+    # added rounds twice and misses by up to 4.5e-13
+    tr = TruncationSpec(c_max=120)
+    for g in (GAMMA2, gamma_n(3), gamma_n(5)):
+        for s in DIRECT_S:
+            for z in (5.3 + 0.35j, -7.7 + 0.2j):
+                got, _ = eisenstein_direct_all(g, z, s, tr)
+                want = _direct_all_per_c(g, z, s, tr)
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (g, s, z)
+
+
+def test_direct_sums_on_threads_match_serial():
+    # the rectangle and mask buffers belong to one call: four threads
+    # summing at once, each case in its own order, get the serial bits
+    import sys
+    import threading
+
+    tr = TruncationSpec(c_max=150)
+    cases = [(g, j, z, s) for g in (GAMMA2, gamma_n(3))
+             for j in (CUSP_INF, cusp_reps(g.n)[0].rep)
+             for z in (0.3 + 0.8j, -2.1 + 0.4j) for s in (2.0, 1.5 + 0.7j)]
+    want = [eisenstein_direct(*case, tr) for case in cases]
+    bad, old = [], sys.getswitchinterval()
+    start = threading.Barrier(4)
+
+    def work(seed):
+        start.wait(timeout=60)
+        for i in range(2 * len(cases)):
+            pos = (seed * 5 + i) % len(cases)
+            if eisenstein_direct(*cases[pos], tr) != want[pos]:
+                bad.append(cases[pos])
+
+    threads = [threading.Thread(target=_recording(work, bad), args=(t,)) for t in range(4)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+
+
 def test_direct_working_memory_bounded():
     # a warm direct sum allocates block-sized arrays, none over all rows
     import tracemalloc
@@ -476,7 +523,7 @@ def test_direct_working_memory_bounded():
     for g, c_max in ((GAMMA2, 500), (gamma_n(3), 250), (gamma_n(5), 250)):
         tr = TruncationSpec(c_max=c_max)
         for j in (CUSP_INF, cusp_reps(g.n)[0].rep):
-            for s in (2.0, 1.5 + 0.7j):
+            for s in (2.0, 3.0, 1.5 + 0.7j):
                 eisenstein_direct(g, j, -0.4 + 1.3j, s, tr)
                 tracemalloc.start()
                 try:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from fermatkl.special import (
+    NonPositiveArgument,
     bessel_k,
+    bessel_k_batch,
     digamma,
     gamma_fn,
     zeta,
@@ -56,3 +58,21 @@ def test_bessel_k_against_mpmath(mp):
         nu = s - 0.5
         for x in np.geomspace(0.2, 690.0, 30):
             assert rel_err(bessel_k(nu, float(x)), mp.besselk(nu, x)) < 1e-12, (s, x)
+
+
+def test_bessel_k_batch_against_scalar_and_mpmath(mp):
+    # one (x, node) grid, each x at its own cut-off, gives the bits of the
+    # one-argument calls; a complex order with zero imaginary part takes
+    # the real cosh and still returns complex values
+    xs = np.geomspace(0.2, 690.0, 30)
+    for s in (2.0, 1.5 + 0.7j, 1.2, 3.0):
+        for nu in (s - 0.5, complex(s) - 0.5):
+            got = bessel_k_batch(nu, xs)
+            assert got.dtype == (complex if isinstance(nu, complex) else float)
+            for x, k in zip(xs.tolist(), got.tolist()):
+                assert k == bessel_k(nu, x), (nu, x)
+                assert rel_err(k, mp.besselk(nu, x)) < 1e-12, (nu, x)
+    assert bessel_k_batch(1.5, [700.5, 1e4]).tolist() == [0.0, 0.0]
+    assert bessel_k_batch(1.5, []).size == 0
+    with pytest.raises(NonPositiveArgument):
+        bessel_k_batch(1.5, [1.0, 0.0])
