@@ -29,11 +29,14 @@ which is what makes the same-fiber Fourier modes supported on multiples
 of N.  Level N = 1, the level-2 group, reads the rows as they are.
 
 Four sets of coprime rows thus serve every table: the full modular
-group's (c, d mod c) and the three level-2 parity classes.  Each is one
-table of int32 columns sorted by c, read as prefixes and extended on
-demand, with tau and the rows of each level-N class that a direct sum
-reads beside the rows, each computed on first read; the Fourier lanes
-are class rows computed from tau on each call.  tau is an
+group's (c, d mod c) and the three level-2 parity classes.  A row set,
+its tau and the rows of each level-N class that a direct sum reads are
+kept as Rows(step, d, bounds), d[bounds[c-1]:bounds[c]] the rows of c,
+each standing for the residues d + step c k: a class over 0 or 1 is
+Rows(2N, lifted d, its base's bounds), one over infinity Rows(2, kept d,
+its own bounds).  Each is built whole for c <= c_max, read as a prefix,
+and built again from c = 1 when read past its reach; the Fourier lanes
+are class rows built from the kept tau on each call.  tau is an
 integer-linear map, one per coset state (fermat.TAU_MAP), of the
 exponent sums and coset state that one Euclid on the column (d, -c) of
 M^-1 gives: the int64 coset-word walk of the sl2 module, whose exact-int
@@ -41,7 +44,7 @@ form, with the same round tables and map, gives every scalar exponent
 sum and cusp class.  So the two sides of a cross-path check share tau,
 the class rows and that one walk: an error in a round table or in
 TAU_MAP moves both sides, and the tests check that a Kronecker-limit
-check of the verify suite still fails on it.  The tables share one
+check of the verify suite still fails on it.  The entries share one
 store bounded by a least-recently-used count of int32 cells.
 
 inner_sums reads the lanes once per call for every mode asked for, and
@@ -72,7 +75,7 @@ import threading
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import takewhile
 from typing import NamedTuple
 
@@ -293,21 +296,13 @@ def _row_key(group: GroupId, i: int) -> tuple:
     return 2, base.q & 1, base.p & 1
 
 
-def _class_rows(group: GroupId, i: int, c_max: int):
-    """(step, d, bounds) of the class of group_cusps index i: the rows
-    d[bounds[c-1]:bounds[c]] of each c <= c_max, each the residues
-    d + step c k, from its base's parity lifted or filtered through tau
-    as the module docstring sets out, and kept in the table as the
-    column _ClassRows(n, i)."""
-    key = _row_key(group, i)
-    step = key[0]
+def _class_rows(group: GroupId, i: int, c_max: int) -> Rows:
+    """_build_class_rows as the direct sum reads them, kept at level n > 1."""
     if group.n == 1:
-        c, d, _ = _read_table(key, c_max)
-    else:
-        c, d, rows = _read_table(key, c_max, _ClassRows(group.n, i))
-        if rows.ndim == 1:
-            d, step = rows, group.width
-    return step, d, np.searchsorted(c, np.arange(c_max + 1, dtype=c.dtype), side="right").tolist()
+        return _build_class_rows(group, i, c_max)
+    key = _row_key(group, i)
+    return _stored(("class", group.n, i), c_max, partial(_build_class_rows, group, i),
+                   (key, ("tau", key)))
 
 
 def eisenstein_direct(group: GroupId, j, z: complex, s,
@@ -325,46 +320,34 @@ def eisenstein_direct(group: GroupId, j, z: complex, s,
 
 
 # ---------------------------------------------------------------------------
-# tables of coprime rows
+# stored row sets
 # ---------------------------------------------------------------------------
 
-class _Table:
-    """Rows (c, d) of one row set for c = 1..c_done as int32 columns
-    sorted by c and then by d, and in cols further int32 columns over
-    them: tau under _TAU, and under _ClassRows(n, i) the rows of that
-    level-n class that a direct sum read, its lifted d over the bases 0
-    and 1 and its kept rows (c, d) stacked over infinity."""
+class Rows(NamedTuple):
+    """Rows of c = 1..c_max, its reach: d[bounds[c-1]:bounds[c]] are the
+    rows of c, each standing for the residues d + step c k; d is int32,
+    bounds int64 with bounds[0] = 0.  A tau entry holds tau in d."""
 
-    def __init__(self):
-        self.c_done = 0
-        self.c = self.d = np.empty(0, dtype=np.int32)
-        self.cols = {}
-        self.lock = threading.Lock()
+    step: int
+    d: np.ndarray
+    bounds: np.ndarray
 
-    def cells(self) -> int:
-        # a snapshot of cols: other threads add columns under self.lock
-        return 2 * self.c.size + sum(col.size for col in tuple(self.cols.values()))
+    def c_column(self) -> np.ndarray:
+        """The c of each row, as int64."""
+        return np.repeat(np.arange(1, self.bounds.size, dtype=np.int64), np.diff(self.bounds))
 
 
-class _ClassRows(NamedTuple):
-    """Column name of the rows of class i of group_cusps(gamma_n(n))."""
-
-    n: int
-    i: int
-
-
-# The tables of the four row sets, keyed (w, c0, d0): the coprime (c, d)
-# with c = c0, d = d0 (mod w) and 0 <= d < w c; (2, 0, 1), (2, 1, 0) and
-# (2, 1, 1) hold the rows of the bases inf, 0 and 1.  Past _TABLE_CELLS
-# int32 cells in all the least recently used tables are dropped, never
-# the one just asked for, which past them keeps only what was just read.
-# 3 * 2^20 cells (12 MB) hold every table and tau at c_max 500 (0.61M
-# cells) with the class rows of levels 2 to 5 (2.44M cells in all).
+# The store of Rows: the four row sets, keyed (w, c0, d0), the coprime
+# (c, d) with c = c0, d = d0 (mod w) and 0 <= d < w c, where (2, 0, 1),
+# (2, 1, 0) and (2, 1, 1) hold the rows of the bases inf, 0 and 1; the
+# tau over each, keyed ("tau", key); and the rows of each level-n class
+# that a direct sum reads, keyed ("class", n, i).  3 * 2^20 int32 cells
+# (12 MB) hold every row set and tau at c_max 500 (0.39M cells) with the
+# class rows of levels 2 to 5 (2.05M cells in all).
 _TABLES: OrderedDict = OrderedDict()
 _TABLE_LOCK = threading.Lock()
 _TABLE_CELLS = 3 << 20
 _GAMMA1_ROWS = (1, 0, 0)
-_TAU = "tau"
 
 # Candidates per vectorised block of the row enumeration.  The working
 # arrays of a block peak near 1 MB at this size; larger blocks raise peak
@@ -398,6 +381,74 @@ _PHI_CACHE = 256
 _TAU_COEF = np.transpose(TAU_MAP)
 
 
+class _Entry:
+    """The Rows of one key of the store, None before its first build, and
+    the lock of its builds."""
+
+    def __init__(self):
+        self.rows, self.lock = None, threading.Lock()
+
+    def cells(self) -> int:
+        return 0 if self.rows is None else (self.rows.d.nbytes + self.rows.bounds.nbytes) // 4
+
+
+def _stored(key, c_max: int, build, keep=()) -> Rows:
+    """The entry key read to c_max, as views: a prefix of its Rows, built
+    whole by build(c_max) under its lock when they do not reach c_max, so
+    that threads build it once.  A build puts it at the newest end; then
+    the least recently used entries go while the store holds over
+    _TABLE_CELLS cells, but not it or those in keep, which it read."""
+    with _TABLE_LOCK:
+        entry = _TABLES.setdefault(key, _Entry())
+        _TABLES.move_to_end(key)
+    with entry.lock:
+        rows = entry.rows
+        if rows is None or rows.bounds.size <= c_max:
+            rows = entry.rows = build(c_max)
+            with _TABLE_LOCK:
+                _TABLES.setdefault(key, entry)
+                _TABLES.move_to_end(key)
+                total = sum(other.cells() for other in _TABLES.values())
+                for other in list(_TABLES):
+                    if total <= _TABLE_CELLS:
+                        break
+                    if other != key and other not in keep:
+                        total -= _TABLES.pop(other).cells()
+    return Rows(rows.step, rows.d[:rows.bounds[c_max]], rows.bounds[:c_max + 1])
+
+
+def _row_set(key: tuple, c_max: int) -> Rows:
+    """The rows of the row set key for c <= c_max, kept under key."""
+    return _stored(key, c_max, partial(_enumerate_lanes, key))
+
+
+def _tau_rows(key: tuple, c_max: int) -> Rows:
+    """tau of (-d : c) over the rows of the row set key for c <= c_max,
+    kept under ("tau", key) over the row set's bounds."""
+    def build(c_max):
+        rows = _row_set(key, c_max)
+        return rows._replace(d=_tau_column(rows.c_column(), rows.d))
+    return _stored(("tau", key), c_max, build, (key,))
+
+
+def _build_class_rows(group: GroupId, i: int, c_max: int) -> Rows:
+    """Rows of the class of group_cusps index i for c <= c_max (module
+    docstring): the row set of its base at level 1, else with
+    l = tau - t (mod n), t the class invariant, each row lifted to
+    d + 2 c l over the bases 0 and 1, and over infinity those with l = 0."""
+    key = _row_key(group, i)
+    rows = _row_set(key, c_max)
+    if group.n == 1:
+        return rows
+    # t = -index (mod n)
+    fc = cusp_reps(group.n)[i]
+    lift = (_tau_rows(key, c_max).d.astype(np.int64) + fc.index) % group.n
+    if class_shift(fc.kind, 1, 0):
+        return Rows(group.width, _int32(rows.d + 2 * rows.c_column() * lift, fc), rows.bounds)
+    kept = lift == 0
+    return Rows(rows.step, rows.d[kept], np.concatenate(([0], np.cumsum(kept)))[rows.bounds])
+
+
 def _totients(n: int) -> np.ndarray:
     """Euler's phi(c) for c = 0..n, phi(0) = 0."""
     phi = np.arange(n + 1, dtype=np.int64)
@@ -411,31 +462,28 @@ def _totients(n: int) -> np.ndarray:
     return phi
 
 
-def _enumerate_lanes(key: tuple, c_lo: int, c_hi: int) -> np.ndarray:
-    """Rows (c, d) of the row set key = (w, c0, d0) for c = c_lo..c_hi
-    as stacked int32 columns: the coprime ones among the c candidates
-    d0 + w i of each c = c0 (mod w), in blocks of about _ENUM_BLOCK
-    candidates, each holding whole c's.  The columns are allocated once
-    from the row counts: phi(c) of each c, and phi(2c) = 2 phi(c) for
-    even c at w = 2, whose candidates are the odd d below 2c."""
+def _enumerate_lanes(key: tuple, c_max: int) -> Rows:
+    """Rows of the row set key = (w, c0, d0) for c <= c_max: the coprime
+    d among the c candidates d0 + w i of each c = c0 (mod w), in blocks of
+    about _ENUM_BLOCK candidates, each holding whole c's.  The row counts
+    give bounds, and the column is allocated once from them: phi(c) of
+    each c, and phi(2c) = 2 phi(c) for even c at w = 2, whose candidates
+    are the odd d below 2c."""
     step, c0, d0 = key
-    if step * c_hi > np.iinfo(np.int32).max:
-        raise OverflowError(f"table rows up to c = {c_hi} overflow int32")
-    cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
-    cs = cs[cs % step == c0]
-    counts = _totients(c_hi)[cs] * np.where(cs % 2, 1, step)
-    rows = np.empty((2, int(counts.sum())), dtype=np.int32)
-    pos = 0
+    if step * c_max > np.iinfo(np.int32).max:
+        raise OverflowError(f"table rows up to c = {c_max} overflow int32")
+    cs = np.arange(c0 or step, c_max + 1, step, dtype=np.int64)
+    counts = np.zeros(c_max + 1, dtype=np.int64)
+    counts[cs] = _totients(c_max)[cs] * np.where(cs % 2, 1, step)
+    bounds = np.cumsum(counts)
+    d_col = np.empty(int(bounds[-1]), dtype=np.int32)
     block_of = (np.cumsum(cs) - 1) // _ENUM_BLOCK
-    splits = np.flatnonzero(np.diff(block_of)) + 1
-    for blk, blk_rows in zip(np.split(cs, splits), np.split(counts, splits)):
-        c = np.repeat(blk, blk)
-        d = d0 + step * (np.arange(c.size) - np.repeat(np.cumsum(blk) - blk, blk))
-        keep = np.gcd(d, c) == 1
-        end = pos + int(blk_rows.sum())
-        rows[0, pos:end], rows[1, pos:end] = c[keep], d[keep]
-        pos = end
-    return rows
+    for blk in np.split(cs, np.flatnonzero(np.diff(block_of)) + 1):
+        if blk.size:
+            c = np.repeat(blk, blk)
+            d = d0 + step * (np.arange(c.size) - np.repeat(np.cumsum(blk) - blk, blk))
+            d_col[bounds[blk[0] - 1]:bounds[blk[-1]]] = d[np.gcd(d, c) == 1]
+    return Rows(step, d_col, bounds)
 
 
 def _int32(x: np.ndarray, name) -> np.ndarray:
@@ -444,81 +492,16 @@ def _int32(x: np.ndarray, name) -> np.ndarray:
     return x.astype(np.int32)
 
 
-def _column(name, c: np.ndarray, d: np.ndarray, tau=None) -> np.ndarray:
-    """Column name over rows (c, d) as int32: the rows of the class for a
-    _ClassRows name, from tau (computed when not given), else tau of
-    (-d : c), read through _TAU_COEF from coset_word_sums_batch block by
-    block into one preallocated column."""
-    if isinstance(name, _ClassRows):
-        if tau is None:
-            tau = _column(_TAU, c, d)
-        # l = tau - t (mod n), with t = -index (mod n) the invariant of fc
-        fc = cusp_reps(name.n)[name.i]
-        lift = (tau.astype(np.int64) + fc.index) % name.n
-        if class_shift(fc.kind, 1, 0):
-            return _int32(d + 2 * c.astype(np.int64) * lift, name)
-        return np.stack((c[lift == 0], d[lift == 0]))
+def _tau_column(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """tau of (-d : c) over rows (c, d) as int32, read through _TAU_COEF
+    from coset_word_sums_batch block by block into one preallocated
+    column."""
     col = np.empty(c.size, dtype=np.int32)
     for lo in range(0, c.size, _COLUMN_BLOCK):
-        phi1, phi2, s = coset_word_sums_batch(*(x[lo:lo + _COLUMN_BLOCK].astype(np.int64)
-                                                for x in (c, d)))
+        phi1, phi2, s = coset_word_sums_batch(c[lo:lo + _COLUMN_BLOCK], d[lo:lo + _COLUMN_BLOCK])
         a1, a2, b = _TAU_COEF.take(s, axis=1)
-        col[lo:lo + s.size] = _int32(a1 * phi1 + a2 * phi2 + b, name)
+        col[lo:lo + s.size] = _int32(a1 * phi1 + a2 * phi2 + b, "tau")
     return col
-
-
-def _extend(key, table: _Table, c_max: int) -> None:
-    """Rows c_done + 1..c_max appended to the table of key and its cols;
-    tau, which precedes the class rows in cols, is computed once."""
-    c, d = _enumerate_lanes(key, table.c_done + 1, c_max)
-    if table.c_done:
-        tau = None
-        for name, col in table.cols.items():
-            part = _column(name, c, d, tau)
-            if name == _TAU:
-                tau = part
-            table.cols[name] = np.concatenate((col, part), axis=-1)
-        c, d = np.concatenate((table.c, c)), np.concatenate((table.d, d))
-    table.c, table.d, table.c_done = c, d, c_max
-
-
-def _read_table(key, c_max: int, column=None):
-    """Columns (c, d, x) for c <= c_max of the table of key, extended first,
-    x the column named column, _TAU or a _ClassRows name, or None; for
-    class rows kept as (c, d),
-    those rows and x.  Then drop the oldest other tables while the store
-    holds over _TABLE_CELLS cells, and if it still does, all of the table
-    but those rows and x."""
-    with _TABLE_LOCK:
-        table = _TABLES.setdefault(key, _Table())
-        _TABLES.move_to_end(key)
-    with table.lock:
-        if table.c_done < c_max:
-            _extend(key, table, c_max)
-        if column is not None and column not in table.cols:
-            if isinstance(column, _ClassRows) and _TAU not in table.cols:
-                table.cols = {_TAU: _column(_TAU, table.c, table.d), **table.cols}
-            table.cols[column] = _column(column, table.c, table.d, table.cols.get(_TAU))
-        # an int32 needle: an int64 one would copy the column to int64
-        c_end = np.int32(c_max)
-        stop = int(np.searchsorted(table.c, c_end, side="right"))
-        rows, x = (table.c[:stop], table.d[:stop]), table.cols.get(column)
-        if x is not None:
-            x = x[:, :np.searchsorted(x[0], c_end, side="right")] if x.ndim == 2 else x[:stop]
-    with _TABLE_LOCK:
-        total = sum(t.cells() for t in _TABLES.values())
-        for other in list(_TABLES):
-            if total <= _TABLE_CELLS:
-                break
-            if other != key:
-                total -= _TABLES.pop(other).cells()
-        if total > _TABLE_CELLS:
-            table = _TABLES.get(key, table)
-            with table.lock:
-                table.c, table.d, table.c_done = rows[0].copy(), rows[1].copy(), c_max
-                table.cols = {} if x is None else {column: x.copy()}
-    c, d = x if x is not None and x.ndim == 2 else rows
-    return c, d, x
 
 
 # ---------------------------------------------------------------------------
@@ -539,34 +522,24 @@ def inner_sums(group: GroupId, j, k, ms, c_max: int) -> np.ndarray:
     Entry [i, c-1] sums e(m d'/(b c)) over the admissible d' mod b c of
     the double coset, b the width and m = ms[i]; at m = 0 it counts
     them.  The lanes are the rows of the class of g_k^-1(j), as the
-    module docstring sets out: at level N > 1 the class rows from the tau
-    column, computed on each call and not kept, a lifted row with weight
-    1 and a row kept over infinity with weight and mode period N; level
-    N = 1 and the full modular group read the table rows as they are.
+    module docstring sets out: _build_class_rows on each call, from the
+    kept tau at level n > 1, the lanes themselves not kept.
     """
-    i, n = _lane_class(group, j, k), group.n
-    c, d, tau = _read_table(_row_key(group, i), c_max, _TAU if n > 1 else None)
-    weight = 1
-    if n > 1:
-        rows = _column(_ClassRows(n, i), c, d, tau)
-        if rows.ndim == 2:
-            (c, d), weight = rows, n
-        else:
-            d = rows
-    return _lane_sums(group.width, c, d, weight, list(ms), c_max)
+    rows = _build_class_rows(group, _lane_class(group, j, k), c_max)
+    return _lane_sums(group.width, rows, list(ms))
 
 
-def _lane_sums(b: int, c: np.ndarray, d: np.ndarray, weight: int, ms: list,
-               c_max: int) -> np.ndarray:
-    """inner_sums over the lanes (c, d'), sorted by c, of width b, each
-    with the weight given, which is also the mode period p: the modes off
-    multiples of p vanish.
+def _lane_sums(b: int, rows: Rows, ms: list) -> np.ndarray:
+    """inner_sums over the lanes (c, d') of rows, of width b.  A lane
+    stands for the b / step residues d' + step c k mod b c, its weight
+    and mode period p, n over infinity at level n > 1 and 1 elsewhere:
+    the modes off multiples of p vanish.
 
     One call takes cos and sin once per lane, for the unit phase
     w = e(p d'/(b c)) with p d' reduced exactly mod b c.  Mode m = p k is
     then w^k, by repeated multiplication, summed per c with
     np.add.reduceat; the row of -m is its complex conjugate.  The lanes
-    are walked in blocks of whole c's.
+    are walked in blocks of whole c's, each c rebuilt from bounds.
 
     Rounding, u = 2^-53: w is within 12 u of its exact value, and each of
     the k - 1 multiplications adds at most sqrt(5) u, so w^k is within
@@ -574,20 +547,21 @@ def _lane_sums(b: int, c: np.ndarray, d: np.ndarray, weight: int, ms: list,
     thus within W L (15 k + L) u of the exact sum, L^2 u of it from
     adding L terms of modulus 1.
     """
-    # lanes are sorted by c: per-c segments from their boundaries
-    bounds = np.searchsorted(c, np.arange(c_max + 1, dtype=c.dtype), side="right")
+    step, d, bounds = rows
+    weight = b // step
     counts = np.diff(bounds)
-    rows = np.zeros((len(ms), c_max), dtype=complex)
+    out = np.zeros((len(ms), counts.size), dtype=complex)
     # the rows of each power k of the unit phase, -k conjugated
     wanted = {}
     for i, m in enumerate(ms):
         if m == 0:
-            rows[i] = weight * counts
+            out[i] = weight * counts
         elif not m % weight:
             wanted.setdefault(abs(m) // weight, []).append((i, m < 0))
+    # c - 1 of each c with lanes
     cs = np.flatnonzero(counts)
     if not wanted or not cs.size:
-        return rows
+        return out
     starts = bounds[cs]
     # blocks of whole c's of about _PHASE_BLOCK lanes
     edges = np.flatnonzero(np.diff(starts // _PHASE_BLOCK)) + 1
@@ -595,7 +569,7 @@ def _lane_sums(b: int, c: np.ndarray, d: np.ndarray, weight: int, ms: list,
         lo, hi = starts[blk[0]], bounds[cs[blk[-1]] + 1]
         seg = starts[blk] - lo
         # phase p d/(b c) reduced exactly into [-1/2, 1/2)
-        bc = b * c[lo:hi].astype(np.int64)
+        bc = b * np.repeat(cs[blk] + 1, counts[cs[blk]])
         r = weight * d[lo:hi].astype(np.int64) % bc
         theta = 2.0 * math.pi * (r - bc * (2 * r >= bc)) / bc
         w = np.empty(theta.size, dtype=complex)
@@ -608,8 +582,8 @@ def _lane_sums(b: int, c: np.ndarray, d: np.ndarray, weight: int, ms: list,
             if k in wanted:
                 sums = weight * np.add.reduceat(power, seg)
                 for i, neg in wanted[k]:
-                    rows[i, cs[blk]] = sums.conj() if neg else sums
-    return rows
+                    out[i, cs[blk]] = sums.conj() if neg else sums
+    return out
 
 
 def phi_coefficient(group: GroupId, j, k, m: int, s,
@@ -681,41 +655,49 @@ def _divisors(m: int) -> list[int]:
 
 
 def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], m: int, s: float) -> float:
-    """Exact value of phi_{jk,m}(s) for the level-2 group, m != 0.
+    """Exact phi_{jk,m}(s) of the level-2 group, m != 0: _gamma2_phi_ms."""
+    return _gamma2_phi_ms(pair_parity, (m,), s)[0]
+
+
+def _gamma2_phi_ms(pair_parity: tuple[int, int], ms, s: float) -> list[float]:
+    """Exact phi_{jk,m}(s) of the level-2 group for each m in ms, all
+    nonzero, with zeta(2s) taken once.
 
     pair_parity = (c, d) parities of the admissible pairs: (0, 1) for
     diagonal entries, (1, 0) and (1, 1) for the two off-diagonal types.
     Obtained by factoring the Ramanujan-sum Dirichlet series through the
     2-adic part of m.
     """
-    if m == 0:
+    if 0 in ms:
         raise ValueError("use gamma2_phi0_closed_form for m = 0")
     w = 2.0 * s
     zw = zeta(w)
-    divs = _divisors(m)
-    if pair_parity == (0, 1):
-        d2 = sum(d ** (1.0 - w) for d in divs if d % 4 == 2)
-        d4 = sum(d ** (1.0 - w) for d in divs if d % 4 == 0)
-        return (-d2 / (1.0 - 2.0 ** -w) + 2.0 ** w * d4) / zw
-    odd = sum(d ** (1.0 - w) for d in divs if d % 2 == 1)
-    base = odd / (zw * (1.0 - 2.0 ** -w))
-    if pair_parity == (1, 0):
-        return base
-    return base * (-1.0 if m % 2 else 1.0)
+
+    def phi(m):
+        divs = _divisors(m)
+        if pair_parity == (0, 1):
+            d2 = sum(d ** (1.0 - w) for d in divs if d % 4 == 2)
+            d4 = sum(d ** (1.0 - w) for d in divs if d % 4 == 0)
+            return (-d2 / (1.0 - 2.0 ** -w) + 2.0 ** w * d4) / zw
+        base = sum(d ** (1.0 - w) for d in divs if d % 2 == 1) / (zw * (1.0 - 2.0 ** -w))
+        return -base if pair_parity == (1, 1) and m % 2 else base
+    return [phi(m) for m in ms]
 
 
 def phi_m1_exact(group: GroupId, j, k, ms,
                  trunc: TruncationSpec = DEFAULT_TRUNCATION) -> list[complex]:
     """phi_{jk,m}(1) for each m in ms, all nonzero: closed form where
-    available (full modular group and level 2), else the truncated
-    enumeration, every mode from one inner_sums call, memoized by _phis
-    per (group, pair, modes, c_max); a hit is bit-identical to a miss."""
+    available (full modular group and level 2, zeta(2) taken once per
+    call), else the truncated enumeration, every mode from one
+    inner_sums call, memoized by _phis per (group, pair, modes, c_max); a
+    hit is bit-identical to a miss."""
     ms = list(ms)
     if group.kind == "gamma1":
-        return [complex(sum(1.0 / d for d in _divisors(m)) / zeta(2.0)) for m in ms]
+        z2 = zeta(2.0)
+        return [complex(sum(1.0 / d for d in _divisors(m)) / z2) for m in ms]
     if group == GAMMA2:
         _, pc, pd = _row_key(group, _lane_class(group, j, k))
-        return [complex(gamma2_phi_m_closed_form((pc, pd), m, 1.0)) for m in ms]
+        return [complex(phi) for phi in _gamma2_phi_ms((pc, pd), ms, 1.0)]
     if 0 in ms:
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
     return list(_phis(group, standard_rep(group, j), standard_rep(group, k), tuple(ms),

@@ -25,17 +25,14 @@ from .sl2 import (
     CUSP_ONE,
     CUSP_ZERO,
     Cusp,
-    GammaWord,
     Mat2Z,
     GEN1,
     GEN2,
     T,
     _coset_word,
     cusp_scaling_matrix,
-    decompose_gamma2,
     gamma2_exponent_sums,
     is_in_gamma_n,
-    word_from_syllables,
 )
 
 
@@ -264,14 +261,6 @@ def classify_cusp(c: Cusp, n: int) -> tuple[FermatCusp, Mat2Z]:
     raise ArithmeticError(f"no witness in {gamma_n(n)} maps {fc.rep} to {c}")
 
 
-def classify_cusp_word(c: Cusp, n: int) -> tuple[FermatCusp, GammaWord]:
-    """Like classify_cusp but returning the witness as its reduced word
-    in g1, g2 (decompose_gamma2).  The word can be long where the matrix
-    is not: that of (q+1)/q has about q syllables."""
-    fc, w = classify_cusp(c, n)
-    return fc, decompose_gamma2(w)
-
-
 def _tau_map() -> tuple[tuple[int, int, int], ...]:
     """TAU_MAP: per coset state s, (a1, a2, b) with the class invariant
     of N(inf) = a1 phi1 + a2 phi2 + b, for N = gamma R_s T^k and phi the
@@ -290,47 +279,3 @@ def _tau_map() -> tuple[tuple[int, int, int], ...]:
 
 
 TAU_MAP = _tau_map()
-
-
-def _word_power(pair: tuple[tuple[int, int], ...], e: int) -> list[tuple[int, int]]:
-    """Syllables of (word given by pair)^e, e of either sign."""
-    if e >= 0:
-        return list(pair) * e
-    inv = [(g, -x) for g, x in reversed(pair)]
-    return inv * (-e)
-
-
-def equivalence_witnesses(n: int):
-    """Explicit witness words for the five cusp-equivalence families
-    used when extending scattering constants to arbitrary cusp pairs,
-    as (word, source, target) triples.
-
-    j runs over even and k over odd values in 1..2n; every word lies in
-    the level-n group and maps its source cusp to its target.
-    """
-    g2g1inv = ((2, 1), (1, -1))
-    g1g2inv = ((1, 1), (2, -1))
-    out = []
-    for l in range(2, 2 * n + 1, 2):  # -l ~ 2n-l via g1^n
-        out.append((word_from_syllables([(1, n)]), Cusp(-l, 1), Cusp(2 * n - l, 1)))
-    for j in range(2, 2 * n + 1, 2):  # -1/j ~ 1/(2n-j) via g2^n
-        out.append((word_from_syllables([(2, n)]), Cusp(-1, j), Cusp(1, 2 * n - j)))
-    for k in range(1, 2 * n, 2):  # -1/k ~ 2n-k
-        w = word_from_syllables(
-            [(1, (2 * n - k - 1) // 2)]
-            + _word_power(g1g2inv, (k - 1) // 2)
-            + [(1, 1), (2, (k - 1) // 2)]
-        )
-        out.append((w, Cusp(-1, k), Cusp(2 * n - k, 1)))
-    for j in range(2, 2 * n + 1, 2):  # (j-1)/j ~ 1/j
-        w = word_from_syllables(
-            [(2, j // 2), (1, (2 * n - j) // 2)] + _word_power(g1g2inv, j // 2)
-        )
-        out.append((w, Cusp(j - 1, j), Cusp(1, j)))
-    for k in range(1, 2 * n, 2):  # (k-1)/k ~ 2n-k+1
-        w = word_from_syllables(
-            [(1, (2 * n - k + 1) // 2), (2, (k - 1) // 2)]
-            + _word_power(g2g1inv, (1 - k) // 2)
-        )
-        out.append((w, Cusp(k - 1, k), Cusp(2 * n - k + 1, 1)))
-    return out

@@ -112,8 +112,9 @@ def character_column(pair, c: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _rows_with_character(pair, c_max: int):
     """The rows of the pair's parity for c <= c_max and their u."""
     pt = base_pair_matrix(*pair)
-    c, d = e._enumerate_lanes((2, pt.c & 1, pt.d & 1), 1, c_max)
-    return c, d, character_column(pair, c, d)
+    rows = e._enumerate_lanes((2, pt.c & 1, pt.d & 1), c_max)
+    c = rows.c_column()
+    return c, rows.d, character_column(pair, c, rows.d)
 
 
 def character_lanes(group, j, k, c_max: int):
@@ -124,7 +125,8 @@ def character_lanes(group, j, k, c_max: int):
     if n == 1:
         pt = base_pair_matrix(jb, kb)
         key = e._GAMMA1_ROWS if group.kind == "gamma1" else (2, pt.c & 1, pt.d & 1)
-        return (*e._enumerate_lanes(key, 1, c_max), 1)
+        rows = e._enumerate_lanes(key, c_max)
+        return rows.c_column(), rows.d, 1
     c, d, u = _rows_with_character((jb, kb), c_max)
     gj, gk = cusp_scaling_matrix(jc), cusp_scaling_matrix(kc)
     hj = gamma2_exponent_sums(*(gj * cusp_scaling_matrix(jb).inverse()).entries())
@@ -142,5 +144,8 @@ def character_lanes(group, j, k, c_max: int):
 
 
 def inner_sums_character(group, j, k, ms, c_max: int) -> np.ndarray:
-    """inner_sums on the lanes of character_lanes."""
-    return e._lane_sums(group.width, *character_lanes(group, j, k, c_max), list(ms), c_max)
+    """inner_sums on the lanes of character_lanes, as Rows whose step
+    gives the weight: width / step."""
+    c, d, weight = character_lanes(group, j, k, c_max)
+    bounds = np.searchsorted(c, np.arange(c_max + 1), side="right")
+    return e._lane_sums(group.width, e.Rows(group.width // weight, d, bounds), list(ms))

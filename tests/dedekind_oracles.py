@@ -231,7 +231,10 @@ def _class_invariant(base: Cusp, r1: int, r2: int) -> tuple[int, int, int]:
 
 
 def classify_cusp_word_euclid(c: Cusp, n: int) -> tuple[FermatCusp, GammaWord]:
-    """fermat.classify_cusp_word by Euclidean reduction of the cusp.
+    """The class of a cusp and a witness word by Euclidean reduction of
+    the cusp: the oracle for fermat.classify_cusp and the word
+    decompose_gamma2(classify_cusp(c, n)[1]) that the classify command
+    prints.
 
     Returns (fc, w) where fc is the standard representative data and w
     is a word in the Fermat group with w(fc.rep) = c.

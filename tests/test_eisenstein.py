@@ -107,6 +107,28 @@ def test_direct_tail_honest():
         assert abs(v1 - v2) <= t1
 
 
+def test_phi_m1_exact_modes_match_one_mode_calls(monkeypatch):
+    # a level-2 or full modular call takes zeta(2) once for all its modes,
+    # and each mode has the bits of the one-mode closed form
+    from fermatkl import eisenstein
+
+    ms = (*range(1, 13), 24, 35, -6)
+    for j, k, parity in ((CUSP_INF, CUSP_INF, (0, 1)), (CUSP_ZERO, CUSP_INF, (1, 0)),
+                         (CUSP_ONE, CUSP_INF, (1, 1))):
+        want = [complex(gamma2_phi_m_closed_form(parity, m, 1.0)) for m in ms]
+        with monkeypatch.context() as patch:
+            calls = []
+            patch.setattr(eisenstein, "zeta", lambda x: calls.append(x) or zeta(x))
+            got = phi_m1_exact(GAMMA2, j, k, ms)
+            full = phi_m1_exact(GAMMA1, CUSP_INF, CUSP_INF, ms)
+        assert calls == [2.0, 2.0]
+        assert list(map(_bits, got)) == list(map(_bits, want)), (j, k)
+        assert list(map(_bits, full)) == [_bits(phi_m1_exact(GAMMA1, CUSP_INF, CUSP_INF, (m,))[0])
+                                          for m in ms]
+    with pytest.raises(ValueError):
+        phi_m1_exact(GAMMA2, CUSP_INF, CUSP_INF, (1, 0))
+
+
 def test_phi_counts_are_integers():
     pt = phi_coefficient(GAMMA2, CUSP_INF, CUSP_INF, 0, 2.0, TruncationSpec(c_max=40))
     (counts,) = inner_sums(GAMMA2, CUSP_INF, CUSP_INF, (0,), 40)
@@ -346,7 +368,7 @@ def test_warm_fourier_eval_reads_no_lanes(monkeypatch):
         fourier_eval(g, j, k, 0.2 + 1.1j, 2.0, tr)
         fourier_limit_eval(g, j, k, 0.2 + 1.1j, tr)
     with monkeypatch.context() as patch:
-        patch.setattr(eisenstein, "_read_table", refuse)
+        patch.setattr(eisenstein, "_stored", refuse)
         patch.setattr(eisenstein, "inner_sums", refuse)
         for g, j, k in cases:
             fourier_eval(g, j, k, -0.45 + 1.7j, 2.0, tr)
@@ -535,8 +557,8 @@ def test_direct_working_memory_bounded():
 
 
 def test_class_rows_read_copies_no_column():
-    # the per-c bounds of a warm read search the int32 c column with an
-    # int32 needle: an int64 one copies the whole column to int64
+    # a warm read is a prefix of the kept rows and bounds, as views: no
+    # column is copied
     import tracemalloc
 
     from fermatkl import eisenstein
@@ -656,7 +678,8 @@ def test_character_column_matches_dedekind_oracle():
         for kb in bases:
             pt = base_pair_matrix(jb, kb)
             pc, pd = pt.c & 1, pt.d & 1
-            c, d = e._enumerate_lanes((2, pc, pd), 1, 1000).astype(np.int64)
+            rows = e._enumerate_lanes((2, pc, pd), 1000)
+            c, d = rows.c_column(), rows.d.astype(np.int64)
             u = character_column((jb, kb), c.astype(np.int32), d.astype(np.int32))
             assert u.dtype == np.int32
             assert np.array_equal(u, _character_column_dedekind((jb, kb), c, d)), (jb, kb)
@@ -680,10 +703,11 @@ def test_tau_column_matches_dedekind_oracle():
     from fermatkl import eisenstein as e
 
     for key in ROWS_OF_BASE.values():
-        c, d = e._enumerate_lanes(key, 1, 500)
-        tau = e._column(e._TAU, c, d)
+        rows = e._enumerate_lanes(key, 500)
+        c, d = rows.c_column(), rows.d
+        tau = e._tau_column(c, d)
         assert tau.dtype == np.int32
-        assert np.array_equal(tau, class_invariants(-d.astype(np.int64), c.astype(np.int64))[1]), key
+        assert np.array_equal(tau, class_invariants(-d.astype(np.int64), c)[1]), key
     rng = np.random.default_rng(1111)
     c = rng.integers(1, 1 << 24, 2000)
     d = np.concatenate([np.ones_like(c), c - 1, c + 1, 2 * c - 1, rng.integers(0, 2 * c)])
@@ -692,28 +716,31 @@ def test_tau_column_matches_dedekind_oracle():
     c, d = c[keep], d[keep]
     for special in (np.ones_like(c), c - 1, c + 1, 2 * c - 1):
         assert (d == special).any()
-    assert np.array_equal(e._column(e._TAU, c, d), class_invariants(-d, c)[1])
+    assert np.array_equal(e._tau_column(c, d), class_invariants(-d, c)[1])
 
 
 def test_row_counts_are_totients():
-    # the preallocated row columns hold exactly the coprime rows: phi(c)
-    # per c, 2 phi(c) for even c of a level-2 row set
+    # the preallocated row column holds exactly the coprime rows, and the
+    # bounds from the row counts, phi(c) per c and 2 phi(c) for even c of
+    # a level-2 row set, split it by c
     from fermatkl import eisenstein as e
 
     phi = e._totients(300)
     assert phi.tolist() == [0] + [sum(gcd(i, c) == 1 for i in range(c)) for c in range(1, 301)]
     for key in (ROWS_GAMMA1, *ROWS_OF_BASE.values()):
         w, c0, d0 = key
-        for lo, hi in ((1, 150), (151, 300), (37, 37), (38, 37)):
-            c, d = e._enumerate_lanes(key, lo, hi)
-            want = [(cv, dv) for cv in range(lo, hi + 1) if cv % w == c0
+        for c_max in (1, 2, 37, 300):
+            rows = e._enumerate_lanes(key, c_max)
+            assert rows.step == w and rows.d.dtype == np.int32 and rows.bounds.dtype == np.int64
+            want = [(cv, dv) for cv in range(1, c_max + 1) if cv % w == c0
                     for dv in range(d0, w * cv, w) if gcd(dv, cv) == 1]
-            assert list(zip(c.tolist(), d.tolist())) == want, (key, lo, hi)
+            assert list(zip(rows.c_column().tolist(), rows.d.tolist())) == want, (key, c_max)
+            assert rows.bounds.tolist() == [sum(cv <= c for cv, _ in want) for c in range(c_max + 1)]
 
 
 def test_direct_sums_read_cached_class_rows(monkeypatch):
     # the rows of each class are lifted or filtered once per level, read
-    # as prefixes after, and extended with the table
+    # as prefixes after, and built whole again for a larger c_max
     from fermatkl import eisenstein
 
     def refuse(*args):
@@ -726,16 +753,16 @@ def test_direct_sums_read_cached_class_rows(monkeypatch):
         short, _ = eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=25))
         store = _fresh_store(monkeypatch)
         full, _ = eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=40))
-        names = [name for table in store.values() for name in table.cols if name != eisenstein._TAU]
-        assert sorted(names) == [eisenstein._ClassRows(n, i) for i in range(3 * n)]
+        assert sorted(key for key in store if key[0] == "class") == [("class", n, i) for i in range(3 * n)]
         with monkeypatch.context() as patch:
-            for name in ("_column", "coset_word_sums_batch"):
+            for name in ("_build_class_rows", "_tau_column", "_enumerate_lanes", "coset_word_sums_batch"):
                 patch.setattr(eisenstein, name, refuse)
             assert np.array_equal(eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=40))[0], full)
             assert np.array_equal(eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=25))[0], short)
         eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=60))
-        for key, table in store.items():
-            _assert_one_build(key, table)
+        for key, entry in store.items():
+            assert _reach(entry) == 60
+            _assert_one_build(key, entry.rows)
 
 
 def _phi_items_per_d(group, j, k, c_max):
@@ -825,19 +852,44 @@ def _class_buckets(group, c_max):
     return [sorted(bucket) for bucket in out]
 
 
-def _assert_one_build(key, table):
-    """Every column of a stored table, tau and the class rows, equals one
-    build of it from c = 1, and tau the Dedekind-sum classifier's."""
+def _reach(entry) -> int:
+    """The c_max that a stored entry was built for."""
+    return entry.rows.bounds.size - 1
+
+
+def _row_set_keys(store) -> set:
+    return {key for key in store if key[0] not in ("tau", "class")}
+
+
+def _one_build(key, c_max: int):
+    """The entry key of the store built whole for c_max in an empty store."""
     from fermatkl import eisenstein
 
-    ref = eisenstein._Table()
-    eisenstein._extend(key, ref, table.c_done)
-    assert np.array_equal(table.c, ref.c) and np.array_equal(table.d, ref.d), key
-    for name, col in table.cols.items():
-        assert np.array_equal(col, eisenstein._column(name, ref.c, ref.d)), (key, name)
-    if eisenstein._TAU in table.cols:
-        tau = class_invariants(-ref.d.astype(np.int64), ref.c)[1]
-        assert np.array_equal(table.cols[eisenstein._TAU], tau), key
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eisenstein, "_TABLES", OrderedDict())
+        if key[0] == "tau":
+            return eisenstein._tau_rows(key[1], c_max)
+        if key[0] == "class":
+            return eisenstein._class_rows(gamma_n(key[1]), key[2], c_max)
+        return eisenstein._row_set(key, c_max)
+
+
+def _assert_same_rows(got, want, key):
+    assert got.step == want.step, key
+    assert got.d.dtype == want.d.dtype == np.int32 and np.array_equal(got.d, want.d), key
+    assert got.bounds.dtype == want.bounds.dtype == np.int64, key
+    assert np.array_equal(got.bounds, want.bounds), key
+
+
+def _assert_one_build(key, rows):
+    """A stored entry, a row set, tau or class rows, equals one build of
+    it from c = 1 in an empty store, and tau the Dedekind-sum
+    classifier's."""
+    _assert_same_rows(rows, _one_build(key, rows.bounds.size - 1), key)
+    if key[0] == "tau":
+        tau = class_invariants(-_one_build(key[1], rows.bounds.size - 1).d.astype(np.int64),
+                               rows.c_column())[1]
+        assert np.array_equal(rows.d, tau), key
 
 
 def test_batched_fermat_enumeration_matches_per_d_loop():
@@ -943,19 +995,20 @@ def test_batched_fermat_enumeration_extends(monkeypatch):
         for j, k in ((cusp_reps(n)[n].rep, cusp_reps(n)[-1].rep),
                      (cusp_reps(n)[-1].rep, cusp_reps(n)[-1].rep)):
             lanes = _fresh_store(monkeypatch)
-            # level 2 first (no tau column), then level n extends it twice
+            # level 2 first (no tau), then level n reads past the reach twice
             inner_sums(GAMMA2, gamma2_base(j), gamma2_base(k), (1,), 40)
             inner_sums(g, j, k, (1,), 80)
             grown = inner_sums(g, j, k, (0, 1, n), 120)
-            (table,) = lanes.values()
-            assert table.c_done == 120
+            (key,) = _row_set_keys(lanes)
+            # the Fourier class rows are built from tau on each read, not kept
+            assert set(lanes) == {key, ("tau", key)}
+            table = {name: entry.rows for name, entry in lanes.items()}
             lanes = _fresh_store(monkeypatch)
             fresh = inner_sums(g, j, k, (0, 1, n), 120)
-            (ref,) = lanes.values()
-            # the Fourier class rows are computed from tau on each read, not kept
-            assert list(table.cols) == list(ref.cols) == [eisenstein._TAU]
-            for x, y in ((table.c, ref.c), (table.d, ref.d), *zip(table.cols.values(), ref.cols.values())):
-                assert x.dtype == np.int32 and np.array_equal(x, y)
+            assert set(lanes) == set(table)
+            for name, entry in lanes.items():
+                assert _reach(entry) == 120
+                _assert_same_rows(table[name], entry.rows, name)
             assert np.array_equal(grown, fresh)
 
 
@@ -972,7 +1025,8 @@ def test_levels_share_one_lane_table(monkeypatch):
     for n in (2, 3):
         inner_sums(gamma_n(n), cusp_reps(n)[n - 1].rep, CUSP_INF, (1,), 60)
     inner_sums(GAMMA2, CUSP_ZERO, CUSP_INF, (1,), 60)
-    assert list(lanes) == [ROWS_OF_BASE[CUSP_ZERO]]
+    zero = ROWS_OF_BASE[CUSP_ZERO]
+    assert set(lanes) == {zero, ("tau", zero)}
     assert calls == ["_enumerate_lanes", "coset_word_sums_batch"]
 
 
@@ -993,14 +1047,14 @@ def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
         for k in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
             for m in (0, 3):
                 phi_coefficient(GAMMA2, j, k, m, 2.0, tr)
-    assert not any(table.cols for table in store.values())
+    assert set(store) == set(ROWS_OF_BASE.values())
     # a cold store: the direct sums compute no tau either
     store = _fresh_store(monkeypatch)
     assert [fermat.classify_rep_index(p, q, 1) for p, q in ((0, 1), (1, 1), (1, 2), (-3, 5))] == [0, 1, 2, 1]
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
         eisenstein_direct(GAMMA2, j, 0.3 + 1.1j, 2.0, tr)
     assert set(store) == set(ROWS_OF_BASE.values())
-    assert all(table.c_done == tr.c_max and not table.cols for table in store.values())
+    assert all(_reach(entry) == tr.c_max for entry in store.values())
 
 
 def test_batched_class_table_matches_per_d_loop(monkeypatch):
@@ -1024,129 +1078,145 @@ def test_batched_class_table_matches_per_d_loop(monkeypatch):
                 if gcd(d0, c) == 1:
                     want[(c - 1) * 3 * n + per_d(d0, c, n)].append(d0)
         assert _class_buckets(g, 80) == want, n
-        assert set(store) == set(ROWS_OF_BASE.values())
-        for table in store.values():
-            # full-length columns, or the kept rows (c, d) of a class over inf
-            for col in (table.c, table.d, *table.cols.values()):
-                assert col.dtype == np.int32 and (col.shape == table.c.shape or col.shape[0] == 2)
-            # rows sorted by c, then by d
-            order = np.lexsort((table.d, table.c))
-            assert np.array_equal(order, np.arange(order.size))
-    # a table grown from c_max 100 to 250 is the one built at 250
-    for g in (GAMMA1, *(gamma_n(n) for n in (1, 2, 3, 4))):
+        assert _row_set_keys(store) == set(ROWS_OF_BASE.values())
+        for key, entry in store.items():
+            rows = entry.rows
+            assert rows.d.dtype == np.int32 and rows.bounds.dtype == np.int64, key
+            assert rows.bounds[0] == 0 and rows.bounds[-1] == rows.d.size and _reach(entry) == 80, key
+            if key in ROWS_OF_BASE.values():
+                # rows sorted by c, then by d
+                order = np.lexsort((rows.d, rows.c_column()))
+                assert np.array_equal(order, np.arange(order.size)), key
+            elif key[0] == "tau" or rows.step == 2 * key[1]:
+                # tau and the lifted rows of a class over 0 or 1 are one
+                # int32 per row of the row set, over its bounds
+                base = key[1] if key[0] == "tau" else eisenstein._row_key(gamma_n(key[1]), key[2])
+                assert np.array_equal(rows.bounds, store[base].rows.bounds), key
+    # an entry read past its reach is built whole again, to the one build
+    # at the new c_max, and a prefix read is the one build at its c_max
+    for g in (GAMMA1, *(gamma_n(n) for n in (1, 2, 3, 4, 5))):
         store = _fresh_store(monkeypatch)
         eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=100))
         grown = _class_buckets(g, 250)
-        for key, table in store.items():
-            assert table.c_done == 250
-            _assert_one_build(key, table)
+        for key, entry in store.items():
+            assert _reach(entry) == 250
+            _assert_one_build(key, entry.rows)
+        for i in range(len(group_cusps(g))):
+            key = ("class", g.n, i) if g.n > 1 else eisenstein._row_key(g, i)
+            _assert_same_rows(eisenstein._class_rows(g, i, 100), _one_build(key, 100), key)
         _fresh_store(monkeypatch)
         assert grown == _class_buckets(g, 250)
+
+
+def _cells(store) -> dict:
+    return {key: entry.cells() for key, entry in store.items()}
 
 
 def test_phi_cache_evicts_least_recently_used(monkeypatch):
     from fermatkl import eisenstein
 
     store = _fresh_store(monkeypatch)
-    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 3000)
+    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 2000)
     g = gamma_n(3)
     reps = cusp_reps(3)
     pairs = [(reps[i].rep, reps[-1].rep) for i in (0, 3, 6)]
     keys = [ROWS_OF_BASE[b] for b in (CUSP_ZERO, CUSP_ONE, CUSP_INF)]
+    # the lanes of a pair read a row set and its tau, 851 cells each at
+    # c 60 over 0 and 1: the second pair's entries pushed the first's out
     first = [inner_sums(g, j, k, (1,), 60) for j, k in pairs[:2]]
-    # the second table pushed the first out; the table just asked for stays
-    assert list(store) == [keys[1]]
-    size1 = store[keys[1]].cells()
+    assert _cells(store) == {keys[1]: 851, ("tau", keys[1]): 851}
+    size1 = sum(_cells(store).values())
     inner_sums(g, *pairs[1], (1,), 60)
     inner_sums(g, *pairs[2], (1,), 60)
-    assert list(store) == [keys[2]]
-    # a dropped table is enumerated again to the same sums
+    assert list(store) == [keys[2], ("tau", keys[2])]
+    # a dropped entry is enumerated again to the same sums
     assert np.array_equal(inner_sums(g, *pairs[0], (1,), 60), first[0])
-    size0 = store[keys[0]].cells()
-    assert size0 + size1 > 3000 >= max(size0, size1)
-    # a table larger than the bound is still kept while it is in use
+    size0 = sum(_cells(store).values())
+    assert size0 + size1 > 2000 >= max(size0, size1)
+    # a row set and its tau past the bound are kept while in use, and
+    # a second read builds neither again
     inner_sums(g, *pairs[2], (1,), 120)
-    assert list(store) == [keys[2]]
-    big = store[keys[2]]
-    assert big.cells() > 3000
+    big = {key: entry.rows for key, entry in store.items()}
+    assert list(big) == [keys[2], ("tau", keys[2])] and sum(_cells(store).values()) > 2000
     inner_sums(g, *pairs[2], (1,), 120)
-    assert store[keys[2]] is big and big.c_done == 120
+    assert {key: entry.rows for key, entry in store.items()} == big
+    assert all(store[key].rows is rows and _reach(store[key]) == 120 for key, rows in big.items())
 
 
 def test_class_cache_evicts_least_recently_used(monkeypatch):
     from fermatkl import eisenstein
 
     store = _fresh_store(monkeypatch)
-    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 1800)
+    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 1000)
     g = gamma_n(3)
     reps = cusp_reps(3)
     zero, inf = ROWS_OF_BASE[CUSP_ZERO], ROWS_OF_BASE[CUSP_INF]
+    class_inf = ("class", 3, classify_index(g, 1, 0))
 
-    # the direct sums and the lanes share the tables, the store and its
-    # cell bound: the rows of inf at c 30 are 190, with the columns c, d
-    # and tau 570 cells, and the 72 rows the class inf keeps 144 more;
-    # the Fourier class rows are not kept
-    def cells():
-        return {key: table.cells() for key, table in store.items()}
-
+    # the direct sums and the lanes share the store and its cell bound,
+    # an int64 bound two cells: the 190 rows of inf at c 30 and 31 bounds
+    # take 252 cells, tau as many, and the 16 rows of c <= 15 that the
+    # class inf keeps 48; the Fourier class rows are not kept
     tr = TruncationSpec(c_max=15)
     want = eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr)
     _class_buckets(GAMMA1, 20)
     inner_sums(g, CUSP_INF, CUSP_INF, (1,), 30)
+    assert _cells(store) == {class_inf: 48, ROWS_GAMMA1: 170, inf: 252, ("tau", inf): 252}
+    # a build drops the least recently used entries: the rows of 0 and
+    # their tau push out the class rows and the level-1 rows
     lanes = inner_sums(g, reps[0].rep, CUSP_INF, (1,), 30)
-    assert cells() == {ROWS_GAMMA1: 256, inf: 714, zero: 549}
-    class_inf = eisenstein._ClassRows(3, classify_index(g, 1, 0))
-    assert list(store[inf].cols) == [eisenstein._TAU, class_inf]
-    assert store[inf].cols[class_inf].shape == (2, 72)
-    # a read moves a table to the newest end; growing the level-1 table
-    # to 278 rows pushes out the oldest table after it
-    eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr)
-    _class_buckets(GAMMA1, 30)
-    assert cells() == {inf: 714, ROWS_GAMMA1: 556}
-    assert list(store) == [inf, ROWS_GAMMA1]
-    # a dropped table is built again to the same sums
+    assert list(store) == [inf, ("tau", inf), zero, ("tau", zero)]
+    # a read moves an entry to the newest end, so the next build drops
+    # the rows of 0, read before those of inf
+    inner_sums(g, CUSP_INF, CUSP_INF, (1,), 30)
+    _class_buckets(GAMMA1, 20)
+    assert list(store) == [("tau", zero), inf, ("tau", inf), ROWS_GAMMA1]
+    # a dropped entry is built again to the same sums
     assert np.array_equal(inner_sums(g, reps[0].rep, CUSP_INF, (1,), 30), lanes)
-    assert sum(cells().values()) <= 1800
-    # a table larger than the bound is still kept while it is in use, its
-    # 746 rows at c 60 with the 252 the class keeps but without tau
+    assert sum(_cells(store).values()) <= 1000
+    # class rows past the bound are kept while in use, with the row set
+    # and tau that their build read, and their prefix gives the same
+    # direct sum without a build
     eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=60))
-    assert cells() == {inf: 1996}
-    assert list(store[inf].cols) == [class_inf]
-    # and its prefix gives the same direct sum
+    assert _cells(store) == {inf: 868, ("tau", inf): 868, class_inf: 374}
+    kept = store[class_inf].rows
     assert eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr) == want
+    assert store[class_inf].rows is kept
 
 
 def test_lone_table_past_the_bound_keeps_what_was_read(monkeypatch):
-    # one table past the bound: no other table is left to drop, so a read
-    # keeps only its rows and the column it returns.  The rows of inf at
-    # c 40 are 346; with tau and the class rows of inf at levels 3 and 2
-    # (240 and 360 cells) 1638 cells
+    # entries past the bound: a read keeps the entry it read and those
+    # that its build read, and drops the rest.  The rows of inf at c 80
+    # are 1326, which with the bounds alone pass the bound
     from fermatkl import eisenstein
 
     store = _fresh_store(monkeypatch)
     monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 1400)
     inf = ROWS_OF_BASE[CUSP_INF]
     tr = TruncationSpec(c_max=40)
-    # rows up to c 80 alone pass the bound, and are kept while in use
     eisenstein_direct(GAMMA2, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=80))
-    assert store[inf].c_done == 80 and store[inf].cells() > 1400
+    assert _cells(store) == {inf: 1488}
+    rows = store[inf].rows
 
     def read():
         lanes = inner_sums(gamma_n(3), CUSP_INF, CUSP_INF, (1,), 40)
         return lanes, [eisenstein_direct(gamma_n(n), CUSP_INF, 0.3 + 1.1j, 2.0, tr) for n in (3, 2)]
 
+    # the class rows of level 2 went in last: those of level 3 were
+    # dropped, and the row set is read as a prefix, not built again
     lanes, direct = read()
-    table = store[inf]
-    assert table.c_done == 40
-    class_2 = eisenstein._ClassRows(2, classify_index(gamma_n(2), 1, 0))
-    assert list(store) == [inf] and list(table.cols) == [class_2]
-    assert table.cells() == 1052
-    # the dropped columns are computed again to the same sums, on the rows
-    # of the one build
+    class_2 = ("class", 2, classify_index(gamma_n(2), 1, 0))
+    assert _cells(store) == {inf: 1488, ("tau", inf): 428, class_2: 262}
+    assert store[inf].rows is rows
+    # the dropped class rows are built again to the same sums, on the
+    # kept row set and tau
+    tau = store[("tau", inf)].rows
     again, direct_again = read()
     assert np.array_equal(again, lanes) and direct_again == direct
-    assert store[inf] is table and table.cells() == 1052
-    _assert_one_build(inf, table)
+    assert list(store) == [inf, ("tau", inf), class_2]
+    assert store[inf].rows is rows and store[("tau", inf)].rows is tau
+    for key, entry in store.items():
+        _assert_one_build(key, entry.rows)
 
 
 def _recording(work, bad):
@@ -1166,8 +1236,9 @@ def test_class_cache_bound_under_threads(monkeypatch):
 
     from fermatkl import eisenstein
 
-    # rows at c 40: 346 (inf), 317 (0) and 317 (1), 2940 cells with tau,
-    # so a bound of 2000 drops tables while the threads grow them
+    # rows at c 40: 346 (inf), 317 (0) and 317 (1), 2452 cells with tau
+    # and the bounds, and more with the class rows of levels 2 and 3, so
+    # a bound of 2000 drops entries while the threads build them
     groups = [gamma_n(n) for n in (1, 2, 3)]
     _fresh_store(monkeypatch)
     want = {h: _class_buckets(h, 40) for h in groups}
@@ -1193,12 +1264,12 @@ def test_class_cache_bound_under_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not bad
-    # the cell bound holds, and no extension was lost or doubled: each
-    # table is the one build
-    assert sum(table.cells() for table in store.values()) <= 2000
-    assert store and set(store) <= set(ROWS_OF_BASE.values())
-    for key, table in store.items():
-        _assert_one_build(key, table)
+    # the cell bound holds, and no build was lost or mixed: each entry
+    # is the one build
+    assert sum(entry.cells() for entry in store.values()) <= 2000
+    assert store and _row_set_keys(store) <= set(ROWS_OF_BASE.values())
+    for key, entry in store.items():
+        _assert_one_build(key, entry.rows)
 
 
 def test_phi_cache_bound_under_threads(monkeypatch):
@@ -1241,12 +1312,62 @@ def test_phi_cache_bound_under_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not bad
-    # the cell bound holds, and no extension was lost or doubled: each
-    # table is the one build
-    assert sum(table.cells() for table in store.values()) <= 3000
-    assert store and set(store) <= set(ROWS_OF_BASE.values())
-    for key, table in store.items():
-        _assert_one_build(key, table)
+    # the cell bound holds, and no build was lost or mixed: each entry
+    # is the one build
+    assert sum(entry.cells() for entry in store.values()) <= 3000
+    assert store and _row_set_keys(store) <= set(ROWS_OF_BASE.values())
+    for key, entry in store.items():
+        _assert_one_build(key, entry.rows)
+
+
+def test_store_builds_each_entry_once_under_threads(monkeypatch):
+    # four threads behind a barrier make the first read of a class entry,
+    # the tau it is lifted by and the row set under both, each in its own
+    # order: the per-entry locks build each once, and every read has the
+    # bits of a serial one
+    import sys
+    import threading
+
+    from fermatkl import eisenstein
+
+    g, zero = gamma_n(3), ROWS_OF_BASE[CUSP_ZERO]
+    reads = [lambda: eisenstein._class_rows(g, 0, 250),
+             lambda: eisenstein._tau_rows(zero, 250),
+             lambda: eisenstein._row_set(zero, 250)]
+    _fresh_store(monkeypatch)
+    want = [read() for read in reads]
+    store = _fresh_store(monkeypatch)
+    calls = []
+    for name in ("_build_class_rows", "_tau_column", "_enumerate_lanes"):
+        real = getattr(eisenstein, name)
+        monkeypatch.setattr(eisenstein, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    bad, old = [], sys.getswitchinterval()
+    start = threading.Barrier(4)
+
+    def work(seed):
+        start.wait(timeout=60)
+        for i in range(3):
+            pos = (seed + i) % 3
+            got = reads[pos]()
+            if got.step != want[pos].step or not all(
+                    x.dtype == y.dtype and np.array_equal(x, y)
+                    for x, y in ((got.d, want[pos].d), (got.bounds, want[pos].bounds))):
+                bad.append(pos)
+
+    threads = [threading.Thread(target=_recording(work, bad), args=(t,)) for t in range(4)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+    assert sorted(calls) == ["_build_class_rows", "_enumerate_lanes", "_tau_column"]
+    assert set(store) == {("class", 3, 0), ("tau", zero), zero}
 
 
 def test_lane_arithmetic_in_int64(monkeypatch):
@@ -1264,19 +1385,23 @@ def test_lane_arithmetic_in_int64(monkeypatch):
         return np.where(np.arange(x.size) % 2, lim.max - (lim.max - x) % n,
                         lim.min + (x - lim.min) % n).astype(np.int32)
 
+    def far_tau(store):
+        for key in list(store):
+            if key[0] == "tau":
+                store[key].rows = store[key].rows._replace(d=far(store[key].rows.d))
+            elif key[0] == "class":
+                # the class rows are built again from the far tau
+                del store[key]
+
     for j, k in ((reps[1].rep, reps[-1].rep), (reps[1].rep, reps[0].rep)):
         lanes = _fresh_store(monkeypatch)
         want = inner_sums(g, j, k, (0, 1, n), 30)
-        (table,) = lanes.values()
-        (name,) = table.cols
-        table.cols[name] = far(table.cols[name])
+        far_tau(lanes)
         assert np.array_equal(inner_sums(g, j, k, (0, 1, n), 30), want)
     store = _fresh_store(monkeypatch)
     tr = TruncationSpec(c_max=30)
     want, _ = eisenstein_direct_all(g, 0.3 + 1.1j, 2.0, tr)
-    for table in store.values():
-        # the class rows are built again from the far tau
-        table.cols = {eisenstein._TAU: far(table.cols[eisenstein._TAU])}
+    far_tau(store)
     assert np.array_equal(eisenstein_direct_all(g, 0.3 + 1.1j, 2.0, tr)[0], want)
 
 
@@ -1302,7 +1427,7 @@ def test_four_row_sets_serve_every_table(monkeypatch):
         for j in group_cusps(g):
             eisenstein_direct(g, j, 0.3 + 1.1j, 2.0, tr)
     want = {ROWS_GAMMA1, *ROWS_OF_BASE.values()}
-    assert len(keys) == 4 and set(keys) == set(store) == want
+    assert len(keys) == 4 and set(keys) == _row_set_keys(store) == want
 
 
 @pytest.mark.parametrize("state, field", [(state, field) for state in range(6) for field in range(3)])

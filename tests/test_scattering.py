@@ -183,3 +183,21 @@ def test_natural_constant_dispatch():
     v1 = natural_constant(g, Cusp(1, 4), Cusp(2, 1))
     v2 = natural_constant(g, CUSP_INF, Cusp(-2, 1))
     assert abs(v1 - v2) < 1e-15
+
+
+def test_naturals_depend_only_on_the_lane_class():
+    # phi_jk sums over the rows of the class of g_k^-1(j), so two pairs
+    # with the same class have the same scattering constant; at levels 2
+    # to 8 the pairs fall into all 3N classes
+    from fermatkl.eisenstein import _lane_class
+
+    for n in range(2, 9):
+        g, reps = gamma_n(n), cusp_reps(n)
+        by_class = {}
+        for fj in reps:
+            for fk in reps:
+                by_class.setdefault(_lane_class(g, fj.rep, fk.rep), []).append(
+                    fermat_constant(n, fj, fk).natural)
+        assert sorted(by_class) == list(range(3 * n)), n
+        for i, naturals in by_class.items():
+            assert max(naturals) - min(naturals) <= 1e-15, (n, i)
