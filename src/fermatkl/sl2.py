@@ -23,10 +23,11 @@ R_s T^q S^-1 = (R_s g1 R_s^-1)^j (R_s T^e S^-1 R_s'^-1) R_s', s' the
 coset of R_s T^e S^-1, so a round adds
 j r(R_s g1 R_s^-1) + r(R_s T^e S^-1 R_s'^-1) to the sums and moves to
 s'.  It ends with the sums phi of gamma and the state s in
-N = gamma R_s T^k.  Its round tables come at import from
-decompose_gamma2 on those 18 small products.  Truncated quotients keep
-|x| and |y| those of the ordinary Euclid, O(log) rounds, with the sign
-of q alternating from round to round.  Floor quotients would leave the
+N = gamma R_s T^k.  Its round tables come at import from the words
+that decompose_gamma2, a nearest-integer Euclid on the first column,
+spells for those 18 small products.  Truncated quotients keep |x| and
+|y| those of the ordinary Euclid, O(log) rounds, with the sign of q
+alternating from round to round.  Floor quotients would leave the
 remainder with the sign of y and spell the minus continued fraction,
 whose length grows linearly: (c - 1)/c = 1 - 1/(2 - 1/(2 - ...)) takes
 c rounds.
@@ -257,74 +258,38 @@ def exponent_sums(w: GammaWord) -> tuple[int, int]:
     return (w.r1, w.r2)
 
 
-def round_half_down(num: int, den: int) -> int:
-    """Nearest integer to num/den (den != 0), halves rounded down."""
-    if den < 0:
-        num, den = -num, -den
-    q, r = divmod(num, den)
-    if 2 * r > den:
-        q += 1
-    return q
-
-
-def _best_shift(u: int, v: int, c: int, d: int) -> tuple[int, int]:
-    """k minimizing |u - 2kc| + |v - 2kd| over integers, with the norm."""
-    cands = {0}
-    if c:
-        k0 = round_half_down(u, 2 * c)
-        cands.update((k0 - 1, k0, k0 + 1))
-    if d:
-        k0 = round_half_down(v, 2 * d)
-        cands.update((k0 - 1, k0, k0 + 1))
-    best_k, best_n = 0, abs(u) + abs(v)
-    for k in cands:
-        n = abs(u - 2 * k * c) + abs(v - 2 * k * d)
-        if n < best_n or (n == best_n and abs(k) < abs(best_k)):
-            best_k, best_n = k, n
-    return best_k, best_n
-
-
 def decompose_gamma2(m: Mat2Z) -> GammaWord:
     """Unique reduced word w with eval(w) = m up to sign.
 
-    Continued-fraction style ping-pong reduction: peels generator powers
-    from the left while the 1-norm strictly decreases; deterministic
-    because the peeled exponent is the greedy minimizer of the row
-    1-norm.  It takes O(c) steps on runs of g1 g2^-1, so exponent sums
-    come from gamma2_exponent_sums instead.  It spells the classify
-    witness word, and gives that walk its round tables and an oracle.
+    A nearest-integer Euclid on the first column (a, c): while c != 0,
+    peel g1^k with k the nearest integer to a/2c when |a| > |c|, else
+    g2^k with k the nearest integer to c/2a, which leaves [+-1 b; 0 +-1]
+    = g1^(+-b/2).  As a is odd and c even, no quotient is a half-integer
+    and the peeled entry ends strictly below the other, so the
+    generators alternate, no k is 0 and each step is one syllable of
+    the reduced word.  Runs of g1 g2^-1 are syllables too, so the word
+    of (q+1)/q takes about q steps, and exponent sums come from
+    gamma2_exponent_sums instead.  It spells the classify witness word
+    and gives that walk its round tables.
     """
     if not is_in_gamma2(m):
         raise NotInGamma2(f"{m} is not in the level-2 group")
     a, b, c, d = m.entries()
     syll: list[tuple[int, int]] = []
-    while True:
-        if c == 0:
-            if a < 0:
-                b = -b
-            # a = d = 1 and b even: the word tail g1^(b/2).
-            syll.append((1, b // 2))
-            break
-        if b == 0:
-            if a < 0:
-                c, d = -c, -d
-            syll.append((2, c // 2))
-            break
-        size = abs(a) + abs(b) + abs(c) + abs(d)
-        k1, n1 = _best_shift(a, b, c, d)
-        k2, n2 = _best_shift(c, d, a, b)
-        new1 = n1 + abs(c) + abs(d)
-        new2 = n2 + abs(a) + abs(b)
-        if new1 < size and (new1 <= new2 or k2 == 0) and k1 != 0:
-            # M = g1^k1 * M'; peel from the left.
-            syll.append((1, k1))
-            a, b = a - 2 * k1 * c, b - 2 * k1 * d
-        elif new2 < size and k2 != 0:
-            syll.append((2, k2))
-            c, d = c - 2 * k2 * a, d - 2 * k2 * b
+    while c:
+        if abs(a) > abs(c):
+            # M = g1^k M', M' = [a - 2kc  b - 2kd; c d]
+            k = (a + c) // (2 * c)
+            a, b = a - 2 * k * c, b - 2 * k * d
+            syll.append((1, k))
         else:
-            raise NotInGamma2(f"word reduction stalled at [{a} {b}; {c} {d}]")
-    return word_from_syllables(syll)
+            # M = g2^k M', M' = [a b; c - 2ka  d - 2kb]
+            k = (c + a) // (2 * a)
+            c, d = c - 2 * k * a, d - 2 * k * b
+            syll.append((2, k))
+    if b:
+        syll.append((1, a * b // 2))
+    return GammaWord(tuple(syll))
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ from fermatkl.sl2 import (
     Cusp,
     GammaWord,
     NotInGamma2,
-    round_half_down,
     word_from_syllables,
 )
+
+from word_oracles import round_half_down
 
 
 def _dedekind_y(h: int, k: int) -> int:

@@ -12,6 +12,7 @@ from fermatkl.sl2 import (
     Cusp,
     GEN1,
     GEN2,
+    GammaWord,
     IDENTITY,
     Mat2Z,
     BATCH_ENTRY_BOUND,
@@ -33,7 +34,10 @@ from fermatkl.sl2 import (
     word_to_matrix,
 )
 
+from fermatkl.fermat import classify_cusp
+
 from dedekind_oracles import gamma2_exponent_sums_batch, gamma2_exponent_sums_dedekind, mod_inverse_batch
+from word_oracles import decompose_gamma2_ping_pong
 
 
 def random_word(rng, max_len=12):
@@ -143,9 +147,41 @@ def test_decompose_examples():
 
 
 def test_decompose_rejects_outside():
-    with pytest.raises(NotInGamma2):
-        decompose_gamma2(Mat2Z(1, 1, 0, 1))
-    assert gamma2_exponent_sums(1, 1, 0, 1) is None
+    # every coset but the level-2 group itself, as its representative
+    # and times a level-2 word with entries beyond 2^63 on either side
+    big = word_to_matrix(word_from_syllables([(1, 10 ** 6), (2, -999_999), (1, 3), (2, 10 ** 6)]))
+    assert max(map(abs, big.entries())) > 2 ** 63
+    for r in COSET_REPS[1:]:
+        for m in (r, r * big, big * r):
+            with pytest.raises(NotInGamma2):
+                decompose_gamma2(m)
+            assert gamma2_exponent_sums(*m.entries()) is None
+            assert gamma2_exponent_sums(*(-x for x in m.entries())) is None
+
+
+def test_decompose_matches_ping_pong_oracle():
+    # the first-column Euclid against the 1-norm ping-pong: random reduced
+    # words of 0-12 syllables with exponents up to 3, 50, 10^6 and 10^15,
+    # and the classify witnesses at (q+1)/q and (3q+1)/q, whose words
+    # have about q syllables
+    rng = random.Random(22)
+    for top in (3, 50, 10 ** 6, 10 ** 15):
+        for _ in range(5000):
+            gen = rng.choice((1, 2))
+            w = GammaWord(tuple((1 + (gen + i) % 2, rng.choice((1, -1)) * rng.randint(1, top))
+                                for i in range(rng.randint(0, 12))))
+            # g^e built whole: word_to_matrix squares its way up to 10^15
+            m = IDENTITY
+            for g, e in w.syllables:
+                m = m * (Mat2Z(1, 2 * e, 0, 1) if g == 1 else Mat2Z(1, 0, 2 * e, 1))
+            assert decompose_gamma2(m) == decompose_gamma2_ping_pong(m) == w
+    for q in (10, 10 ** 2, 10 ** 3, 10 ** 4):
+        for p in (q + 1, 3 * q + 1):
+            for n in (2, 3, 5):
+                m = classify_cusp(Cusp(p, q), n)[1]
+                w = decompose_gamma2(m)
+                assert w == decompose_gamma2_ping_pong(m)
+                assert len(w.syllables) >= q
 
 
 def test_word_round_trip_random():
@@ -209,8 +245,8 @@ def test_word_reduced_invariants():
 
 def test_exponent_sums_match_decomposition():
     # the coset-word walk and the Dedekind-sum oracles, scalar and batched,
-    # against the greedy word reduction on 20k random words, in both sign
-    # forms
+    # against the first-column Euclid word on 20k random words, in both
+    # sign forms
     rng = random.Random(2011)
     mats, want = [], []
     for _ in range(20000):
