@@ -240,12 +240,12 @@ def cmd_eisenstein(args) -> int:
             raise UsageError("Re s must exceed 1 unless --limit is given")
         direct, tail = eisenstein_direct(group, j, z, s, trunc)
         four = fourier_eval(group, j, Cusp(1, 0), z, s, trunc)
-        phi0 = phi_coefficient(group, j, Cusp(1, 0), 0, s, trunc)
+        phi0, phi0_tail = phi_coefficient(group, j, Cusp(1, 0), 0, s, trunc)
         results["direct"] = [direct.real, direct.imag]
         results["direct_tail"] = tail
         results["fourier_inf_chart"] = [four.real, four.imag]
-        results["phi0"] = [phi0.partial_sum.real, phi0.partial_sum.imag]
-        results["phi0_tail"] = phi0.tail_estimate
+        results["phi0"] = [phi0.real, phi0.imag]
+        results["phi0_tail"] = phi0_tail
     _emit(args, "eisenstein", {"group": group, "cusp": j, "z": z, "s": s},
           results, trunc)
     return 0

@@ -49,22 +49,23 @@ store bounded by a least-recently-used count of int32 cells.
 
 inner_sums reads the lanes once per call for every mode asked for, and
 the row of -m is the conjugate of the row of m, so fourier_eval reads
-the modes 0..m_eff once.  It takes cos and sin once per lane, for the
+the modes 0..m_max once.  It takes cos and sin once per lane, for the
 unit phase w = e(p d/(b c)) of the mode period p, and each mode p k is
 w^k by repeated multiplication, summed per c: a mode costs one complex
 multiplication and one reduceat over the lanes, and w^k carries at most
-15 k units of 2^-53 of rounding.  The truncated phi do not depend on z,
-so fourier_eval and the enumerated s = 1 modes of phi_m1_exact take
-them from _phis, memoized per (group, pair, modes, c_max, s) in a
-bounded least-recently-used cache; a hit returns the bits that a miss
-computes, and only a miss reads the lanes.  The direct sum reads, lifts
-or filters the rows of each class asked for once and sums only those,
-eisenstein_direct its own, in blocks of whole c's: per block one
-repeat of a per-c table gives the row columns, one rectangle of
-translates by rows, in buffers reused through the call, takes
-|c z + d + t P|^2 in five in-place passes with d + t P exact and c x
-added once, and a masked reciprocal and a dot product give the sum, with
-no power pass at s = 2.
+15 k units of 2^-53 of rounding.  The truncated phi depend neither on
+z nor on the pair within its lane class, so fourier_eval and the
+enumerated s = 1 modes of phi_m1_exact take them from _phis, memoized
+per (group, lane class, modes, c_max, s) in a bounded
+least-recently-used cache: the 9 n^2 pairs of a level read 3 n lane
+sets, a hit returns the bits that a miss computes, and only a miss
+reads the lanes.  The direct sum reads, lifts or filters the rows of
+each class asked for once and sums only those, eisenstein_direct its
+own, in blocks of whole c's: per block one repeat of a per-c table
+gives the row columns, one rectangle of translates by rows, in buffers
+reused through the call, takes |c z + d + t P|^2 in five in-place
+passes with d + t P exact and c x added once, and a masked reciprocal
+and a dot product give the sum, with no power pass at s = 2.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ from . import scattering
 from .fermat import (
     GAMMA2,
     TAU_MAP,
-    FermatCusp,
     GroupId,
     class_shift,
     classify_rep_index,
@@ -118,26 +118,6 @@ class TruncationSpec:
 DEFAULT_TRUNCATION = TruncationSpec()
 
 
-@dataclass(frozen=True)
-class PhiTerm:
-    group: GroupId
-    cusp_j: Cusp
-    cusp_k: Cusp
-    m: int
-    s: complex
-    partial_sum: complex
-    c_reached: int
-    tail_estimate: float
-
-
-def as_cusp(x) -> Cusp:
-    if isinstance(x, FermatCusp):
-        return x.rep
-    if isinstance(x, Cusp):
-        return x
-    raise TypeError(f"expected a cusp, got {type(x)!r}")
-
-
 def group_cusps(group: GroupId) -> tuple[Cusp, ...]:
     if group.kind == "gamma1":
         return (CUSP_INF,)
@@ -151,9 +131,8 @@ def classify_index(group: GroupId, p: int, q: int) -> int:
     return classify_rep_index(p, q, group.n)
 
 
-def standard_rep(group: GroupId, c) -> Cusp:
+def standard_rep(group: GroupId, c: Cusp) -> Cusp:
     """Standard representative of the class of a cusp."""
-    c = as_cusp(c)
     i = classify_index(group, c.p, c.q)
     return CUSP_INF if group.kind == "gamma1" else cusp_reps(group.n)[i].rep
 
@@ -305,15 +284,14 @@ def _class_rows(group: GroupId, i: int, c_max: int) -> Rows:
                    (key, ("tau", key)))
 
 
-def eisenstein_direct(group: GroupId, j, z: complex, s,
+def eisenstein_direct(group: GroupId, j: Cusp, z: complex, s,
                       trunc: TruncationSpec = DEFAULT_TRUNCATION):
     """E_j(z, s) = width^(-s) * sum over the class-j coprime pairs.
 
     Only the class of j is summed; the tail estimate is that of
     eisenstein_direct_all, which bounds every class.
     """
-    jc = as_cusp(j)
-    (val,), tail = eisenstein_direct_all(group, z, s, trunc, (classify_index(group, jc.p, jc.q),))
+    (val,), tail = eisenstein_direct_all(group, z, s, trunc, (classify_index(group, j.p, j.q),))
     b = group.width
     pref = complex(b) ** (-s)
     return pref * val, abs(pref) * tail
@@ -372,8 +350,8 @@ _DIRECT_BLOCK = 1 << 15
 # 49 us a call at 10,001 entries against 3 us at 10,000, and its rounding
 # then depends on the thread count.
 _DOT_CHUNK = 1 << 13
-# Entries of the memoized phi sums, (group, pair, modes, c_max, s), each
-# at most 2 m_max + 1 complex numbers: well under 1 MB in all.
+# Entries of the memoized phi sums, (group, lane class, modes, c_max, s),
+# each at most 2 m_max + 1 complex numbers: well under 1 MB in all.
 _PHI_CACHE = 256
 
 # tau = coef[0, s] phi1 + coef[1, s] phi2 + coef[2, s] of the output
@@ -508,14 +486,14 @@ def _tau_column(c: np.ndarray, d: np.ndarray) -> np.ndarray:
 # double-coset enumeration of Fourier coefficients
 # ---------------------------------------------------------------------------
 
-def _lane_class(group: GroupId, j, k) -> int:
+def _lane_class(group: GroupId, j: Cusp, k: Cusp) -> int:
     """group_cusps index of the class of g_k^-1(j), whose rows are the
     lanes of phi_{jk} (module docstring)."""
-    x = mobius_apply(cusp_scaling_matrix(standard_rep(group, k)).inverse(), as_cusp(j))
+    x = mobius_apply(cusp_scaling_matrix(standard_rep(group, k)).inverse(), j)
     return classify_index(group, x.p, x.q)
 
 
-def inner_sums(group: GroupId, j, k, ms, c_max: int) -> np.ndarray:
+def inner_sums(group: GroupId, j: Cusp, k: Cusp, ms, c_max: int) -> np.ndarray:
     """Inner sums of phi_{jk,m} for each mode m in ms and c = 1..c_max,
     as a complex array of shape (len(ms), c_max).
 
@@ -586,10 +564,11 @@ def _lane_sums(b: int, rows: Rows, ms: list) -> np.ndarray:
     return out
 
 
-def phi_coefficient(group: GroupId, j, k, m: int, s,
+def phi_coefficient(group: GroupId, j: Cusp, k: Cusp, m: int, s,
                     trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                    tol: float | None = None) -> PhiTerm:
-    """phi_{jk,m}(s) truncated at c <= c_max, with a tail estimate.
+                    tol: float | None = None) -> tuple[complex, float]:
+    """phi_{jk,m}(s) truncated at c <= c_max and its tail estimate, as
+    (value, tail).
 
     Weights the per-c sums of inner_sums by c^(-2s).  Requires
     Re s > 1, or s = 1 with m != 0 where the bounded inner sums give
@@ -598,9 +577,7 @@ def phi_coefficient(group: GroupId, j, k, m: int, s,
     sigma = complex(s).real
     if sigma < 1 or (sigma == 1 and m == 0):
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
-    jc = standard_rep(group, j)
-    kc = standard_rep(group, k)
-    rows = inner_sums(group, jc, kc, (m,), trunc.c_max)
+    rows = inner_sums(group, j, k, (m,), trunc.c_max)
     (total,) = _phi_sums(rows, s)
     b = group.width
     if sigma > 1:
@@ -610,7 +587,7 @@ def phi_coefficient(group: GroupId, j, k, m: int, s,
         tail = max(float(np.abs(rows).max()), float(2 * b)) / trunc.c_max
     if tol is not None and sigma > 1 and tail > tol:
         raise TruncationUnsound(f"tail estimate {tail:.3e} exceeds tolerance {tol:.3e}")
-    return PhiTerm(group, jc, kc, m, complex(s), total, trunc.c_max, tail)
+    return total, tail
 
 
 def _phi_sums(rows: np.ndarray, s) -> list[complex]:
@@ -622,12 +599,14 @@ def _phi_sums(rows: np.ndarray, s) -> list[complex]:
 
 
 @lru_cache(maxsize=_PHI_CACHE)
-def _phis(group: GroupId, jc: Cusp, kc: Cusp, ms: tuple, c_max: int, s) -> tuple[complex, ...]:
-    """Truncated phi_{jk,m}(s) of each mode m in ms, for the standard
-    representatives jc and kc: _phi_sums of one inner_sums call, the row
-    of -m the conjugate of that of m.  Memoized, since phi does not
-    depend on z; a hit returns the bits that a miss computes."""
-    return tuple(_phi_sums(inner_sums(group, jc, kc, ms, c_max), s))
+def _phis(group: GroupId, i: int, ms: tuple, c_max: int, s) -> tuple[complex, ...]:
+    """Truncated phi_{jk,m}(s) of each mode m in ms for every pair whose
+    lane class _lane_class(group, j, k) is i: _phi_sums of the lane sums
+    of the rows of class i, the row of -m the conjugate of that of m.
+    Memoized, since phi depends neither on z nor on the pair within the
+    class; a hit returns the bits that a miss computes."""
+    rows = _build_class_rows(group, i, c_max)
+    return tuple(_phi_sums(_lane_sums(group.width, rows, list(ms)), s))
 
 
 def gamma2_phi0_closed_form(diag: bool, s) -> float:
@@ -654,12 +633,7 @@ def _divisors(m: int) -> list[int]:
     return sorted(out)
 
 
-def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], m: int, s: float) -> float:
-    """Exact phi_{jk,m}(s) of the level-2 group, m != 0: _gamma2_phi_ms."""
-    return _gamma2_phi_ms(pair_parity, (m,), s)[0]
-
-
-def _gamma2_phi_ms(pair_parity: tuple[int, int], ms, s: float) -> list[float]:
+def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], ms, s: float) -> list[float]:
     """Exact phi_{jk,m}(s) of the level-2 group for each m in ms, all
     nonzero, with zeta(2s) taken once.
 
@@ -684,66 +658,63 @@ def _gamma2_phi_ms(pair_parity: tuple[int, int], ms, s: float) -> list[float]:
     return [phi(m) for m in ms]
 
 
-def phi_m1_exact(group: GroupId, j, k, ms,
+def phi_m1_exact(group: GroupId, j: Cusp, k: Cusp, ms,
                  trunc: TruncationSpec = DEFAULT_TRUNCATION) -> list[complex]:
     """phi_{jk,m}(1) for each m in ms, all nonzero: closed form where
     available (full modular group and level 2, zeta(2) taken once per
-    call), else the truncated enumeration, every mode from one
-    inner_sums call, memoized by _phis per (group, pair, modes, c_max); a
-    hit is bit-identical to a miss."""
+    call), else the truncated enumeration, every mode from one lane read,
+    memoized by _phis per (group, lane class, modes, c_max); a hit is
+    bit-identical to a miss."""
     ms = list(ms)
     if group.kind == "gamma1":
         z2 = zeta(2.0)
         return [complex(sum(1.0 / d for d in _divisors(m)) / z2) for m in ms]
+    i = _lane_class(group, j, k)
     if group == GAMMA2:
-        _, pc, pd = _row_key(group, _lane_class(group, j, k))
-        return [complex(phi) for phi in _gamma2_phi_ms((pc, pd), ms, 1.0)]
+        _, pc, pd = _row_key(group, i)
+        return [complex(phi) for phi in gamma2_phi_m_closed_form((pc, pd), ms, 1.0)]
     if 0 in ms:
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
-    return list(_phis(group, standard_rep(group, j), standard_rep(group, k), tuple(ms),
-                      trunc.c_max, 1.0))
+    return list(_phis(group, i, tuple(ms), trunc.c_max, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # Fourier assembly
 # ---------------------------------------------------------------------------
 
-def fourier_eval(group: GroupId, j, k, z: complex, s,
+def fourier_eval(group: GroupId, j: Cusp, k: Cusp, z: complex, s,
                  trunc: TruncationSpec = DEFAULT_TRUNCATION) -> complex:
     """E_j(gamma_k(z), s) assembled from the Fourier expansion in the
     chart of the standard representative of k.
 
-    The modes m = 0..m_eff come from one inner_sums call, m_eff the last
-    mode up to m_max whose Bessel argument 2 pi m y / b is at most 700;
-    the inner sums of -m are the conjugates of those of m, so they are
-    not read again, and their Bessel K come from one bessel_k_batch
-    call.  The phi of those modes do not depend on z: _phis
-    memoizes them per (group, pair, modes, c_max, s), so a call at a new
-    z on a pair already read does no lane work, and a hit is
-    bit-identical to a miss.
+    The group is normal in PSL(2, Z), so j ~ k exactly when g_k^-1(j) ~
+    inf: the delta term comes from the lane class.  The phi of the modes
+    m = 0..m_max come from one lane read of that class; the inner sums
+    of -m are the conjugates of those of m, so they are not read again.
+    The Bessel K of the modes 1..m_max come from one bessel_k_batch
+    call, which gives zero past the argument 700.  The phi do not depend
+    on z or on the pair within the class: _phis memoizes them per
+    (group, lane class, modes, c_max, s), so a call at a new z, or on
+    another pair of a class already read, does no lane work, and a hit
+    is bit-identical to a miss.
     """
     sigma = complex(s).real
     if sigma <= 1:
         raise DivergentRegion("Fourier evaluation requires Re s > 1")
     x, y = z.real, z.imag
-    jc = standard_rep(group, j)
-    kc = standard_rep(group, k)
+    i = _lane_class(group, j, k)
     b = group.width
     val = 0j
-    if jc == kc:
+    if i == classify_index(group, 1, 0):
         val += (complex(y) / b) ** s
     gs = gamma_fn(complex(s))
     gs_half = gamma_fn(complex(s) - 0.5)
-    args = list(takewhile(lambda a: a <= 700.0,
-                          (2.0 * math.pi * m * y / b for m in range(1, trunc.m_max + 1))))
-    top = len(args)
-    phi0, *phis = _phis(group, jc, kc, (0, *range(1, top + 1), *range(-1, -top - 1, -1)),
-                        trunc.c_max, s)
-    phi_pos, phi_neg = phis[:top], phis[top:]
+    ms = range(1, trunc.m_max + 1)
+    phi0, *phis = _phis(group, i, (0, *ms, *(-m for m in ms)), trunc.c_max, s)
     val += math.sqrt(math.pi) * gs_half / gs * phi0 * complex(y) ** (1 - s) \
         / (complex(b) ** s * b)
-    kbs = bessel_k_batch(complex(s) - 0.5, args).tolist()
-    for m, (kb, pos, neg) in enumerate(zip(kbs, phi_pos, phi_neg), start=1):
+    kbs = bessel_k_batch(complex(s) - 0.5, [2.0 * math.pi * m * y / b for m in ms]).tolist()
+    for m, kb, pos, neg in zip(ms, kbs, phis[:len(ms)], phis[len(ms):]):
         coef = 2.0 * math.pi ** complex(s) * (m / b) ** (complex(s) - 0.5) / gs \
             * math.sqrt(y) * kb / (complex(b) ** s * b)
         for sign, phim in ((1, pos), (-1, neg)):
@@ -751,14 +722,15 @@ def fourier_eval(group: GroupId, j, k, z: complex, s,
     return val
 
 
-def fourier_limit_eval(group: GroupId, j, k, z: complex,
+def fourier_limit_eval(group: GroupId, j: Cusp, k: Cusp, z: complex,
                        trunc: TruncationSpec = DEFAULT_TRUNCATION) -> complex:
     """4 pi * lim_(s->1) (E_j(gamma_k z, s) - 1/(vol (s-1))).
 
     Constant mode from the closed-form natural scattering constant, log
     term with coefficient 12/index on the 4 pi scale, oscillating modes
-    pi/(b_j b_k) phi_{jk,m}(1) exp(-2 pi |m| y / b_k + 2 pi i m x / b_k),
-    the phi of every mode from one phi_m1_exact call.
+    pi/(b_j b_k) phi_{jk,m}(1) exp(-2 pi |m| y / b_k + 2 pi i m x / b_k)
+    for m = 1..m_max up to the last whose decay is at least 1e-18, the
+    phi of every mode from one phi_m1_exact call.
     """
     x, y = z.real, z.imag
     if y <= 0:
@@ -770,9 +742,8 @@ def fourier_limit_eval(group: GroupId, j, k, z: complex,
     val = 4.0 * math.pi * (ct - (3.0 / (math.pi * group.index)) * math.log(y))
     if jc == kc:
         val += 4.0 * math.pi * y / b
-    m_eff = min(trunc.m_max, math.ceil(b * 40.0 / (2.0 * math.pi * y)))
-    decays = list(takewhile(lambda t: t >= 1e-18,
-                            (math.exp(-2.0 * math.pi * m * y / b) for m in range(1, m_eff + 1))))
+    decays = list(takewhile(lambda t: t >= 1e-18, (math.exp(-2.0 * math.pi * m * y / b)
+                                                   for m in range(1, trunc.m_max + 1))))
     phis = phi_m1_exact(group, jc, kc, range(1, len(decays) + 1), trunc) if decays else []
     acc = 0.0
     for m, (decay, phim) in enumerate(zip(decays, phis), start=1):

@@ -121,7 +121,7 @@ def test_ac03_gamma2_scattering_closed_form():
     worst = 0.0
     for j in GAMMA2_CUSPS:
         for k in GAMMA2_CUSPS:
-            phi0 = phi_coefficient(GAMMA2, j, k, 0, 2.0, tr).partial_sum
+            phi0 = phi_coefficient(GAMMA2, j, k, 0, 2.0, tr)[0]
             value = pref * phi0
             closed = pref * gamma2_phi0_closed_form(j == k, 2.0)
             worst = max(worst, abs(value - closed))

@@ -115,7 +115,7 @@ def test_phi_m1_exact_modes_match_one_mode_calls(monkeypatch):
     ms = (*range(1, 13), 24, 35, -6)
     for j, k, parity in ((CUSP_INF, CUSP_INF, (0, 1)), (CUSP_ZERO, CUSP_INF, (1, 0)),
                          (CUSP_ONE, CUSP_INF, (1, 1))):
-        want = [complex(gamma2_phi_m_closed_form(parity, m, 1.0)) for m in ms]
+        want = [complex(gamma2_phi_m_closed_form(parity, (m,), 1.0)[0]) for m in ms]
         with monkeypatch.context() as patch:
             calls = []
             patch.setattr(eisenstein, "zeta", lambda x: calls.append(x) or zeta(x))
@@ -130,11 +130,11 @@ def test_phi_m1_exact_modes_match_one_mode_calls(monkeypatch):
 
 
 def test_phi_counts_are_integers():
-    pt = phi_coefficient(GAMMA2, CUSP_INF, CUSP_INF, 0, 2.0, TruncationSpec(c_max=40))
+    phi0, _ = phi_coefficient(GAMMA2, CUSP_INF, CUSP_INF, 0, 2.0, TruncationSpec(c_max=40))
     (counts,) = inner_sums(GAMMA2, CUSP_INF, CUSP_INF, (0,), 40)
     assert counts.size == 40 and not counts.imag.any()
     total = sum(x * c ** -4.0 for c, x in enumerate(counts.real, start=1))
-    assert abs(pt.partial_sum.real - total) < 1e-15
+    assert abs(phi0.real - total) < 1e-15
     # per-c counts match the unit-group sizes
     for c, x in enumerate(counts.real, start=1):
         if c % 2 == 0:
@@ -147,10 +147,10 @@ def test_phi0_gamma2_closed_form():
     tr = TruncationSpec(c_max=1500)
     for (j, k, diag) in ((CUSP_INF, CUSP_INF, True), (CUSP_ZERO, CUSP_INF, False),
                          (CUSP_ZERO, CUSP_ONE, False)):
-        pt = phi_coefficient(GAMMA2, j, k, 0, 2.0, tr)
+        phi0, tail = phi_coefficient(GAMMA2, j, k, 0, 2.0, tr)
         cf = gamma2_phi0_closed_form(diag, 2.0)
-        assert abs(pt.partial_sum - cf) < 1e-6
-        assert abs(pt.partial_sum - cf) < pt.tail_estimate
+        assert abs(phi0 - cf) < 1e-6
+        assert abs(phi0 - cf) < tail
 
 
 def test_phi_m_closed_form_matches_enumeration():
@@ -160,19 +160,19 @@ def test_phi_m_closed_form_matches_enumeration():
         gk = cusp_scaling_matrix(k)
         parity = ((gj.inverse() * gk).c & 1, (gj.inverse() * gk).d & 1)
         for m in (1, 2, 3, 4, 6):
-            cf = gamma2_phi_m_closed_form(parity, m, 1.5)
-            pt = phi_coefficient(GAMMA2, j, k, m, 1.5, tr)
-            assert abs(pt.partial_sum - cf) < 2e-4, (j, k, m)
+            (cf,) = gamma2_phi_m_closed_form(parity, (m,), 1.5)
+            phim, _ = phi_coefficient(GAMMA2, j, k, m, 1.5, tr)
+            assert abs(phim - cf) < 2e-4, (j, k, m)
             # at s = 1 the closed form backs the limit evaluation
             (exact,) = phi_m1_exact(GAMMA2, j, k, (m,))
-            approx = phi_coefficient(GAMMA2, j, k, m, 1.0, tr).partial_sum
+            approx, _ = phi_coefficient(GAMMA2, j, k, m, 1.0, tr)
             assert abs(exact - approx) < 5e-3
 
 
 def test_phi_gamma1_zero_mode_closed_form():
     # sum over coprime pairs: phi0 = zeta(2s-1)/zeta(2s)
-    pt = phi_coefficient(GAMMA1, CUSP_INF, CUSP_INF, 0, 2.0, TruncationSpec(c_max=2000))
-    assert abs(pt.partial_sum - zeta(3.0) / zeta(4.0)) < 1e-6
+    phi0, _ = phi_coefficient(GAMMA1, CUSP_INF, CUSP_INF, 0, 2.0, TruncationSpec(c_max=2000))
+    assert abs(phi0 - zeta(3.0) / zeta(4.0)) < 1e-6
 
 
 def test_phi_symmetry_normalized():
@@ -181,8 +181,8 @@ def test_phi_symmetry_normalized():
     tr = TruncationSpec(c_max=400)
     reps = cusp_reps(2)
     a, b = reps[0].rep, reps[-1].rep
-    p1 = phi_coefficient(g, a, b, 0, 2.0, tr).partial_sum
-    p2 = phi_coefficient(g, b, a, 0, 2.0, tr).partial_sum
+    p1, _ = phi_coefficient(g, a, b, 0, 2.0, tr)
+    p2, _ = phi_coefficient(g, b, a, 0, 2.0, tr)
     assert abs(p1 - p2) < 1e-6
 
 
@@ -200,11 +200,11 @@ def test_same_fiber_modes_vanish_off_multiples():
     tr = TruncationSpec(c_max=60)
     inf = cusp_reps(3)[-1].rep
     for m in (1, 2, 4, 5):
-        pt = phi_coefficient(g, inf, inf, m, 2.0, tr)
-        assert abs(pt.partial_sum) < 1e-12
+        phim, _ = phi_coefficient(g, inf, inf, m, 2.0, tr)
+        assert abs(phim) < 1e-12
     # the first surviving diagonal mode sits at 2n here
-    pt6 = phi_coefficient(g, inf, inf, 6, 2.0, tr)
-    assert abs(pt6.partial_sum) > 1e-3
+    phi6, _ = phi_coefficient(g, inf, inf, 6, 2.0, tr)
+    assert abs(phi6) > 1e-3
 
 
 def test_fourier_vs_direct_gamma2():
@@ -261,7 +261,7 @@ def _fourier_eval_per_mode(group, j, k, z, s, trunc):
         val += (complex(y) / b) ** s
     gs = gamma_fn(complex(s))
     gs_half = gamma_fn(complex(s) - 0.5)
-    phi0 = phi_coefficient(group, jc, kc, 0, s, trunc).partial_sum
+    phi0, _ = phi_coefficient(group, jc, kc, 0, s, trunc)
     val += math.sqrt(math.pi) * gs_half / gs * phi0 * complex(y) ** (1 - s) \
         / (complex(b) ** s * b)
     for m in range(1, trunc.m_max + 1):
@@ -272,13 +272,14 @@ def _fourier_eval_per_mode(group, j, k, z, s, trunc):
         coef = 2.0 * math.pi ** complex(s) * (m / b) ** (complex(s) - 0.5) / gs \
             * math.sqrt(y) * kb / (complex(b) ** s * b)
         for sign in (1, -1):
-            phim = phi_coefficient(group, jc, kc, sign * m, s, trunc).partial_sum
+            phim, _ = phi_coefficient(group, jc, kc, sign * m, s, trunc)
             val += coef * phim * cmath.exp(2j * math.pi * sign * m * x / b)
     return val
 
 
 def _fourier_limit_per_mode(group, j, k, z, trunc):
-    """The limit assembly with one phi(1) evaluation per mode."""
+    """The limit assembly with one phi(1) evaluation per mode: the closed
+    form of the full modular group and level 2, else the lanes."""
     import fermatkl.scattering as scattering
 
     x, y = z.real, z.imag
@@ -294,22 +295,30 @@ def _fourier_limit_per_mode(group, j, k, z, trunc):
         decay = math.exp(-2.0 * math.pi * m * y / b)
         if decay < 1e-18:
             break
-        if group == GAMMA2:
+        if group.n == 1:
             (phim,) = phi_m1_exact(group, jc, kc, (m,), trunc)
         else:
-            phim = phi_coefficient(group, jc, kc, m, 1.0, trunc).partial_sum
+            phim, _ = phi_coefficient(group, jc, kc, m, 1.0, trunc)
         acc += 2.0 * (phim * cmath.exp(2j * math.pi * m * x / b)).real * decay
     val += 4.0 * math.pi * (math.pi / (b * b)) * acc
     return complex(val)
 
 
 def test_fourier_eval_matches_per_mode_assembly():
-    # one inner_sums call for every mode, -m rows as conjugates: the same
-    # bits as one phi per mode, for every base pair of levels 1 to 4
+    # one lane read for every mode, -m rows as conjugates: the same bits
+    # as one phi per mode, for every base pair of levels 1 to 4.  The
+    # oracles keep the cuts that the assembly leaves to others: at
+    # Im z = 12 b and 30 b the top modes pass the Bessel argument 700,
+    # where bessel_k_batch gives zero, and at m_max 100 the limit's modes
+    # stop at the decay 1e-18, where the oracle also stops at
+    # ceil(40 b / (2 pi y)): one mode earlier at Im z = b / (2 pi)
     tr = TruncationSpec(c_max=60, m_max=6)
+    tall = TruncationSpec(c_max=30, m_max=12)
+    wide = TruncationSpec(c_max=60, m_max=100)
     z = 0.3 + 0.9j
     for n in (1, 2, 3, 4):
         g = gamma_n(n)
+        b = g.width
         over = {base: [fc.rep for fc in cusp_reps(n) if gamma2_base(fc.rep) == base]
                 for base in (CUSP_ZERO, CUSP_ONE, CUSP_INF)}
         for a, js in enumerate(over.values()):
@@ -317,9 +326,14 @@ def test_fourier_eval_matches_per_mode_assembly():
                 # a subcusp other than the first where the base has several
                 j, k = js[(a + c) % len(js)], ks[-1 - a % len(ks)]
                 for s in (2.0, 1.5 + 0.7j):
-                    want = _fourier_eval_per_mode(g, j, k, z, s, tr)
-                    assert fourier_eval(g, j, k, z, s, tr) == want, (n, j, k, s)
-                assert fourier_limit_eval(g, j, k, z, tr) == _fourier_limit_per_mode(g, j, k, z, tr)
+                    for at, t in ((z, tr), (0.3 + 12j * b, tall), (-0.7 + 30j * b, tall)):
+                        want = _fourier_eval_per_mode(g, j, k, at, s, t)
+                        assert _bits(fourier_eval(g, j, k, at, s, t)) == _bits(want), (n, j, k, at, s)
+                for at, t in ((z, tr), *((0.3 + 1j * h, wide)
+                                         for h in (0.8 * b / (2 * math.pi), b / (2 * math.pi),
+                                                   1.3 * b / (2 * math.pi), 0.4))):
+                    want = _fourier_limit_per_mode(g, j, k, at, t)
+                    assert _bits(fourier_limit_eval(g, j, k, at, t)) == _bits(want), (n, j, k, at)
 
 
 def _bits(v: complex) -> tuple:
@@ -369,10 +383,41 @@ def test_warm_fourier_eval_reads_no_lanes(monkeypatch):
         fourier_limit_eval(g, j, k, 0.2 + 1.1j, tr)
     with monkeypatch.context() as patch:
         patch.setattr(eisenstein, "_stored", refuse)
-        patch.setattr(eisenstein, "inner_sums", refuse)
+        patch.setattr(eisenstein, "_lane_sums", refuse)
         for g, j, k in cases:
             fourier_eval(g, j, k, -0.45 + 1.7j, 2.0, tr)
             fourier_limit_eval(g, j, k, -0.45 + 1.7j, tr)
+
+
+def test_phi_memo_reads_one_lane_set_per_class(monkeypatch):
+    # phi_jk depends only on the class of g_k^-1(j), so a sweep over every
+    # cusp pair reads the lanes of each of the 3 n classes once, the full
+    # modular group's one class once, with the bits of the per-pair
+    # oracles; the limits of the full modular group and level 2 are
+    # closed forms and read none
+    from fermatkl import eisenstein
+
+    tr = TruncationSpec(c_max=60, m_max=6)
+    z = 0.3 + 0.9j
+    reads = []
+    lane_sums = eisenstein._lane_sums
+    monkeypatch.setattr(eisenstein, "_lane_sums", lambda *a: reads.append(1) or lane_sums(*a))
+    for g in (GAMMA1, GAMMA2, *(gamma_n(n) for n in (2, 3, 4, 5))):
+        classes = 1 if g == GAMMA1 else 3 * g.n
+        pairs = [(j, k) for j in group_cusps(g) for k in group_cusps(g)]
+        _fresh_store(monkeypatch)
+        got = {}
+        for s in (2.0, 1.5 + 0.7j):
+            reads.clear()
+            got[s] = [fourier_eval(g, j, k, z, s, tr) for j, k in pairs]
+            assert len(reads) == classes, (g, s)
+        reads.clear()
+        got["limit"] = [fourier_limit_eval(g, j, k, z, tr) for j, k in pairs]
+        assert len(reads) == (0 if g.n == 1 else classes), g
+        for (j, k), *vals in zip(pairs, got[2.0], got[1.5 + 0.7j], got["limit"]):
+            want = [_fourier_eval_per_mode(g, j, k, z, s, tr) for s in (2.0, 1.5 + 0.7j)]
+            want.append(_fourier_limit_per_mode(g, j, k, z, tr))
+            assert list(map(_bits, vals)) == list(map(_bits, want)), (g, j, k)
 
 
 def test_phi_cache_bounded_and_evicted_key_recomputes(monkeypatch):
@@ -382,14 +427,14 @@ def test_phi_cache_bounded_and_evicted_key_recomputes(monkeypatch):
 
     _fresh_store(monkeypatch)
     g, reps = gamma_n(2), cusp_reps(2)
-    j, k = reps[0].rep, reps[-1].rep
+    i = eisenstein._lane_class(g, reps[0].rep, reps[-1].rep)
     bound = eisenstein._phis.cache_info().maxsize
-    first = eisenstein._phis(g, j, k, (0, 1, -1, 2), 20, 1.5)
-    for i in range(1, bound + 1):
-        eisenstein._phis(g, j, k, (0, 1, -1, 2), 20, 1.5 + i / 64)
+    first = eisenstein._phis(g, i, (0, 1, -1, 2), 20, 1.5)
+    for t in range(1, bound + 1):
+        eisenstein._phis(g, i, (0, 1, -1, 2), 20, 1.5 + t / 64)
     info = eisenstein._phis.cache_info()
     assert info.currsize <= bound and info.misses == bound + 1
-    again = eisenstein._phis(g, j, k, (0, 1, -1, 2), 20, 1.5)
+    again = eisenstein._phis(g, i, (0, 1, -1, 2), 20, 1.5)
     assert eisenstein._phis.cache_info().misses == info.misses + 1
     assert again is not first and list(map(_bits, again)) == list(map(_bits, first))
 

@@ -150,7 +150,7 @@ def test_scattering_constants_vs_enumeration():
            / sum(range(half + 1, c_max + 1)))
 
     def entry(s):
-        phi0 = phi_coefficient(g, j, k, 0, s, tr).partial_sum.real
+        phi0 = phi_coefficient(g, j, k, 0, s, tr)[0].real
         phi0 += rho * c_max ** (2 - 2 * s) / (2 * s - 2)
         return (math.sqrt(math.pi) * gamma_fn(s - 0.5) / gamma_fn(s)
                 * phi0 / (b ** s * b))

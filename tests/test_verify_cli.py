@@ -7,11 +7,12 @@ import pytest
 
 from fermatkl.cli import main, parse_complex, parse_cusp, parse_form_label
 from fermatkl.eisenstein import TruncationSpec
-from fermatkl.fermat import cusp_reps, fermat_cusp_of_ram
+from fermatkl.fermat import cusp_reps, fermat_cusp_of_ram, gamma_n
 from fermatkl.sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp
 from fermatkl.verify import (
     CheckReport,
     check_klf_gamma2,
+    check_cross_path,
     check_klf_fermat,
     check_limitsum,
     check_scattering_consistency,
@@ -43,6 +44,26 @@ def test_check_klf_gamma2():
 def test_check_klf_fermat_small():
     fc = cusp_reps(2)[-1]  # infinity cusp, exact modes
     rep = check_klf_fermat(2, fc, 2j, TruncationSpec(c_max=300, m_max=10, order=20))
+    assert rep.passed, rep
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_cross_path_above_level_5_at_m_max_20(n):
+    # past level 5 the cross path needs modes beyond the default m_max 10
+    # (ROADMAP item 5): 9.6e-7 at n = 6 and 2.9e-6 at n = 7 with 20
+    reps = cusp_reps(n)
+    rep = check_cross_path(gamma_n(n), reps[0].rep, reps[-1].rep, 1j, 2.0,
+                           TruncationSpec(c_max=400, m_max=20))
+    assert rep.passed, rep
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 5: fourier_eval stops at m_max 10, "
+                                       "1.05e-4 at n = 6 and 1.53e-4 at n = 7 against 1e-4")
+@pytest.mark.parametrize("n", [6, 7])
+def test_cross_path_above_level_5_at_default_m_max(n):
+    reps = cusp_reps(n)
+    rep = check_cross_path(gamma_n(n), reps[0].rep, reps[-1].rep, 1j, 2.0,
+                           TruncationSpec(c_max=400))
     assert rep.passed, rep
 
 
