@@ -28,13 +28,7 @@ from .eisenstein import (
     fourier_limit_eval,
     phi_coefficient,
 )
-from .fermat import (
-    GAMMA1,
-    classify_cusp,
-    cusp_reps,
-    gamma_n,
-    ramification_point,
-)
+from .fermat import GAMMA1, classify_cusp, cusp_reps, gamma_n
 from .qseries import FormLabel, OrderTooSmall, expansion
 from .scattering import scattering_matrix
 from .sl2 import Cusp, decompose_gamma2
@@ -165,17 +159,14 @@ def cmd_cusps(args) -> int:
     trunc = _config_from(args)
     n = _level(args)
     group = gamma_n(n)
-    rows = []
-    for fc in cusp_reps(n):
-        rp = ramification_point(fc)
-        rows.append({
-            "rep": str(fc.rep),
-            "kind": fc.kind,
-            "index": fc.index,
-            "width": group.width,
-            "ramification_point": rp.coords(),
-            "beta_image": str(rp.beta_image),
-        })
+    rows = [{
+        "rep": str(fc.rep),
+        "kind": fc.kind,
+        "index": fc.index,
+        "width": group.width,
+        "ramification_point": fc.coords(),
+        "beta_image": str(fc.beta_image),
+    } for fc in cusp_reps(n)]
     _emit(args, "cusps", {"n": n}, {"cusps": rows}, trunc)
     return 0
 

@@ -729,8 +729,9 @@ def fourier_limit_eval(group: GroupId, j: Cusp, k: Cusp, z: complex,
     Constant mode from the closed-form natural scattering constant, log
     term with coefficient 12/index on the 4 pi scale, oscillating modes
     pi/(b_j b_k) phi_{jk,m}(1) exp(-2 pi |m| y / b_k + 2 pi i m x / b_k)
-    for m = 1..m_max up to the last whose decay is at least 1e-18, the
-    phi of every mode from one phi_m1_exact call.
+    for m = 1..m_max up to the last whose decay is at least 1e-18.  The
+    phi of the modes 1..m_max come from one phi_m1_exact call, whatever
+    the cut, so a lane class takes one _phis key at every height.
     """
     x, y = z.real, z.imag
     if y <= 0:
@@ -744,7 +745,7 @@ def fourier_limit_eval(group: GroupId, j: Cusp, k: Cusp, z: complex,
         val += 4.0 * math.pi * y / b
     decays = list(takewhile(lambda t: t >= 1e-18, (math.exp(-2.0 * math.pi * m * y / b)
                                                    for m in range(1, trunc.m_max + 1))))
-    phis = phi_m1_exact(group, jc, kc, range(1, len(decays) + 1), trunc) if decays else []
+    phis = phi_m1_exact(group, jc, kc, range(1, trunc.m_max + 1), trunc) if decays else []
     acc = 0.0
     for m, (decay, phim) in enumerate(zip(decays, phis), start=1):
         acc += 2.0 * (phim * cmath.exp(2j * math.pi * m * x / b)).real * decay

@@ -5,12 +5,13 @@ The level-N Fermat group is the kernel of the exponent-sum map
 in PSL(2, Z) of index 6N^2 with 3N cusps of common width 2N.  At N = 1
 the kernel is the whole level-2 group, so GAMMA2 is gamma_n(1) and its
 cusps 0, 1, inf are the level-1 representatives.  This module provides
-the representative system, cusp classification, coset representatives
-and the dictionary between cusps and the ramification points of the
-degree-N^2 Belyi map of the Fermat curve x^N + y^N = 1.  The class of a
-cusp is read from the coset-word walk of the sl2 module through TAU_MAP;
-its witness, a matrix of the group that maps the representative to the
-cusp, passes a level-N membership test and so certifies the class.
+the representative system, cusp classification and coset
+representatives.  A cusp and the ramification point under it of the
+degree-N^2 Belyi map of the Fermat curve x^N + y^N = 1 are one object
+and one record, FermatCusp.  The class of a cusp is read from the
+coset-word walk of the sl2 module through TAU_MAP; its witness, a
+matrix of the group that maps the representative to the cusp, passes a
+level-N membership test and so certifies the class.
 """
 
 from __future__ import annotations
@@ -98,44 +99,17 @@ def class_shift(kind: str, r1: int, r2: int) -> int:
 
 
 @dataclass(frozen=True)
-class RamPoint:
-    """Ramification point of the Belyi map, with symbolic coordinates.
-
-    Kind A is (0 : zeta^j : 1), kind B is (zeta^j : 0 : 1) and kind C is
-    (eps * zeta^j : 1 : 0), where zeta = e^(2 pi i / n) and
-    eps = e^(pi i / n).  Only the exponent data is stored.
-    """
-
-    n: int
-    kind: str
-    j: int
-
-    def __post_init__(self):
-        if not 0 <= self.j < self.n:
-            raise ValueError("index out of range")
-
-    @property
-    def beta_image(self) -> Cusp:
-        return _BASE_OF_KIND[self.kind]
-
-    def coords(self) -> str:
-        z = f"zeta^{self.j}" if self.j else "1"
-        if self.kind == KIND_A:
-            return f"(0 : {z} : 1)"
-        if self.kind == KIND_B:
-            return f"({z} : 0 : 1)"
-        e = f"eps*zeta^{self.j}" if self.j else "eps"
-        return f"({e} : 1 : 0)"
-
-
-@dataclass(frozen=True)
 class FermatCusp:
-    """A cusp of the level-n Fermat group.
+    """A cusp of the level-n Fermat group and the ramification point of
+    the Belyi map under it, which are one object.
 
     ``rep`` is the representative from the standard system
     S_0 = {0, 2, ..., 2n-2}, S_1 = {1, 3, ..., 2n-1},
-    S_inf = {1/2, ..., 1/(2n-2), inf}; ``kind``/``index`` identify the
-    matching ramification point.
+    S_inf = {1/2, ..., 1/(2n-2), inf}.  ``kind``/``index`` name the
+    ramification point, with symbolic coordinates: kind A is
+    (0 : zeta^j : 1), kind B is (zeta^j : 0 : 1) and kind C is
+    (eps * zeta^j : 1 : 0), where j is the index, zeta = e^(2 pi i / n)
+    and eps = e^(pi i / n).  Only the exponent data is stored.
     """
 
     n: int
@@ -146,30 +120,37 @@ class FermatCusp:
     def __str__(self):
         return f"{self.rep}"
 
+    @property
+    def beta_image(self) -> Cusp:
+        """Image under the Belyi map: the level-2 base 0, 1 or inf."""
+        return _BASE_OF_KIND[self.kind]
 
-def _rep_of_class(base: Cusp, t: int, n: int) -> Cusp:
-    """Standard representative for invariant t at the given base cusp."""
-    t %= n
-    if base == CUSP_ZERO:
-        return Cusp(2 * t, 1)
-    if base == CUSP_ONE:
-        return Cusp(2 * t + 1, 1)
-    return CUSP_INF if t == 0 else Cusp(1, 2 * t)
+    def coords(self) -> str:
+        z = f"zeta^{self.index}" if self.index else "1"
+        if self.kind == KIND_A:
+            return f"(0 : {z} : 1)"
+        if self.kind == KIND_B:
+            return f"({z} : 0 : 1)"
+        e = f"eps*{z}" if self.index else "eps"
+        return f"({e} : 1 : 0)"
 
 
-def _kind_index_of(base: Cusp, t: int, n: int) -> tuple[str, int]:
-    """Ramification kind/index for class invariant t.
+def _fermat_cusp(base: Cusp, t: int, n: int) -> FermatCusp:
+    """The cusp of class invariant t over the given level-2 base, with
+    its standard representative and its ramification point.
 
     Correspondence 2n-2j <-> A_j, 2n-2j+1 <-> B_j, 1/(2n-2j) <-> C_j,
     anchored at 0 <-> (0:1:1), 1 <-> (1:0:1), inf <-> (eps:1:0); each
     family reduces to index (n - t) mod n in the class invariant t.
     """
-    return _KIND_OF_BASE[base], (n - t) % n
-
-
-def _fermat_cusp(base: Cusp, t: int, n: int) -> FermatCusp:
-    kind, j = _kind_index_of(base, t, n)
-    return FermatCusp(n=n, kind=kind, index=j, rep=_rep_of_class(base, t, n))
+    t %= n
+    if base == CUSP_ZERO:
+        rep = Cusp(2 * t, 1)
+    elif base == CUSP_ONE:
+        rep = Cusp(2 * t + 1, 1)
+    else:
+        rep = CUSP_INF if t == 0 else Cusp(1, 2 * t)
+    return FermatCusp(n, _KIND_OF_BASE[base], (n - t) % n, rep)
 
 
 # Levels whose cusp and coset representatives stay memoized; a level
@@ -193,12 +174,8 @@ def cusp_reps(n: int) -> tuple[FermatCusp, ...]:
     return tuple(out)
 
 
-def ramification_point(fc: FermatCusp) -> RamPoint:
-    return RamPoint(n=fc.n, kind=fc.kind, j=fc.index)
-
-
 def fermat_cusp_of_ram(n: int, kind: str, j: int) -> FermatCusp:
-    """Inverse of ramification_point."""
+    """The cusp whose ramification point has the given kind and index."""
     return _fermat_cusp(_BASE_OF_KIND[kind], (n - j) % n, n)
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .fermat import class_shift
+from .fermat import KIND_A, KIND_B, KIND_C, class_shift
 from .sl2 import Mat2Z, NotInGamma2, gamma2_exponent_sums
 
 _UNIT = 2.0 ** -53  # float64 unit roundoff, for the rounding bounds
@@ -396,7 +396,6 @@ def _as_radical(c: Fraction) -> tuple[Fraction, Fraction]:
 # concrete forms
 # ---------------------------------------------------------------------------
 
-KINDS = ("A", "B", "C")
 # The level-2 forms as (theta numerator, theta denominator or 0, sign),
 # the thetas named by their index: theta3^4, theta4^4, theta2^4.  Their
 # series and their values at a point are both read from this table.
@@ -424,7 +423,7 @@ class FormLabel:
         if self.name in ("x", "y", "f") and self.n < 1:
             raise ValueError("level must be >= 1")
         if self.name == "f":
-            if self.kind not in KINDS:
+            if self.kind not in (KIND_A, KIND_B, KIND_C):
                 raise ValueError("f labels need kind A, B or C")
             if not 0 <= self.j < self.n:
                 raise ValueError("f index out of range")

@@ -37,9 +37,6 @@ class LevelMismatch(ValueError):
 
 @dataclass(frozen=True)
 class ScatteringEntry:
-    group: GroupId
-    j: Cusp
-    k: Cusp
     normalized: float
     natural: float
     case_tag: str
@@ -79,7 +76,7 @@ def gamma2_constants() -> list[list[ScatteringEntry]]:
         for k in reps:
             nat = diag if j == k else off
             tag = "diag" if j == k else "cross_fiber"
-            row.append(ScatteringEntry(GAMMA2, j, k, nat - shift, nat, tag))
+            row.append(ScatteringEntry(nat - shift, nat, tag))
         out.append(row)
     return out
 
@@ -104,8 +101,7 @@ def fermat_constant(n: int, fc_j: FermatCusp, fc_k: FermatCusp) -> ScatteringEnt
         # |1 - zeta_n^delta| = 2 sin(pi delta / n)
         log_gap = math.log(2.0 * math.sin(math.pi * delta / n))
         normalized = pref * (c1 - (2 * log2 + 6 * logn + 3 * n * log_gap) / math.pi)
-    return ScatteringEntry(group, fc_j.rep, fc_k.rep,
-                           normalized, normalized + natural_shift(group), tag)
+    return ScatteringEntry(normalized, normalized + natural_shift(group), tag)
 
 
 def scattering_matrix(n: int) -> list[list[ScatteringEntry]]:

@@ -420,6 +420,31 @@ def test_phi_memo_reads_one_lane_set_per_class(monkeypatch):
             assert list(map(_bits, vals)) == list(map(_bits, want)), (g, j, k)
 
 
+def test_limit_reads_one_lane_set_per_class_at_every_height(monkeypatch):
+    # the 1e-18 decay cut keeps fewer modes the higher z is, but the limit
+    # takes the phi of all m_max modes, so ten heights of one class read
+    # its lanes once; each value has the bits of a limit whose m_max is
+    # its own cut, which asks for exactly the modes it sums
+    from fermatkl import eisenstein
+
+    g, reps = gamma_n(3), cusp_reps(3)
+    j, k = reps[0].rep, reps[-1].rep
+    tr = TruncationSpec(c_max=60, m_max=100)
+    zs = [0.2 + 0.25j * h for h in range(2, 12)]
+    reads = []
+    lane_sums = eisenstein._lane_sums
+    monkeypatch.setattr(eisenstein, "_lane_sums", lambda *a: reads.append(1) or lane_sums(*a))
+    _fresh_store(monkeypatch)
+    got = [fourier_limit_eval(g, j, k, z, tr) for z in zs]
+    assert len(reads) == 1
+    for z, val in zip(zs, got):
+        cut = sum(math.exp(-2.0 * math.pi * m * z.imag / g.width) >= 1e-18
+                  for m in range(1, tr.m_max + 1))
+        assert cut < tr.m_max
+        want = fourier_limit_eval(g, j, k, z, TruncationSpec(c_max=60, m_max=cut))
+        assert _bits(val) == _bits(want), z
+
+
 def test_phi_cache_bounded_and_evicted_key_recomputes(monkeypatch):
     # past maxsize distinct keys the oldest goes, and computing it again
     # gives the same bits

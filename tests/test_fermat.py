@@ -13,7 +13,6 @@ from fermatkl.fermat import (
     fermat_cusp_of_ram,
     gamma2_base,
     gamma_n,
-    ramification_point,
 )
 from fermatkl.sl2 import (
     CUSP_INF,
@@ -120,9 +119,8 @@ def test_ramification_table_anchors():
         assert (reps["1"].kind, reps["1"].index) == ("B", 0)
         assert (reps["inf"].kind, reps["inf"].index) == ("C", 0)
         for fc in cusp_reps(n):
-            rp = ramification_point(fc)
-            assert fermat_cusp_of_ram(n, rp.kind, rp.j) == fc
-            assert rp.beta_image == {"A": CUSP_ZERO, "B": CUSP_ONE, "C": CUSP_INF}[fc.kind]
+            assert fermat_cusp_of_ram(n, fc.kind, fc.index) == fc
+            assert fc.beta_image == {"A": CUSP_ZERO, "B": CUSP_ONE, "C": CUSP_INF}[fc.kind]
 
 
 def test_beta_compatibility():
@@ -130,14 +128,29 @@ def test_beta_compatibility():
     for n in (2, 3, 5):
         for fc in cusp_reps(n):
             base = gamma2_base(fc.rep)
-            assert base == ramification_point(fc).beta_image
+            assert base == fc.beta_image
+
+
+def test_cusp_record_is_its_ramification_point():
+    # each cusp of the standard system is the record that its
+    # ramification point names, over the level-2 base of its rep
+    for n in (1, 2, 3, 5, 8, 24):
+        reps = cusp_reps(n)
+        assert len(reps) == 3 * n
+        for fc in reps:
+            assert fc.n == n
+            assert fermat_cusp_of_ram(n, fc.kind, fc.index) == fc
+            assert fc.beta_image == gamma2_base(fc.rep)
 
 
 def test_ram_point_coords():
-    fc = fermat_cusp_of_ram(3, "C", 1)
-    assert ramification_point(fc).coords() == "(eps*zeta^1 : 1 : 0)"
-    fc = fermat_cusp_of_ram(3, "A", 0)
-    assert ramification_point(fc).coords() == "(0 : 1 : 1)"
+    coords = {(kind, j): fermat_cusp_of_ram(3, kind, j).coords()
+              for kind in "ABC" for j in (0, 1)}
+    assert coords == {
+        ("A", 0): "(0 : 1 : 1)", ("A", 1): "(0 : zeta^1 : 1)",
+        ("B", 0): "(1 : 0 : 1)", ("B", 1): "(zeta^1 : 0 : 1)",
+        ("C", 0): "(eps : 1 : 0)", ("C", 1): "(eps*zeta^1 : 1 : 0)",
+    }
 
 
 def test_coset_reps():

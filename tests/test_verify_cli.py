@@ -184,6 +184,21 @@ def test_cli_cusps_and_errors():
     assert rec["schema_version"] == "1"
     assert len(rec["results"]["cusps"]) == 6
     assert rec["results"]["cusps"][0]["width"] == 4
+    rc, out, _ = run_cli("cusps", "--n", "3", "--no-timestamp")
+    assert rc == 0
+    rows = [(c["rep"], c["kind"], c["index"], c["width"], c["ramification_point"], c["beta_image"])
+            for c in json.loads(out)["results"]["cusps"]]
+    assert rows == [
+        ("0", "A", 0, 6, "(0 : 1 : 1)", "0"),
+        ("2", "A", 2, 6, "(0 : zeta^2 : 1)", "0"),
+        ("4", "A", 1, 6, "(0 : zeta^1 : 1)", "0"),
+        ("1", "B", 0, 6, "(1 : 0 : 1)", "1"),
+        ("3", "B", 2, 6, "(zeta^2 : 0 : 1)", "1"),
+        ("5", "B", 1, 6, "(zeta^1 : 0 : 1)", "1"),
+        ("1/2", "C", 2, 6, "(eps*zeta^2 : 1 : 0)", "inf"),
+        ("1/4", "C", 1, 6, "(eps*zeta^1 : 1 : 0)", "inf"),
+        ("inf", "C", 0, 6, "(eps : 1 : 0)", "inf"),
+    ]
     rc, _, err = run_cli("cusps", "--n", "0", "--no-timestamp")
     assert rc == 1 and "usage" in err
 
