@@ -36,16 +36,17 @@ each standing for the residues d + step c k: a class over 0 or 1 is
 Rows(2N, lifted d, its base's bounds), one over infinity Rows(2, kept d,
 its own bounds).  Each is built whole for c <= c_max, read as a prefix,
 and built again from c = 1 when read past its reach; the Fourier lanes
-are class rows built from the kept tau on each call.  tau is an
-integer-linear map, one per coset state (fermat.TAU_MAP), of the
-exponent sums and coset state that one Euclid on the column (d, -c) of
-M^-1 gives: the int64 coset-word walk of the sl2 module, whose exact-int
-form, with the same round tables and map, gives every scalar exponent
-sum and cusp class.  So the two sides of a cross-path check share tau,
-the class rows and that one walk: an error in a round table or in
-TAU_MAP moves both sides, and the tests check that a Kronecker-limit
-check of the verify suite still fails on it.  The entries share one
-store bounded by a least-recently-used count of int32 cells.
+are class rows built from the kept tau on each call.  tau is
+fermat.tau_column: an integer-linear map, one per coset state
+(fermat.TAU_MAP), of the exponent sums and coset state that one Euclid
+on the column (d, -c) of M^-1 gives, the int64 coset-word walk of the
+sl2 module.  The exact-int walk, with the same round tables and map,
+gives every scalar exponent sum and cusp class.  So the two sides of a
+cross-path check share tau, the class rows and that one walk: an error
+in a round table or in TAU_MAP moves both sides, and the tests check
+that a Kronecker-limit check of the verify suite still fails on it.
+The entries share one store bounded by a least-recently-used count of
+int32 cells.
 
 inner_sums reads the lanes once per call for every mode asked for, and
 the row of -m is the conjugate of the row of m, so fourier_eval reads
@@ -85,14 +86,14 @@ import numpy as np
 from . import scattering
 from .fermat import (
     GAMMA2,
-    TAU_MAP,
     GroupId,
     class_shift,
     classify_rep_index,
     cusp_reps,
     gamma2_base,
+    tau_column,
 )
-from .sl2 import CUSP_INF, Cusp, coset_word_sums_batch, cusp_scaling_matrix, mobius_apply
+from .sl2 import CUSP_INF, Cusp, cusp_scaling_matrix, mobius_apply
 from .special import bessel_k_batch, gamma_fn, zeta
 
 
@@ -332,10 +333,6 @@ _GAMMA1_ROWS = (1, 0, 0)
 # memory for little speed.
 _ENUM_BLOCK = 2048
 
-# Rows per block of a tau column, whose Euclid rounds pay a
-# fixed cost per numpy call that small blocks would multiply.
-_COLUMN_BLOCK = 1 << 13
-
 # Lanes per block of inner_sums, in whole c's: its two complex buffers,
 # the unit phase and its running power, stay near 64 kB each, below the
 # full-length columns a call reads, and fit in cache.
@@ -353,10 +350,6 @@ _DOT_CHUNK = 1 << 13
 # Entries of the memoized phi sums, (group, lane class, modes, c_max, s),
 # each at most 2 m_max + 1 complex numbers: well under 1 MB in all.
 _PHI_CACHE = 256
-
-# tau = coef[0, s] phi1 + coef[1, s] phi2 + coef[2, s] of the output
-# (phi1, phi2, s) of coset_word_sums_batch, per coset state s
-_TAU_COEF = np.transpose(TAU_MAP)
 
 
 class _Entry:
@@ -405,7 +398,7 @@ def _tau_rows(key: tuple, c_max: int) -> Rows:
     kept under ("tau", key) over the row set's bounds."""
     def build(c_max):
         rows = _row_set(key, c_max)
-        return rows._replace(d=_tau_column(rows.c_column(), rows.d))
+        return rows._replace(d=tau_column(rows.c_column(), rows.d))
     return _stored(("tau", key), c_max, build, (key,))
 
 
@@ -427,59 +420,34 @@ def _build_class_rows(group: GroupId, i: int, c_max: int) -> Rows:
     return Rows(rows.step, rows.d[kept], np.concatenate(([0], np.cumsum(kept)))[rows.bounds])
 
 
-def _totients(n: int) -> np.ndarray:
-    """Euler's phi(c) for c = 0..n, phi(0) = 0."""
-    phi = np.arange(n + 1, dtype=np.int64)
-    prime = np.ones(n + 1, dtype=bool)
-    prime[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if prime[p]:
-            prime[p * p::p] = False
-    for p in np.flatnonzero(prime).tolist():
-        phi[p::p] -= phi[p::p] // p
-    return phi
-
-
 def _enumerate_lanes(key: tuple, c_max: int) -> Rows:
     """Rows of the row set key = (w, c0, d0) for c <= c_max: the coprime
     d among the c candidates d0 + w i of each c = c0 (mod w), in blocks of
-    about _ENUM_BLOCK candidates, each holding whole c's.  The row counts
-    give bounds, and the column is allocated once from them: phi(c) of
-    each c, and phi(2c) = 2 phi(c) for even c at w = 2, whose candidates
-    are the odd d below 2c."""
+    about _ENUM_BLOCK candidates, each holding whole c's.  The gcd filter
+    of a block gives the rows and the row count of each of its c's, and
+    one concatenate the column."""
     step, c0, d0 = key
     if step * c_max > np.iinfo(np.int32).max:
         raise OverflowError(f"table rows up to c = {c_max} overflow int32")
     cs = np.arange(c0 or step, c_max + 1, step, dtype=np.int64)
     counts = np.zeros(c_max + 1, dtype=np.int64)
-    counts[cs] = _totients(c_max)[cs] * np.where(cs % 2, 1, step)
-    bounds = np.cumsum(counts)
-    d_col = np.empty(int(bounds[-1]), dtype=np.int32)
+    parts = [np.empty(0, dtype=np.int32)]
     block_of = (np.cumsum(cs) - 1) // _ENUM_BLOCK
     for blk in np.split(cs, np.flatnonzero(np.diff(block_of)) + 1):
         if blk.size:
+            first = np.cumsum(blk) - blk
             c = np.repeat(blk, blk)
-            d = d0 + step * (np.arange(c.size) - np.repeat(np.cumsum(blk) - blk, blk))
-            d_col[bounds[blk[0] - 1]:bounds[blk[-1]]] = d[np.gcd(d, c) == 1]
-    return Rows(step, d_col, bounds)
+            d = d0 + step * (np.arange(c.size) - np.repeat(first, blk))
+            coprime = np.gcd(d, c) == 1
+            counts[blk] = np.add.reduceat(coprime, first, dtype=np.int64)
+            parts.append(d[coprime])
+    return Rows(step, np.concatenate(parts, dtype=np.int32), np.cumsum(counts))
 
 
 def _int32(x: np.ndarray, name) -> np.ndarray:
     if x.size and np.abs(x).max() > np.iinfo(np.int32).max:
         raise OverflowError(f"column {name} overflows int32")
     return x.astype(np.int32)
-
-
-def _tau_column(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """tau of (-d : c) over rows (c, d) as int32, read through _TAU_COEF
-    from coset_word_sums_batch block by block into one preallocated
-    column."""
-    col = np.empty(c.size, dtype=np.int32)
-    for lo in range(0, c.size, _COLUMN_BLOCK):
-        phi1, phi2, s = coset_word_sums_batch(c[lo:lo + _COLUMN_BLOCK], d[lo:lo + _COLUMN_BLOCK])
-        a1, a2, b = _TAU_COEF.take(s, axis=1)
-        col[lo:lo + s.size] = _int32(a1 * phi1 + a2 * phi2 + b, "tau")
-    return col
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ cusps 0, 1, inf are the level-1 representatives.  This module provides
 the representative system, cusp classification and coset
 representatives.  A cusp and the ramification point under it of the
 degree-N^2 Belyi map of the Fermat curve x^N + y^N = 1 are one object
-and one record, FermatCusp.  The class of a cusp is read from the
-coset-word walk of the sl2 module through TAU_MAP; its witness, a
-matrix of the group that maps the representative to the cusp, passes a
-level-N membership test and so certifies the class.
+and one record, FermatCusp.  The class invariants of cusps and of
+lattice rows both live here, read through the one TAU_MAP from the
+coset-word walk of the sl2 module: classify_rep_index reads a cusp's
+from the exact-int walk, and tau_column the unreduced invariant of
+(-d : c) over rows (c, d) from the int64 batch walk.  The witness of a
+cusp's class, a matrix of the group that maps the representative to the
+cusp, passes a level-N membership test and so certifies the class.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import pi
+
+import numpy as np
 
 from .sl2 import (
     COSET_REPS,
@@ -31,6 +36,7 @@ from .sl2 import (
     GEN2,
     T,
     _coset_word,
+    coset_word_sums_batch,
     cusp_scaling_matrix,
     gamma2_exponent_sums,
     is_in_gamma_n,
@@ -219,6 +225,29 @@ def classify_rep_index(p: int, q: int, n: int) -> int:
         return n + t
     # S_inf block: reps 1/2 ... 1/(2n-2) then inf (t = 0) last.
     return 2 * n + (t - 1 if t else n - 1)
+
+
+# Rows per block of a tau column, whose Euclid rounds pay a
+# fixed cost per numpy call that small blocks would multiply.
+_COLUMN_BLOCK = 1 << 13
+
+
+def tau_column(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The class invariant tau of (-d : c), unreduced, over rows (c, d)
+    of coprime c >= 1 and d >= 0, as int32: classify_rep_index's
+    invariant before its reduction mod n, read through TAU_MAP from
+    coset_word_sums_batch block by block into one preallocated column.
+    OverflowError when tau leaves int32."""
+    coef = np.transpose(TAU_MAP)
+    col = np.empty(c.size, dtype=np.int32)
+    for lo in range(0, c.size, _COLUMN_BLOCK):
+        phi1, phi2, s = coset_word_sums_batch(c[lo:lo + _COLUMN_BLOCK], d[lo:lo + _COLUMN_BLOCK])
+        a1, a2, b = coef.take(s, axis=1)
+        tau = a1 * phi1 + a2 * phi2 + b
+        if np.abs(tau).max(initial=0) > np.iinfo(np.int32).max:
+            raise OverflowError("tau overflows int32")
+        col[lo:lo + s.size] = tau
+    return col
 
 
 def classify_cusp(c: Cusp, n: int) -> tuple[FermatCusp, Mat2Z]:

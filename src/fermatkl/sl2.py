@@ -26,20 +26,19 @@ s'.  It ends with the sums phi of gamma and the state s in
 N = gamma R_s T^k.  Its round tables come at import from the words
 that decompose_gamma2, a nearest-integer Euclid on the first column,
 spells for those 18 small products.  Truncated quotients keep |x| and
-|y| those of the ordinary Euclid, O(log) rounds, with the sign of q
-alternating from round to round.  Floor quotients would leave the
-remainder with the sign of y and spell the minus continued fraction,
-whose length grows linearly: (c - 1)/c = 1 - 1/(2 - 1/(2 - ...)) takes
-c rounds.
+|y| those of the ordinary Euclid, O(log) rounds.  Floor quotients would
+leave the remainder with the sign of y and spell the minus continued
+fraction, whose length grows linearly: (c - 1)/c = 1 - 1/(2 - 1/(2 - ...))
+takes c rounds.
 
-The walk runs in two number types.  _coset_word runs it in exact ints
-on one column, applying each step to the second column as well, which
-gives k.  gamma2_exponent_sums walks N = M^-1 = [d -b; -c a]: as
-R_s T^k then lies in Gamma(2), R_s is I or T = R_1, and
-r(M) = -(phi1 + (s + k)/2, phi2).  coset_word_sums_batch runs it over
-int64 rows on the first column (d, -c) of M^-1, in float64 on |x| and
-|y|, whose quotients are exact below 2^52, and packs phi1 2^32 + phi2
-in one int64.
+The walk runs in two number types, with the same rounds and tables.
+_coset_word runs it in exact ints on one column, applying each step to
+the second column as well, which gives k.  gamma2_exponent_sums walks
+N = M^-1 = [d -b; -c a]: as R_s T^k then lies in Gamma(2), R_s is I or
+T = R_1, and r(M) = -(phi1 + (s + k)/2, phi2).  coset_word_sums_batch
+runs it over int64 rows on the first column (d, -c) of M^-1, its
+truncated quotients taken in float64, exact below 2^52, and its sums
+packed as phi1 2^32 + phi2 in one int64.
 """
 
 from __future__ import annotations
@@ -387,22 +386,11 @@ def is_in_gamma_n(m: Mat2Z, n: int) -> bool:
     return r1 % n == 0 and r2 % n == 0
 
 
-# The walk's tables for coset_word_sums_batch, packed as r1 2^32 + r2 and
-# indexed by 2 s + e: per sign of q the sums per unit of h = |q| // 2 and
-# the fixed sums, as a negative q = -(2h + e) has j = -h - e; and 2 next.
-_PER_H = [(g1 << 32) + g2 for g1, g2 in _WALK_PER_J for _ in (0, 1)]
-_FIXED = [(f1 << 32) + f2 for f1, f2 in _WALK_FIXED]
-_ROUND_PER_H = {sign: np.array([sign * g for g in _PER_H], dtype=np.int64) for sign in (1, -1)}
-_ROUND_FIXED = {1: np.array(_FIXED, dtype=np.int64),
-                -1: np.array([f - i % 2 * g for i, (f, g) in enumerate(zip(_FIXED, _PER_H))],
-                             dtype=np.int64)}
-_ROUND_NEXT = np.array([2 * t for t in _WALK_NEXT], dtype=np.int64)
-
 # Largest entry coset_word_sums_batch accepts.  Its float64 quotients are
-# exact below 2^52.  A round adds at most |q|/2 + 1 to each |phi_i|, the
-# quotients of the Euclid on (d, c) sum to at most max(c, d), and it
-# takes at most 45 rounds, so |phi| <= 2^28 + 45 stays below the 2^31
-# of the packed phi1 2^32 + phi2.
+# exact below 2^52.  A round adds at most |j| + 1 <= |q|/2 + 3/2 to each
+# |phi_i|, the quotients of the Euclid on (d, c) sum to at most
+# max(c, d), and it takes at most 45 rounds, so |phi| <= 2^28 + 68 stays
+# below the 2^31 of the packed phi1 2^32 + phi2.
 BATCH_ENTRY_BOUND = 1 << 29
 
 
@@ -412,10 +400,11 @@ def coset_word_sums_batch(c, d):
     bottom row (c, d), as int64 arrays over rows of coprime c >= 1 and
     d >= 0.
 
-    One extended Euclid on the first column (d, -c) of M^-1 spells the
-    word of M^-1 in T and S^-1; see the module docstring.  Raises
-    OverflowError when an entry exceeds BATCH_ENTRY_BOUND and ValueError
-    on any other row outside that domain.
+    The rounds of _coset_word on the first column (d, -c) of M^-1, over
+    all rows at once, reading the walk's tables when it runs; see the
+    module docstring.  Raises OverflowError when an entry exceeds
+    BATCH_ENTRY_BOUND and ValueError on any other row outside that
+    domain.
     """
     c, d = (x.ravel() for x in np.broadcast_arrays(np.asarray(c, dtype=np.int64),
                                                      np.asarray(d, dtype=np.int64)))
@@ -423,34 +412,35 @@ def coset_word_sums_batch(c, d):
         raise OverflowError(f"row entries beyond {BATCH_ENTRY_BOUND}")
     if c.size and (c.min() < 1 or d.min() < 0):
         raise ValueError("rows need c >= 1 and d >= 0")
-    # |x| and |y| of the live lanes as float64, whose quotients are exact
-    # below 2^52, their doubled states, and their sums packed as
-    # phi1 2^32 + phi2, exact while |phi| < 2^31, which the bound keeps;
-    # the first quotient d/(-c) is not positive
+    # the tables packed as phi1 2^32 + phi2, exact while |phi| < 2^31,
+    # which the bound keeps
+    per_j, fixed = (np.array([(r1 << 32) + r2 for r1, r2 in table], dtype=np.int64)
+                    for table in (_WALK_PER_J, _WALK_FIXED))
+    after = np.array(_WALK_NEXT, dtype=np.int64)
+    # x and y of the live lanes as float64, whose truncated quotients are
+    # exact below 2^52, their states and their packed sums
     idx = np.arange(c.size)
-    a, b = d.astype(float), c.astype(float)
-    s2, p = np.zeros(c.size, dtype=np.int64), np.zeros(c.size, dtype=np.int64)
+    x, y = d.astype(float), -c.astype(float)
+    s, p = np.zeros(c.size, dtype=np.int64), np.zeros(c.size, dtype=np.int64)
     ended = []
-    sign = -1
     while idx.size:
-        qf = np.floor(a / b)
-        a, b = b, a - qf * b
+        qf = np.trunc(x / y)
+        x, y = -y, x - qf * y
         q = qf.astype(np.int64)
-        se = s2 + (q & 1)
-        p += (q >> 1) * _ROUND_PER_H[sign][s2] + _ROUND_FIXED[sign][se]
-        s2 = _ROUND_NEXT[se]
-        sign = -sign
-        done = b == 0
+        i = 2 * s + (q & 1)
+        p += (q >> 1) * per_j[s] + fixed[i]
+        s = after[i]
+        done = y == 0
         if done.any():
             fin = np.flatnonzero(done)
-            ended.append((idx[fin], a[fin], p[fin], s2[fin]))
+            ended.append((idx[fin], x[fin], p[fin], s[fin]))
             live = np.flatnonzero(~done)
-            idx, a, b, s2, p = idx[live], a[live], b[live], s2[live], p[live]
-    lanes, gcds, packed, state = (np.concatenate(x) for x in zip(*ended)) if ended else (idx,) * 4
-    if (gcds != 1).any():
+            idx, x, y, s, p = idx[live], x[live], y[live], s[live], p[live]
+    lanes, gcds, packed, state = (np.concatenate(v) for v in zip(*ended)) if ended else (idx,) * 4
+    if (np.abs(gcds) != 1).any():
         raise ValueError("rows must be coprime")
     phi1, phi2, s = (np.empty(c.size, dtype=np.int64) for _ in range(3))
     phi2[lanes] = ((packed + (1 << 31)) & 0xFFFFFFFF) - (1 << 31)
     phi1[lanes] = (packed - phi2[lanes]) >> 32
-    s[lanes] = state >> 1
+    s[lanes] = state
     return phi1, phi2, s

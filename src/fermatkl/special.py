@@ -49,8 +49,6 @@ _BERNOULLI = [
 ]
 _B2J = [float(b) for b in _BERNOULLI]
 
-EULER_GAMMA = 0.5772156649015328606065121
-
 _LANCZOS_G = 7.0
 _LANCZOS = [
     0.99999999999980993,

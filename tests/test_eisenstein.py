@@ -767,15 +767,16 @@ def test_character_column_matches_dedekind_oracle():
 
 
 def test_tau_column_matches_dedekind_oracle():
-    # tau from the coset-word pass against the Dedekind-sum classifier,
-    # over every row of the three level-2 row sets at c_max 500, and over
-    # seeded rows with c < 2^24 and d = 1, c - 1, c + 1, 2c - 1 among them
+    # fermat's tau column against the Dedekind-sum classifier, over every
+    # row of the three level-2 row sets at c_max 500, and over seeded rows
+    # with c < 2^24 and d = 1, c - 1, c + 1, 2c - 1 among them
     from fermatkl import eisenstein as e
+    from fermatkl.fermat import tau_column
 
     for key in ROWS_OF_BASE.values():
         rows = e._enumerate_lanes(key, 500)
         c, d = rows.c_column(), rows.d
-        tau = e._tau_column(c, d)
+        tau = tau_column(c, d)
         assert tau.dtype == np.int32
         assert np.array_equal(tau, class_invariants(-d.astype(np.int64), c)[1]), key
     rng = np.random.default_rng(1111)
@@ -786,17 +787,14 @@ def test_tau_column_matches_dedekind_oracle():
     c, d = c[keep], d[keep]
     for special in (np.ones_like(c), c - 1, c + 1, 2 * c - 1):
         assert (d == special).any()
-    assert np.array_equal(e._tau_column(c, d), class_invariants(-d, c)[1])
+    assert np.array_equal(tau_column(c, d), class_invariants(-d, c)[1])
 
 
-def test_row_counts_are_totients():
-    # the preallocated row column holds exactly the coprime rows, and the
-    # bounds from the row counts, phi(c) per c and 2 phi(c) for even c of
-    # a level-2 row set, split it by c
+def test_row_sets_match_brute_force():
+    # the row column holds exactly the coprime rows, and the bounds from
+    # the row counts that the gcd filter keeps split it by c
     from fermatkl import eisenstein as e
 
-    phi = e._totients(300)
-    assert phi.tolist() == [0] + [sum(gcd(i, c) == 1 for i in range(c)) for c in range(1, 301)]
     for key in (ROWS_GAMMA1, *ROWS_OF_BASE.values()):
         w, c0, d0 = key
         for c_max in (1, 2, 37, 300):
@@ -811,7 +809,7 @@ def test_row_counts_are_totients():
 def test_direct_sums_read_cached_class_rows(monkeypatch):
     # the rows of each class are lifted or filtered once per level, read
     # as prefixes after, and built whole again for a larger c_max
-    from fermatkl import eisenstein
+    from fermatkl import eisenstein, fermat
 
     def refuse(*args):
         raise AssertionError("class rows built again")
@@ -825,8 +823,9 @@ def test_direct_sums_read_cached_class_rows(monkeypatch):
         full, _ = eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=40))
         assert sorted(key for key in store if key[0] == "class") == [("class", n, i) for i in range(3 * n)]
         with monkeypatch.context() as patch:
-            for name in ("_build_class_rows", "_tau_column", "_enumerate_lanes", "coset_word_sums_batch"):
+            for name in ("_build_class_rows", "tau_column", "_enumerate_lanes"):
                 patch.setattr(eisenstein, name, refuse)
+            patch.setattr(fermat, "coset_word_sums_batch", refuse)
             assert np.array_equal(eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=40))[0], full)
             assert np.array_equal(eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=25))[0], short)
         eisenstein_direct_all(g, z, 2.0, TruncationSpec(c_max=60))
@@ -1083,13 +1082,13 @@ def test_batched_fermat_enumeration_extends(monkeypatch):
 
 
 def test_levels_share_one_lane_table(monkeypatch):
-    from fermatkl import eisenstein
+    from fermatkl import eisenstein, fermat
 
     lanes = _fresh_store(monkeypatch)
     calls = []
-    for name in ("_enumerate_lanes", "coset_word_sums_batch"):
-        real = getattr(eisenstein, name)
-        monkeypatch.setattr(eisenstein, name,
+    for module, name in ((eisenstein, "_enumerate_lanes"), (fermat, "coset_word_sums_batch")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *a, name=name, real=real: calls.append(name) or real(*a))
     # the cusps 2 at level 2 and 4 at level 3, both over 0, then the level-2 0
     for n in (2, 3):
@@ -1107,10 +1106,9 @@ def test_level2_reads_lanes_without_exponent_sums(monkeypatch):
         raise AssertionError("exponent sums on a level-2 request")
 
     store = _fresh_store(monkeypatch)
-    monkeypatch.setattr(eisenstein, "coset_word_sums_batch", refuse)
     # the lanes of a pair are those of the class of g_k^-1(j), which the
     # level-1 exit of the classifier reads from parities alone
-    for name in ("gamma2_exponent_sums", "_coset_word"):
+    for name in ("coset_word_sums_batch", "gamma2_exponent_sums", "_coset_word"):
         monkeypatch.setattr(fermat, name, refuse)
     tr = TruncationSpec(c_max=80)
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
@@ -1408,7 +1406,7 @@ def test_store_builds_each_entry_once_under_threads(monkeypatch):
     want = [read() for read in reads]
     store = _fresh_store(monkeypatch)
     calls = []
-    for name in ("_build_class_rows", "_tau_column", "_enumerate_lanes"):
+    for name in ("_build_class_rows", "tau_column", "_enumerate_lanes"):
         real = getattr(eisenstein, name)
         monkeypatch.setattr(eisenstein, name,
                             lambda *a, name=name, real=real: calls.append(name) or real(*a))
@@ -1436,7 +1434,7 @@ def test_store_builds_each_entry_once_under_threads(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not bad
-    assert sorted(calls) == ["_build_class_rows", "_enumerate_lanes", "_tau_column"]
+    assert sorted(calls) == ["_build_class_rows", "_enumerate_lanes", "tau_column"]
     assert set(store) == {("class", 3, 0), ("tau", zero), zero}
 
 
@@ -1511,7 +1509,6 @@ def test_tau_map_off_by_one_fails_klf(monkeypatch, state, field):
     mutant[state][field] += 1
     mutant = tuple(map(tuple, mutant))
     monkeypatch.setattr(fermat, "TAU_MAP", mutant)
-    monkeypatch.setattr(eisenstein, "_TAU_COEF", np.transpose(mutant))
     _fresh_store(monkeypatch)
     try:
         reports = verify.run_suite("full", ns=(2, 3, 4))
@@ -1522,32 +1519,45 @@ def test_tau_map_off_by_one_fails_klf(monkeypatch, state, field):
 
 
 @pytest.mark.parametrize("table, slot, lane",
-                         [("_ROUND_PER_H", slot, lane) for slot in range(0, 12, 2) for lane in (1, 1 << 32)]
-                         + [("_ROUND_FIXED", slot, lane) for slot in range(12) for lane in (1, 1 << 32)])
+                         [("_WALK_PER_J", i, lane) for i in range(6) for lane in (0, 1)]
+                         + [("_WALK_FIXED", i, lane) for i in range(12) for lane in (0, 1)]
+                         + [("_WALK_NEXT", i, None) for i in range(12)])
 def test_round_table_off_by_one_fails_klf(monkeypatch, table, slot, lane):
     # both sides of a cross path read tau, and so the round tables of
-    # coset_word_sums_batch, so a cross path alone could miss an error in
+    # the coset-word walk, so a cross path alone could miss an error in
     # them: the Kronecker-limit check, whose other side is the
-    # theta-product form, fails on each.  Per-h slots are read at even
-    # indices 2 s; lane 1 is phi2, 2^32 phi1
-    from fermatkl import eisenstein, sl2, verify
+    # theta-product form, fails on an off-by-one in any entry, in r1
+    # (lane 0), r2 (lane 1) or the next state mod 6, read by the batch
+    # walk alone, while the classifier's exact-int walk reads the true
+    # tables
+    from fermatkl import eisenstein, fermat, sl2, verify
 
     fc = cusp_reps(3)[3]
+    entries = list(getattr(sl2, table))
+    if lane is None:
+        entries[slot] = (entries[slot] + 1) % len(sl2.COSET_REPS)
+    else:
+        entries[slot] = tuple(x + (k == lane) for k, x in enumerate(entries[slot]))
+    batch, calls = fermat.coset_word_sums_batch, []
+
+    def mutant_batch(*args):
+        calls.append(args)
+        with monkeypatch.context() as patch:
+            patch.setattr(sl2, table, tuple(entries))
+            return batch(*args)
 
     def klf():
         _fresh_store(monkeypatch)
         return verify.check_klf_fermat(3, fc, 2j)
 
     assert klf().passed
-    mutant = {sign: col.copy() for sign, col in getattr(sl2, table).items()}
-    mutant[1][slot] += lane
-    monkeypatch.setattr(sl2, table, mutant)
+    monkeypatch.setattr(fermat, "coset_word_sums_batch", mutant_batch)
     try:
         report = klf()
     finally:
         # the phi memoized from the mutant tables go before later tests
         eisenstein._phis.cache_clear()
-    assert report.check_id == "klf_fermat" and not report.passed
+    assert calls and report.check_id == "klf_fermat" and not report.passed
 
 
 def test_lane_table_int32_guard(monkeypatch):

@@ -19,6 +19,7 @@ from fermatkl.sl2 import (
     NotInGamma2,
     S,
     T,
+    _coset_word,
     coset_index,
     coset_word_sums_batch,
     cusp_scaling_matrix,
@@ -333,7 +334,9 @@ def test_coset_reps_cover_the_cosets():
 def test_coset_word_sums_match_matrix_words():
     # M^-1 = gamma R_s T^k: the word of the Euclid, multiplied out as
     # matrices, is gamma R_s, and the Dedekind-sum oracle gives gamma's
-    # sums; gamma2_exponent_sums would read the batch's own round tables
+    # sums; gamma2_exponent_sums would read the batch's own round tables.
+    # The exact-int walk on the same column gives the same (phi, s): one
+    # walk in two number types
     rng = random.Random(2011)
     rows = [(1, 0), (1, 1), (2, 1), (3, 2), (5, 8), (BATCH_ENTRY_BOUND, BATCH_ENTRY_BOUND - 1)]
     for bits in (4, 10, 20, 28):
@@ -349,6 +352,7 @@ def test_coset_word_sums_match_matrix_words():
         gamma = _euclid_word(cv, dv) * COSET_REPS[state[i]].inverse()
         assert is_in_gamma2(gamma), (cv, dv)
         assert gamma2_exponent_sums_dedekind(*gamma.entries()) == (phi1[i], phi2[i]), (cv, dv)
+        assert _coset_word(dv, -cv)[:3] == (phi1[i], phi2[i], state[i]), (cv, dv)
     # int32 rows give the same sums
     got = coset_word_sums_batch(c.astype(np.int32), d.astype(np.int32))
     assert all(np.array_equal(x, y) for x, y in zip(got, (phi1, phi2, state)))
@@ -364,18 +368,14 @@ def test_coset_word_sums_domain():
 
 
 def test_round_tables_pinned():
-    # the batch's packed tables, derived from the walk's, indexed by 2 s + e
+    # the walk's tables, which both number types read: the sums per unit
+    # of j per state s, and per 2 s + e the fixed sums and the next state
     from fermatkl import sl2
 
-    u = 1 << 32
-    per_h = [u, u, u, u, -1, -1, 1 - u, 1 - u, -1, -1, 1 - u, 1 - u]
-    assert sl2._ROUND_PER_H[1].tolist() == per_h
-    assert sl2._ROUND_PER_H[-1].tolist() == [-x for x in per_h]
-    assert sl2._ROUND_FIXED[1].tolist() == [0, 0, 0, u, 0, -1, 0, 1, -1, -1, 1, 1 - u]
-    assert sl2._ROUND_FIXED[-1].tolist() == [0, -u, 0, 0, 0, 0, 0, u, -1, 0, 1, 0]
-    assert sl2._ROUND_NEXT.tolist() == [4, 6, 6, 4, 0, 10, 2, 8, 10, 0, 8, 2]
-    assert all(t.dtype == np.int64 for t in (*sl2._ROUND_PER_H.values(),
-                                             *sl2._ROUND_FIXED.values(), sl2._ROUND_NEXT))
+    assert sl2._WALK_PER_J == ((1, 0), (1, 0), (0, -1), (-1, 1), (0, -1), (-1, 1))
+    assert sl2._WALK_FIXED == ((0, 0), (0, 0), (0, 0), (1, 0), (0, 0), (0, -1),
+                               (0, 0), (0, 1), (0, -1), (0, -1), (0, 1), (-1, 1))
+    assert sl2._WALK_NEXT == (2, 3, 3, 2, 0, 5, 1, 4, 5, 0, 4, 1)
 
 
 @pytest.mark.parametrize("table, slot, lane",
