@@ -790,11 +790,14 @@ def test_tau_column_matches_dedekind_oracle():
     assert np.array_equal(tau_column(c, d), class_invariants(-d, c)[1])
 
 
-def test_row_sets_match_brute_force():
+def test_row_counts_are_totients():
     # the row column holds exactly the coprime rows, and the bounds from
-    # the row counts that the gcd filter keeps split it by c
+    # the row counts that the gcd filter keeps split it by c: phi(w c) rows
+    # for each c of the row set, which is phi(c), or 2 phi(c) for even c of
+    # a level-2 row set
     from fermatkl import eisenstein as e
 
+    phi = [0] + [sum(gcd(i, c) == 1 for i in range(c)) for c in range(1, 601)]
     for key in (ROWS_GAMMA1, *ROWS_OF_BASE.values()):
         w, c0, d0 = key
         for c_max in (1, 2, 37, 300):
@@ -804,6 +807,8 @@ def test_row_sets_match_brute_force():
                     for dv in range(d0, w * cv, w) if gcd(dv, cv) == 1]
             assert list(zip(rows.c_column().tolist(), rows.d.tolist())) == want, (key, c_max)
             assert rows.bounds.tolist() == [sum(cv <= c for cv, _ in want) for c in range(c_max + 1)]
+            assert np.diff(rows.bounds).tolist() == [phi[w * c] if c % w == c0 else 0
+                                                     for c in range(1, c_max + 1)], (key, c_max)
 
 
 def test_direct_sums_read_cached_class_rows(monkeypatch):
