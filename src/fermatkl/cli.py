@@ -13,9 +13,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -33,7 +35,7 @@ from .qseries import FormLabel, OrderTooSmall, expansion
 from .scattering import scattering_matrix
 from .sl2 import Cusp, decompose_gamma2
 from .special import BESSEL_QUADRATURE_NODES, EULER_MACLAURIN_TERMS
-from .verify import run_suite
+from .verify import CheckReport, run_suite
 
 SCHEMA_VERSION = "1"
 
@@ -43,16 +45,21 @@ class UsageError(ValueError):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'x+yi' with decimal literals, e.g. '1+2i', '-0.5i', '2'."""
+    """Parse 'x+yi' with decimal literals, e.g. '1+2i', '-0.5i', '2'.
+    nan and inf parts are usage errors."""
     t = text.strip().replace(" ", "").replace("j", "i")
     if not t:
         raise UsageError("empty complex literal")
     try:
         if t.endswith("i"):
-            return complex(t[:-1] + "j" if t[:-1] not in ("", "+", "-") else t[:-1] + "1j")
-        return complex(t)
+            v = complex(t[:-1] + "j" if t[:-1] not in ("", "+", "-") else t[:-1] + "1j")
+        else:
+            v = complex(t)
     except ValueError as exc:
         raise UsageError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(v):
+        raise UsageError(f"complex number {text!r} is not finite")
+    return v
 
 
 def parse_cusp(text: str) -> Cusp:
@@ -250,11 +257,14 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--ns takes comma-separated levels, got {args.ns!r}") from exc
     if min(ns) < 1:
         raise UsageError("--ns levels must be positive integers")
+    if args.workers < 1:
+        raise UsageError("--workers must be a positive integer")
+    if args.check_tol is not None and not 0 <= args.check_tol < math.inf:
+        raise UsageError("--check-tol must be a finite number >= 0")
     reports = run_suite(args.suite, trunc, ns=ns, workers=args.workers)
     if args.check_id:
         reports = [r for r in reports if r.check_id == args.check_id]
     if args.check_tol is not None:
-        from .verify import CheckReport
         reports = [CheckReport(r.check_id, r.parameters, r.residual,
                                args.check_tol, r.residual <= args.check_tol,
                                r.runtime_ms) for r in reports]

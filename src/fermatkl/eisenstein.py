@@ -101,10 +101,6 @@ class DivergentRegion(ValueError):
     """Series evaluation requested outside Re s > 1."""
 
 
-class TruncationUnsound(ValueError):
-    """Tail estimate exceeds the requested tolerance."""
-
-
 @dataclass(frozen=True)
 class TruncationSpec:
     c_max: int = 500
@@ -119,14 +115,9 @@ class TruncationSpec:
 DEFAULT_TRUNCATION = TruncationSpec()
 
 
-def group_cusps(group: GroupId) -> tuple[Cusp, ...]:
-    if group.kind == "gamma1":
-        return (CUSP_INF,)
-    return tuple(fc.rep for fc in cusp_reps(group.n))
-
-
 def classify_index(group: GroupId, p: int, q: int) -> int:
-    """Index of the class of (p : q) in the group_cusps ordering."""
+    """Index of the class of (p : q) in the cusp_reps ordering, 0 in the
+    full modular group."""
     if group.kind == "gamma1":
         return 0
     return classify_rep_index(p, q, group.n)
@@ -158,7 +149,7 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     A pair (c, d) with bottom row (c, d) of gamma_j^-1 sigma belongs to
     the class of sigma^-1(S_j) = (-d : c); the sign matters between the
     subcusps of a Fermat group even though the level-2 parity classes
-    cannot see it.  classes lists the distinct group_cusps indices to
+    cannot see it.  classes lists the distinct classify_index values to
     sum, every class by default; the pairs of the other classes are
     skipped, not summed.  Returns (buckets, tail_estimate) with one
     bucket per requested class in the order given.  The tail estimate
@@ -268,7 +259,7 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
 
 
 def _row_key(group: GroupId, i: int) -> tuple:
-    """Key of the row set of the class of group_cusps index i: the rows
+    """Key of the row set of the class i of classify_index: the rows
     of its level-2 base's parity."""
     if group.kind == "gamma1":
         return _GAMMA1_ROWS
@@ -403,7 +394,7 @@ def _tau_rows(key: tuple, c_max: int) -> Rows:
 
 
 def _build_class_rows(group: GroupId, i: int, c_max: int) -> Rows:
-    """Rows of the class of group_cusps index i for c <= c_max (module
+    """Rows of the class i of classify_index for c <= c_max (module
     docstring): the row set of its base at level 1, else with
     l = tau - t (mod n), t the class invariant, each row lifted to
     d + 2 c l over the bases 0 and 1, and over infinity those with l = 0."""
@@ -455,7 +446,7 @@ def _int32(x: np.ndarray, name) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _lane_class(group: GroupId, j: Cusp, k: Cusp) -> int:
-    """group_cusps index of the class of g_k^-1(j), whose rows are the
+    """classify_index of the class of g_k^-1(j), whose rows are the
     lanes of phi_{jk} (module docstring)."""
     x = mobius_apply(cusp_scaling_matrix(standard_rep(group, k)).inverse(), j)
     return classify_index(group, x.p, x.q)
@@ -533,8 +524,7 @@ def _lane_sums(b: int, rows: Rows, ms: list) -> np.ndarray:
 
 
 def phi_coefficient(group: GroupId, j: Cusp, k: Cusp, m: int, s,
-                    trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                    tol: float | None = None) -> tuple[complex, float]:
+                    trunc: TruncationSpec = DEFAULT_TRUNCATION) -> tuple[complex, float]:
     """phi_{jk,m}(s) truncated at c <= c_max and its tail estimate, as
     (value, tail).
 
@@ -553,8 +543,6 @@ def phi_coefficient(group: GroupId, j: Cusp, k: Cusp, m: int, s,
     else:
         # bounded inner sums: geometric-free 1/c^2 tail at the observed scale
         tail = max(float(np.abs(rows).max()), float(2 * b)) / trunc.c_max
-    if tol is not None and sigma > 1 and tail > tol:
-        raise TruncationUnsound(f"tail estimate {tail:.3e} exceeds tolerance {tol:.3e}")
     return total, tail
 
 
@@ -575,17 +563,6 @@ def _phis(group: GroupId, i: int, ms: tuple, c_max: int, s) -> tuple[complex, ..
     class; a hit returns the bits that a miss computes."""
     rows = _build_class_rows(group, i, c_max)
     return tuple(_phi_sums(_lane_sums(group.width, rows, list(ms)), s))
-
-
-def gamma2_phi0_closed_form(diag: bool, s) -> float:
-    """Factored Dirichlet series of the level-2 zero modes:
-    2/(2^(2s)-1) * zeta(2s-1)/zeta(2s) on the diagonal and
-    (2^(2s)-2)/(2^(2s)-1) * zeta(2s-1)/zeta(2s) off it."""
-    w = 2.0 * s
-    num = zeta(w - 1.0) / zeta(w)
-    if diag:
-        return 2.0 / (2.0 ** w - 1.0) * num
-    return (2.0 ** w - 2.0) / (2.0 ** w - 1.0) * num
 
 
 def _divisors(m: int) -> list[int]:
@@ -611,7 +588,7 @@ def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], ms, s: float) -> list
     2-adic part of m.
     """
     if 0 in ms:
-        raise ValueError("use gamma2_phi0_closed_form for m = 0")
+        raise ValueError("the closed form takes nonzero modes only")
     w = 2.0 * s
     zw = zeta(w)
 

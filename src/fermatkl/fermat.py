@@ -5,8 +5,7 @@ The level-N Fermat group is the kernel of the exponent-sum map
 in PSL(2, Z) of index 6N^2 with 3N cusps of common width 2N.  At N = 1
 the kernel is the whole level-2 group, so GAMMA2 is gamma_n(1) and its
 cusps 0, 1, inf are the level-1 representatives.  This module provides
-the representative system, cusp classification and coset
-representatives.  A cusp and the ramification point under it of the
+the representative system and cusp classification.  A cusp and the ramification point under it of the
 degree-N^2 Belyi map of the Fermat curve x^N + y^N = 1 are one object
 and one record, FermatCusp.  The class invariants of cusps and of
 lattice rows both live here, read through the one TAU_MAP from the
@@ -32,8 +31,6 @@ from .sl2 import (
     CUSP_ZERO,
     Cusp,
     Mat2Z,
-    GEN1,
-    GEN2,
     T,
     _coset_word,
     coset_word_sums_batch,
@@ -159,8 +156,8 @@ def _fermat_cusp(base: Cusp, t: int, n: int) -> FermatCusp:
     return FermatCusp(n, _KIND_OF_BASE[base], (n - t) % n, rep)
 
 
-# Levels whose cusp and coset representatives stay memoized; a level
-# past them is rebuilt on its next call.
+# Levels whose cusp representatives stay memoized; a level past them is
+# rebuilt on its next call.
 _LEVEL_CACHE = 16
 
 
@@ -183,17 +180,6 @@ def cusp_reps(n: int) -> tuple[FermatCusp, ...]:
 def fermat_cusp_of_ram(n: int, kind: str, j: int) -> FermatCusp:
     """The cusp whose ramification point has the given kind and index."""
     return _fermat_cusp(_BASE_OF_KIND[kind], (n - j) % n, n)
-
-
-@lru_cache(maxsize=_LEVEL_CACHE)
-def coset_reps(n: int) -> tuple[Mat2Z, ...]:
-    """The n^2 matrices g1^a g2^b, (a, b) lexicographic."""
-    out = []
-    for a in range(n):
-        left = GEN1 ** a
-        for b in range(n):
-            out.append(left * GEN2 ** b)
-    return tuple(out)
 
 
 def gamma2_base(c: Cusp) -> Cusp:

@@ -16,19 +16,21 @@ hauptmodul lambda = -theta4^4/theta2^4 fixing the three cusps and
 1 - lambda = theta3^4/theta2^4.  So x^N + y^N = 1 for the level-N
 functions x = lambda^(1/N), y = (1-lambda)^(1/N) is Jacobi's identity
 theta3^4 = theta2^4 + theta4^4.  Then come the weight-2 forms attached
-to the cusps of the Fermat groups, their slash transformation table, and
-Petersson norms.  Those forms mix radicals, so each is a RadicalSum: a
-few exact series with distinct prefactors, rounded only when evaluated
-or dumped.
+to the cusps of the Fermat groups, their products over the coset
+representatives, and Petersson norms.  Those forms mix radicals, so
+each is a RadicalSum: a few exact series with distinct prefactors,
+rounded only when evaluated or dumped.
 
 The same forms have two representations.  FormsAt gives their values
 at a point, with an error estimate, from Jacobi's triple products and
 the closed forms of x, y and f in theta: a few dozen complex terms,
-which the Kronecker-limit checks, the slash table and the coset
-products use.  The exact series serve the q-expansion dumps (qexp) and
-the identities checked coefficientwise, and their float evaluation
-remains for comparison; in floats the class terms of a form can cancel,
-so it is not the path to a value.
+which the Kronecker-limit checks and the coset products use.  The
+slash transformation table, which the coset products read through
+class_shift, is evaluated as a whole in the tests.  The exact series
+serve the q-expansion dumps (qexp) and the identities checked
+coefficientwise.  Their float evaluation stays for the benchmark
+harness, which times it; in floats the class terms of a form can
+cancel, so it is not the path to a value.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from functools import lru_cache
 from math import comb, gcd
 
 from .fermat import KIND_A, KIND_B, KIND_C, class_shift
-from .sl2 import Mat2Z, NotInGamma2, gamma2_exponent_sums
 
 _UNIT = 2.0 ** -53  # float64 unit roundoff, for the rounding bounds
 
@@ -105,21 +106,6 @@ class QExpansion:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading(self) -> tuple[Fraction, complex]:
-        """(exponent, coefficient) of the lowest-order term."""
-        return RadicalSum((self,)).leading()
-
-    def coefficient(self, exponent) -> complex:
-        """Coefficient of q^exponent (0 for absent retained exponents)."""
-        e = Fraction(exponent)
-        num = e * self.denom
-        if num.denominator != 1:
-            return 0j
-        if e > self.order:
-            raise OrderTooSmall(f"coefficient of q^{e} beyond truncation {self.order}")
-        v = self.coeffs.get(int(num), 0)
-        return self.prefactor * complex(v)
 
     def with_denom(self, new_denom: int) -> "QExpansion":
         if new_denom % self.denom:
@@ -255,17 +241,16 @@ class QExpansion:
     def __pow__(self, n) -> "QExpansion":
         return self.power(n)
 
-    def nth_root(self, n: int, branch: int = 0) -> "QExpansion":
+    def nth_root(self, n: int) -> "QExpansion":
         """Series g with g^n = self up to the inherited order.
 
         The leading coefficient must be +-2^k, so that its root is a
-        radical prefactor; the root is the principal one, rotated by
-        exp(2 pi i branch / n).  The exponent lattice is refined to
-        denom * n.
+        radical prefactor; the root is the principal one.  The exponent
+        lattice is refined to denom * n.
         """
         if n < 1:
             raise ValueError("root index must be >= 1")
-        return self.power(Fraction(1, n)).rotate_halfturns(Fraction(2 * branch, n))
+        return self.power(Fraction(1, n))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -326,12 +311,6 @@ class QExpansion:
         """Text dump: one line per term, 'numerator/D<TAB>re<TAB>im'."""
         return RadicalSum((self,)).dump()
 
-    def max_abs_coeff_diff(self, other: "QExpansion") -> float:
-        """Largest coefficient difference up to the shared order, taken
-        exactly and rounded once; the prefactors must agree."""
-        d = self - other
-        return abs(d.prefactor) * float(max(map(abs, d.coeffs.values()), default=0))
-
 
 def constant(value, denom: int = 1, order=Fraction(30)) -> QExpansion:
     return QExpansion(denom, {0: value}, Fraction(order))
@@ -368,14 +347,6 @@ class RadicalSum:
                 v = p * complex(c)
                 out[k] = out[k] + v if k in out else v
         return out
-
-    def leading(self) -> tuple[Fraction, complex]:
-        """(exponent, coefficient) of the lowest-order term."""
-        out = self._combined()
-        if not out:
-            raise ZeroSeries("series has no retained terms")
-        k = min(out)
-        return Fraction(k, self.denom), out[k]
 
     def dump(self) -> str:
         """Text dump: one line per exponent, 'numerator/D<TAB>re<TAB>im'."""
@@ -427,10 +398,6 @@ class FormLabel:
                 raise ValueError("f labels need kind A, B or C")
             if not 0 <= self.j < self.n:
                 raise ValueError("f index out of range")
-
-    @property
-    def weight(self) -> int:
-        return 2 if self.name in ("theta2", "g0", "g1", "ginf", "f") else 0
 
     def __str__(self):
         if self.name == "f":
@@ -488,14 +455,14 @@ def x_series(n: int, order) -> QExpansion:
     """x = lambda^(1/n), principal branch; leading coefficient
     eps/16^(1/n) at q^(-1/2)."""
     lam = _level2_series(_LEVEL2_FORMS["lambda"], Fraction(order) + 1)
-    return lam.nth_root(n, 0).truncate(Fraction(order))
+    return lam.nth_root(n).truncate(Fraction(order))
 
 
 @lru_cache(maxsize=_SERIES_CACHE)
 def y_series(n: int, order) -> QExpansion:
     """y = (1-lambda)^(1/n), principal branch."""
     oml = _level2_series(_LEVEL2_FORMS["one_minus_lambda"], Fraction(order) + 1)
-    return oml.nth_root(n, 0).truncate(Fraction(order))
+    return oml.nth_root(n).truncate(Fraction(order))
 
 
 def zeta_power(n: int, j: int) -> complex:
@@ -715,42 +682,10 @@ def petersson_norm_sq(value: complex, z: complex, weight: int) -> float:
     return abs(value) ** 2 * z.imag ** weight
 
 
-# ---------------------------------------------------------------------------
-# slash action
-# ---------------------------------------------------------------------------
-
-def _slash_shift(label: FormLabel, r1: int, r2: int) -> tuple[FormLabel, complex]:
-    """Transformation of a label under a level-2 word with exponent sums
-    (r1, r2): returns (new label, scalar multiplier).
-
-    Table: x -> zeta^-1 x under both generators, y -> zeta^-1 y under g1
-    and y -> y under g2; theta^2 and the g-forms are invariant; the
-    f-forms permute within their kind."""
-    n = label.n
-    if label.name == "x":
-        return label, zeta_power(n, -(r1 + r2))
-    if label.name == "y":
-        return label, zeta_power(n, -r1)
-    if label.name == "f":
-        j = (label.j + class_shift(label.kind, r1, r2)) % n
-        return FormLabel("f", n, label.kind, j), 1.0 + 0j
-    return label, 1.0 + 0j
-
-
-def slash2_value(label: FormLabel, gamma: Mat2Z, z: complex) -> complex:
-    """Value of (f |_k gamma)(z) for gamma in the level-2 group, via the
-    transformation table (exact in the multiplier, evaluated at z)."""
-    r = gamma2_exponent_sums(*gamma.entries())
-    if r is None:
-        raise NotInGamma2(f"{gamma} is not in the level-2 group")
-    new_label, mult = _slash_shift(label, *r)
-    val, _ = FormsAt(z).value(new_label)
-    return mult * val
-
-
 def coset_product_value(kind: str, j: int, n: int, z: complex) -> complex:
     """Product of f[kind,j] |_2 gamma over the n^2 coset representatives
-    g1^a g2^b, assembled from the transformation table."""
+    g1^a g2^b, each f[kind, j + class_shift(kind, a, b)] by the slash
+    transformation table."""
     at = FormsAt(z)
     values = [at.value(FormLabel("f", n, kind, l))[0] for l in range(n)]
     out = 1.0 + 0j

@@ -50,7 +50,7 @@ def z_constant() -> float:
 
 def natural_shift(group: GroupId) -> float:
     """natural - normalized = log(width)/vol for the uniform-width groups."""
-    return math.log(group.width) / group.volume if group.width > 1 else 0.0
+    return math.log(group.width) / group.volume
 
 
 def gamma1_constant() -> float:
@@ -87,7 +87,7 @@ def fermat_constant(n: int, fc_j: FermatCusp, fc_k: FermatCusp) -> ScatteringEnt
         raise LevelMismatch(f"cusps of level {fc_j.n}/{fc_k.n}, expected {n}")
     group = gamma_n(n)
     c1 = gamma1_constant()
-    log2, logn = math.log(2.0), math.log(n) if n > 1 else 0.0
+    log2, logn = math.log(2.0), math.log(n)
     pref = 1.0 / (6.0 * n * n)
     if fc_j.rep == fc_k.rep:
         tag = "diag"
@@ -155,6 +155,6 @@ def subcusp_relation_residual(n: int) -> float:
                 if gamma2_base(l.rep) == k:
                     total += fermat_constant(n, l, q).natural
             g2nat = g2[ki][g2_reps.index(base_q)].natural
-            target = g2nat / n - (math.log(n) / (2.0 * math.pi * n) if n > 1 else 0.0)
+            target = g2nat / n - math.log(n) / (2.0 * math.pi * n)
             worst = max(worst, abs(total - target))
     return worst

@@ -214,36 +214,10 @@ class GammaWord:
     def r2(self) -> int:
         return sum(e for g, e in self.syllables if g == 2)
 
-    def __len__(self):
-        return sum(abs(e) for _, e in self.syllables)
-
-    def inverse(self) -> "GammaWord":
-        return GammaWord(tuple((g, -e) for g, e in reversed(self.syllables)))
-
     def __str__(self):
         if not self.syllables:
             return "e"
         return " ".join(f"g{g}^{e}" if e != 1 else f"g{g}" for g, e in self.syllables)
-
-
-def word_from_syllables(raw: list[tuple[int, int]]) -> GammaWord:
-    """Reduce a raw syllable list (merge adjacent ids, drop zeros)."""
-    out: list[tuple[int, int]] = []
-    for gen, exp in raw:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged:
-                out.append((gen, merged))
-        else:
-            out.append((gen, exp))
-    return GammaWord(tuple(out))
-
-
-def word_concat(w1: GammaWord, w2: GammaWord) -> GammaWord:
-    return word_from_syllables(list(w1.syllables) + list(w2.syllables))
 
 
 def word_to_matrix(w: GammaWord) -> Mat2Z:

@@ -67,8 +67,7 @@ _GLABEL = {0: "g0", 1: "g1", 2: "ginf"}
 
 
 def check_klf_gamma2(j: Cusp, z: complex,
-                     trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                     tol: float = 1e-6) -> CheckReport:
+                     trunc: TruncationSpec = DEFAULT_TRUNCATION) -> CheckReport:
     """Kronecker limit formula at level 2: regularized Eisenstein limit
     against -log ||G_j||^2 + klf_constant."""
     t0 = time.perf_counter()
@@ -76,12 +75,11 @@ def check_klf_gamma2(j: Cusp, z: complex,
     idx = classify_index(GAMMA2, j.p, j.q)
     gv, _ = FormsAt(z).value(FormLabel(_GLABEL[idx]))
     rhs = -math.log(petersson_norm_sq(gv, z, 2)) + scattering.klf_constant(GAMMA2)
-    return _report("klf_gamma2", {"j": j, "z": z}, abs(lhs - rhs), tol, t0)
+    return _report("klf_gamma2", {"j": j, "z": z}, abs(lhs - rhs), 1e-6, t0)
 
 
 def check_klf_fermat(n: int, fc: FermatCusp, z: complex,
-                     trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                     tol: float = 1e-4) -> CheckReport:
+                     trunc: TruncationSpec = DEFAULT_TRUNCATION) -> CheckReport:
     """Kronecker limit formula for the level-n Fermat group at the
     infinity chart."""
     t0 = time.perf_counter()
@@ -92,12 +90,11 @@ def check_klf_fermat(n: int, fc: FermatCusp, z: complex,
     rhs = -math.log(petersson_norm_sq(fv, z, 2)) / (n * n) \
         + scattering.klf_constant(group)
     return _report("klf_fermat", {"n": n, "cusp": fc.rep, "z": z},
-                   abs(lhs - rhs), tol, t0)
+                   abs(lhs - rhs), 1e-4, t0)
 
 
 def check_limitsum(n: int, fc: FermatCusp, z: complex,
-                   trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                   tol: float = 1e-5) -> CheckReport:
+                   trunc: TruncationSpec = DEFAULT_TRUNCATION) -> CheckReport:
     """Coset-summed limit formula: the level-2 limit minus
     log(n)/vol(level 2), 4 pi scaled, against the coset product of form
     norms plus the shifted constant."""
@@ -111,12 +108,11 @@ def check_limitsum(n: int, fc: FermatCusp, z: complex,
     rhs = -log_norm_sum / (n * n) \
         + 4.0 * (zc + math.log(2.0) / 6.0 - math.log(n) / 2.0)
     return _report("limitsum", {"n": n, "cusp": fc.rep, "z": z},
-                   abs(lhs - rhs), tol, t0)
+                   abs(lhs - rhs), 1e-5, t0)
 
 
 def check_sum_relation(n: int, k: Cusp, z: complex, s: float = 2.0,
-                       trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                       tol: float = 1e-5) -> CheckReport:
+                       trunc: TruncationSpec = DEFAULT_TRUNCATION) -> CheckReport:
     """Width-weighted subcusp sum of Fermat-group Eisenstein series
     against the level-2 series, relative residual."""
     t0 = time.perf_counter()
@@ -128,11 +124,10 @@ def check_sum_relation(n: int, k: Cusp, z: complex, s: float = 2.0,
     (rhs,), _ = eisenstein_direct_all(GAMMA2, z, s, trunc, (classify_index(GAMMA2, base.p, base.q),))
     lhs = sum(vals_n)
     res = abs(lhs - rhs) / abs(rhs)
-    return _report("sum_relation", {"n": n, "k": k, "z": z, "s": s}, res, tol, t0)
+    return _report("sum_relation", {"n": n, "k": k, "z": z, "s": s}, res, 1e-5, t0)
 
 
-def check_sumrs(n: int, c: int, m: int, j: Cusp, k: Cusp,
-                tol: float = 1e-10) -> CheckReport:
+def check_sumrs(n: int, c: int, m: int, j: Cusp, k: Cusp) -> CheckReport:
     """Exact finite-sum identity for the inner Fourier sums: the
     width-normalized sum over the subcusps against the level-2 sum."""
     t0 = time.perf_counter()
@@ -143,10 +138,10 @@ def check_sumrs(n: int, c: int, m: int, j: Cusp, k: Cusp,
               for l in cusp_reps(n) if gamma2_base(l.rep) == base_k) / (2 * n)
     rhs = inner_sums(GAMMA2, j, base_k, (m,), c)[0, c - 1] / 2
     return _report("sumrs", {"n": n, "c": c, "m": m, "j": j, "k": k},
-                   abs(lhs - rhs), tol, t0)
+                   abs(lhs - rhs), 1e-10, t0)
 
 
-def check_scattering_consistency(n: int, tol: float = 1e-10) -> CheckReport:
+def check_scattering_consistency(n: int) -> CheckReport:
     """Subcusp linear relations among the closed-form Fermat-group
     constants against the level-2 constants."""
     t0 = time.perf_counter()
@@ -156,19 +151,18 @@ def check_scattering_consistency(n: int, tol: float = 1e-10) -> CheckReport:
         g2 = scattering.gamma2_constants()
         res = max(res, max(abs(m1[i][j].normalized - g2[i][j].normalized)
                            for i in range(3) for j in range(3)))
-    return _report("scattering_consistency", {"n": n}, res, tol, t0)
+    return _report("scattering_consistency", {"n": n}, res, 1e-10, t0)
 
 
 def check_cross_path(group: GroupId, j: Cusp, k: Cusp, z: complex, s: float = 2.0,
-                     trunc: TruncationSpec = DEFAULT_TRUNCATION,
-                     tol: float = 1e-4) -> CheckReport:
+                     trunc: TruncationSpec = DEFAULT_TRUNCATION) -> CheckReport:
     """Fourier expansion against direct summation in the k chart."""
     t0 = time.perf_counter()
     fe = fourier_eval(group, j, k, z, s, trunc)
     gk = cusp_scaling_matrix(standard_rep(group, k))
     de, _ = eisenstein_direct(group, j, mobius_point(gk, z), s, trunc)
     return _report("cross_path", {"group": group, "j": j, "k": k, "z": z, "s": s},
-                   abs(fe - de), tol, t0)
+                   abs(fe - de), 1e-4, t0)
 
 
 def _suite_checks(level: str, ns: tuple[int, ...], trunc: TruncationSpec):

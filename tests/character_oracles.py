@@ -18,6 +18,9 @@ with u0 the shift that h_j and h_k add,
   one lane of weight and mode period N;
 * different bases: the lane lifts to the one residue d + 2ct with
   t = (u + u0) det^-1 (mod N), det = v_j x v_k.
+
+The level-2 zero modes also have a closed form, the factored Dirichlet
+series of gamma2_phi0_closed_form.
 """
 
 from functools import lru_cache
@@ -40,6 +43,7 @@ from fermatkl.sl2 import (
     cusp_scaling_matrix,
     gamma2_exponent_sums,
 )
+from fermatkl.special import zeta
 
 
 def base_pair_matrix(jb, kb):
@@ -149,3 +153,14 @@ def inner_sums_character(group, j, k, ms, c_max: int) -> np.ndarray:
     c, d, weight = character_lanes(group, j, k, c_max)
     bounds = np.searchsorted(c, np.arange(c_max + 1), side="right")
     return e._lane_sums(group.width, e.Rows(group.width // weight, d, bounds), list(ms))
+
+
+def gamma2_phi0_closed_form(diag: bool, s) -> float:
+    """Factored Dirichlet series of the level-2 zero modes:
+    2/(2^(2s)-1) * zeta(2s-1)/zeta(2s) on the diagonal and
+    (2^(2s)-2)/(2^(2s)-1) * zeta(2s-1)/zeta(2s) off it."""
+    w = 2.0 * s
+    num = zeta(w - 1.0) / zeta(w)
+    if diag:
+        return 2.0 / (2.0 ** w - 1.0) * num
+    return (2.0 ** w - 2.0) / (2.0 ** w - 1.0) * num

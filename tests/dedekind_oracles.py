@@ -40,10 +40,9 @@ from fermatkl.sl2 import (
     Cusp,
     GammaWord,
     NotInGamma2,
-    word_from_syllables,
 )
 
-from word_oracles import round_half_down
+from word_oracles import round_half_down, word_from_syllables
 
 
 def _dedekind_y(h: int, k: int) -> int:

@@ -8,7 +8,6 @@ from fermatkl.fermat import (
     GAMMA2,
     classify_cusp,
     classify_rep_index,
-    coset_reps,
     cusp_reps,
     fermat_cusp_of_ram,
     gamma2_base,
@@ -28,7 +27,6 @@ from fermatkl.sl2 import (
     gamma2_exponent_sums,
     is_in_gamma_n,
     mobius_apply,
-    word_from_syllables,
     word_to_matrix,
 )
 
@@ -38,6 +36,7 @@ from dedekind_oracles import (
     classify_rep_indices,
     gamma2_exponent_sums_dedekind,
 )
+from word_oracles import coset_reps, word_from_syllables
 
 
 def test_cusp_reps_small_levels():
@@ -163,18 +162,17 @@ def test_coset_reps():
                 assert not is_in_gamma_n(reps[i] * reps[j].inverse(), n)
 
 
-@pytest.mark.parametrize("cached", [cusp_reps, coset_reps])
-def test_level_caches_bounded(cached):
+def test_level_cache_bounded():
     # a fixed bound, and more levels than it: the evicted ones are rebuilt
-    # equal, each with its 3n cusps or n^2 cosets
-    bound = cached.cache_info().maxsize
+    # equal, each with its 3n cusps
+    bound = cusp_reps.cache_info().maxsize
     assert bound is not None and 0 < bound < 100
     levels = range(1, bound + 6)
-    first = {n: cached(n) for n in levels}
-    assert cached.cache_info().currsize == bound
+    first = {n: cusp_reps(n) for n in levels}
+    assert cusp_reps.cache_info().currsize == bound
     for n in levels:
-        assert cached(n) == first[n] == cached.__wrapped__(n)
-        assert len(first[n]) == (3 * n if cached is cusp_reps else n * n)
+        assert cusp_reps(n) == first[n] == cusp_reps.__wrapped__(n)
+        assert len(first[n]) == 3 * n
     for n in (bound + 5, bound + 1):
         for index, fc in enumerate(cusp_reps(n)):
             assert classify_rep_index(fc.rep.p, fc.rep.q, n) == index

@@ -30,15 +30,13 @@ from fermatkl.sl2 import (
     is_in_gamma_n,
     mobius_apply,
     mobius_point,
-    word_concat,
-    word_from_syllables,
     word_to_matrix,
 )
 
 from fermatkl.fermat import classify_cusp
 
 from dedekind_oracles import gamma2_exponent_sums_batch, gamma2_exponent_sums_dedekind, mod_inverse_batch
-from word_oracles import decompose_gamma2_ping_pong
+from word_oracles import decompose_gamma2_ping_pong, word_from_syllables
 
 
 def random_word(rng, max_len=12):
@@ -205,9 +203,8 @@ def test_exponent_sums_homomorphism():
     rng = random.Random(17)
     for _ in range(200):
         w1, w2 = random_word(rng, 8), random_word(rng, 8)
-        both = word_concat(w1, w2)
-        assert both.r1 == w1.r1 + w2.r1
-        assert both.r2 == w1.r2 + w2.r2
+        both = word_to_matrix(w1) * word_to_matrix(w2)
+        assert gamma2_exponent_sums(*both.entries()) == (w1.r1 + w2.r1, w1.r2 + w2.r2)
 
 
 def test_is_in_gamma_n_examples():

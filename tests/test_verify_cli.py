@@ -8,6 +8,7 @@ import pytest
 from fermatkl.cli import main, parse_complex, parse_cusp, parse_form_label
 from fermatkl.eisenstein import TruncationSpec
 from fermatkl.fermat import cusp_reps, fermat_cusp_of_ram, gamma_n
+from fermatkl.qseries import FormLabel, coset_product_value
 from fermatkl.sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp
 from fermatkl.verify import (
     CheckReport,
@@ -20,6 +21,9 @@ from fermatkl.verify import (
     check_sumrs,
     run_suite,
 )
+
+from series_oracles import slash2_value
+from word_oracles import coset_reps
 
 TR = TruncationSpec(c_max=250, m_max=10, order=20)
 
@@ -54,7 +58,7 @@ def test_cross_path_above_level_5_at_m_max_20(n):
     reps = cusp_reps(n)
     rep = check_cross_path(gamma_n(n), reps[0].rep, reps[-1].rep, 1j, 2.0,
                            TruncationSpec(c_max=400, m_max=20))
-    assert rep.passed, rep
+    assert rep.passed and rep.tolerance == 1e-4, rep
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 5: fourier_eval stops at m_max 10, "
@@ -72,10 +76,8 @@ def test_check_limitsum():
     for n in (1, 2):
         fc = cusp_reps(n)[n]  # a B-family cusp
         rep = check_limitsum(n, fc, 2j, tr)
-        assert rep.passed, rep
+        assert rep.passed and rep.tolerance == 1e-5, rep
     # product collapse: sum of logs equals log of the coset product
-    from fermatkl.qseries import coset_product_value, slash2_value, FormLabel
-    from fermatkl.fermat import coset_reps
     n, z = 2, 2j
     total = 0.0
     for g in coset_reps(n):
@@ -345,6 +347,15 @@ class ConfigText(str):
     ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1-2i", "--limit"],
     ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+0i", "--limit"],
     ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--s", "0.5", "--limit"],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--s", "nan"],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "nan+1i", "--limit"],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "nan+1i", "--s", "2"],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+infi", "--s", "2"],
+    ["verify", "--check-tol", "nan"],
+    ["verify", "--check-tol", "inf"],
+    ["verify", "--check-tol", "-1e-3"],
+    ["verify", "--workers", "0"],
+    ["verify", "--workers", "-2"],
 ])
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -353,7 +364,8 @@ def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
             path.write_text(arg, encoding="utf-8")
             argv = [*argv[:i], str(path), *argv[i + 1:]]
     assert main([*argv, "--no-timestamp"]) == 1
-    assert "usage error" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error:") and not out
 
 
 def test_cli_config_truncation_section(tmp_path, capsys):

@@ -3,10 +3,34 @@
 The package spells the word of a matrix in g1, g2 by a nearest-integer
 Euclid on its first column (sl2.decompose_gamma2); this spells it by a
 1-norm ping-pong instead: at each step it peels the power of g1 or g2
-from the left whose shift most lowers the 1-norm of the entries.
+from the left whose shift most lowers the 1-norm of the entries.  The
+tests build words from raw syllable lists, and the coset
+representatives of the Fermat groups as words, here too.
 """
 
-from fermatkl.sl2 import GammaWord, Mat2Z, NotInGamma2, is_in_gamma2, word_from_syllables
+from fermatkl.sl2 import GEN1, GEN2, GammaWord, Mat2Z, NotInGamma2, is_in_gamma2
+
+
+def word_from_syllables(raw: list[tuple[int, int]]) -> GammaWord:
+    """Reduce a raw syllable list (merge adjacent ids, drop zeros)."""
+    out: list[tuple[int, int]] = []
+    for gen, exp in raw:
+        if exp == 0:
+            continue
+        if out and out[-1][0] == gen:
+            merged = out[-1][1] + exp
+            out.pop()
+            if merged:
+                out.append((gen, merged))
+        else:
+            out.append((gen, exp))
+    return GammaWord(tuple(out))
+
+
+def coset_reps(n: int) -> tuple[Mat2Z, ...]:
+    """The n^2 coset representatives g1^a g2^b of the level-n Fermat
+    group in the level-2 group, (a, b) lexicographic."""
+    return tuple(GEN1 ** a * GEN2 ** b for a in range(n) for b in range(n))
 
 
 def round_half_down(num: int, den: int) -> int:
