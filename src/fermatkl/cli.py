@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from .eisenstein import (
@@ -35,7 +36,7 @@ from .qseries import FormLabel, OrderTooSmall, expansion
 from .scattering import scattering_matrix
 from .sl2 import Cusp, decompose_gamma2
 from .special import BESSEL_QUADRATURE_NODES, EULER_MACLAURIN_TERMS
-from .verify import CheckReport, run_suite
+from .verify import run_suite
 
 SCHEMA_VERSION = "1"
 
@@ -104,9 +105,7 @@ def _group_of(args) -> tuple:
 
 def _provenance(trunc: TruncationSpec, args) -> dict:
     out = {
-        "c_max": trunc.c_max,
-        "m_max": trunc.m_max,
-        "order": trunc.order,
+        **asdict(trunc),
         "euler_maclaurin_terms": EULER_MACLAURIN_TERMS,
         "bessel_quadrature_nodes": BESSEL_QUADRATURE_NODES,
     }
@@ -146,24 +145,23 @@ def _read_config(path: str, keys) -> dict:
 
 
 def _config_from(args) -> TruncationSpec:
-    t = dict(c_max=DEFAULT_TRUNCATION.c_max, m_max=DEFAULT_TRUNCATION.m_max,
-             order=DEFAULT_TRUNCATION.order)
+    """The truncation of a command: the defaults, then the truncation
+    section of --config, then the flags --cmax, --mmax and --order, each
+    a field's name without its underscore."""
+    t = asdict(DEFAULT_TRUNCATION)
     if args.config:
         t.update(_read_config(args.config, t))
-    if args.cmax is not None:
-        t["c_max"] = args.cmax
-    if args.mmax is not None:
-        t["m_max"] = args.mmax
-    if args.order is not None:
-        t["order"] = args.order
+    for name in t:
+        flag = getattr(args, name.replace("_", ""))
+        if flag is not None:
+            t[name] = flag
     try:
         return TruncationSpec(**t)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def cmd_cusps(args) -> int:
-    trunc = _config_from(args)
+def cmd_cusps(args, trunc: TruncationSpec) -> int:
     n = _level(args)
     group = gamma_n(n)
     rows = [{
@@ -178,8 +176,7 @@ def cmd_cusps(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    trunc = _config_from(args)
+def cmd_classify(args, trunc: TruncationSpec) -> int:
     n = _level(args)
     if (args.p is None) != (args.q is None) or (args.p is None and args.cusp is None):
         raise UsageError("classify needs --cusp, or --p and --q together")
@@ -195,8 +192,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_scatter(args) -> int:
-    trunc = _config_from(args)
+def cmd_scatter(args, trunc: TruncationSpec) -> int:
     n = _level(args)
     mat = scattering_matrix(n)
     reps = [str(fc.rep) for fc in cusp_reps(n)]
@@ -217,8 +213,7 @@ def cmd_scatter(args) -> int:
     return 0
 
 
-def cmd_eisenstein(args) -> int:
-    trunc = _config_from(args)
+def cmd_eisenstein(args, trunc: TruncationSpec) -> int:
     group = _group_of(args)
     j = parse_cusp(args.cusp)
     z = parse_complex(args.z)
@@ -249,8 +244,7 @@ def cmd_eisenstein(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    trunc = _config_from(args)
+def cmd_verify(args, trunc: TruncationSpec) -> int:
     try:
         ns = tuple(int(x) for x in args.ns.split(",")) if args.ns else (1, 2)
     except ValueError as exc:
@@ -264,10 +258,12 @@ def cmd_verify(args) -> int:
     reports = run_suite(args.suite, trunc, ns=ns, workers=args.workers)
     if args.check_id:
         reports = [r for r in reports if r.check_id == args.check_id]
+        if not reports:
+            raise UsageError(f"--check-id {args.check_id!r} names no check of the "
+                             f"{args.suite} suite at --ns {','.join(map(str, ns))}")
     if args.check_tol is not None:
-        reports = [CheckReport(r.check_id, r.parameters, r.residual,
-                               args.check_tol, r.residual <= args.check_tol,
-                               r.runtime_ms) for r in reports]
+        reports = [replace(r, tolerance=args.check_tol, passed=r.residual <= args.check_tol)
+                   for r in reports]
     payload = [r.to_json_dict(with_runtime=not args.no_timestamp) for r in reports]
     all_passed = all(r.passed for r in reports)
     _emit(args, "verify", {"suite": args.suite, "ns": ns},
@@ -275,8 +271,7 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 2
 
 
-def cmd_qexp(args) -> int:
-    trunc = _config_from(args)
+def cmd_qexp(args, trunc: TruncationSpec) -> int:
     label = parse_form_label(args.label)
     order = Fraction(trunc.order)
     try:
@@ -358,7 +353,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        return args.fn(args, _config_from(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -48,25 +48,26 @@ that a Kronecker-limit check of the verify suite still fails on it.
 The entries share one store bounded by a least-recently-used count of
 int32 cells.
 
-inner_sums reads the lanes once per call for every mode asked for, and
-the row of -m is the conjugate of the row of m, so fourier_eval reads
-the modes 0..m_max once.  It takes cos and sin once per lane, for the
-unit phase w = e(p d/(b c)) of the mode period p, and each mode p k is
-w^k by repeated multiplication, summed per c: a mode costs one complex
-multiplication and one reduceat over the lanes, and w^k carries at most
-15 k units of 2^-53 of rounding.  The truncated phi depend neither on
-z nor on the pair within its lane class, so fourier_eval and the
-enumerated s = 1 modes of phi_m1_exact take them from _phis, memoized
-per (group, lane class, modes, c_max, s) in a bounded
-least-recently-used cache: the 9 n^2 pairs of a level read 3 n lane
+A lane read takes every mode asked for at once, and the row of -m is
+the conjugate of the row of m.  It takes cos and sin once per lane, for
+the unit phase w = e(p d/(b c)) of the mode period p, and each mode p k
+is w^k by repeated multiplication, summed per c: a mode costs one
+complex multiplication and one reduceat over the lanes, and w^k carries
+at most 15 k units of 2^-53 of rounding.  The truncated phi depend
+neither on z nor on the pair within its lane class, so every reader of
+them, fourier_eval, phi_coefficient and the enumerated s = 1 modes of
+phi_m1_exact, takes them from _phis: the modes -M..M of one lane read,
+memoized per (group, lane class, mode bound M, c_max, s) in a bounded
+least-recently-used cache.  The 9 n^2 pairs of a level read 3 n lane
 sets, a hit returns the bits that a miss computes, and only a miss
-reads the lanes.  The direct sum reads, lifts or filters the rows of
-each class asked for once and sums only those, eisenstein_direct its
-own, in blocks of whole c's: per block one repeat of a per-c table
-gives the row columns, one rectangle of translates by rows, in buffers
-reused through the call, takes |c z + d + t P|^2 in five in-place
-passes with d + t P exact and c x added once, and a masked reciprocal
-and a dot product give the sum, with no power pass at s = 2.
+reads the lanes; inner_sums is the per-c view of the same read.  The
+direct sum reads, lifts or filters the rows of each class asked for
+once and sums only those, eisenstein_direct its own, in blocks of whole
+c's: per block one repeat of a per-c table gives the row columns, one
+rectangle of translates by rows, in buffers reused through the call,
+takes |c z + d + t P|^2 in five in-place passes with d + t P exact and
+c x added once, and a masked reciprocal and a dot product give the sum,
+with no power pass at s = 2.
 """
 
 from __future__ import annotations
@@ -338,8 +339,9 @@ _DIRECT_BLOCK = 1 << 15
 # 49 us a call at 10,001 entries against 3 us at 10,000, and its rounding
 # then depends on the thread count.
 _DOT_CHUNK = 1 << 13
-# Entries of the memoized phi sums, (group, lane class, modes, c_max, s),
-# each at most 2 m_max + 1 complex numbers: well under 1 MB in all.
+# Entries of the memoized phi, keyed (group, lane class, mode bound M,
+# c_max, s) and read by fourier_eval, phi_coefficient and phi_m1_exact,
+# each 2 M + 1 complex numbers: well under 1 MB in all.
 _PHI_CACHE = 256
 
 
@@ -526,43 +528,34 @@ def _lane_sums(b: int, rows: Rows, ms: list) -> np.ndarray:
 def phi_coefficient(group: GroupId, j: Cusp, k: Cusp, m: int, s,
                     trunc: TruncationSpec = DEFAULT_TRUNCATION) -> tuple[complex, float]:
     """phi_{jk,m}(s) truncated at c <= c_max and its tail estimate, as
-    (value, tail).
-
-    Weights the per-c sums of inner_sums by c^(-2s).  Requires
-    Re s > 1, or s = 1 with m != 0 where the bounded inner sums give
-    conditional convergence.
+    (value, tail): mode m of the _phis entry of the lane class at the
+    mode bound max(m_max, |m|).  Requires Re s > 1, or s = 1 with m != 0
+    where the bounded inner sums give conditional convergence; no bound
+    on that tail is known, so it is inf.
     """
     sigma = complex(s).real
     if sigma < 1 or (sigma == 1 and m == 0):
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
-    rows = inner_sums(group, j, k, (m,), trunc.c_max)
-    (total,) = _phi_sums(rows, s)
-    b = group.width
-    if sigma > 1:
-        tail = b * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
-    else:
-        # bounded inner sums: geometric-free 1/c^2 tail at the observed scale
-        tail = max(float(np.abs(rows).max()), float(2 * b)) / trunc.c_max
-    return total, tail
-
-
-def _phi_sums(rows: np.ndarray, s) -> list[complex]:
-    """Truncated phi of each row of inner sums: the sum over c of
-    row[c-1] c^(-2s)."""
-    cs = np.arange(1, rows.shape[1] + 1, dtype=float)
-    weights = _power_terms(cs * cs, s)
-    return [complex((row * weights).sum()) for row in rows]
+    phis = _phis(group, _lane_class(group, j, k), max(trunc.m_max, abs(m)), trunc.c_max, s)
+    if sigma == 1:
+        return phis[m], math.inf
+    return phis[m], group.width * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
 
 
 @lru_cache(maxsize=_PHI_CACHE)
-def _phis(group: GroupId, i: int, ms: tuple, c_max: int, s) -> tuple[complex, ...]:
-    """Truncated phi_{jk,m}(s) of each mode m in ms for every pair whose
-    lane class _lane_class(group, j, k) is i: _phi_sums of the lane sums
-    of the rows of class i, the row of -m the conjugate of that of m.
+def _phis(group: GroupId, i: int, m_max: int, c_max: int, s) -> tuple[complex, ...]:
+    """Truncated phi_{jk,m}(s), the sum over c <= c_max of the inner sums
+    times c^(-2s), of the modes 0..m_max and then -m_max..-1, so entry m
+    is mode m for every |m| <= m_max, for every pair whose lane class
+    _lane_class(group, j, k) is i.  One lane read of the rows of class i
+    gives every mode, the row of -m the conjugate of that of m.
     Memoized, since phi depends neither on z nor on the pair within the
     class; a hit returns the bits that a miss computes."""
     rows = _build_class_rows(group, i, c_max)
-    return tuple(_phi_sums(_lane_sums(group.width, rows, list(ms)), s))
+    cs = np.arange(1, c_max + 1, dtype=float)
+    weights = _power_terms(cs * cs, s)
+    return tuple(complex((row * weights).sum())
+                 for row in _lane_sums(group.width, rows, [*range(m_max + 1), *range(-m_max, 0)]))
 
 
 def _divisors(m: int) -> list[int]:
@@ -607,8 +600,8 @@ def phi_m1_exact(group: GroupId, j: Cusp, k: Cusp, ms,
                  trunc: TruncationSpec = DEFAULT_TRUNCATION) -> list[complex]:
     """phi_{jk,m}(1) for each m in ms, all nonzero: closed form where
     available (full modular group and level 2, zeta(2) taken once per
-    call), else the truncated enumeration, every mode from one lane read,
-    memoized by _phis per (group, lane class, modes, c_max); a hit is
+    call), else the truncated enumeration: the _phis entry of the lane
+    class at s = 1 and the mode bound max(m_max, max |m|); a hit is
     bit-identical to a miss."""
     ms = list(ms)
     if group.kind == "gamma1":
@@ -620,7 +613,8 @@ def phi_m1_exact(group: GroupId, j: Cusp, k: Cusp, ms,
         return [complex(phi) for phi in gamma2_phi_m_closed_form((pc, pd), ms, 1.0)]
     if 0 in ms:
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
-    return list(_phis(group, i, tuple(ms), trunc.c_max, 1.0))
+    phis = _phis(group, i, max([trunc.m_max, *map(abs, ms)]), trunc.c_max, 1.0)
+    return [phis[m] for m in ms]
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +628,12 @@ def fourier_eval(group: GroupId, j: Cusp, k: Cusp, z: complex, s,
 
     The group is normal in PSL(2, Z), so j ~ k exactly when g_k^-1(j) ~
     inf: the delta term comes from the lane class.  The phi of the modes
-    m = 0..m_max come from one lane read of that class; the inner sums
+    -m_max..m_max come from one lane read of that class; the inner sums
     of -m are the conjugates of those of m, so they are not read again.
     The Bessel K of the modes 1..m_max come from one bessel_k_batch
     call, which gives zero past the argument 700.  The phi do not depend
     on z or on the pair within the class: _phis memoizes them per
-    (group, lane class, modes, c_max, s), so a call at a new z, or on
+    (group, lane class, m_max, c_max, s), so a call at a new z, or on
     another pair of a class already read, does no lane work, and a hit
     is bit-identical to a miss.
     """
@@ -655,15 +649,15 @@ def fourier_eval(group: GroupId, j: Cusp, k: Cusp, z: complex, s,
     gs = gamma_fn(complex(s))
     gs_half = gamma_fn(complex(s) - 0.5)
     ms = range(1, trunc.m_max + 1)
-    phi0, *phis = _phis(group, i, (0, *ms, *(-m for m in ms)), trunc.c_max, s)
-    val += math.sqrt(math.pi) * gs_half / gs * phi0 * complex(y) ** (1 - s) \
+    phis = _phis(group, i, trunc.m_max, trunc.c_max, s)
+    val += math.sqrt(math.pi) * gs_half / gs * phis[0] * complex(y) ** (1 - s) \
         / (complex(b) ** s * b)
     kbs = bessel_k_batch(complex(s) - 0.5, [2.0 * math.pi * m * y / b for m in ms]).tolist()
-    for m, kb, pos, neg in zip(ms, kbs, phis[:len(ms)], phis[len(ms):]):
+    for m, kb in zip(ms, kbs):
         coef = 2.0 * math.pi ** complex(s) * (m / b) ** (complex(s) - 0.5) / gs \
             * math.sqrt(y) * kb / (complex(b) ** s * b)
-        for sign, phim in ((1, pos), (-1, neg)):
-            val += coef * phim * cmath.exp(2j * math.pi * sign * m * x / b)
+        for sign in (1, -1):
+            val += coef * phis[sign * m] * cmath.exp(2j * math.pi * sign * m * x / b)
     return val
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import scattering
 from .eisenstein import (
@@ -178,8 +178,7 @@ def _suite_checks(level: str, ns: tuple[int, ...], trunc: TruncationSpec):
                     lambda n=n, c=c, m=m: check_sumrs(n, c, m, CUSP_INF, CUSP_ZERO)))
     if level == "fast":
         return checks
-    small = TruncationSpec(c_max=min(trunc.c_max, 400), m_max=trunc.m_max,
-                           order=trunc.order)
+    small = replace(trunc, c_max=min(trunc.c_max, 400))
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
         for z in (2j, 1 + 2j):
             checks.append(("klf_gamma2",
@@ -195,8 +194,7 @@ def _suite_checks(level: str, ns: tuple[int, ...], trunc: TruncationSpec):
         for k in (CUSP_ZERO, CUSP_INF):
             checks.append(("sum_relation",
                            lambda n=n, k=k: check_sum_relation(n, k, 1 + 2j, 2.0, small)))
-        reps_n = cusp_reps(n)
-        for (j, k) in ((reps_n[-1].rep, reps_n[-1].rep), (reps_n[0].rep, reps_n[-1].rep)):
+        for (j, k) in ((reps[-1].rep, reps[-1].rep), (reps[0].rep, reps[-1].rep)):
             checks.append(("cross_path",
                            lambda n=n, j=j, k=k: check_cross_path(gamma_n(n), j, k, 1j, 2.0, small)))
     return checks

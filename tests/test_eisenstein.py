@@ -449,6 +449,67 @@ def test_limit_reads_one_lane_set_per_class_at_every_height(monkeypatch):
         assert _bits(val) == _bits(want), z
 
 
+def _phi_oracle(group, j, k, m, s, c_max):
+    """phi_{jk,m}(s) from one mode's inner_sums row weighted by c^(-2s):
+    the oracle for the memoized phi."""
+    from fermatkl.eisenstein import _power_terms
+
+    cs = np.arange(1, c_max + 1, dtype=float)
+    (row,) = inner_sums(group, j, k, (m,), c_max)
+    return complex((row * _power_terms(cs * cs, s)).sum())
+
+
+def test_phi_coefficient_matches_inner_sums_oracle(monkeypatch):
+    # every mode -M..M at s > 1, and the modes m != 0 at s = 1, has the
+    # bits of the weighted inner sums, as do the modes past M, read at
+    # the bound |m|; the s = 1 tail has no known bound and is inf
+    tr = TruncationSpec(c_max=40, m_max=5)
+    modes = range(-tr.m_max, tr.m_max + 1)
+    for g in (GAMMA1, GAMMA2, *(gamma_n(n) for n in (2, 3, 4, 5))):
+        cusps = group_cusps(g)
+        _fresh_store(monkeypatch)
+        for j, k in {(cusps[0], cusps[-1]), (cusps[-1], cusps[-1]),
+                     (cusps[0], cusps[min(1, len(cusps) - 1)])}:
+            for s in (1.5, 2.0, 1.5 + 0.7j, 1.0):
+                for m in (*modes, tr.m_max + 2, -tr.m_max - 3):
+                    if s == 1.0 and m == 0:
+                        continue
+                    got, tail = phi_coefficient(g, j, k, m, s, tr)
+                    want = _phi_oracle(g, j, k, m, s, tr.c_max)
+                    assert _bits(got) == _bits(want), (g, j, k, s, m)
+                    assert (tail == math.inf) == (s == 1.0)
+
+
+def test_phi_readers_share_one_entry_per_class(monkeypatch):
+    # after fourier_eval fills a class at s, phi_coefficient's phi_0
+    # there reads no lanes, and after one s = 1 read of a class every
+    # mode of phi_m1_exact, phi_coefficient and the limit reads none
+    from fermatkl import eisenstein
+
+    def refuse(*args):
+        raise AssertionError("lane work on a memoized class")
+
+    tr = TruncationSpec(c_max=60, m_max=6)
+    z = 0.2 + 1.1j
+    for n in (2, 3, 5):
+        g, reps = gamma_n(n), cusp_reps(n)
+        pairs = ((reps[0].rep, reps[-1].rep), (reps[n].rep, reps[0].rep))
+        _fresh_store(monkeypatch)
+        for j, k in pairs:
+            for s in (2.0, 1.5 + 0.7j):
+                fourier_eval(g, j, k, z, s, tr)
+            phi_coefficient(g, j, k, 1, 1.0, tr)
+        with monkeypatch.context() as patch:
+            patch.setattr(eisenstein, "_lane_sums", refuse)
+            for j, k in pairs:
+                for s in (2.0, 1.5 + 0.7j):
+                    phi_coefficient(g, j, k, 0, s, tr)
+                phi_m1_exact(g, j, k, range(1, tr.m_max + 1), tr)
+                phi_m1_exact(g, j, k, (-2, 3), tr)
+                phi_coefficient(g, j, k, -tr.m_max, 1.0, tr)
+                fourier_limit_eval(g, j, k, z, tr)
+
+
 def test_phi_cache_bounded_and_evicted_key_recomputes(monkeypatch):
     # past maxsize distinct keys the oldest goes, and computing it again
     # gives the same bits
@@ -458,12 +519,12 @@ def test_phi_cache_bounded_and_evicted_key_recomputes(monkeypatch):
     g, reps = gamma_n(2), cusp_reps(2)
     i = eisenstein._lane_class(g, reps[0].rep, reps[-1].rep)
     bound = eisenstein._phis.cache_info().maxsize
-    first = eisenstein._phis(g, i, (0, 1, -1, 2), 20, 1.5)
+    first = eisenstein._phis(g, i, 2, 20, 1.5)
     for t in range(1, bound + 1):
-        eisenstein._phis(g, i, (0, 1, -1, 2), 20, 1.5 + t / 64)
+        eisenstein._phis(g, i, 2, 20, 1.5 + t / 64)
     info = eisenstein._phis.cache_info()
     assert info.currsize <= bound and info.misses == bound + 1
-    again = eisenstein._phis(g, i, (0, 1, -1, 2), 20, 1.5)
+    again = eisenstein._phis(g, i, 2, 20, 1.5)
     assert eisenstein._phis.cache_info().misses == info.misses + 1
     assert again is not first and list(map(_bits, again)) == list(map(_bits, first))
 

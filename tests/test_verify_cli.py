@@ -255,6 +255,23 @@ def test_cli_eisenstein():
     assert json.loads(out)["inputs"]["z"] == "(-0.2+0.9j)"
 
 
+def test_cli_eisenstein_reads_its_lane_class_once(monkeypatch, capsys):
+    # the Fourier chart and phi_0 of one cusp share one memoized lane read
+    from collections import OrderedDict
+
+    from fermatkl import eisenstein
+
+    monkeypatch.setattr(eisenstein, "_TABLES", OrderedDict())
+    eisenstein._phis.cache_clear()
+    reads = []
+    lane_sums = eisenstein._lane_sums
+    monkeypatch.setattr(eisenstein, "_lane_sums", lambda *a: reads.append(1) or lane_sums(*a))
+    assert main(["eisenstein", "--n", "5", "--cusp", "0", "--z", "1+2i", "--s", "2",
+                 "--no-timestamp"]) == 0
+    assert len(reads) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["phi0"][0] > 0
+
+
 def test_cli_qexp():
     rc, out, _ = run_cli("qexp", "--label", "theta2", "--order", "3",
                          "--no-timestamp")
@@ -356,6 +373,8 @@ class ConfigText(str):
     ["verify", "--check-tol", "-1e-3"],
     ["verify", "--workers", "0"],
     ["verify", "--workers", "-2"],
+    ["verify", "--suite", "fast", "--ns", "1", "--check-id", "klf_gama2"],
+    ["verify", "--suite", "fast", "--ns", "1", "--check-id", "klf_gamma2"],
 ])
 def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
     path = tmp_path / "config.json"
