@@ -255,12 +255,11 @@ def cmd_verify(args, trunc: TruncationSpec) -> int:
         raise UsageError("--workers must be a positive integer")
     if args.check_tol is not None and not 0 <= args.check_tol < math.inf:
         raise UsageError("--check-tol must be a finite number >= 0")
-    reports = run_suite(args.suite, trunc, ns=ns, workers=args.workers)
-    if args.check_id:
-        reports = [r for r in reports if r.check_id == args.check_id]
-        if not reports:
-            raise UsageError(f"--check-id {args.check_id!r} names no check of the "
-                             f"{args.suite} suite at --ns {','.join(map(str, ns))}")
+    reports = run_suite(args.suite, trunc, ns=ns, workers=args.workers,
+                        check_id=args.check_id or None)
+    if args.check_id and not reports:
+        raise UsageError(f"--check-id {args.check_id!r} names no check of the "
+                         f"{args.suite} suite at --ns {','.join(map(str, ns))}")
     if args.check_tol is not None:
         reports = [replace(r, tolerance=args.check_tol, passed=r.residual <= args.check_tol)
                    for r in reports]

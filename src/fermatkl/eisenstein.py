@@ -62,12 +62,17 @@ least-recently-used cache.  The 9 n^2 pairs of a level read 3 n lane
 sets, a hit returns the bits that a miss computes, and only a miss
 reads the lanes; inner_sums is the per-c view of the same read.  The
 direct sum reads, lifts or filters the rows of each class asked for
-once and sums only those, eisenstein_direct its own, in blocks of whole
-c's: per block one repeat of a per-c table gives the row columns, one
-rectangle of translates by rows, in buffers reused through the call,
-takes |c z + d + t P|^2 in five in-place passes with d + t P exact and
-c x added once, and a masked reciprocal and a dot product give the sum,
-with no power pass at s = 2.
+once and sums only those, eisenstein_direct its own.  At real s = 2 each
+row (c, d) takes all its translates d + t P, t in Z, in closed form: one
+sin per row, walked in the row blocks of the lane reads, and one weight
+per c.  It shares the class rows with the Fourier side and nothing
+else, no phase, Bessel K or phi, so the cross path still plays two
+independent computations.  At every other s the translates are those in
+the truncation box, in blocks of whole c's: per block one repeat of a
+per-c table gives the row columns, one rectangle of translates by rows,
+in buffers reused through the call, takes |c z + d + t P|^2 in five
+in-place passes with d + t P exact and c x added once, and a masked
+reciprocal, a power and a dot product give the sum.
 """
 
 from __future__ import annotations
@@ -156,8 +161,11 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     bucket per requested class in the order given.  The tail estimate
     bounds every class.
 
-    Each row (c, d), P = step c, sums the translates t with
-    |c x + d + t P| <= m_cut.  Whole c's form a block while its rows times
+    At real s = 2 each row (c, d), P = step c, sums every translate
+    d + t P, t in Z, in closed form (_closed_form_sum), so the estimate is
+    the c > c_max tail alone.  At every other s each row sums the
+    translates t with |c x + d + t P| <= m_cut, and the estimate adds the
+    strip past m_cut.  Whole c's form a block while its rows times
     max(k_c, 5), k_c = floor(2 m_cut / P) + 1 of its first c, fit in the
     cells of the call's buffers: _DIRECT_BLOCK, half that for complex s.
     A block is one rectangle, translates down the leading axis, masked
@@ -171,10 +179,9 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     float64 and c x is added once, after it: folding c x into the start
     first rounds at the scale of m_cut, which loses up to 4.5e-13 at
     |x| near 8.  Then w = (t P + start + c x)^2 + (c y)^2 and u = mask / w
-    in place, and for real s the bucket adds u^(sigma/2) . u^(sigma/2),
-    with no power pass at sigma = 2, by np.dot over _DOT_CHUNK entries at
-    a time; complex s adds exp(-s log w) under the mask, in a reused
-    complex buffer.
+    in place, and for real s the bucket adds u^(sigma/2) . u^(sigma/2) by
+    np.dot over _DOT_CHUNK entries at a time; complex s adds
+    exp(-s log w) under the mask, in a reused complex buffer.
     """
     sigma = complex(s).real
     if sigma <= 1:
@@ -193,8 +200,15 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     pos = slot.get(classify_index(group, 1, 0))
     if pos is not None:
         vals[pos] += ys
-    m_cut = trunc.c_max * (abs(x) + y + 3.0)
     real = not (isinstance(s, complex) and s.imag != 0)
+    # the c > c_max tail
+    tail_c = 4.0 * y ** (1 - sigma) * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
+    tail_c += 2.0 * (y * trunc.c_max) ** (-2 * sigma) * y ** sigma * trunc.c_max
+    if real and sigma == 2:
+        for i, pos in slot.items():
+            vals[pos] += ys * _closed_form_sum(_class_rows(group, i, trunc.c_max), x, y)
+        return vals, tail_c
+    m_cut = trunc.c_max * (abs(x) + y + 3.0)
     # the row columns per c: step c (set per class), c x, (c y)^2, and
     # -m_cut - c x and m_cut - c x, which become each row's start and last
     cs = np.arange(trunc.c_max + 1.0)
@@ -241,8 +255,7 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
             np.less_equal(t, last, out=keep)
             if real:
                 u = np.divide(keep, w, out=w).reshape(-1)
-                if sigma != 2:
-                    np.power(u, sigma / 2, out=u)
+                np.power(u, sigma / 2, out=u)
                 for lo in range(0, n, _DOT_CHUNK):
                     part = u[lo:lo + _DOT_CHUNK]
                     total += np.dot(part, part)
@@ -252,11 +265,74 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
                 total += np.exp(terms, out=terms).sum(where=keep)
             c = end + 1
         vals[pos] += ys * total
-    # omitted-d strip plus c > c_max tail
+    # the omitted-d strip
     tail_d = trunc.c_max * 2.0 * y ** sigma * m_cut ** (1 - 2 * sigma) / (2 * sigma - 1)
-    tail_c = 4.0 * y ** (1 - sigma) * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
-    tail_c += 2.0 * (y * trunc.c_max) ** (-2 * sigma) * y ** sigma * trunc.c_max
     return vals, tail_d + tail_c
+
+
+def _closed_form_sum(rows: Rows, x: float, y: float) -> float:
+    """Sum over the rows (c, d) of rows and every t in Z of
+    |c z + d + t P|^-4, P = step c: P^-4 _translate_sums(sin(pi alpha)^2,
+    beta) per row, alpha = (c x + d)/P and beta = y/step.  The rows are
+    walked in the blocks of _row_blocks.  alpha is taken as d/P + x'/step,
+    x' the remainder of x mod step, which is exact, less its nearest
+    integer, which is exact too: sin(pi alpha)^2 sees neither integer, and
+    at |x| near 8 this halves the rounding of pi alpha near a pole.
+    np.add.reduceat sums each c, and np.dot over _DOT_CHUNK entries at a
+    time weights the c's by P^-4."""
+    step, d, bounds = rows
+    periods = step * np.arange(1.0, bounds.size)
+    inverse, shift = 1 / periods, math.remainder(x, step) / step
+    coefficients = _translate_coefficients(y / step)
+    per_c = np.zeros(periods.size)
+    for cs, lo, hi, seg, lens in _row_blocks(bounds):
+        alpha = d[lo:hi] * np.repeat(inverse[cs], lens)
+        alpha += shift
+        alpha -= np.rint(alpha)
+        alpha *= math.pi
+        sin2 = np.square(np.sin(alpha, out=alpha), out=alpha)
+        per_c[cs] = np.add.reduceat(_translate_sums(sin2, coefficients), seg)
+    weights = periods ** -4
+    return sum(float(np.dot(per_c[lo:lo + _DOT_CHUNK], weights[lo:lo + _DOT_CHUNK]))
+               for lo in range(0, per_c.size, _DOT_CHUNK))
+
+
+def _translate_coefficients(beta: float) -> tuple[float, float, float, float]:
+    """(f, g, e, a2) with sum over t in Z of ((alpha + t)^2 + beta^2)^-2
+    equal to (f + g sin2)/(a2 + e sin2)^2, sin2 = sin(pi alpha)^2.
+
+    The sum is -(1/2 beta) d/dbeta of (pi/beta) sinh u/(cosh u - cos 2 pi
+    alpha), u = 2 pi beta.  In q = e^-u, a = 1 - q and E = a^2 + 4 q sin2,
+    which neither overflow at large beta nor cancel near a pole (alpha an
+    integer), it is [A - B (2 (1 + q^2) sin2 - a^2)/E]/E, with
+    A = pi (1 - q^2)/(2 beta^3) and B = 2 pi^2 q/beta^2: f = a^2 (A + B),
+    e = 4 q, a2 = a^2 and g = 4 q A - 2 (1 + q^2) B.  At small beta A and
+    B are near 2 pi^2/beta^2 and cancel at alpha = 1/2 (8e-13 of the sum
+    at beta = 0.01) in that form; here they do not meet, as
+    g = -2 pi q w/beta^3 with w = u (1 + q^2) - (1 - q^2) >= 0, which is
+    2 q (u cosh u - sinh u), taken from the series of u cosh u - sinh u
+    below u = 1.  g sin2 is at most 2/3 of f, so nothing cancels."""
+    u = 2.0 * math.pi * beta
+    q, a = math.exp(-u), -math.expm1(-u)
+    if u < 1:
+        w = 2 * q * sum(2 * k * u ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(1, 11))
+    else:
+        w = u * (1 + q * q) - a * (1 + q)
+    f = a * a * math.pi * (a * (1 + q) / (2 * beta ** 3) + 2 * math.pi * q / beta ** 2)
+    return f, -2 * math.pi * q * w / beta ** 3, 4 * q, a * a
+
+
+def _translate_sums(sin2: np.ndarray, coefficients) -> np.ndarray:
+    """(f + g sin2)/(a2 + e sin2)^2 for the _translate_coefficients
+    (f, g, e, a2) of beta and each entry of sin2, which it overwrites:
+    the sum over t in Z of ((alpha + t)^2 + beta^2)^-2."""
+    f, g, e, a2 = coefficients
+    num = np.multiply(sin2, g)
+    num += f
+    sin2 *= e
+    sin2 += a2
+    np.square(sin2, out=sin2)
+    return np.divide(num, sin2, out=num)
 
 
 def _row_key(group: GroupId, i: int) -> tuple:
@@ -325,19 +401,22 @@ _GAMMA1_ROWS = (1, 0, 0)
 # memory for little speed.
 _ENUM_BLOCK = 2048
 
-# Lanes per block of inner_sums, in whole c's: its two complex buffers,
-# the unit phase and its running power, stay near 64 kB each, below the
-# full-length columns a call reads, and fit in cache.
+# Rows per block of _row_blocks, in whole c's, which walks the lanes of
+# inner_sums and the rows of the direct sum at s = 2: the two complex
+# buffers of a lane read, the unit phase and its running power, stay near
+# 64 kB each, below the full-length columns a call reads, and fit in
+# cache, and the float columns of a direct sum near 32 kB each.
 _PHASE_BLOCK = 1 << 12
-# Cells per block of the direct sum, in whole c's: a rectangle buffer of
-# 256 kB and a bool mask, allocated once per call, and row columns of at
-# most 256 kB more per block.  A warm sum peaks near 0.75 MB at c_max 500;
-# twice the cells would pass the 1 MB bound of the tests.
+# Cells per block of the direct sum's translate rectangle, which serves
+# every s but real s = 2, in whole c's: a rectangle buffer of 256 kB and
+# a bool mask, allocated once per call, and row columns of at most 256 kB
+# more per block.  A warm sum peaks near 0.75 MB at c_max 500; twice the
+# cells would pass the 1 MB bound of the tests.
 _DIRECT_BLOCK = 1 << 15
-# Entries per np.dot of the direct sum.  OpenBLAS splits a dot of over
-# 10,000 entries across its threads: on a shared 2-vCPU host that took
-# 49 us a call at 10,001 entries against 3 us at 10,000, and its rounding
-# then depends on the thread count.
+# Entries per np.dot of the direct sum, on both of its paths.  OpenBLAS
+# splits a dot of over 10,000 entries across its threads: on a shared
+# 2-vCPU host that took 49 us a call at 10,001 entries against 3 us at
+# 10,000, and its rounding then depends on the thread count.
 _DOT_CHUNK = 1 << 13
 # Entries of the memoized phi, keyed (group, lane class, mode bound M,
 # c_max, s) and read by fourier_eval, phi_coefficient and phi_m1_exact,
@@ -478,7 +557,7 @@ def _lane_sums(b: int, rows: Rows, ms: list) -> np.ndarray:
     w = e(p d'/(b c)) with p d' reduced exactly mod b c.  Mode m = p k is
     then w^k, by repeated multiplication, summed per c with
     np.add.reduceat; the row of -m is its complex conjugate.  The lanes
-    are walked in blocks of whole c's, each c rebuilt from bounds.
+    are walked in the blocks of _row_blocks.
 
     Rounding, u = 2^-53: w is within 12 u of its exact value, and each of
     the k - 1 multiplications adds at most sqrt(5) u, so w^k is within
@@ -497,18 +576,11 @@ def _lane_sums(b: int, rows: Rows, ms: list) -> np.ndarray:
             out[i] = weight * counts
         elif not m % weight:
             wanted.setdefault(abs(m) // weight, []).append((i, m < 0))
-    # c - 1 of each c with lanes
-    cs = np.flatnonzero(counts)
-    if not wanted or not cs.size:
+    if not wanted:
         return out
-    starts = bounds[cs]
-    # blocks of whole c's of about _PHASE_BLOCK lanes
-    edges = np.flatnonzero(np.diff(starts // _PHASE_BLOCK)) + 1
-    for blk in np.split(np.arange(cs.size), edges):
-        lo, hi = starts[blk[0]], bounds[cs[blk[-1]] + 1]
-        seg = starts[blk] - lo
+    for cs, lo, hi, seg, lens in _row_blocks(bounds):
         # phase p d/(b c) reduced exactly into [-1/2, 1/2)
-        bc = b * np.repeat(cs[blk] + 1, counts[cs[blk]])
+        bc = np.repeat(b * (cs + 1), lens)
         r = weight * d[lo:hi].astype(np.int64) % bc
         theta = 2.0 * math.pi * (r - bc * (2 * r >= bc)) / bc
         w = np.empty(theta.size, dtype=complex)
@@ -521,8 +593,23 @@ def _lane_sums(b: int, rows: Rows, ms: list) -> np.ndarray:
             if k in wanted:
                 sums = weight * np.add.reduceat(power, seg)
                 for i, neg in wanted[k]:
-                    out[i, cs[blk]] = sums.conj() if neg else sums
+                    out[i, cs] = sums.conj() if neg else sums
     return out
+
+
+def _row_blocks(bounds: np.ndarray):
+    """The rows of bounds in blocks of whole c's of about _PHASE_BLOCK
+    rows, skipping the c's without rows: per block (cs, lo, hi, seg,
+    lens), its rows lo:hi, cs the c - 1 of its c's, seg the offset in
+    lo:hi of each one's first row and lens their row counts."""
+    counts = np.diff(bounds)
+    cs = np.flatnonzero(counts)
+    if not cs.size:
+        return
+    starts = bounds[cs]
+    edges = np.flatnonzero(np.diff(starts // _PHASE_BLOCK)) + 1
+    for blk, first in zip(np.split(cs, edges), np.split(starts, edges)):
+        yield blk, first[0], bounds[blk[-1] + 1], first - first[0], counts[blk]
 
 
 def phi_coefficient(group: GroupId, j: Cusp, k: Cusp, m: int, s,

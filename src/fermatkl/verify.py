@@ -203,13 +203,16 @@ def _suite_checks(level: str, ns: tuple[int, ...], trunc: TruncationSpec):
 def run_suite(level: str = "fast",
               trunc: TruncationSpec = DEFAULT_TRUNCATION,
               ns: tuple[int, ...] = (1, 2),
-              workers: int = 1) -> list[CheckReport]:
-    """Run the named suite; reports are collected in declaration order
-    regardless of the worker count.  Individual check failures never
-    abort the suite."""
+              workers: int = 1,
+              check_id: str | None = None) -> list[CheckReport]:
+    """Run the named suite, or only its checks of the id check_id, which
+    runs nothing when none has it; reports are collected in declaration
+    order regardless of the worker count.  Individual check failures
+    never abort the suite."""
     if level not in ("fast", "full"):
         raise ValueError("suite level must be 'fast' or 'full'")
-    checks = _suite_checks(level, tuple(ns), trunc)
+    checks = [item for item in _suite_checks(level, tuple(ns), trunc)
+              if check_id is None or item[0] == check_id]
 
     def run_one(item):
         name, fn = item

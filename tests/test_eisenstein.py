@@ -596,20 +596,72 @@ def _direct_all_per_c(group, z, s, trunc):
     return vals
 
 
+def _strip_bound(z, s, trunc):
+    """Bound of the terms past the window |c x + d + t P| <= m_cut of the
+    buckets: a c takes each integer d + t P at most once per class, so at
+    most y^sigma (m_cut^(-2 sigma) + integral of w^(-2 sigma) past m_cut)
+    on each side."""
+    y, sigma = z.imag, complex(s).real
+    m_cut = trunc.c_max * (abs(z.real) + y + 3.0)
+    return trunc.c_max * 2.0 * y ** sigma * (m_cut ** (-2 * sigma)
+                                             + m_cut ** (1 - 2 * sigma) / (2 * sigma - 1))
+
+
+def _direct_all_closed_per_c(group, z, trunc):
+    """Oracle for the buckets of eisenstein_direct_all at s = 2: one c at
+    a time, each row's translates summed in the textbook form
+    -(1/2 beta) d/dbeta of (pi/beta) sinh u/(cosh u - cos v), that is
+    pi sinh u/(2 beta^3 D) - pi^2 (1 - cosh u cos v)/(beta^2 D^2) with
+    D = cosh u - cos v, u = 2 pi beta and v = 2 pi alpha, alpha = (c x + d)/P
+    and beta = y/step.  D and 1 - cosh u cos v are taken by the half-angle
+    forms 2 sinh(u/2)^2 + 2 sin(v/2)^2 and 2 cosh u sin(v/2)^2 - 2 sinh(u/2)^2,
+    as cosh u - cos v loses 3e-14 of D near a pole at beta = 0.02, and
+    v/2 = pi alpha with alpha reduced to [-1/2, 1/2], exactly."""
+    from fermatkl import eisenstein
+
+    x, y = z.real, z.imag
+    vals = np.zeros(len(group_cusps(group)))
+    vals[classify_index(group, 1, 0)] += y * y
+    for i in range(vals.size):
+        step, d_col, bounds = eisenstein._class_rows(group, i, trunc.c_max)
+        beta = y / step
+        u = 2 * math.pi * beta
+        sh, ch, sh_half2 = math.sinh(u), math.cosh(u), math.sinh(u / 2) ** 2
+        for c in range(1, trunc.c_max + 1):
+            alpha = (c * x + d_col[bounds[c - 1]:bounds[c]]) / (step * c)
+            sin2 = np.sin(math.pi * (alpha - np.rint(alpha))) ** 2
+            den = 2 * (sh_half2 + sin2)
+            rows = math.pi * sh / (2 * beta ** 3 * den) \
+                - math.pi ** 2 * 2 * (ch * sin2 - sh_half2) / (beta ** 2 * den ** 2)
+            vals[i] += y * y * rows.sum() / (step * c) ** 4
+    return vals
+
+
 DIRECT_GROUPS = (GAMMA1, GAMMA2, gamma_n(2), gamma_n(3), gamma_n(4), gamma_n(5))
 DIRECT_S = (1.5, 2.0, 3.0, 1.5 + 0.7j)
 DIRECT_Z = (-2.0 + 0.3j, 0.25 + 1.0j, 1.7 + 0.45j, -0.6 + 3.0j, 2.0 + 1.9j)
 
 
-def _assert_direct_matches_per_c(c_maxes):
+def _assert_direct_matches_per_c(c_maxes, zs=DIRECT_Z, groups=DIRECT_GROUPS, tol=1e-12):
+    # at s = 2 the buckets sum every translate in closed form: at least the
+    # window's sum, at most its omitted strip above it, and within tol of
+    # the textbook form; at every other s within tol of the window's sum
     for c_max in c_maxes:
         tr = TruncationSpec(c_max=c_max)
-        for g in DIRECT_GROUPS:
+        for g in groups:
             for s in DIRECT_S:
-                for z in DIRECT_Z:
+                for z in zs:
                     got, _ = eisenstein_direct_all(g, z, s, tr)
                     want = _direct_all_per_c(g, z, s, tr)
-                    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (g, c_max, s, z)
+                    if s != 2:
+                        assert np.all(np.abs(got - want) <= tol * np.abs(want)), (g, c_max, s, z)
+                        continue
+                    assert np.all(got.imag == 0) and np.all(want.imag == 0)
+                    got, want = got.real, want.real
+                    assert np.all(want <= got), (g, c_max, z)
+                    assert np.all(got <= want + _strip_bound(z, s, tr) + 1e-12 * want), (g, c_max, z)
+                    oracle = _direct_all_closed_per_c(g, z, tr)
+                    assert np.all(np.abs(got - oracle) <= tol * oracle), (g, c_max, z)
 
 
 def test_direct_blocks_match_per_c_oracle():
@@ -619,24 +671,89 @@ def test_direct_blocks_match_per_c_oracle():
 
 @pytest.mark.parametrize("block", [1, 64])
 def test_direct_small_blocks_match_per_c_oracle(monkeypatch, block):
-    # blocks of one c each, whose rectangles pass the block size
+    # blocks of one c each, whose rectangles pass the block size, and at
+    # s = 2 row blocks of one c each or of a few c's
     from fermatkl import eisenstein
 
     monkeypatch.setattr(eisenstein, "_DIRECT_BLOCK", block)
+    monkeypatch.setattr(eisenstein, "_PHASE_BLOCK", block)
     _assert_direct_matches_per_c((60,))
 
 
 def test_direct_matches_per_c_oracle_at_large_x():
     # at |x| up to 7.7 and Im z down to 0.2 the row start d + t_lo P is
     # far from c x: folding c x into the start before the translates are
-    # added rounds twice and misses by up to 4.5e-13
+    # added rounds twice and misses by up to 4.5e-13; at s = 2 alpha takes
+    # the exact remainder of x mod step
+    _assert_direct_matches_per_c((120,), (5.3 + 0.35j, -7.7 + 0.2j),
+                                 (GAMMA2, gamma_n(3), gamma_n(5)), 1e-14)
+
+
+def test_translate_sums_match_nsum():
+    # the closed form of one row over every translate against mpmath's
+    # nsum over t in Z, near the poles alpha = 0 and 1 and halfway, on
+    # both sides of the series switch at u = 2 pi beta = 1
+    from fermatkl import eisenstein
+
+    mpmath = pytest.importorskip("mpmath")
+    alphas = (0.0, 1e-7, 0.5 - 1e-6, 0.5, 1 - 1e-9, 1.0)
+    with mpmath.mp.workdps(30):
+        for beta in (0.01, 0.1, 0.159, 0.16, 1.0, 3.0, 50.0):
+            sin2 = np.array([math.sin(math.pi * a) ** 2 for a in alphas])
+            got = eisenstein._translate_sums(sin2, eisenstein._translate_coefficients(beta))
+            for a, value in zip(alphas, got):
+                want = mpmath.nsum(lambda t: ((a + t) ** 2 + beta ** 2) ** -2,
+                                   [-mpmath.inf, mpmath.inf])
+                assert abs(value - want) <= 1e-13 * want, (beta, a)
+
+
+def test_direct_closed_form_meets_window_near_s_2():
+    # s = 2 sums every translate, s = 2 -+ 1e-9 the window: they agree
+    # within the window's strip estimate, by which the tail estimate grows
+    # off s = 2
     tr = TruncationSpec(c_max=120)
-    for g in (GAMMA2, gamma_n(3), gamma_n(5)):
-        for s in DIRECT_S:
-            for z in (5.3 + 0.35j, -7.7 + 0.2j):
-                got, _ = eisenstein_direct_all(g, z, s, tr)
-                want = _direct_all_per_c(g, z, s, tr)
-                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (g, s, z)
+    for g in (GAMMA2, gamma_n(3)):
+        for z in (0.3 + 1.1j, -2.0 + 0.3j):
+            at_2, tail = eisenstein_direct_all(g, z, 2.0, tr)
+            for s in (2 - 1e-9, 2 + 1e-9):
+                near, near_tail = eisenstein_direct_all(g, z, s, tr)
+                assert near_tail > tail
+                assert np.all(np.abs(at_2 - near) <= near_tail - tail), (g, z, s)
+
+
+def _plain_coefficients(sign, rate):
+    """_translate_coefficients in the plain form [A - B G/E]/E, with
+    q = e^(-rate pi beta) and the sign of its second term as given."""
+    def coefficients(beta):
+        q = math.exp(-rate * math.pi * beta)
+        a = 1 - q
+        big_a, big_b = math.pi * (1 - q * q) / (2 * beta ** 3), 2 * math.pi ** 2 * q / beta ** 2
+        # (A E - sign B G)/E^2, E = a^2 + 4 q sin2, G = 2 (1 + q^2) sin2 - a^2
+        return (a * a * (big_a + sign * big_b), 4 * q * big_a - sign * 2 * (1 + q * q) * big_b,
+                4 * q, a * a)
+    return coefficients
+
+
+@pytest.mark.parametrize("sign, rate", [(-1, 2), (1, 1)])
+def test_closed_form_mutant_fails_cross_path(monkeypatch, sign, rate):
+    # the direct sum at s = 2 shares only the class rows with the Fourier
+    # side, so the cross path sees an error in its closed form: the second
+    # term with its sign flipped, or q = e^(-pi beta), fails the suite's
+    # pairs on Gamma(2) and the pair (0, inf) on Gamma_3 (residuals 1e-3 to
+    # 0.4), where the plain form passes
+    from fermatkl import eisenstein, verify
+
+    tr = TruncationSpec(c_max=400)
+    reps = cusp_reps(3)
+    cases = ((GAMMA2, CUSP_INF, CUSP_INF), (GAMMA2, CUSP_ZERO, CUSP_INF),
+             (gamma_n(3), reps[0].rep, reps[-1].rep))
+
+    def passed(coefficients):
+        monkeypatch.setattr(eisenstein, "_translate_coefficients", coefficients)
+        return [verify.check_cross_path(g, j, k, 1j, 2.0, tr).passed for g, j, k in cases]
+
+    assert passed(_plain_coefficients(1, 2)) == [True] * 3
+    assert passed(_plain_coefficients(sign, rate)) == [False] * 3
 
 
 def test_direct_sums_on_threads_match_serial():

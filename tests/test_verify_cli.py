@@ -306,7 +306,7 @@ def test_cli_verify_fast():
 def test_cli_verify_exit_code_two(monkeypatch):
     import fermatkl.cli as cli_mod
 
-    def fake_suite(level, trunc, ns, workers):
+    def fake_suite(level, trunc, ns, workers, check_id=None):
         return [CheckReport("fake", {}, 1.0, 0.5, False, 3)]
 
     monkeypatch.setattr(cli_mod, "run_suite", fake_suite)
@@ -329,6 +329,40 @@ def test_cli_verify_check_selection_and_tol_override():
     rec = json.loads(out)
     assert rec["results"]["all_passed"] is False
     assert json.loads(json.dumps(rec)) == rec
+
+
+def test_cli_verify_mistyped_check_id_runs_no_check(monkeypatch, capsys):
+    # the ids come from the suite's declared checks, so an id that none
+    # has is a usage error before any check runs
+    from fermatkl import verify
+
+    declared, ran = verify._suite_checks, []
+
+    def recording(*args):
+        return [(name, lambda name=name, fn=fn: ran.append(name) or fn())
+                for name, fn in declared(*args)]
+
+    monkeypatch.setattr(verify, "_suite_checks", recording)
+    assert main(["verify", "--suite", "full", "--ns", "4,5", "--check-id", "klf_gama2",
+                 "--no-timestamp"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error:") and not out and not ran
+    assert main(["verify", "--suite", "full", "--ns", "4,5", "--check-id", "sum_relation",
+                 "--no-timestamp"]) == 0
+    assert ran == ["sum_relation"] * 4
+
+
+@pytest.mark.parametrize("check_id, workers", [("cross_path", "1"), ("sumrs", "4")])
+def test_cli_verify_check_id_prints_the_filtered_full_run(capsys, check_id, workers):
+    # --check-id runs only its checks and prints the bytes of the whole
+    # run with the other reports left out
+    argv = ["verify", "--suite", "full", "--ns", "1,2,3", "--no-timestamp", "--workers", workers]
+    assert main(argv) == 0
+    rec = json.loads(capsys.readouterr().out)
+    reports = [r for r in rec["results"]["reports"] if r["check_id"] == check_id]
+    rec["results"] = {"reports": reports, "all_passed": all(r["passed"] for r in reports)}
+    assert main([*argv, "--check-id", check_id]) == 0
+    assert capsys.readouterr().out == json.dumps(rec, indent=2, sort_keys=True) + "\n"
 
 
 class ConfigText(str):
