@@ -5,9 +5,10 @@ Every command emits a single JSON object
     {schema_version, command, inputs, results, provenance}
 
 on stdout (CSV for the scatter command on request).  Numbers are IEEE
-doubles in shortest round-trip decimal.  Exit codes: 0 success or all
-checks passed, 1 usage error, 2 numeric-check failure, 3 internal
-error.
+doubles in shortest round-trip decimal.  A command takes the flags of
+the settings it reads and no other, and its provenance lists those
+settings.  Exit codes: 0 success or all checks passed, 1 usage error, 2
+numeric-check failure, 3 internal error.
 """
 
 from __future__ import annotations
@@ -104,11 +105,12 @@ def _group_of(args) -> tuple:
 
 
 def _provenance(trunc: TruncationSpec, args) -> dict:
-    out = {
+    values = {
         **asdict(trunc),
         "euler_maclaurin_terms": EULER_MACLAURIN_TERMS,
         "bessel_quadrature_nodes": BESSEL_QUADRATURE_NODES,
     }
+    out = {name: values[name] for name in args.settings if name in values}
     if not args.no_timestamp:
         out["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return out
@@ -128,8 +130,8 @@ def _emit(args, command: str, inputs: dict, results, trunc) -> None:
 
 def _read_config(path: str, keys) -> dict:
     """The truncation section of a --config file.  Anything else in the
-    file (another section, an unknown key, a value that is not an
-    integer) is a usage error, as is a file that is not readable JSON."""
+    file (another section, an unknown key, a value not an integer >= 1)
+    is a usage error, as is a file that is not readable JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -138,20 +140,21 @@ def _read_config(path: str, keys) -> dict:
     section = data.get("truncation", {}) if isinstance(data, dict) else None
     if not isinstance(section, dict) or set(data) - {"truncation"}:
         raise UsageError(f"config file {path!r} must hold one 'truncation' object")
-    bad = {k: v for k, v in section.items() if k not in keys or type(v) is not int}
+    bad = {k: v for k, v in section.items() if k not in keys or type(v) is not int or v < 1}
     if bad:
-        raise UsageError(f"config file {path!r}: unknown key or non-integer value {bad}")
+        raise UsageError(f"config file {path!r}: unknown key or value not an integer >= 1 {bad}")
     return section
 
 
 def _config_from(args) -> TruncationSpec:
     """The truncation of a command: the defaults, then the truncation
-    section of --config, then the flags --cmax, --mmax and --order, each
-    a field's name without its underscore."""
+    section of --config, then the flags of the fields the command reads,
+    each a field's name without its underscore."""
     t = asdict(DEFAULT_TRUNCATION)
-    if args.config:
+    fields = [name for name in args.settings if name in t]
+    if fields and args.config:
         t.update(_read_config(args.config, t))
-    for name in t:
+    for name in fields:
         flag = getattr(args, name.replace("_", ""))
         if flag is not None:
             t[name] = flag
@@ -289,48 +292,51 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="fermatkl", description=__doc__)
+    parser = _Parser(prog="fermatkl", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, default=None, help="Fermat level N")
-        p.add_argument("--cmax", type=int, default=None)
-        p.add_argument("--mmax", type=int, default=None)
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON file with truncation defaults")
+    def command(name, about, fn, *settings):
+        """The parser of a command run by fn, with a flag per setting it
+        reads, --config when it reads a truncation field, --no-timestamp,
+        and no flag read as the prefix of another."""
+        p = sub.add_parser(name, help=about, allow_abbrev=False)
+        p.set_defaults(fn=fn, settings=settings)
+        if "n" in settings:
+            p.add_argument("--n", type=int, default=None, help="Fermat level N")
+        fields = [f for f in asdict(DEFAULT_TRUNCATION) if f in settings]
+        for field in fields:
+            p.add_argument("--" + field.replace("_", ""), type=int, default=None)
+        if fields:
+            p.add_argument("--config", type=str, default=None,
+                           help="JSON file with truncation defaults")
         p.add_argument("--no-timestamp", action="store_true")
+        return p
 
-    p = sub.add_parser("cusps", help="list the cusp system of Gamma_N")
-    common(p)
-    p.set_defaults(fn=cmd_cusps)
+    special = ("euler_maclaurin_terms", "bessel_quadrature_nodes")
 
-    p = sub.add_parser("classify", help="classify a cusp with witness")
-    common(p)
+    command("cusps", "list the cusp system of Gamma_N", cmd_cusps, "n")
+
+    p = command("classify", "classify a cusp with witness", cmd_classify, "n")
     p.add_argument("--cusp", help="cusp as p/q or inf; --cusp=-7/3 for a leading minus")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
-    p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("scatter", help="scattering matrix of Gamma_N")
-    common(p)
+    p = command("scatter", "scattering matrix of Gamma_N", cmd_scatter,
+                "n", "euler_maclaurin_terms")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--matrix", choices=("normalized", "natural"),
                    default="normalized", help="which matrix to print as CSV")
-    p.set_defaults(fn=cmd_scatter)
 
-    p = sub.add_parser("eisenstein", help="Eisenstein series values")
-    common(p)
+    p = command("eisenstein", "Eisenstein series values", cmd_eisenstein,
+                "n", "c_max", "m_max", *special)
     p.add_argument("--group", choices=("gamma1", "gammaN"), default="gammaN")
     p.add_argument("--cusp", required=True, help="p/q or inf; --cusp=-1/2 for a leading minus")
     p.add_argument("--z", required=True, help="x+yi, y > 0; --z=-0.2+0.9i for a leading minus")
     p.add_argument("--s", help="x+yi, x > 1, 2 by default; --s=... for a leading minus")
     p.add_argument("--limit", action="store_true",
                    help="regularized value at s = 1 (4 pi scale)")
-    p.set_defaults(fn=cmd_eisenstein)
 
-    p = sub.add_parser("verify", help="run the verification suite")
-    common(p)
+    p = command("verify", "run the verification suite", cmd_verify, "c_max", "m_max", *special)
     p.add_argument("--suite", choices=("fast", "full"), default="fast")
     p.add_argument("--ns", type=str, default=None, help="levels, e.g. 1,2,3")
     p.add_argument("--workers", type=int, default=1)
@@ -338,12 +344,9 @@ def build_parser() -> _Parser:
                    help="restrict the report to one check id")
     p.add_argument("--check-tol", type=float, default=None,
                    help="override the pass tolerance for the selected checks")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("qexp", help="dump a q-expansion")
-    common(p)
+    p = command("qexp", "dump a q-expansion", cmd_qexp, "order")
     p.add_argument("--label", type=str, required=True)
-    p.set_defaults(fn=cmd_qexp)
 
     return parser
 

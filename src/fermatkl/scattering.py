@@ -113,13 +113,10 @@ def scattering_matrix(n: int) -> list[list[ScatteringEntry]]:
 
 
 def natural_constant(group: GroupId, j: Cusp, k: Cusp) -> float:
-    """Natural scattering constant for a cusp pair of any supported group."""
+    """Natural scattering constant for a cusp pair of any supported group;
+    level 2 is the Fermat group of level 1."""
     if group.kind == "gamma1":
         return gamma1_constant()
-    if group == GAMMA2:
-        # the factored Dirichlet series, as in gamma2_constants
-        diag, off = _gamma2_naturals()
-        return diag if gamma2_base(j) == gamma2_base(k) else off
     reps = cusp_reps(group.n)
     fj = reps[classify_rep_index(j.p, j.q, group.n)]
     fk = reps[classify_rep_index(k.p, k.q, group.n)]

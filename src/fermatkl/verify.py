@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import scattering
 from .eisenstein import (
@@ -63,25 +63,11 @@ def _report(check_id: str, params: dict, residual: float, tol: float,
                        bool(residual <= tol), ms)
 
 
-_GLABEL = {0: "g0", 1: "g1", 2: "ginf"}
-
-
-def check_klf_gamma2(j: Cusp, z: complex,
-                     trunc: TruncationSpec = DEFAULT_TRUNCATION) -> CheckReport:
-    """Kronecker limit formula at level 2: regularized Eisenstein limit
-    against -log ||G_j||^2 + klf_constant."""
-    t0 = time.perf_counter()
-    lhs = fourier_limit_eval(GAMMA2, j, CUSP_INF, z, trunc)
-    idx = classify_index(GAMMA2, j.p, j.q)
-    gv, _ = FormsAt(z).value(FormLabel(_GLABEL[idx]))
-    rhs = -math.log(petersson_norm_sq(gv, z, 2)) + scattering.klf_constant(GAMMA2)
-    return _report("klf_gamma2", {"j": j, "z": z}, abs(lhs - rhs), 1e-6, t0)
-
-
-def check_klf_fermat(n: int, fc: FermatCusp, z: complex,
-                     trunc: TruncationSpec = DEFAULT_TRUNCATION) -> CheckReport:
+def _klf_report(check_id: str, params: dict, tol: float, n: int, fc: FermatCusp,
+                z: complex, trunc: TruncationSpec) -> CheckReport:
     """Kronecker limit formula for the level-n Fermat group at the
-    infinity chart."""
+    infinity chart: regularized Eisenstein limit against
+    -log ||f_fc||^2 / n^2 + klf_constant."""
     t0 = time.perf_counter()
     group = gamma_n(n)
     chart = cusp_reps(n)[-1].rep
@@ -89,8 +75,21 @@ def check_klf_fermat(n: int, fc: FermatCusp, z: complex,
     fv, _ = FormsAt(z).value(FormLabel("f", n, fc.kind, fc.index))
     rhs = -math.log(petersson_norm_sq(fv, z, 2)) / (n * n) \
         + scattering.klf_constant(group)
-    return _report("klf_fermat", {"n": n, "cusp": fc.rep, "z": z},
-                   abs(lhs - rhs), 1e-4, t0)
+    return _report(check_id, params, abs(lhs - rhs), tol, t0)
+
+
+def check_klf_gamma2(j: Cusp, z: complex,
+                     trunc: TruncationSpec = DEFAULT_TRUNCATION) -> CheckReport:
+    """Kronecker limit formula at level 2, the n = 1 case of the Fermat
+    one, where f[A, 0], f[B, 0] and f[C, 0] are -g0, -g1 and ginf."""
+    fc = cusp_reps(1)[classify_index(GAMMA2, j.p, j.q)]
+    return _klf_report("klf_gamma2", {"j": j, "z": z}, 1e-6, 1, fc, z, trunc)
+
+
+def check_klf_fermat(n: int, fc: FermatCusp, z: complex,
+                     trunc: TruncationSpec = DEFAULT_TRUNCATION) -> CheckReport:
+    """Kronecker limit formula for the level-n Fermat group."""
+    return _klf_report("klf_fermat", {"n": n, "cusp": fc.rep, "z": z}, 1e-4, n, fc, z, trunc)
 
 
 def check_limitsum(n: int, fc: FermatCusp, z: complex,
@@ -178,7 +177,6 @@ def _suite_checks(level: str, ns: tuple[int, ...], trunc: TruncationSpec):
                     lambda n=n, c=c, m=m: check_sumrs(n, c, m, CUSP_INF, CUSP_ZERO)))
     if level == "fast":
         return checks
-    small = replace(trunc, c_max=min(trunc.c_max, 400))
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
         for z in (2j, 1 + 2j):
             checks.append(("klf_gamma2",
@@ -193,10 +191,10 @@ def _suite_checks(level: str, ns: tuple[int, ...], trunc: TruncationSpec):
                        lambda n=n, fc=reps[n]: check_limitsum(n, fc, 2j, trunc)))
         for k in (CUSP_ZERO, CUSP_INF):
             checks.append(("sum_relation",
-                           lambda n=n, k=k: check_sum_relation(n, k, 1 + 2j, 2.0, small)))
+                           lambda n=n, k=k: check_sum_relation(n, k, 1 + 2j, 2.0, trunc)))
         for (j, k) in ((reps[-1].rep, reps[-1].rep), (reps[0].rep, reps[-1].rep)):
             checks.append(("cross_path",
-                           lambda n=n, j=j, k=k: check_cross_path(gamma_n(n), j, k, 1j, 2.0, small)))
+                           lambda n=n, j=j, k=k: check_cross_path(gamma_n(n), j, k, 1j, 2.0, trunc)))
     return checks
 
 

@@ -137,6 +137,29 @@ def test_run_suite_fast_and_order():
     assert [r.residual for r in again] == [r.residual for r in reports]
 
 
+def test_full_suite_runs_every_check_at_its_truncation(monkeypatch):
+    # every check that takes a truncation gets the suite's, the one that
+    # the provenance of verify prints
+    from fermatkl import verify
+
+    trunc = TruncationSpec(c_max=450, m_max=12)
+    seen = []
+
+    def recording(name):
+        def check(*args):
+            seen.append((name, args[-1]))
+            return CheckReport(name, {}, 0.0, 1.0, True, 0)
+        return check
+
+    names = ("check_klf_gamma2", "check_klf_fermat", "check_limitsum",
+             "check_sum_relation", "check_cross_path")
+    for name in names:
+        monkeypatch.setattr(verify, name, recording(name))
+    run_suite("full", trunc, (2, 3))
+    assert {name for name, _ in seen} == set(names)
+    assert all(t is trunc for _, t in seen), seen
+
+
 def test_full_suite_warm_runs_are_byte_identical(monkeypatch):
     # a run in a warm process reads the tables and the memoized phi that
     # the first run filled, and must print the bits it printed, on one
@@ -382,18 +405,21 @@ class ConfigText(str):
     ["classify", "--n", "2"],
     ["classify", "--p", "0", "--q", "0", "--n", "2"],
     ["classify", "--cusp", "1/2", "--q", "3", "--n", "2"],
-    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": {"cmax": 3}}')],
-    ["cusps", "--n", "2", "--config",
+    ["qexp", "--label", "lambda", "--config", ConfigText('{"truncation": {"cmax": 3}}')],
+    ["qexp", "--label", "lambda", "--config",
      ConfigText('{"precision": {"euler_maclaurin_terms": 64}}')],
-    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": {}, "extra": {}}')],
-    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": {"c_max": "abc"}}')],
-    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": {"c_max": 2.5}}')],
-    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": {"order": true}}')],
-    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": {"m_max": 0}}')],
-    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": [500]}')],
-    ["cusps", "--n", "2", "--config", ConfigText("[500]")],
-    ["cusps", "--n", "2", "--config", ConfigText('{"truncation": ')],
-    ["cusps", "--n", "2", "--config", "no/such/config.json"],
+    ["qexp", "--label", "lambda", "--config", ConfigText('{"truncation": {}, "extra": {}}')],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--config",
+     ConfigText('{"truncation": {"c_max": "abc"}}')],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--config",
+     ConfigText('{"truncation": {"c_max": 2.5}}')],
+    ["qexp", "--label", "lambda", "--config", ConfigText('{"truncation": {"order": true}}')],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--config",
+     ConfigText('{"truncation": {"m_max": 0}}')],
+    ["qexp", "--label", "lambda", "--config", ConfigText('{"truncation": [500]}')],
+    ["qexp", "--label", "lambda", "--config", ConfigText("[500]")],
+    ["qexp", "--label", "lambda", "--config", ConfigText('{"truncation": ')],
+    ["qexp", "--label", "lambda", "--config", "no/such/config.json"],
     ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1-2i"],
     ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1-2i", "--limit"],
     ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+0i", "--limit"],
@@ -419,15 +445,53 @@ def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
     assert main([*argv, "--no-timestamp"]) == 1
     out, err = capsys.readouterr()
     assert err.startswith("usage error:") and not out
+    # a malformed --config file is read, and the error names it
+    if "--config" in argv:
+        assert repr(argv[argv.index("--config") + 1]) in err
+
+
+# a valid invocation of each command, and the flags of the settings that
+# it does not read
+COMMANDS = {
+    "cusps": (["--n", "2"], ["--cmax", "--mmax", "--order", "--config"]),
+    "classify": (["--n", "2", "--cusp", "1/2"], ["--cmax", "--mmax", "--order", "--config"]),
+    "scatter": (["--n", "2"], ["--cmax", "--mmax", "--order", "--config"]),
+    "eisenstein": (["--n", "2", "--cusp", "inf", "--z", "1+2i"], ["--order"]),
+    "verify": (["--suite", "fast", "--ns", "1"], ["--n", "--order"]),
+    "qexp": (["--label", "lambda"], ["--n", "--cmax", "--mmax"]),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, dead) in COMMANDS.items() for flag in dead])
+def test_cli_rejects_flags_the_command_does_not_read(command, flag, tmp_path, capsys):
+    # each flag gets a valid value, so only the flag itself is wrong
+    path = tmp_path / "config.json"
+    path.write_text('{"truncation": {"order": 8}}', encoding="utf-8")
+    value = str(path) if flag == "--config" else "3"
+    assert main([command, *COMMANDS[command][0], flag, value, "--no-timestamp"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error:") and flag in err and not out
 
 
 def test_cli_config_truncation_section(tmp_path, capsys):
+    # one file serves every command, each of which takes from it, and
+    # reports, only the settings that it reads
     path = tmp_path / "config.json"
     path.write_text('{"truncation": {"c_max": 123, "order": 9}}', encoding="utf-8")
-    assert main(["cusps", "--n", "2", "--config", str(path), "--no-timestamp"]) == 0
-    prov = json.loads(capsys.readouterr().out)["provenance"]
-    assert (prov["c_max"], prov["m_max"], prov["order"]) == (123, 10, 9)
-    assert (prov["euler_maclaurin_terms"], prov["bessel_quadrature_nodes"]) == (64, 200)
+    special = {"euler_maclaurin_terms": 64, "bessel_quadrature_nodes": 200}
+    provenance = {
+        "cusps": {},
+        "classify": {},
+        "scatter": {"euler_maclaurin_terms": 64},
+        "eisenstein": {"c_max": 123, "m_max": 10, **special},
+        "verify": {"c_max": 123, "m_max": 10, **special},
+        "qexp": {"order": 9},
+    }
+    for command, expect in provenance.items():
+        config = [] if "--config" in COMMANDS[command][1] else ["--config", str(path)]
+        assert main([command, *COMMANDS[command][0], *config, "--no-timestamp"]) == 0
+        assert json.loads(capsys.readouterr().out)["provenance"] == expect, command
 
 
 def test_cli_internal_error_exit_code(monkeypatch, capsys):
