@@ -4,11 +4,12 @@ Every command emits a single JSON object
 
     {schema_version, command, inputs, results, provenance}
 
-on stdout (CSV for the scatter command on request).  Numbers are IEEE
-doubles in shortest round-trip decimal.  A command takes the flags of
-the settings it reads and no other, and its provenance lists those
-settings.  Exit codes: 0 success or all checks passed, 1 usage error, 2
-numeric-check failure, 3 internal error.
+on stdout; scatter --format csv prints the normalized matrix alone,
+without the record.  Numbers are IEEE doubles in shortest round-trip
+decimal.  A command takes one flag per setting it reads and no other,
+and its provenance lists those settings.  Exit codes: 0 success or every
+check passed at its own tolerance, 1 usage error, 2 numeric-check
+failure, 3 internal error.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import cmath
 import csv
 import io
 import json
-import math
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from fractions import Fraction
 
 from .eisenstein import (
@@ -101,7 +101,11 @@ def _level(args) -> int:
 
 
 def _group_of(args) -> tuple:
-    return GAMMA1 if getattr(args, "group", None) == "gamma1" else gamma_n(_level(args))
+    if args.group != "gamma1":
+        return gamma_n(_level(args))
+    if args.n is not None:
+        raise UsageError("--group gamma1 takes no --n")
+    return GAMMA1
 
 
 def _provenance(trunc: TruncationSpec, args) -> dict:
@@ -128,33 +132,12 @@ def _emit(args, command: str, inputs: dict, results, trunc) -> None:
     sys.stdout.write("\n")
 
 
-def _read_config(path: str, keys) -> dict:
-    """The truncation section of a --config file.  Anything else in the
-    file (another section, an unknown key, a value not an integer >= 1)
-    is a usage error, as is a file that is not readable JSON."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
-    section = data.get("truncation", {}) if isinstance(data, dict) else None
-    if not isinstance(section, dict) or set(data) - {"truncation"}:
-        raise UsageError(f"config file {path!r} must hold one 'truncation' object")
-    bad = {k: v for k, v in section.items() if k not in keys or type(v) is not int or v < 1}
-    if bad:
-        raise UsageError(f"config file {path!r}: unknown key or value not an integer >= 1 {bad}")
-    return section
-
-
 def _config_from(args) -> TruncationSpec:
-    """The truncation of a command: the defaults, then the truncation
-    section of --config, then the flags of the fields the command reads,
-    each a field's name without its underscore."""
+    """The truncation of a command: the defaults, overridden by the flags
+    of the fields the command reads, each a field's name without its
+    underscore."""
     t = asdict(DEFAULT_TRUNCATION)
-    fields = [name for name in args.settings if name in t]
-    if fields and args.config:
-        t.update(_read_config(args.config, t))
-    for name in fields:
+    for name in t.keys() & args.settings:
         flag = getattr(args, name.replace("_", ""))
         if flag is not None:
             t[name] = flag
@@ -181,9 +164,7 @@ def cmd_cusps(args, trunc: TruncationSpec) -> int:
 
 def cmd_classify(args, trunc: TruncationSpec) -> int:
     n = _level(args)
-    if (args.p is None) != (args.q is None) or (args.p is None and args.cusp is None):
-        raise UsageError("classify needs --cusp, or --p and --q together")
-    c = parse_cusp(args.cusp if args.p is None else f"{args.p}/{args.q}")
+    c = parse_cusp(args.cusp)
     fc, witness = classify_cusp(c, n)
     _emit(args, "classify", {"cusp": c, "n": n}, {
         "representative": str(fc.rep),
@@ -202,11 +183,9 @@ def cmd_scatter(args, trunc: TruncationSpec) -> int:
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
-        which = args.matrix
         writer.writerow(["rep"] + reps)
         for i, row in enumerate(mat):
-            writer.writerow([reps[i]] + [
-                repr(getattr(e, which)) for e in row])
+            writer.writerow([reps[i]] + [repr(e.normalized) for e in row])
         sys.stdout.write(buf.getvalue())
         return 0
     entries = [[{"normalized": e.normalized, "natural": e.natural,
@@ -249,23 +228,18 @@ def cmd_eisenstein(args, trunc: TruncationSpec) -> int:
 
 def cmd_verify(args, trunc: TruncationSpec) -> int:
     try:
-        ns = tuple(int(x) for x in args.ns.split(",")) if args.ns else (1, 2)
+        ns = tuple(int(x) for x in args.ns.split(","))
     except ValueError as exc:
         raise UsageError(f"--ns takes comma-separated levels, got {args.ns!r}") from exc
     if min(ns) < 1:
         raise UsageError("--ns levels must be positive integers")
     if args.workers < 1:
         raise UsageError("--workers must be a positive integer")
-    if args.check_tol is not None and not 0 <= args.check_tol < math.inf:
-        raise UsageError("--check-tol must be a finite number >= 0")
     reports = run_suite(args.suite, trunc, ns=ns, workers=args.workers,
                         check_id=args.check_id or None)
     if args.check_id and not reports:
         raise UsageError(f"--check-id {args.check_id!r} names no check of the "
                          f"{args.suite} suite at --ns {','.join(map(str, ns))}")
-    if args.check_tol is not None:
-        reports = [replace(r, tolerance=args.check_tol, passed=r.residual <= args.check_tol)
-                   for r in reports]
     payload = [r.to_json_dict(with_runtime=not args.no_timestamp) for r in reports]
     all_passed = all(r.passed for r in reports)
     _emit(args, "verify", {"suite": args.suite, "ns": ns},
@@ -297,18 +271,14 @@ def build_parser() -> _Parser:
 
     def command(name, about, fn, *settings):
         """The parser of a command run by fn, with a flag per setting it
-        reads, --config when it reads a truncation field, --no-timestamp,
-        and no flag read as the prefix of another."""
+        reads, --no-timestamp, and no flag read as the prefix of another."""
         p = sub.add_parser(name, help=about, allow_abbrev=False)
         p.set_defaults(fn=fn, settings=settings)
         if "n" in settings:
             p.add_argument("--n", type=int, default=None, help="Fermat level N")
-        fields = [f for f in asdict(DEFAULT_TRUNCATION) if f in settings]
-        for field in fields:
-            p.add_argument("--" + field.replace("_", ""), type=int, default=None)
-        if fields:
-            p.add_argument("--config", type=str, default=None,
-                           help="JSON file with truncation defaults")
+        for field in asdict(DEFAULT_TRUNCATION):
+            if field in settings:
+                p.add_argument("--" + field.replace("_", ""), type=int, default=None)
         p.add_argument("--no-timestamp", action="store_true")
         return p
 
@@ -317,15 +287,13 @@ def build_parser() -> _Parser:
     command("cusps", "list the cusp system of Gamma_N", cmd_cusps, "n")
 
     p = command("classify", "classify a cusp with witness", cmd_classify, "n")
-    p.add_argument("--cusp", help="cusp as p/q or inf; --cusp=-7/3 for a leading minus")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--cusp", required=True,
+                   help="cusp as p/q or inf; --cusp=-7/3 for a leading minus")
 
     p = command("scatter", "scattering matrix of Gamma_N", cmd_scatter,
                 "n", "euler_maclaurin_terms")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--matrix", choices=("normalized", "natural"),
-                   default="normalized", help="which matrix to print as CSV")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv: the normalized matrix only, no provenance")
 
     p = command("eisenstein", "Eisenstein series values", cmd_eisenstein,
                 "n", "c_max", "m_max", *special)
@@ -338,12 +306,10 @@ def build_parser() -> _Parser:
 
     p = command("verify", "run the verification suite", cmd_verify, "c_max", "m_max", *special)
     p.add_argument("--suite", choices=("fast", "full"), default="fast")
-    p.add_argument("--ns", type=str, default=None, help="levels, e.g. 1,2,3")
+    p.add_argument("--ns", type=str, default="1,2", help="levels, e.g. 1,2,3")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--check-id", type=str, default=None,
                    help="restrict the report to one check id")
-    p.add_argument("--check-tol", type=float, default=None,
-                   help="override the pass tolerance for the selected checks")
 
     p = command("qexp", "dump a q-expansion", cmd_qexp, "order")
     p.add_argument("--label", type=str, required=True)

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import subprocess
@@ -7,8 +8,9 @@ import pytest
 
 from fermatkl.cli import main, parse_complex, parse_cusp, parse_form_label
 from fermatkl.eisenstein import TruncationSpec
-from fermatkl.fermat import cusp_reps, fermat_cusp_of_ram, gamma_n
+from fermatkl.fermat import GAMMA1, cusp_reps, fermat_cusp_of_ram, gamma_n
 from fermatkl.qseries import FormLabel, coset_product_value
+from fermatkl.scattering import klf_constant
 from fermatkl.sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp
 from fermatkl.verify import (
     CheckReport,
@@ -233,8 +235,7 @@ def test_cli_classify():
     assert rc == 0
     rec = json.loads(out)
     assert rec["results"]["representative"] == "inf"
-    rc, out, _ = run_cli("classify", "--p", "-3", "--q", "1", "--n", "2",
-                         "--no-timestamp")
+    rc, out, _ = run_cli("classify", "--cusp=-3", "--n", "2", "--no-timestamp")
     rec = json.loads(out)
     assert rec["results"]["representative"] == "1"
 
@@ -278,6 +279,26 @@ def test_cli_eisenstein():
     assert json.loads(out)["inputs"]["z"] == "(-0.2+0.9j)"
 
 
+@pytest.mark.parametrize("z", ["0.2+1.1i", "2i"])
+def test_cli_gamma1_kronecker_limit(z, capsys):
+    # the classical Kronecker limit formula: at s = 1 the full modular
+    # group's series is -log(|Delta(z)|^2 y^12) plus its constant, with
+    # Delta = q prod (1 - q^n)^24
+    argv = ["eisenstein", "--group", "gamma1", "--cusp", "inf", "--z", z, "--no-timestamp"]
+    assert main([*argv, "--limit"]) == 0
+    limit = complex(*json.loads(capsys.readouterr().out)["results"]["limit_4pi"])
+    w = parse_complex(z)
+    q = cmath.exp(2j * math.pi * w)
+    delta = q * math.prod((1 - q ** n) ** 24 for n in range(1, 60))
+    expect = -math.log(abs(delta) ** 2 * w.imag ** 12) + klf_constant(GAMMA1)
+    assert abs(limit - expect) < 1e-10
+    # at s = 2 the direct sum and the Fourier chart agree within the tail
+    assert main([*argv, "--s", "2"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    gap = abs(complex(*res["direct"]) - complex(*res["fourier_inf_chart"]))
+    assert gap <= res["direct_tail"]
+
+
 def test_cli_eisenstein_reads_its_lane_class_once(monkeypatch, capsys):
     # the Fourier chart and phi_0 of one cusp share one memoized lane read
     from collections import OrderedDict
@@ -305,18 +326,6 @@ def test_cli_qexp():
     assert rc == 1  # order cannot resolve the leading term: usage error
 
 
-def test_cli_qexp_order_from_config(tmp_path, capsys):
-    # the truncation order of a --config file is the one --order sets
-    path = tmp_path / "config.json"
-    path.write_text('{"truncation": {"order": 8}}', encoding="utf-8")
-    dumps = []
-    for source in (["--config", str(path)], ["--order", "8"]):
-        assert main(["qexp", "--label", "f:B:1:3", *source, "--no-timestamp"]) == 0
-        dumps.append(capsys.readouterr().out)
-    assert dumps[0] == dumps[1]
-    assert json.loads(dumps[0])["inputs"]["order"] == "8"
-
-
 def test_cli_verify_fast():
     rc, out, _ = run_cli("verify", "--suite", "fast", "--ns", "1,2",
                          "--no-timestamp")
@@ -337,21 +346,13 @@ def test_cli_verify_exit_code_two(monkeypatch):
     assert rc == 2
 
 
-def test_cli_verify_check_selection_and_tol_override():
+def test_cli_verify_check_selection():
     rc, out, _ = run_cli("verify", "--suite", "fast", "--ns", "1,2",
                          "--check-id", "scattering_consistency",
                          "--no-timestamp")
     assert rc == 0
     rec = json.loads(out)
     assert {r["check_id"] for r in rec["results"]["reports"]} == {"scattering_consistency"}
-    # an impossible tolerance flips the exit code to 2
-    rc, out, _ = run_cli("verify", "--suite", "fast", "--ns", "1,2",
-                         "--check-id", "scattering_consistency",
-                         "--check-tol", "1e-30", "--no-timestamp")
-    assert rc == 2
-    rec = json.loads(out)
-    assert rec["results"]["all_passed"] is False
-    assert json.loads(json.dumps(rec)) == rec
 
 
 def test_cli_verify_mistyped_check_id_runs_no_check(monkeypatch, capsys):
@@ -388,11 +389,6 @@ def test_cli_verify_check_id_prints_the_filtered_full_run(capsys, check_id, work
     assert capsys.readouterr().out == json.dumps(rec, indent=2, sort_keys=True) + "\n"
 
 
-class ConfigText(str):
-    """Contents of a --config file; the test writes it to a file and
-    passes that file's path instead."""
-
-
 @pytest.mark.parametrize("argv", [
     ["eisenstein", "--n", "2", "--cusp", "abc", "--z", "1+2i"],
     ["eisenstein", "--n", "2", "--cusp", "0/0", "--z", "1+2i"],
@@ -403,23 +399,8 @@ class ConfigText(str):
     ["verify", "--ns", "2,0"],
     ["classify", "--p", "1", "--n", "2"],
     ["classify", "--n", "2"],
-    ["classify", "--p", "0", "--q", "0", "--n", "2"],
+    ["classify", "--cusp", "0/0", "--n", "2"],
     ["classify", "--cusp", "1/2", "--q", "3", "--n", "2"],
-    ["qexp", "--label", "lambda", "--config", ConfigText('{"truncation": {"cmax": 3}}')],
-    ["qexp", "--label", "lambda", "--config",
-     ConfigText('{"precision": {"euler_maclaurin_terms": 64}}')],
-    ["qexp", "--label", "lambda", "--config", ConfigText('{"truncation": {}, "extra": {}}')],
-    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--config",
-     ConfigText('{"truncation": {"c_max": "abc"}}')],
-    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--config",
-     ConfigText('{"truncation": {"c_max": 2.5}}')],
-    ["qexp", "--label", "lambda", "--config", ConfigText('{"truncation": {"order": true}}')],
-    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--config",
-     ConfigText('{"truncation": {"m_max": 0}}')],
-    ["qexp", "--label", "lambda", "--config", ConfigText('{"truncation": [500]}')],
-    ["qexp", "--label", "lambda", "--config", ConfigText("[500]")],
-    ["qexp", "--label", "lambda", "--config", ConfigText('{"truncation": ')],
-    ["qexp", "--label", "lambda", "--config", "no/such/config.json"],
     ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1-2i"],
     ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1-2i", "--limit"],
     ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+0i", "--limit"],
@@ -435,19 +416,43 @@ class ConfigText(str):
     ["verify", "--workers", "-2"],
     ["verify", "--suite", "fast", "--ns", "1", "--check-id", "klf_gama2"],
     ["verify", "--suite", "fast", "--ns", "1", "--check-id", "klf_gamma2"],
+    ["verify", "--ns="],
+    ["eisenstein", "--group", "gamma1", "--n", "9", "--cusp", "inf", "--z", "0.2+1.1i",
+     "--limit"],
+    ["eisenstein", "--group", "gamma1", "--n", "1", "--cusp", "inf", "--z", "2i", "--s", "2"],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--cmax", "abc"],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--cmax", "2.5"],
+    ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--mmax", "0"],
+    ["eisenstein", "--cusp", "inf", "--z", "2i", "--limit"],
+    ["qexp", "--label", "lambda", "--order", "0"],
+    ["scatter", "--n", "2", "--format", "xml"],
+    ["classify", "--cusp", "1/2"],
+    ["verify", "--suite", "medium"],
 ])
-def test_cli_malformed_input_is_usage_error(argv, tmp_path, capsys):
-    path = tmp_path / "config.json"
-    for i, arg in enumerate(argv):
-        if isinstance(arg, ConfigText):
-            path.write_text(arg, encoding="utf-8")
-            argv = [*argv[:i], str(path), *argv[i + 1:]]
+def test_cli_malformed_input_is_usage_error(argv, capsys):
     assert main([*argv, "--no-timestamp"]) == 1
     out, err = capsys.readouterr()
     assert err.startswith("usage error:") and not out
-    # a malformed --config file is read, and the error names it
-    if "--config" in argv:
-        assert repr(argv[argv.index("--config") + 1]) in err
+
+
+# each flag that the CLI no longer takes, on a command that took it and
+# with a value that the command accepted, so that only the flag is wrong
+@pytest.mark.parametrize("argv, flags", [
+    (["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--config", "config.json"],
+     ["--config"]),
+    (["verify", "--suite", "fast", "--ns", "1", "--config", "config.json"], ["--config"]),
+    (["qexp", "--label", "lambda", "--config", "config.json"], ["--config"]),
+    (["classify", "--n", "2", "--cusp", "1/2", "--p", "-3", "--q", "1"], ["--p", "--q"]),
+    (["scatter", "--n", "2", "--format", "csv", "--matrix", "natural"], ["--matrix"]),
+    (["verify", "--suite", "fast", "--ns", "1", "--check-tol", "1"], ["--check-tol"]),
+])
+def test_cli_removed_flags_are_usage_errors(argv, flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text('{"truncation": {}}', encoding="utf-8")
+    assert main([*argv, "--no-timestamp"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error:") and not out
+    assert all(flag in err for flag in flags)
 
 
 # a valid invocation of each command, and the flags of the settings that
@@ -464,33 +469,27 @@ COMMANDS = {
 
 @pytest.mark.parametrize("command, flag", [
     (command, flag) for command, (_, dead) in COMMANDS.items() for flag in dead])
-def test_cli_rejects_flags_the_command_does_not_read(command, flag, tmp_path, capsys):
+def test_cli_rejects_flags_the_command_does_not_read(command, flag, capsys):
     # each flag gets a valid value, so only the flag itself is wrong
-    path = tmp_path / "config.json"
-    path.write_text('{"truncation": {"order": 8}}', encoding="utf-8")
-    value = str(path) if flag == "--config" else "3"
-    assert main([command, *COMMANDS[command][0], flag, value, "--no-timestamp"]) == 1
+    assert main([command, *COMMANDS[command][0], flag, "3", "--no-timestamp"]) == 1
     out, err = capsys.readouterr()
     assert err.startswith("usage error:") and flag in err and not out
 
 
-def test_cli_config_truncation_section(tmp_path, capsys):
-    # one file serves every command, each of which takes from it, and
-    # reports, only the settings that it reads
-    path = tmp_path / "config.json"
-    path.write_text('{"truncation": {"c_max": 123, "order": 9}}', encoding="utf-8")
+def test_cli_provenance_lists_the_settings_read(capsys):
+    # each command reports only the settings that it reads, with the
+    # truncation its flags set
     special = {"euler_maclaurin_terms": 64, "bessel_quadrature_nodes": 200}
-    provenance = {
-        "cusps": {},
-        "classify": {},
-        "scatter": {"euler_maclaurin_terms": 64},
-        "eisenstein": {"c_max": 123, "m_max": 10, **special},
-        "verify": {"c_max": 123, "m_max": 10, **special},
-        "qexp": {"order": 9},
+    cases = {
+        "cusps": ([], {}),
+        "classify": ([], {}),
+        "scatter": ([], {"euler_maclaurin_terms": 64}),
+        "eisenstein": (["--cmax", "123"], {"c_max": 123, "m_max": 10, **special}),
+        "verify": (["--cmax", "123"], {"c_max": 123, "m_max": 10, **special}),
+        "qexp": (["--order", "9"], {"order": 9}),
     }
-    for command, expect in provenance.items():
-        config = [] if "--config" in COMMANDS[command][1] else ["--config", str(path)]
-        assert main([command, *COMMANDS[command][0], *config, "--no-timestamp"]) == 0
+    for command, (flags, expect) in cases.items():
+        assert main([command, *COMMANDS[command][0], *flags, "--no-timestamp"]) == 0
         assert json.loads(capsys.readouterr().out)["provenance"] == expect, command
 
 
