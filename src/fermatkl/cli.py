@@ -36,7 +36,7 @@ from .fermat import GAMMA1, classify_cusp, cusp_reps, gamma_n
 from .qseries import FormLabel, OrderTooSmall, expansion
 from .scattering import scattering_matrix
 from .sl2 import Cusp, decompose_gamma2
-from .special import BESSEL_QUADRATURE_NODES, EULER_MACLAURIN_TERMS
+from .special import BESSEL_QUADRATURE_NODES
 from .verify import run_suite
 
 SCHEMA_VERSION = "1"
@@ -109,11 +109,7 @@ def _group_of(args) -> tuple:
 
 
 def _provenance(trunc: TruncationSpec, args) -> dict:
-    values = {
-        **asdict(trunc),
-        "euler_maclaurin_terms": EULER_MACLAURIN_TERMS,
-        "bessel_quadrature_nodes": BESSEL_QUADRATURE_NODES,
-    }
+    values = {**asdict(trunc), "bessel_quadrature_nodes": BESSEL_QUADRATURE_NODES}
     out = {name: values[name] for name in args.settings if name in values}
     if not args.no_timestamp:
         out["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -282,21 +278,18 @@ def build_parser() -> _Parser:
         p.add_argument("--no-timestamp", action="store_true")
         return p
 
-    special = ("euler_maclaurin_terms", "bessel_quadrature_nodes")
-
     command("cusps", "list the cusp system of Gamma_N", cmd_cusps, "n")
 
     p = command("classify", "classify a cusp with witness", cmd_classify, "n")
     p.add_argument("--cusp", required=True,
                    help="cusp as p/q or inf; --cusp=-7/3 for a leading minus")
 
-    p = command("scatter", "scattering matrix of Gamma_N", cmd_scatter,
-                "n", "euler_maclaurin_terms")
+    p = command("scatter", "scattering matrix of Gamma_N", cmd_scatter, "n")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv: the normalized matrix only, no provenance")
 
     p = command("eisenstein", "Eisenstein series values", cmd_eisenstein,
-                "n", "c_max", "m_max", *special)
+                "n", "c_max", "m_max", "bessel_quadrature_nodes")
     p.add_argument("--group", choices=("gamma1", "gammaN"), default="gammaN")
     p.add_argument("--cusp", required=True, help="p/q or inf; --cusp=-1/2 for a leading minus")
     p.add_argument("--z", required=True, help="x+yi, y > 0; --z=-0.2+0.9i for a leading minus")
@@ -304,7 +297,8 @@ def build_parser() -> _Parser:
     p.add_argument("--limit", action="store_true",
                    help="regularized value at s = 1 (4 pi scale)")
 
-    p = command("verify", "run the verification suite", cmd_verify, "c_max", "m_max", *special)
+    p = command("verify", "run the verification suite", cmd_verify,
+                "c_max", "m_max", "bessel_quadrature_nodes")
     p.add_argument("--suite", choices=("fast", "full"), default="fast")
     p.add_argument("--ns", type=str, default="1,2", help="levels, e.g. 1,2,3")
     p.add_argument("--workers", type=int, default=1)

@@ -100,7 +100,7 @@ from .fermat import (
     tau_column,
 )
 from .sl2 import CUSP_INF, Cusp, cusp_scaling_matrix, mobius_apply
-from .special import bessel_k_batch, gamma_fn, zeta
+from .special import bessel_k_batch, gamma_fn
 
 
 class DivergentRegion(ValueError):
@@ -658,27 +658,31 @@ def _divisors(m: int) -> list[int]:
     return sorted(out)
 
 
-def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], ms, s: float) -> list[float]:
-    """Exact phi_{jk,m}(s) of the level-2 group for each m in ms, all
-    nonzero, with zeta(2s) taken once.
+# zeta at 2, the only zeta value the closed forms of phi_m(1) read
+_ZETA_2 = math.pi ** 2 / 6
+
+
+def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], ms) -> list[float]:
+    """Exact phi_{jk,m}(1) of the level-2 group for each m in ms, all
+    nonzero.
 
     pair_parity = (c, d) parities of the admissible pairs: (0, 1) for
     diagonal entries, (1, 0) and (1, 1) for the two off-diagonal types.
     Obtained by factoring the Ramanujan-sum Dirichlet series through the
-    2-adic part of m.
+    2-adic part of m.  The divisor sums are those of d^(1-2s) at s = 1,
+    taken as d ** -1.0 for the bits of the general-s form, which
+    1.0 / d does not always give.
     """
     if 0 in ms:
         raise ValueError("the closed form takes nonzero modes only")
-    w = 2.0 * s
-    zw = zeta(w)
 
     def phi(m):
         divs = _divisors(m)
         if pair_parity == (0, 1):
-            d2 = sum(d ** (1.0 - w) for d in divs if d % 4 == 2)
-            d4 = sum(d ** (1.0 - w) for d in divs if d % 4 == 0)
-            return (-d2 / (1.0 - 2.0 ** -w) + 2.0 ** w * d4) / zw
-        base = sum(d ** (1.0 - w) for d in divs if d % 2 == 1) / (zw * (1.0 - 2.0 ** -w))
+            d2 = sum(d ** -1.0 for d in divs if d % 4 == 2)
+            d4 = sum(d ** -1.0 for d in divs if d % 4 == 0)
+            return (-d2 / 0.75 + 4.0 * d4) / _ZETA_2
+        base = sum(d ** -1.0 for d in divs if d % 2 == 1) / (_ZETA_2 * 0.75)
         return -base if pair_parity == (1, 1) and m % 2 else base
     return [phi(m) for m in ms]
 
@@ -686,18 +690,16 @@ def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], ms, s: float) -> list
 def phi_m1_exact(group: GroupId, j: Cusp, k: Cusp, ms,
                  trunc: TruncationSpec = DEFAULT_TRUNCATION) -> list[complex]:
     """phi_{jk,m}(1) for each m in ms, all nonzero: closed form where
-    available (full modular group and level 2, zeta(2) taken once per
-    call), else the truncated enumeration: the _phis entry of the lane
-    class at s = 1 and the mode bound max(m_max, max |m|); a hit is
-    bit-identical to a miss."""
+    available (full modular group and level 2), else the truncated
+    enumeration: the _phis entry of the lane class at s = 1 and the mode
+    bound max(m_max, max |m|); a hit is bit-identical to a miss."""
     ms = list(ms)
     if group.kind == "gamma1":
-        z2 = zeta(2.0)
-        return [complex(sum(1.0 / d for d in _divisors(m)) / z2) for m in ms]
+        return [complex(sum(1.0 / d for d in _divisors(m)) / _ZETA_2) for m in ms]
     i = _lane_class(group, j, k)
     if group == GAMMA2:
         _, pc, pd = _row_key(group, i)
-        return [complex(phi) for phi in gamma2_phi_m_closed_form((pc, pd), ms, 1.0)]
+        return [complex(phi) for phi in gamma2_phi_m_closed_form((pc, pd), ms)]
     if 0 in ms:
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
     phis = _phis(group, i, max([trunc.m_max, *map(abs, ms)]), trunc.c_max, 1.0)

@@ -5,15 +5,16 @@ The level-N Fermat group is the kernel of the exponent-sum map
 in PSL(2, Z) of index 6N^2 with 3N cusps of common width 2N.  At N = 1
 the kernel is the whole level-2 group, so GAMMA2 is gamma_n(1) and its
 cusps 0, 1, inf are the level-1 representatives.  This module provides
-the representative system and cusp classification.  A cusp and the ramification point under it of the
-degree-N^2 Belyi map of the Fermat curve x^N + y^N = 1 are one object
-and one record, FermatCusp.  The class invariants of cusps and of
-lattice rows both live here, read through the one TAU_MAP from the
-coset-word walk of the sl2 module: classify_rep_index reads a cusp's
-from the exact-int walk, and tau_column the unreduced invariant of
-(-d : c) over rows (c, d) from the int64 batch walk.  The witness of a
-cusp's class, a matrix of the group that maps the representative to the
-cusp, passes a level-N membership test and so certifies the class.
+the representative system and cusp classification.  A cusp and the
+ramification point under it of the degree-N^2 Belyi map of the Fermat
+curve x^N + y^N = 1 are one object and one record, FermatCusp.  The
+class invariants of cusps and of lattice rows both live here, read
+through the one TAU_MAP from the coset-word walk of the sl2 module:
+classify_rep_index reads a cusp's from the exact-int walk, and
+tau_column the unreduced invariant of (-d : c) over rows (c, d) from
+the int64 batch walk.  The witness of a cusp's class, a matrix of the
+group that maps the representative to the cusp, passes a level-N
+membership test and so certifies the class.
 """
 
 from __future__ import annotations

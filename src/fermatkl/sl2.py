@@ -227,10 +227,6 @@ def word_to_matrix(w: GammaWord) -> Mat2Z:
     return m
 
 
-def exponent_sums(w: GammaWord) -> tuple[int, int]:
-    return (w.r1, w.r2)
-
-
 def decompose_gamma2(m: Mat2Z) -> GammaWord:
     """Unique reduced word w with eval(w) = m up to sign.
 
@@ -303,11 +299,13 @@ def _walk_tables():
     next, from the words of those 18 products."""
     per_j, fixed, after = [], [], []
     for r in COSET_REPS:
-        per_j.append(exponent_sums(decompose_gamma2(r * GEN1 * r.inverse())))
+        w = decompose_gamma2(r * GEN1 * r.inverse())
+        per_j.append((w.r1, w.r2))
         for e in (0, 1):
             x = r * T ** e * S.inverse()
             after.append(coset_index(x))
-            fixed.append(exponent_sums(decompose_gamma2(x * COSET_REPS[after[-1]].inverse())))
+            w = decompose_gamma2(x * COSET_REPS[after[-1]].inverse())
+            fixed.append((w.r1, w.r2))
     return tuple(per_j), tuple(fixed), tuple(after)
 
 

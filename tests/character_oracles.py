@@ -19,12 +19,14 @@ with u0 the shift that h_j and h_k add,
 * different bases: the lane lifts to the one residue d + 2ct with
   t = (u + u0) det^-1 (mod N), det = v_j x v_k.
 
-The level-2 zero modes also have a closed form, the factored Dirichlet
-series of gamma2_phi0_closed_form.
+The level-2 modes also have closed forms at every s, the factored
+Dirichlet series of gamma2_phi0_closed_form and
+gamma2_phi_m_closed_form_at_s, over the zeta of mpmath.
 """
 
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from fermatkl import eisenstein as e
@@ -43,7 +45,6 @@ from fermatkl.sl2 import (
     cusp_scaling_matrix,
     gamma2_exponent_sums,
 )
-from fermatkl.special import zeta
 
 
 def base_pair_matrix(jb, kb):
@@ -155,6 +156,11 @@ def inner_sums_character(group, j, k, ms, c_max: int) -> np.ndarray:
     return e._lane_sums(group.width, e.Rows(group.width // weight, d, bounds), list(ms))
 
 
+def zeta(s: float) -> float:
+    """Riemann zeta at real s != 1, from mpmath, rounded to a double."""
+    return float(mpmath.zeta(s))
+
+
 def gamma2_phi0_closed_form(diag: bool, s) -> float:
     """Factored Dirichlet series of the level-2 zero modes:
     2/(2^(2s)-1) * zeta(2s-1)/zeta(2s) on the diagonal and
@@ -164,3 +170,29 @@ def gamma2_phi0_closed_form(diag: bool, s) -> float:
     if diag:
         return 2.0 / (2.0 ** w - 1.0) * num
     return (2.0 ** w - 2.0) / (2.0 ** w - 1.0) * num
+
+
+def gamma2_phi_m_closed_form_at_s(pair_parity: tuple[int, int], ms, s: float) -> list[float]:
+    """Exact phi_{jk,m}(s) of the level-2 group for each m in ms, all
+    nonzero, with zeta(2s) taken once: the general-s form of the
+    package's closed form at s = 1.
+
+    pair_parity = (c, d) parities of the admissible pairs: (0, 1) for
+    diagonal entries, (1, 0) and (1, 1) for the two off-diagonal types.
+    Obtained by factoring the Ramanujan-sum Dirichlet series through the
+    2-adic part of m.
+    """
+    if 0 in ms:
+        raise ValueError("the closed form takes nonzero modes only")
+    w = 2.0 * s
+    zw = zeta(w)
+
+    def phi(m):
+        divs = e._divisors(m)
+        if pair_parity == (0, 1):
+            d2 = sum(d ** (1.0 - w) for d in divs if d % 4 == 2)
+            d4 = sum(d ** (1.0 - w) for d in divs if d % 4 == 0)
+            return (-d2 / (1.0 - 2.0 ** -w) + 2.0 ** w * d4) / zw
+        base = sum(d ** (1.0 - w) for d in divs if d % 2 == 1) / (zw * (1.0 - 2.0 ** -w))
+        return -base if pair_parity == (1, 1) and m % 2 else base
+    return [phi(m) for m in ms]

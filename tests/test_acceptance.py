@@ -46,7 +46,6 @@ from fermatkl.sl2 import (
     mobius_point,
     word_to_matrix,
 )
-from fermatkl.special import gamma_fn
 from character_oracles import gamma2_phi0_closed_form
 from dedekind_oracles import classify_cusp_word_euclid
 from series_oracles import coset_product_closed_form, max_abs_coeff_diff
@@ -117,7 +116,7 @@ def test_ac02_cusp_partition():
 def test_ac03_gamma2_scattering_closed_form():
     t0 = time.perf_counter()
     tr = TruncationSpec(c_max=2000)
-    pref = math.sqrt(math.pi) * gamma_fn(1.5) / gamma_fn(2.0) / 16.0
+    pref = math.sqrt(math.pi) * math.gamma(1.5) / math.gamma(2.0) / 16.0
     worst = 0.0
     for j in GAMMA2_CUSPS:
         for k in GAMMA2_CUSPS:

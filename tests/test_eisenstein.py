@@ -33,7 +33,6 @@ from fermatkl.sl2 import (
     is_in_gamma_n,
     mobius_point,
 )
-from fermatkl.special import zeta
 
 from character_oracles import (
     STABILIZER_SUMS,
@@ -41,7 +40,9 @@ from character_oracles import (
     character_column,
     character_lanes,
     gamma2_phi0_closed_form,
+    gamma2_phi_m_closed_form_at_s,
     inner_sums_character,
+    zeta,
 )
 from dedekind_oracles import class_invariants, classify_cusp_word_euclid, gamma2_exponent_sums_batch, mod_inverse_batch
 from word_oracles import coset_reps
@@ -114,22 +115,19 @@ def test_direct_tail_honest():
         assert abs(v1 - v2) <= t1
 
 
-def test_phi_m1_exact_modes_match_one_mode_calls(monkeypatch):
-    # a level-2 or full modular call takes zeta(2) once for all its modes,
-    # and each mode has the bits of the one-mode closed form
-    from fermatkl import eisenstein
-
+def test_phi_m1_exact_modes_match_one_mode_calls():
+    # each mode of a level-2 or full modular call has the bits of the
+    # one-mode closed form, and the level-2 ones those of the general-s
+    # form at s = 1, whose zeta(2) from mpmath rounds to pi^2/6
     ms = (*range(1, 13), 24, 35, -6)
     for j, k, parity in ((CUSP_INF, CUSP_INF, (0, 1)), (CUSP_ZERO, CUSP_INF, (1, 0)),
                          (CUSP_ONE, CUSP_INF, (1, 1))):
-        want = [complex(gamma2_phi_m_closed_form(parity, (m,), 1.0)[0]) for m in ms]
-        with monkeypatch.context() as patch:
-            calls = []
-            patch.setattr(eisenstein, "zeta", lambda x: calls.append(x) or zeta(x))
-            got = phi_m1_exact(GAMMA2, j, k, ms)
-            full = phi_m1_exact(GAMMA1, CUSP_INF, CUSP_INF, ms)
-        assert calls == [2.0, 2.0]
+        want = [complex(gamma2_phi_m_closed_form(parity, (m,))[0]) for m in ms]
+        got = phi_m1_exact(GAMMA2, j, k, ms)
+        full = phi_m1_exact(GAMMA1, CUSP_INF, CUSP_INF, ms)
         assert list(map(_bits, got)) == list(map(_bits, want)), (j, k)
+        assert list(map(_bits, got)) == [_bits(complex(phi)) for phi in
+                                         gamma2_phi_m_closed_form_at_s(parity, ms, 1.0)], (j, k)
         assert list(map(_bits, full)) == [_bits(phi_m1_exact(GAMMA1, CUSP_INF, CUSP_INF, (m,))[0])
                                           for m in ms]
     with pytest.raises(ValueError):
@@ -167,7 +165,7 @@ def test_phi_m_closed_form_matches_enumeration():
         gk = cusp_scaling_matrix(k)
         parity = ((gj.inverse() * gk).c & 1, (gj.inverse() * gk).d & 1)
         for m in (1, 2, 3, 4, 6):
-            (cf,) = gamma2_phi_m_closed_form(parity, (m,), 1.5)
+            (cf,) = gamma2_phi_m_closed_form_at_s(parity, (m,), 1.5)
             phim, _ = phi_coefficient(GAMMA2, j, k, m, 1.5, tr)
             assert abs(phim - cf) < 2e-4, (j, k, m)
             # at s = 1 the closed form backs the limit evaluation

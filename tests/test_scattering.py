@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from fermatkl.eisenstein import TruncationSpec, phi_coefficient
@@ -17,7 +18,8 @@ from fermatkl.scattering import (
     z_constant,
 )
 from fermatkl.sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp
-from fermatkl.special import gamma_fn, zeta
+
+from character_oracles import zeta
 
 
 def test_gamma2_difference_identity():
@@ -43,7 +45,7 @@ def test_gamma2_against_dirichlet_extrapolation():
         num = (2.0 / (2.0 ** (2 * s) - 1.0) if diag
                else (2.0 ** (2 * s) - 2.0) / (2.0 ** (2 * s) - 1.0))
         phi0 = num * zeta(2 * s - 1.0) / zeta(2 * s)
-        pref = math.sqrt(math.pi) * gamma_fn(s - 0.5) / gamma_fn(s) / (2.0 ** s * 2.0)
+        pref = math.sqrt(math.pi) * math.gamma(s - 0.5) / math.gamma(s) / (2.0 ** s * 2.0)
         return pref * phi0
 
     g2 = gamma2_constants()
@@ -71,6 +73,41 @@ def test_gamma1_constant_value_and_reduction():
             assert abs(m1[i][j].natural - g2[i][j].natural) < 1e-12
     # regression for the numeric value
     assert abs(c1 - 0.8671324277206647) < 1e-10
+
+
+def test_constants_against_mpmath():
+    # Z is the correctly rounded double of 1 - 12 zeta'(-1) - log(4 pi).
+    # The constants built from it, (6/pi) Z, the KLF constants and the
+    # three-case natural entries, lie within 4 ulps of their 30-digit
+    # values, counted in ulps of the largest term of each closed form:
+    # some of them cancel (a level-3 natural is 7e-4 from terms near
+    # 3e-2), and a double sum is fixed only to the scale of its terms.
+    def within_4_ulps(value, *terms):
+        ref = float(sum(terms))
+        return abs(value - ref) <= 4 * math.ulp(max(abs(float(t)) for t in terms))
+
+    with mpmath.workdps(30):
+        pi, log2 = mpmath.pi, mpmath.log(2)
+        z = 1 - 12 * mpmath.zeta(-1, derivative=1) - mpmath.log(4 * pi)
+        assert z_constant() == float(z)
+        c1 = 6 / pi * z
+        assert within_4_ulps(gamma1_constant(), c1)
+        for n in range(1, 6):
+            logn, pref = mpmath.log(n), mpmath.mpf(1) / (6 * n * n)
+            assert within_4_ulps(klf_constant(gamma_n(n)), 4 * z / n ** 2, 4 * log2 / 6 / n ** 2,
+                                 -4 * logn / 2 / n ** 2), n
+            reps = cusp_reps(n)
+            for fj, row in zip(reps, scattering_matrix(n)):
+                for fk, entry in zip(reps, row):
+                    if fj == fk:
+                        extra = (12 * n + 2) * log2 + (6 - 3 * n) * logn
+                    else:
+                        extra = 2 * log2 + 6 * logn
+                        if fj.kind == fk.kind:
+                            gap = 2 * mpmath.sin(pi * ((fj.index - fk.index) % n) / n)
+                            extra += 3 * n * mpmath.log(gap)
+                    assert within_4_ulps(entry.natural, pref * c1, -pref * extra / pi,
+                                         mpmath.log(2 * n) / (2 * pi * n * n)), (n, fj, fk)
 
 
 def test_fermat_same_fiber_extra_term():
@@ -152,7 +189,7 @@ def test_scattering_constants_vs_enumeration():
     def entry(s):
         phi0 = phi_coefficient(g, j, k, 0, s, tr)[0].real
         phi0 += rho * c_max ** (2 - 2 * s) / (2 * s - 2)
-        return (math.sqrt(math.pi) * gamma_fn(s - 0.5) / gamma_fn(s)
+        return (math.sqrt(math.pi) * math.gamma(s - 0.5) / math.gamma(s)
                 * phi0 / (b ** s * b))
 
     ref = natural_constant(g, j, k)
@@ -176,10 +213,11 @@ def test_klf_constants():
 def test_natural_constant_dispatch():
     assert abs(natural_constant(GAMMA1, CUSP_INF, CUSP_INF) - gamma1_constant()) < 1e-15
     # level 2 reads the Fermat formulas at n = 1, whose naturals are those
-    # of the factored Dirichlet series: off the diagonal to the bit, on it
+    # of the factored Dirichlet series: off the diagonal to one ulp, on it
     # to one rounding
     g2, m1 = gamma2_constants(), scattering_matrix(1)
-    assert natural_constant(GAMMA2, Cusp(4, 1), Cusp(3, 1)) == m1[0][1].natural == g2[0][1].natural
+    assert natural_constant(GAMMA2, Cusp(4, 1), Cusp(3, 1)) == m1[0][1].natural
+    assert abs(m1[0][1].natural - g2[0][1].natural) <= math.ulp(g2[0][1].natural)
     assert natural_constant(GAMMA2, Cusp(5, 3), CUSP_ONE) == m1[1][1].natural
     assert abs(m1[1][1].natural - g2[1][1].natural) <= 2.3e-16
     g = gamma_n(2)

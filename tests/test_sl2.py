@@ -24,7 +24,6 @@ from fermatkl.sl2 import (
     coset_word_sums_batch,
     cusp_scaling_matrix,
     decompose_gamma2,
-    exponent_sums,
     gamma2_exponent_sums,
     is_in_gamma2,
     is_in_gamma_n,
@@ -193,10 +192,10 @@ def test_word_round_trip_random():
 
 
 def test_exponent_sums():
-    assert exponent_sums(word_from_syllables([])) == (0, 0)
-    assert exponent_sums(word_from_syllables([(1, 2), (2, -3)])) == (2, -3)
-    conj = word_from_syllables([(1, 1), (2, 1), (1, -1)])
-    assert exponent_sums(conj) == (0, 1)
+    for syllables, sums in (([], (0, 0)), ([(1, 2), (2, -3)], (2, -3)),
+                            ([(1, 1), (2, 1), (1, -1)], (0, 1))):
+        w = word_from_syllables(syllables)
+        assert (w.r1, w.r2) == sums, syllables
 
 
 def test_exponent_sums_homomorphism():
@@ -287,7 +286,8 @@ def test_exponent_sums_edge_cases():
         w = word_from_syllables(syl)
         m = word_to_matrix(w)
         assert max(map(abs, m.entries())) > 2 ** 63
-        assert gamma2_exponent_sums(*m.entries()) == (w.r1, w.r2) == exponent_sums(decompose_gamma2(m))
+        d = decompose_gamma2(m)
+        assert gamma2_exponent_sums(*m.entries()) == (w.r1, w.r2) == (d.r1, d.r2)
         assert gamma2_exponent_sums_dedekind(*m.entries()) == (w.r1, w.r2)
 
 
@@ -296,7 +296,8 @@ def test_exponent_sums_batch_int64_guard():
     assert max(map(abs, big.entries())) > BATCH_ENTRY_BOUND
     assert gamma2_exponent_sums(*big.entries()) == (2 ** 29, 1)
     assert gamma2_exponent_sums_dedekind(*big.entries()) == (2 ** 29, 1)
-    assert exponent_sums(decompose_gamma2(big)) == (2 ** 29, 1)
+    d = decompose_gamma2(big)
+    assert (d.r1, d.r2) == (2 ** 29, 1)
     with pytest.raises(OverflowError):
         gamma2_exponent_sums_batch(*([x] for x in big.entries()))
 
@@ -395,7 +396,8 @@ def test_walk_table_off_by_one_fails(monkeypatch, table, slot, lane):
     for _ in range(2000):
         m = word_to_matrix(random_word(rng, 20))
         try:
-            if gamma2_exponent_sums(*m.entries()) != exponent_sums(decompose_gamma2(m)):
+            d = decompose_gamma2(m)
+            if gamma2_exponent_sums(*m.entries()) != (d.r1, d.r2):
                 return
         except ArithmeticError:
             return
