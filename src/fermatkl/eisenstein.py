@@ -62,17 +62,15 @@ least-recently-used cache.  The 9 n^2 pairs of a level read 3 n lane
 sets, a hit returns the bits that a miss computes, and only a miss
 reads the lanes; inner_sums is the per-c view of the same read.  The
 direct sum reads, lifts or filters the rows of each class asked for
-once and sums only those, eisenstein_direct its own.  At real s = 2 each
-row (c, d) takes all its translates d + t P, t in Z, in closed form: one
-sin per row, walked in the row blocks of the lane reads, and one weight
-per c.  It shares the class rows with the Fourier side and nothing
-else, no phase, Bessel K or phi, so the cross path still plays two
-independent computations.  At every other s the translates are those in
-the truncation box, in blocks of whole c's: per block one repeat of a
-per-c table gives the row columns, one rectangle of translates by rows,
-in buffers reused through the call, takes |c z + d + t P|^2 in five
-in-place passes with d + t P exact and c x added once, and a masked
-reciprocal, a power and a dot product give the sum.
+once and sums only those, eisenstein_direct its own, in one walk of
+the row blocks of the lane reads: a kernel sums the translates
+d + t P of each row, one reduceat each c and one dot the c's.  At real
+s = 2 the kernel takes every t in Z in closed form, one sin per row.
+It shares the class rows with the Fourier side and nothing else, no
+phase, Bessel K or phi, so the cross path still plays two independent
+computations.  At every other s it takes the translates in the
+truncation box, as one rectangle per block with d + t P exact and c x
+added once, a power and a masked sum.
 """
 
 from __future__ import annotations
@@ -80,7 +78,6 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -161,27 +158,14 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     bucket per requested class in the order given.  The tail estimate
     bounds every class.
 
-    At real s = 2 each row (c, d), P = step c, sums every translate
-    d + t P, t in Z, in closed form (_closed_form_sum), so the estimate is
-    the c > c_max tail alone.  At every other s each row sums the
-    translates t with |c x + d + t P| <= m_cut, and the estimate adds the
-    strip past m_cut.  Whole c's form a block while its rows times
-    max(k_c, 5), k_c = floor(2 m_cut / P) + 1 of its first c, fit in the
-    cells of the call's buffers: _DIRECT_BLOCK, half that for complex s.
-    A block is one rectangle, translates down the leading axis, masked
-    past a row's range.  Its row columns P, c x, (c y)^2, the start
-    d + t_lo P of the first translate and the index of the last are 1-D
-    arrays built once per block from one repeat of a per-c table; as
-    there are five, the max(k_c, 5) keeps them within the cells too.  The
-    rectangle and its bool mask are filled in place, with out=, in
-    buffers allocated once per call, so threads summing at once share
-    none; a single c past them gets its own.  t P + start is exact in
-    float64 and c x is added once, after it: folding c x into the start
-    first rounds at the scale of m_cut, which loses up to 4.5e-13 at
-    |x| near 8.  Then w = (t P + start + c x)^2 + (c y)^2 and u = mask / w
-    in place, and for real s the bucket adds u^(sigma/2) . u^(sigma/2) by
-    np.dot over _DOT_CHUNK entries at a time; complex s adds
-    exp(-s log w) under the mask, in a reused complex buffer.
+    The rows (c, d) of a class, P = step c, are walked in the blocks of
+    _row_blocks, and a kernel gives each row the sum over its translates
+    d + t P.  At real s = 2 that is every t in Z, in closed form
+    (_closed_form_rows), so the estimate is the c > c_max tail alone.  At
+    every other s it is the t with |c x + d + t P| <= m_cut (_window_rows),
+    and the estimate adds the strip past m_cut.  np.add.reduceat sums the
+    rows of each c, and np.dot over _DOT_CHUNK entries at a time weights
+    the c's: by P^-4 at s = 2, by 1 elsewhere.
     """
     sigma = complex(s).real
     if sigma <= 1:
@@ -201,100 +185,78 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     if pos is not None:
         vals[pos] += ys
     real = not (isinstance(s, complex) and s.imag != 0)
+    closed = real and sigma == 2
     # the c > c_max tail
     tail_c = 4.0 * y ** (1 - sigma) * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
     tail_c += 2.0 * (y * trunc.c_max) ** (-2 * sigma) * y ** sigma * trunc.c_max
-    if real and sigma == 2:
-        for i, pos in slot.items():
-            vals[pos] += ys * _closed_form_sum(_class_rows(group, i, trunc.c_max), x, y)
-        return vals, tail_c
     m_cut = trunc.c_max * (abs(x) + y + 3.0)
-    # the row columns per c: step c (set per class), c x, (c y)^2, and
-    # -m_cut - c x and m_cut - c x, which become each row's start and last
-    cs = np.arange(trunc.c_max + 1.0)
-    per_c = np.empty((5, cs.size))
-    np.multiply(cs, x, out=per_c[1])
-    np.square(cs * y, out=per_c[2])
-    np.subtract(-m_cut, per_c[1], out=per_c[3])
-    np.subtract(m_cut, per_c[1], out=per_c[4])
-    cells = _DIRECT_BLOCK if real else _DIRECT_BLOCK // 2
-    w_buf, keep_buf = np.empty(cells), np.empty(cells, dtype=bool)
-    z_buf = None if real else np.empty(cells, dtype=complex)
+    cs = np.arange(1.0, trunc.c_max + 1)
     for i, pos in slot.items():
-        step, d_col, bounds = _class_rows(group, i, trunc.c_max)
-        counts = np.diff(bounds)
-        np.multiply(cs, step, out=per_c[0])
-        total = 0.0
-        c = 1
-        while c <= trunc.c_max:
-            k_c = int(2 * m_cut / (step * c)) + 1
-            end = max(bisect_right(bounds, bounds[c - 1] + cells // max(k_c, 5)) - 1, c)
-            d = d_col[bounds[c - 1]:bounds[end]]
-            cols = np.repeat(per_c[:, c:end + 1], counts[c - 1:end], axis=1)
-            P, cx, cy2, start, last = cols
-            span = cols[3:]
-            span -= d
-            span /= P
-            np.ceil(start, out=start)
-            np.floor(last, out=last)
-            last -= start
-            start *= P
-            start += d
-            k = int(last.max(initial=-1)) + 1
-            t = np.arange(k, dtype=float)[:, None]
-            shape, n = (k, d.size), k * d.size
-            if n <= cells:
-                w, keep = w_buf[:n].reshape(shape), keep_buf[:n].reshape(shape)
-            else:
-                w, keep = np.empty(shape), np.empty(shape, dtype=bool)
-            np.multiply(t, P, out=w)
-            w += start
-            w += cx
-            np.square(w, out=w)
-            w += cy2
-            np.less_equal(t, last, out=keep)
-            if real:
-                u = np.divide(keep, w, out=w).reshape(-1)
-                np.power(u, sigma / 2, out=u)
-                for lo in range(0, n, _DOT_CHUNK):
-                    part = u[lo:lo + _DOT_CHUNK]
-                    total += np.dot(part, part)
-            else:
-                np.log(w, out=w)
-                terms = np.multiply(w, -s, out=z_buf[:n].reshape(shape) if n <= cells else None)
-                total += np.exp(terms, out=terms).sum(where=keep)
-            c = end + 1
-        vals[pos] += ys * total
+        step, d, bounds = _class_rows(group, i, trunc.c_max)
+        if closed:
+            kernel = partial(_closed_form_rows, 1 / (step * cs), math.remainder(x, step) / step,
+                             _translate_coefficients(y / step))
+            widths, weights = None, (step * cs) ** -4
+        else:
+            # at most floor(2 m_cut / P) + 1 translates a row, a complex
+            # one taking two cells
+            kernel = partial(_window_rows, step, z, s, m_cut)
+            widths = (2 * m_cut // (step * cs) + 1) * (1 if real else 2)
+            weights = np.ones(cs.size)
+        per_c = np.zeros(cs.size, dtype=float if real else complex)
+        for blk, lo, hi, seg, lens in _row_blocks(bounds, widths):
+            per_c[blk] = np.add.reduceat(kernel(d[lo:hi], blk, lens), seg)
+        vals[pos] += ys * sum(np.dot(per_c[lo:lo + _DOT_CHUNK], weights[lo:lo + _DOT_CHUNK]).item()
+                              for lo in range(0, cs.size, _DOT_CHUNK))
     # the omitted-d strip
     tail_d = trunc.c_max * 2.0 * y ** sigma * m_cut ** (1 - 2 * sigma) / (2 * sigma - 1)
-    return vals, tail_d + tail_c
+    return vals, tail_c if closed else tail_d + tail_c
 
 
-def _closed_form_sum(rows: Rows, x: float, y: float) -> float:
-    """Sum over the rows (c, d) of rows and every t in Z of
-    |c z + d + t P|^-4, P = step c: P^-4 _translate_sums(sin(pi alpha)^2,
-    beta) per row, alpha = (c x + d)/P and beta = y/step.  The rows are
-    walked in the blocks of _row_blocks.  alpha is taken as d/P + x'/step,
-    x' the remainder of x mod step, which is exact, less its nearest
-    integer, which is exact too: sin(pi alpha)^2 sees neither integer, and
-    at |x| near 8 this halves the rounding of pi alpha near a pole.
-    np.add.reduceat sums each c, and np.dot over _DOT_CHUNK entries at a
-    time weights the c's by P^-4."""
-    step, d, bounds = rows
-    periods = step * np.arange(1.0, bounds.size)
-    inverse, shift = 1 / periods, math.remainder(x, step) / step
-    coefficients = _translate_coefficients(y / step)
-    per_c = np.zeros(periods.size)
-    for cs, lo, hi, seg, lens in _row_blocks(bounds):
-        alpha = d[lo:hi] * np.repeat(inverse[cs], lens)
-        alpha += shift
-        alpha -= np.rint(alpha)
-        alpha *= math.pi
-        sin2 = np.square(np.sin(alpha, out=alpha), out=alpha)
-        per_c[cs] = np.add.reduceat(_translate_sums(sin2, coefficients), seg)
-    weights = periods ** -4
-    return sum(float(np.dot(per_c[lo:lo + _DOT_CHUNK], weights[lo:lo + _DOT_CHUNK]))
-               for lo in range(0, per_c.size, _DOT_CHUNK))
+def _closed_form_rows(inverse: np.ndarray, shift: float, coefficients, d: np.ndarray,
+                      cs: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Sum over every t in Z of |c z + d + t P|^-4 P^4, P = step c, for
+    the rows (c, d) of the c's cs + 1, lens rows each, inverse[c - 1] =
+    1/P: _translate_sums(sin(pi alpha)^2, beta), alpha = (c x + d)/P and
+    beta = y/step.  alpha is taken as d/P + shift, shift = x'/step with x'
+    the remainder of x mod step, which is exact, less its nearest integer,
+    which is exact too: sin(pi alpha)^2 sees neither integer, and at |x|
+    near 8 this halves the rounding of pi alpha near a pole."""
+    alpha = d * np.repeat(inverse[cs], lens)
+    alpha += shift
+    alpha -= np.rint(alpha)
+    alpha *= math.pi
+    sin2 = np.square(np.sin(alpha, out=alpha), out=alpha)
+    return _translate_sums(sin2, coefficients)
+
+
+def _window_rows(step: int, z: complex, s, m_cut: float, d: np.ndarray,
+                 cs: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Sum over the t with |c x + d + t P| <= m_cut of |c z + d + t P|^-2s,
+    P = step c, for the rows (c, d) of the c's cs + 1, lens rows each, in
+    one rectangle: line t holds t P + start, start = d + t_lo P with
+    t_lo = ceil((-m_cut - c x - d)/P), masked past t_hi =
+    floor((m_cut - c x - d)/P).  t P + start is exact in float64 and c x
+    is added once, after it: folding c x into the start first rounds at
+    the scale of m_cut, which loses up to 4.5e-13 at |x| near 8."""
+    x, y = z.real, z.imag
+    c = np.repeat(cs + 1.0, lens)
+    period, cx = step * c, c * x
+    lo = np.ceil((-m_cut - cx - d) / period)
+    last = np.floor((m_cut - cx - d) / period) - lo
+    start = lo * period + d
+    t = np.arange(last.max(initial=-1) + 1)[:, None]
+    w = t * period
+    w += start
+    w += cx
+    np.square(w, out=w)
+    w += np.square(c * y)
+    if isinstance(s, complex) and s.imag != 0:
+        terms = np.multiply(np.log(w, out=w), -s)
+        np.exp(terms, out=terms)
+    else:
+        terms = np.power(w, -complex(s).real, out=w)
+    return terms.sum(axis=0, where=t <= last)
 
 
 def _translate_coefficients(beta: float) -> tuple[float, float, float, float]:
@@ -401,22 +363,23 @@ _GAMMA1_ROWS = (1, 0, 0)
 # memory for little speed.
 _ENUM_BLOCK = 2048
 
-# Rows per block of _row_blocks, in whole c's, which walks the lanes of
+# Rows per block of _row_blocks, in whole c's, as it walks the lanes of
 # inner_sums and the rows of the direct sum at s = 2: the two complex
 # buffers of a lane read, the unit phase and its running power, stay near
 # 64 kB each, below the full-length columns a call reads, and fit in
 # cache, and the float columns of a direct sum near 32 kB each.
 _PHASE_BLOCK = 1 << 12
-# Cells per block of the direct sum's translate rectangle, which serves
-# every s but real s = 2, in whole c's: a rectangle buffer of 256 kB and
-# a bool mask, allocated once per call, and row columns of at most 256 kB
-# more per block.  A warm sum peaks near 0.75 MB at c_max 500; twice the
-# cells would pass the 1 MB bound of the tests.
+# Cells per block of _row_blocks, in whole c's, as it walks the rows of
+# the direct sum's translate window at every s but real s = 2, a complex
+# cell counting two: a float rectangle of 256 kB and its bool mask, or at
+# complex s one of 128 kB and a complex one of 256 kB.  A warm sum peaks
+# near 0.8 MB at c_max 500; twice the cells would pass the 1 MB bound of
+# the tests.
 _DIRECT_BLOCK = 1 << 15
-# Entries per np.dot of the direct sum, on both of its paths.  OpenBLAS
-# splits a dot of over 10,000 entries across its threads: on a shared
-# 2-vCPU host that took 49 us a call at 10,001 entries against 3 us at
-# 10,000, and its rounding then depends on the thread count.
+# Entries per np.dot of the direct sum, the one that weights its c's.
+# OpenBLAS splits a dot of over 10,000 entries across its threads: on a
+# shared 2-vCPU host that took 49 us a call at 10,001 entries against
+# 3 us at 10,000, and its rounding then depends on the thread count.
 _DOT_CHUNK = 1 << 13
 # Entries of the memoized phi, keyed (group, lane class, mode bound M,
 # c_max, s) and read by fourier_eval, phi_coefficient and phi_m1_exact,
@@ -597,19 +560,27 @@ def _lane_sums(b: int, rows: Rows, ms: list) -> np.ndarray:
     return out
 
 
-def _row_blocks(bounds: np.ndarray):
-    """The rows of bounds in blocks of whole c's of about _PHASE_BLOCK
-    rows, skipping the c's without rows: per block (cs, lo, hi, seg,
-    lens), its rows lo:hi, cs the c - 1 of its c's, seg the offset in
-    lo:hi of each one's first row and lens their row counts."""
+def _row_blocks(bounds: np.ndarray, widths=None):
+    """The rows of bounds in blocks of whole c's, skipping the c's without
+    rows: per block (cs, lo, hi, seg, lens), its rows lo:hi, cs the c - 1
+    of its c's, seg the offset in lo:hi of each one's first row and lens
+    their row counts.  A block takes at least its first c and every c
+    whose first row lies below the next multiple of _PHASE_BLOCK or,
+    given widths[c - 1] cells per row of each c, within _DIRECT_BLOCK
+    cells at its first c's width."""
     counts = np.diff(bounds)
     cs = np.flatnonzero(counts)
-    if not cs.size:
-        return
     starts = bounds[cs]
-    edges = np.flatnonzero(np.diff(starts // _PHASE_BLOCK)) + 1
-    for blk, first in zip(np.split(cs, edges), np.split(starts, edges)):
-        yield blk, first[0], bounds[blk[-1] + 1], first - first[0], counts[blk]
+    i = 0
+    while i < cs.size:
+        first = starts[i]
+        if widths is None:
+            end = first - first % _PHASE_BLOCK + _PHASE_BLOCK
+        else:
+            end = first + _DIRECT_BLOCK // widths[cs[i]]
+        blk = cs[i:max(int(np.searchsorted(starts, end)), i + 1)]
+        yield blk, first, bounds[blk[-1] + 1], starts[i:i + blk.size] - first, counts[blk]
+        i += blk.size
 
 
 def phi_coefficient(group: GroupId, j: Cusp, k: Cusp, m: int, s,
@@ -669,9 +640,7 @@ def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], ms) -> list[float]:
     pair_parity = (c, d) parities of the admissible pairs: (0, 1) for
     diagonal entries, (1, 0) and (1, 1) for the two off-diagonal types.
     Obtained by factoring the Ramanujan-sum Dirichlet series through the
-    2-adic part of m.  The divisor sums are those of d^(1-2s) at s = 1,
-    taken as d ** -1.0 for the bits of the general-s form, which
-    1.0 / d does not always give.
+    2-adic part of m.
     """
     if 0 in ms:
         raise ValueError("the closed form takes nonzero modes only")
@@ -679,10 +648,10 @@ def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], ms) -> list[float]:
     def phi(m):
         divs = _divisors(m)
         if pair_parity == (0, 1):
-            d2 = sum(d ** -1.0 for d in divs if d % 4 == 2)
-            d4 = sum(d ** -1.0 for d in divs if d % 4 == 0)
+            d2 = sum(1.0 / d for d in divs if d % 4 == 2)
+            d4 = sum(1.0 / d for d in divs if d % 4 == 0)
             return (-d2 / 0.75 + 4.0 * d4) / _ZETA_2
-        base = sum(d ** -1.0 for d in divs if d % 2 == 1) / (_ZETA_2 * 0.75)
+        base = sum(1.0 / d for d in divs if d % 2 == 1) / (_ZETA_2 * 0.75)
         return -base if pair_parity == (1, 1) and m % 2 else base
     return [phi(m) for m in ms]
 

@@ -119,7 +119,8 @@ def test_phi_m1_exact_modes_match_one_mode_calls():
     # each mode of a level-2 or full modular call has the bits of the
     # one-mode closed form, and the level-2 ones those of the general-s
     # form at s = 1, whose zeta(2) from mpmath rounds to pi^2/6
-    ms = (*range(1, 13), 24, 35, -6)
+    # 1923 is the first d with d ** -1.0 != 1.0 / d, and 3846 = 2 * 1923
+    ms = (*range(1, 13), 24, 35, -6, 1923, 3846)
     for j, k, parity in ((CUSP_INF, CUSP_INF, (0, 1)), (CUSP_ZERO, CUSP_INF, (1, 0)),
                          (CUSP_ONE, CUSP_INF, (1, 1))):
         want = [complex(gamma2_phi_m_closed_form(parity, (m,))[0]) for m in ms]
@@ -669,8 +670,8 @@ def test_direct_blocks_match_per_c_oracle():
 
 @pytest.mark.parametrize("block", [1, 64])
 def test_direct_small_blocks_match_per_c_oracle(monkeypatch, block):
-    # blocks of one c each, whose rectangles pass the block size, and at
-    # s = 2 row blocks of one c each or of a few c's
+    # row blocks of one c each, whose rectangles pass the block size, or
+    # of a few c's, at every s
     from fermatkl import eisenstein
 
     monkeypatch.setattr(eisenstein, "_DIRECT_BLOCK", block)
@@ -685,6 +686,22 @@ def test_direct_matches_per_c_oracle_at_large_x():
     # the exact remainder of x mod step
     _assert_direct_matches_per_c((120,), (5.3 + 0.35j, -7.7 + 0.2j),
                                  (GAMMA2, gamma_n(3), gamma_n(5)), 1e-14)
+
+
+def test_window_near_poles_matches_per_c_oracle():
+    # at levels 5 and 7 and Im z down to 0.12 a row's nearest translate
+    # dominates its window: the terms, taken from d + t P and c x as the
+    # oracle takes them, stay within 1e-14 of it at every s but 2
+    for c_max in (60, 120):
+        tr = TruncationSpec(c_max=c_max)
+        for g in (gamma_n(5), gamma_n(7)):
+            for z in (0.2 + 0.15j, -0.3 + 0.12j):
+                for s in DIRECT_S:
+                    if s == 2:
+                        continue
+                    got, _ = eisenstein_direct_all(g, z, s, tr)
+                    want = _direct_all_per_c(g, z, s, tr)
+                    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (g, c_max, z, s)
 
 
 def test_translate_sums_match_nsum():
@@ -755,8 +772,9 @@ def test_closed_form_mutant_fails_cross_path(monkeypatch, sign, rate):
 
 
 def test_direct_sums_on_threads_match_serial():
-    # the rectangle and mask buffers belong to one call: four threads
-    # summing at once, each case in its own order, get the serial bits
+    # a call's row blocks, rectangles and per-c sums are its own: four
+    # threads summing at once, each case in its own order, get the serial
+    # bits
     import sys
     import threading
 
