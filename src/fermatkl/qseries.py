@@ -13,24 +13,24 @@ The module also provides the concrete forms.  The level-2 ones are
 quotients sign theta_num^4/theta_den^4 of Jacobi's theta series, listed
 once in _LEVEL2_FORMS: theta^2 = theta3^4, the weight-2 forms G_j, the
 hauptmodul lambda = -theta4^4/theta2^4 fixing the three cusps and
-1 - lambda = theta3^4/theta2^4.  So x^N + y^N = 1 for the level-N
-functions x = lambda^(1/N), y = (1-lambda)^(1/N) is Jacobi's identity
-theta3^4 = theta2^4 + theta4^4.  Then come the weight-2 forms attached
-to the cusps of the Fermat groups, their products over the coset
-representatives, and Petersson norms.  Those forms mix radicals, so
-each is a RadicalSum: a few exact series with distinct prefactors,
-rounded only when evaluated or dumped.
+1 - lambda = theta3^4/theta2^4.  The level-N functions x = lambda^(1/N)
+and y = (1-lambda)^(1/N) are principal N-th roots of two of them, so
+x^N + y^N = 1 is Jacobi's identity theta3^4 = theta2^4 + theta4^4.  The
+weight-2 form f[kind, j] attached to a cusp of a Fermat group takes the
+kind's row of _KINDS: an outer theta^4 times (zeta^(+-j) w - 1)^N, w
+the principal N-th root of one more theta quotient.  These forms mix
+radicals, so each is a RadicalSum: a few exact series with distinct
+prefactors, rounded only when evaluated or dumped.  Their products over
+the coset representatives and Petersson norms close the module.
 
 The same forms have two representations.  FormsAt gives their values
 at a point, with an error estimate, from Jacobi's triple products and
-the closed forms of x, y and f in theta: a few dozen complex terms,
-which the Kronecker-limit checks and the coset products use.  The
-slash transformation table, which the coset products read through
-class_shift, is evaluated as a whole in the tests.  The exact series
-serve the q-expansion dumps (qexp) and the identities checked
-coefficientwise.  Their float evaluation stays for the benchmark
-harness, which times it; in floats the class terms of a form can
-cancel, so it is not the path to a value.
+the same rows: a few dozen complex terms, which the Kronecker-limit
+checks and the coset products use.  The exact series serve the
+q-expansion dumps (qexp) and the identities checked coefficientwise.
+Their float evaluation stays for the benchmark harness, which times it;
+in floats the class terms of a form can cancel, so it is not the path
+to a value.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .fermat import KIND_A, KIND_B, KIND_C, class_shift
+from .fermat import KIND_A, KIND_B, KIND_C
 
 _UNIT = 2.0 ** -53  # float64 unit roundoff, for the rounding bounds
 
@@ -373,6 +373,16 @@ def _as_radical(c: Fraction) -> tuple[Fraction, Fraction]:
 _LEVEL2_FORMS = {"theta2": (3, 0, 1), "g1": (3, 0, 1), "g0": (4, 0, -1), "ginf": (2, 0, 1),
                  "lambda": (4, 2, -1), "one_minus_lambda": (3, 2, 1)}
 
+# One row per kind of Fermat form, (outer, quotient, twist, sign): with
+# w the principal N-th root of the level-2 quotient (num, den, sign),
+#   f[kind, j] = sign(N) theta_outer^4 (zeta^(twist j) w - 1)^N.
+# zeta = e(1/N) and eps = e(1/2N), so w is 1/y, x and x/(eps y), and the
+# rows are A: theta3^4 (1 - zeta^j/y)^N, B: theta2^4 (zeta^-j x - 1)^N and
+# C: theta3^4 (zeta^-j x/y - eps)^N, the last with eps^N = -1.
+_KINDS = {KIND_A: (3, (2, 3, 1), 1, lambda n: (-1) ** n),
+          KIND_B: (2, (4, 2, -1), -1, lambda n: 1),
+          KIND_C: (3, (4, 3, 1), -1, lambda n: -1)}
+
 
 @dataclass(frozen=True)
 class FormLabel:
@@ -408,8 +418,9 @@ class FormLabel:
 
 
 # Entries kept by the memoized exact series.  A qexp of one f form fills
-# at most six level-2 entries and one of each other cache; g0, g1 and
-# ginf at one order fill three level-2 entries.
+# four level-2 entries, one root and one class-term entry; x or y fills
+# three level-2 entries and one root; g0, g1 and ginf at one order fill
+# three level-2 entries.
 _LEVEL2_CACHE = 32
 _SERIES_CACHE = 16
 
@@ -451,18 +462,10 @@ def _level2_series(form: tuple[int, int, int], order) -> QExpansion:
 
 
 @lru_cache(maxsize=_SERIES_CACHE)
-def x_series(n: int, order) -> QExpansion:
-    """x = lambda^(1/n), principal branch; leading coefficient
-    eps/16^(1/n) at q^(-1/2)."""
-    lam = _level2_series(_LEVEL2_FORMS["lambda"], Fraction(order) + 1)
-    return lam.nth_root(n).truncate(Fraction(order))
-
-
-@lru_cache(maxsize=_SERIES_CACHE)
-def y_series(n: int, order) -> QExpansion:
-    """y = (1-lambda)^(1/n), principal branch."""
-    oml = _level2_series(_LEVEL2_FORMS["one_minus_lambda"], Fraction(order) + 1)
-    return oml.nth_root(n).truncate(Fraction(order))
+def _root_series(form: tuple[int, int, int], n: int, order) -> QExpansion:
+    """Principal n-th root of the level-2 quotient of an entry (num, den,
+    sign): x and y, and the w of each row of _KINDS."""
+    return _level2_series(form, Fraction(order) + 1).nth_root(n).truncate(Fraction(order))
 
 
 def zeta_power(n: int, j: int) -> complex:
@@ -472,49 +475,34 @@ def zeta_power(n: int, j: int) -> complex:
 
 @lru_cache(maxsize=_SERIES_CACHE)
 def _class_terms(kind: str, n: int, order) -> tuple[QExpansion, ...]:
-    """T_0 .. T_(n-1) with f[kind, j] = sum_r zeta^(+-jr) T_r.
-
-    The binomial expansion of the n-th power, zeta = e(1/n), eps = e(1/2n):
-      A: theta^2 sum_i C(n,i) (-1)^i zeta^(ji) y^-i
-      B: ginf sum_i C(n,i) (-1)^(n-i) zeta^(-ji) x^i      (ginf = theta^2 y^-n)
-      C: theta^2 sum_i C(n,i) (-1)^(n-i) eps^(n-i) zeta^(-ji) (x/y)^i
-    T_r collects the terms with i = r mod n (i = 0 and i = n share
-    zeta^0 and a rational prefactor); none depends on j.
-    """
+    """T_0 .. T_n with f[kind, j] = sum_i zeta^(twist j i) T_i, the binomial
+    expansion of the kind's row of _KINDS: T_i = s C(n, i) (-1)^(n-i)
+    theta_outer^4 w^i, none depending on j.  T_0 and T_n share zeta^0 and
+    a rational prefactor, so f_series adds them exactly."""
+    outer, quotient, _, sign = _KINDS[kind]
     work = order + 2
-    if kind == "A":
-        base = y_series(n, work).inverse()
-    elif kind == "B":
-        base = x_series(n, work)
-    elif kind == "C":
-        base = x_series(n, work) * y_series(n, work).inverse()
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    outer = _level2_series(_LEVEL2_FORMS["ginf" if kind == "B" else "theta2"], work)
-    powers = [constant(1, 2 * n, work), base]
+    w = _root_series(quotient, n, work)
+    theta = _level2_series((outer, 0, 1), work)
+    powers = [constant(1, 2 * n, work), w]
     while len(powers) <= n:
-        powers.append(powers[-1] * base)
-    inner = []
-    for i, p in enumerate(powers):
-        p = p.scale(comb(n, i) * (-1) ** (i if kind == "A" else n - i))
-        inner.append(p.rotate_halfturns(Fraction(n - i, n)) if kind == "C" else p)
-    inner[0] = inner[0] + inner.pop()
-    return tuple((outer * t).truncate(order) for t in inner)
+        powers.append(powers[-1] * w)
+    return tuple((theta * p.scale(sign(n) * comb(n, i) * (-1) ** (n - i))).truncate(order)
+                 for i, p in enumerate(powers))
 
 
 def f_series(kind: str, j: int, n: int, order) -> RadicalSum:
     """Weight-2 form vanishing only at the cusp of the given
     ramification kind/index, to order N^2 in the local parameter.
 
-    The form is sum_r zeta^(+-jr) T_r over the exact class terms of
+    The form is sum_i zeta^(twist j i) T_i over the exact class terms of
     ``_class_terms``; the root of unity is applied exactly as a
     prefactor rotation and terms whose prefactors coincide are added
     exactly, so f[C,0] (every N) and f[A,0] (N = 1, 2, 4) are single
     exact series."""
-    sign = 1 if kind == "A" else -1
+    twist = _KINDS[kind][2]
     by_prefactor: dict = {}
-    for r, t in enumerate(_class_terms(kind, n, Fraction(order))):
-        t = t.rotate_halfturns(Fraction(2 * sign * j * r, n))
+    for i, t in enumerate(_class_terms(kind, n, Fraction(order))):
+        t = t.rotate_halfturns(Fraction(2 * twist * j * i, n))
         key = (t.pref2, t.prefh)
         by_prefactor[key] = by_prefactor[key] + t if key in by_prefactor else t
     return RadicalSum(tuple(by_prefactor.values()))
@@ -529,10 +517,9 @@ def expansion(label: FormLabel, order) -> QExpansion | RadicalSum:
             f"order {order} cannot resolve the leading exponent {lead} of {label}")
     if label.name in _LEVEL2_FORMS:
         return _level2_series(_LEVEL2_FORMS[label.name], order)
-    if label.name == "x":
-        return x_series(label.n, order)
-    if label.name == "y":
-        return y_series(label.n, order)
+    if label.name in ("x", "y"):
+        radicand = "lambda" if label.name == "x" else "one_minus_lambda"
+        return _root_series(_LEVEL2_FORMS[radicand], label.n, order)
     return f_series(label.kind, label.j, label.n, order)
 
 
@@ -587,14 +574,10 @@ class FormsAt:
       x = 16^(-1/N) e(1/2N - z/2N) exp((8/N) (S(-, odd) - S(+, even))).
 
     The principal N-th root of lambda or of a theta quotient leaves that
-    branch at moderate Im z.  f[kind, j] is the binomial closed form of
-    its class terms, zeta = e(1/N), eps = e(1/2N):
-
-      A: theta3^4 (1 - zeta^j / y)^N,  B: theta2^4 (zeta^-j x - 1)^N,
-      C: theta3^4 (zeta^-j x/y - eps)^N,
-
-    the last with x/y = eps e^d as eps (zeta^-j expm1(d) + zeta^-j - 1),
-    which keeps the zero of f[C, 0] at infinity to full relative precision.
+    branch at moderate Im z.  f[kind, j] takes its row of _KINDS, with w =
+    x for B and 1/y for A.  For C, w = x/(eps y) = e^d, d = (8/N)
+    (S(-, odd) - S(+, odd)), and zeta^-j w - 1 = zeta^-j expm1(d) + zeta^-j
+    - 1 keeps the zero of f[C, 0] at infinity to full relative precision.
 
     The sums take K = ceil(53 log 2 / (pi Im z)) terms each, so that
     |t|^K <= 2^-53.  value(label) returns (value, estimate): the
@@ -658,19 +641,20 @@ class FormsAt:
             return x, abs(x) * rx
         if label.name == "y":
             return y, abs(y) * ry
-        n, kind = label.n, label.kind
-        zj = zeta_power(n, -label.j)
-        if kind == "C":
+        outer, _, twist, sign = _KINDS[label.kind]
+        n, tj = label.n, twist * label.j
+        if label.kind == KIND_C:
             d = 8 * (self._minus_odd - self._plus_odd) / n
-            em1 = _expm1(d)
-            base = cmath.exp(1j * math.pi / n) * (zj * em1 + (zj - 1))
+            em1, zj = _expm1(d), zeta_power(n, tj)
+            base = zj * em1 + (zj - 1)
             err = abs(1 + em1) * (16 / n * self._sum_err + (3 + abs(d)) * _UNIT) + 3 * _UNIT
         else:
-            w, rw = (1 / (zj * y), ry) if kind == "A" else (zj * x, rx)
-            base = 1 - w if kind == "A" else w - 1
+            # w = x for B, and 1/y for A, whose zeta^j w is taken as 1/(zeta^-j y)
+            w, rw = (zeta_power(n, tj) * x, rx) if label.kind == KIND_B else (1 / (zeta_power(n, -tj) * y), ry)
+            base = w - 1
             err = abs(w) * (rw + 2 * _UNIT) + _UNIT
-        outer, r_outer = self._exp(self._logs[2 if kind == "B" else 3], 12)
-        v = outer * base ** n
+        theta, r_outer = self._exp(self._logs[outer], 12)
+        v = theta * (sign(n) * base ** n)
         rel = r_outer + n * (err / abs(base) + _UNIT) + _UNIT
         return v, abs(v) * rel
 
@@ -682,14 +666,10 @@ def petersson_norm_sq(value: complex, z: complex, weight: int) -> float:
     return abs(value) ** 2 * z.imag ** weight
 
 
-def coset_product_value(kind: str, j: int, n: int, z: complex) -> complex:
-    """Product of f[kind,j] |_2 gamma over the n^2 coset representatives
-    g1^a g2^b, each f[kind, j + class_shift(kind, a, b)] by the slash
-    transformation table."""
+def coset_product_value(kind: str, n: int, z: complex) -> complex:
+    """Product of f[kind, j] |_2 gamma over the n^2 coset representatives
+    g1^a g2^b.  Each factor is f[kind, j + class_shift(kind, a, b)], and
+    class_shift takes every value mod n exactly n times, so the product
+    is (prod_l f[kind, l])^n, whatever j."""
     at = FormsAt(z)
-    values = [at.value(FormLabel("f", n, kind, l))[0] for l in range(n)]
-    out = 1.0 + 0j
-    for a in range(n):
-        for b in range(n):
-            out *= values[(j + class_shift(kind, a, b)) % n]
-    return out
+    return math.prod(at.value(FormLabel("f", n, kind, l))[0] for l in range(n)) ** n

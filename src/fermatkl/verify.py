@@ -101,11 +101,9 @@ def check_limitsum(n: int, fc: FermatCusp, z: complex,
     base = gamma2_base(fc.rep)
     lhs = fourier_limit_eval(GAMMA2, base, CUSP_INF, z, trunc).real \
         - 2.0 * math.log(n)
-    prod = coset_product_value(fc.kind, fc.index, n, z)
+    prod = coset_product_value(fc.kind, n, z)
     log_norm_sum = math.log(abs(prod) ** 2 * z.imag ** (2 * n * n))
-    zc = scattering.z_constant()
-    rhs = -log_norm_sum / (n * n) \
-        + 4.0 * (zc + math.log(2.0) / 6.0 - math.log(n) / 2.0)
+    rhs = -log_norm_sum / (n * n) + n * n * scattering.klf_constant(gamma_n(n))
     return _report("limitsum", {"n": n, "cusp": fc.rep, "z": z},
                    abs(lhs - rhs), 1e-5, t0)
 

@@ -3,13 +3,26 @@
 The package evaluates forms at a point from theta products
 (qseries.FormsAt); these evaluate the exact truncated series instead.
 The slash transformation table of the forms under the level-2 group,
-and the coefficient reads of the exact series, live here too.
+and the coefficient reads of the exact series, live here too.  So do
+the references for the package's one row per kind and fiber product:
+the class terms built from x, 1/y and x/y, and the coset product taken
+over every representative.
 """
 
 from fractions import Fraction
+from math import comb
 
 from fermatkl.fermat import class_shift
-from fermatkl.qseries import FormLabel, FormsAt, QExpansion, RadicalSum, ZeroSeries, expansion, zeta_power
+from fermatkl.qseries import (
+    FormLabel,
+    FormsAt,
+    QExpansion,
+    RadicalSum,
+    ZeroSeries,
+    constant,
+    expansion,
+    zeta_power,
+)
 from fermatkl.sl2 import NotInGamma2, gamma2_exponent_sums
 
 
@@ -85,3 +98,60 @@ def coset_product_closed_form(kind, n, z, order=Fraction(26)):
     if kind == "B":
         return sign * th ** n2
     return th ** n2 / oml ** n2
+
+
+def _root_oracle(radicand: str, n: int, order) -> QExpansion:
+    """x = lambda^(1/n) or y = (1-lambda)^(1/n), principal branch."""
+    lam = expansion(FormLabel(radicand), Fraction(order) + 1)
+    return lam.nth_root(n).truncate(Fraction(order))
+
+
+def class_terms_oracle(kind: str, n: int, order) -> tuple[QExpansion, ...]:
+    """T_0 .. T_(n-1) with f[kind, j] = sum_r zeta^(+-jr) T_r, from the
+    binomial expansion in x and y, zeta = e(1/n), eps = e(1/2n):
+      A: theta^2 sum_i C(n,i) (-1)^i zeta^(ji) y^-i
+      B: ginf sum_i C(n,i) (-1)^(n-i) zeta^(-ji) x^i
+      C: theta^2 sum_i C(n,i) (-1)^(n-i) eps^(n-i) zeta^(-ji) (x/y)^i
+    with the terms i = 0 and i = n merged into T_0."""
+    order = Fraction(order)
+    work = order + 2
+    x, y = _root_oracle("lambda", n, work), _root_oracle("one_minus_lambda", n, work)
+    base = {"A": y.inverse(), "B": x, "C": x * y.inverse()}[kind]
+    outer = expansion(FormLabel("ginf" if kind == "B" else "theta2"), work)
+    powers = [constant(1, 2 * n, work), base]
+    while len(powers) <= n:
+        powers.append(powers[-1] * base)
+    inner = []
+    for i, p in enumerate(powers):
+        p = p.scale(comb(n, i) * (-1) ** (i if kind == "A" else n - i))
+        inner.append(p.rotate_halfturns(Fraction(n - i, n)) if kind == "C" else p)
+    inner[0] = inner[0] + inner.pop()
+    return tuple((outer * t).truncate(order) for t in inner)
+
+
+def f_series_oracle(kind: str, n: int, order) -> list[RadicalSum]:
+    """f[kind, j] for j = 0 .. n-1 from class_terms_oracle, each T_r
+    rotated by zeta^(+-jr) and the terms of one prefactor added exactly."""
+    sign = 1 if kind == "A" else -1
+    terms = class_terms_oracle(kind, n, order)
+    forms = []
+    for j in range(n):
+        by_prefactor: dict = {}
+        for r, t in enumerate(terms):
+            t = t.rotate_halfturns(Fraction(2 * sign * j * r, n))
+            key = (t.pref2, t.prefh)
+            by_prefactor[key] = by_prefactor[key] + t if key in by_prefactor else t
+        forms.append(RadicalSum(tuple(by_prefactor.values())))
+    return forms
+
+
+def coset_product_loop(kind: str, j: int, n: int, z: complex) -> complex:
+    """Product of f[kind, j] |_2 gamma over the n^2 coset representatives
+    g1^a g2^b, each f[kind, j + class_shift(kind, a, b)] at the point."""
+    at = FormsAt(z)
+    values = [at.value(FormLabel("f", n, kind, l))[0] for l in range(n)]
+    out = 1.0 + 0j
+    for a in range(n):
+        for b in range(n):
+            out *= values[(j + class_shift(kind, a, b)) % n]
+    return out

@@ -207,11 +207,10 @@ def test_ac08_coset_products():
     worst = 0.0
     for n in (1, 2):
         for kind in "ABC":
-            for j in range(n):
-                for z in (1j, 1 + 2j):
-                    p = coset_product_value(kind, j, n, z)
-                    cf = coset_product_closed_form(kind, n, z, Fraction(22))
-                    worst = max(worst, abs(p - cf))
+            for z in (1j, 1 + 2j):
+                p = coset_product_value(kind, n, z)
+                cf = coset_product_closed_form(kind, n, z, Fraction(22))
+                worst = max(worst, abs(p - cf))
     assert worst <= 1e-8
     report("AC08 coset-products", f"N=1,2 all kinds, worst {worst:.2e} <= 1e-8",
            time.perf_counter() - t0, 60.0)

@@ -25,6 +25,8 @@ from fermatkl.qseries import (
 from fermatkl.sl2 import GEN1, GEN2, Mat2Z, NotInGamma2, S, T
 from series_oracles import (
     coset_product_closed_form,
+    coset_product_loop,
+    f_series_oracle,
     leading,
     max_abs_coeff_diff,
     slash2_value,
@@ -238,17 +240,21 @@ def test_petersson_norm():
 def test_coset_product_closed_forms():
     # level 1: single factor, kind B gives -theta^2
     th, _ = expansion(FormLabel("theta2"), Fraction(20)).evaluate(1j)
-    assert abs(coset_product_value("B", 0, 1, 1j) + th) < 1e-12
+    assert abs(coset_product_value("B", 1, 1j) + th) < 1e-12
     for n in (1, 2):
         for kind in "ABC":
             for z in (1j, 1 + 2j):
-                p = coset_product_value(kind, 0, n, z)
+                p = coset_product_value(kind, n, z)
                 cf = coset_product_closed_form(kind, n, z, Fraction(20))
                 assert abs(p - cf) < 1e-8
-    # independence of the index
-    p0 = coset_product_value("C", 0, 2, 1 + 2j)
-    p1 = coset_product_value("C", 1, 2, 1 + 2j)
-    assert abs(p0 - p1) < 1e-10
+    # independence of the index: the product over every representative,
+    # started at each f[kind, j]
+    for n in range(1, 6):
+        for kind in "ABC":
+            for z in (1 + 2j, -0.3 + 0.8j):
+                p = coset_product_value(kind, n, z)
+                for j in range(n):
+                    assert abs(p - coset_product_loop(kind, j, n, z)) <= 1e-13 * abs(p), (kind, j, n, z)
 
 
 def test_dump_format():
@@ -417,6 +423,47 @@ def test_evaluate_bound_covers_float_rounding():
         mp.dps = old_dps
 
 
+def _mp_forms_from_jtheta(mp, z, n):
+    """f[kind, j] at z for every kind and j, in the closed forms
+    theta3^4 (1 - zeta^j/y)^N, theta2^4 (zeta^-j x - 1)^N and
+    theta3^4 (zeta^-j x/y - eps)^N, with the thetas from mpmath's jtheta
+    at the nome t = e(z/2), not from the series.  x and y take the branch
+    of their series, 16^(-1/N) e(-z/2N) (times eps for x) times the
+    principal N-th root of a unit that tends to 1 with t."""
+    w = mp.mpc(z)
+    t = mp.exp(1j * mp.pi * w)
+    th2, th3, th4 = (mp.jtheta(k, 0, t) ** 4 for k in (2, 3, 4))
+    lam = -th4 / th2
+    head = mp.power(16, -mp.mpf(1) / n) * mp.exp(-1j * mp.pi * w / n)
+    eps, zeta = mp.expjpi(mp.mpf(1) / n), mp.expjpi(mp.mpf(2) / n)
+    x = eps * head * mp.root(-16 * t * lam, n)
+    y = head * mp.root(16 * t * (1 - lam), n)
+    forms = {}
+    for j in range(n):
+        forms["A", j] = th3 * (1 - zeta ** j / y) ** n
+        forms["B", j] = th2 * (zeta ** -j * x - 1) ** n
+        forms["C", j] = th3 * (zeta ** -j * x / y - eps) ** n
+    return forms
+
+
+def test_forms_at_point_beyond_level_5_match_jtheta_and_their_estimates_hold():
+    # the levels past the series reference above, at its points
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    old_dps, mp.dps = mp.dps, 50
+    try:
+        for z in (0.1 + 0.7j, 1 + 0.6j, -0.45 + 0.8j, 0.3 + 1j, -0.7 + 1.5j, 0.2 + 2.3j, -0.9 + 0.6j):
+            at = FormsAt(z)
+            for n in (6, 7, 8):
+                for (kind, j), ref in _mp_forms_from_jtheta(mp, z, n).items():
+                    got, est = at.value(FormLabel("f", n, kind, j))
+                    err = abs(got - complex(ref))
+                    assert err <= est, (kind, j, n, z, err, est)
+                    assert z == -0.9 + 0.6j or err <= 1e-13 * abs(ref), (kind, j, n, z, err / abs(ref))
+    finally:
+        mp.dps = old_dps
+
+
 def test_forms_at_point_convergence_region():
     for z in (0.3 + 0.2j, 0.5 + 1e-3j, 1.0 + 0j, 2.0 - 1j):
         with pytest.raises(ConvergenceRegion):
@@ -498,6 +545,18 @@ FERMAT_DIGESTS = {
 
 def _canon(s):
     return (s.denom, s.order, s.pref2, s.prefh, tuple(sorted(s.coeffs.items())))
+
+
+def test_fermat_forms_match_the_x_and_y_construction():
+    # one root of a level-2 quotient per kind gives the terms, prefactors
+    # and coefficients of the construction from x, 1/y and x/y, at every
+    # level to 8 (the digests above stop at 5)
+    order = Fraction(26)
+    for n in range(1, 9):
+        for kind in "ABC":
+            for j, want in enumerate(f_series_oracle(kind, n, order)):
+                got = expansion(FormLabel("f", n, kind, j), order)
+                assert [_canon(t) for t in got.terms] == [_canon(t) for t in want.terms], (kind, j, n)
 
 
 def test_fermat_forms_unchanged():
@@ -590,12 +649,14 @@ def _ref_power(f, alpha):
                       (f.pref2 + a) * alpha, (f.prefh + (c0 < 0)) * alpha)
 
 
-# The i-th key of a run of distinct keys for each memoized series.
+# For each memoized series, the cache that holds it and the i-th key of a
+# run of distinct keys; x and y are both held by _root_series.
 SERIES_CACHE_KEYS = {
-    "_level2_series": lambda i: ((3, 0, 1), Fraction(i, 2)),
-    "x_series": lambda i: (2, Fraction(i, 2)),
-    "y_series": lambda i: (3, Fraction(i, 2)),
-    "_class_terms": lambda i: ("C", 2, Fraction(i, 2)),
+    "_level2_series": ("_level2_series", lambda i: ((3, 0, 1), Fraction(i, 2))),
+    "x_series": ("_root_series", lambda i: (qseries._LEVEL2_FORMS["lambda"], 2, Fraction(i, 2))),
+    "y_series": ("_root_series",
+                 lambda i: (qseries._LEVEL2_FORMS["one_minus_lambda"], 3, Fraction(i, 2))),
+    "_class_terms": ("_class_terms", lambda i: ("C", 2, Fraction(i, 2))),
 }
 
 
@@ -603,7 +664,8 @@ SERIES_CACHE_KEYS = {
 def test_series_caches_bounded_and_evicted_entries_rebuild(name):
     # one past its bound the cache drops its oldest entry, and building
     # that again gives the same exact coefficients
-    cached, key = getattr(qseries, name), SERIES_CACHE_KEYS[name]
+    cache, key = SERIES_CACHE_KEYS[name]
+    cached = getattr(qseries, cache)
     cached.cache_clear()
     first = cached(*key(1))
     bound = cached.cache_info().maxsize

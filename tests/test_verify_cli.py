@@ -85,7 +85,7 @@ def test_check_limitsum():
     for g in coset_reps(n):
         v = slash2_value(FormLabel("f", n, "B", 0), g, z)
         total += math.log(abs(v) ** 2 * z.imag ** 2)
-    prod = coset_product_value("B", 0, n, z)
+    prod = coset_product_value("B", n, z)
     assert abs(total - math.log(abs(prod) ** 2 * z.imag ** (2 * n * n))) < 1e-10
 
 
@@ -96,7 +96,7 @@ def test_klf_checks_build_no_series(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a q-series was built")
 
-    for name in ("f_series", "_level2_series", "_class_terms"):
+    for name in ("f_series", "_level2_series", "_root_series", "_class_terms"):
         monkeypatch.setattr(qseries, name, refuse)
     monkeypatch.setattr(qseries.QExpansion, "__post_init__", refuse)
     for j in (CUSP_ZERO, CUSP_ONE, CUSP_INF):
@@ -277,6 +277,27 @@ def test_cli_eisenstein():
                          "--limit", "--cmax", "200", "--no-timestamp")
     assert rc == 0
     assert json.loads(out)["inputs"]["z"] == "(-0.2+0.9j)"
+
+
+def test_cli_eisenstein_reduces_x_by_the_width(capsys):
+    # E_j(z + b) = E_j(z) for the width b = 2N: a point is summed at x
+    # reduced to |x| <= b/2, and the record names the reduced point
+    def results(*argv):
+        assert main(["eisenstein", "--cusp", "0", *argv, "--no-timestamp"]) == 0
+        return json.loads(capsys.readouterr().out)["results"]
+
+    assert results("--n", "2", "--z=1e20+1i", "--s", "3")["z_reduced"] == [0.0, 1.0]
+    for argv, b, z_far, z_near in ((("--n", "2", "--s", "3"), 4, 8.4 + 0.6j, "0.4+0.6i"),
+                                   (("--n", "3", "--limit"), 6, -11.8 + 0.9j, "0.2+0.9i")):
+        far = results(*argv, f"--z={z_far.real}+{z_far.imag}i")
+        near = results(*argv, "--z", z_near)
+        assert "z_reduced" not in near
+        assert far["z_reduced"] == [math.remainder(z_far.real, b), z_far.imag]
+        for key in near.keys() - {"direct_tail", "phi0", "phi0_tail"}:
+            v, w = complex(*far[key]), complex(*near[key])
+            assert abs(v - w) <= 1e-12 * abs(w), (argv, key)
+    # a point on the edge x = b/2 is summed as given
+    assert "z_reduced" not in results("--n", "2", "--z", "2+0.6i", "--s", "3")
 
 
 @pytest.mark.parametrize("z", ["0.2+1.1i", "2i"])
