@@ -204,19 +204,18 @@ def cmd_eisenstein(args, trunc: TruncationSpec) -> int:
     if s.imag == 0:
         s = s.real
     results: dict = {}
-    # E_j(z + b) = E_j(z) for the width b: the sums see x reduced to |x| <= b/2
+    # E_j(z + b) = E_j(z) for the width b: the sums reduce x to |x| <= b/2
     x = math.remainder(z.real, group.width)
     if x != z.real:
         results["z_reduced"] = [x, z.imag]
-    w = complex(x, z.imag)
     if args.limit:
-        val = fourier_limit_eval(group, j, Cusp(1, 0), w, trunc)
+        val = fourier_limit_eval(group, j, Cusp(1, 0), z, trunc)
         results["limit_4pi"] = [val.real, val.imag]
     else:
         if complex(s).real <= 1:
             raise UsageError("Re s must exceed 1 unless --limit is given")
-        direct, tail = eisenstein_direct(group, j, w, s, trunc)
-        four = fourier_eval(group, j, Cusp(1, 0), w, s, trunc)
+        direct, tail = eisenstein_direct(group, j, z, s, trunc)
+        four = fourier_eval(group, j, Cusp(1, 0), z, s, trunc)
         phi0, phi0_tail = phi_coefficient(group, j, Cusp(1, 0), 0, s, trunc)
         results["direct"] = [direct.real, direct.imag]
         results["direct_tail"] = tail

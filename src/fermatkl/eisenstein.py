@@ -165,12 +165,15 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     every other s it is the t with |c x + d + t P| <= m_cut (_window_rows),
     and the estimate adds the strip past m_cut.  np.add.reduceat sums the
     rows of each c, and np.dot over _DOT_CHUNK entries at a time weights
-    the c's: by P^-4 at s = 2, by 1 elsewhere.
+    the c's: by P^-4 at s = 2, by 1 elsewhere.  The sums are taken at x
+    reduced by the width b, as E_j(z + b) = E_j(z), so a large x costs
+    nothing.
     """
     sigma = complex(s).real
     if sigma <= 1:
         raise DivergentRegion("direct summation requires Re s > 1")
-    x, y = z.real, z.imag
+    x, y = math.remainder(z.real, group.width), z.imag
+    z = complex(x, y)
     if y <= 0:
         raise ValueError("z must lie in the upper half plane")
     n_classes = 1 if group.kind == "gamma1" else 3 * group.n
@@ -693,12 +696,13 @@ def fourier_eval(group: GroupId, j: Cusp, k: Cusp, z: complex, s,
     on z or on the pair within the class: _phis memoizes them per
     (group, lane class, m_max, c_max, s), so a call at a new z, or on
     another pair of a class already read, does no lane work, and a hit
-    is bit-identical to a miss.
+    is bit-identical to a miss.  The phases are taken at x reduced by
+    the width b.
     """
     sigma = complex(s).real
     if sigma <= 1:
         raise DivergentRegion("Fourier evaluation requires Re s > 1")
-    x, y = z.real, z.imag
+    x, y = math.remainder(z.real, group.width), z.imag
     i = _lane_class(group, j, k)
     b = group.width
     val = 0j
@@ -728,9 +732,10 @@ def fourier_limit_eval(group: GroupId, j: Cusp, k: Cusp, z: complex,
     pi/(b_j b_k) phi_{jk,m}(1) exp(-2 pi |m| y / b_k + 2 pi i m x / b_k)
     for m = 1..m_max up to the last whose decay is at least 1e-18.  The
     phi of the modes 1..m_max come from one phi_m1_exact call, whatever
-    the cut, so a lane class takes one _phis key at every height.
+    the cut, so a lane class takes one _phis key at every height.  The
+    phases are taken at x reduced by the width b.
     """
-    x, y = z.real, z.imag
+    x, y = math.remainder(z.real, group.width), z.imag
     if y <= 0:
         raise ValueError("z must lie in the upper half plane")
     jc = standard_rep(group, j)

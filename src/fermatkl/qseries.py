@@ -24,13 +24,14 @@ prefactors, rounded only when evaluated or dumped.  Their products over
 the coset representatives and Petersson norms close the module.
 
 The same forms have two representations.  FormsAt gives their values
-at a point, with an error estimate, from Jacobi's triple products and
-the same rows: a few dozen complex terms, which the Kronecker-limit
-checks and the coset products use.  The exact series serve the
-q-expansion dumps (qexp) and the identities checked coefficientwise.
-Their float evaluation stays for the benchmark harness, which times it;
-in floats the class terms of a form can cancel, so it is not the path
-to a value.
+at a point, with an error estimate, from Jacobi's triple products: a
+few dozen complex terms, which the Kronecker-limit checks and the coset
+products use.  It reads the same entries and rows as the series: the
+log of an n-th root is the log of its entry's quotient over n.  The
+exact series serve the q-expansion dumps (qexp) and the identities
+checked coefficientwise.  Their float evaluation stays for the
+benchmark harness, which times it; in floats the class terms of a form
+can cancel, so it is not the path to a value.
 """
 
 from __future__ import annotations
@@ -373,6 +374,9 @@ def _as_radical(c: Fraction) -> tuple[Fraction, Fraction]:
 _LEVEL2_FORMS = {"theta2": (3, 0, 1), "g1": (3, 0, 1), "g0": (4, 0, -1), "ginf": (2, 0, 1),
                  "lambda": (4, 2, -1), "one_minus_lambda": (3, 2, 1)}
 
+# The level-N functions x and y, each the principal N-th root of an entry.
+_ROOTS = {"x": _LEVEL2_FORMS["lambda"], "y": _LEVEL2_FORMS["one_minus_lambda"]}
+
 # One row per kind of Fermat form, (outer, quotient, twist, sign): with
 # w the principal N-th root of the level-2 quotient (num, den, sign),
 #   f[kind, j] = sign(N) theta_outer^4 (zeta^(twist j) w - 1)^N.
@@ -399,9 +403,9 @@ class FormLabel:
     j: int = 0
 
     def __post_init__(self):
-        if self.name not in (*_LEVEL2_FORMS, "x", "y", "f"):
+        if self.name not in (*_LEVEL2_FORMS, *_ROOTS, "f"):
             raise ValueError(f"unknown form label {self.name!r}")
-        if self.name in ("x", "y", "f") and self.n < 1:
+        if self.name in (*_ROOTS, "f") and self.n < 1:
             raise ValueError("level must be >= 1")
         if self.name == "f":
             if self.kind not in (KIND_A, KIND_B, KIND_C):
@@ -412,7 +416,7 @@ class FormLabel:
     def __str__(self):
         if self.name == "f":
             return f"f[{self.kind}{self.j},n={self.n}]"
-        if self.name in ("x", "y"):
+        if self.name in _ROOTS:
             return f"{self.name}[n={self.n}]"
         return self.name
 
@@ -517,14 +521,15 @@ def expansion(label: FormLabel, order) -> QExpansion | RadicalSum:
             f"order {order} cannot resolve the leading exponent {lead} of {label}")
     if label.name in _LEVEL2_FORMS:
         return _level2_series(_LEVEL2_FORMS[label.name], order)
-    if label.name in ("x", "y"):
-        radicand = "lambda" if label.name == "x" else "one_minus_lambda"
-        return _root_series(_LEVEL2_FORMS[radicand], label.n, order)
+    if label.name in _ROOTS:
+        return _root_series(_ROOTS[label.name], label.n, order)
     return f_series(label.kind, label.j, label.n, order)
 
 
 def _leading_exponent(label: FormLabel) -> Fraction:
-    if label.name in ("lambda", "one_minus_lambda", "x", "y"):
+    if label.name in _ROOTS:
+        return Fraction(-1, 2 * label.n)
+    if label.name in ("lambda", "one_minus_lambda"):
         return Fraction(-1, 2)
     if label.name == "ginf":
         return Fraction(1, 2)
@@ -565,26 +570,26 @@ class FormsAt:
       theta2^4 = 16 t prod_(m>=1) (1 - t^2m)^4 (1 + t^2m)^8.
 
     Each product is exp of a sum of principal Logs S(+-, parity) of
-    1 +- t^k over odd or even k, and the level-2 forms are the theta
-    quotients of _LEVEL2_FORMS.
-    The roots carry the branch of the exact series, the analytic one
-    with value 1 at t = 0 of their unit parts:
+    1 +- t^k over odd or even k.  L[i] is log theta_i^4 less the
+    4 S(-, even) that all three share, and L[0] = 0.  Every form is read
+    from a quotient entry (num, den, sign), as its series is: the
+    principal n-th root of sign theta_num^4/theta_den^4, on the branch
+    of the series, whose unit part is 1 at t = 0, has the log
 
-      y = 16^(-1/N) e(-z/2N) exp((8/N) (S(+, odd) - S(+, even))),
-      x = 16^(-1/N) e(1/2N - z/2N) exp((8/N) (S(-, odd) - S(+, even))).
+      (L[num] - L[den] + i pi [sign < 0]) / n,
 
-    The principal N-th root of lambda or of a theta quotient leaves that
-    branch at moderate Im z.  f[kind, j] takes its row of _KINDS, with w =
-    x for B and 1/y for A.  For C, w = x/(eps y) = e^d, d = (8/N)
-    (S(-, odd) - S(+, odd)), and zeta^-j w - 1 = zeta^-j expm1(d) + zeta^-j
-    - 1 keeps the zero of f[C, 0] at infinity to full relative precision.
+    plus 4 S(-, even)/n when den = 0.  That gives the level-2 forms
+    (n = 1), x and y (_ROOTS), the outer theta and the w of each row of
+    _KINDS.  Every kind takes its base as zeta^(twist j) expm1(log w) +
+    (zeta^(twist j) - 1), which keeps the zero of f[C, 0] at infinity to
+    full relative precision.
 
     The sums take K = ceil(53 log 2 / (pi Im z)) terms each, so that
     |t|^K <= 2^-53.  value(label) returns (value, estimate): the
     estimate covers the tail past K and the rounding, propagated to first
-    order through each exp, quotient and power.  Below Im z = POINT_IM_MIN
+    order through each exp, expm1 and power.  Below Im z = POINT_IM_MIN
     the constructor raises ConvergenceRegion.  The theta products are
-    taken once per point, and x and y once per point and level.
+    taken once per point.
     """
 
     def __init__(self, z: complex):
@@ -592,7 +597,6 @@ class FormsAt:
         if not z.imag >= POINT_IM_MIN:
             raise ConvergenceRegion(
                 f"forms are evaluated at Im z >= {POINT_IM_MIN}, not at {z.imag}")
-        self.z = z
         count = math.ceil(53.0 * math.log(2.0) / (math.pi * z.imag))
         r = math.exp(-math.pi * z.imag)
         t = cmath.exp(1j * math.pi * z)
@@ -603,59 +607,44 @@ class FormsAt:
             sums[par] += _log1p(tk)
             sums[par + 1] += _log1p(-tk)
             tk *= t
-        self._plus_odd, self._minus_odd, self._plus_even, minus_even = sums
+        plus_odd, minus_odd, plus_even, minus_even = sums
         # error of each sum: its tail past count, rounding in t^k and in
         # the terms, and the additions
         self._sum_err = (r ** (count + 1) + (count + 8 + abs(math.pi * z)) * _UNIT) / (1 - r) ** 2
-        # log theta^4 by theta index, each carrying 12 times _sum_err
-        self._logs = {3: 4 * minus_even + 8 * self._plus_odd,
-                      4: 4 * minus_even + 8 * self._minus_odd,
-                      2: 4 * math.log(2.0) + 1j * math.pi * z + 4 * minus_even + 8 * self._plus_even}
-        self._roots = {}
+        # L by theta index, each carrying 8 times _sum_err
+        self._logs = {0: 0, 3: 8 * plus_odd, 4: 8 * minus_odd,
+                      2: 4 * math.log(2.0) + 1j * math.pi * z + 8 * plus_even}
+        self._shared = 4 * minus_even
 
-    def _exp(self, log: complex, weight: float) -> tuple[complex, float]:
-        """exp(log) with its relative error bound, log carrying weight
-        times the error of one sum."""
-        return cmath.exp(log), weight * self._sum_err + (2 + abs(log)) * _UNIT
-
-    def _root_values(self, n: int):
-        """(x, rel. error, y, rel. error) at level n."""
-        if n not in self._roots:
-            head = -4.0 * math.log(2.0) / n - 1j * math.pi * self.z / n
-            x = self._exp(head + 1j * math.pi / n + 8 * (self._minus_odd - self._plus_even) / n, 16 / n)
-            y = self._exp(head + 8 * (self._plus_odd - self._plus_even) / n, 16 / n)
-            self._roots[n] = (*x, *y)
-        return self._roots[n]
+    def _root_log(self, form: tuple[int, int, int], n: int) -> tuple[complex, float]:
+        """(log, error bound) of the principal n-th root of the quotient
+        of an entry (num, den, sign), on the branch of its series; the
+        bound counts 8 sums for each L and 4 for the shared one."""
+        num, den, sign = form
+        log = self._logs[num] - self._logs[den]
+        if sign < 0:
+            log += 1j * math.pi
+        if not den:
+            log += self._shared
+        return log / n, (16 if den else 12) / n * self._sum_err
 
     def value(self, label: FormLabel) -> tuple[complex, float]:
         """(value, error estimate) of the form of label at the point."""
-        if label.name in _LEVEL2_FORMS:
-            num, den, sign = _LEVEL2_FORMS[label.name]
-            if den:
-                v, rel = self._exp(self._logs[num] - self._logs[den], 24)
-            else:
-                v, rel = self._exp(self._logs[num], 12)
-            return sign * v, abs(v) * rel
-        x, rx, y, ry = self._root_values(label.n)
-        if label.name == "x":
-            return x, abs(x) * rx
-        if label.name == "y":
-            return y, abs(y) * ry
-        outer, _, twist, sign = _KINDS[label.kind]
-        n, tj = label.n, twist * label.j
-        if label.kind == KIND_C:
-            d = 8 * (self._minus_odd - self._plus_odd) / n
-            em1, zj = _expm1(d), zeta_power(n, tj)
-            base = zj * em1 + (zj - 1)
-            err = abs(1 + em1) * (16 / n * self._sum_err + (3 + abs(d)) * _UNIT) + 3 * _UNIT
-        else:
-            # w = x for B, and 1/y for A, whose zeta^j w is taken as 1/(zeta^-j y)
-            w, rw = (zeta_power(n, tj) * x, rx) if label.kind == KIND_B else (1 / (zeta_power(n, -tj) * y), ry)
-            base = w - 1
-            err = abs(w) * (rw + 2 * _UNIT) + _UNIT
-        theta, r_outer = self._exp(self._logs[outer], 12)
-        v = theta * (sign(n) * base ** n)
-        rel = r_outer + n * (err / abs(base) + _UNIT) + _UNIT
+        if label.name != "f":
+            form, n = ((_ROOTS[label.name], label.n) if label.name in _ROOTS
+                       else (_LEVEL2_FORMS[label.name], 1))
+            log, err = self._root_log(form, n)
+            v = cmath.exp(log)
+            return v, abs(v) * (err + (2 + abs(log)) * _UNIT)
+        outer, quotient, twist, sign = _KINDS[label.kind]
+        n, zj = label.n, zeta_power(label.n, twist * label.j)
+        log, err = self._root_log(quotient, n)
+        em1 = _expm1(log)
+        base = zj * em1 + (zj - 1)
+        err = abs(1 + em1) * (err + (3 + abs(log)) * _UNIT) + 3 * _UNIT
+        outer_log, outer_err = self._root_log((outer, 0, 1), 1)
+        v = cmath.exp(outer_log) * (sign(n) * base ** n)
+        rel = outer_err + (2 + abs(outer_log)) * _UNIT + n * (err / abs(base) + _UNIT) + _UNIT
         return v, abs(v) * rel
 
 

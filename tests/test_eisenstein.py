@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from collections import OrderedDict
 from math import gcd
 
@@ -249,6 +250,29 @@ def test_fourier_limit_periodicity():
     # finite and real
     w = fourier_limit_eval(g, cusp_reps(2)[0].rep, inf, 1 + 2j, tr)
     assert abs(w.imag) < 1e-10 and math.isfinite(w.real)
+
+
+def test_sums_at_x_translated_by_the_width_keep_their_bits():
+    # E_j(z + b) = E_j(z): the direct buckets, fourier_eval and
+    # fourier_limit_eval take x reduced by the width b, exact in floats,
+    # so z + k b sums what z sums, however large k
+    tr = TruncationSpec(c_max=100, m_max=8)
+    z = 0.375 + 1.1j
+    for g in (GAMMA2, gamma_n(2), gamma_n(3)):
+        def sums(w):
+            direct = [(vals.tolist(), tail) for vals, tail in
+                      (eisenstein_direct_all(g, w, s, tr) for s in (2.0, 3.0))]
+            return (direct, fourier_eval(g, CUSP_ZERO, CUSP_INF, w, 2.0, tr),
+                    fourier_limit_eval(g, CUSP_ZERO, CUSP_INF, w, tr))
+        at = sums(z)
+        for k in (1, -1, 1000, -1000):
+            assert sums(z + k * g.width) == at, (g, k)
+    # x = 1e20 is a multiple of the width 4: the sum is the one at i
+    start = time.perf_counter()
+    far = eisenstein_direct_all(gamma_n(2), 1e20 + 1j, 3.0)
+    assert time.perf_counter() - start < 1.0
+    near = eisenstein_direct_all(gamma_n(2), 1j, 3.0)
+    assert far[0].tolist() == near[0].tolist() and far[1] == near[1]
 
 
 def _fourier_eval_per_mode(group, j, k, z, s, trunc):
@@ -651,14 +675,17 @@ def _assert_direct_matches_per_c(c_maxes, zs=DIRECT_Z, groups=DIRECT_GROUPS, tol
             for s in DIRECT_S:
                 for z in zs:
                     got, _ = eisenstein_direct_all(g, z, s, tr)
-                    want = _direct_all_per_c(g, z, s, tr)
+                    # the window is cut where the buckets are summed, at x
+                    # reduced by the width; the closed form below is not
+                    w = complex(math.remainder(z.real, g.width), z.imag)
+                    want = _direct_all_per_c(g, w, s, tr)
                     if s != 2:
                         assert np.all(np.abs(got - want) <= tol * np.abs(want)), (g, c_max, s, z)
                         continue
                     assert np.all(got.imag == 0) and np.all(want.imag == 0)
                     got, want = got.real, want.real
                     assert np.all(want <= got), (g, c_max, z)
-                    assert np.all(got <= want + _strip_bound(z, s, tr) + 1e-12 * want), (g, c_max, z)
+                    assert np.all(got <= want + _strip_bound(w, s, tr) + 1e-12 * want), (g, c_max, z)
                     oracle = _direct_all_closed_per_c(g, z, tr)
                     assert np.all(np.abs(got - oracle) <= tol * oracle), (g, c_max, z)
 
@@ -683,9 +710,10 @@ def test_direct_matches_per_c_oracle_at_large_x():
     # at |x| up to 7.7 and Im z down to 0.2 the row start d + t_lo P is
     # far from c x: folding c x into the start before the translates are
     # added rounds twice and misses by up to 4.5e-13; at s = 2 alpha takes
-    # the exact remainder of x mod step
+    # the exact remainder of x mod step.  The sums reduce x by the width,
+    # 2N, so Gamma_8 is the group here that sums at x = -7.7 itself
     _assert_direct_matches_per_c((120,), (5.3 + 0.35j, -7.7 + 0.2j),
-                                 (GAMMA2, gamma_n(3), gamma_n(5)), 1e-14)
+                                 (GAMMA2, gamma_n(3), gamma_n(5), gamma_n(8)), 1e-14)
 
 
 def test_window_near_poles_matches_per_c_oracle():
