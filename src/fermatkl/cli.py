@@ -81,10 +81,8 @@ def parse_form_label(text: str) -> FormLabel:
     x:N | y:N | f:KIND:J:N."""
     parts = text.strip().split(":")
     name = parts[0].lower()
-    if name in ("x", "y") and len(parts) != 2:
-        raise UsageError(f"label {text!r} needs a level, e.g. x:3")
-    if name == "f" and len(parts) != 4:
-        raise UsageError(f"label {text!r} must be f:KIND:J:N")
+    if len(parts) != (4 if name == "f" else 2 if name in ("x", "y") else 1):
+        raise UsageError(f"label {text!r} must be a level-2 name, x:N, y:N or f:KIND:J:N")
     try:
         if name in ("x", "y"):
             return FormLabel(name, int(parts[1]))

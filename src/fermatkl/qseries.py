@@ -20,18 +20,18 @@ weight-2 form f[kind, j] attached to a cusp of a Fermat group takes the
 kind's row of _KINDS: an outer theta^4 times (zeta^(+-j) w - 1)^N, w
 the principal N-th root of one more theta quotient.  These forms mix
 radicals, so each is a RadicalSum: a few exact series with distinct
-prefactors, rounded only when evaluated or dumped.  Their products over
-the coset representatives and Petersson norms close the module.
+prefactors, rounded only when evaluated or dumped.
 
-The same forms have two representations.  FormsAt gives their values
-at a point, with an error estimate, from Jacobi's triple products: a
-few dozen complex terms, which the Kronecker-limit checks and the coset
-products use.  It reads the same entries and rows as the series: the
-log of an n-th root is the log of its entry's quotient over n.  The
-exact series serve the q-expansion dumps (qexp) and the identities
-checked coefficientwise.  Their float evaluation stays for the
-benchmark harness, which times it; in floats the class terms of a form
-can cancel, so it is not the path to a value.
+The same forms have two representations.  FormsAt gives their values at
+a point, with an error estimate, from Jacobi's triple products: a few
+dozen complex terms, whose logs the Kronecker-limit checks take; the
+limitsum check sums them into the log of the coset product, which no
+function returns as a value.  FormsAt reads the same entries and rows
+as the series: the log of an n-th root is the log of its entry's
+quotient over n.  The exact series serve the q-expansion dumps (qexp)
+and the identities checked coefficientwise.  Their float evaluation
+stays for the benchmark harness, which times it; in floats the class
+terms of a form can cancel, so it is not the path to a value.
 """
 
 from __future__ import annotations
@@ -393,8 +393,8 @@ class FormLabel:
     """Identifier for the built-in expansions.
 
     name is a level-2 form of _LEVEL2_FORMS (theta2, lambda,
-    one_minus_lambda, g0, g1, ginf) or x, y, f; x, y, f carry a level n,
-    f additionally a kind A/B/C and an index j.
+    one_minus_lambda, g0, g1, ginf), which takes nothing more, or x, y,
+    f; x, y, f carry a level n, f alone a kind A/B/C and an index j.
     """
 
     name: str
@@ -405,13 +405,15 @@ class FormLabel:
     def __post_init__(self):
         if self.name not in (*_LEVEL2_FORMS, *_ROOTS, "f"):
             raise ValueError(f"unknown form label {self.name!r}")
-        if self.name in (*_ROOTS, "f") and self.n < 1:
-            raise ValueError("level must be >= 1")
-        if self.name == "f":
-            if self.kind not in (KIND_A, KIND_B, KIND_C):
-                raise ValueError("f labels need kind A, B or C")
-            if not 0 <= self.j < self.n:
-                raise ValueError("f index out of range")
+        if self.n != 1 and (self.n < 1 or self.name in _LEVEL2_FORMS):
+            raise ValueError(f"{self.name} cannot take level {self.n}")
+        if self.name != "f":
+            if self.kind or self.j:
+                raise ValueError(f"{self.name} takes no kind or index")
+        elif self.kind not in (KIND_A, KIND_B, KIND_C):
+            raise ValueError("f labels need kind A, B or C")
+        elif not 0 <= self.j < self.n:
+            raise ValueError("f index out of range")
 
     def __str__(self):
         if self.name == "f":
@@ -647,18 +649,3 @@ class FormsAt:
         rel = outer_err + (2 + abs(outer_log)) * _UNIT + n * (err / abs(base) + _UNIT) + _UNIT
         return v, abs(v) * rel
 
-
-def petersson_norm_sq(value: complex, z: complex, weight: int) -> float:
-    """|f(z)|^2 Im(z)^k."""
-    if z.imag <= 0:
-        raise ValueError("Petersson norm needs Im z > 0")
-    return abs(value) ** 2 * z.imag ** weight
-
-
-def coset_product_value(kind: str, n: int, z: complex) -> complex:
-    """Product of f[kind, j] |_2 gamma over the n^2 coset representatives
-    g1^a g2^b.  Each factor is f[kind, j + class_shift(kind, a, b)], and
-    class_shift takes every value mod n exactly n times, so the product
-    is (prod_l f[kind, l])^n, whatever j."""
-    at = FormsAt(z)
-    return math.prod(at.value(FormLabel("f", n, kind, l))[0] for l in range(n)) ** n

@@ -99,8 +99,8 @@ def fermat_constant(n: int, fc_j: FermatCusp, fc_k: FermatCusp) -> ScatteringEnt
     else:
         delta = (fc_j.index - fc_k.index) % n
         tag = f"same_fiber({delta})"
-        # |1 - zeta_n^delta| = 2 sin(pi delta / n)
-        log_gap = math.log(2.0 * math.sin(math.pi * delta / n))
+        # |1 - zeta_n^delta| = 2 sin(pi delta / n), at the unordered delta
+        log_gap = math.log(2.0 * math.sin(math.pi * min(delta, n - delta) / n))
         normalized = pref * (c1 - (2 * log2 + 6 * logn + 3 * n * log_gap) / math.pi)
     return ScatteringEntry(normalized, normalized + natural_shift(group), tag)
 

@@ -32,7 +32,7 @@ from .fermat import (
     gamma2_base,
     gamma_n,
 )
-from .qseries import FormLabel, FormsAt, coset_product_value, petersson_norm_sq
+from .qseries import FormLabel, FormsAt
 from .sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp, cusp_scaling_matrix, mobius_point
 
 
@@ -66,15 +66,15 @@ def _report(check_id: str, params: dict, residual: float, tol: float,
 def _klf_report(check_id: str, params: dict, tol: float, n: int, fc: FermatCusp,
                 z: complex, trunc: TruncationSpec) -> CheckReport:
     """Kronecker limit formula for the level-n Fermat group at the
-    infinity chart: regularized Eisenstein limit against
-    -log ||f_fc||^2 / n^2 + klf_constant."""
+    infinity chart: regularized Eisenstein limit against the log of each
+    form, -2 log(|f_fc| Im z)/n^2 + klf_constant, both at Re z mod 2n."""
     t0 = time.perf_counter()
     group = gamma_n(n)
     chart = cusp_reps(n)[-1].rep
     lhs = fourier_limit_eval(group, fc.rep, chart, z, trunc)
-    fv, _ = FormsAt(z).value(FormLabel("f", n, fc.kind, fc.index))
-    rhs = -math.log(petersson_norm_sq(fv, z, 2)) / (n * n) \
-        + scattering.klf_constant(group)
+    at = FormsAt(complex(math.remainder(z.real, group.width), z.imag))
+    fv, _ = at.value(FormLabel("f", n, fc.kind, fc.index))
+    rhs = -2.0 * math.log(abs(fv) * z.imag) / (n * n) + scattering.klf_constant(group)
     return _report(check_id, params, abs(lhs - rhs), tol, t0)
 
 
@@ -95,15 +95,17 @@ def check_klf_fermat(n: int, fc: FermatCusp, z: complex,
 def check_limitsum(n: int, fc: FermatCusp, z: complex,
                    trunc: TruncationSpec = DEFAULT_TRUNCATION) -> CheckReport:
     """Coset-summed limit formula: the level-2 limit minus
-    log(n)/vol(level 2), 4 pi scaled, against the coset product of form
-    norms plus the shifted constant."""
+    log(n)/vol(level 2), 4 pi scaled, against the log of each form in
+    the coset product (prod_l f[kind, l])^n, -(2/n) sum_l log(|f[kind, l]|
+    Im z) at Re z reduced by the width 2n, plus the shifted constant."""
     t0 = time.perf_counter()
-    base = gamma2_base(fc.rep)
-    lhs = fourier_limit_eval(GAMMA2, base, CUSP_INF, z, trunc).real \
+    group = gamma_n(n)
+    lhs = fourier_limit_eval(GAMMA2, gamma2_base(fc.rep), CUSP_INF, z, trunc).real \
         - 2.0 * math.log(n)
-    prod = coset_product_value(fc.kind, n, z)
-    log_norm_sum = math.log(abs(prod) ** 2 * z.imag ** (2 * n * n))
-    rhs = -log_norm_sum / (n * n) + n * n * scattering.klf_constant(gamma_n(n))
+    at = FormsAt(complex(math.remainder(z.real, group.width), z.imag))
+    log_norms = sum(math.log(abs(at.value(FormLabel("f", n, fc.kind, l))[0]) * z.imag)
+                    for l in range(n))
+    rhs = -2.0 / n * log_norms + n * n * scattering.klf_constant(group)
     return _report("limitsum", {"n": n, "cusp": fc.rep, "z": z},
                    abs(lhs - rhs), 1e-5, t0)
 

@@ -5,12 +5,13 @@ The package evaluates forms at a point from theta products
 The slash transformation table of the forms under the level-2 group,
 and the coefficient reads of the exact series, live here too.  So do
 the references for the package's one row per kind and fiber product:
-the class terms built from x, 1/y and x/y, and the coset product taken
-over every representative.
+the class terms built from x, 1/y and x/y, and the coset product as a
+value, as the N-th power of the fiber product and over every
+representative.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from fermatkl.fermat import class_shift
 from fermatkl.qseries import (
@@ -143,6 +144,15 @@ def f_series_oracle(kind: str, n: int, order) -> list[RadicalSum]:
             by_prefactor[key] = by_prefactor[key] + t if key in by_prefactor else t
         forms.append(RadicalSum(tuple(by_prefactor.values())))
     return forms
+
+
+def coset_product_value(kind: str, n: int, z: complex) -> complex:
+    """Product of f[kind, j] |_2 gamma over the n^2 coset representatives
+    g1^a g2^b.  Each factor is f[kind, j + class_shift(kind, a, b)], and
+    class_shift takes every value mod n exactly n times, so the product
+    is (prod_l f[kind, l])^n, whatever j."""
+    at = FormsAt(z)
+    return prod(at.value(FormLabel("f", n, kind, l))[0] for l in range(n)) ** n
 
 
 def coset_product_loop(kind: str, j: int, n: int, z: complex) -> complex:

@@ -31,7 +31,7 @@ from fermatkl.fermat import (
     gamma2_base,
     gamma_n,
 )
-from fermatkl.qseries import FormLabel, QExpansion, coset_product_value, expansion
+from fermatkl.qseries import FormLabel, QExpansion, expansion
 from fermatkl.scattering import gamma2_constants, scattering_matrix
 from fermatkl.sl2 import (
     CUSP_INF,
@@ -48,7 +48,7 @@ from fermatkl.sl2 import (
 )
 from character_oracles import gamma2_phi0_closed_form
 from dedekind_oracles import classify_cusp_word_euclid
-from series_oracles import coset_product_closed_form, max_abs_coeff_diff
+from series_oracles import coset_product_closed_form, coset_product_value, max_abs_coeff_diff
 from word_oracles import word_from_syllables
 from fermatkl.verify import (
     check_klf_fermat,

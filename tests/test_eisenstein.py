@@ -893,7 +893,7 @@ def test_klf_constant_independent_of_cusp():
     # the additive constant extracted as the difference of the two KLF
     # sides agrees across expansion cusps (1e-5)
     import fermatkl.scattering as scattering
-    from fermatkl.qseries import FormLabel, expansion, petersson_norm_sq
+    from fermatkl.qseries import FormLabel, expansion
     from fractions import Fraction
 
     tr = TruncationSpec(c_max=400, m_max=14)

@@ -17,15 +17,14 @@ from fermatkl.qseries import (
     QExpansion,
     ZeroSeries,
     constant,
-    coset_product_value,
     expansion,
-    petersson_norm_sq,
     zeta_power,
 )
 from fermatkl.sl2 import GEN1, GEN2, Mat2Z, NotInGamma2, S, T
 from series_oracles import (
     coset_product_closed_form,
     coset_product_loop,
+    coset_product_value,
     f_series_oracle,
     leading,
     max_abs_coeff_diff,
@@ -185,8 +184,13 @@ def test_expansion_label_dispatch_and_order_check():
     assert expansion(FormLabel("theta2"), Fraction(4)).coeffs[0] == 1
     with pytest.raises(OrderTooSmall):
         expansion(FormLabel("f", 3, "C", 0), Fraction(1))
-    with pytest.raises(ValueError):
-        FormLabel("f", 2, "D", 0)
+    # a level-2 form takes no level, kind or index; x and y a level only
+    for fields in (("f", 2, "D", 0), ("f", 3, "A", 3), ("f", 0, "A", 0), ("x", 0),
+                   ("lambda", 5), ("theta2", 2), ("g0", 0), ("ginf", 1, "A"),
+                   ("one_minus_lambda", 1, "", 1), ("x", 3, "C", 1), ("y", 2, "", 1)):
+        with pytest.raises(ValueError):
+            FormLabel(*fields)
+    assert FormLabel("lambda", 1) == FormLabel("lambda")
 
 
 def test_x_and_y_raise_below_their_leading_exponent():
@@ -240,13 +244,6 @@ def test_slash_outside_level2_raises():
     for gamma in (T, S, Mat2Z(3, 2, 1, 1)):
         with pytest.raises(NotInGamma2):
             slash2_value(FormLabel("f", 3, "B", 0), gamma, 2j)
-
-
-def test_petersson_norm():
-    assert petersson_norm_sq(1.0, 1j, 2) == 1.0
-    assert petersson_norm_sq(2.0, 2j, 2) == 16.0
-    v = 0.3 + 0.4j
-    assert abs(petersson_norm_sq(3 * v, 1.7j, 2) - 9 * petersson_norm_sq(v, 1.7j, 2)) < 1e-12
 
 
 def test_coset_product_closed_forms():

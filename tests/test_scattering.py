@@ -154,11 +154,16 @@ def test_matrix_shape_and_distinct_values():
 
 
 def test_matrix_symmetric():
-    for n in (2, 3, 4):
-        m = scattering_matrix(n)
-        for i in range(3 * n):
-            for j in range(3 * n):
-                assert abs(m[i][j].normalized - m[j][i].normalized) < 1e-15
+    # a same-fiber pair takes the sine at the unordered delta, so both
+    # orders give the same bits; the tag keeps the ordered delta
+    for n in range(1, 13):
+        reps, m = cusp_reps(n), scattering_matrix(n)
+        for i, fj in enumerate(reps):
+            for j, fk in enumerate(reps):
+                e, t = m[i][j], m[j][i]
+                assert (e.normalized, e.natural) == (t.normalized, t.natural), (n, i, j)
+                if e.case_tag.startswith("same_fiber"):
+                    assert e.case_tag == f"same_fiber({(fj.index - fk.index) % n})"
 
 
 def test_subcusp_consistency():
@@ -228,18 +233,20 @@ def test_natural_constant_dispatch():
 
 
 def test_naturals_depend_only_on_the_lane_class():
-    # phi_jk sums over the rows of the class of g_k^-1(j), so two pairs
-    # with the same class have the same scattering constant; at levels 2
-    # to 8 the pairs fall into all 3N classes
+    # phi_jk sums over the rows of the class of g_k^-1(j), so every pair
+    # of a class has, to the bit, the scattering constant of the pair
+    # (g_k^-1(j), inf); at levels 1 to 12 the pairs fall into all 3N
+    # classes
     from fermatkl.eisenstein import _lane_class
 
-    for n in range(2, 9):
-        g, reps = gamma_n(n), cusp_reps(n)
+    for n in range(1, 13):
+        g, reps, m = gamma_n(n), cusp_reps(n), scattering_matrix(n)
         by_class = {}
         for fj in reps:
             for fk in reps:
-                by_class.setdefault(_lane_class(g, fj.rep, fk.rep), []).append(
-                    fermat_constant(n, fj, fk).natural)
+                e = fermat_constant(n, fj, fk)
+                by_class.setdefault(_lane_class(g, fj.rep, fk.rep), set()).add(
+                    (e.normalized, e.natural))
         assert sorted(by_class) == list(range(3 * n)), n
-        for i, naturals in by_class.items():
-            assert max(naturals) - min(naturals) <= 1e-15, (n, i)
+        for i, entries in by_class.items():
+            assert entries == {(m[i][-1].normalized, m[i][-1].natural)}, (n, i)

@@ -9,7 +9,7 @@ import pytest
 from fermatkl.cli import main, parse_complex, parse_cusp, parse_form_label
 from fermatkl.eisenstein import TruncationSpec
 from fermatkl.fermat import GAMMA1, cusp_reps, fermat_cusp_of_ram, gamma_n
-from fermatkl.qseries import FormLabel, coset_product_value
+from fermatkl.qseries import FormLabel
 from fermatkl.scattering import klf_constant
 from fermatkl.sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp
 from fermatkl.verify import (
@@ -24,7 +24,7 @@ from fermatkl.verify import (
     run_suite,
 )
 
-from series_oracles import slash2_value
+from series_oracles import coset_product_value, slash2_value
 from word_oracles import coset_reps
 
 TR = TruncationSpec(c_max=250, m_max=10, order=20)
@@ -74,11 +74,15 @@ def test_cross_path_above_level_5_at_default_m_max(n):
 
 
 def test_check_limitsum():
+    # every cusp up to N = 24: the coset product is taken in logs, never
+    # as a value, which underflows at kind C from N = 11 and overflows
+    # at every kind at N = 24
     tr = TruncationSpec(c_max=250, m_max=10, order=20)
-    for n in (1, 2):
-        fc = cusp_reps(n)[n]  # a B-family cusp
-        rep = check_limitsum(n, fc, 2j, tr)
-        assert rep.passed and rep.tolerance == 1e-5, rep
+    for n in range(1, 25):
+        for fc in cusp_reps(n):
+            for z in (2j, 1 + 2j, 0.3 + 1.2j):
+                rep = check_limitsum(n, fc, z, tr)
+                assert rep.passed and rep.tolerance == 1e-5, (n, fc.rep, z, rep)
     # product collapse: sum of logs equals log of the coset product
     n, z = 2, 2j
     total = 0.0
@@ -87,6 +91,19 @@ def test_check_limitsum():
         total += math.log(abs(v) ** 2 * z.imag ** 2)
     prod = coset_product_value("B", n, z)
     assert abs(total - math.log(abs(prod) ** 2 * z.imag ** (2 * n * n))) < 1e-10
+
+
+def test_klf_checks_keep_their_bits_at_x_translated_by_the_width():
+    # f is invariant under z -> z + 2N, and both checks take the forms
+    # at Re z reduced by the width 2N, as the limit side is taken
+    for n in range(1, 6):
+        for fc in cusp_reps(n):
+            for z in (0.375 + 1.25j, 2j, 1 + 2j):
+                for check in (check_klf_fermat, check_limitsum):
+                    at_z = check(n, fc, z, TR).residual
+                    for k in (1, -1, 1000, -1000):
+                        assert check(n, fc, z + 2 * n * k, TR).residual == at_z, \
+                            (check.__name__, n, fc.rep, z, k)
 
 
 def test_klf_checks_build_no_series(monkeypatch):
@@ -449,6 +466,10 @@ def test_cli_verify_check_id_prints_the_filtered_full_run(capsys, check_id, work
     ["scatter", "--n", "2", "--format", "xml"],
     ["classify", "--cusp", "1/2"],
     ["verify", "--suite", "medium"],
+    ["qexp", "--label", "lambda:3", "--order", "2"],
+    ["qexp", "--label", "theta2:2"],
+    ["qexp", "--label", "lambda:abc:9"],
+    ["qexp", "--label", "x:3:C:1"],
 ])
 def test_cli_malformed_input_is_usage_error(argv, capsys):
     assert main([*argv, "--no-timestamp"]) == 1
