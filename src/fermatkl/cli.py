@@ -65,13 +65,21 @@ def parse_complex(text: str) -> complex:
     return v
 
 
+def parse_int(text: str) -> int:
+    """A decimal integer: an optional minus sign and ASCII digits only,
+    where int() also takes underscores, spaces and non-ASCII digits."""
+    if not (text[text.startswith("-"):].isdigit() and text.isascii()):
+        raise UsageError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 def parse_cusp(text: str) -> Cusp:
-    t = text.strip().lower()
+    t = text.lower()
     if t in ("inf", "infinity", "oo"):
         return Cusp(1, 0)
     p, slash, q = t.partition("/")
     try:
-        return Cusp(int(p), int(q) if slash else 1)
+        return Cusp(parse_int(p), parse_int(q) if slash else 1)
     except ValueError as exc:
         raise UsageError(f"cannot parse cusp {text!r}: {exc}") from exc
 
@@ -79,15 +87,15 @@ def parse_cusp(text: str) -> Cusp:
 def parse_form_label(text: str) -> FormLabel:
     """Labels: theta2 | lambda | one_minus_lambda | g0 | g1 | ginf |
     x:N | y:N | f:KIND:J:N."""
-    parts = text.strip().split(":")
+    parts = text.split(":")
     name = parts[0].lower()
     if len(parts) != (4 if name == "f" else 2 if name in ("x", "y") else 1):
         raise UsageError(f"label {text!r} must be a level-2 name, x:N, y:N or f:KIND:J:N")
     try:
         if name in ("x", "y"):
-            return FormLabel(name, int(parts[1]))
+            return FormLabel(name, parse_int(parts[1]))
         if name == "f":
-            return FormLabel("f", int(parts[3]), parts[1].upper(), int(parts[2]))
+            return FormLabel("f", parse_int(parts[3]), parts[1].upper(), parse_int(parts[2]))
         return FormLabel(name)
     except ValueError as exc:
         raise UsageError(f"bad form label {text!r}: {exc}") from exc
@@ -227,7 +235,7 @@ def cmd_eisenstein(args, trunc: TruncationSpec) -> int:
 
 def cmd_verify(args, trunc: TruncationSpec) -> int:
     try:
-        ns = tuple(int(x) for x in args.ns.split(","))
+        ns = tuple(parse_int(x) for x in args.ns.split(","))
     except ValueError as exc:
         raise UsageError(f"--ns takes comma-separated levels, got {args.ns!r}") from exc
     if min(ns) < 1:
@@ -274,10 +282,10 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=about, allow_abbrev=False)
         p.set_defaults(fn=fn, settings=settings)
         if "n" in settings:
-            p.add_argument("--n", type=int, default=None, help="Fermat level N")
+            p.add_argument("--n", type=parse_int, default=None, help="Fermat level N")
         for field in asdict(DEFAULT_TRUNCATION):
             if field in settings:
-                p.add_argument("--" + field.replace("_", ""), type=int, default=None)
+                p.add_argument("--" + field.replace("_", ""), type=parse_int, default=None)
         p.add_argument("--no-timestamp", action="store_true")
         return p
 
@@ -304,7 +312,7 @@ def build_parser() -> _Parser:
                 "c_max", "m_max", "bessel_quadrature_nodes")
     p.add_argument("--suite", choices=("fast", "full"), default="fast")
     p.add_argument("--ns", type=str, default="1,2", help="levels, e.g. 1,2,3")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=parse_int, default=1)
     p.add_argument("--check-id", type=str, default=None,
                    help="restrict the report to one check id")
 

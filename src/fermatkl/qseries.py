@@ -18,9 +18,10 @@ and y = (1-lambda)^(1/N) are principal N-th roots of two of them, so
 x^N + y^N = 1 is Jacobi's identity theta3^4 = theta2^4 + theta4^4.  The
 weight-2 form f[kind, j] attached to a cusp of a Fermat group takes the
 kind's row of _KINDS: an outer theta^4 times (zeta^(+-j) w - 1)^N, w
-the principal N-th root of one more theta quotient.  These forms mix
-radicals, so each is a RadicalSum: a few exact series with distinct
-prefactors, rounded only when evaluated or dumped.
+the principal N-th root of one more theta quotient.  Each is a
+RadicalSum, the binomial expansion in the base the form takes at q = 0:
+exact series theta^4 (w - w0)^i, w0 the q^0 term of w, each times a
+complex weight, rounded only when evaluated or dumped.
 
 The same forms have two representations.  FormsAt gives their values at
 a point, with an error estimate, from Jacobi's triple products: a few
@@ -125,11 +126,6 @@ class QExpansion:
         return QExpansion(self.denom, {k: v for k, v in self.coeffs.items() if k <= bound},
                           order, self.pref2, self.prefh)
 
-    def rotate_halfturns(self, h) -> "QExpansion":
-        """Multiply by e^(i pi h) exactly, as a prefactor phase shift."""
-        return QExpansion(self.denom, self.coeffs, self.order,
-                          self.pref2, self.prefh + Fraction(h))
-
     # -- ring operations ---------------------------------------------------
 
     def _aligned(self, other: "QExpansion"):
@@ -151,16 +147,10 @@ class QExpansion:
             out[k] = v if cur is None else cur + v
         return QExpansion(f.denom, out, min(f.order, g.order), f.pref2, f.prefh)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         if not isinstance(other, QExpansion):
             other = constant(other, self.denom, self.order)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, scalar) -> "QExpansion":
         """Multiply by an exact rational scalar."""
@@ -191,9 +181,6 @@ class QExpansion:
                 out[k] = v1 * v2 if cur is None else cur + v1 * v2
         return QExpansion(f.denom, out, order,
                           f.pref2 + g.pref2, f.prefh + g.prefh)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def power(self, alpha) -> "QExpansion":
         """self^alpha for an int or Fraction alpha, by J.C.P. Miller's
@@ -310,7 +297,7 @@ class QExpansion:
 
     def dump(self) -> str:
         """Text dump: one line per term, 'numerator/D<TAB>re<TAB>im'."""
-        return RadicalSum((self,)).dump()
+        return RadicalSum(((1, self),)).dump()
 
 
 def constant(value, denom: int = 1, order=Fraction(30)) -> QExpansion:
@@ -319,40 +306,38 @@ def constant(value, denom: int = 1, order=Fraction(30)) -> QExpansion:
 
 @dataclass(frozen=True)
 class RadicalSum:
-    """A form as the sum of exact series with distinct radical
-    prefactors on one exponent lattice; rounded only in evaluate and
-    dump."""
+    """A form as a sum of exact series on one exponent lattice, each
+    times a complex weight: (weight, series) pairs, rounded only in
+    evaluate and dump."""
 
-    terms: tuple[QExpansion, ...]
+    terms: tuple[tuple[complex, QExpansion], ...]
 
     @property
     def denom(self) -> int:
-        return self.terms[0].denom
+        return self.terms[0][1].denom
 
     def evaluate(self, z: complex) -> tuple[complex, float]:
-        """(sum of the term values, sum of the term error bounds plus the
-        rounding of that sum)."""
+        """(weighted sum of the term values, weighted sum of their error
+        bounds plus the rounding).  A weight of f_series, a power of order
+        N < L = len(terms) of a base within N/2 units, carries N (N/2 + 1)
+        + 4 units, and the sum L more: L^2 + 4 units of the moduli in all."""
         val, bound, size = 0j, 0.0, 0.0
-        for t in self.terms:
+        for c, t in self.terms:
             v, e = t.evaluate(z)
-            val += v
-            bound += e
-            size += abs(v)
-        return val, bound + len(self.terms) * _UNIT * size
-
-    def _combined(self) -> dict:
-        out: dict = {}
-        for t in self.terms:
-            p = t.prefactor
-            for k, c in t.coeffs.items():
-                v = p * complex(c)
-                out[k] = out[k] + v if k in out else v
-        return out
+            val += c * v
+            bound += abs(c) * e
+            size += abs(c * v)
+        return val, bound + (len(self.terms) ** 2 + 4) * _UNIT * size
 
     def dump(self) -> str:
         """Text dump: one line per exponent, 'numerator/D<TAB>re<TAB>im'."""
-        return "\n".join(f"{k}/{self.denom}\t{c.real!r}\t{c.imag!r}"
-                         for k, c in sorted(self._combined().items()))
+        out: dict = {}
+        for c, t in self.terms:
+            u = c * t.prefactor
+            for k, a in t.coeffs.items():
+                out[k] = out.get(k, 0j) + u * complex(a)
+        return "\n".join(f"{k}/{self.denom}\t{v.real!r}\t{v.imag!r}"
+                         for k, v in sorted(out.items()))
 
 
 def _as_radical(c: Fraction) -> tuple[Fraction, Fraction]:
@@ -382,7 +367,9 @@ _ROOTS = {"x": _LEVEL2_FORMS["lambda"], "y": _LEVEL2_FORMS["one_minus_lambda"]}
 #   f[kind, j] = sign(N) theta_outer^4 (zeta^(twist j) w - 1)^N.
 # zeta = e(1/N) and eps = e(1/2N), so w is 1/y, x and x/(eps y), and the
 # rows are A: theta3^4 (1 - zeta^j/y)^N, B: theta2^4 (zeta^-j x - 1)^N and
-# C: theta3^4 (zeta^-j x/y - eps)^N, the last with eps^N = -1.
+# C: theta3^4 (zeta^-j x/y - eps)^N, the last with eps^N = -1.  The
+# series and the values at a point both take the base around its value
+# at q = 0, which is 0 for f[C, 0], the form that vanishes at infinity.
 _KINDS = {KIND_A: (3, (2, 3, 1), 1, lambda n: (-1) ** n),
           KIND_B: (2, (4, 2, -1), -1, lambda n: 1),
           KIND_C: (3, (4, 3, 1), -1, lambda n: -1)}
@@ -475,43 +462,46 @@ def _root_series(form: tuple[int, int, int], n: int, order) -> QExpansion:
 
 
 def zeta_power(n: int, j: int) -> complex:
-    """e^(2 pi i j / n)."""
-    return cmath.exp(2j * math.pi * (j % n) / n)
+    """e^(2 pi i j / n), its angle reduced into (-pi, pi]: near 2 pi the
+    sine in zeta^-1 - 1 would be taken near pi and lose relative precision."""
+    r = j % n
+    return cmath.exp(2j * math.pi * (r - n if 2 * r > n else r) / n)
 
 
 @lru_cache(maxsize=_SERIES_CACHE)
-def _class_terms(kind: str, n: int, order) -> tuple[QExpansion, ...]:
-    """T_0 .. T_n with f[kind, j] = sum_i zeta^(twist j i) T_i, the binomial
-    expansion of the kind's row of _KINDS: T_i = s C(n, i) (-1)^(n-i)
-    theta_outer^4 w^i, none depending on j.  T_0 and T_n share zeta^0 and
-    a rational prefactor, so f_series adds them exactly."""
-    outer, quotient, _, sign = _KINDS[kind]
+def _class_terms(kind: str, n: int, order) -> tuple[complex, tuple[QExpansion, ...]]:
+    """(w0, (T_0 .. T_n)) for the kind's row of _KINDS: w0 is the q^0 term
+    of its root w, 1 for kind C and 0 for A and B at n > 1, and
+    T_i = theta_outer^4 (w - w0)^i exactly, none depending on j."""
+    outer, quotient, _, _ = _KINDS[kind]
     work = order + 2
     w = _root_series(quotient, n, work)
-    theta = _level2_series((outer, 0, 1), work)
-    powers = [constant(1, 2 * n, work), w]
-    while len(powers) <= n:
-        powers.append(powers[-1] * w)
-    return tuple((theta * p.scale(sign(n) * comb(n, i) * (-1) ** (n - i))).truncate(order)
-                 for i, p in enumerate(powers))
+    w0 = w.prefactor * w.coeffs.get(0, 0)
+    rest = QExpansion(w.denom, {k: c for k, c in w.coeffs.items() if k}, w.order,
+                      w.pref2, w.prefh)
+    terms = [_level2_series((outer, 0, 1), work).with_denom(w.denom)]
+    while len(terms) <= n:
+        terms.append(terms[-1] * rest)
+    return w0, tuple(t.truncate(order) for t in terms)
 
 
 def f_series(kind: str, j: int, n: int, order) -> RadicalSum:
     """Weight-2 form vanishing only at the cusp of the given
     ramification kind/index, to order N^2 in the local parameter.
 
-    The form is sum_i zeta^(twist j i) T_i over the exact class terms of
-    ``_class_terms``; the root of unity is applied exactly as a
-    prefactor rotation and terms whose prefactors coincide are added
-    exactly, so f[C,0] (every N) and f[A,0] (N = 1, 2, 4) are single
-    exact series."""
-    twist = _KINDS[kind][2]
-    by_prefactor: dict = {}
-    for i, t in enumerate(_class_terms(kind, n, Fraction(order))):
-        t = t.rotate_halfturns(Fraction(2 * twist * j * i, n))
-        key = (t.pref2, t.prefh)
-        by_prefactor[key] = by_prefactor[key] + t if key in by_prefactor else t
-    return RadicalSum(tuple(by_prefactor.values()))
+    With u = zeta^(twist j), the kind's row of _KINDS is
+    s theta_outer^4 ((u w0 - 1) + u (w - w0))^N, whose binomial expansion
+    weighs the exact term T_i of ``_class_terms`` by
+    s C(N, i) (u w0 - 1)^(N-i) u^i.  The base u w0 - 1 is the value of
+    u w - 1 at q = 0, so the leading coefficient of every f[C, j], j != 0,
+    is the one float product -(u - 1)^N however small.  Terms of weight 0
+    are left out: f[C, 0] is the single term -theta3^4 (w - 1)^N."""
+    _, _, twist, sign = _KINDS[kind]
+    w0, terms = _class_terms(kind, n, Fraction(order))
+    base = zeta_power(n, twist * j) * w0 - 1
+    weighted = ((sign(n) * comb(n, i) * base ** (n - i) * zeta_power(n, twist * j * i), t)
+                for i, t in enumerate(terms))
+    return RadicalSum(tuple((c, t) for c, t in weighted if c))
 
 
 def expansion(label: FormLabel, order) -> QExpansion | RadicalSum:

@@ -29,13 +29,18 @@ from fermatkl.sl2 import NotInGamma2, gamma2_exponent_sums
 
 def leading(f) -> tuple[Fraction, complex]:
     """(exponent, coefficient) of the lowest-order term of a QExpansion or
-    RadicalSum, the coefficient summed over the terms."""
-    terms = f.terms if isinstance(f, RadicalSum) else (f,)
-    k = min((k for t in terms for k in t.coeffs), default=None)
+    RadicalSum, the coefficient summed over the weighted terms."""
+    terms = f.terms if isinstance(f, RadicalSum) else ((1, f),)
+    k = min((k for _, t in terms for k in t.coeffs), default=None)
     if k is None:
         raise ZeroSeries("series has no retained terms")
-    return Fraction(k, terms[0].denom), sum(t.prefactor * complex(t.coeffs[k])
-                                            for t in terms if k in t.coeffs)
+    return Fraction(k, f.denom), sum(c * t.prefactor * complex(t.coeffs[k])
+                                     for c, t in terms if k in t.coeffs)
+
+
+def rotated(t: QExpansion, h) -> QExpansion:
+    """t times e^(i pi h) exactly, as a shift of its prefactor."""
+    return QExpansion(t.denom, t.coeffs, t.order, t.pref2, t.prefh + Fraction(h))
 
 
 def max_abs_coeff_diff(f: QExpansion, g: QExpansion) -> float:
@@ -125,24 +130,25 @@ def class_terms_oracle(kind: str, n: int, order) -> tuple[QExpansion, ...]:
     inner = []
     for i, p in enumerate(powers):
         p = p.scale(comb(n, i) * (-1) ** (i if kind == "A" else n - i))
-        inner.append(p.rotate_halfturns(Fraction(n - i, n)) if kind == "C" else p)
+        inner.append(rotated(p, Fraction(n - i, n)) if kind == "C" else p)
     inner[0] = inner[0] + inner.pop()
     return tuple((outer * t).truncate(order) for t in inner)
 
 
 def f_series_oracle(kind: str, n: int, order) -> list[RadicalSum]:
     """f[kind, j] for j = 0 .. n-1 from class_terms_oracle, each T_r
-    rotated by zeta^(+-jr) and the terms of one prefactor added exactly."""
+    rotated by zeta^(+-jr) and the terms of one prefactor added exactly,
+    each of weight 1."""
     sign = 1 if kind == "A" else -1
     terms = class_terms_oracle(kind, n, order)
     forms = []
     for j in range(n):
         by_prefactor: dict = {}
         for r, t in enumerate(terms):
-            t = t.rotate_halfturns(Fraction(2 * sign * j * r, n))
+            t = rotated(t, Fraction(2 * sign * j * r, n))
             key = (t.pref2, t.prefh)
             by_prefactor[key] = by_prefactor[key] + t if key in by_prefactor else t
-        forms.append(RadicalSum(tuple(by_prefactor.values())))
+        forms.append(RadicalSum(tuple((1, t) for t in by_prefactor.values())))
     return forms
 
 

@@ -3,8 +3,10 @@ import math
 import mpmath
 import pytest
 
+from fermatkl import qseries
 from fermatkl.eisenstein import TruncationSpec, phi_coefficient
 from fermatkl.fermat import GAMMA1, GAMMA2, cusp_reps, fermat_cusp_of_ram, gamma_n
+from fermatkl.qseries import FormLabel, expansion
 from fermatkl.scattering import (
     LevelMismatch,
     ScatteringEntry,
@@ -20,6 +22,7 @@ from fermatkl.scattering import (
 from fermatkl.sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp
 
 from character_oracles import zeta
+from series_oracles import leading
 
 
 def test_gamma2_difference_identity():
@@ -250,3 +253,18 @@ def test_naturals_depend_only_on_the_lane_class():
         assert sorted(by_class) == list(range(3 * n)), n
         for i, entries in by_class.items():
             assert entries == {(m[i][-1].normalized, m[i][-1].natural)}, (n, i)
+
+
+def test_kronecker_limit_mode_0_gives_every_scattering_constant():
+    # the q^0 mode of the Kronecker limit formula at the chart of infinity:
+    # 4 pi phi_j,inf = klf_constant - 2 log|a_j|/N^2, a_j the leading
+    # coefficient of f[kind, j]; at N = 24, j = 1 it is 1e-14, which a sum
+    # of binomial-sized class terms would leave 7e-10
+    for n in (*range(1, 13), 16, 24):
+        g = gamma_n(n)
+        for fc in cusp_reps(n):
+            label = FormLabel("f", n, fc.kind, fc.index)
+            _, a = leading(expansion(label, qseries._leading_exponent(label)))
+            mode0 = klf_constant(g) - 2 * math.log(abs(a)) / n ** 2
+            assert abs(4 * math.pi * natural_constant(g, fc.rep, CUSP_INF) - mode0) <= 2e-15, \
+                (n, str(fc))

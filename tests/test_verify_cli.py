@@ -470,6 +470,10 @@ def test_cli_verify_check_id_prints_the_filtered_full_run(capsys, check_id, work
     ["qexp", "--label", "theta2:2"],
     ["qexp", "--label", "lambda:abc:9"],
     ["qexp", "--label", "x:3:C:1"],
+    ["cusps", "--n", "1_0"],
+    ["qexp", "--label", "x:1_2", "--order", "1"],
+    ["classify", "--cusp=1_0/3", "--n", "2"],
+    ["verify", "--ns", "1_0"],
 ])
 def test_cli_malformed_input_is_usage_error(argv, capsys):
     assert main([*argv, "--no-timestamp"]) == 1
