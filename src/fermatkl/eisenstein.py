@@ -75,13 +75,11 @@ added once, a power and a masked sum.
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import takewhile
 from typing import NamedTuple
 
 import numpy as np
@@ -682,6 +680,11 @@ def phi_m1_exact(group: GroupId, j: Cusp, k: Cusp, ms,
 # Fourier assembly
 # ---------------------------------------------------------------------------
 
+def _phases(x: float, b: int, count: int) -> np.ndarray:
+    """e(m x / b) for the modes m = 1..count."""
+    return np.exp((2j * math.pi * x / b) * np.arange(1, count + 1))
+
+
 def fourier_eval(group: GroupId, j: Cusp, k: Cusp, z: complex, s,
                  trunc: TruncationSpec = DEFAULT_TRUNCATION) -> complex:
     """E_j(gamma_k(z), s) assembled from the Fourier expansion in the
@@ -691,13 +694,15 @@ def fourier_eval(group: GroupId, j: Cusp, k: Cusp, z: complex, s,
     inf: the delta term comes from the lane class.  The phi of the modes
     -m_max..m_max come from one lane read of that class; the inner sums
     of -m are the conjugates of those of m, so they are not read again.
-    The Bessel K of the modes 1..m_max come from one bessel_k_batch
-    call, which gives zero past the argument 700.  The phi do not depend
-    on z or on the pair within the class: _phis memoizes them per
-    (group, lane class, m_max, c_max, s), so a call at a new z, or on
-    another pair of a class already read, does no lane work, and a hit
-    is bit-identical to a miss.  The phases are taken at x reduced by
-    the width b.
+    The phi do not depend on z or on the pair within the class: _phis
+    memoizes them per (group, lane class, m_max, c_max, s), so a call at
+    a new z, or on another pair of a class already read, does no lane
+    work, and a hit is bit-identical to a miss.  The modes 1..m_max are
+    numpy arrays: their Bessel K from one bessel_k_batch call, which gives
+    zero past the argument 700, their coefficients, with Gamma(s),
+    Gamma(s - 1/2) and pi^s taken once, and the phases e(m x / b) at x
+    reduced by the width b.  One np.dot sums the modes, against
+    phi_m e(m x / b) + phi_-m conj(e(m x / b)).
     """
     sigma = complex(s).real
     if sigma <= 1:
@@ -705,22 +710,21 @@ def fourier_eval(group: GroupId, j: Cusp, k: Cusp, z: complex, s,
     x, y = math.remainder(z.real, group.width), z.imag
     i = _lane_class(group, j, k)
     b = group.width
+    sc = complex(s)
     val = 0j
     if i == classify_index(group, 1, 0):
         val += (complex(y) / b) ** s
-    gs = gamma_fn(complex(s))
-    gs_half = gamma_fn(complex(s) - 0.5)
-    ms = range(1, trunc.m_max + 1)
-    phis = _phis(group, i, trunc.m_max, trunc.c_max, s)
-    val += math.sqrt(math.pi) * gs_half / gs * phis[0] * complex(y) ** (1 - s) \
-        / (complex(b) ** s * b)
-    kbs = bessel_k_batch(complex(s) - 0.5, [2.0 * math.pi * m * y / b for m in ms]).tolist()
-    for m, kb in zip(ms, kbs):
-        coef = 2.0 * math.pi ** complex(s) * (m / b) ** (complex(s) - 0.5) / gs \
-            * math.sqrt(y) * kb / (complex(b) ** s * b)
-        for sign in (1, -1):
-            val += coef * phis[sign * m] * cmath.exp(2j * math.pi * sign * m * x / b)
-    return val
+    gs = gamma_fn(sc)
+    norm = complex(b) ** s * b
+    m_max = trunc.m_max
+    phis = np.array(_phis(group, i, m_max, trunc.c_max, s))
+    val += math.sqrt(math.pi) * gamma_fn(sc - 0.5) / gs * phis[0] * complex(y) ** (1 - s) / norm
+    ms = np.arange(1, m_max + 1)
+    coef = np.power(ms / b, sc - 0.5) * bessel_k_batch(sc - 0.5, (2.0 * math.pi * y / b) * ms)
+    phase = _phases(x, b, m_max)
+    # phis holds the modes 0..m_max, then -m_max..-1
+    terms = phis[1:m_max + 1] * phase + phis[:m_max:-1] * phase.conj()
+    return val + 2.0 * math.pi ** sc / gs * math.sqrt(y) / norm * np.dot(coef, terms).item()
 
 
 def fourier_limit_eval(group: GroupId, j: Cusp, k: Cusp, z: complex,
@@ -733,7 +737,8 @@ def fourier_limit_eval(group: GroupId, j: Cusp, k: Cusp, z: complex,
     for m = 1..m_max up to the last whose decay is at least 1e-18.  The
     phi of the modes 1..m_max come from one phi_m1_exact call, whatever
     the cut, so a lane class takes one _phis key at every height.  The
-    phases are taken at x reduced by the width b.
+    modes kept are numpy arrays, the phases e(m x / b) at x reduced by
+    the width b, summed in one np.dot.
     """
     x, y = math.remainder(z.real, group.width), z.imag
     if y <= 0:
@@ -745,11 +750,10 @@ def fourier_limit_eval(group: GroupId, j: Cusp, k: Cusp, z: complex,
     val = 4.0 * math.pi * (ct - (3.0 / (math.pi * group.index)) * math.log(y))
     if jc == kc:
         val += 4.0 * math.pi * y / b
-    decays = list(takewhile(lambda t: t >= 1e-18, (math.exp(-2.0 * math.pi * m * y / b)
-                                                   for m in range(1, trunc.m_max + 1))))
-    phis = phi_m1_exact(group, jc, kc, range(1, trunc.m_max + 1), trunc) if decays else []
-    acc = 0.0
-    for m, (decay, phim) in enumerate(zip(decays, phis), start=1):
-        acc += 2.0 * (phim * cmath.exp(2j * math.pi * m * x / b)).real * decay
-    val += 4.0 * math.pi * (math.pi / (b * b)) * acc
+    decays = np.exp((-2.0 * math.pi * y / b) * np.arange(1, trunc.m_max + 1))
+    kept = int(np.count_nonzero(decays >= 1e-18))
+    if kept:
+        phis = np.array(phi_m1_exact(group, jc, kc, range(1, trunc.m_max + 1), trunc)[:kept])
+        acc = np.dot((phis * _phases(x, b, kept)).real, decays[:kept]).item()
+        val += 4.0 * math.pi * (math.pi / (b * b)) * 2.0 * acc
     return complex(val)

@@ -193,12 +193,18 @@ def gamma2_base(c: Cusp) -> Cusp:
     return CUSP_ZERO
 
 
+# Cusp classes that stay memoized, keyed (p, q, n).
+_CLASS_CACHE = 1024
+
+
+@lru_cache(maxsize=_CLASS_CACHE)
 def classify_rep_index(p: int, q: int, n: int) -> int:
     """Index of the class of (p : q) in the cusp_reps(n) ordering.
 
     The invariant is read through TAU_MAP from the coset-word walk on the
     column (p, q), in exact ints: O(log q) rounds for entries of any
-    size."""
+    size.  Memoized in a bounded least-recently-used cache, so a change
+    to TAU_MAP or to the walk's tables takes effect after cache_clear."""
     c = Cusp(p, q)
     base, t = gamma2_base(c), 0
     # at level 1 the invariant mod 1 is 0: the level-2 base is the class

@@ -462,9 +462,14 @@ def _root_series(form: tuple[int, int, int], n: int, order) -> QExpansion:
 
 
 def zeta_power(n: int, j: int) -> complex:
-    """e^(2 pi i j / n), its angle reduced into (-pi, pi]: near 2 pi the
-    sine in zeta^-1 - 1 would be taken near pi and lose relative precision."""
+    """e^(2 pi i j / n): exactly 1, i, -1 or -i where 4 j = 0 (mod n), so
+    that the series weights there carry no rounding in the part that is
+    exactly 0; else with its angle reduced into (-pi, pi], as near 2 pi
+    the sine in zeta^-1 - 1 would be taken near pi and lose relative
+    precision."""
     r = j % n
+    if 4 * r % n == 0:
+        return (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))[4 * r // n]
     return cmath.exp(2j * math.pi * (r - n if 2 * r > n else r) / n)
 
 

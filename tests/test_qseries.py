@@ -804,3 +804,16 @@ def test_power_errors():
         QExpansion(2, {0: 3, 1: 1}, Fraction(4)).power(Fraction(1, 2))
     with pytest.raises(TypeError):
         constant(1, 2, Fraction(4)).power(0.5)
+
+
+def test_quarter_turn_roots_of_unity_are_exact():
+    # zeta^j is exactly 1, i, -1 or -i where 4 j = 0 (mod N), so the
+    # weights of f[C, 4] at level 8, which is even in q^(1/2), leave its
+    # odd coefficients exactly 0, where rounded roots left up to 4.4e-10
+    for n in range(1, 25):
+        for j in range(-n, 2 * n):
+            if 4 * j % n == 0:
+                assert zeta_power(n, j) == (1, 1j, -1, -1j)[4 * (j % n) // n], (n, j)
+    f = expansion(FormLabel("f", 8, "C", 4), Fraction(26))
+    odd = [c for k, c in _dump_coeffs(f).items() if 2 * k % f.denom == 0 and 2 * k // f.denom % 2]
+    assert len(odd) == 26 and all(c == 0 for c in odd)

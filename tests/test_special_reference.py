@@ -1,9 +1,13 @@
 """The special functions and the Kronecker-limit constant Z against
 mpmath at 30 digits, over the arguments the package evaluates them at."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
+from fermatkl import special
 from fermatkl.scattering import z_constant
 from fermatkl.special import NonPositiveArgument, bessel_k, bessel_k_batch, gamma_fn
 
@@ -34,8 +38,10 @@ def test_gamma_against_mpmath(mp):
 
 
 def test_bessel_k_against_mpmath(mp):
-    # the orders s - 1/2 of the Fourier path, over the arguments it reads
-    for s in (2.0, 1.5 + 0.7j, 1.2, 3.0):
+    # the orders s - 1/2 of the Fourier path, over the arguments it reads:
+    # s = 2 and 3 take the finite sum, the rest the quadrature, at real
+    # orders past 1 too
+    for s in (2.0, 1.5 + 0.7j, 1.2, 3.0, 2.5, 4.2):
         nu = s - 0.5
         for x in np.geomspace(0.2, 690.0, 30):
             assert rel_err(bessel_k(nu, float(x)), mp.besselk(nu, x)) < 1e-12, (s, x)
@@ -46,7 +52,7 @@ def test_bessel_k_batch_against_scalar_and_mpmath(mp):
     # one-argument calls; a complex order with zero imaginary part takes
     # the real cosh and still returns complex values
     xs = np.geomspace(0.2, 690.0, 30)
-    for s in (2.0, 1.5 + 0.7j, 1.2, 3.0):
+    for s in (2.0, 1.5 + 0.7j, 1.2, 3.0, 2.5, 4.2):
         for nu in (s - 0.5, complex(s) - 0.5):
             got = bessel_k_batch(nu, xs)
             assert got.dtype == (complex if isinstance(nu, complex) else float)
@@ -57,3 +63,45 @@ def test_bessel_k_batch_against_scalar_and_mpmath(mp):
     assert bessel_k_batch(1.5, []).size == 0
     with pytest.raises(NonPositiveArgument):
         bessel_k_batch(1.5, [1.0, 0.0])
+
+
+# x over [0.2, 700], where the Fourier path reads K before its zero past 700
+_HALF_ORDER_GRID = np.geomspace(0.2, 700.0, 60)
+
+
+def _half_order_ulps(mp, nu) -> float:
+    """Worst |K_nu(x) - mpmath| over _HALF_ORDER_GRID, in ulps of the
+    reference."""
+    got = bessel_k_batch(nu, _HALF_ORDER_GRID)
+    return max(float(abs(mp.mpf(k) - mp.besselk(nu, x)) / math.ulp(float(mp.besselk(nu, x))))
+               for x, k in zip(_HALF_ORDER_GRID.tolist(), got.tolist()))
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5])
+def test_half_order_bessel_k_within_4_ulps(mp, nu):
+    # K_(n+1/2) from its finite sum, at either sign of the order and at a
+    # complex order with zero imaginary part
+    assert _half_order_ulps(mp, nu) <= 4.0, nu
+    assert bessel_k_batch(-nu, _HALF_ORDER_GRID).tolist() == bessel_k_batch(nu, _HALF_ORDER_GRID).tolist()
+    assert bessel_k_batch(complex(nu), _HALF_ORDER_GRID).tolist() == \
+        bessel_k_batch(nu, _HALF_ORDER_GRID).astype(complex).tolist()
+
+
+@pytest.mark.parametrize("n, slot", [(n, slot) for n in range(4) for slot in range(n + 1)])
+def test_half_order_coefficient_off_by_one_fails(mp, monkeypatch, n, slot):
+    # any one coefficient of the finite sum plus 1 fails the 4-ulp check
+    coefficients = list(special._half_order_coefficients(n))
+    coefficients[slot] += 1.0
+    monkeypatch.setattr(special, "_half_order_coefficients", lambda m: tuple(coefficients))
+    assert _half_order_ulps(mp, n + 0.5) > 4.0
+
+
+def test_orders_past_the_finite_sum_take_the_quadrature(mp):
+    # n = 63 is the last order n + 1/2 of the finite sum; past it the
+    # quadrature runs, at n = 2^51 too, where the sum would take 2^51 terms
+    for nu in (63.5, 64.5):
+        assert rel_err(bessel_k(nu, 1.0), mp.besselk(nu, 1.0)) < 1e-12, nu
+    start = time.perf_counter()
+    with np.errstate(all="ignore"):
+        bessel_k(2.0 ** 51 + 0.5, 1.0)
+    assert time.perf_counter() - start < 1.0
