@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -47,19 +48,23 @@ class UsageError(ValueError):
     pass
 
 
+# 'x+yi' with ASCII decimal literals: a real part, an imaginary part or
+# both, the imaginary part's digits left out for 1
+_DECIMAL = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_COMPLEX = re.compile(rf"(?P<re>[+-]?{_DECIMAL})(?:(?P<im>[+-](?:{_DECIMAL})?)i)?"
+                      rf"|(?P<im_only>[+-]?(?:{_DECIMAL})?)i")
+
+
 def parse_complex(text: str) -> complex:
-    """Parse 'x+yi' with decimal literals, e.g. '1+2i', '-0.5i', '2'.
-    nan and inf parts are usage errors."""
-    t = text.strip().replace(" ", "").replace("j", "i")
-    if not t:
-        raise UsageError("empty complex literal")
-    try:
-        if t.endswith("i"):
-            v = complex(t[:-1] + "j" if t[:-1] not in ("", "+", "-") else t[:-1] + "1j")
-        else:
-            v = complex(t)
-    except ValueError as exc:
-        raise UsageError(f"cannot parse complex number {text!r}") from exc
+    """Parse 'x+yi' with ASCII decimal literals, e.g. '1+2i', '-0.5i', '2'.
+    Any other spelling, and a nan or inf part, is a usage error."""
+    m = _COMPLEX.fullmatch(text)
+    if m is None:
+        raise UsageError(f"cannot parse complex number {text!r}: the form is x+yi")
+    im = m["im"] if m["re"] else m["im_only"]
+    if im in ("", "+", "-"):
+        im += "1"
+    v = complex(float(m["re"] or 0), float(im or 0))
     if not cmath.isfinite(v):
         raise UsageError(f"complex number {text!r} is not finite")
     return v
@@ -308,8 +313,7 @@ def build_parser() -> _Parser:
     p.add_argument("--limit", action="store_true",
                    help="regularized value at s = 1 (4 pi scale)")
 
-    p = command("verify", "run the verification suite", cmd_verify,
-                "c_max", "m_max", "bessel_quadrature_nodes")
+    p = command("verify", "run the verification suite", cmd_verify, "c_max", "m_max")
     p.add_argument("--suite", choices=("fast", "full"), default="fast")
     p.add_argument("--ns", type=str, default="1,2", help="levels, e.g. 1,2,3")
     p.add_argument("--workers", type=parse_int, default=1)

@@ -21,25 +21,24 @@ kind's row of _KINDS: an outer theta^4 times (zeta^(+-j) w - 1)^N, w
 the principal N-th root of one more theta quotient.  Each is a
 RadicalSum, the binomial expansion in the base the form takes at q = 0:
 exact series theta^4 (w - w0)^i, w0 the q^0 term of w, each times a
-complex weight, rounded only when evaluated or dumped.
+complex weight, rounded once per coefficient when dumped.
 
-The same forms have two representations.  FormsAt gives their values at
-a point, with an error estimate, from Jacobi's triple products: a few
-dozen complex terms, whose logs the Kronecker-limit checks take; the
-limitsum check sums them into the log of the coset product, which no
-function returns as a value.  FormsAt reads the same entries and rows
-as the series: the log of an n-th root is the log of its entry's
-quotient over n.  The exact series serve the q-expansion dumps (qexp)
-and the identities checked coefficientwise.  Their float evaluation
-stays for the benchmark harness, which times it; in floats the class
-terms of a form can cancel, so it is not the path to a value.
+The series serve the q-expansion dumps (qexp) and the identities checked
+coefficientwise; in floats the class terms of a form can cancel, so
+their sum is not the path to a value.  FormsAt gives the values at a
+point, with an error estimate, from Jacobi's triple products, reading
+the same entries and rows: the log of an n-th root is the log of its
+entry's quotient over n.  The Kronecker-limit checks take the logs of
+these values, and limitsum sums them into the log of the coset product.
+A series that expansion returns carries its label, and its evaluate is
+FormsAt's value of that label.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -70,7 +69,8 @@ class QExpansion:
     the known exponents: terms with exponent > order are unknown, terms
     absent with exponent <= order are zero.  ``pref2``/``prefh`` encode
     a global scalar 2^pref2 * e^(i pi prefh), both in [0, 1): integer
-    parts are folded into the coefficients.
+    parts are folded into the coefficients.  ``label`` names the form of
+    a series that expansion returns, and no arithmetic passes it on.
     """
 
     denom: int
@@ -78,6 +78,7 @@ class QExpansion:
     order: Fraction
     pref2: Fraction = Fraction(0)
     prefh: Fraction = Fraction(0)
+    label: FormLabel | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.denom < 1:
@@ -240,60 +241,13 @@ class QExpansion:
             raise ValueError("root index must be >= 1")
         return self.power(Fraction(1, n))
 
-    # -- evaluation ----------------------------------------------------------
+    # -- value and output -----------------------------------------------------
 
     def evaluate(self, z: complex) -> tuple[complex, float]:
-        """(value, error bound) of the series at a point of the upper
-        half plane: the tail and the rounding of the float sum.
-
-        The tail is geometric: the largest retained coefficient magnitude
-        near the truncation edge with an empirical growth ratio, against
-        |w| = |q^(1/D)| = exp(-2 pi Im z / D).  The rounding is
-        2^-53 sum (n + 8 + 8 (1 + |x|) |k|) |c_k w^k| over the n terms, for
-        their sum and w = e^x, whose error w^k carries k times.  Where the
-        terms cancel it dominates (1.4e-9 relative for f[A,0] at N = 5,
-        z = 0.1+0.7i); FormsAt gives the values at a point.
-        """
-        y = z.imag
-        if y <= 0:
-            raise ConvergenceRegion("evaluation requires Im z > 0")
-        x = 2j * math.pi * z / self.denom
-        w = cmath.exp(x)
-        r = abs(w)
-        p = self.prefactor
-        n_err, k_err = len(self.coeffs) + 8, 8 * (1 + abs(x))
-        val, rounding = 0j, 0.0
-        mags: list[tuple[int, float]] = []
-        for k in sorted(self.coeffs):
-            c = float(self.coeffs[k])
-            term = c * w ** k
-            val += term
-            rounding += (n_err + k_err * abs(k)) * abs(term)
-            mags.append((k, abs(c)))
-        val *= p
-        if not mags:
-            return 0j, 0.0
-        k_edge = math.floor(self.order * self.denom)
-        window = max(4, self.denom)
-        m_all = max(a for _, a in mags)
-        hi = [a for k, a in mags if k > k_edge - window]
-        lo = [a for k, a in mags if k_edge - 2 * window < k <= k_edge - window]
-        m_hi = max(hi, default=0.0)
-        m_lo = max(lo, default=0.0)
-        # per-unit growth from the two edge windows; dust windows do not count
-        growth = 1.0
-        floor_mag = 1e-12 * m_all
-        if m_hi > floor_mag and m_lo > floor_mag and m_hi > m_lo:
-            growth = (m_hi / m_lo) ** (1.0 / window)
-        gr = growth * r
-        if gr >= 0.98:
-            raise ConvergenceRegion(
-                f"geometric tail ratio {gr:.3f} too close to 1 at Im z = {y}")
-        anchor = m_hi if m_hi > floor_mag else m_all
-        tail = abs(p) * anchor * (r ** (k_edge + 1)) * growth / (1.0 - gr)
-        return val, tail + abs(p) * _UNIT * rounding
-
-    # -- output ----------------------------------------------------------------
+        """(value, error estimate) at z of the labelled form, from FormsAt."""
+        if self.label is None:
+            raise TypeError("only a series that expansion returns has a value: its label's")
+        return FormsAt(z).value(self.label)
 
     def dump(self) -> str:
         """Text dump: one line per term, 'numerator/D<TAB>re<TAB>im'."""
@@ -307,37 +261,32 @@ def constant(value, denom: int = 1, order=Fraction(30)) -> QExpansion:
 @dataclass(frozen=True)
 class RadicalSum:
     """A form as a sum of exact series on one exponent lattice, each
-    times a complex weight: (weight, series) pairs, rounded only in
-    evaluate and dump."""
+    times a complex weight: (weight, series) pairs, rounded once per
+    coefficient in dump.  ``label`` is as for QExpansion."""
 
     terms: tuple[tuple[complex, QExpansion], ...]
+    label: FormLabel | None = field(default=None, compare=False)
 
     @property
     def denom(self) -> int:
         return self.terms[0][1].denom
 
-    def evaluate(self, z: complex) -> tuple[complex, float]:
-        """(weighted sum of the term values, weighted sum of their error
-        bounds plus the rounding).  A weight of f_series, a power of order
-        N < L = len(terms) of a base within N/2 units, carries N (N/2 + 1)
-        + 4 units, and the sum L more: L^2 + 4 units of the moduli in all."""
-        val, bound, size = 0j, 0.0, 0.0
-        for c, t in self.terms:
-            v, e = t.evaluate(z)
-            val += c * v
-            bound += abs(c) * e
-            size += abs(c * v)
-        return val, bound + (len(self.terms) ** 2 + 4) * _UNIT * size
+    evaluate = QExpansion.evaluate
 
     def dump(self) -> str:
-        """Text dump: one line per exponent, 'numerator/D<TAB>re<TAB>im'."""
-        out: dict = {}
+        """Text dump: one line per exponent, 'numerator/D<TAB>re<TAB>im',
+        the sum of weight * prefactor * coefficient taken exactly, the
+        float weight and prefactor as exact fractions, and rounded once."""
+        re_, im = {}, {}
         for c, t in self.terms:
-            u = c * t.prefactor
+            c, p = complex(c), t.prefactor
+            cr, ci, pr, pi = map(Fraction, (c.real, c.imag, p.real, p.imag))
+            ur, ui = cr * pr - ci * pi, cr * pi + ci * pr
             for k, a in t.coeffs.items():
-                out[k] = out.get(k, 0j) + u * complex(a)
-        return "\n".join(f"{k}/{self.denom}\t{v.real!r}\t{v.imag!r}"
-                         for k, v in sorted(out.items()))
+                re_[k] = re_.get(k, 0) + ur * a
+                im[k] = im.get(k, 0) + ui * a
+        return "\n".join(f"{k}/{self.denom}\t{float(re_[k])!r}\t{float(im[k])!r}"
+                         for k in sorted(re_))
 
 
 def _as_radical(c: Fraction) -> tuple[Fraction, Fraction]:
@@ -510,17 +459,20 @@ def f_series(kind: str, j: int, n: int, order) -> RadicalSum:
 
 
 def expansion(label: FormLabel, order) -> QExpansion | RadicalSum:
-    """Truncated expansion at the cusp at infinity for a form label."""
+    """Truncated expansion at the cusp at infinity for a form label,
+    carrying the label, so that its evaluate reads FormsAt."""
     order = Fraction(order)
     lead = _leading_exponent(label)
     if order < lead:
         raise OrderTooSmall(
             f"order {order} cannot resolve the leading exponent {lead} of {label}")
     if label.name in _LEVEL2_FORMS:
-        return _level2_series(_LEVEL2_FORMS[label.name], order)
-    if label.name in _ROOTS:
-        return _root_series(_ROOTS[label.name], label.n, order)
-    return f_series(label.kind, label.j, label.n, order)
+        series = _level2_series(_LEVEL2_FORMS[label.name], order)
+    elif label.name in _ROOTS:
+        series = _root_series(_ROOTS[label.name], label.n, order)
+    else:
+        series = f_series(label.kind, label.j, label.n, order)
+    return replace(series, label=label)
 
 
 def _leading_exponent(label: FormLabel) -> Fraction:

@@ -142,14 +142,10 @@ def check_sumrs(n: int, c: int, m: int, j: Cusp, k: Cusp) -> CheckReport:
 
 def check_scattering_consistency(n: int) -> CheckReport:
     """Subcusp linear relations among the closed-form Fermat-group
-    constants against the level-2 constants."""
+    constants against the level-2 constants; at n = 1 these compare the
+    nine entries themselves, as naturals."""
     t0 = time.perf_counter()
     res = scattering.subcusp_relation_residual(n)
-    if n == 1:
-        m1 = scattering.scattering_matrix(1)
-        g2 = scattering.gamma2_constants()
-        res = max(res, max(abs(m1[i][j].normalized - g2[i][j].normalized)
-                           for i in range(3) for j in range(3)))
     return _report("scattering_consistency", {"n": n}, res, 1e-10, t0)
 
 

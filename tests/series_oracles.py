@@ -1,7 +1,8 @@
 """Oracles on the exact q-series for the pointwise form values.
 
 The package evaluates forms at a point from theta products
-(qseries.FormsAt); these evaluate the exact truncated series instead.
+(qseries.FormsAt) only; series_value sums the exact truncated series
+instead, and the oracles that take a value at a point read it.
 The slash transformation table of the forms under the level-2 group,
 and the coefficient reads of the exact series, live here too.  So do
 the references for the package's one row per kind and fiber product:
@@ -10,8 +11,9 @@ value, as the N-th power of the fiber product and over every
 representative.
 """
 
+import cmath
 from fractions import Fraction
-from math import comb, prod
+from math import comb, pi, prod
 
 from fermatkl.fermat import class_shift
 from fermatkl.qseries import (
@@ -36,6 +38,21 @@ def leading(f) -> tuple[Fraction, complex]:
         raise ZeroSeries("series has no retained terms")
     return Fraction(k, f.denom), sum(c * t.prefactor * complex(t.coeffs[k])
                                      for c, t in terms if k in t.coeffs)
+
+
+def series_value(series, z: complex) -> complex:
+    """The float sum of weight * prefactor * c_k q^(k/D) over the exact
+    terms of a QExpansion or RadicalSum at z, in increasing k, with no
+    tail or rounding bound."""
+    terms = series.terms if isinstance(series, RadicalSum) else ((1, series),)
+    total = 0j
+    for weight, t in terms:
+        w = cmath.exp(2j * pi * z / t.denom)
+        acc = 0j
+        for k in sorted(t.coeffs):
+            acc += float(t.coeffs[k]) * w ** k
+        total += weight * (t.prefactor * acc)
+    return total
 
 
 def rotated(t: QExpansion, h) -> QExpansion:
@@ -86,7 +103,7 @@ def slash2_value_direct(label, gamma, z, order=Fraction(26)):
     moderate."""
     weight = 2 if label.name in ("theta2", "g0", "g1", "ginf", "f") else 0
     w = (gamma.a * z + gamma.b) / (gamma.c * z + gamma.d)
-    val, _ = expansion(label, Fraction(order)).evaluate(w)
+    val = series_value(expansion(label, Fraction(order)), w)
     return val * (gamma.c * z + gamma.d) ** (-weight)
 
 
@@ -95,7 +112,7 @@ def coset_product_closed_form(kind, n, z, order=Fraction(26)):
     (-1)^(N^2) theta^(2N^2), theta^(2N^2) (1-lambda)^(-N^2) of the coset
     products, from the level-2 series."""
     order = Fraction(order)
-    th, lam, oml = (expansion(FormLabel(name), order).evaluate(z)[0]
+    th, lam, oml = (series_value(expansion(FormLabel(name), order), z)
                     for name in ("theta2", "lambda", "one_minus_lambda"))
     n2 = n * n
     sign = (-1.0) ** (n2 % 2)

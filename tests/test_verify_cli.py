@@ -10,7 +10,8 @@ from fermatkl.cli import main, parse_complex, parse_cusp, parse_form_label
 from fermatkl.eisenstein import TruncationSpec
 from fermatkl.fermat import GAMMA1, cusp_reps, fermat_cusp_of_ram, gamma_n
 from fermatkl.qseries import FormLabel
-from fermatkl.scattering import klf_constant
+from fermatkl import scattering
+from fermatkl.scattering import ScatteringEntry, klf_constant
 from fermatkl.sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp
 from fermatkl.verify import (
     CheckReport,
@@ -145,6 +146,18 @@ def test_check_scattering_consistency():
         assert check_scattering_consistency(n).passed
 
 
+def test_scattering_consistency_at_level_1_sees_each_level2_diagonal_entry(monkeypatch):
+    # at n = 1 the subcusp relations compare the nine level-2 entries one
+    # by one, as naturals: a diagonal entry moved by 1e-9 fails the check
+    entries = scattering.gamma2_constants()
+    for i in range(3):
+        moved = [list(row) for row in entries]
+        e = moved[i][i]
+        moved[i][i] = ScatteringEntry(e.normalized + 1e-9, e.natural + 1e-9, e.case_tag)
+        monkeypatch.setattr(scattering, "gamma2_constants", lambda moved=moved: moved)
+        assert not check_scattering_consistency(1).passed, i
+
+
 def test_run_suite_fast_and_order():
     reports = run_suite("fast", TR, ns=(1, 2))
     assert all(isinstance(r, CheckReport) for r in reports)
@@ -212,6 +225,8 @@ def test_parsers():
     assert parse_complex("-0.5i") == -0.5j
     assert parse_complex("2") == 2 + 0j
     assert parse_complex("0.3+1.5i") == 0.3 + 1.5j
+    assert parse_complex("1e20+1i") == 1e20 + 1j
+    assert parse_complex("1-i") == 1 - 1j and parse_complex("i") == 1j
     assert parse_cusp("inf") == CUSP_INF
     assert parse_cusp("1/2") == Cusp(1, 2)
     assert parse_cusp("-3") == Cusp(-3, 1)
@@ -481,6 +496,19 @@ def test_cli_malformed_input_is_usage_error(argv, capsys):
     assert err.startswith("usage error:") and not out
 
 
+# complex inputs take ASCII decimal literals in the form x+yi only, where
+# complex() also takes underscores, non-ASCII digits, spaces and j
+@pytest.mark.parametrize("text", ["1_0+2i", "\u0661+2i", "1 + 2i", "1+2j", " 1+2i", "1+2",
+                                  "i2", "+", "0x1+2i", "1e999+1i"])
+@pytest.mark.parametrize("flag", ["--z", "--s"])
+def test_cli_complex_inputs_take_one_grammar(text, flag, capsys):
+    argv = ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "1+2i", "--s", "2"]
+    argv[argv.index(flag) + 1] = text
+    assert main([*argv, "--no-timestamp"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error:") and not out
+
+
 # each flag that the CLI no longer takes, on a command that took it and
 # with a value that the command accepted, so that only the flag is wrong
 @pytest.mark.parametrize("argv, flags", [
@@ -524,13 +552,14 @@ def test_cli_rejects_flags_the_command_does_not_read(command, flag, capsys):
 
 def test_cli_provenance_lists_the_settings_read(capsys):
     # each command reports only the settings that it reads, with the
-    # truncation its flags set
-    read = {"c_max": 123, "m_max": 10, "bessel_quadrature_nodes": 200}
+    # truncation its flags set; no check of verify reaches the Bessel
+    # quadrature, so only eisenstein lists its node count
+    read = {"c_max": 123, "m_max": 10}
     cases = {
         "cusps": ([], {}),
         "classify": ([], {}),
         "scatter": ([], {}),
-        "eisenstein": (["--cmax", "123"], read),
+        "eisenstein": (["--cmax", "123"], {**read, "bessel_quadrature_nodes": 200}),
         "verify": (["--cmax", "123"], read),
         "qexp": (["--order", "9"], {"order": 9}),
     }
