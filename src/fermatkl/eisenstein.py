@@ -58,12 +58,16 @@ neither on z nor on the pair within its lane class, so every reader of
 them, fourier_eval, phi_coefficient and the enumerated s = 1 modes of
 phi_m1_exact, takes them from _phis: the modes -M..M of one lane read,
 memoized per (group, lane class, mode bound M, c_max, s) in a bounded
-least-recently-used cache.  The 9 n^2 pairs of a level read 3 n lane
-sets, a hit returns the bits that a miss computes, and only a miss
-reads the lanes; inner_sums is the per-c view of the same read.  The
-direct sum reads, lifts or filters the rows of each class asked for
-once and sums only those, eisenstein_direct its own, in one walk of
-the row blocks of the lane reads: a kernel sums the translates
+least-recently-used cache.  A class (b, t) over 0 or 1 at level n > 1
+lifts its rows by l = tau - t, so its phases are those of the index-0
+class of its base times zeta^index and its phi_m are theirs times
+zeta^(m index): its entry reads that class's entry, not lanes of its
+own.  So the 9 n^2 pairs of a level read n + 2 lane sets, a hit returns
+the bits that a miss computes, and only a miss reads the lanes;
+inner_sums is the per-c view of the lifted rows, the oracle of the
+twisted phi.  The direct sum reads, lifts or filters the rows of each
+class asked for once and sums only those, eisenstein_direct its own, in
+one walk of the row blocks of the lane reads: a kernel sums the translates
 d + t P of each row, one reduceat each c and one dot the c's.  At real
 s = 2 the kernel takes every t in Z in closed form, one sin per row.
 It shares the class rows with the Fourier side and nothing else, no
@@ -71,6 +75,18 @@ phase, Bessel K or phi, so the cross path still plays two independent
 computations.  At every other s it takes the translates in the
 truncation box, as one rectangle per block with d + t P exact and c x
 added once, a power and a masked sum.
+
+What z does not change is kept once, each with what it derives from:
+the _phis entry keeps phi as arrays and the Gamma, pi^s, b^s and
+(m/b)^(s - 1/2) factors of fourier_eval, and goes with _phis.cache_clear;
+the store entry of a class's rows keeps the plan of its direct sum at
+real s = 2, the row blocks and 1/P and P^-4 of each c, and goes with its
+rows, by a build, eviction or a store reset.  Two more bounded memos
+outlive a store reset, as nothing they hold depends on a table: the
+scaling matrix of each cusp and the pullback g^-1(j) of each pair, keyed
+by cusps (the classes read from them are classify_rep_index's, memoized
+and cleared there), and the level-2 closed forms phi_m(1), keyed
+(pair parity, m).  Nothing is kept per row.
 """
 
 from __future__ import annotations
@@ -94,7 +110,8 @@ from .fermat import (
     gamma2_base,
     tau_column,
 )
-from .sl2 import CUSP_INF, Cusp, cusp_scaling_matrix, mobius_apply
+from .qseries import zeta_power
+from .sl2 import CUSP_INF, Cusp, Mat2Z, cusp_scaling_matrix, mobius_apply
 from .special import bessel_k_batch, gamma_fn
 
 
@@ -130,6 +147,26 @@ def standard_rep(group: GroupId, c: Cusp) -> Cusp:
     return CUSP_INF if group.kind == "gamma1" else cusp_reps(group.n)[i].rep
 
 
+# Scaling matrices and pullbacks of cusps that stay memoized, each keyed
+# by cusps alone: they depend on no table, and the classes read from them
+# are classify_rep_index's, memoized and cleared there.
+_GEOMETRY_CACHE = 1024
+
+_scaling = lru_cache(maxsize=_GEOMETRY_CACHE)(cusp_scaling_matrix)
+
+
+@lru_cache(maxsize=_GEOMETRY_CACHE)
+def _pullback(rep: Cusp, j: Cusp) -> Cusp:
+    """g^-1(j), g the scaling matrix of rep."""
+    return mobius_apply(_scaling(rep).inverse(), j)
+
+
+def chart(group: GroupId, k: Cusp) -> Mat2Z:
+    """The scaling matrix of the standard representative of the class of
+    k, whose chart fourier_eval assembles in."""
+    return _scaling(standard_rep(group, k))
+
+
 # ---------------------------------------------------------------------------
 # direct summation
 # ---------------------------------------------------------------------------
@@ -163,7 +200,9 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     every other s it is the t with |c x + d + t P| <= m_cut (_window_rows),
     and the estimate adds the strip past m_cut.  np.add.reduceat sums the
     rows of each c, and np.dot over _DOT_CHUNK entries at a time weights
-    the c's: by P^-4 at s = 2, by 1 elsewhere.  The sums are taken at x
+    the c's: by P^-4 at s = 2, by 1 elsewhere.  At s = 2 the blocks, 1/P
+    and P^-4 of a class are its plan, kept with its rows
+    (_closed_form_plan).  The sums are taken at x
     reduced by the width b, as E_j(z + b) = E_j(z), so a large x costs
     nothing.
     """
@@ -191,24 +230,25 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     tail_c = 4.0 * y ** (1 - sigma) * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
     tail_c += 2.0 * (y * trunc.c_max) ** (-2 * sigma) * y ** sigma * trunc.c_max
     m_cut = trunc.c_max * (abs(x) + y + 3.0)
-    cs = np.arange(1.0, trunc.c_max + 1)
     for i, pos in slot.items():
-        step, d, bounds = _class_rows(group, i, trunc.c_max)
         if closed:
-            kernel = partial(_closed_form_rows, 1 / (step * cs), math.remainder(x, step) / step,
+            (step, d, bounds), entry = _class_entry(group, i, trunc.c_max)
+            blocks, inverse, weights = _closed_form_plan(entry, step, bounds)
+            kernel = partial(_closed_form_rows, inverse, math.remainder(x, step) / step,
                              _translate_coefficients(y / step))
-            widths, weights = None, (step * cs) ** -4
         else:
+            step, d, bounds = _class_rows(group, i, trunc.c_max)
             # at most floor(2 m_cut / P) + 1 translates a row, a complex
             # one taking two cells
+            cs = np.arange(1.0, trunc.c_max + 1)
             kernel = partial(_window_rows, step, z, s, m_cut)
-            widths = (2 * m_cut // (step * cs) + 1) * (1 if real else 2)
+            blocks = _row_blocks(bounds, (2 * m_cut // (step * cs) + 1) * (1 if real else 2))
             weights = np.ones(cs.size)
-        per_c = np.zeros(cs.size, dtype=float if real else complex)
-        for blk, lo, hi, seg, lens in _row_blocks(bounds, widths):
+        per_c = np.zeros(trunc.c_max, dtype=float if real else complex)
+        for blk, lo, hi, seg, lens in blocks:
             per_c[blk] = np.add.reduceat(kernel(d[lo:hi], blk, lens), seg)
         vals[pos] += ys * sum(np.dot(per_c[lo:lo + _DOT_CHUNK], weights[lo:lo + _DOT_CHUNK]).item()
-                              for lo in range(0, cs.size, _DOT_CHUNK))
+                              for lo in range(0, trunc.c_max, _DOT_CHUNK))
     # the omitted-d strip
     tail_d = trunc.c_max * 2.0 * y ** sigma * m_cut ** (1 - 2 * sigma) / (2 * sigma - 1)
     return vals, tail_c if closed else tail_d + tail_c
@@ -309,11 +349,30 @@ def _row_key(group: GroupId, i: int) -> tuple:
 
 def _class_rows(group: GroupId, i: int, c_max: int) -> Rows:
     """_build_class_rows as the direct sum reads them, kept at level n > 1."""
-    if group.n == 1:
-        return _build_class_rows(group, i, c_max)
+    return _class_entry(group, i, c_max)[0]
+
+
+def _class_entry(group: GroupId, i: int, c_max: int) -> tuple[Rows, _Entry]:
+    """_class_rows and the entry of the store that keeps them: the row set
+    of the base at level 1, ("class", n, i) at level n > 1."""
     key = _row_key(group, i)
-    return _stored(("class", group.n, i), c_max, partial(_build_class_rows, group, i),
-                   (key, ("tau", key)))
+    if group.n == 1:
+        return _stored_entry(key, c_max, partial(_enumerate_lanes, key))
+    return _stored_entry(("class", group.n, i), c_max, partial(_build_class_rows, group, i),
+                         (key, ("tau", key)))
+
+
+def _closed_form_plan(entry: _Entry, step: int, bounds: np.ndarray) -> _Plan:
+    """The plan of the direct sum at real s = 2 over the rows of entry
+    read to c_max = bounds.size - 1, P = step c: the blocks of
+    _row_blocks(bounds), 1/P and P^-4 of each c.  None of them depends on
+    z, so the entry keeps the plan of the last c_max read, and a build of
+    its rows drops it; it holds per-c arrays, no column per row."""
+    plan = entry.plan
+    if plan is None or plan.weights.size != bounds.size - 1:
+        cs = np.arange(1.0, bounds.size)
+        plan = entry.plan = _Plan(tuple(_row_blocks(bounds)), 1 / (step * cs), (step * cs) ** -4)
+    return plan
 
 
 def eisenstein_direct(group: GroupId, j: Cusp, z: complex, s,
@@ -384,16 +443,30 @@ _DIRECT_BLOCK = 1 << 15
 _DOT_CHUNK = 1 << 13
 # Entries of the memoized phi, keyed (group, lane class, mode bound M,
 # c_max, s) and read by fourier_eval, phi_coefficient and phi_m1_exact,
-# each 2 M + 1 complex numbers: well under 1 MB in all.
+# each 3 M + 4 complex numbers: well under 1 MB in all at M = 10.
 _PHI_CACHE = 256
 
 
+class _Plan(NamedTuple):
+    """The walk of a class's rows by the direct sum at real s = 2 to one
+    c_max: the blocks of _row_blocks, and 1/P and P^-4 of each c,
+    P = step c (_closed_form_plan)."""
+
+    blocks: tuple
+    inverse: np.ndarray
+    weights: np.ndarray
+
+
 class _Entry:
-    """The Rows of one key of the store, None before its first build, and
-    the lock of its builds."""
+    """The Rows of one key of the store, None before its first build, the
+    lock of its builds, and the _Plan of a direct sum over its rows, None
+    until one is read and after each build.  A plan holds about seven
+    cells a c, which the cell bound does not count: at c_max 500 that is
+    7% of the cells of a class over 0 or 1, and 30% of those of a class
+    over infinity at level 5."""
 
     def __init__(self):
-        self.rows, self.lock = None, threading.Lock()
+        self.rows, self.plan, self.lock = None, None, threading.Lock()
 
     def cells(self) -> int:
         return 0 if self.rows is None else (self.rows.d.nbytes + self.rows.bounds.nbytes) // 4
@@ -405,6 +478,11 @@ def _stored(key, c_max: int, build, keep=()) -> Rows:
     that threads build it once.  A build puts it at the newest end; then
     the least recently used entries go while the store holds over
     _TABLE_CELLS cells, but not it or those in keep, which it read."""
+    return _stored_entry(key, c_max, build, keep)[0]
+
+
+def _stored_entry(key, c_max: int, build, keep=()) -> tuple[Rows, _Entry]:
+    """_stored and the entry it read."""
     with _TABLE_LOCK:
         entry = _TABLES.setdefault(key, _Entry())
         _TABLES.move_to_end(key)
@@ -412,6 +490,7 @@ def _stored(key, c_max: int, build, keep=()) -> Rows:
         rows = entry.rows
         if rows is None or rows.bounds.size <= c_max:
             rows = entry.rows = build(c_max)
+            entry.plan = None
             with _TABLE_LOCK:
                 _TABLES.setdefault(key, entry)
                 _TABLES.move_to_end(key)
@@ -421,7 +500,7 @@ def _stored(key, c_max: int, build, keep=()) -> Rows:
                         break
                     if other != key and other not in keep:
                         total -= _TABLES.pop(other).cells()
-    return Rows(rows.step, rows.d[:rows.bounds[c_max]], rows.bounds[:c_max + 1])
+    return Rows(rows.step, rows.d[:rows.bounds[c_max]], rows.bounds[:c_max + 1]), entry
 
 
 def _row_set(key: tuple, c_max: int) -> Rows:
@@ -493,7 +572,7 @@ def _int32(x: np.ndarray, name) -> np.ndarray:
 def _lane_class(group: GroupId, j: Cusp, k: Cusp) -> int:
     """classify_index of the class of g_k^-1(j), whose rows are the
     lanes of phi_{jk} (module docstring)."""
-    x = mobius_apply(cusp_scaling_matrix(standard_rep(group, k)).inverse(), j)
+    x = _pullback(standard_rep(group, k), j)
     return classify_index(group, x.p, x.q)
 
 
@@ -595,26 +674,57 @@ def phi_coefficient(group: GroupId, j: Cusp, k: Cusp, m: int, s,
     sigma = complex(s).real
     if sigma < 1 or (sigma == 1 and m == 0):
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
-    phis = _phis(group, _lane_class(group, j, k), max(trunc.m_max, abs(m)), trunc.c_max, s)
+    phi = complex(_phis(group, _lane_class(group, j, k), max(trunc.m_max, abs(m)), trunc.c_max, s).phi[m])
     if sigma == 1:
-        return phis[m], math.inf
-    return phis[m], group.width * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
+        return phi, math.inf
+    return phi, group.width * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
+
+
+class _PhiEntry(NamedTuple):
+    """An entry of _phis: phi, the modes 0..M and then -M..-1 as one
+    complex array, and the factors of fourier_eval that z does not
+    change, as it takes them: constant = sqrt(pi) Gamma(s - 1/2)/Gamma(s)
+    phi_0, powers = (m/b)^(s - 1/2) of the modes 1..M, scale =
+    2 pi^s/Gamma(s) and norm = b^s b, b the width."""
+
+    phi: np.ndarray
+    constant: complex
+    powers: np.ndarray
+    scale: complex
+    norm: complex
 
 
 @lru_cache(maxsize=_PHI_CACHE)
-def _phis(group: GroupId, i: int, m_max: int, c_max: int, s) -> tuple[complex, ...]:
+def _phis(group: GroupId, i: int, m_max: int, c_max: int, s) -> _PhiEntry:
     """Truncated phi_{jk,m}(s), the sum over c <= c_max of the inner sums
     times c^(-2s), of the modes 0..m_max and then -m_max..-1, so entry m
-    is mode m for every |m| <= m_max, for every pair whose lane class
-    _lane_class(group, j, k) is i.  One lane read of the rows of class i
-    gives every mode, the row of -m the conjugate of that of m.
+    of its phi is mode m for every |m| <= m_max, for every pair whose lane
+    class _lane_class(group, j, k) is i, with the factors of
+    fourier_eval.  One lane read of the rows of class i gives every mode,
+    the row of -m the conjugate of that of m.  A class over 0 or 1 at
+    level n > 1 lifts each row of its base by l = tau + index (mod n),
+    and the index-0 class by l = tau, so its phases are those of the
+    index-0 class times zeta^index, zeta = e(1/n): its phi_m are those of
+    the index-0 class times zeta^(m index), which it reads from that
+    class's entry, no lanes of its own; mode 0 keeps its bits.
     Memoized, since phi depends neither on z nor on the pair within the
     class; a hit returns the bits that a miss computes."""
+    modes = [*range(m_max + 1), *range(-m_max, 0)]
+    fc = cusp_reps(group.n)[i] if group.n > 1 else None
+    if fc is not None and fc.index and class_shift(fc.kind, 1, 0):
+        # the index-0 class comes first in its base's block of cusp_reps
+        base = _phis(group, i - i % group.n, m_max, c_max, s)
+        return base._replace(phi=base.phi * np.array([zeta_power(group.n, m * fc.index) for m in modes]))
     rows = _build_class_rows(group, i, c_max)
     cs = np.arange(1, c_max + 1, dtype=float)
     weights = _power_terms(cs * cs, s)
-    return tuple(complex((row * weights).sum())
-                 for row in _lane_sums(group.width, rows, [*range(m_max + 1), *range(-m_max, 0)]))
+    phi = np.array([complex((row * weights).sum()) for row in _lane_sums(group.width, rows, modes)])
+    # each factor in the order of operations that fourier_eval takes it in
+    b, sc = group.width, complex(s)
+    gs = gamma_fn(sc)
+    return _PhiEntry(phi, math.sqrt(math.pi) * gamma_fn(sc - 0.5) / gs * phi[0],
+                     np.power(np.arange(1, m_max + 1) / b, sc - 0.5),
+                     2.0 * math.pi ** sc / gs, complex(b) ** s * b)
 
 
 def _divisors(m: int) -> list[int]:
@@ -641,20 +751,28 @@ def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], ms) -> list[float]:
     pair_parity = (c, d) parities of the admissible pairs: (0, 1) for
     diagonal entries, (1, 0) and (1, 1) for the two off-diagonal types.
     Obtained by factoring the Ramanujan-sum Dirichlet series through the
-    2-adic part of m.
+    2-adic part of m; each (pair_parity, m) memoized in _gamma2_phi_m1.
     """
     if 0 in ms:
         raise ValueError("the closed form takes nonzero modes only")
+    return [_gamma2_phi_m1(tuple(pair_parity), m) for m in ms]
 
-    def phi(m):
-        divs = _divisors(m)
-        if pair_parity == (0, 1):
-            d2 = sum(1.0 / d for d in divs if d % 4 == 2)
-            d4 = sum(1.0 / d for d in divs if d % 4 == 0)
-            return (-d2 / 0.75 + 4.0 * d4) / _ZETA_2
-        base = sum(1.0 / d for d in divs if d % 2 == 1) / (_ZETA_2 * 0.75)
-        return -base if pair_parity == (1, 1) and m % 2 else base
-    return [phi(m) for m in ms]
+
+# Level-2 closed forms phi_m(1) that stay memoized, keyed (pair parity,
+# m): exact arithmetic of m that no table changes.
+_CLOSED_FORM_CACHE = 1024
+
+
+@lru_cache(maxsize=_CLOSED_FORM_CACHE)
+def _gamma2_phi_m1(pair_parity: tuple[int, int], m: int) -> float:
+    """gamma2_phi_m_closed_form of one mode m != 0, from its divisors."""
+    divs = _divisors(m)
+    if pair_parity == (0, 1):
+        d2 = sum(1.0 / d for d in divs if d % 4 == 2)
+        d4 = sum(1.0 / d for d in divs if d % 4 == 0)
+        return (-d2 / 0.75 + 4.0 * d4) / _ZETA_2
+    base = sum(1.0 / d for d in divs if d % 2 == 1) / (_ZETA_2 * 0.75)
+    return -base if pair_parity == (1, 1) and m % 2 else base
 
 
 def phi_m1_exact(group: GroupId, j: Cusp, k: Cusp, ms,
@@ -672,8 +790,8 @@ def phi_m1_exact(group: GroupId, j: Cusp, k: Cusp, ms,
         return [complex(phi) for phi in gamma2_phi_m_closed_form((pc, pd), ms)]
     if 0 in ms:
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
-    phis = _phis(group, i, max([trunc.m_max, *map(abs, ms)]), trunc.c_max, 1.0)
-    return [phis[m] for m in ms]
+    phi = _phis(group, i, max([trunc.m_max, *map(abs, ms)]), trunc.c_max, 1.0).phi
+    return [complex(phi[m]) for m in ms]
 
 
 # ---------------------------------------------------------------------------
@@ -697,12 +815,13 @@ def fourier_eval(group: GroupId, j: Cusp, k: Cusp, z: complex, s,
     The phi do not depend on z or on the pair within the class: _phis
     memoizes them per (group, lane class, m_max, c_max, s), so a call at
     a new z, or on another pair of a class already read, does no lane
-    work, and a hit is bit-identical to a miss.  The modes 1..m_max are
-    numpy arrays: their Bessel K from one bessel_k_batch call, which gives
-    zero past the argument 700, their coefficients, with Gamma(s),
-    Gamma(s - 1/2) and pi^s taken once, and the phases e(m x / b) at x
-    reduced by the width b.  One np.dot sums the modes, against
-    phi_m e(m x / b) + phi_-m conj(e(m x / b)).
+    work, and a hit is bit-identical to a miss.  The entry keeps the
+    factors that z does not change too, the Gamma, pi^s and (m/b)^(s-1/2)
+    factors, so a call takes only the y and x factors.  The modes
+    1..m_max are numpy arrays: their Bessel K from one bessel_k_batch
+    call, which gives zero past the argument 700, and the phases
+    e(m x / b) at x reduced by the width b.  One np.dot sums the modes,
+    against phi_m e(m x / b) + phi_-m conj(e(m x / b)).
     """
     sigma = complex(s).real
     if sigma <= 1:
@@ -710,21 +829,17 @@ def fourier_eval(group: GroupId, j: Cusp, k: Cusp, z: complex, s,
     x, y = math.remainder(z.real, group.width), z.imag
     i = _lane_class(group, j, k)
     b = group.width
-    sc = complex(s)
     val = 0j
     if i == classify_index(group, 1, 0):
         val += (complex(y) / b) ** s
-    gs = gamma_fn(sc)
-    norm = complex(b) ** s * b
     m_max = trunc.m_max
-    phis = np.array(_phis(group, i, m_max, trunc.c_max, s))
-    val += math.sqrt(math.pi) * gamma_fn(sc - 0.5) / gs * phis[0] * complex(y) ** (1 - s) / norm
-    ms = np.arange(1, m_max + 1)
-    coef = np.power(ms / b, sc - 0.5) * bessel_k_batch(sc - 0.5, (2.0 * math.pi * y / b) * ms)
+    e = _phis(group, i, m_max, trunc.c_max, s)
+    val += e.constant * complex(y) ** (1 - s) / e.norm
+    coef = e.powers * bessel_k_batch(complex(s) - 0.5, (2.0 * math.pi * y / b) * np.arange(1, m_max + 1))
     phase = _phases(x, b, m_max)
-    # phis holds the modes 0..m_max, then -m_max..-1
-    terms = phis[1:m_max + 1] * phase + phis[:m_max:-1] * phase.conj()
-    return val + 2.0 * math.pi ** sc / gs * math.sqrt(y) / norm * np.dot(coef, terms).item()
+    # phi holds the modes 0..m_max, then -m_max..-1
+    terms = e.phi[1:m_max + 1] * phase + e.phi[:m_max:-1] * phase.conj()
+    return val + e.scale * math.sqrt(y) / e.norm * np.dot(coef, terms).item()
 
 
 def fourier_limit_eval(group: GroupId, j: Cusp, k: Cusp, z: complex,

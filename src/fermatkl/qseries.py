@@ -462,7 +462,7 @@ def expansion(label: FormLabel, order) -> QExpansion | RadicalSum:
     """Truncated expansion at the cusp at infinity for a form label,
     carrying the label, so that its evaluate reads FormsAt."""
     order = Fraction(order)
-    lead = _leading_exponent(label)
+    lead = leading_exponent(label)
     if order < lead:
         raise OrderTooSmall(
             f"order {order} cannot resolve the leading exponent {lead} of {label}")
@@ -475,7 +475,8 @@ def expansion(label: FormLabel, order) -> QExpansion | RadicalSum:
     return replace(series, label=label)
 
 
-def _leading_exponent(label: FormLabel) -> Fraction:
+def leading_exponent(label: FormLabel) -> Fraction:
+    """Exponent of the lowest-order term of the label's series at infinity."""
     if label.name in _ROOTS:
         return Fraction(-1, 2 * label.n)
     if label.name in ("lambda", "one_minus_lambda"):
@@ -485,6 +486,17 @@ def _leading_exponent(label: FormLabel) -> Fraction:
     if label.name == "f" and label.kind == "C" and label.j == 0:
         return Fraction(label.n, 2)
     return Fraction(0)
+
+
+def leading(f: QExpansion | RadicalSum) -> tuple[Fraction, complex]:
+    """(exponent, coefficient) of the lowest-order term of a QExpansion or
+    RadicalSum, the coefficient summed over the weighted terms."""
+    terms = f.terms if isinstance(f, RadicalSum) else ((1, f),)
+    k = min((k for _, t in terms for k in t.coeffs), default=None)
+    if k is None:
+        raise ZeroSeries("series has no retained terms")
+    return Fraction(k, f.denom), sum(c * t.prefactor * complex(t.coeffs[k])
+                                     for c, t in terms if k in t.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ from . import scattering
 from .eisenstein import (
     DEFAULT_TRUNCATION,
     TruncationSpec,
+    chart,
     eisenstein_direct,
     eisenstein_direct_all,
     fourier_eval,
     fourier_limit_eval,
     inner_sums,
     classify_index,
-    standard_rep,
 )
 from .fermat import (
     GAMMA2,
@@ -32,8 +32,16 @@ from .fermat import (
     gamma2_base,
     gamma_n,
 )
-from .qseries import FormLabel, FormsAt
-from .sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp, cusp_scaling_matrix, mobius_point
+from .qseries import FormLabel, FormsAt, expansion, leading, leading_exponent
+from .sl2 import (
+    CUSP_INF,
+    CUSP_ONE,
+    CUSP_ZERO,
+    Cusp,
+    cusp_scaling_matrix,
+    mobius_apply,
+    mobius_point,
+)
 
 
 @dataclass(frozen=True)
@@ -149,13 +157,42 @@ def check_scattering_consistency(n: int) -> CheckReport:
     return _report("scattering_consistency", {"n": n}, res, 1e-10, t0)
 
 
+def check_scattering_entries(n: int) -> CheckReport:
+    """Mode 0 in x of the Kronecker limit formula at the chart of
+    infinity gives every scattering constant C_(j inf) of level n from
+    the leading term a_j q^nu_j of f_j's series there: 4 pi C_(j inf)
+    against klf_constant - 2 log|a_j|/n^2, and 4 pi nu_j/n^2 against
+    4 pi/b when j is infinity and 0 otherwise, b the width, at each of
+    the 3n cusps.  The lane-class relation C_jk = C_(g_k^-1 j, inf) then
+    gives every entry; the largest |C_jk - C_(g_k^-1 j, inf)| over the
+    pairs, 0 exactly, joins the largest residual."""
+    t0 = time.perf_counter()
+    group = gamma_n(n)
+    reps = cusp_reps(n)
+    klf = scattering.klf_constant(group)
+    worst = 0.0
+    for fc in reps:
+        label = FormLabel("f", n, fc.kind, fc.index)
+        nu, a = leading(expansion(label, leading_exponent(label)))
+        c_j = scattering.natural_constant(group, fc.rep, CUSP_INF)
+        slope = 4 * math.pi / group.width if fc.rep == CUSP_INF else 0
+        worst = max(worst, abs(4 * math.pi * c_j - klf + 2 * math.log(abs(a)) / (n * n)),
+                    abs(4 * math.pi * nu / (n * n) - slope))
+    for fk in reps:
+        gk_inv = cusp_scaling_matrix(fk.rep).inverse()
+        for fj in reps:
+            lane = mobius_apply(gk_inv, fj.rep)
+            worst = max(worst, abs(scattering.natural_constant(group, fj.rep, fk.rep)
+                                   - scattering.natural_constant(group, lane, CUSP_INF)))
+    return _report("scattering_entries", {"n": n}, worst, 1e-14, t0)
+
+
 def check_cross_path(group: GroupId, j: Cusp, k: Cusp, z: complex, s: float = 2.0,
                      trunc: TruncationSpec = DEFAULT_TRUNCATION) -> CheckReport:
     """Fourier expansion against direct summation in the k chart."""
     t0 = time.perf_counter()
     fe = fourier_eval(group, j, k, z, s, trunc)
-    gk = cusp_scaling_matrix(standard_rep(group, k))
-    de, _ = eisenstein_direct(group, j, mobius_point(gk, z), s, trunc)
+    de, _ = eisenstein_direct(group, j, mobius_point(chart(group, k), z), s, trunc)
     return _report("cross_path", {"group": group, "j": j, "k": k, "z": z, "s": s},
                    abs(fe - de), 1e-4, t0)
 
@@ -191,6 +228,8 @@ def _suite_checks(level: str, ns: tuple[int, ...], trunc: TruncationSpec):
         for (j, k) in ((reps[-1].rep, reps[-1].rep), (reps[0].rep, reps[-1].rep)):
             checks.append(("cross_path",
                            lambda n=n, j=j, k=k: check_cross_path(gamma_n(n), j, k, 1j, 2.0, trunc)))
+    for n in ns:
+        checks.append(("scattering_entries", lambda n=n: check_scattering_entries(n)))
     return checks
 
 

@@ -21,23 +21,11 @@ from fermatkl.qseries import (
     FormsAt,
     QExpansion,
     RadicalSum,
-    ZeroSeries,
     constant,
     expansion,
     zeta_power,
 )
 from fermatkl.sl2 import NotInGamma2, gamma2_exponent_sums
-
-
-def leading(f) -> tuple[Fraction, complex]:
-    """(exponent, coefficient) of the lowest-order term of a QExpansion or
-    RadicalSum, the coefficient summed over the weighted terms."""
-    terms = f.terms if isinstance(f, RadicalSum) else ((1, f),)
-    k = min((k for _, t in terms for k in t.coeffs), default=None)
-    if k is None:
-        raise ZeroSeries("series has no retained terms")
-    return Fraction(k, f.denom), sum(c * t.prefactor * complex(t.coeffs[k])
-                                     for c, t in terms if k in t.coeffs)
 
 
 def series_value(series, z: complex) -> complex:

@@ -470,9 +470,11 @@ def test_warm_fourier_eval_reads_no_lanes(monkeypatch):
 
 def test_phi_memo_reads_one_lane_set_per_class(monkeypatch):
     # phi_jk depends only on the class of g_k^-1(j), so a sweep over every
-    # cusp pair reads the lanes of each of the 3 n classes once, the full
-    # modular group's one class once, with the bits of the per-pair
-    # oracles, within the rounding of their terms; the limits of the full
+    # cusp pair reads the lanes of each class once, the full modular
+    # group's one class once, with the bits of the per-pair oracles,
+    # within the rounding of their terms; above level 1 a class over 0 or
+    # 1 takes the phi of its base's index-0 class, twisted, so a level
+    # reads n + 2 lane sets of its 3 n classes; the limits of the full
     # modular group and level 2 are closed forms and read none
     from fermatkl import eisenstein
 
@@ -482,7 +484,7 @@ def test_phi_memo_reads_one_lane_set_per_class(monkeypatch):
     lane_sums = eisenstein._lane_sums
     monkeypatch.setattr(eisenstein, "_lane_sums", lambda *a: reads.append(1) or lane_sums(*a))
     for g in (GAMMA1, GAMMA2, *(gamma_n(n) for n in (2, 3, 4, 5))):
-        classes = 1 if g == GAMMA1 else 3 * g.n
+        classes = 1 if g == GAMMA1 else 3 if g.n == 1 else g.n + 2
         pairs = [(j, k) for j in group_cusps(g) for k in group_cusps(g)]
         _fresh_store(monkeypatch)
         got = {}
@@ -566,14 +568,26 @@ def test_phi_readers_share_one_entry_per_class(monkeypatch):
 
     tr = TruncationSpec(c_max=60, m_max=6)
     z = 0.2 + 1.1j
+    reads = []
+    lane_sums = eisenstein._lane_sums
     for n in (2, 3, 5):
         g, reps = gamma_n(n), cusp_reps(n)
-        pairs = ((reps[0].rep, reps[-1].rep), (reps[n].rep, reps[0].rep))
+        # the third pair's lane class, (A, n - 1), reads the lanes of the
+        # first's, (A, 0), twisted
+        pairs = ((reps[0].rep, reps[-1].rep), (reps[n].rep, reps[0].rep), (reps[1].rep, reps[-1].rep))
+        sources = {_lane_source(g, eisenstein._lane_class(g, j, k)) for j, k in pairs}
+        assert len(sources) == 2
         _fresh_store(monkeypatch)
-        for j, k in pairs:
-            for s in (2.0, 1.5 + 0.7j):
-                fourier_eval(g, j, k, z, s, tr)
-            phi_coefficient(g, j, k, 1, 1.0, tr)
+        with monkeypatch.context() as patch:
+            patch.setattr(eisenstein, "_lane_sums", lambda *a: reads.append(1) or lane_sums(*a))
+            for s in (2.0, 1.5 + 0.7j, 1.0):
+                reads.clear()
+                for j, k in pairs:
+                    if s == 1.0:
+                        phi_coefficient(g, j, k, 1, s, tr)
+                    else:
+                        fourier_eval(g, j, k, z, s, tr)
+                assert len(reads) == len(sources), (n, s)
         with monkeypatch.context() as patch:
             patch.setattr(eisenstein, "_lane_sums", refuse)
             for j, k in pairs:
@@ -583,6 +597,44 @@ def test_phi_readers_share_one_entry_per_class(monkeypatch):
                 phi_m1_exact(g, j, k, (-2, 3), tr)
                 phi_coefficient(g, j, k, -tr.m_max, 1.0, tr)
                 fourier_limit_eval(g, j, k, z, tr)
+
+
+def _lane_source(group, i: int) -> int:
+    """The class whose lanes the phi of class i read: at level n > 1 the
+    index-0 class of the base of a class over 0 or 1, else i itself."""
+    fc = cusp_reps(group.n)[i]
+    return i - i % group.n if group.n > 1 and fc.index and fc.kind != "C" else i
+
+
+def test_twisted_phi_match_the_lifted_lanes(monkeypatch):
+    # a class over 0 or 1 at level n > 1 takes the phi of its base's
+    # index-0 class times zeta^(m index), and inner_sums reads its own
+    # lifted rows, the oracle: every mode of every such class is within
+    # 1e-14 of the largest |phi| of the oracle, mode 0 to the bit, and
+    # the classes of index 0 and those over infinity, which read their own
+    # lanes, have the oracle's bits
+    from fermatkl import eisenstein
+
+    c_max, m_max = 120, 8
+    cs = np.arange(1, c_max + 1, dtype=float)
+    modes = [*range(m_max + 1), *range(-m_max, 0)]
+    twisted = 0
+    for n in (2, 3, 4, 5, 7):
+        g = gamma_n(n)
+        _fresh_store(monkeypatch)
+        for s in (1.0, 2.0, 1.5 + 0.7j):
+            weights = eisenstein._power_terms(cs * cs, s)
+            for i, fc in enumerate(cusp_reps(n)):
+                got = eisenstein._phis(g, i, m_max, c_max, s).phi
+                want = np.array([complex((row * weights).sum())
+                                 for row in inner_sums(g, fc.rep, CUSP_INF, modes, c_max)])
+                if _lane_source(g, i) != i:
+                    twisted += 1
+                    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (n, i, s)
+                    assert _bits(got[0]) == _bits(want[0]), (n, i, s)
+                else:
+                    assert list(map(_bits, got)) == list(map(_bits, want)), (n, i, s)
+    assert twisted == 3 * sum(2 * (n - 1) for n in (2, 3, 4, 5, 7))
 
 
 def test_phi_cache_bounded_and_evicted_key_recomputes(monkeypatch):
@@ -601,7 +653,12 @@ def test_phi_cache_bounded_and_evicted_key_recomputes(monkeypatch):
     assert info.currsize <= bound and info.misses == bound + 1
     again = eisenstein._phis(g, i, 2, 20, 1.5)
     assert eisenstein._phis.cache_info().misses == info.misses + 1
-    assert again is not first and list(map(_bits, again)) == list(map(_bits, first))
+    assert again is not first and _entry_bits(again) == _entry_bits(first)
+
+
+def _entry_bits(entry) -> list:
+    """The bits of every number of a _phis entry, arrays element by element."""
+    return [list(map(_bits, np.atleast_1d(field))) for field in entry]
 
 
 def test_classify_index_consistency():
@@ -1846,6 +1903,144 @@ def test_round_table_off_by_one_fails_klf(monkeypatch, table, slot, lane):
         eisenstein._phis.cache_clear()
         fermat.classify_rep_index.cache_clear()
     assert calls and report.check_id == "klf_fermat" and not report.passed
+
+
+def _clear_every_cache(monkeypatch):
+    """A new store, and every memo that the direct sums and the Fourier
+    side read cleared."""
+    from fermatkl import eisenstein, fermat
+
+    _fresh_store(monkeypatch)
+    for memo in (eisenstein._scaling, eisenstein._pullback, eisenstein._gamma2_phi_m1,
+                 fermat.classify_rep_index):
+        memo.cache_clear()
+    return eisenstein._TABLES
+
+
+@pytest.mark.parametrize("s", [2.0, 1.5 + 0.7j])
+def test_memo_hits_have_the_bits_of_cold_reads(monkeypatch, s):
+    # what a warm read keeps that z does not change, the direct sum's
+    # plan of a class at s = 2, the factors of each phi entry, the twisted
+    # phi of the classes over 0 and 1, the cusp geometry and the level-2
+    # closed forms, gives every direct-sum bucket, Fourier value and limit
+    # the bits of a read after every cache is cleared; at a complex s the
+    # direct sum makes no plan
+    tr = TruncationSpec(c_max=80, m_max=6)
+    groups = (GAMMA2, gamma_n(3), gamma_n(4))
+    cases = [(g, j, k) for g in groups for j in group_cusps(g) for k in (group_cusps(g)[0], CUSP_INF)]
+
+    def values():
+        out = []
+        for z in (0.3 + 1.1j, -0.7 + 0.6j):
+            out += [list(map(_bits, eisenstein_direct_all(g, z, s, tr)[0])) for g in groups]
+            out += [_bits(fourier_eval(g, j, k, z, s, tr)) for g, j, k in cases]
+            out += [_bits(fourier_limit_eval(g, j, k, z, tr)) for g, j, k in cases]
+        return out
+
+    store = _clear_every_cache(monkeypatch)
+    cold = values()
+    assert any(entry.plan is not None for entry in store.values()) == (s == 2.0)
+    assert values() == cold
+    _clear_every_cache(monkeypatch)
+    assert values() == cold
+
+
+def test_direct_plan_is_kept_with_its_rows(monkeypatch):
+    # the plan of a class at s = 2 lives in the store entry of its rows,
+    # one an entry, that of the last c_max read: the first direct sum
+    # makes it and the next reuses it; a build of the rows drops it, and
+    # store eviction and a store reset drop it with the entry, after
+    # which a direct sum has the bits of the first
+    from fermatkl import eisenstein
+
+    store = _fresh_store(monkeypatch)
+    g = gamma_n(3)
+    key = ("class", 3, classify_index(g, 1, 0))
+    z, tr = 0.3 + 1.1j, TruncationSpec(c_max=60)
+    want = eisenstein_direct(g, CUSP_INF, z, 2.0, tr)
+    plan, rows = store[key].plan, store[key].rows
+    assert plan.weights.size == 60 and len(plan.blocks) >= 1
+    eisenstein_direct(g, CUSP_INF, -0.2 + 0.7j, 2.0, tr)
+    assert store[key].plan is plan
+    # a shorter prefix takes a plan of its own, with no build
+    eisenstein_direct(g, CUSP_INF, z, 2.0, TruncationSpec(c_max=40))
+    assert store[key].rows is rows and store[key].plan.weights.size == 40
+    assert eisenstein_direct(g, CUSP_INF, z, 2.0, tr) == want
+    # a complex s reads no plan, and its read past the reach builds the
+    # rows again, which drops the plan
+    eisenstein_direct(g, CUSP_INF, z, 1.5 + 0.7j, TruncationSpec(c_max=90))
+    assert store[key].rows is not rows and store[key].plan is None
+    assert eisenstein_direct(g, CUSP_INF, z, 2.0, tr) == want
+    # a build of other rows evicts the entry with its plan
+    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", 1)
+    inner_sums(g, cusp_reps(3)[0].rep, CUSP_INF, (1,), 30)
+    assert key not in store
+    assert eisenstein_direct(g, CUSP_INF, z, 2.0, tr) == want
+    assert _fresh_store(monkeypatch) == OrderedDict()
+    assert eisenstein_direct(g, CUSP_INF, z, 2.0, tr) == want
+
+
+@pytest.mark.parametrize("memo", ["_scaling", "_pullback", "_gamma2_phi_m1"])
+def test_geometry_and_closed_form_memos_evict_least_recently_used(memo):
+    # each memo that outlives a store reset is bounded: past maxsize
+    # distinct keys the oldest goes, and computing it again gives the
+    # same value
+    from fermatkl import eisenstein
+
+    cache = getattr(eisenstein, memo)
+    args = {"_scaling": lambda t: (Cusp(t, 2 * t + 1),),
+            "_pullback": lambda t: (Cusp(1, 2), Cusp(t, 2 * t + 1)),
+            "_gamma2_phi_m1": lambda t: ((0, 1), t)}[memo]
+    cache.cache_clear()
+    bound = cache.cache_info().maxsize
+    first = cache(*args(1))
+    for t in range(2, bound + 2):
+        cache(*args(t))
+    info = cache.cache_info()
+    assert info.currsize == bound and info.misses == bound + 1
+    assert cache(*args(1)) == first
+    assert cache.cache_info().misses == info.misses + 1
+
+
+def test_mutants_fail_after_warm_reads(monkeypatch):
+    # the memos that outlive a store reset, the cusp geometry and the
+    # level-2 closed forms, keep nothing that TAU_MAP or a round table
+    # gives: after a warm full suite an entry of either plus 1 still fails
+    # a Kronecker-limit check, and once the mutant's classes, rows and phi
+    # go, the suite prints the bits of the warm run
+    import json
+
+    from fermatkl import fermat, sl2, verify
+
+    def run():
+        return verify.run_suite("full", ns=(2, 3, 4))
+
+    def reset():
+        _fresh_store(monkeypatch)
+        fermat.classify_rep_index.cache_clear()
+
+    warm = json.dumps([r.to_json_dict(with_runtime=False) for r in run()])
+    tau_map = [list(row) for row in fermat.TAU_MAP]
+    tau_map[2][0] += 1
+    per_j = list(sl2._WALK_PER_J)
+    per_j[1] = (per_j[1][0] + 1, per_j[1][1])
+    batch = fermat.coset_word_sums_batch
+
+    def mutant_batch(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(sl2, "_WALK_PER_J", tuple(per_j))
+            return batch(*args)
+
+    for name, mutant in (("TAU_MAP", tuple(map(tuple, tau_map))), ("coset_word_sums_batch", mutant_batch)):
+        with monkeypatch.context() as patch:
+            patch.setattr(fermat, name, mutant)
+            reset()
+            try:
+                reports = run()
+            finally:
+                reset()
+        assert any(r.check_id == "klf_fermat" and not r.passed for r in reports), name
+    assert json.dumps([r.to_json_dict(with_runtime=False) for r in run()]) == warm
 
 
 def test_lane_table_int32_guard(monkeypatch):

@@ -19,6 +19,7 @@ from fermatkl.qseries import (
     ZeroSeries,
     constant,
     expansion,
+    leading,
     zeta_power,
 )
 from fermatkl.sl2 import GEN1, GEN2, Mat2Z, NotInGamma2, S, T
@@ -27,7 +28,6 @@ from series_oracles import (
     coset_product_loop,
     coset_product_value,
     f_series_oracle,
-    leading,
     max_abs_coeff_diff,
     rotated,
     series_value,

@@ -3,10 +3,9 @@ import math
 import mpmath
 import pytest
 
-from fermatkl import qseries
+from fermatkl import scattering
 from fermatkl.eisenstein import TruncationSpec, phi_coefficient
 from fermatkl.fermat import GAMMA1, GAMMA2, cusp_reps, fermat_cusp_of_ram, gamma_n
-from fermatkl.qseries import FormLabel, expansion
 from fermatkl.scattering import (
     LevelMismatch,
     ScatteringEntry,
@@ -20,9 +19,9 @@ from fermatkl.scattering import (
     z_constant,
 )
 from fermatkl.sl2 import CUSP_INF, CUSP_ONE, CUSP_ZERO, Cusp
+from fermatkl.verify import check_scattering_entries
 
 from character_oracles import zeta
-from series_oracles import leading
 
 
 def test_gamma2_difference_identity():
@@ -256,15 +255,44 @@ def test_naturals_depend_only_on_the_lane_class():
 
 
 def test_kronecker_limit_mode_0_gives_every_scattering_constant():
-    # the q^0 mode of the Kronecker limit formula at the chart of infinity:
-    # 4 pi phi_j,inf = klf_constant - 2 log|a_j|/N^2, a_j the leading
-    # coefficient of f[kind, j]; at N = 24, j = 1 it is 1e-14, which a sum
-    # of binomial-sized class terms would leave 7e-10
+    # the q^0 mode of the Kronecker limit formula at the chart of infinity,
+    # the verify check scattering_entries: 4 pi phi_j,inf = klf_constant -
+    # 2 log|a_j|/N^2, a_j the leading coefficient of f[kind, j], at every
+    # cusp, with 4 pi nu_j/N^2 = [j = inf] 4 pi/b for its exponent nu_j and
+    # the lane-class relation C_jk = C_(g_k^-1 j, inf) at every pair; at
+    # N = 24, j = 1, a_j is 1e-14, which a sum of binomial-sized class
+    # terms would leave 7e-10
     for n in (*range(1, 13), 16, 24):
-        g = gamma_n(n)
-        for fc in cusp_reps(n):
-            label = FormLabel("f", n, fc.kind, fc.index)
-            _, a = leading(expansion(label, qseries._leading_exponent(label)))
-            mode0 = klf_constant(g) - 2 * math.log(abs(a)) / n ** 2
-            assert abs(4 * math.pi * natural_constant(g, fc.rep, CUSP_INF) - mode0) <= 2e-15, \
-                (n, str(fc))
+        report = check_scattering_entries(n)
+        assert report.passed and report.residual <= 2e-15, (n, report.residual)
+
+
+def _entry_shifted(entry: ScatteringEntry, shift: float) -> ScatteringEntry:
+    return ScatteringEntry(entry.normalized + shift, entry.natural + shift, entry.case_tag)
+
+
+@pytest.mark.parametrize("mutant", ["same_fiber_delta", "same_fiber_gap", "cross_fiber_log2"])
+def test_scattering_entries_fails_on_a_constant_mutant(monkeypatch, mutant):
+    # the check sees each per-pair term of fermat_constant on its own: it
+    # fails at some level N <= 5 when a same-fiber delta of 1 is read as
+    # 2, when the same-fiber term 3 N log|1 - zeta^delta| is dropped, or
+    # when a cross-fiber entry takes the diagonal's (12 N + 2) log 2 in
+    # place of 2 log 2; the series side is untouched
+    true = scattering.fermat_constant
+
+    def constant(n, fj, fk):
+        entry = true(n, fj, fk)
+        delta = min((fj.index - fk.index) % n, (fk.index - fj.index) % n)
+        pref = 1.0 / (6.0 * n * n * math.pi)
+        if entry.case_tag.startswith("same_fiber"):
+            if mutant == "same_fiber_delta" and delta == 1:
+                return true(n, fj, fermat_cusp_of_ram(n, fk.kind, (fj.index - 2) % n))
+            if mutant == "same_fiber_gap":
+                return _entry_shifted(entry, pref * 3 * n * math.log(2 * math.sin(math.pi * delta / n)))
+        if mutant == "cross_fiber_log2" and entry.case_tag == "cross_fiber":
+            return _entry_shifted(entry, -pref * 12 * n * math.log(2.0))
+        return entry
+
+    assert all(check_scattering_entries(n).passed for n in range(1, 6))
+    monkeypatch.setattr(scattering, "fermat_constant", constant)
+    assert not all(check_scattering_entries(n).passed for n in range(1, 6))
