@@ -76,17 +76,17 @@ computations.  At every other s it takes the translates in the
 truncation box, as one rectangle per block with d + t P exact and c x
 added once, a power and a masked sum.
 
-What z does not change is kept once, each with what it derives from:
-the _phis entry keeps phi as arrays and the Gamma, pi^s, b^s and
-(m/b)^(s - 1/2) factors of fourier_eval, and goes with _phis.cache_clear;
-the store entry of a class's rows keeps the plan of its direct sum at
-real s = 2, the row blocks and 1/P and P^-4 of each c, and goes with its
-rows, by a build, eviction or a store reset.  Two more bounded memos
-outlive a store reset, as nothing they hold depends on a table: the
-scaling matrix of each cusp and the pullback g^-1(j) of each pair, keyed
-by cusps (the classes read from them are classify_rep_index's, memoized
-and cleared there), and the level-2 closed forms phi_m(1), keyed
-(pair parity, m).  Nothing is kept per row.
+What z does not change is kept once, each keyed by what it depends on.
+The store entry of a class's rows keeps the plan of its direct sum at
+real s = 2, the row blocks and 1/P and P^-4 of each c, counted in the
+store's cells, and goes with its rows, by a build, eviction or a store
+reset; _phis keeps phi alone.  Four bounded memos hold what no table
+changes, so they outlive a store reset: the scaling matrix of each cusp
+(_scaling) and the pullback g^-1(j) of each pair, keyed by cusps (the
+classes read from them are classify_rep_index's, memoized and cleared
+there); the Gamma, pi^s, b^s and (m/b)^(s - 1/2) factors of
+fourier_eval, keyed (width, m_max, s); and the level-2 closed forms
+phi_m(1), keyed (pair parity, m).  Nothing is kept per row.
 """
 
 from __future__ import annotations
@@ -156,8 +156,9 @@ _scaling = lru_cache(maxsize=_GEOMETRY_CACHE)(cusp_scaling_matrix)
 
 
 @lru_cache(maxsize=_GEOMETRY_CACHE)
-def _pullback(rep: Cusp, j: Cusp) -> Cusp:
-    """g^-1(j), g the scaling matrix of rep."""
+def pullback(rep: Cusp, j: Cusp) -> Cusp:
+    """g^-1(j), g the scaling matrix of rep: with rep the standard
+    representative of k, its class is the lane class of the pair j, k."""
     return mobius_apply(_scaling(rep).inverse(), j)
 
 
@@ -231,13 +232,12 @@ def eisenstein_direct_all(group: GroupId, z: complex, s,
     tail_c += 2.0 * (y * trunc.c_max) ** (-2 * sigma) * y ** sigma * trunc.c_max
     m_cut = trunc.c_max * (abs(x) + y + 3.0)
     for i, pos in slot.items():
+        (step, d, bounds), entry = _class_rows(group, i, trunc.c_max)
         if closed:
-            (step, d, bounds), entry = _class_entry(group, i, trunc.c_max)
             blocks, inverse, weights = _closed_form_plan(entry, step, bounds)
             kernel = partial(_closed_form_rows, inverse, math.remainder(x, step) / step,
                              _translate_coefficients(y / step))
         else:
-            step, d, bounds = _class_rows(group, i, trunc.c_max)
             # at most floor(2 m_cut / P) + 1 translates a row, a complex
             # one taking two cells
             cs = np.arange(1.0, trunc.c_max + 1)
@@ -347,19 +347,15 @@ def _row_key(group: GroupId, i: int) -> tuple:
     return 2, base.q & 1, base.p & 1
 
 
-def _class_rows(group: GroupId, i: int, c_max: int) -> Rows:
-    """_build_class_rows as the direct sum reads them, kept at level n > 1."""
-    return _class_entry(group, i, c_max)[0]
-
-
-def _class_entry(group: GroupId, i: int, c_max: int) -> tuple[Rows, _Entry]:
-    """_class_rows and the entry of the store that keeps them: the row set
-    of the base at level 1, ("class", n, i) at level n > 1."""
+def _class_rows(group: GroupId, i: int, c_max: int) -> tuple[Rows, _Entry]:
+    """_build_class_rows as the direct sum reads them, and the entry of the
+    store that keeps them: the row set of the base at level 1,
+    ("class", n, i) at level n > 1."""
     key = _row_key(group, i)
     if group.n == 1:
-        return _stored_entry(key, c_max, partial(_enumerate_lanes, key))
-    return _stored_entry(("class", group.n, i), c_max, partial(_build_class_rows, group, i),
-                         (key, ("tau", key)))
+        return _stored(key, c_max, partial(_enumerate_lanes, key))
+    return _stored(("class", group.n, i), c_max, partial(_build_class_rows, group, i),
+                   (key, ("tau", key)))
 
 
 def _closed_form_plan(entry: _Entry, step: int, bounds: np.ndarray) -> _Plan:
@@ -367,11 +363,13 @@ def _closed_form_plan(entry: _Entry, step: int, bounds: np.ndarray) -> _Plan:
     read to c_max = bounds.size - 1, P = step c: the blocks of
     _row_blocks(bounds), 1/P and P^-4 of each c.  None of them depends on
     z, so the entry keeps the plan of the last c_max read, and a build of
-    its rows drops it; it holds per-c arrays, no column per row."""
+    its rows drops it; its per-c arrays count in the store's cells."""
     plan = entry.plan
     if plan is None or plan.weights.size != bounds.size - 1:
         cs = np.arange(1.0, bounds.size)
         plan = entry.plan = _Plan(tuple(_row_blocks(bounds)), 1 / (step * cs), (step * cs) ** -4)
+        with _TABLE_LOCK:
+            _evict(entry)
     return plan
 
 
@@ -443,7 +441,8 @@ _DIRECT_BLOCK = 1 << 15
 _DOT_CHUNK = 1 << 13
 # Entries of the memoized phi, keyed (group, lane class, mode bound M,
 # c_max, s) and read by fourier_eval, phi_coefficient and phi_m1_exact,
-# each 3 M + 4 complex numbers: well under 1 MB in all at M = 10.
+# each 2 M + 1 complex numbers, and of fourier_eval's factors, keyed
+# (width, M, s), each M + 3: well under 1 MB in all at M = 10.
 _PHI_CACHE = 256
 
 
@@ -459,32 +458,31 @@ class _Plan(NamedTuple):
 
 class _Entry:
     """The Rows of one key of the store, None before its first build, the
-    lock of its builds, and the _Plan of a direct sum over its rows, None
-    until one is read and after each build.  A plan holds about seven
-    cells a c, which the cell bound does not count: at c_max 500 that is
-    7% of the cells of a class over 0 or 1, and 30% of those of a class
-    over infinity at level 5."""
+    lock of its builds, the keys of the entries that its build reads, and
+    the _Plan of a direct sum over its rows, None until one is read and
+    after each build."""
 
-    def __init__(self):
-        self.rows, self.plan, self.lock = None, None, threading.Lock()
+    def __init__(self, keep=()):
+        self.rows, self.plan, self.keep, self.lock = None, None, keep, threading.Lock()
 
     def cells(self) -> int:
-        return 0 if self.rows is None else (self.rows.d.nbytes + self.rows.bounds.nbytes) // 4
+        """int32 cells of the rows and bounds, and of the plan's blocks
+        (cs, seg and lens of each), 1/P and P^-4."""
+        arrays = [] if self.rows is None else [self.rows.d, self.rows.bounds]
+        if self.plan is not None:
+            arrays += [self.plan.inverse, self.plan.weights,
+                       *(a for cs, _, _, seg, lens in self.plan.blocks for a in (cs, seg, lens))]
+        return sum(a.nbytes for a in arrays) // 4
 
 
-def _stored(key, c_max: int, build, keep=()) -> Rows:
+def _stored(key, c_max: int, build, keep=()) -> tuple[Rows, _Entry]:
     """The entry key read to c_max, as views: a prefix of its Rows, built
     whole by build(c_max) under its lock when they do not reach c_max, so
-    that threads build it once.  A build puts it at the newest end; then
-    the least recently used entries go while the store holds over
-    _TABLE_CELLS cells, but not it or those in keep, which it read."""
-    return _stored_entry(key, c_max, build, keep)[0]
-
-
-def _stored_entry(key, c_max: int, build, keep=()) -> tuple[Rows, _Entry]:
-    """_stored and the entry it read."""
+    that threads build it once; and the entry.  A build puts it at the
+    newest end and drops the least recently used entries (_evict), but
+    not it or those in keep, which it reads."""
     with _TABLE_LOCK:
-        entry = _TABLES.setdefault(key, _Entry())
+        entry = _TABLES.setdefault(key, _Entry(keep))
         _TABLES.move_to_end(key)
     with entry.lock:
         rows = entry.rows
@@ -492,20 +490,27 @@ def _stored_entry(key, c_max: int, build, keep=()) -> tuple[Rows, _Entry]:
             rows = entry.rows = build(c_max)
             entry.plan = None
             with _TABLE_LOCK:
-                _TABLES.setdefault(key, entry)
+                held = _TABLES.setdefault(key, entry)
                 _TABLES.move_to_end(key)
-                total = sum(other.cells() for other in _TABLES.values())
-                for other in list(_TABLES):
-                    if total <= _TABLE_CELLS:
-                        break
-                    if other != key and other not in keep:
-                        total -= _TABLES.pop(other).cells()
+                _evict(held)
     return Rows(rows.step, rows.d[:rows.bounds[c_max]], rows.bounds[:c_max + 1]), entry
+
+
+def _evict(held: _Entry):
+    """Drop the least recently used entries while the store holds over
+    _TABLE_CELLS cells, but not held or the entries that its build reads;
+    the caller holds _TABLE_LOCK."""
+    total = sum(other.cells() for other in _TABLES.values())
+    for key, other in list(_TABLES.items()):
+        if total <= _TABLE_CELLS:
+            break
+        if other is not held and key not in held.keep:
+            total -= _TABLES.pop(key).cells()
 
 
 def _row_set(key: tuple, c_max: int) -> Rows:
     """The rows of the row set key for c <= c_max, kept under key."""
-    return _stored(key, c_max, partial(_enumerate_lanes, key))
+    return _stored(key, c_max, partial(_enumerate_lanes, key))[0]
 
 
 def _tau_rows(key: tuple, c_max: int) -> Rows:
@@ -514,7 +519,7 @@ def _tau_rows(key: tuple, c_max: int) -> Rows:
     def build(c_max):
         rows = _row_set(key, c_max)
         return rows._replace(d=tau_column(rows.c_column(), rows.d))
-    return _stored(("tau", key), c_max, build, (key,))
+    return _stored(("tau", key), c_max, build, (key,))[0]
 
 
 def _build_class_rows(group: GroupId, i: int, c_max: int) -> Rows:
@@ -572,7 +577,7 @@ def _int32(x: np.ndarray, name) -> np.ndarray:
 def _lane_class(group: GroupId, j: Cusp, k: Cusp) -> int:
     """classify_index of the class of g_k^-1(j), whose rows are the
     lanes of phi_{jk} (module docstring)."""
-    x = _pullback(standard_rep(group, k), j)
+    x = pullback(standard_rep(group, k), j)
     return classify_index(group, x.p, x.q)
 
 
@@ -674,39 +679,25 @@ def phi_coefficient(group: GroupId, j: Cusp, k: Cusp, m: int, s,
     sigma = complex(s).real
     if sigma < 1 or (sigma == 1 and m == 0):
         raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
-    phi = complex(_phis(group, _lane_class(group, j, k), max(trunc.m_max, abs(m)), trunc.c_max, s).phi[m])
+    phi = complex(_phis(group, _lane_class(group, j, k), max(trunc.m_max, abs(m)), trunc.c_max, s)[m])
     if sigma == 1:
         return phi, math.inf
     return phi, group.width * trunc.c_max ** (2 - 2 * sigma) / (2 * sigma - 2)
 
 
-class _PhiEntry(NamedTuple):
-    """An entry of _phis: phi, the modes 0..M and then -M..-1 as one
-    complex array, and the factors of fourier_eval that z does not
-    change, as it takes them: constant = sqrt(pi) Gamma(s - 1/2)/Gamma(s)
-    phi_0, powers = (m/b)^(s - 1/2) of the modes 1..M, scale =
-    2 pi^s/Gamma(s) and norm = b^s b, b the width."""
-
-    phi: np.ndarray
-    constant: complex
-    powers: np.ndarray
-    scale: complex
-    norm: complex
-
-
 @lru_cache(maxsize=_PHI_CACHE)
-def _phis(group: GroupId, i: int, m_max: int, c_max: int, s) -> _PhiEntry:
+def _phis(group: GroupId, i: int, m_max: int, c_max: int, s) -> np.ndarray:
     """Truncated phi_{jk,m}(s), the sum over c <= c_max of the inner sums
-    times c^(-2s), of the modes 0..m_max and then -m_max..-1, so entry m
-    of its phi is mode m for every |m| <= m_max, for every pair whose lane
-    class _lane_class(group, j, k) is i, with the factors of
-    fourier_eval.  One lane read of the rows of class i gives every mode,
-    the row of -m the conjugate of that of m.  A class over 0 or 1 at
-    level n > 1 lifts each row of its base by l = tau + index (mod n),
-    and the index-0 class by l = tau, so its phases are those of the
-    index-0 class times zeta^index, zeta = e(1/n): its phi_m are those of
-    the index-0 class times zeta^(m index), which it reads from that
-    class's entry, no lanes of its own; mode 0 keeps its bits.
+    times c^(-2s), of the modes 0..m_max and then -m_max..-1 as one
+    complex array, so entry m is mode m for every |m| <= m_max, for every
+    pair whose lane class _lane_class(group, j, k) is i.  One lane read of
+    the rows of class i gives every mode, the row of -m the conjugate of
+    that of m.  A class over 0 or 1 at level n > 1 lifts each row of its
+    base by l = tau + index (mod n), and the index-0 class by l = tau, so
+    its phases are those of the index-0 class times zeta^index,
+    zeta = e(1/n): its phi_m are those of the index-0 class times
+    zeta^(m index), which it reads from that class's entry, no lanes of
+    its own; mode 0 keeps its bits.
     Memoized, since phi depends neither on z nor on the pair within the
     class; a hit returns the bits that a miss computes."""
     modes = [*range(m_max + 1), *range(-m_max, 0)]
@@ -714,17 +705,25 @@ def _phis(group: GroupId, i: int, m_max: int, c_max: int, s) -> _PhiEntry:
     if fc is not None and fc.index and class_shift(fc.kind, 1, 0):
         # the index-0 class comes first in its base's block of cusp_reps
         base = _phis(group, i - i % group.n, m_max, c_max, s)
-        return base._replace(phi=base.phi * np.array([zeta_power(group.n, m * fc.index) for m in modes]))
+        return base * np.array([zeta_power(group.n, m * fc.index) for m in modes])
     rows = _build_class_rows(group, i, c_max)
     cs = np.arange(1, c_max + 1, dtype=float)
     weights = _power_terms(cs * cs, s)
-    phi = np.array([complex((row * weights).sum()) for row in _lane_sums(group.width, rows, modes)])
-    # each factor in the order of operations that fourier_eval takes it in
-    b, sc = group.width, complex(s)
+    return np.array([complex((row * weights).sum()) for row in _lane_sums(group.width, rows, modes)])
+
+
+@lru_cache(maxsize=_PHI_CACHE)
+def _fourier_factors(b: int, m_max: int, s) -> tuple:
+    """The factors of fourier_eval that z does not change, for the width
+    b: sqrt(pi) Gamma(s - 1/2)/Gamma(s), (m/b)^(s - 1/2) of the modes
+    1..m_max, 2 pi^s/Gamma(s) and b^s b, each a product taken left to
+    right as fourier_eval's formula reads it.  Memoized, bounded as _phis
+    is."""
+    sc = complex(s)
     gs = gamma_fn(sc)
-    return _PhiEntry(phi, math.sqrt(math.pi) * gamma_fn(sc - 0.5) / gs * phi[0],
-                     np.power(np.arange(1, m_max + 1) / b, sc - 0.5),
-                     2.0 * math.pi ** sc / gs, complex(b) ** s * b)
+    return (math.sqrt(math.pi) * gamma_fn(sc - 0.5) / gs,
+            np.power(np.arange(1, m_max + 1) / b, sc - 0.5),
+            2.0 * math.pi ** sc / gs, complex(b) ** s * b)
 
 
 def _divisors(m: int) -> list[int]:
@@ -744,20 +743,6 @@ def _divisors(m: int) -> list[int]:
 _ZETA_2 = math.pi ** 2 / 6
 
 
-def gamma2_phi_m_closed_form(pair_parity: tuple[int, int], ms) -> list[float]:
-    """Exact phi_{jk,m}(1) of the level-2 group for each m in ms, all
-    nonzero.
-
-    pair_parity = (c, d) parities of the admissible pairs: (0, 1) for
-    diagonal entries, (1, 0) and (1, 1) for the two off-diagonal types.
-    Obtained by factoring the Ramanujan-sum Dirichlet series through the
-    2-adic part of m; each (pair_parity, m) memoized in _gamma2_phi_m1.
-    """
-    if 0 in ms:
-        raise ValueError("the closed form takes nonzero modes only")
-    return [_gamma2_phi_m1(tuple(pair_parity), m) for m in ms]
-
-
 # Level-2 closed forms phi_m(1) that stay memoized, keyed (pair parity,
 # m): exact arithmetic of m that no table changes.
 _CLOSED_FORM_CACHE = 1024
@@ -765,7 +750,11 @@ _CLOSED_FORM_CACHE = 1024
 
 @lru_cache(maxsize=_CLOSED_FORM_CACHE)
 def _gamma2_phi_m1(pair_parity: tuple[int, int], m: int) -> float:
-    """gamma2_phi_m_closed_form of one mode m != 0, from its divisors."""
+    """Exact phi_{jk,m}(1) of the level-2 group for a mode m != 0, the
+    admissible pairs of (c, d) parities pair_parity: (0, 1) for diagonal
+    entries, (1, 0) and (1, 1) for the two off-diagonal types.  Obtained
+    by factoring the Ramanujan-sum Dirichlet series through the 2-adic
+    part of m, from its divisors."""
     divs = _divisors(m)
     if pair_parity == (0, 1):
         d2 = sum(1.0 / d for d in divs if d % 4 == 2)
@@ -782,15 +771,15 @@ def phi_m1_exact(group: GroupId, j: Cusp, k: Cusp, ms,
     enumeration: the _phis entry of the lane class at s = 1 and the mode
     bound max(m_max, max |m|); a hit is bit-identical to a miss."""
     ms = list(ms)
+    if 0 in ms:
+        raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
     if group.kind == "gamma1":
         return [complex(sum(1.0 / d for d in _divisors(m)) / _ZETA_2) for m in ms]
     i = _lane_class(group, j, k)
     if group == GAMMA2:
         _, pc, pd = _row_key(group, i)
-        return [complex(phi) for phi in gamma2_phi_m_closed_form((pc, pd), ms)]
-    if 0 in ms:
-        raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
-    phi = _phis(group, i, max([trunc.m_max, *map(abs, ms)]), trunc.c_max, 1.0).phi
+        return [complex(_gamma2_phi_m1((pc, pd), m)) for m in ms]
+    phi = _phis(group, i, max([trunc.m_max, *map(abs, ms)]), trunc.c_max, 1.0)
     return [complex(phi[m]) for m in ms]
 
 
@@ -815,9 +804,9 @@ def fourier_eval(group: GroupId, j: Cusp, k: Cusp, z: complex, s,
     The phi do not depend on z or on the pair within the class: _phis
     memoizes them per (group, lane class, m_max, c_max, s), so a call at
     a new z, or on another pair of a class already read, does no lane
-    work, and a hit is bit-identical to a miss.  The entry keeps the
-    factors that z does not change too, the Gamma, pi^s and (m/b)^(s-1/2)
-    factors, so a call takes only the y and x factors.  The modes
+    work, and a hit is bit-identical to a miss.  The Gamma, pi^s, b^s and
+    (m/b)^(s-1/2) factors, which z does not change either, come from
+    _fourier_factors, so a call takes only the y and x factors.  The modes
     1..m_max are numpy arrays: their Bessel K from one bessel_k_batch
     call, which gives zero past the argument 700, and the phases
     e(m x / b) at x reduced by the width b.  One np.dot sums the modes,
@@ -833,13 +822,14 @@ def fourier_eval(group: GroupId, j: Cusp, k: Cusp, z: complex, s,
     if i == classify_index(group, 1, 0):
         val += (complex(y) / b) ** s
     m_max = trunc.m_max
-    e = _phis(group, i, m_max, trunc.c_max, s)
-    val += e.constant * complex(y) ** (1 - s) / e.norm
-    coef = e.powers * bessel_k_batch(complex(s) - 0.5, (2.0 * math.pi * y / b) * np.arange(1, m_max + 1))
+    phi = _phis(group, i, m_max, trunc.c_max, s)
+    ratio, powers, scale, norm = _fourier_factors(b, m_max, s)
+    val += ratio * phi[0] * complex(y) ** (1 - s) / norm
+    coef = powers * bessel_k_batch(complex(s) - 0.5, (2.0 * math.pi * y / b) * np.arange(1, m_max + 1))
     phase = _phases(x, b, m_max)
     # phi holds the modes 0..m_max, then -m_max..-1
-    terms = e.phi[1:m_max + 1] * phase + e.phi[:m_max:-1] * phase.conj()
-    return val + e.scale * math.sqrt(y) / e.norm * np.dot(coef, terms).item()
+    terms = phi[1:m_max + 1] * phase + phi[:m_max:-1] * phase.conj()
+    return val + scale * math.sqrt(y) / norm * np.dot(coef, terms).item()
 
 
 def fourier_limit_eval(group: GroupId, j: Cusp, k: Cusp, z: complex,

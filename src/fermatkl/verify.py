@@ -23,6 +23,7 @@ from .eisenstein import (
     fourier_limit_eval,
     inner_sums,
     classify_index,
+    pullback,
 )
 from .fermat import (
     GAMMA2,
@@ -38,8 +39,6 @@ from .sl2 import (
     CUSP_ONE,
     CUSP_ZERO,
     Cusp,
-    cusp_scaling_matrix,
-    mobius_apply,
     mobius_point,
 )
 
@@ -78,8 +77,7 @@ def _klf_report(check_id: str, params: dict, tol: float, n: int, fc: FermatCusp,
     form, -2 log(|f_fc| Im z)/n^2 + klf_constant, both at Re z mod 2n."""
     t0 = time.perf_counter()
     group = gamma_n(n)
-    chart = cusp_reps(n)[-1].rep
-    lhs = fourier_limit_eval(group, fc.rep, chart, z, trunc)
+    lhs = fourier_limit_eval(group, fc.rep, CUSP_INF, z, trunc)
     at = FormsAt(complex(math.remainder(z.real, group.width), z.imag))
     fv, _ = at.value(FormLabel("f", n, fc.kind, fc.index))
     rhs = -2.0 * math.log(abs(fv) * z.imag) / (n * n) + scattering.klf_constant(group)
@@ -179,9 +177,8 @@ def check_scattering_entries(n: int) -> CheckReport:
         worst = max(worst, abs(4 * math.pi * c_j - klf + 2 * math.log(abs(a)) / (n * n)),
                     abs(4 * math.pi * nu / (n * n) - slope))
     for fk in reps:
-        gk_inv = cusp_scaling_matrix(fk.rep).inverse()
         for fj in reps:
-            lane = mobius_apply(gk_inv, fj.rep)
+            lane = pullback(fk.rep, fj.rep)
             worst = max(worst, abs(scattering.natural_constant(group, fj.rep, fk.rep)
                                    - scattering.natural_constant(group, lane, CUSP_INF)))
     return _report("scattering_entries", {"n": n}, worst, 1e-14, t0)

@@ -15,7 +15,6 @@ from fermatkl.eisenstein import (
     eisenstein_direct_all,
     fourier_eval,
     fourier_limit_eval,
-    gamma2_phi_m_closed_form,
     inner_sums,
     phi_coefficient,
     phi_m1_exact,
@@ -121,10 +120,12 @@ def test_phi_m1_exact_modes_match_one_mode_calls():
     # one-mode closed form, and the level-2 ones those of the general-s
     # form at s = 1, whose zeta(2) from mpmath rounds to pi^2/6
     # 1923 is the first d with d ** -1.0 != 1.0 / d, and 3846 = 2 * 1923
+    from fermatkl import eisenstein
+
     ms = (*range(1, 13), 24, 35, -6, 1923, 3846)
     for j, k, parity in ((CUSP_INF, CUSP_INF, (0, 1)), (CUSP_ZERO, CUSP_INF, (1, 0)),
                          (CUSP_ONE, CUSP_INF, (1, 1))):
-        want = [complex(gamma2_phi_m_closed_form(parity, (m,))[0]) for m in ms]
+        want = [complex(eisenstein._gamma2_phi_m1(parity, m)) for m in ms]
         got = phi_m1_exact(GAMMA2, j, k, ms)
         full = phi_m1_exact(GAMMA1, CUSP_INF, CUSP_INF, ms)
         assert list(map(_bits, got)) == list(map(_bits, want)), (j, k)
@@ -132,8 +133,10 @@ def test_phi_m1_exact_modes_match_one_mode_calls():
                                          gamma2_phi_m_closed_form_at_s(parity, ms, 1.0)], (j, k)
         assert list(map(_bits, full)) == [_bits(phi_m1_exact(GAMMA1, CUSP_INF, CUSP_INF, (m,))[0])
                                           for m in ms]
-    with pytest.raises(ValueError):
-        phi_m1_exact(GAMMA2, CUSP_INF, CUSP_INF, (1, 0))
+    # mode 0 diverges at s = 1 in every group
+    for g in (GAMMA1, GAMMA2, gamma_n(3)):
+        with pytest.raises(DivergentRegion):
+            phi_m1_exact(g, CUSP_INF, CUSP_INF, (1, 0))
 
 
 def test_phi_counts_are_integers():
@@ -625,7 +628,7 @@ def test_twisted_phi_match_the_lifted_lanes(monkeypatch):
         for s in (1.0, 2.0, 1.5 + 0.7j):
             weights = eisenstein._power_terms(cs * cs, s)
             for i, fc in enumerate(cusp_reps(n)):
-                got = eisenstein._phis(g, i, m_max, c_max, s).phi
+                got = eisenstein._phis(g, i, m_max, c_max, s)
                 want = np.array([complex((row * weights).sum())
                                  for row in inner_sums(g, fc.rep, CUSP_INF, modes, c_max)])
                 if _lane_source(g, i) != i:
@@ -653,12 +656,7 @@ def test_phi_cache_bounded_and_evicted_key_recomputes(monkeypatch):
     assert info.currsize <= bound and info.misses == bound + 1
     again = eisenstein._phis(g, i, 2, 20, 1.5)
     assert eisenstein._phis.cache_info().misses == info.misses + 1
-    assert again is not first and _entry_bits(again) == _entry_bits(first)
-
-
-def _entry_bits(entry) -> list:
-    """The bits of every number of a _phis entry, arrays element by element."""
-    return [list(map(_bits, np.atleast_1d(field))) for field in entry]
+    assert again is not first and list(map(_bits, again)) == list(map(_bits, first))
 
 
 def test_classify_index_consistency():
@@ -705,7 +703,7 @@ def _direct_all_per_c(group, z, s, trunc):
     vals = np.zeros(n_classes, dtype=complex)
     ys = complex(y) ** s
     vals[classify_index(group, 1, 0)] += ys
-    parts = [(i, *eisenstein._class_rows(group, i, trunc.c_max)) for i in range(n_classes)]
+    parts = [(i, *eisenstein._class_rows(group, i, trunc.c_max)[0]) for i in range(n_classes)]
     m_cut = trunc.c_max * (abs(x) + y + 3.0)
     for c in range(1, trunc.c_max + 1):
         cx = c * x
@@ -755,7 +753,7 @@ def _direct_all_closed_per_c(group, z, trunc):
     vals = np.zeros(len(group_cusps(group)))
     vals[classify_index(group, 1, 0)] += y * y
     for i in range(vals.size):
-        step, d_col, bounds = eisenstein._class_rows(group, i, trunc.c_max)
+        step, d_col, bounds = eisenstein._class_rows(group, i, trunc.c_max)[0]
         beta = y / step
         u = 2 * math.pi * beta
         sh, ch, sh_half2 = math.sinh(u), math.cosh(u), math.sinh(u / 2) ** 2
@@ -1253,7 +1251,7 @@ def _class_buckets(group, c_max):
     n_classes = len(group_cusps(group))
     out = [[] for _ in range(c_max * n_classes)]
     for i in range(n_classes):
-        step, d, bounds = eisenstein._class_rows(group, i, c_max)
+        step, d, bounds = eisenstein._class_rows(group, i, c_max)[0]
         for c in range(1, c_max + 1):
             for dv in d[bounds[c - 1]:bounds[c]].tolist():
                 out[(c - 1) * n_classes + i] += range(dv, group.width * c, step * c)
@@ -1278,7 +1276,7 @@ def _one_build(key, c_max: int):
         if key[0] == "tau":
             return eisenstein._tau_rows(key[1], c_max)
         if key[0] == "class":
-            return eisenstein._class_rows(gamma_n(key[1]), key[2], c_max)
+            return eisenstein._class_rows(gamma_n(key[1]), key[2], c_max)[0]
         return eisenstein._row_set(key, c_max)
 
 
@@ -1510,7 +1508,7 @@ def test_batched_class_table_matches_per_d_loop(monkeypatch):
             _assert_one_build(key, entry.rows)
         for i in range(len(group_cusps(g))):
             key = ("class", g.n, i) if g.n > 1 else eisenstein._row_key(g, i)
-            _assert_same_rows(eisenstein._class_rows(g, i, 100), _one_build(key, 100), key)
+            _assert_same_rows(eisenstein._class_rows(g, i, 100)[0], _one_build(key, 100), key)
         _fresh_store(monkeypatch)
         assert grown == _class_buckets(g, 250)
 
@@ -1563,12 +1561,13 @@ def test_class_cache_evicts_least_recently_used(monkeypatch):
     # the direct sums and the lanes share the store and its cell bound,
     # an int64 bound two cells: the 190 rows of inf at c 30 and 31 bounds
     # take 252 cells, tau as many, and the 16 rows of c <= 15 that the
-    # class inf keeps 48; the Fourier class rows are not kept
+    # class inf keeps 48, with 84 more for the plan of its direct sum at
+    # s = 2; the Fourier class rows are not kept
     tr = TruncationSpec(c_max=15)
     want = eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr)
     _class_buckets(GAMMA1, 20)
     inner_sums(g, CUSP_INF, CUSP_INF, (1,), 30)
-    assert _cells(store) == {class_inf: 48, ROWS_GAMMA1: 170, inf: 252, ("tau", inf): 252}
+    assert _cells(store) == {class_inf: 132, ROWS_GAMMA1: 170, inf: 252, ("tau", inf): 252}
     # a build drops the least recently used entries: the rows of 0 and
     # their tau push out the class rows and the level-1 rows
     lanes = inner_sums(g, reps[0].rep, CUSP_INF, (1,), 30)
@@ -1583,9 +1582,9 @@ def test_class_cache_evicts_least_recently_used(monkeypatch):
     assert sum(_cells(store).values()) <= 1000
     # class rows past the bound are kept while in use, with the row set
     # and tau that their build read, and their prefix gives the same
-    # direct sum without a build
+    # direct sum without a build; 384 of the class's cells are its plan
     eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=60))
-    assert _cells(store) == {inf: 868, ("tau", inf): 868, class_inf: 374}
+    assert _cells(store) == {inf: 868, ("tau", inf): 868, class_inf: 758}
     kept = store[class_inf].rows
     assert eisenstein_direct(g, CUSP_INF, 0.3 + 1.1j, 2.0, tr) == want
     assert store[class_inf].rows is kept
@@ -1594,7 +1593,8 @@ def test_class_cache_evicts_least_recently_used(monkeypatch):
 def test_lone_table_past_the_bound_keeps_what_was_read(monkeypatch):
     # entries past the bound: a read keeps the entry it read and those
     # that its build read, and drops the rest.  The rows of inf at c 80
-    # are 1326, which with the bounds alone pass the bound
+    # are 1326, which with the bounds alone pass the bound, and the plan
+    # of the level-2 direct sum over them takes 560 cells more
     from fermatkl import eisenstein
 
     store = _fresh_store(monkeypatch)
@@ -1602,7 +1602,7 @@ def test_lone_table_past_the_bound_keeps_what_was_read(monkeypatch):
     inf = ROWS_OF_BASE[CUSP_INF]
     tr = TruncationSpec(c_max=40)
     eisenstein_direct(GAMMA2, CUSP_INF, 0.3 + 1.1j, 2.0, TruncationSpec(c_max=80))
-    assert _cells(store) == {inf: 1488}
+    assert _cells(store) == {inf: 2048}
     rows = store[inf].rows
 
     def read():
@@ -1613,7 +1613,7 @@ def test_lone_table_past_the_bound_keeps_what_was_read(monkeypatch):
     # dropped, and the row set is read as a prefix, not built again
     lanes, direct = read()
     class_2 = ("class", 2, classify_index(gamma_n(2), 1, 0))
-    assert _cells(store) == {inf: 1488, ("tau", inf): 428, class_2: 262}
+    assert _cells(store) == {inf: 2048, ("tau", inf): 428, class_2: 482}
     assert store[inf].rows is rows
     # the dropped class rows are built again to the same sums, on the
     # kept row set and tau
@@ -1738,7 +1738,7 @@ def test_store_builds_each_entry_once_under_threads(monkeypatch):
     from fermatkl import eisenstein
 
     g, zero = gamma_n(3), ROWS_OF_BASE[CUSP_ZERO]
-    reads = [lambda: eisenstein._class_rows(g, 0, 250),
+    reads = [lambda: eisenstein._class_rows(g, 0, 250)[0],
              lambda: eisenstein._tau_rows(zero, 250),
              lambda: eisenstein._row_set(zero, 250)]
     _fresh_store(monkeypatch)
@@ -1911,8 +1911,8 @@ def _clear_every_cache(monkeypatch):
     from fermatkl import eisenstein, fermat
 
     _fresh_store(monkeypatch)
-    for memo in (eisenstein._scaling, eisenstein._pullback, eisenstein._gamma2_phi_m1,
-                 fermat.classify_rep_index):
+    for memo in (eisenstein._scaling, eisenstein.pullback, eisenstein._fourier_factors,
+                 eisenstein._gamma2_phi_m1, fermat.classify_rep_index):
         memo.cache_clear()
     return eisenstein._TABLES
 
@@ -1920,7 +1920,7 @@ def _clear_every_cache(monkeypatch):
 @pytest.mark.parametrize("s", [2.0, 1.5 + 0.7j])
 def test_memo_hits_have_the_bits_of_cold_reads(monkeypatch, s):
     # what a warm read keeps that z does not change, the direct sum's
-    # plan of a class at s = 2, the factors of each phi entry, the twisted
+    # plan of a class at s = 2, the factors of fourier_eval, the twisted
     # phi of the classes over 0 and 1, the cusp geometry and the level-2
     # closed forms, gives every direct-sum bucket, Fourier value and limit
     # the bits of a read after every cache is cleared; at a complex s the
@@ -1965,7 +1965,13 @@ def test_direct_plan_is_kept_with_its_rows(monkeypatch):
     # a shorter prefix takes a plan of its own, with no build
     eisenstein_direct(g, CUSP_INF, z, 2.0, TruncationSpec(c_max=40))
     assert store[key].rows is rows and store[key].plan.weights.size == 40
+    # a plan counts in the cell bound: one attached past it drops the
+    # least recently used entries, as a build does, but not the rows it
+    # plans or the row set and tau they were built from
+    _class_buckets(GAMMA1, 20)
+    monkeypatch.setattr(eisenstein, "_TABLE_CELLS", sum(_cells(store).values()))
     assert eisenstein_direct(g, CUSP_INF, z, 2.0, tr) == want
+    assert ROWS_GAMMA1 not in store and store[key].rows is rows and len(store) == 3
     # a complex s reads no plan, and its read past the reach builds the
     # rows again, which drops the plan
     eisenstein_direct(g, CUSP_INF, z, 1.5 + 0.7j, TruncationSpec(c_max=90))
@@ -1980,7 +1986,7 @@ def test_direct_plan_is_kept_with_its_rows(monkeypatch):
     assert eisenstein_direct(g, CUSP_INF, z, 2.0, tr) == want
 
 
-@pytest.mark.parametrize("memo", ["_scaling", "_pullback", "_gamma2_phi_m1"])
+@pytest.mark.parametrize("memo", ["_scaling", "pullback", "_fourier_factors", "_gamma2_phi_m1"])
 def test_geometry_and_closed_form_memos_evict_least_recently_used(memo):
     # each memo that outlives a store reset is bounded: past maxsize
     # distinct keys the oldest goes, and computing it again gives the
@@ -1989,7 +1995,8 @@ def test_geometry_and_closed_form_memos_evict_least_recently_used(memo):
 
     cache = getattr(eisenstein, memo)
     args = {"_scaling": lambda t: (Cusp(t, 2 * t + 1),),
-            "_pullback": lambda t: (Cusp(1, 2), Cusp(t, 2 * t + 1)),
+            "pullback": lambda t: (Cusp(1, 2), Cusp(t, 2 * t + 1)),
+            "_fourier_factors": lambda t: (2, 1, 1.5 + t / 64),
             "_gamma2_phi_m1": lambda t: ((0, 1), t)}[memo]
     cache.cache_clear()
     bound = cache.cache_info().maxsize
