@@ -410,7 +410,7 @@ class Rows(NamedTuple):
 # tau over each, keyed ("tau", key); and the rows of each level-n class
 # that a direct sum reads, keyed ("class", n, i).  3 * 2^20 int32 cells
 # (12 MB) hold every row set and tau at c_max 500 (0.39M cells) with the
-# class rows of levels 2 to 5 and their s = 2 plans (2.19M cells in all).
+# class rows of levels 2 to 5 and their s = 2 plans (2.20M cells in all).
 _TABLES: OrderedDict = OrderedDict()
 _TABLE_LOCK = threading.Lock()
 _TABLE_CELLS = 3 << 20
