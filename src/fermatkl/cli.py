@@ -38,7 +38,7 @@ from .fermat import GAMMA1, classify_cusp, cusp_reps, gamma_n
 from .qseries import FormLabel, OrderTooSmall, expansion
 from .scattering import scattering_matrix
 from .sl2 import Cusp, decompose_gamma2
-from .special import BESSEL_QUADRATURE_NODES
+from .special import BESSEL_MAX_IMAG_ORDER, BESSEL_QUADRATURE_NODES
 from .verify import run_suite
 
 SCHEMA_VERSION = "1"
@@ -225,6 +225,8 @@ def cmd_eisenstein(args, trunc: TruncationSpec) -> int:
     else:
         if complex(s).real <= 1:
             raise UsageError("Re s must exceed 1 unless --limit is given")
+        if abs(complex(s).imag) > BESSEL_MAX_IMAG_ORDER:
+            raise UsageError(f"|Im s| past {BESSEL_MAX_IMAG_ORDER:g} loses the accuracy of Bessel K")
         direct, tail = eisenstein_direct(group, j, z, s, trunc)
         four = fourier_eval(group, j, Cusp(1, 0), z, s, trunc)
         phi0, phi0_tail = phi_coefficient(group, j, Cusp(1, 0), 0, s, trunc)

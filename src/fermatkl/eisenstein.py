@@ -55,9 +55,9 @@ is w^k by repeated multiplication, summed per c: a mode costs one
 complex multiplication and one reduceat over the lanes, and w^k carries
 at most 15 k units of 2^-53 of rounding.  The truncated phi depend
 neither on z nor on the pair within its lane class, so every reader of
-them, fourier_eval, phi_coefficient and the enumerated s = 1 modes of
-phi_m1_exact, takes them from _phis: the modes -M..M of one lane read,
-memoized per (group, lane class, mode bound M, c_max, s) in a bounded
+them, fourier_eval, phi_coefficient and fourier_limit_eval past level
+1, takes them from _phis: the modes -M..M of one lane read, memoized
+per (group, lane class, mode bound M, c_max, s) in a bounded
 least-recently-used cache.  A class (b, t) over 0 or 1 at level n > 1
 lifts its rows by l = tau - t, so its phases are those of the index-0
 class of its base times zeta^index and its phi_m are theirs times
@@ -85,8 +85,9 @@ changes, so they outlive a store reset: the scaling matrix of each cusp
 (_scaling) and the pullback g^-1(j) of each pair, keyed by cusps (the
 classes read from them are classify_rep_index's, memoized and cleared
 there); the Gamma, pi^s, b^s and (m/b)^(s - 1/2) factors of
-fourier_eval, keyed (width, m_max, s); and the level-2 closed forms
-phi_m(1), keyed (pair parity, m).  Nothing is kept per row.
+fourier_eval, keyed (width, m_max, s); and the exact phi_m(1) at level
+1, laid out as _phis lays them out and keyed (row set, M), one divisor
+sieve each.  Nothing is kept per row.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ import numpy as np
 
 from . import scattering
 from .fermat import (
-    GAMMA2,
     GroupId,
     class_shift,
     classify_rep_index,
@@ -364,11 +364,11 @@ def _closed_form_plan(entry: _Entry, step: int, bounds: np.ndarray) -> _Plan:
     _row_blocks(bounds), 1/P and P^-4 of each c.  None of them depends on
     z, so the entry keeps the plan of the last c_max read, and a build of
     its rows drops it; its per-c arrays count in the store's cells."""
-    plan = entry.plan
-    if plan is None or plan.weights.size != bounds.size - 1:
-        cs = np.arange(1.0, bounds.size)
-        plan = entry.plan = _Plan(tuple(_row_blocks(bounds)), 1 / (step * cs), (step * cs) ** -4)
-        with _TABLE_LOCK:
+    with _TABLE_LOCK:
+        plan = entry.plan
+        if plan is None or plan.weights.size != bounds.size - 1:
+            cs = np.arange(1.0, bounds.size)
+            plan = entry.plan = _Plan(tuple(_row_blocks(bounds)), 1 / (step * cs), (step * cs) ** -4)
             _evict(entry)
     return plan
 
@@ -412,7 +412,7 @@ class Rows(NamedTuple):
 # (12 MB) hold every row set and tau at c_max 500 (0.39M cells) with the
 # class rows of levels 2 to 5 and their s = 2 plans (2.20M cells in all).
 _TABLES: OrderedDict = OrderedDict()
-_TABLE_LOCK = threading.Lock()
+_TABLE_LOCK = threading.RLock()
 _TABLE_CELLS = 3 << 20
 _GAMMA1_ROWS = (1, 0, 0)
 
@@ -440,9 +440,9 @@ _DIRECT_BLOCK = 1 << 15
 # 3 us at 10,000, and its rounding then depends on the thread count.
 _DOT_CHUNK = 1 << 13
 # Entries of the memoized phi, keyed (group, lane class, mode bound M,
-# c_max, s) and read by fourier_eval, phi_coefficient and phi_m1_exact,
-# each 2 M + 1 complex numbers, and of fourier_eval's factors, keyed
-# (width, M, s), each M + 3: well under 1 MB in all at M = 10.
+# c_max, s), and of the exact phi(1) at level 1, keyed (row set, M), each
+# 2 M + 1 numbers, and of fourier_eval's factors, keyed (width, M, s),
+# each M + 3: well under 1 MB in all at M = 10.
 _PHI_CACHE = 256
 
 
@@ -458,12 +458,11 @@ class _Plan(NamedTuple):
 
 class _Entry:
     """The Rows of one key of the store, None before its first build, the
-    lock of its builds, the keys of the entries that its build reads, and
-    the _Plan of a direct sum over its rows, None until one is read and
-    after each build."""
+    keys of the entries that its build reads, and the _Plan of a direct
+    sum over its rows, None until one is read and after each build."""
 
     def __init__(self, keep=()):
-        self.rows, self.plan, self.keep, self.lock = None, None, keep, threading.Lock()
+        self.rows, self.plan, self.keep = None, None, keep
 
     def cells(self) -> int:
         """int32 cells of the rows and bounds, and of the plan's blocks
@@ -477,22 +476,22 @@ class _Entry:
 
 def _stored(key, c_max: int, build, keep=()) -> tuple[Rows, _Entry]:
     """The entry key read to c_max, as views: a prefix of its Rows, built
-    whole by build(c_max) under its lock when they do not reach c_max, so
-    that threads build it once; and the entry.  A build puts it at the
-    newest end and drops the least recently used entries (_evict), but
-    not it or those in keep, which it reads."""
+    whole by build(c_max) when they do not reach c_max; and the entry.
+    The store's lock is held across the lookup, the build and the
+    eviction, so threads build an entry once.  A build, whose own reads
+    may evict the entry, puts it back at the newest end and drops the
+    least recently used entries (_evict), but not it or those in keep,
+    which it reads."""
     with _TABLE_LOCK:
         entry = _TABLES.setdefault(key, _Entry(keep))
         _TABLES.move_to_end(key)
-    with entry.lock:
         rows = entry.rows
         if rows is None or rows.bounds.size <= c_max:
             rows = entry.rows = build(c_max)
             entry.plan = None
-            with _TABLE_LOCK:
-                held = _TABLES.setdefault(key, entry)
-                _TABLES.move_to_end(key)
-                _evict(held)
+            _TABLES[key] = entry
+            _TABLES.move_to_end(key)
+            _evict(entry)
     return Rows(rows.step, rows.d[:rows.bounds[c_max]], rows.bounds[:c_max + 1]), entry
 
 
@@ -726,61 +725,31 @@ def _fourier_factors(b: int, m_max: int, s) -> tuple:
             2.0 * math.pi ** sc / gs, complex(b) ** s * b)
 
 
-def _divisors(m: int) -> list[int]:
-    m = abs(m)
-    out = []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            out.append(i)
-            if i != m // i:
-                out.append(m // i)
-        i += 1
-    return sorted(out)
-
-
-# zeta at 2, the only zeta value the closed forms of phi_m(1) read
-_ZETA_2 = math.pi ** 2 / 6
-
-
-# Level-2 closed forms phi_m(1) that stay memoized, keyed (pair parity,
-# m): exact arithmetic of m that no table changes.
-_CLOSED_FORM_CACHE = 1024
-
-
-@lru_cache(maxsize=_CLOSED_FORM_CACHE)
-def _gamma2_phi_m1(pair_parity: tuple[int, int], m: int) -> float:
-    """Exact phi_{jk,m}(1) of the level-2 group for a mode m != 0, the
-    admissible pairs of (c, d) parities pair_parity: (0, 1) for diagonal
-    entries, (1, 0) and (1, 1) for the two off-diagonal types.  Obtained
-    by factoring the Ramanujan-sum Dirichlet series through the 2-adic
-    part of m, from its divisors."""
-    divs = _divisors(m)
-    if pair_parity == (0, 1):
-        d2 = sum(1.0 / d for d in divs if d % 4 == 2)
-        d4 = sum(1.0 / d for d in divs if d % 4 == 0)
-        return (-d2 / 0.75 + 4.0 * d4) / _ZETA_2
-    base = sum(1.0 / d for d in divs if d % 2 == 1) / (_ZETA_2 * 0.75)
-    return -base if pair_parity == (1, 1) and m % 2 else base
-
-
-def phi_m1_exact(group: GroupId, j: Cusp, k: Cusp, ms,
-                 trunc: TruncationSpec = DEFAULT_TRUNCATION) -> list[complex]:
-    """phi_{jk,m}(1) for each m in ms, all nonzero: closed form where
-    available (full modular group and level 2), else the truncated
-    enumeration: the _phis entry of the lane class at s = 1 and the mode
-    bound max(m_max, max |m|); a hit is bit-identical to a miss."""
-    ms = list(ms)
-    if 0 in ms:
-        raise DivergentRegion("phi requires Re s > 1, or s = 1 with m != 0")
-    if group.kind == "gamma1":
-        return [complex(sum(1.0 / d for d in _divisors(m)) / _ZETA_2) for m in ms]
-    i = _lane_class(group, j, k)
-    if group == GAMMA2:
-        _, pc, pd = _row_key(group, i)
-        return [complex(_gamma2_phi_m1((pc, pd), m)) for m in ms]
-    phi = _phis(group, i, max([trunc.m_max, *map(abs, ms)]), trunc.c_max, 1.0)
-    return [complex(phi[m]) for m in ms]
+@lru_cache(maxsize=_PHI_CACHE)
+def _closed_phi_m1(key: tuple, m_max: int) -> np.ndarray:
+    """Exact phi_m(1) at level 1, laid out as _phis lays out its modes,
+    for a lane class whose rows are the row set key: sigma_-1(m)/zeta(2)
+    for the full modular group, and for level 2 the Ramanujan-sum
+    Dirichlet series factored through the 2-adic part of m, the pairs of
+    (c, d) parities (0, 1) on the diagonal, (1, 0) and (1, 1) off it.
+    Mode 0 diverges at s = 1 and is nan.  A sieve adds 1/d to every
+    multiple of d, in ascending d, once for each class of d: odd,
+    2 (mod 4), 0 (mod 4) and all d.  zeta(2) is pi^2/6."""
+    zeta2 = math.pi ** 2 / 6
+    sums = np.zeros((4, m_max + 1))
+    sums[:, 0] = math.nan
+    for d in range(1, m_max + 1):
+        sums[[(d % 2 == 0) + (d % 4 == 0), 3], d::d] += 1.0 / d
+    odd, d2, d4, every = sums
+    if key == _GAMMA1_ROWS:
+        phi = every / zeta2
+    elif key == (2, 0, 1):
+        phi = (-d2 / 0.75 + 4.0 * d4) / zeta2
+    else:
+        phi = odd / (zeta2 * 0.75)
+        if key == (2, 1, 1):
+            phi[1::2] *= -1
+    return np.concatenate((phi, phi[:0:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -836,29 +805,32 @@ def fourier_limit_eval(group: GroupId, j: Cusp, k: Cusp, z: complex,
                        trunc: TruncationSpec = DEFAULT_TRUNCATION) -> complex:
     """4 pi * lim_(s->1) (E_j(gamma_k z, s) - 1/(vol (s-1))).
 
-    Constant mode from the closed-form natural scattering constant, log
-    term with coefficient 12/index on the 4 pi scale, oscillating modes
+    Read from the lane g_k^-1(j), as fourier_eval reads it: constant mode
+    from the closed-form natural scattering constant of the lane and inf,
+    log term with coefficient 12/index on the 4 pi scale, the delta term
+    when the lane's class is that of inf, and oscillating modes
     pi/(b_j b_k) phi_{jk,m}(1) exp(-2 pi |m| y / b_k + 2 pi i m x / b_k)
-    for m = 1..m_max up to the last whose decay is at least 1e-18.  The
-    phi of the modes 1..m_max come from one phi_m1_exact call, whatever
-    the cut, so a lane class takes one _phis key at every height.  The
-    modes kept are numpy arrays, the phases e(m x / b) at x reduced by
-    the width b, summed in one np.dot.
+    for m = 1..m_max up to the last whose decay is at least 1e-18.  Their
+    phi are a slice of one array of the lane class at the mode bound
+    m_max, whatever the cut: _closed_phi_m1 at level 1, else _phis at
+    s = 1.  The modes kept are numpy arrays, the phases e(m x / b) at x
+    reduced by the width b, summed in one np.dot.
     """
     x, y = math.remainder(z.real, group.width), z.imag
     if y <= 0:
         raise ValueError("z must lie in the upper half plane")
-    jc = standard_rep(group, j)
-    kc = standard_rep(group, k)
-    ct = scattering.natural_constant(group, jc, kc)
+    lane = pullback(standard_rep(group, k), j)
+    i = classify_index(group, lane.p, lane.q)
     b = group.width
-    val = 4.0 * math.pi * (ct - (3.0 / (math.pi * group.index)) * math.log(y))
-    if jc == kc:
+    val = 4.0 * math.pi * (scattering.natural_constant(group, lane, CUSP_INF)
+                           - (3.0 / (math.pi * group.index)) * math.log(y))
+    if i == classify_index(group, 1, 0):
         val += 4.0 * math.pi * y / b
     decays = np.exp((-2.0 * math.pi * y / b) * np.arange(1, trunc.m_max + 1))
     kept = int(np.count_nonzero(decays >= 1e-18))
     if kept:
-        phis = np.array(phi_m1_exact(group, jc, kc, range(1, trunc.m_max + 1), trunc)[:kept])
-        acc = np.dot((phis * _phases(x, b, kept)).real, decays[:kept]).item()
+        phi = (_closed_phi_m1(_row_key(group, i), trunc.m_max) if group.n == 1
+               else _phis(group, i, trunc.m_max, trunc.c_max, 1.0))
+        acc = np.dot((phi[1:kept + 1] * _phases(x, b, kept)).real, decays[:kept]).item()
         val += 4.0 * math.pi * (math.pi / (b * b)) * 2.0 * acc
     return complex(val)

@@ -21,7 +21,8 @@ with u0 the shift that h_j and h_k add,
 
 The level-2 modes also have closed forms at every s, the factored
 Dirichlet series of gamma2_phi0_closed_form and
-gamma2_phi_m_closed_form_at_s, over the zeta of mpmath.
+gamma2_phi_m_closed_form_at_s, over the zeta of mpmath, and the modes of
+the full modular group at s = 1 are sigma_-1(m)/zeta(2), gamma1_phi_m1.
 """
 
 from functools import lru_cache
@@ -188,7 +189,7 @@ def gamma2_phi_m_closed_form_at_s(pair_parity: tuple[int, int], ms, s: float) ->
     zw = zeta(w)
 
     def phi(m):
-        divs = e._divisors(m)
+        divs = divisors(m)
         if pair_parity == (0, 1):
             d2 = sum(d ** (1.0 - w) for d in divs if d % 4 == 2)
             d4 = sum(d ** (1.0 - w) for d in divs if d % 4 == 0)
@@ -196,3 +197,16 @@ def gamma2_phi_m_closed_form_at_s(pair_parity: tuple[int, int], ms, s: float) ->
         base = sum(d ** (1.0 - w) for d in divs if d % 2 == 1) / (zw * (1.0 - 2.0 ** -w))
         return -base if pair_parity == (1, 1) and m % 2 else base
     return [phi(m) for m in ms]
+
+
+def gamma1_phi_m1(ms) -> list[float]:
+    """phi_m(1) of the full modular group for each m in ms, all nonzero:
+    sigma_-1(m)/zeta(2), the 1/d added in ascending d."""
+    if 0 in ms:
+        raise ValueError("the closed form takes nonzero modes only")
+    return [sum(1.0 / d for d in divisors(m)) / zeta(2.0) for m in ms]
+
+
+def divisors(m: int) -> list[int]:
+    """The positive divisors of m, ascending."""
+    return [d for d in range(1, abs(m) + 1) if m % d == 0]

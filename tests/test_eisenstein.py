@@ -17,7 +17,6 @@ from fermatkl.eisenstein import (
     fourier_limit_eval,
     inner_sums,
     phi_coefficient,
-    phi_m1_exact,
     standard_rep,
 )
 from fermatkl.fermat import GAMMA1, GAMMA2, GroupId, cusp_reps, gamma2_base, gamma_n
@@ -39,6 +38,7 @@ from character_oracles import (
     base_pair_matrix,
     character_column,
     character_lanes,
+    gamma1_phi_m1,
     gamma2_phi0_closed_form,
     gamma2_phi_m_closed_form_at_s,
     inner_sums_character,
@@ -116,27 +116,21 @@ def test_direct_tail_honest():
 
 
 def test_phi_m1_exact_modes_match_one_mode_calls():
-    # each mode of a level-2 or full modular call has the bits of the
-    # one-mode closed form, and the level-2 ones those of the general-s
-    # form at s = 1, whose zeta(2) from mpmath rounds to pi^2/6
+    # each mode of the level-1 sieve has the bits of the one-mode closed
+    # forms: at level 2 the general-s form at s = 1, and for the full
+    # modular group sigma_-1(m)/zeta(2), each with the zeta(2) of mpmath,
+    # which rounds to pi^2/6
     # 1923 is the first d with d ** -1.0 != 1.0 / d, and 3846 = 2 * 1923
     from fermatkl import eisenstein
 
     ms = (*range(1, 13), 24, 35, -6, 1923, 3846)
-    for j, k, parity in ((CUSP_INF, CUSP_INF, (0, 1)), (CUSP_ZERO, CUSP_INF, (1, 0)),
-                         (CUSP_ONE, CUSP_INF, (1, 1))):
-        want = [complex(eisenstein._gamma2_phi_m1(parity, m)) for m in ms]
-        got = phi_m1_exact(GAMMA2, j, k, ms)
-        full = phi_m1_exact(GAMMA1, CUSP_INF, CUSP_INF, ms)
-        assert list(map(_bits, got)) == list(map(_bits, want)), (j, k)
-        assert list(map(_bits, got)) == [_bits(complex(phi)) for phi in
-                                         gamma2_phi_m_closed_form_at_s(parity, ms, 1.0)], (j, k)
-        assert list(map(_bits, full)) == [_bits(phi_m1_exact(GAMMA1, CUSP_INF, CUSP_INF, (m,))[0])
-                                          for m in ms]
-    # mode 0 diverges at s = 1 in every group
-    for g in (GAMMA1, GAMMA2, gamma_n(3)):
-        with pytest.raises(DivergentRegion):
-            phi_m1_exact(g, CUSP_INF, CUSP_INF, (1, 0))
+    top = max(map(abs, ms))
+    for key in ((2, 0, 1), (2, 1, 0), (2, 1, 1)):
+        got = eisenstein._closed_phi_m1(key, top)
+        assert [_bits(complex(got[m])) for m in ms] == \
+            [_bits(complex(phi)) for phi in gamma2_phi_m_closed_form_at_s(key[1:], ms, 1.0)], key
+    full = eisenstein._closed_phi_m1(eisenstein._GAMMA1_ROWS, top)
+    assert [_bits(complex(full[m])) for m in ms] == [_bits(complex(phi)) for phi in gamma1_phi_m1(ms)]
 
 
 def test_phi_counts_are_integers():
@@ -174,7 +168,7 @@ def test_phi_m_closed_form_matches_enumeration():
             phim, _ = phi_coefficient(GAMMA2, j, k, m, 1.5, tr)
             assert abs(phim - cf) < 2e-4, (j, k, m)
             # at s = 1 the closed form backs the limit evaluation
-            (exact,) = phi_m1_exact(GAMMA2, j, k, (m,))
+            (exact,) = gamma2_phi_m_closed_form_at_s(parity, (m,), 1.0)
             approx, _ = phi_coefficient(GAMMA2, j, k, m, 1.0, tr)
             assert abs(exact - approx) < 5e-3
 
@@ -314,8 +308,9 @@ def _fourier_eval_per_mode(group, j, k, z, s, trunc):
 
 def _fourier_limit_per_mode(group, j, k, z, trunc):
     """The limit assembly with one phi(1) evaluation per mode: the closed
-    form of the full modular group and level 2, else the lanes.  Returns
-    the value and the sum of the moduli of its terms."""
+    form of the full modular group and level 2, the latter at the
+    parities of its base pair's rows, else the lanes.  Returns the value
+    and the sum of the moduli of its terms."""
     import fermatkl.scattering as scattering
 
     x, y = z.real, z.imag
@@ -333,8 +328,11 @@ def _fourier_limit_per_mode(group, j, k, z, trunc):
         decay = math.exp(-2.0 * math.pi * m * y / b)
         if decay < 1e-18:
             break
-        if group.n == 1:
-            (phim,) = phi_m1_exact(group, jc, kc, (m,), trunc)
+        if group.kind == "gamma1":
+            (phim,) = gamma1_phi_m1((m,))
+        elif group.n == 1:
+            pt = base_pair_matrix(jc, kc)
+            (phim,) = gamma2_phi_m_closed_form_at_s((pt.c & 1, pt.d & 1), (m,), 1.0)
         else:
             phim, _ = phi_coefficient(group, jc, kc, m, 1.0, trunc)
         term = 2.0 * (phim * cmath.exp(2j * math.pi * m * x / b)).real * decay
@@ -563,7 +561,7 @@ def test_phi_coefficient_matches_inner_sums_oracle(monkeypatch):
 def test_phi_readers_share_one_entry_per_class(monkeypatch):
     # after fourier_eval fills a class at s, phi_coefficient's phi_0
     # there reads no lanes, and after one s = 1 read of a class every
-    # mode of phi_m1_exact, phi_coefficient and the limit reads none
+    # mode of phi_coefficient and the limit reads none
     from fermatkl import eisenstein
 
     def refuse(*args):
@@ -596,8 +594,6 @@ def test_phi_readers_share_one_entry_per_class(monkeypatch):
             for j, k in pairs:
                 for s in (2.0, 1.5 + 0.7j):
                     phi_coefficient(g, j, k, 0, s, tr)
-                phi_m1_exact(g, j, k, range(1, tr.m_max + 1), tr)
-                phi_m1_exact(g, j, k, (-2, 3), tr)
                 phi_coefficient(g, j, k, -tr.m_max, 1.0, tr)
                 fourier_limit_eval(g, j, k, z, tr)
 
@@ -1912,7 +1908,7 @@ def _clear_every_cache(monkeypatch):
 
     _fresh_store(monkeypatch)
     for memo in (eisenstein._scaling, eisenstein.pullback, eisenstein._fourier_factors,
-                 eisenstein._gamma2_phi_m1, fermat.classify_rep_index):
+                 eisenstein._closed_phi_m1, fermat.classify_rep_index):
         memo.cache_clear()
     return eisenstein._TABLES
 
@@ -1986,7 +1982,7 @@ def test_direct_plan_is_kept_with_its_rows(monkeypatch):
     assert eisenstein_direct(g, CUSP_INF, z, 2.0, tr) == want
 
 
-@pytest.mark.parametrize("memo", ["_scaling", "pullback", "_fourier_factors", "_gamma2_phi_m1"])
+@pytest.mark.parametrize("memo", ["_scaling", "pullback", "_fourier_factors", "_closed_phi_m1"])
 def test_geometry_and_closed_form_memos_evict_least_recently_used(memo):
     # each memo that outlives a store reset is bounded: past maxsize
     # distinct keys the oldest goes, and computing it again gives the
@@ -1997,7 +1993,7 @@ def test_geometry_and_closed_form_memos_evict_least_recently_used(memo):
     args = {"_scaling": lambda t: (Cusp(t, 2 * t + 1),),
             "pullback": lambda t: (Cusp(1, 2), Cusp(t, 2 * t + 1)),
             "_fourier_factors": lambda t: (2, 1, 1.5 + t / 64),
-            "_gamma2_phi_m1": lambda t: ((0, 1), t)}[memo]
+            "_closed_phi_m1": lambda t: ((2, 0, 1), t)}[memo]
     cache.cache_clear()
     bound = cache.cache_info().maxsize
     first = cache(*args(1))
@@ -2005,7 +2001,7 @@ def test_geometry_and_closed_form_memos_evict_least_recently_used(memo):
         cache(*args(t))
     info = cache.cache_info()
     assert info.currsize == bound and info.misses == bound + 1
-    assert cache(*args(1)) == first
+    np.testing.assert_equal(cache(*args(1)), first)
     assert cache.cache_info().misses == info.misses + 1
 
 

@@ -105,3 +105,32 @@ def test_orders_past_the_finite_sum_take_the_quadrature(mp):
     with np.errstate(all="ignore"):
         bessel_k(2.0 ** 51 + 0.5, 1.0)
     assert time.perf_counter() - start < 1.0
+
+
+def test_complex_orders_hold_the_stated_accuracy_up_to_the_bound(mp):
+    # the quadrature cancels as |Im nu| grows: at |Im nu| =
+    # BESSEL_MAX_IMAG_ORDER and Re nu >= 1/2, the orders s - 1/2 of
+    # Re s > 1, K keeps the 5e-8 of the module docstring on x in
+    # [0.05, 200], and one step past the bound it raises
+    bound = special.BESSEL_MAX_IMAG_ORDER
+    xs = np.geomspace(0.05, 200.0, 40)
+    for nu in (complex(0.5, bound), complex(0.5, -bound), complex(1.5, bound), complex(3.2, -bound)):
+        for x, k in zip(xs.tolist(), bessel_k_batch(nu, xs).tolist()):
+            assert rel_err(k, mp.besselk(nu, x)) < 5e-8, (nu, x)
+    for im in (math.nextafter(bound, math.inf), -math.nextafter(bound, math.inf), 50.0):
+        with pytest.raises(ValueError):
+            bessel_k_batch(complex(1.5, im), xs)
+
+
+def test_cli_refuses_an_s_past_the_bound(capsys):
+    # a Fourier value at |Im s| past the bound is a usage error, as the
+    # quadrature's cancellation there would print 1.0e10 against a direct
+    # sum of 0.06; at the bound it runs
+    from fermatkl.cli import main
+
+    argv = ["eisenstein", "--n", "2", "--cusp", "inf", "--z", "0.1+1i", "--no-timestamp"]
+    assert main([*argv, "--s", "2+50i"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error:") and not out
+    assert main([*argv, "--s", "2-10i", "--cmax", "40"]) == 0
+    assert '"fourier_inf_chart"' in capsys.readouterr().out
